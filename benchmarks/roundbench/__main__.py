@@ -1,0 +1,6 @@
+"""``python -m benchmarks.roundbench run|compare ...``."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())
