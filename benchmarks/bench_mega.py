@@ -84,13 +84,13 @@ def run_mega_flash_crowd(
     window: float = 30.0,
     timeout: float = 30.0,
     seed: int = 2005,
-    scheduler: str | None = None,
+    scheduler: str = "wheel",
 ) -> dict:
     """Join ``clients`` requesters inside ``window`` simulated seconds.
 
     Returns the harness scenario dict (events/sec, latency percentiles,
-    failure counts).  ``scheduler`` overrides the world's timer
-    implementation (``None`` = the product default, the wheel).
+    failure counts).  ``scheduler`` picks the world's timer
+    implementation.
     """
     net = BrokerNetwork(
         seed=seed,
@@ -189,7 +189,7 @@ def run_mega_flash_crowd(
             "clients": clients,
             "shards": shards,
             "brokers": n_brokers,
-            "scheduler": scheduler or "wheel",
+            "scheduler": scheduler,
             "completed_discoveries": completed,
             "failed_discoveries": failures[0],
             "dedup_hits": bdn.dedup.hits,
@@ -207,12 +207,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--window", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=2005)
     parser.add_argument(
-        "--scheduler", choices=("wheel", "heap"), default=None,
-        help="force a scheduler (default: the product wheel)",
+        "--scheduler", choices=("wheel", "heap"), default="wheel",
+        help="timer implementation (default: wheel)",
     )
     parser.add_argument(
         "--compare", action="store_true",
-        help="run wheel AND compacting heap at the same size, print the ratio",
+        help="run wheel AND heap at the same size, print the ratio",
     )
     parser.add_argument(
         "--output", type=Path, default=None,

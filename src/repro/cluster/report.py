@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 
 from repro.cluster.spec import ClusterSpec
+from repro.core.invariants import election_overlaps
 from repro.obs.cluster import merge_process_snapshots
 
 __all__ = [
@@ -66,20 +67,12 @@ def merge_leadership_intervals(reports: list[dict]) -> list[tuple[str, float, fl
 def check_election_safety(
     intervals: list[tuple[str, float, float, float]], eps: float = LIVE_ELECTION_EPS
 ) -> list[str]:
-    violations = []
-    for i in range(len(intervals)):
-        name_a, term_a, start_a, until_a = intervals[i]
-        for j in range(i + 1, len(intervals)):
-            name_b, term_b, start_b, until_b = intervals[j]
-            if name_a == name_b:
-                continue
-            if start_a < until_b - eps and start_b < until_a - eps:
-                violations.append(
-                    "election safety: "
-                    f"{name_a} led term {term_a:g} over [{start_a:.3f}, {until_a:.3f}) "
-                    f"overlapping {name_b} term {term_b:g} over [{start_b:.3f}, {until_b:.3f})"
-                )
-    return violations
+    return [
+        "election safety: "
+        f"{a[0]} led term {a[1]:g} over [{a[2]:.3f}, {a[3]:.3f}) "
+        f"overlapping {b[0]} term {b[1]:g} over [{b[2]:.3f}, {b[3]:.3f})"
+        for a, b in election_overlaps(intervals, eps)
+    ]
 
 
 def collect_rounds(reports: list[dict]) -> list[dict]:

@@ -399,8 +399,8 @@ class BDNConfig:
         and duplicate-request cache (see
         :mod:`repro.discovery.sharding`).  1 (default) is the paper's
         single flat table, bit-identical to the unsharded code.  Raise
-        it for mega-scale registries (>~10k ads): lease sweeps, ingress
-        queues and dedup eviction then operate per shard.
+        it for mega-scale registries (>~10k ads): lease sweeps and
+        dedup eviction then operate per shard.
     dedup_budget:
         Global duplicate-cache entry budget, divided evenly across
         shards.  ``None`` means the paper's 1000 ("the last 1000

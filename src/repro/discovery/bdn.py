@@ -132,29 +132,18 @@ class BDN(Node):
         # and, above the admission high-watermark, are refused with a
         # DiscoveryBusy instead of queued.  Built once so the counters
         # span restarts; None (the default) keeps instant processing.
-        # With shards > 1 each shard gets its own queue (independent
-        # service lanes, the PR 3 model applied per partition) and
-        # ``self.ingress`` stays None; datagrams are routed to a lane by
-        # hashing the sender, so one sender's traffic stays FIFO.
+        # One queue whatever the shard count: shards partition the
+        # registry and the dedup cache, not the socket.
         self.ingress: IngressQueue | None = None
-        self.ingress_shards: list[IngressQueue] = []
         if self.config.service is not None:
-            def _make_queue() -> IngressQueue:
-                return IngressQueue(
-                    self.runtime,
-                    self._on_udp,
-                    self.config.service,
-                    trace=self.trace,
-                    admit=self._admit,
-                    span=self._queue_span if self._recorder is not None else None,
-                )
-
-            if self.config.shards == 1:
-                self.ingress = _make_queue()
-            else:
-                self.ingress_shards = [
-                    _make_queue() for _ in range(self.config.shards)
-                ]
+            self.ingress = IngressQueue(
+                self.runtime,
+                self._on_udp,
+                self.config.service,
+                trace=self.trace,
+                admit=self._admit,
+                span=self._queue_span if self._recorder is not None else None,
+            )
         # Replicated control plane (None = the paper's island BDN).
         self.replication: ReplicationState | None = None
         if self.config.replication is not None:
@@ -180,10 +169,8 @@ class BDN(Node):
 
     @property
     def queue_depth(self) -> int:
-        """Current ingress depth, summed over lanes (0 without a service model)."""
-        if self.ingress is not None:
-            return self.ingress.depth
-        return sum(q.depth for q in self.ingress_shards)
+        """Current ingress depth (0 without a service model)."""
+        return self.ingress.depth if self.ingress is not None else 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -199,12 +186,7 @@ class BDN(Node):
             return
         super().start()
         self.alive = True
-        if self.ingress is not None:
-            handler = self.ingress.deliver
-        elif self.ingress_shards:
-            handler = self._ingress_dispatch
-        else:
-            handler = self._on_udp
+        handler = self.ingress.deliver if self.ingress is not None else self._on_udp
         self.runtime.bind_udp(self.udp_endpoint, handler)
         # One sweep series per shard, phases spread evenly across the
         # ping interval so a mega-scale registry amortises its lease
@@ -241,8 +223,6 @@ class BDN(Node):
         self._fanout_timers.clear()
         if self.ingress is not None:
             self.ingress.reset()  # a dead process loses its socket buffer
-        for queue in self.ingress_shards:
-            queue.reset()
         if self.replication is not None:
             self.replication.stop()
         if self._network_client is not None:
@@ -360,16 +340,6 @@ class BDN(Node):
             self.span("busy", message.uuid, hop=busy.trace_hop, retry_after=busy.retry_after)
         self.trace("bdn_busy", request=message.uuid, depth=self.queue_depth)
         return False
-
-    def _ingress_dispatch(self, message: Message | LazyMessage, src: Endpoint) -> None:
-        """Route a datagram to its shard's service lane (shards > 1).
-
-        Hashing the sender keeps each sender's traffic FIFO within one
-        lane, while the aggregate load spreads across the independent
-        per-shard queues.
-        """
-        lane = self.registry.ring.shard_of(f"{src.host}:{src.port}")
-        self.ingress_shards[lane].deliver(message, src)
 
     def _queue_span(self, event: str, message: Message) -> None:
         """Ingress-queue hook: record enqueue/dequeue of traced messages."""
@@ -586,13 +556,6 @@ class BDN(Node):
     # ------------------------------------------------------------------
     # Distance sweeps
     # ------------------------------------------------------------------
-    def _sweep(self) -> None:
-        """Ping every registered broker; evict lapsed leases and prune
-        long-silent ones.  Convenience wrapper sweeping every shard at
-        once; the armed timers call :meth:`_sweep_shard` individually."""
-        for i in range(self.registry.shard_count):
-            self._sweep_shard(i)
-
     def _sweep_shard(self, index: int) -> None:
         """One shard's lease sweep: evict, prune, then ping survivors.
 

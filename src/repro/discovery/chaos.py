@@ -43,6 +43,7 @@ from repro.core.config import (
     ServiceConfig,
 )
 from repro.core.errors import DiscoveryError
+from repro.core.invariants import election_overlaps
 from repro.discovery.bdn import BDN, BDN_UDP_PORT
 from repro.discovery.faults import FaultInjector
 from repro.discovery.requester import DiscoveryClient, DiscoveryOutcome
@@ -547,22 +548,16 @@ def _check_replication(world: ChaosWorld, violations: list[str]) -> None:
     the same set of live broker registrations.
     """
     intervals = [
-        (bdn.name, row)
+        (bdn.name, *row)
         for bdn in world.bdns
         for row in bdn.replication.leadership_intervals
     ]
-    for i in range(len(intervals)):
-        name_a, (term_a, start_a, until_a) = intervals[i]
-        for j in range(i + 1, len(intervals)):
-            name_b, (term_b, start_b, until_b) = intervals[j]
-            if name_a == name_b:
-                continue
-            if start_a < until_b - 1e-9 and start_b < until_a - 1e-9:
-                violations.append(
-                    "election safety: "
-                    f"{name_a} led term {term_a:g} over [{start_a:.3f}, {until_a:.3f}) "
-                    f"overlapping {name_b} term {term_b:g} over [{start_b:.3f}, {until_b:.3f})"
-                )
+    for a, b in election_overlaps(intervals, eps=1e-9):
+        violations.append(
+            "election safety: "
+            f"{a[0]} led term {a[1]:g} over [{a[2]:.3f}, {a[3]:.3f}) "
+            f"overlapping {b[0]} term {b[1]:g} over [{b[2]:.3f}, {b[3]:.3f})"
+        )
     now = world.sim.now
     registries = {bdn.name: frozenset(bdn.store.broker_ids(now)) for bdn in world.bdns}
     union = frozenset().union(*registries.values())

@@ -4,8 +4,7 @@ A single :class:`~repro.discovery.advertisement.AdvertisementStore` plus
 one :class:`~repro.core.dedup.DedupCache` is the paper's BDN exactly, and
 it is fine up to a few thousand registered brokers.  Past ~10k ads the
 flat table starts to hurt: every lease sweep walks the whole dict in one
-simulated instant, the duplicate-UUID cache churns as one global LRU, and
-(on the live-cluster port) a single ingress queue serialises all writes.
+simulated instant and the duplicate-UUID cache churns as one global LRU.
 
 This module partitions both structures by **consistent hash of broker
 id**:

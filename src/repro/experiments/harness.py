@@ -31,7 +31,7 @@ def run_discovery_once(
         If the outcome callback has not fired within
         ``max_virtual_seconds`` of virtual time (protocol wedged).
     """
-    sim: Simulator = client.sim
+    sim: Simulator = client.runtime.sim
     outcomes: list[DiscoveryOutcome] = []
     client.discover(outcomes.append)
     deadline = sim.now + max_virtual_seconds
@@ -66,5 +66,5 @@ def repeat_discovery(
     outcomes: list[DiscoveryOutcome] = []
     for _ in range(runs):
         outcomes.append(run_discovery_once(client, max_virtual_seconds))
-        client.sim.run_for(gap)
+        client.runtime.sim.run_for(gap)
     return outcomes

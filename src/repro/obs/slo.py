@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.core.invariants import election_overlaps
 from repro.obs.live import quantile_from_buckets
 
 __all__ = ["SloConfig", "SloViolation", "SloMonitor"]
@@ -244,7 +245,11 @@ class SloMonitor:
 
         # Election safety on the wall-clock axis, deduped so one overlap
         # does not re-fire every subsequent window.
-        for overlap in self._election_overlaps(view):
+        for a, b in election_overlaps(view.leadership_intervals(), config.election_eps):
+            overlap = (
+                f"{a[0]} term {a[1]:g} [{a[2]:.3f}, {a[3]:.3f}) "
+                f"overlaps {b[0]} term {b[1]:g} [{b[2]:.3f}, {b[3]:.3f})"
+            )
             if overlap not in self._election_seen:
                 self._election_seen.add(overlap)
                 violate("election_safety", "bdn", overlap)
@@ -288,24 +293,6 @@ class SloMonitor:
         )
         self.violations.extend(found)
         return found
-
-    def _election_overlaps(self, view) -> list[str]:
-        eps = self.config.election_eps
-        intervals = view.leadership_intervals()
-        overlaps = []
-        for i in range(len(intervals)):
-            name_a, term_a, start_a, until_a = intervals[i]
-            for j in range(i + 1, len(intervals)):
-                name_b, term_b, start_b, until_b = intervals[j]
-                if name_a == name_b:
-                    continue
-                if start_a < until_b - eps and start_b < until_a - eps:
-                    overlaps.append(
-                        f"{name_a} term {term_a:g} [{start_a:.3f}, {until_a:.3f}) "
-                        f"overlaps {name_b} term {term_b:g} "
-                        f"[{start_b:.3f}, {until_b:.3f})"
-                    )
-        return overlaps
 
     # ------------------------------------------------------------------
     # Reporting

@@ -10,9 +10,6 @@ offsets.
 Nodes are sans-IO: they speak only through the
 :class:`repro.runtime.api.Runtime` surface, so the same node classes
 run under the discrete-event simulator and under real asyncio sockets.
-For backwards compatibility the ``network`` constructor argument also
-accepts a bare :class:`~repro.simnet.network.Network`, which is wrapped
-via :func:`repro.runtime.api.as_runtime`.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from repro.core.errors import UnknownHostError
 from repro.core.ids import IdGenerator
 from repro.runtime.api import Runtime, as_runtime
 from repro.simnet.clock import Clock, NTPService
-from repro.simnet.simulator import Simulator
 from repro.simnet.trace import Tracer
 
 __all__ = ["Node"]
@@ -94,30 +90,6 @@ class Node:
         self.ntp = NTPService(self.runtime, self.clock, rng)
         self.ids = IdGenerator(np.random.default_rng(rng.integers(0, 2**63)))
         self._started = False
-
-    @property
-    def network(self):
-        """The simulated fabric, when running under the sim runtime.
-
-        Harness/test convenience only -- protocol code goes through
-        :attr:`runtime`.  Raises under runtimes with no fabric.
-        """
-        fabric = getattr(self.runtime, "network", None)
-        if fabric is None:
-            raise AttributeError(f"runtime {self.runtime.kind!r} has no simulated network")
-        return fabric
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulator, when running under the sim runtime.
-
-        Harness/test convenience only -- protocol code uses
-        ``self.runtime`` for time and timers.
-        """
-        sim = getattr(self.runtime, "sim", None)
-        if sim is None:
-            raise AttributeError(f"runtime {self.runtime.kind!r} has no simulator")
-        return sim
 
     @property
     def site(self) -> str:

@@ -18,12 +18,10 @@ Two interchangeable schedulers implement the store, selected by the
   O(1) ``cancel`` with amortised dead-entry sweeps, and per-slot
   batched delivery (one small ``heapify`` per millisecond of virtual
   time instead of a global log-n heap per event).
-* ``"heap"`` -- the reference binary-heap scheduler: ``(time, seq,
-  event)`` tuples on :mod:`heapq` with lazy deletion.  The PR 2
-  ``compaction_threshold`` knob lives only here now (the wheel reclaims
-  cancelled entries unconditionally); pass ``None`` for the
-  pre-optimisation reference behaviour the determinism suite compares
-  against.
+* ``"heap"`` -- the binary-heap scheduler the wheel's tests use as
+  their reference: ``(time, seq, event)`` tuples on :mod:`heapq` with
+  lazy deletion, rebuilt without its cancelled entries once they are
+  more than half of it.
 
 Both schedulers fire callbacks in exactly ``(time, seq)`` order, so a
 fixed seed produces bit-identical traces in either mode -- the golden
@@ -51,6 +49,9 @@ from .wheel import DEFAULT_GRANULARITY, TimerWheel
 
 __all__ = ["Simulator", "ScheduledEvent"]
 
+#: Heap mode rebuilds the heap without its cancelled entries once they
+#: exceed this fraction of it.
+_COMPACTION_THRESHOLD = 0.5
 #: Heap-mode compaction never runs below this queue size; tiny heaps
 #: are cheap to scan and rebuilding them would thrash.
 _MIN_COMPACTION_SIZE = 64
@@ -108,13 +109,6 @@ class Simulator:
     scheduler:
         ``"wheel"`` (default) for the hierarchical timer wheel,
         ``"heap"`` for the reference binary-heap scheduler.
-    compaction_threshold:
-        Heap mode only: rebuild the heap without cancelled entries once
-        they make up more than this fraction of it (and the heap holds
-        at least 64 entries).  ``None`` disables compaction -- the
-        pre-optimisation reference behaviour the determinism tests
-        compare against.  Ignored by the wheel, which sweeps dead
-        entries unconditionally (see :mod:`repro.simnet.wheel`).
     granularity:
         Wheel mode only: virtual seconds per level-0 tick (default
         1 ms).  Exact fire times are unaffected; the tick only selects
@@ -134,22 +128,16 @@ class Simulator:
     def __init__(
         self,
         scheduler: str = "wheel",
-        compaction_threshold: float | None = 0.5,
         granularity: float = DEFAULT_GRANULARITY,
     ) -> None:
         if scheduler not in ("wheel", "heap"):
             raise ValueError(f"scheduler must be 'wheel' or 'heap', got {scheduler!r}")
-        if compaction_threshold is not None and not 0.0 < compaction_threshold < 1.0:
-            raise ValueError(
-                f"compaction_threshold must be in (0, 1) or None, got {compaction_threshold}"
-            )
         self.scheduler = scheduler
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
         self._live = 0  # queued entries that are not cancelled
         self._dead = 0  # heap mode: queued cancelled entries (lazy-deleted)
-        self.compaction_threshold = compaction_threshold
         self._compactions = 0
         if scheduler == "wheel":
             self._wheel: TimerWheel | None = TimerWheel(granularity)
@@ -372,12 +360,8 @@ class Simulator:
             wheel.note_cancelled()
             return
         self._dead += 1
-        threshold = self.compaction_threshold
-        if (
-            threshold is not None
-            and len(self._queue) >= _MIN_COMPACTION_SIZE
-            and self._dead > threshold * len(self._queue)
-        ):
+        size = len(self._queue)
+        if size >= _MIN_COMPACTION_SIZE and self._dead > _COMPACTION_THRESHOLD * size:
             self._compact()
 
     def _compact(self) -> None:

@@ -23,7 +23,7 @@ is touched only when a *new* bucket is created, so consecutive inserts
 into a hot slot are list appends).  ``cancel`` flips a flag -- O(1),
 never a heap operation -- and the wheel sweeps dead entries out of its
 buckets once they outnumber the live ones, which bounds memory at twice
-the live set without the reference mode's full-heap rebuilds.
+the live set without the reference heap's full-heap rebuilds.
 
 Delivery is **per-slot batched**: when the simulator drains the wheel it
 promotes exactly one level-0 bucket at a time, heapifies that small
@@ -234,8 +234,8 @@ class TimerWheel:
         The sweep filters every bucket in place -- O(stored) work paid
         at most once per O(stored) cancellations, so ``cancel`` stays
         amortised O(1) while memory is bounded at ~2x the live set.
-        (The reference heap needed the PR 2 ``compaction_threshold``
-        knob and full-heap rebuilds for the same guarantee.)
+        (The reference heap pays full-heap rebuilds for the same
+        guarantee.)
         """
         self.dead += 1
         if self.dead > _MIN_SWEEP_DEAD and self.dead * 2 > self.bucketed:

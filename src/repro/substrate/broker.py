@@ -111,10 +111,7 @@ class Broker(Node):
         self.dedup = DedupCache(self.config.dedup_capacity)
         # Routing-decision caches.  Peer sets change only on link
         # fault/heal, so the per-(from_peer) forwarding target list is
-        # memoised between topology changes; ``use_route_cache=False``
-        # restores the uncached reference behaviour (results identical
-        # either way -- the determinism tests assert it).
-        self.use_route_cache = True
+        # memoised between topology changes.
         self._peers_cache: frozenset[str] | None = None
         self._targets_cache: dict[str | None, tuple[int, tuple[str, ...]]] = {}
         self.routing = FloodRouting()
@@ -290,8 +287,6 @@ class Broker(Node):
         counter so in-place mutations (``SpanningTreeRouting.add_edge``)
         are picked up too.
         """
-        if not self.use_route_cache:
-            return tuple(sorted(self._routing.targets(self.name, self.peers, from_peer)))
         version = getattr(self._routing, "version", 0)
         cached = self._targets_cache.get(from_peer)
         if cached is None or cached[0] != version:

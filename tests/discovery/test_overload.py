@@ -208,6 +208,59 @@ class TestBDNAdmission:
         assert bdn.requests_shed > 0
         assert bdn.ingress.max_depth <= 8
 
+    def test_sharded_bdn_with_service_model_exposes_its_queue(self):
+        # Regression: a sharded BDN with a service model used to run
+        # per-shard lanes and leave ``bdn.ingress`` None, so the chaos
+        # check, the worker's queue stats and the overload gauges all
+        # read depth 0 and skipped their invariants.
+        from types import SimpleNamespace
+
+        from repro.core.config import Endpoint
+        from repro.core.messages import Ack, DiscoveryBusy, DiscoveryRequest
+        from repro.core.metrics import OverloadStats
+        from repro.discovery.chaos import _check_overload
+
+        world = World(
+            bdn_config=BDNConfig(
+                injection="all",
+                shards=4,
+                service=_bdn_service(),
+                admission_high_watermark=4,
+            )
+        )
+        bdn, fabric = world.bdn, world.net.network
+        inbox_at = Endpoint(world.client.host, 7999)
+        busies = []
+        fabric.bind_udp(
+            inbox_at, lambda m, s: busies.append(m) if isinstance(m, DiscoveryBusy) else None
+        )
+        # 20 requests at once: 4 queue up to the watermark, 16 are shed.
+        # 6 acks (never shed, 1 s each): 4 fill the queue, 2 overflow.
+        for i in range(20):
+            request = DiscoveryRequest(
+                uuid=f"burst-{i}", requester_host=inbox_at.host, requester_port=inbox_at.port
+            )
+            fabric.send_udp(inbox_at, bdn.udp_endpoint, request)
+        world.sim.run_for(0.2)
+        for i in range(6):
+            fabric.send_udp(inbox_at, bdn.udp_endpoint, Ack(uuid=f"junk-{i}", acked_by="x"))
+        world.sim.run_for(0.2)
+        queue = bdn.ingress
+        assert queue.depth == bdn.queue_depth == queue.max_depth == 8
+        assert queue.overflows == 2
+        assert bdn.requests_shed == len(busies) == 16
+        stats = OverloadStats.gather(bdns=[bdn])
+        assert (stats.queue_depth, stats.queue_peak, stats.queue_overflows) == (8, 8, 2)
+        chaos_view = SimpleNamespace(bdns=[bdn], ADMISSION_WATERMARK=4, client=world.client)
+        backlog: list[str] = []
+        _check_overload(chaos_view, backlog)
+        assert len(backlog) == 1 and "still 8 deep" in backlog[0]
+        world.sim.run_for(20.0)
+        assert queue.depth == 0 and queue.served >= 8
+        drained: list[str] = []
+        _check_overload(chaos_view, drained)
+        assert drained == []
+
     def test_no_service_model_means_no_shedding(self):
         world = World()
         assert world.bdn.ingress is None

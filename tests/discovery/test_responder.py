@@ -37,7 +37,7 @@ class TestUdpPath:
     def test_request_produces_response_with_metrics(self):
         world = World(n_brokers=1)
         box = inbox_of(world)
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(1.0)
@@ -52,7 +52,7 @@ class TestUdpPath:
     def test_response_timestamp_is_ntp_corrected(self):
         world = World(n_brokers=1)
         box = inbox_of(world)
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(1.0)
@@ -65,7 +65,7 @@ class TestUdpPath:
         box = inbox_of(world)
         responder = world.responders["b0"]
         for _ in range(3):
-            world.bdn.network.send_udp(
+            world.net.network.send_udp(
                 world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
             )
         world.sim.run_for(1.0)
@@ -77,10 +77,10 @@ class TestUdpPath:
         scheme sustains loss of discovery responses)."""
         world = World(n_brokers=1)
         box = inbox_of(world)
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world, attempt=0)
         )
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world, attempt=1)
         )
         world.sim.run_for(1.0)
@@ -97,7 +97,7 @@ class TestPropagation:
         world = World(n_brokers=3, topology=Topology.LINEAR, injection="single")
         box = inbox_of(world)
         # Send only to the head broker; the chain must carry it onward.
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(2.0)
@@ -110,7 +110,7 @@ class TestPropagation:
         world.brokers[1].add_control_handler(
             REQUEST_TOPIC, lambda ev, peer: captured.append(decode_message(ev.payload))
         )
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(2.0)
@@ -122,7 +122,7 @@ class TestPropagation:
         re-publish it (routing already forwards the event)."""
         world = World(n_brokers=3, topology=Topology.LINEAR)
         box = inbox_of(world)
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(2.0)
@@ -139,7 +139,7 @@ class TestResponsePolicy:
     def test_respond_false_silences_broker(self):
         world = self._world_with_policy(ResponsePolicyConfig(respond=False))
         box = inbox_of(world)
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(1.0)
@@ -150,10 +150,10 @@ class TestResponsePolicy:
         policy = ResponsePolicyConfig(required_credentials=frozenset({"grid"}))
         world = self._world_with_policy(policy)
         box = inbox_of(world)
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint,
             world.brokers[0].udp_endpoint,
             make_request(world, uuid="req-2", credentials=frozenset({"grid"})),
@@ -170,7 +170,7 @@ class TestResponsePolicy:
             client_realm="lab",
         )
         box = inbox_of(world)
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(1.0)
@@ -180,7 +180,7 @@ class TestResponsePolicy:
         policy = ResponsePolicyConfig(allowed_realms=frozenset({"lab"}))
         world = self._world_with_policy(policy)  # client realm = its site
         box = inbox_of(world)
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(1.0)
@@ -195,7 +195,7 @@ class TestResponsePolicy:
             topology=Topology.LINEAR,
             broker_config=BrokerConfig(response_policy=policy),
         )
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(2.0)
@@ -207,7 +207,7 @@ class TestStoppedBroker:
         world = World(n_brokers=2, topology=Topology.LINEAR)
         box = inbox_of(world)
         world.brokers[0].stop()
-        world.bdn.network.send_udp(
+        world.net.network.send_udp(
             world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
         )
         world.sim.run_for(2.0)

@@ -1,12 +1,11 @@
-"""Optimisations must be invisible to virtual-time results.
+"""Refactors and optimisations must be invisible to virtual-time results.
 
-Every hot-path cache added by the performance pass (heap compaction,
-the fabric's per-path cache, broker route memoisation) can be switched
-off via ``optimized=False``, which restores the reference behaviour.
-These tests run the same seeded worlds both ways and require the runs
-to be *byte-for-byte identical*: same trace records, same event counts,
-same outcomes.  Any divergence means an optimisation changed scheduling
-or RNG draw order -- a correctness bug, not a perf trade-off.
+Four seeded worlds are run and their full results (trace records, event
+counts, virtual end time, outcomes) hashed; the sha256 digests must
+match ``golden_traces.json``, captured before the hot-path caches, the
+timer wheel and the runtime split existed.  Any divergence means a
+change altered scheduling or RNG draw order -- a correctness bug, not a
+perf trade-off.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ def _trace_signature(net) -> tuple:
     return tuple((r.time, r.event, r.node, r.detail) for r in net.tracer.records)
 
 
-def _run_discovery_world(topology: str, optimized: bool, runs: int = 3) -> tuple:
+def _run_discovery_world(topology: str) -> tuple:
     ctor = {"star": ScenarioSpec.star, "linear": ScenarioSpec.linear}[topology]
-    scenario = DiscoveryScenario(ctor(seed=5), keep_trace=True, optimized=optimized)
-    outcomes = scenario.run(runs=runs)
+    scenario = DiscoveryScenario(ctor(seed=5), keep_trace=True)
+    outcomes = scenario.run(runs=3)
     sim = scenario.net.sim
     return (
         _trace_signature(scenario.net),
@@ -40,15 +39,8 @@ def _run_discovery_world(topology: str, optimized: bool, runs: int = 3) -> tuple
     )
 
 
-@pytest.mark.parametrize("topology", ["star", "linear"])
-def test_discovery_identical_with_and_without_optimizations(topology):
-    reference = _run_discovery_world(topology, optimized=False)
-    optimized = _run_discovery_world(topology, optimized=True)
-    assert optimized == reference
-
-
-def _run_substrate_world(optimized: bool) -> tuple:
-    net = BrokerNetwork(seed=13, keep_trace=True, optimized=optimized)
+def _run_substrate_world() -> tuple:
+    net = BrokerNetwork(seed=13, keep_trace=True)
     for i in range(4):
         net.add_broker(f"b{i}", site=f"site{i % 2}")
     net.apply_topology(Topology.MESH)
@@ -57,7 +49,7 @@ def _run_substrate_world(optimized: bool) -> tuple:
     timers = []
     for i in range(120):
         # Publish through the fabric and churn cancelled timers, the
-        # pattern that triggers compaction in the optimised world.
+        # pattern that makes the scheduler reclaim dead entries.
         broker = brokers[i % len(brokers)]
         net.sim.schedule(
             0.01 * i,
@@ -77,18 +69,11 @@ def _run_substrate_world(optimized: bool) -> tuple:
     return (_trace_signature(net), net.sim.events_processed, net.sim.now)
 
 
-def test_substrate_identical_with_and_without_optimizations():
-    reference = _run_substrate_world(optimized=False)
-    optimized = _run_substrate_world(optimized=True)
-    assert optimized == reference
-
-
-def _run_overload_world(optimized: bool) -> tuple:
+def _run_overload_world() -> tuple:
     """An overload-protected world under a request storm.
 
     Exercises the service-time queues, admission shedding, the client's
-    budgeted retries / breakers, and the storm injector -- all the new
-    machinery must schedule and draw identically either way.
+    budgeted retries / breakers, and the storm injector.
     """
     import numpy as np
 
@@ -100,7 +85,7 @@ def _run_overload_world(optimized: bool) -> tuple:
     from repro.discovery.responder import DiscoveryResponder
     from repro.experiments.harness import run_discovery_once
 
-    net = BrokerNetwork(seed=21, keep_trace=True, optimized=optimized)
+    net = BrokerNetwork(seed=21, keep_trace=True)
     responders = []
     for i in range(3):
         broker = net.add_broker(f"b{i}", site=f"s{i}", realm="lab")
@@ -167,23 +152,9 @@ def _run_overload_world(optimized: bool) -> tuple:
     )
 
 
-def test_overload_world_identical_with_and_without_optimizations():
-    reference = _run_overload_world(optimized=False)
-    optimized = _run_overload_world(optimized=True)
-    assert optimized == reference
-
-
 # ----------------------------------------------------------------------
-# Golden traces: the sim runtime adapter must be bit-for-bit invisible
+# Golden traces
 # ----------------------------------------------------------------------
-#
-# tests/simnet/golden_traces.json holds sha256 digests of the full
-# results (trace signature, event counts, virtual end time, outcomes)
-# of these worlds captured BEFORE the engines were refactored
-# onto the repro.runtime abstraction (when they still called the
-# Simulator and Network directly).  Matching them proves the runtime
-# split changed nothing observable: same trace records at the same
-# virtual times, same event ordering, same RNG draw order.
 
 _GOLDEN_PATH = Path(__file__).parent / "golden_traces.json"
 
@@ -199,22 +170,16 @@ def golden() -> dict[str, str]:
 
 
 @pytest.mark.parametrize("topology", ["star", "linear"])
-@pytest.mark.parametrize("optimized", [False, True])
-def test_discovery_traces_match_pre_refactor_golden(golden, topology, optimized):
-    result = _run_discovery_world(topology, optimized=optimized)
-    assert _digest(result) == golden[f"discovery_{topology}_opt{optimized}"]
+def test_discovery_traces_match_pre_refactor_golden(golden, topology):
+    assert _digest(_run_discovery_world(topology)) == golden[f"discovery_{topology}"]
 
 
-@pytest.mark.parametrize("optimized", [False, True])
-def test_substrate_traces_match_pre_refactor_golden(golden, optimized):
-    result = _run_substrate_world(optimized=optimized)
-    assert _digest(result) == golden[f"substrate_opt{optimized}"]
+def test_substrate_traces_match_pre_refactor_golden(golden):
+    assert _digest(_run_substrate_world()) == golden["substrate"]
 
 
-@pytest.mark.parametrize("optimized", [False, True])
-def test_overload_traces_match_pre_refactor_golden(golden, optimized):
-    result = _run_overload_world(optimized=optimized)
-    assert _digest(result) == golden[f"overload_opt{optimized}"]
+def test_overload_traces_match_pre_refactor_golden(golden):
+    assert _digest(_run_overload_world()) == golden["overload"]
 
 
 # ----------------------------------------------------------------------
@@ -247,12 +212,11 @@ def test_observed_world_completes_and_records(golden):
     assert trace_id == outcome.request_uuid
     assert assemble(obs, trace_id).is_complete()
     # ... and running it did not disturb the disabled-world digests.
-    result = _run_discovery_world("star", optimized=True)
-    assert _digest(result) == golden["discovery_star_optTrue"]
+    assert _digest(_run_discovery_world("star")) == golden["discovery_star"]
 
 
 def test_disabled_world_unchanged_after_observed_world(golden):
-    before = _digest(_run_discovery_world("linear", optimized=False))
+    before = _digest(_run_discovery_world("linear"))
     _run_observed_world("linear")
-    after = _digest(_run_discovery_world("linear", optimized=False))
-    assert before == after == golden["discovery_linear_optFalse"]
+    after = _digest(_run_discovery_world("linear"))
+    assert before == after == golden["discovery_linear"]

@@ -197,7 +197,7 @@ class TestAccounting:
         # Both schedulers keep a cancelled entry in the store until it
         # is lazily dropped (heap: on pop; wheel: on pop or sweep).
         for sim in (
-            Simulator("heap", compaction_threshold=None),
+            Simulator("heap"),
             Simulator("wheel"),
         ):
             h = sim.schedule(1.0, lambda: None)
@@ -207,7 +207,7 @@ class TestAccounting:
             assert sim.pending == 1
 
     def test_compaction_reclaims_cancelled_entries(self):
-        sim = Simulator("heap", compaction_threshold=0.5)
+        sim = Simulator("heap")
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
         for h in handles:
             h.cancel()
@@ -215,17 +215,9 @@ class TestAccounting:
         assert sim.queue_size < 100
         assert sim.pending == 0
 
-    def test_compaction_disabled_with_none(self):
-        sim = Simulator("heap", compaction_threshold=None)
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
-        for h in handles:
-            h.cancel()
-        assert sim.compactions == 0
-        assert sim.queue_size == 100
-
     def test_wheel_sweep_reclaims_cancelled_entries(self):
-        # The wheel needs no compaction knob: dead bucketed entries are
-        # swept unconditionally once they outnumber the live ones.
+        # Dead bucketed entries are swept once they outnumber the live
+        # ones.
         sim = Simulator("wheel")
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
         for h in handles:
@@ -235,11 +227,10 @@ class TestAccounting:
         assert sim.pending == 0
 
     def test_compaction_preserves_firing_order(self):
-        sim_opt = Simulator("heap", compaction_threshold=0.5)
-        sim_ref = Simulator("heap", compaction_threshold=None)
+        sim_heap = Simulator("heap")
         sim_wheel = Simulator("wheel")
         results = {}
-        for name, sim in (("opt", sim_opt), ("ref", sim_ref), ("wheel", sim_wheel)):
+        for name, sim in (("heap", sim_heap), ("wheel", sim_wheel)):
             fired: list[tuple[float, int]] = []
             keep = []
             for i in range(200):
@@ -249,15 +240,9 @@ class TestAccounting:
                     h.cancel()
             sim.run()
             results[name] = fired
-        assert results["opt"] == results["ref"] == results["wheel"]
-        assert sim_opt.compactions >= 1
+        assert results["heap"] == results["wheel"]
+        assert sim_heap.compactions >= 1
         assert sim_wheel.compactions >= 1
-
-    def test_invalid_compaction_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(compaction_threshold=0.0)
-        with pytest.raises(ValueError):
-            Simulator(compaction_threshold=1.5)
 
     def test_invalid_scheduler_rejected(self):
         with pytest.raises(ValueError):
@@ -320,7 +305,6 @@ def _sim_modes():
     return [
         ("wheel", lambda: Simulator("wheel")),
         ("heap", lambda: Simulator("heap")),
-        ("heap-ref", lambda: Simulator("heap", compaction_threshold=None)),
     ]
 
 

@@ -59,12 +59,7 @@ _op = st.one_of(
 
 def _execute(program, mode: str):
     """Interpret ``program`` on a fresh simulator; return its trace."""
-    if mode == "wheel":
-        sim = Simulator("wheel")
-    elif mode == "heap":
-        sim = Simulator("heap", compaction_threshold=None)
-    else:
-        sim = Simulator("heap", compaction_threshold=0.25)
+    sim = Simulator(mode)
     log: list[tuple] = []
     handles: list = []
 
@@ -106,9 +101,7 @@ def test_wheel_matches_reference_heap(program):
     """Identical trace on every random schedule/cancel/call_every mix."""
     wheel = _execute(program, "wheel")
     heap = _execute(program, "heap")
-    compacting = _execute(program, "heap-compact")
     assert wheel == heap
-    assert wheel == compacting
 
 
 @settings(max_examples=20, deadline=None)
@@ -123,11 +116,7 @@ def test_wheel_matches_heap_on_bulk_random_delays(seed, n):
     delays = np.random.default_rng(seed).uniform(0.0, 300.0, size=n)
     logs = []
     for mode in ("wheel", "heap"):
-        sim = (
-            Simulator("wheel")
-            if mode == "wheel"
-            else Simulator("heap", compaction_threshold=None)
-        )
+        sim = Simulator(mode)
         log = []
         for i, d in enumerate(delays):
             sim.schedule(float(d), lambda i=i, s=sim: log.append((i, s.now)))
