@@ -25,6 +25,9 @@ advertisements, acknowledge discovery requests "in a timely manner"
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.core.codec import LazyMessage, lazy_decode
@@ -120,8 +123,13 @@ class BDN(Node):
         self.store = self.registry
         self.dedup = self.registry.dedup
         self.pinger = Pinger(self, self.endpoint(BDN_UDP_PORT))
+        self.pinger.on_rtt = self._on_rtt
         self.alive = False
         self._registered_at: dict[str, float] = {}
+        # The distance table, kept sorted as pongs arrive so a request
+        # only reads its two ends (invariant: see _injection_targets).
+        self._by_distance: list[tuple[float, str]] = []
+        self._distance_key: dict[str, tuple[float, str]] = {}
         self._network_client: PubSubClient | None = None
         # Outstanding timers, cancelled on stop() so a dead BDN leaves
         # nothing ticking in the scheduler.  One lease-sweep series per
@@ -244,6 +252,8 @@ class BDN(Node):
             self.pinger.forget(stored.broker_id)
         self.store.clear()
         self._registered_at.clear()
+        self._by_distance.clear()
+        self._distance_key.clear()
         self.dedup.reset()
         if self.replication is not None:
             self._cold_pending = True
@@ -390,7 +400,7 @@ class BDN(Node):
         if ad.trace_flag and self._recorder is not None:
             self.span("recv", f"ad:{ad.broker_id}", hop=ad.trace_hop, kind="BrokerAdvertisement")
         if self.store.accept(ad, self.runtime.now):
-            self._registered_at.setdefault(ad.broker_id, self.runtime.now)
+            self._track(ad.broker_id)
             self.trace("bdn_registered", broker=ad.broker_id)
             # Measure the new broker's distance right away so the
             # closest/farthest injection has data to work with.
@@ -425,7 +435,7 @@ class BDN(Node):
         now = self.runtime.now
         if not self.store.accept_if_newer(ad, now):
             return False
-        self._registered_at.setdefault(ad.broker_id, now)
+        self._track(ad.broker_id)
         self.trace("bdn_registered", broker=ad.broker_id, via="replication")
         stored = self.store.get(ad.broker_id)
         if stored is not None and self.pinger.average_rtt(ad.broker_id) is None:
@@ -528,30 +538,67 @@ class BDN(Node):
 
         ``all``: every registered broker (O(N)).
         ``closest_farthest``: the two extremes of the measured distance
-        table (section 4's scheme to make the request "propagate faster
-        through the broker network"); brokers without RTT data yet fall
-        back to registration order.
-        ``single``: just the closest (or first-registered) broker.
+        table, closest first (section 4's scheme to make the request
+        "propagate faster through the broker network").
+        ``single``: just the closest broker.
 
-        Expired leases are filtered out here, so a stale broker is never
-        disseminated to even between eviction sweeps.
+        The extremes are the ends of ``_by_distance``, which holds
+        exactly the registry's broker ids, each at the key
+        ``(mean RTT or inf, broker id)`` -- so a broker without RTT data
+        yet sorts last, by id.  Leases lapse with time, not with an
+        event: an end entry whose lease has expired (or whose ad is
+        gone) is skipped, so a stale broker is never disseminated to
+        even between eviction sweeps.
         """
-        ads = self.store.all(self.runtime.now)
-        if not ads or self.config.injection == "all":
-            return ads
-        by_distance = sorted(
-            ads,
-            key=lambda s: (
-                self.pinger.average_rtt(s.broker_id)
-                if self.pinger.average_rtt(s.broker_id) is not None
-                else float("inf"),
-                s.broker_id,
-            ),
-        )
-        if self.config.injection == "single" or len(by_distance) == 1:
-            return [by_distance[0]]
-        # closest_farthest
-        return [by_distance[0], by_distance[-1]]
+        now = self.runtime.now
+        if self.config.injection == "all":
+            return self.store.all(now)
+        closest = self._first_live(self._by_distance, now)
+        if closest is None:
+            return []
+        if self.config.injection == "single":
+            return [closest]
+        farthest = self._first_live(reversed(self._by_distance), now)
+        return [closest] if farthest is closest else [closest, farthest]
+
+    def _first_live(
+        self, order: Iterable[tuple[float, str]], now: float
+    ) -> StoredAdvertisement | None:
+        for _, broker_id in order:
+            stored = self.store.get(broker_id)
+            if stored is not None and not stored.is_expired(now):
+                return stored
+        return None
+
+    def _track(self, broker_id: str) -> None:
+        """On a broker id's first stored ad: note when, and index it."""
+        if broker_id not in self._distance_key:
+            self._registered_at[broker_id] = self.runtime.now
+            self._index(broker_id)
+
+    def _forget(self, broker_id: str) -> None:
+        """Drop everything kept about a broker that left the registry."""
+        self._registered_at.pop(broker_id, None)
+        self.pinger.forget(broker_id)
+        self._unindex(broker_id)
+
+    def _on_rtt(self, broker_id: str, rtt: float) -> None:
+        # A pong that outlives its broker's registration moves nothing.
+        if broker_id in self._distance_key:
+            self._index(broker_id)
+
+    def _index(self, broker_id: str) -> None:
+        """(Re)position ``broker_id`` at its current mean RTT."""
+        self._unindex(broker_id)
+        rtt = self.pinger.average_rtt(broker_id)
+        key = (rtt if rtt is not None else float("inf"), broker_id)
+        self._distance_key[broker_id] = key
+        insort(self._by_distance, key)
+
+    def _unindex(self, broker_id: str) -> None:
+        key = self._distance_key.pop(broker_id, None)
+        if key is not None:
+            del self._by_distance[bisect_left(self._by_distance, key)]
 
     # ------------------------------------------------------------------
     # Distance sweeps
@@ -569,8 +616,7 @@ class BDN(Node):
         now = self.runtime.now
         shard = self.registry.shard(index)
         for broker_id in shard.evict_expired(now):
-            self._registered_at.pop(broker_id, None)
-            self.pinger.forget(broker_id)
+            self._forget(broker_id)
             self.trace("bdn_lease_expired", broker=broker_id)
         horizon = _PRUNE_MISSED_SWEEPS * self.config.ping_interval
         for stored in shard.all():
@@ -580,8 +626,7 @@ class BDN(Node):
             reference = last if last is not None else registered
             if now - reference > horizon:
                 shard.remove(broker_id)
-                self._registered_at.pop(broker_id, None)
-                self.pinger.forget(broker_id)
+                self._forget(broker_id)
                 self.trace("bdn_pruned", broker=broker_id)
                 continue
             self.pinger.ping(stored.udp_endpoint, key=broker_id)

@@ -305,7 +305,3 @@ class ShardedRegistry:
         if len(self._shards) == 1:
             return self._shards[0].evict_expired(now)
         return list(heapq.merge(*(s.evict_expired(now) for s in self._shards)))
-
-    def evict_expired_shard(self, index: int, now: float) -> list[str]:
-        """Evict lapsed leases on one shard only (the per-shard sweep path)."""
-        return self._shards[index].evict_expired(now)

@@ -17,7 +17,8 @@ before the local clock offsets are computed".
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.config import BrokerConfig
@@ -29,6 +30,9 @@ from repro.simnet.simulator import Simulator
 from repro.simnet.trace import Tracer
 from repro.substrate.broker import Broker
 from repro.substrate.routing import SpanningTreeRouting
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology", "BrokerNetwork"]
 
@@ -180,6 +184,8 @@ class BrokerNetwork:
                 for b in ordered[i + 1 :]:
                     self.link(a, b, persistent=persistent)
         elif kind == Topology.RANDOM_TREE:
+            import networkx as nx
+
             seed = int(self.master_rng.integers(0, 2**31))
             tree = nx.random_labeled_tree(len(ordered), seed=seed)
             for i, j in tree.edges:
@@ -192,6 +198,8 @@ class BrokerNetwork:
     # ------------------------------------------------------------------
     def graph(self) -> nx.Graph:
         """The requested link graph (edges include links still handshaking)."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self.brokers)
         g.add_edges_from(self._edges)
@@ -203,6 +211,8 @@ class BrokerNetwork:
         One BFS tree per connected component; isolated brokers simply
         forward nowhere.  Returns the shared strategy instance.
         """
+        import networkx as nx
+
         g = self.graph()
         strategy = SpanningTreeRouting()
         for component in nx.connected_components(g):

@@ -26,8 +26,6 @@ related dynamic-topology protocol is out of this paper's scope).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.messages import Message, Subscribe, Unsubscribe
 from repro.substrate.broker import Broker
 from repro.substrate.routing import SpanningTreeRouting
@@ -148,6 +146,8 @@ def install_content_routing(
     pre-existing local subscription so the interest tables start
     consistent.
     """
+    import networkx as nx
+
     graph = network.graph()
     strategy = ContentRouting(flood_patterns)
     for component in nx.connected_components(graph):

@@ -14,10 +14,14 @@ time") motivates larger sweeps.  These generators produce:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.simnet.latency import MatrixLatencyModel
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "random_waxman_sites",
@@ -99,6 +103,8 @@ def scale_free_broker_graph(n: int, rng: np.random.Generator, m: int = 2) -> nx.
     """
     if n < m + 1:
         raise ValueError(f"need n > m (got n={n}, m={m})")
+    import networkx as nx
+
     seed = int(rng.integers(0, 2**31))
     g = nx.barabasi_albert_graph(n, m, seed=seed)
     return nx.relabel_nodes(g, {i: f"b{i:02d}" for i in g.nodes})

@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.config import BDNConfig, ClientConfig
-from repro.core.messages import Ack, DiscoveryRequest, DiscoveryResponse
-from repro.discovery.advertisement import advertise_direct, advertise_on_topic
+from repro.core.config import BDNConfig, Endpoint
+from repro.core.messages import (
+    Ack,
+    BrokerAdvertisement,
+    DiscoveryRequest,
+    DiscoveryResponse,
+    PingRequest,
+    PingResponse,
+)
+from repro.discovery.advertisement import (
+    AdvertisementStore,
+    advertise_direct,
+    advertise_on_topic,
+)
 from repro.discovery.bdn import BDN
-from repro.substrate.builder import Topology
+from repro.discovery.ping import Pinger
+from repro.discovery.sharding import ShardedRegistry
+from repro.simnet.latency import UniformLatencyModel
+from repro.simnet.trace import Tracer
+from repro.substrate.builder import BrokerNetwork, Topology
 from tests.discovery.conftest import World
 
 
@@ -211,3 +231,281 @@ class TestLifecycle:
         world = World(n_brokers=1)
         world.bdn.stop()
         world.bdn.stop()
+
+
+# ----------------------------------------------------------------------
+# The distance index behind _injection_targets
+# ----------------------------------------------------------------------
+INJECTIONS = ("single", "closest_farthest", "all")
+
+
+class PongWorld:
+    """A BDN facing ping-answering stand-ins for brokers.
+
+    No broker network: each stand-in is a UDP endpoint on its own site
+    that answers the BDN's pings unless muted, under heavy jitter so
+    mean RTTs keep trading places.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        shards: int = 1,
+        injection: str = "closest_farthest",
+        ping_interval: float = 2.0,
+        seed: int = 0,
+    ) -> None:
+        self.net = BrokerNetwork(
+            seed=seed, latency=UniformLatencyModel(base=0.010, jitter_fraction=0.5)
+        )
+        self.sim = self.net.sim
+        self.network = self.net.network
+        self.tracer = Tracer(lambda: self.sim.now)
+        self.bdn = BDN(
+            "bdn0",
+            "bdn0.host",
+            self.network,
+            np.random.default_rng(seed + 1),
+            config=BDNConfig(
+                injection=injection,
+                shards=shards,
+                ping_interval=ping_interval,
+                fanout_delay=1e-4,
+            ),
+            site="bdn-site",
+            tracer=self.tracer,
+        )
+        self.bdn.start()
+        self.network.register_host("client.host", "client-site")
+        self.requester = Endpoint("client.host", 7500)
+        self.muted: set[int] = set()
+        self.requests = 0
+        for i in range(n):
+            self.network.register_host(f"h{i}.x", f"s{i}")
+            self.network.bind_udp(self.endpoint(i), self._ponger(i))
+
+    def endpoint(self, i: int) -> Endpoint:
+        return Endpoint(f"h{i}.x", 5046)
+
+    def _ponger(self, i: int):
+        def on_udp(message, src) -> None:
+            if isinstance(message, PingRequest) and i not in self.muted:
+                self.network.send_udp(
+                    self.endpoint(i),
+                    Endpoint(message.reply_host, message.reply_port),
+                    PingResponse(uuid=message.uuid, sent_at=message.sent_at, broker_id=f"b{i}"),
+                )
+
+        return on_udp
+
+    def ad(self, i: int, ttl: float = 0.0) -> BrokerAdvertisement:
+        return BrokerAdvertisement(
+            broker_id=f"b{i}",
+            hostname=f"h{i}.x",
+            transports=(("tcp", 5045), ("udp", 5046)),
+            logical_address=f"/s{i}/b{i}",
+            ttl=ttl,
+        )
+
+    def register(self, i: int, ttl: float = 0.0) -> None:
+        self.bdn._on_udp(self.ad(i, ttl), self.endpoint(i))
+
+    def request(self) -> None:
+        self.requests += 1
+        self.bdn._on_udp(
+            DiscoveryRequest(
+                uuid=f"req-{self.requests}",
+                requester_host=self.requester.host,
+                requester_port=self.requester.port,
+            ),
+            self.requester,
+        )
+
+    def targets(self) -> list[str]:
+        return [s.broker_id for s in self.bdn._injection_targets()]
+
+    def index_ids(self) -> list[str]:
+        """Ids in the index, after checking its two halves agree."""
+        bdn = self.bdn
+        assert bdn._by_distance == sorted(bdn._distance_key.values())
+        assert all(key[1] == broker_id for broker_id, key in bdn._distance_key.items())
+        return sorted(bdn._distance_key)
+
+
+def reference_targets(bdn: BDN) -> list[str]:
+    """What the BDN did before it kept an index: read the whole
+    lease-filtered registry and sort it by distance on every request."""
+    ads = bdn.store.all(bdn.runtime.now)
+    if not ads or bdn.config.injection == "all":
+        return [s.broker_id for s in ads]
+
+    def distance(stored):
+        rtt = bdn.pinger.average_rtt(stored.broker_id)
+        return (rtt if rtt is not None else float("inf"), stored.broker_id)
+
+    by_distance = [s.broker_id for s in sorted(ads, key=distance)]
+    if bdn.config.injection == "single" or len(by_distance) == 1:
+        return by_distance[:1]
+    return [by_distance[0], by_distance[-1]]
+
+
+class TestDistanceIndex:
+    @pytest.mark.parametrize("injection", INJECTIONS)
+    @pytest.mark.parametrize("shards", [1, 16])
+    def test_matches_full_sort_after_every_step(self, shards, injection):
+        n = 12
+        world = PongWorld(n, shards=shards, injection=injection, seed=shards)
+        bdn = world.bdn
+        rng = np.random.default_rng(7)
+        orphans: set[str] = set()  # evicted from the store behind the BDN's back
+
+        def pick() -> int:
+            return int(rng.integers(n))
+
+        def ttl() -> float:
+            return float(rng.choice([0.0, 0.0, 1.5, 4.0]))
+
+        def direct_evict() -> None:
+            orphans.update(bdn.store.evict_expired(world.sim.now))
+
+        def cold_restart() -> None:
+            bdn.clear_registry()
+            orphans.clear()
+
+        steps = [
+            (24, lambda: world.register(pick(), ttl())),
+            (8, lambda: bdn.apply_replicated(world.ad(pick(), ttl()))),
+            (24, lambda: world.sim.run_for(float(rng.choice([0.004, 0.03, 0.4, 1.7, 4.5])))),
+            (12, lambda: bdn.pinger.ping(world.endpoint(i := pick()), key=f"b{i}")),
+            (8, lambda: bdn._sweep_shard(int(rng.integers(shards)))),
+            (6, lambda: world.muted.symmetric_difference_update({pick()})),
+            (3, direct_evict),
+            (1, cold_restart),
+        ]
+        weights = np.array([w for w, _ in steps], dtype=float)
+        seen: set[tuple[str, ...]] = set()
+        for _ in range(600):
+            steps[int(rng.choice(len(steps), p=weights / weights.sum()))][1]()
+            expected = reference_targets(bdn)
+            assert world.targets() == expected
+            seen.add(tuple(expected))
+            registered = set(bdn.store.broker_ids())
+            assert registered <= set(world.index_ids()) <= registered | orphans
+            disseminated = bdn.requests_disseminated
+            world.request()
+            assert bdn.requests_disseminated == disseminated + bool(expected)
+            assert bdn.stale_targets == 0
+        # The walk really went through every feeding site and the
+        # selection really moved.
+        counters = world.tracer.counters
+        assert counters["bdn_lease_expired"] and counters["bdn_pruned"]
+        assert counters["bdn_cold_restart"] and counters["bdn_no_brokers"]
+        assert orphans or bdn.store.leases_expired > counters["bdn_lease_expired"]
+        assert len(seen) >= 10
+
+    def test_lapsed_closest_is_skipped_between_sweeps(self):
+        world = PongWorld(3, ping_interval=1e6)
+        for i in range(3):
+            world.register(i, ttl=60.0)
+        world.sim.run_for(1.0)
+        closest, _, farthest = (key[1] for key in world.bdn._by_distance)
+        # Renew the closest with a short lease and let it lapse; no sweep
+        # runs (and no pong reorders), so the ad is still stored and
+        # still first in the index.
+        world.muted.update(range(3))
+        world.register(int(closest[1:]), ttl=0.5)
+        world.sim.run_for(1.0)
+        assert closest in world.bdn.store
+        assert world.bdn._by_distance[0][1] == closest
+        targets = world.targets()
+        assert targets == reference_targets(world.bdn)
+        assert closest not in targets and targets[1] == farthest
+        world.request()
+        assert world.bdn.requests_disseminated == 1
+        assert world.bdn.stale_targets == 0
+
+    def test_late_pong_does_not_resurrect_an_evicted_broker(self):
+        world = PongWorld(2, ping_interval=1e6)
+        world.register(0)
+        world.register(1, ttl=0.5)
+        world.sim.run_for(1.0)
+        world.bdn.pinger.ping(world.endpoint(1), key="b1")  # in flight...
+        world.bdn._sweep_shard(0)  # ...when the lapsed lease is swept
+        assert world.index_ids() == ["b0"]
+        world.sim.run_for(1.0)
+        assert world.bdn.pinger.sample_count("b1") == 1  # the pong did land
+        assert world.index_ids() == ["b0"]
+        assert world.targets() == ["b0"]
+        # Re-registration sorts b1 at its measured distance, not at inf.
+        world.register(1)
+        rtt = world.bdn.pinger.average_rtt("b1")
+        assert world.bdn._distance_key["b1"] == (rtt, "b1")
+        world.sim.run_for(1.0)
+        assert world.bdn.pinger.sample_count("b1") == 2
+        assert world.targets() == reference_targets(world.bdn)
+        assert sorted(world.targets()) == ["b0", "b1"]
+
+    def test_clear_registry_empties_the_index(self):
+        world = PongWorld(3)
+        for i in range(3):
+            world.register(i)
+        world.sim.run_for(1.0)
+        world.bdn.clear_registry()
+        assert world.bdn._by_distance == [] and world.bdn._distance_key == {}
+        world.sim.run_for(1.0)  # pongs of the wiped brokers change nothing
+        assert world.index_ids() == []
+        world.request()
+        assert world.tracer.counters["bdn_no_brokers"] == 1
+        assert world.bdn.requests_disseminated == 0
+
+    def test_unmeasured_brokers_sort_last_by_id(self):
+        """Without an RTT the fallback is id order, not registration order."""
+        world = PongWorld(4, ping_interval=1e6)
+        world.muted.update({1, 2, 3})
+        for i in (3, 0, 2, 1):
+            world.register(i)
+        world.sim.run_for(1.0)
+        assert [key[1] for key in world.bdn._by_distance] == ["b0", "b1", "b2", "b3"]
+        assert world.targets() == ["b0", "b3"] == reference_targets(world.bdn)
+        world.muted.clear()
+        world.bdn.pinger.ping(world.endpoint(3), key="b3")
+        world.sim.run_for(1.0)
+        assert [key[1] for key in world.bdn._by_distance][-1] == "b2"
+
+
+class TestRequestCostDoesNotGrowWithTheRegistry:
+    def test_fresh_requests_read_neither_the_registry_nor_every_rtt(self, monkeypatch):
+        n, requests = 2000, 50
+        world = PongWorld(n, shards=16, ping_interval=1e6)
+        for i in range(n):
+            world.register(i)
+        world.sim.run_for(1.0)
+        assert len(world.bdn.distance_table()) == n
+        calls = {"all": 0, "average_rtt": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ShardedRegistry, "all", counted("all", ShardedRegistry.all))
+        monkeypatch.setattr(AdvertisementStore, "all", counted("all", AdvertisementStore.all))
+        monkeypatch.setattr(Pinger, "average_rtt", counted("average_rtt", Pinger.average_rtt))
+        for _ in range(requests):
+            world.request()
+            world.sim.run_for(0.01)
+        assert world.bdn.requests_disseminated == requests
+        assert calls == {"all": 0, "average_rtt": 0}
+
+
+def test_networkx_is_not_imported_by_the_serving_processes():
+    code = (
+        "import sys; "
+        "import repro.discovery.bdn, repro.substrate.builder, repro.cluster.worker; "
+        "sys.exit('networkx' in sys.modules)"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
