@@ -27,24 +27,21 @@ The wheel cancels in O(1) and sweeps amortised.
 
 Reported metrics:
 
-* ``events_per_sec`` -- wall-clock throughput (machine-dependent; the
-  perf gate normalises it by calibration like every other scenario);
+* ``events_per_sec`` -- wall-clock throughput (machine-dependent and
+  ungated here: roundbench's ``sim_flash_crowd`` is this shape under the
+  per-PR base-vs-head gate);
 * ``latency_p50_s`` / ``latency_p99_s`` -- per-discovery request->first
   -response latency percentiles in **simulated** seconds.  These are
-  bit-deterministic for a given seed, so the regression gate compares
-  them exactly, with no calibration scaling;
+  bit-deterministic for a given seed, so ``--compare`` requires the two
+  schedulers to agree on them exactly;
 * ``detail.failed_discoveries`` -- clients whose request timed out.
   Must be zero: the flash crowd is loss-free by construction, so any
   failure is a scheduler or registry bug, not bad luck.
 
-Run standalone::
+Run standalone (the nightly job runs ``--compare`` at 100k)::
 
     PYTHONPATH=src python benchmarks/bench_mega.py --clients 100000
     PYTHONPATH=src python benchmarks/bench_mega.py --compare   # wheel vs heap
-
-or through the harness (the ``bench_mega`` scenario)::
-
-    PYTHONPATH=src python benchmarks/perf_harness.py --scenario bench_mega
 """
 
 from __future__ import annotations
@@ -88,7 +85,7 @@ def run_mega_flash_crowd(
 ) -> dict:
     """Join ``clients`` requesters inside ``window`` simulated seconds.
 
-    Returns the harness scenario dict (events/sec, latency percentiles,
+    Returns the result record (events/sec, latency percentiles,
     failure counts).  ``scheduler`` picks the world's timer
     implementation.
     """

@@ -2,21 +2,24 @@
 
 Not a paper figure -- these keep the library honest about the costs the
 simulation charges implicitly: topic-trie matching under large
-subscription tables, wire codec throughput, the dedup cache, and the
-raw event loop.  Regressions here silently inflate every simulated
-experiment above.
+subscription tables, wire codec throughput, the dedup cache, the raw
+event loop, and a broker-mesh soak.  Regressions here silently inflate
+every simulated experiment above.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
+from benchmarks.conftest import record_report
 from repro.core.codec import decode_message, encode_message
+from repro.core.config import Endpoint
 from repro.core.dedup import DedupCache
-from repro.core.messages import DiscoveryResponse
+from repro.core.messages import DiscoveryResponse, PingRequest
 from repro.core.metrics import UsageMetrics
 from repro.simnet.simulator import Simulator
+from repro.substrate.builder import BrokerNetwork, Topology
+from repro.substrate.client import PubSubClient
 from repro.substrate.topics import TopicTrie
 
 SEGMENTS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
@@ -97,3 +100,51 @@ def test_micro_simulator_event_throughput(benchmark):
         return counter[0]
 
     assert benchmark(run_10k_events) == 10_000
+
+
+def _soak_world(publishes=3000, spacing=0.005, seed=7):
+    """Mesh flood + UDP pings + armed-then-cancelled 30 s timers (lease/retry churn)."""
+    net = BrokerNetwork(seed=seed)
+    for i in range(6):
+        net.add_broker(f"b{i}", site=f"site{i % 3}")
+    net.apply_topology(Topology.MESH)
+    brokers = net.broker_list()
+    clients = []
+    for i in range(12):
+        rng = np.random.default_rng(seed * 100_003 + i)
+        client = PubSubClient(f"c{i}", f"c{i}.soak", net.network, rng, site=f"site{i % 3}")
+        client.start()
+        client.subscribe(f"soak/{i % 4}/**")
+        client.connect(brokers[i % 6].client_endpoint)
+        clients.append(client)
+    source = Endpoint("c0.soak", 9_999)
+    net.network.bind_udp(source, lambda message, src: None)
+    net.settle(8.0)
+    timer = [net.sim.schedule(30.0, lambda: None)]
+
+    def tick(i):
+        if clients[i % 12].connected:
+            clients[i % 12].publish(f"soak/{i % 4}/x{i % 7}", payload=b"p" * 64)
+        ping = PingRequest(f"soak-ping-{i}", net.sim.now, source.host, source.port)
+        net.network.send_udp(source, brokers[i % 6].udp_endpoint, ping)
+        timer[0].cancel()
+        timer[0] = net.sim.schedule(30.0, lambda: None)
+
+    first = net.sim.now + 0.5
+    for i in range(publishes):
+        net.sim.schedule_at(first + i * spacing, tick, i)
+    net.sim.call_every(0.25, lambda: net.sim.pending)  # a supervisor polling
+    return (net.sim, first + publishes * spacing + 1.0), {}
+
+
+def test_micro_substrate_soak(benchmark):
+    def run(sim, horizon):
+        before = sim.events_processed
+        sim.run(until=horizon)
+        return sim.events_processed - before
+
+    events = benchmark.pedantic(run, setup=_soak_world, rounds=3, iterations=1)
+    assert events > 3000  # every tick fired and flooded
+    if benchmark.stats:  # None under --benchmark-disable
+        rate = events / benchmark.stats.stats.min
+        record_report("micro_soak", f"substrate soak (ungated): {rate:,.0f} events/s")

@@ -124,17 +124,22 @@ def check_invariants(spec: ClusterSpec, reports: list[dict]) -> list[str]:
         if not bdn:
             continue
         label = report.get("label", bdn["name"])
-        queue = bdn.get("queue", {})
-        if queue.get("max_depth", 0) > queue.get("capacity", spec.queue_capacity):
-            violations.append(
-                f"{label}: queue peaked at {queue['max_depth']} "
-                f"> capacity {queue.get('capacity')}"
-            )
-        if queue.get("depth", 0) > spec.admission_watermark:
-            violations.append(
-                f"{label}: queue still {queue['depth']} deep at exit "
-                f"(watermark {spec.admission_watermark})"
-            )
+        queue = bdn.get("queue")
+        if queue is None:
+            # Every spec configures a service model, so a BDN without
+            # an ingress queue is not the BDN the bounds were set for.
+            violations.append(f"{label}: no ingress-queue evidence in the report")
+        else:
+            if queue["max_depth"] > queue["capacity"]:
+                violations.append(
+                    f"{label}: queue peaked at {queue['max_depth']} "
+                    f"> capacity {queue['capacity']}"
+                )
+            if queue["depth"] > spec.admission_watermark:
+                violations.append(
+                    f"{label}: queue still {queue['depth']} deep at exit "
+                    f"(watermark {spec.admission_watermark})"
+                )
         if bdn.get("stale_targets"):
             violations.append(
                 f"{label}: {bdn['stale_targets']} expired advertisement(s) used as targets"

@@ -400,12 +400,14 @@ class Worker:
                 "requests_shed": bdn.requests_shed,
                 "requests_refused_catchup": bdn.requests_refused_catchup,
                 "stale_targets": bdn.stale_targets,
-                "queue": {
+                # No ingress queue means no evidence, not a healthy zero:
+                # check_invariants flags a null here.
+                "queue": None if bdn.ingress is None else {
                     "capacity": self.spec.queue_capacity,
-                    "max_depth": bdn.ingress.max_depth if bdn.ingress else 0,
-                    "depth": bdn.ingress.depth if bdn.ingress else 0,
-                    "overflows": bdn.ingress.overflows if bdn.ingress else 0,
-                    "shed": bdn.ingress.shed if bdn.ingress else 0,
+                    "max_depth": bdn.ingress.max_depth,
+                    "depth": bdn.ingress.depth,
+                    "overflows": bdn.ingress.overflows,
+                    "shed": bdn.ingress.shed,
                 },
             }
         if self.responder is not None:

@@ -396,9 +396,9 @@ class AdvertisementStore:
         self._ads: dict[str, StoredAdvertisement] = {}
         self.ignored = 0
         self.leases_expired = 0
-        # Sorted-key view, rebuilt lazily after any key-set change.  A
-        # BDN calls all() once per discovery request; without this the
-        # sort is O(n log n) per request, which dominates past ~10k ads.
+        # Sorted-key view, rebuilt lazily after any key-set change, so
+        # the readers of all() -- injection="all" fan-out, lease sweeps,
+        # replication digests -- do not pay an O(n log n) sort per call.
         self._sorted_ids: list[str] | None = None
 
     def __len__(self) -> int:

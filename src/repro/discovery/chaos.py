@@ -516,6 +516,7 @@ def _check_overload(world: ChaosWorld, violations: list[str]) -> None:
     for bdn in world.bdns:
         queue = bdn.ingress
         if queue is None:
+            violations.append(f"{bdn.name}: no ingress queue in an overload world")
             continue
         if queue.max_depth > queue.config.queue_capacity:
             violations.append(

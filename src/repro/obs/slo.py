@@ -218,7 +218,7 @@ class SloMonitor:
                     row["label"],
                     f"ingress queue peaked at {peak} > capacity {config.queue_capacity}",
                 )
-            overflows = row["stats"].get("queue_overflows", 0)
+            overflows = stats.get("queue_overflows", 0)
             if overflows > config.max_queue_overflows:
                 violate(
                     "queue_overflow",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 from repro.cluster.report import (
     check_election_safety,
     check_invariants,
@@ -9,6 +11,7 @@ from repro.cluster.report import (
     summarize,
 )
 from repro.cluster.spec import ClusterSpec
+from repro.cluster.worker import Worker
 from repro.obs.cluster import SEQ_STRIDE, merge_process_snapshots
 
 
@@ -252,6 +255,28 @@ class TestInvariants:
             load_report([ok_round(0)]),
         ]
         assert any("capacity" in v for v in check_invariants(self.spec(), reports))
+
+    def test_absent_queue_evidence_is_a_violation(self):
+        # A worker whose BDN has no ingress queue reports "queue": null;
+        # that is missing evidence, not a queue that stayed at zero.
+        async def boot_and_report():
+            spec = self.spec()
+            spec.assign_ports()
+            worker = Worker(spec, "bdn:0", cold=True, report_path="unused")
+            worker.boot()
+            try:
+                await worker.rt.ready()
+                worker.bdn.ingress = None  # booted without the spec's service model
+                return worker.build_report()
+            finally:
+                await worker.rt.aclose()
+
+        report = asyncio.run(boot_and_report())
+        assert report["bdn"]["queue"] is None
+        violations = check_invariants(self.spec(), [report, load_report([ok_round(0)])])
+        assert [v for v in violations if "queue" in v] == [
+            "d0: no ingress-queue evidence in the report"
+        ]
 
     def test_p99_bound_enforced(self):
         slow = ok_round(0, total=2.5)

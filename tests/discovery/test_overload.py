@@ -271,6 +271,20 @@ class TestBDNAdmission:
         world.sim.run_for(3.0)
         assert world.bdn.requests_shed == 0
 
+    def test_overload_check_flags_a_bdn_without_a_queue(self):
+        # Every BDN of an overload=True world has a service model, so one
+        # without an ingress queue is missing evidence, not "depth 0".
+        from types import SimpleNamespace
+
+        from repro.discovery.chaos import _check_overload
+
+        world = World()
+        assert world.bdn.ingress is None
+        view = SimpleNamespace(bdns=[world.bdn], ADMISSION_WATERMARK=4, client=world.client)
+        violations: list[str] = []
+        _check_overload(view, violations)
+        assert violations == [f"{world.bdn.name}: no ingress queue in an overload world"]
+
     def test_unknown_message_counted(self):
         world = World()
         from repro.core.messages import Subscribe

@@ -150,6 +150,24 @@ class TestHardInvariants:
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "queue_overflow"
 
+    def test_row_without_stats_is_evaluated_not_raised_on(self):
+        # A process that has sent metrics but no stats yet: the window
+        # must close (this runs on the ticker thread), not KeyError.
+        class StatlessView(RollingClusterView):
+            def close_window(self, duration):
+                rows = super().close_window(duration)
+                for row in rows:
+                    del row["stats"]
+                return rows
+
+        monitor, _, clock = make_monitor()
+        view = StatlessView()
+        fold(view, clock, role="bdn:0", metrics={"discovery.failed": counter(1)})
+        clock.now = 5.0
+        (violation,) = monitor.maybe_evaluate(view)
+        assert violation.invariant == "zero_failed_discoveries"
+        assert monitor.windows_evaluated == 1
+
     def test_election_overlap_fires_once(self):
         monitor, view, clock = make_monitor()
         fold(view, clock, role="bdn:0", stats={"name": "d0"}, intervals=[[1, 0.0, 4.0]])
