@@ -51,7 +51,7 @@ from repro.core.messages import (
     ReplicaAppend,
 )
 from repro.obs import trace_context
-from repro.runtime.api import Runtime, TimerHandle
+from repro.runtime.api import OwnedTimers, Runtime, TimerHandle
 from repro.simnet.node import Node
 from repro.simnet.service import IngressQueue
 from repro.simnet.trace import Tracer
@@ -135,7 +135,7 @@ class BDN(Node):
         # nothing ticking in the scheduler.  One lease-sweep series per
         # shard, phase-staggered across the ping interval.
         self._sweep_timers: list[TimerHandle] = []
-        self._fanout_timers: set[TimerHandle] = set()
+        self._fanout_timers = OwnedTimers(self.runtime)
         # Optional service-time model: requests queue in a bounded FIFO
         # and, above the admission high-watermark, are refused with a
         # DiscoveryBusy instead of queued.  Built once so the counters
@@ -226,9 +226,7 @@ class BDN(Node):
         for timer in self._sweep_timers:
             timer.cancel()
         self._sweep_timers = []
-        for timer in self._fanout_timers:
-            timer.cancel()
-        self._fanout_timers.clear()
+        self._fanout_timers.cancel_all()
         if self.ingress is not None:
             self.ingress.reset()  # a dead process loses its socket buffer
         if self.replication is not None:
@@ -512,26 +510,21 @@ class BDN(Node):
         # Each pending send is tracked so stop() can cancel it -- a BDN
         # killed mid-fan-out must not keep transmitting.
         for i, stored in enumerate(targets):
-            self._schedule_fanout(
+            self._fanout_timers.schedule(
                 self.config.fanout_delay * (i + 1),
+                self._fire_fanout,
                 stored.udp_endpoint,
                 forwarded,
-                broker_id=stored.broker_id,
+                stored.broker_id,
             )
         self.trace("bdn_disseminate", request=request.uuid, targets=len(targets))
 
-    def _schedule_fanout(
-        self, delay: float, dst: Endpoint, message: Message, broker_id: str | None = None
-    ) -> None:
-        def fire() -> None:
-            self._fanout_timers.discard(handle)
-            ctx = trace_context(message) if self._recorder is not None else None
-            if ctx is not None:
-                self.span("inject", ctx[0], hop=ctx[1], broker=broker_id or str(dst))
-            self.runtime.send_udp(self.udp_endpoint, dst, message)
-
-        handle = self.runtime.schedule(delay, fire)
-        self._fanout_timers.add(handle)
+    def _fire_fanout(self, key: int, dst: Endpoint, message: Message, broker_id: str) -> None:
+        self._fanout_timers.pop(key)
+        ctx = trace_context(message) if self._recorder is not None else None
+        if ctx is not None:
+            self.span("inject", ctx[0], hop=ctx[1], broker=broker_id)
+        self.runtime.send_udp(self.udp_endpoint, dst, message)
 
     def _injection_targets(self) -> list[StoredAdvertisement]:
         """Pick the brokers this BDN injects a request at.

@@ -31,7 +31,7 @@ from repro.core.config import Endpoint
 from repro.core.dedup import DedupCache
 from repro.core.errors import CodecError, UnknownHostError
 from repro.core.messages import DiscoveryRequest, DiscoveryResponse, Event
-from repro.runtime.api import TimerHandle
+from repro.runtime.api import OwnedTimers
 from repro.substrate.broker import BROKER_TCP_PORT, BROKER_UDP_PORT, Broker
 
 __all__ = ["REQUEST_TOPIC", "DiscoveryResponder"]
@@ -90,7 +90,7 @@ class DiscoveryResponder:
         #: Set by :meth:`attach_group_heartbeat`; its leader belief is
         #: echoed in responses as ``leader_hint``.
         self.group_heartbeat = None
-        self._response_timers: set[TimerHandle] = set()
+        self._response_timers = OwnedTimers(broker.runtime)
         broker.add_udp_handler(DiscoveryRequest, self._on_udp_request)
         broker.add_control_handler(REQUEST_TOPIC, self._on_control_event)
 
@@ -118,9 +118,7 @@ class DiscoveryResponder:
             return
         self.active = False
         self.draining = False
-        for timer in self._response_timers:
-            timer.cancel()
-        self._response_timers.clear()
+        self._response_timers.cancel_all()
         self.detach_heartbeat()
         self.broker.trace("responder_stop")
 
@@ -324,15 +322,7 @@ class DiscoveryResponder:
             self.broker.trace("discovery_policy_reject", request=request.uuid)
             return
         delay = float(self.broker.rng.uniform(*_PROCESS_DELAY_RANGE))
-        self._schedule_response(delay, request)
-
-    def _schedule_response(self, delay: float, request: DiscoveryRequest) -> None:
-        def fire() -> None:
-            self._response_timers.discard(handle)
-            self._respond(request)
-
-        handle = self.broker.runtime.schedule(delay, fire)
-        self._response_timers.add(handle)
+        self._response_timers.schedule(delay, self._respond, request)
 
     def _requester_realm(self, request: DiscoveryRequest) -> str:
         if request.realm:
@@ -361,7 +351,8 @@ class DiscoveryResponder:
             self.broker.span("inject", request.uuid, hop=forwarded.trace_hop, via="topic")
         self.broker.publish_local(event)
 
-    def _respond(self, request: DiscoveryRequest) -> None:
+    def _respond(self, key: int, request: DiscoveryRequest) -> None:
+        self._response_timers.pop(key)
         if not self.active or not self.broker.alive:
             return
         suppress_depth = self.broker.config.response_suppress_depth

@@ -46,6 +46,7 @@ __all__ = [
     "Transport",
     "Runtime",
     "Handler",
+    "OwnedTimers",
     "as_runtime",
 ]
 
@@ -186,6 +187,33 @@ class Runtime(Scheduler, Transport, Protocol):
     """
 
     kind: str
+
+
+class OwnedTimers:
+    """An engine's pending one-shot timers, cancellable together.
+
+    ``schedule`` arms ``fn(key, *args)``, and ``fn`` calls ``pop(key)``
+    when it fires: the state travels as ``args`` and nothing closes over
+    the handle, so reference counting frees a fired or cancelled timer.
+    """
+
+    def __init__(self, runtime: Scheduler) -> None:
+        self._runtime = runtime
+        self._pending: dict[int, TimerHandle] = {}
+        self._next_key = 0
+        self.pop = self._pending.pop  # pop(key): no frame of ours on the fire path
+
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        self._next_key = key = self._next_key + 1
+        self._pending[key] = self._runtime.schedule(delay, fn, key, *args)
+
+    def cancel_all(self) -> None:
+        for handle in self._pending.values():
+            handle.cancel()
+        self._pending.clear()
+
+    def __len__(self) -> int:
+        return len(self._pending)
 
 
 def as_runtime(fabric: Any) -> Runtime:

@@ -90,6 +90,8 @@ class ScheduledEvent:
         if self.cancelled:
             return
         self.cancelled = True
+        # Queued until swept or popped: stop pinning what the callback held.
+        self.fn = self.args = None
         if self._sim is not None:
             self._sim._note_cancelled()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.messages import (
@@ -111,6 +113,32 @@ class TestDiscoveryRequest:
     def test_chained_forwarding(self):
         req = DiscoveryRequest(uuid="u", requester_host="h", requester_port=7500)
         assert req.forwarded().forwarded().forwarded().hop_count == 3
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_copies_equal_dataclasses_replace_on_every_field(self, traced):
+        """The copies call the constructor by hand; a field added later
+        and left out of that call would silently reset to its default."""
+        values = {}
+        for i, f in enumerate(dataclasses.fields(DiscoveryRequest), start=3):
+            kind = f.type.split("[")[0]  # annotations are strings here
+            if f.name == "trace_flag":
+                values[f.name] = traced
+            elif kind == "str":
+                values[f.name] = f"{f.name}-{i}"
+            elif kind == "int":
+                values[f.name] = i
+            elif kind == "float":
+                values[f.name] = i + 0.5
+            elif kind == "tuple":
+                values[f.name] = (f"t{i}",)
+            elif kind == "frozenset":
+                values[f.name] = frozenset({f"c{i}"})
+            else:
+                pytest.fail(f"give DiscoveryRequest.{f.name} a non-default value here")
+        req = DiscoveryRequest(**values)
+        hop = {"trace_hop": req.trace_hop + 1} if traced else {}
+        assert req.forwarded() == dataclasses.replace(req, hop_count=req.hop_count + 1, **hop)
+        assert req.retransmission() == dataclasses.replace(req, attempt=req.attempt + 1)
 
 
 class TestDiscoveryResponse:

@@ -140,7 +140,7 @@ class TestAioRuntimeLifecycle:
             rt.send_udp(probe, broker.udp_endpoint, self._request(broker, "live-2"))
             await self._settle()
             assert len([m for m in box if isinstance(m, DiscoveryResponse)]) == 1
-            assert responder._response_timers == set()
+            assert responder.pending_responses == 0
             # Restarted (idempotent): answering again.
             responder.start()
             responder.start()
