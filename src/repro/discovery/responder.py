@@ -16,7 +16,8 @@ broker):
    request can reach each broker connected in the network",
    section 10).  Requests that arrived *as* control events are already
    being forwarded by normal event routing, so only UDP arrivals are
-   wrapped here.
+   wrapped here -- and only when someone other than this responder
+   can hear the flood (see :meth:`DiscoveryResponder._propagate`).
 3. **Apply the response policy** -- credentials and origin realm
    (section 5).
 4. **Respond over UDP** -- with the NTP timestamp, broker process
@@ -92,7 +93,9 @@ class DiscoveryResponder:
         self.group_heartbeat = None
         self._response_timers = OwnedTimers(broker.runtime)
         broker.add_udp_handler(DiscoveryRequest, self._on_udp_request)
-        broker.add_control_handler(REQUEST_TOPIC, self._on_control_event)
+        self._control_handler = broker.add_control_handler(
+            REQUEST_TOPIC, self._on_control_event
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -337,11 +340,17 @@ class DiscoveryResponder:
 
         The event UUID is derived from (request UUID, attempt) so that
         event-level dedup at peer brokers aligns with request-level
-        dedup here.
+        dedup here.  With nobody but this responder to hear the flood
+        (no peer, subscriber or other handler) only that dedup mark is
+        left of it; the responder never hears its own flood.
         """
+        event_uuid = f"{request.uuid}#{request.attempt}"
+        if not self.broker.has_audience(REQUEST_TOPIC, self._control_handler):
+            self.broker.mark_routed(event_uuid)
+            return
         forwarded = request.forwarded()
         event = Event(
-            uuid=f"{request.uuid}#{request.attempt}",
+            uuid=event_uuid,
             topic=REQUEST_TOPIC,
             payload=encode_message(forwarded),
             source=self.broker.name,
@@ -349,7 +358,7 @@ class DiscoveryResponder:
         )
         if request.trace_flag:
             self.broker.span("inject", request.uuid, hop=forwarded.trace_hop, via="topic")
-        self.broker.publish_local(event)
+        self.broker.publish_local(event, self._control_handler)
 
     def _respond(self, key: int, request: DiscoveryRequest) -> None:
         self._response_timers.pop(key)

@@ -60,6 +60,9 @@ _MEM_PER_LINK = 4 * 1024 * 1024
 _CPU_PER_CLIENT = 0.004
 _CPU_PER_LINK = 0.002
 
+# Topics memoised in Broker._handlers_for before a wholesale reset.
+_HANDLERS_CACHE_MAX = 2048
+
 ControlHandler = Callable[[Event, "str | None"], None]
 UdpHandler = Callable[[Message, Endpoint], None]
 
@@ -120,6 +123,9 @@ class Broker(Node):
         self._neighbors: dict[str, "Broker"] = {}
         self._retry_pending: set[str] = set()
         self._control_handlers: list[tuple[str, ControlHandler]] = []
+        # topic -> handlers whose pattern matches it, in registration
+        # order; reset whenever a handler is added.
+        self._handlers_cache: dict[str, tuple[ControlHandler, ...]] = {}
         self._udp_handlers: dict[type, UdpHandler] = {}
         # Optional service-time model for the UDP plane: datagrams wait
         # in a bounded FIFO and are processed at service rate instead of
@@ -502,27 +508,78 @@ class Broker(Node):
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def add_control_handler(self, pattern: str, handler: ControlHandler) -> None:
+    def add_control_handler(self, pattern: str, handler: ControlHandler) -> ControlHandler:
         """Invoke ``handler(event, from_peer)`` for events matching ``pattern``.
 
         Control handlers fire *after* dedup, exactly once per event, on
         every broker the event reaches -- the mechanism the discovery
         scheme uses to process requests propagated "on a predefined
-        topic".
+        topic".  Returns ``handler``: what a service that also publishes
+        on ``pattern`` names as its ``publisher`` so it is not called
+        back with its own events.
         """
+        validate_pattern(pattern)
         self._control_handlers.append((pattern, handler))
+        self._handlers_cache.clear()
+        return handler
 
-    def publish_local(self, event: Event) -> None:
-        """Inject an event as if published at this broker."""
-        self._route(event, from_peer=None)
+    def _handlers_for(self, topic: str) -> tuple[ControlHandler, ...]:
+        """Control handlers matching ``topic``, memoised per topic."""
+        handlers = self._handlers_cache.get(topic)
+        if handlers is None:
+            if len(self._handlers_cache) >= _HANDLERS_CACHE_MAX:
+                self._handlers_cache.clear()
+            handlers = self._handlers_cache[topic] = tuple(
+                h for pattern, h in self._control_handlers if topic_matches(pattern, topic)
+            )
+        return handlers
 
-    def _route(self, event: Event, from_peer: str | None) -> None:
-        if self.dedup.seen(event.uuid):
+    def has_audience(self, topic: str, publisher: ControlHandler | None = None) -> bool:
+        """Would :meth:`publish_local` on ``topic`` reach anyone but ``publisher``?
+
+        The audience is subscribed clients, matching control handlers
+        and the forwarding targets of a local publication, each read
+        from the memo routing itself uses (so each is current whenever
+        routing is).  Errs towards True: a subscriber or peer whose
+        connection has closed still counts until it is dropped.
+        """
+        if self.subscriptions.sorted_subscribers_for(topic):
+            return True
+        for handler in self._handlers_for(topic):
+            if handler != publisher:
+                return True
+        if self._targets_for_topic is not None:
+            return bool(self._targets_for_topic(self.name, self.peers, None, topic))
+        return bool(self._forward_targets(None))
+
+    def publish_local(self, event: Event, publisher: ControlHandler | None = None) -> None:
+        """Inject an event as if published at this broker.
+
+        ``publisher``, if given, is the control handler of the service
+        publishing: it is not called back with its own event.
+        """
+        self._route(event, None, publisher)
+
+    def mark_routed(self, event_uuid: str) -> bool:
+        """Event-level dedup and its counters; True on first sighting.
+
+        All of routing that is left for a local publication with no
+        audience (see :meth:`has_audience`): the mark stops a peer that
+        links up later from re-flooding the event here.
+        """
+        if self.dedup.seen(event_uuid):
             self.duplicates_suppressed += 1
+            return False
+        self.events_routed += 1
+        return True
+
+    def _route(
+        self, event: Event, from_peer: str | None, publisher: ControlHandler | None = None
+    ) -> None:
+        if not self.mark_routed(event.uuid):
             if self._recorder is not None:
                 self._span_event_dup(event, from_peer)
             return
-        self.events_routed += 1
         # Local delivery to matching client subscribers (cached per
         # topic; identical to sorted(subscribers_for(topic))).
         for subscriber in self.subscriptions.sorted_subscribers_for(event.topic):
@@ -531,8 +588,8 @@ class Broker(Node):
                 conn.send(event)
                 self.events_delivered += 1
         # Control-plane handlers (discovery, advertisements, ...).
-        for pattern, handler in self._control_handlers:
-            if topic_matches(pattern, event.topic):
+        for handler in self._handlers_for(event.topic):
+            if handler != publisher:
                 handler(event, from_peer)
         # Forward into the broker network.  Content-aware strategies
         # narrow the target set by the event's topic (their interest

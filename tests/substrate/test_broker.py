@@ -9,6 +9,7 @@ from repro.core.config import BrokerConfig, Endpoint
 from repro.core.messages import Event, PingRequest, PingResponse
 from repro.substrate.broker import BROKER_UDP_PORT, Broker
 from repro.substrate.builder import BrokerNetwork, Topology
+from repro.substrate.topics import topic_matches
 
 
 def two_linked_brokers(seed=0) -> tuple[BrokerNetwork, Broker, Broker]:
@@ -115,6 +116,52 @@ class TestEventRouting:
         a.publish_local(make_event(a, topic="data/stuff"))
         net.sim.run_for(2.0)
         assert seen == []
+
+    def test_malformed_handler_pattern_rejected_at_registration(self):
+        net = BrokerNetwork()
+        a = net.add_broker("a", site="sa")
+        for bad in ("", "ctl//x", "ctl/**/x", "ctl/x*"):
+            with pytest.raises(ValueError):
+                a.add_control_handler(bad, lambda ev, peer: None)
+        a.publish_local(make_event(a, topic="ctl/x"))  # nothing half-registered
+        assert a.events_routed == 1
+
+    def test_handler_memo_agrees_with_topic_matches(self):
+        """The per-topic handler memo against its oracle, before and
+        after registrations that must reset it."""
+        net = BrokerNetwork()
+        a = net.add_broker("a", site="sa")
+        patterns = ["ctl/**", "ctl/*", "ctl/x", "*/x", "**", "data/x/y", "ctl/x/**"]
+        topics = ["ctl/x", "ctl/y", "ctl", "data/x", "data/x/y", "ctl/x/y"]
+        calls: list[tuple[str, str]] = []
+        registered: list[str] = []
+        for pattern in patterns:
+            got = a.add_control_handler(
+                pattern, lambda ev, peer, pattern=pattern: calls.append((pattern, ev.topic))
+            )
+            assert callable(got)
+            registered.append(pattern)
+            for topic in topics:
+                calls.clear()
+                a.publish_local(make_event(a, topic=topic))
+                a.publish_local(make_event(a, topic=topic))  # second time: from the memo
+                expected = [(p, topic) for p in registered if topic_matches(p, topic)]
+                assert calls == expected + expected
+
+    def test_publisher_is_not_called_back(self):
+        net, a, b = two_linked_brokers()
+        heard = {"mine": [], "other": [], "remote": []}
+        mine = a.add_control_handler("ctl/**", lambda ev, peer: heard["mine"].append(ev.uuid))
+        a.add_control_handler("ctl/x", lambda ev, peer: heard["other"].append(ev.uuid))
+        b.add_control_handler("ctl/x", lambda ev, peer: heard["remote"].append(ev.uuid))
+        a.publish_local(make_event(a, topic="ctl/x", uuid="named"), publisher=mine)
+        a.publish_local(make_event(a, topic="ctl/x", uuid="anonymous"))
+        net.sim.run_for(2.0)
+        assert heard == {
+            "mine": ["anonymous"],
+            "other": ["named", "anonymous"],
+            "remote": ["named", "anonymous"],
+        }
 
     def test_dedup_capacity_respected(self):
         net = BrokerNetwork()
