@@ -37,22 +37,13 @@ import asyncio
 import json
 import sys
 
-import numpy as np
-
-from repro.core.config import BDNConfig, ClientConfig, RuntimeConfig
-from repro.discovery.advertisement import advertise_direct
-from repro.discovery.bdn import BDN
-from repro.discovery.requester import DiscoveryClient, DiscoveryOutcome
-from repro.discovery.responder import DiscoveryResponder
+from repro.core.config import RuntimeConfig
+from repro.discovery.requester import DiscoveryOutcome
+from repro.experiments.harness import star_world
+from repro.experiments.runtime_compare import REFERENCE_SCENARIO
 from repro.obs import Observability
 from repro.obs.timeline import assemble_from_snapshot, complete_request_ids, phase_agreement
 from repro.runtime import create_runtime
-from repro.substrate.broker import Broker
-
-# Mirror of the simulated reference scenario (see README): used to fill
-# the artifact's sim-predicted column without rerunning the simulation
-# in the smoke job.
-_SIM_PREDICTION = {"scenario": "star-3-brokers", "seed": 5}
 
 
 async def run(
@@ -66,58 +57,15 @@ async def run(
     if telemetry_path:
         obs = Observability.for_runtime(rt)
         rt.attach_observability(obs)
-    root = np.random.default_rng(config.seed)
-
-    def rng() -> np.random.Generator:
-        return np.random.default_rng(root.integers(0, 2**63))
-
-    # -- build the world ------------------------------------------------
-    bdn = BDN(
-        "bdn0",
-        "bdn0.local",
-        rt,
-        rng(),
-        config=BDNConfig(injection="all", ping_interval=0.5),
-        site="site0",
-        realm="lab",
-        obs=obs,
-    )
-    brokers: list[Broker] = []
-    responders: list[DiscoveryResponder] = []
-    for i in range(3):
-        broker = Broker(
-            f"b{i}", f"b{i}.local", rt, rng(), site=f"site{i}", realm="lab", obs=obs
-        )
-        brokers.append(broker)
-        responders.append(DiscoveryResponder(broker))
-    client = DiscoveryClient(
-        "client0",
-        "client0.local",
-        rt,
-        rng(),
-        config=ClientConfig(
-            bdn_endpoints=(bdn.udp_endpoint,),
-            response_timeout=1.0,
-            retransmit_interval=1.0,
-            ping_timeout=1.0,
-        ),
-        site="site9",
-        realm="lab",
-        obs=obs,
-    )
-
-    bdn.start()
-    for broker in brokers:
-        broker.start()
-    client.start()
+    # -- the reference world, on real sockets ------------------------------
+    world = star_world(rt, config.seed, obs)
+    client = world.client
     await rt.ready()  # every socket attached to the loop
 
     # Real NTP init takes 3-5 s; for a smoke run, sync immediately.
-    for node in (bdn, client, *brokers):
+    for node in world.nodes():
         node.ntp.sync_now()
-
-    for broker in brokers:
-        advertise_direct(broker, bdn.udp_endpoint)
+    world.advertise()
 
     # -- one discovery round -------------------------------------------
     done: asyncio.Future[DiscoveryOutcome] = asyncio.get_event_loop().create_future()
@@ -149,7 +97,9 @@ async def run(
             "dropped": rt.datagrams_dropped,
         },
         "handler_errors": list(rt.errors),
-        "sim_reference": _SIM_PREDICTION,
+        # What runtime_compare replays on the simulator for the
+        # sim-predicted column (not rerun in the smoke job).
+        "sim_reference": {"scenario": REFERENCE_SCENARIO, "seed": config.seed},
     }
     print(json.dumps(result, indent=2))
     if artifact_path:

@@ -16,8 +16,6 @@ Entry points::
 
 from repro.cluster.coordinator import ClusterError, ClusterFaultInjector, ClusterHarness
 from repro.cluster.report import (
-    LIVE_ELECTION_EPS,
-    check_election_safety,
     check_invariants,
     collect_rounds,
     merge_leadership_intervals,
@@ -31,8 +29,6 @@ __all__ = [
     "ClusterFaultInjector",
     "ClusterHarness",
     "ClusterSpec",
-    "LIVE_ELECTION_EPS",
-    "check_election_safety",
     "check_invariants",
     "collect_rounds",
     "derive_schedule",

@@ -31,7 +31,7 @@ import sys
 import time
 
 from repro.cluster.coordinator import ClusterError, ClusterHarness
-from repro.cluster.report import check_invariants, merged_cluster_snapshot, summarize
+from repro.cluster.report import merged_cluster_snapshot, summarize
 from repro.cluster.spec import ClusterSpec
 
 __all__ = ["main"]
@@ -103,9 +103,8 @@ def _finish(harness: ClusterHarness, spec: ClusterSpec, args) -> int:
         with open(args.slo_trend, "w", encoding="utf-8") as fh:
             json.dump(live.get("trend", []), fh, indent=2)
         print(f"slo trend -> {args.slo_trend}")
-    violations = check_invariants(spec, reports)
     slo_violations = live.get("violations", []) if live else []
-    return 1 if violations or missing or slo_violations else 0
+    return 1 if summary["violations"] or missing or slo_violations else 0
 
 
 def _build_spec(args, rounds: int) -> ClusterSpec:

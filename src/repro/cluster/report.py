@@ -1,21 +1,13 @@
 """Cluster run collection: merge worker reports, assert soak invariants.
 
-The live counterparts of the sim chaos checks (``repro.discovery.chaos``):
-
-* **Zero failed discoveries** with replication on -- every recorded load
-  round must have selected a broker (rounds a drain deliberately
-  aborted are excluded, exactly like the sim excludes runs it never
-  finished driving).
-* **Election safety** -- per-process leadership intervals are rebased
-  onto the shared wall clock via each report's ``wall_offset`` and
-  checked pairwise across *different* members for overlap.  The live
-  epsilon is 50 ms (vs 1 ns in simulation): same-host wall clocks agree
-  far tighter than that, and the leases under test are seconds long.
-* **Queue bounds** (PR 3) -- no BDN ingress queue may ever exceed its
-  configured capacity, and none may still be above the admission
-  watermark at exit.
-* **Bounded client latency** -- the p99 of client-observed round times
-  must stay under the spec's bound even across restarts and storms.
+:func:`gather_evidence` reads one run's exit reports into the
+:class:`~repro.core.invariants.Evidence` record -- recorded load rounds,
+leadership intervals rebased onto the shared wall clock via each
+report's ``wall_offset``, per-BDN queue stats and stale-target counts,
+the p99 of client-observed round times -- and :func:`check_invariants`
+holds it to the whole check list of
+:func:`~repro.core.invariants.verdict` (docs/PROTOCOL.md "Soak
+invariants").
 
 The merged cluster timeline (every process's flight-recorder ring on one
 wall-clock axis) comes from :func:`repro.obs.cluster.merge_process_snapshots`.
@@ -26,23 +18,44 @@ from __future__ import annotations
 import math
 
 from repro.cluster.spec import ClusterSpec
-from repro.core.invariants import election_overlaps
+from repro.core.invariants import (
+    LIVE_ELECTION_EPS,
+    Evidence,
+    QueueStats,
+    failed,
+    recorded,
+    verdict,
+)
 from repro.obs.cluster import merge_process_snapshots
 
 __all__ = [
-    "LIVE_ELECTION_EPS",
+    "round_record",
     "merge_leadership_intervals",
-    "check_election_safety",
     "collect_rounds",
+    "percentile",
     "merged_cluster_snapshot",
+    "gather_evidence",
     "check_invariants",
+    "phase_means",
     "summarize",
 ]
 
-#: Live overlap tolerance (seconds).  Wall clocks on one host agree to
-#: well under a millisecond; 50 ms absorbs report-serialisation skew
-#: while staying two orders of magnitude below the 2 s leases.
-LIVE_ELECTION_EPS = 0.05
+
+def round_record(client: str, index: int, outcome, aborted: bool = False) -> dict:
+    """One discovery round as the reports, the invariants and the phase
+    tables read it (``outcome`` is a ``DiscoveryOutcome``)."""
+    return {
+        "client": client,
+        "round": index,
+        "uuid": outcome.request_uuid,
+        "success": bool(outcome.success),
+        "selected": outcome.selected.broker_id if outcome.selected else None,
+        "via": outcome.via,
+        "total_time": outcome.total_time,
+        "transmissions": outcome.transmissions,
+        "phases": dict(outcome.phases.durations()),
+        "aborted": aborted,
+    }
 
 
 def merge_leadership_intervals(reports: list[dict]) -> list[tuple[str, float, float, float]]:
@@ -64,29 +77,14 @@ def merge_leadership_intervals(reports: list[dict]) -> list[tuple[str, float, fl
     return sorted(merged, key=lambda row: row[2])
 
 
-def check_election_safety(
-    intervals: list[tuple[str, float, float, float]], eps: float = LIVE_ELECTION_EPS
-) -> list[str]:
+def collect_rounds(reports: list[dict]) -> list[dict]:
+    """Every recorded (non-aborted) load round across load reports."""
     return [
-        "election safety: "
-        f"{a[0]} led term {a[1]:g} over [{a[2]:.3f}, {a[3]:.3f}) "
-        f"overlapping {b[0]} term {b[1]:g} over [{b[2]:.3f}, {b[3]:.3f})"
-        for a, b in election_overlaps(intervals, eps)
+        r for report in reports for r in recorded(report.get("load", {}).get("rounds", ()))
     ]
 
 
-def collect_rounds(reports: list[dict]) -> list[dict]:
-    """Every recorded (non-aborted) load round across load reports."""
-    rounds = []
-    for report in reports:
-        load = report.get("load")
-        if not load:
-            continue
-        rounds.extend(r for r in load.get("rounds", ()) if not r.get("aborted"))
-    return rounds
-
-
-def _percentile(values: list[float], q: float) -> float:
+def percentile(values: list[float], q: float) -> float:
     if not values:
         return 0.0
     ordered = sorted(values)
@@ -106,53 +104,44 @@ def merged_cluster_snapshot(reports: list[dict]) -> dict:
     return merge_process_snapshots(parts)
 
 
+def gather_evidence(spec: ClusterSpec, reports: list[dict]) -> Evidence:
+    """One run's exit reports as the invariants' evidence record.
+
+    Every spec configures a service model, so a BDN report whose
+    ``queue`` is null is missing evidence; a replicated tier that
+    reported no leadership at all likewise.
+    """
+    rounds = collect_rounds(reports)
+    intervals = merge_leadership_intervals(reports)
+    bdns = {
+        report.get("label", report["bdn"]["name"]): report["bdn"]
+        for report in reports
+        if report.get("bdn")
+    }
+    return Evidence(
+        rounds=rounds,
+        intervals=None if spec.n_bdns > 1 and not intervals else intervals,
+        queues={
+            label: bdn.get("queue") and QueueStats(*(bdn["queue"][k] for k in QueueStats._fields))
+            for label, bdn in bdns.items()
+        },
+        stale_targets={label: bdn.get("stale_targets", 0) for label, bdn in bdns.items()},
+        p99=percentile([r["total_time"] for r in rounds], 0.99) if rounds else None,
+    )
+
+
 def check_invariants(spec: ClusterSpec, reports: list[dict]) -> list[str]:
     """Every soak invariant over one run's reports; empty = healthy."""
-    violations: list[str] = []
-    rounds = collect_rounds(reports)
-    if not rounds:
-        violations.append("no load rounds were recorded")
-    failures = [r for r in rounds if not r["success"]]
-    for failure in failures:
-        violations.append(
-            f"failed discovery: {failure['client']} round {failure['round']} "
-            f"({failure['uuid']}) via {failure['via']!r}"
-        )
-    violations.extend(check_election_safety(merge_leadership_intervals(reports)))
-    for report in reports:
-        bdn = report.get("bdn")
-        if not bdn:
-            continue
-        label = report.get("label", bdn["name"])
-        queue = bdn.get("queue")
-        if queue is None:
-            # Every spec configures a service model, so a BDN without
-            # an ingress queue is not the BDN the bounds were set for.
-            violations.append(f"{label}: no ingress-queue evidence in the report")
-        else:
-            if queue["max_depth"] > queue["capacity"]:
-                violations.append(
-                    f"{label}: queue peaked at {queue['max_depth']} "
-                    f"> capacity {queue['capacity']}"
-                )
-            if queue["depth"] > spec.admission_watermark:
-                violations.append(
-                    f"{label}: queue still {queue['depth']} deep at exit "
-                    f"(watermark {spec.admission_watermark})"
-                )
-        if bdn.get("stale_targets"):
-            violations.append(
-                f"{label}: {bdn['stale_targets']} expired advertisement(s) used as targets"
-            )
-    p99 = _percentile([r["total_time"] for r in rounds], 0.99)
-    if p99 > spec.p99_bound:
-        violations.append(
-            f"latency: client-observed p99 {p99:.3f}s > bound {spec.p99_bound:.1f}s"
-        )
-    return violations
+    breaches = verdict(
+        gather_evidence(spec, reports),
+        election_eps=LIVE_ELECTION_EPS,
+        watermark=spec.admission_watermark,
+        p99_bound=spec.p99_bound,
+    )
+    return [str(breach) for breach in breaches]
 
 
-def _phase_means(rounds: list[dict]) -> dict[str, float]:
+def phase_means(rounds: list[dict]) -> dict[str, float]:
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     for record in rounds:
@@ -176,7 +165,6 @@ def summarize(
     CI smoke asserts on ``summary["slo"]`` when present.
     """
     rounds = collect_rounds(reports)
-    successes = [r for r in rounds if r["success"]]
     totals = [r["total_time"] for r in rounds]
     client_counters: dict[str, dict] = {}
     for report in reports:
@@ -203,15 +191,15 @@ def summarize(
             "mean_gap": spec.mean_gap,
         },
         "rounds": len(rounds),
-        "failures": len(rounds) - len(successes),
+        "failures": len(failed(rounds)),
         "aborted": sum(r.get("load", {}).get("aborted", 0) for r in reports),
         "latency": {
             "mean": sum(totals) / len(totals) if totals else 0.0,
-            "p50": _percentile(totals, 0.50),
-            "p99": _percentile(totals, 0.99),
+            "p50": percentile(totals, 0.50),
+            "p99": percentile(totals, 0.99),
             "max": max(totals, default=0.0),
         },
-        "phase_means": _phase_means(rounds),
+        "phase_means": phase_means(rounds),
         "leadership_intervals": [
             list(row) for row in merge_leadership_intervals(reports)
         ],

@@ -31,10 +31,10 @@ from repro.core.config import (
     ClientConfig,
     Endpoint,
     ReplicationConfig,
-    RetryPolicyConfig,
     ServiceConfig,
 )
 from repro.discovery.bdn import BDN_UDP_PORT
+from repro.discovery.chaos import ChaosWorld
 from repro.discovery.requester import CLIENT_UDP_PORT
 from repro.substrate.broker import BROKER_LINK_PORT, BROKER_TCP_PORT, BROKER_UDP_PORT
 
@@ -67,11 +67,6 @@ class ClusterSpec:
     #: seeded exponential gaps of mean ``mean_gap`` seconds.
     rounds: int = 20
     mean_gap: float = 0.15
-    #: Replication timers (chaos-tight: see ``ChaosWorld.REPLICATION``).
-    lease_duration: float = 2.0
-    replica_heartbeat: float = 0.5
-    election_stagger: float = 0.25
-    anti_entropy: float = 1.0
     #: Broker registration lease: renewed every ``broker_heartbeat``,
     #: expiring after ``broker_lease_ttl`` (3 intervals = two misses).
     broker_heartbeat: float = 1.0
@@ -228,10 +223,7 @@ class ClusterSpec:
             members=tuple(
                 (self.bdn_name(j), self.bdn_endpoint(j)) for j in range(self.n_bdns)
             ),
-            lease_duration=self.lease_duration,
-            heartbeat_interval=self.replica_heartbeat,
-            election_stagger=self.election_stagger,
-            anti_entropy_interval=self.anti_entropy,
+            **ChaosWorld.REPLICATION,  # the sim chaos world's tight timers
         )
 
     def bdn_config(self) -> BDNConfig:
@@ -263,16 +255,6 @@ class ClusterSpec:
         """Whether ``role`` runs the opt-in sampling profiler."""
         return self.profile_rate > 0 and role.partition(":")[0] in self.profile_roles
 
-    def retry_policy(self) -> RetryPolicyConfig:
-        return RetryPolicyConfig(
-            budget_capacity=8,
-            budget_refill_per_sec=1.0,
-            backoff_base=0.25,
-            backoff_cap=2.0,
-            breaker_failures=3,
-            breaker_cooldown=1.0,
-        )
-
     def client_config(self) -> ClientConfig:
         return ClientConfig(
             bdn_endpoints=self.bdn_endpoints(),
@@ -284,7 +266,7 @@ class ClusterSpec:
             ping_repeats=2,
             ping_timeout=0.5,
             require_ping_evidence=True,
-            retry_policy=self.retry_policy(),
+            retry_policy=ChaosWorld.RETRY_POLICY,
             # The aio runtime emulates multicast per-process; across
             # processes it cannot reach anyone, so the fallback is off.
             use_multicast_fallback=False,

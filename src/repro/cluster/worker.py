@@ -46,7 +46,9 @@ import time
 
 import numpy as np
 
+from repro.cluster.report import round_record
 from repro.cluster.spec import ClusterSpec
+from repro.core.invariants import bdn_evidence, failed, recorded
 from repro.core.messages import DiscoveryRequest
 from repro.discovery.bdn import BDN
 from repro.discovery.requester import CLIENT_UDP_PORT, DiscoveryClient
@@ -179,21 +181,9 @@ class Worker:
             started_at = self.rt.now
             client.discover(complete)
             outcome = await future
-            self.rounds.append(
-                {
-                    "client": client.name,
-                    "round": round_index,
-                    "uuid": outcome.request_uuid,
-                    "success": bool(outcome.success),
-                    "selected": outcome.selected.broker_id if outcome.selected else None,
-                    "via": outcome.via,
-                    "total_time": outcome.total_time,
-                    "transmissions": outcome.transmissions,
-                    "phases": dict(outcome.phases.durations()),
-                    "started_at": started_at,
-                    "aborted": self.drain_requested.is_set() and not outcome.success,
-                }
-            )
+            aborted = self.drain_requested.is_set() and not outcome.success
+            record = round_record(client.name, round_index, outcome, aborted)
+            self.rounds.append({**record, "started_at": started_at})
 
     async def start_load(self) -> None:
         loop = asyncio.get_event_loop()
@@ -203,12 +193,11 @@ class Worker:
 
         async def report_done() -> None:
             await asyncio.gather(*self.load_tasks, return_exceptions=True)
-            recorded = [r for r in self.rounds if not r["aborted"]]
             await self.send(
                 {
                     "type": "load_done",
-                    "rounds": len(recorded),
-                    "failures": sum(1 for r in recorded if not r["success"]),
+                    "rounds": len(recorded(self.rounds)),
+                    "failures": len(failed(self.rounds)),
                     "aborted": self.aborted_rounds,
                 }
             )
@@ -280,11 +269,17 @@ class Worker:
                 requests_received=bdn.requests_received,
                 requests_shed=bdn.requests_shed,
                 stale_targets=bdn.stale_targets,
-                queue_depth=bdn.ingress.depth if bdn.ingress else 0,
-                queue_max_depth=bdn.ingress.max_depth if bdn.ingress else 0,
-                queue_overflows=bdn.ingress.overflows if bdn.ingress else 0,
                 is_leader=bool(bdn.replication and bdn.replication.is_leader()),
             )
+            # No ingress queue means no queue keys, not healthy zeros:
+            # the monitor flags their absence.
+            queue = bdn_evidence([bdn]).queues[bdn.name]
+            if queue is not None:
+                stats.update(
+                    queue_depth=queue.depth,
+                    queue_max_depth=queue.max_depth,
+                    queue_overflows=queue.overflows,
+                )
         if self.responder is not None:
             stats.update(
                 name=self.broker.name,
@@ -294,14 +289,13 @@ class Worker:
                 pending_responses=self.responder.pending_responses,
             )
         if self.clients:
-            recorded = [r for r in self.rounds if not r["aborted"]]
             breakers: dict[str, str] = {}
             for client in self.clients:
                 for bdn, state in client.breaker_states().items():
                     breakers[f"{client.name}:{bdn}"] = state
             stats.update(
-                rounds=len(recorded),
-                failures=sum(1 for r in recorded if not r["success"]),
+                rounds=len(recorded(self.rounds)),
+                failures=len(failed(self.rounds)),
                 busy_received=sum(c.busy_received for c in self.clients),
                 retries_denied=sum(c.retries_denied for c in self.clients),
                 breaker_trips=sum(c.breaker_trips for c in self.clients),
@@ -390,6 +384,7 @@ class Worker:
         }
         if self.bdn is not None:
             bdn = self.bdn
+            queue = bdn_evidence([bdn]).queues[bdn.name]
             report["bdn"] = {
                 "name": bdn.name,
                 "leadership_intervals": [list(row) for row in (
@@ -402,13 +397,7 @@ class Worker:
                 "stale_targets": bdn.stale_targets,
                 # No ingress queue means no evidence, not a healthy zero:
                 # check_invariants flags a null here.
-                "queue": None if bdn.ingress is None else {
-                    "capacity": self.spec.queue_capacity,
-                    "max_depth": bdn.ingress.max_depth,
-                    "depth": bdn.ingress.depth,
-                    "overflows": bdn.ingress.overflows,
-                    "shed": bdn.ingress.shed,
-                },
+                "queue": queue and {**queue._asdict(), "shed": bdn.ingress.shed},
             }
         if self.responder is not None:
             report["broker"] = {
@@ -420,11 +409,10 @@ class Worker:
                 "pending_at_exit": self.responder.pending_responses,
             }
         if self.clients:
-            recorded = [r for r in self.rounds if not r["aborted"]]
             report["load"] = {
                 "rounds": self.rounds,
-                "completed": len(recorded),
-                "failures": sum(1 for r in recorded if not r["success"]),
+                "completed": len(recorded(self.rounds)),
+                "failures": len(failed(self.rounds)),
                 "aborted": self.aborted_rounds,
                 "clients": {
                     c.name: {

@@ -279,16 +279,8 @@ class ReplicationConfig:
         waits ``lease_duration + i * election_stagger`` of leader
         silence before claiming, so the surviving member with the
         lowest index usually wins uncontested.
-    quorum:
-        Votes (self included) needed to hold the lease and to commit a
-        replicated write.  ``0`` means a majority of ``members``.
     anti_entropy_interval:
         Seconds between registry-digest exchanges with peers.
-    catchup_grace:
-        After a cold restart a member refuses discovery requests (with
-        a leader hint) until an anti-entropy exchange completes or this
-        many seconds pass, whichever is first.  ``0`` derives
-        ``2 * anti_entropy_interval``.
     """
 
     group: str
@@ -296,9 +288,7 @@ class ReplicationConfig:
     lease_duration: float = 3.0
     heartbeat_interval: float = 1.0
     election_stagger: float = 0.25
-    quorum: int = 0
     anti_entropy_interval: float = 2.0
-    catchup_grace: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.group:
@@ -317,23 +307,21 @@ class ReplicationConfig:
             )
         if self.election_stagger < 0:
             raise ConfigError("election_stagger must be >= 0")
-        if not 0 <= self.quorum <= len(self.members):
-            raise ConfigError(
-                f"quorum must be between 0 and {len(self.members)}, got {self.quorum}"
-            )
         if self.anti_entropy_interval <= 0:
             raise ConfigError("anti_entropy_interval must be positive")
-        if self.catchup_grace < 0:
-            raise ConfigError("catchup_grace must be >= 0")
 
     @property
     def quorum_size(self) -> int:
-        """Effective quorum: explicit, or a strict majority of members."""
-        return self.quorum or len(self.members) // 2 + 1
+        """Votes (self included) needed to hold the lease and to commit
+        a replicated write: a strict majority of ``members``."""
+        return len(self.members) // 2 + 1
 
     @property
-    def effective_catchup_grace(self) -> float:
-        return self.catchup_grace or 2 * self.anti_entropy_interval
+    def catchup_grace(self) -> float:
+        """After a cold restart a member refuses discovery requests
+        (with a leader hint) until an anti-entropy exchange completes
+        or this many seconds pass, whichever is first."""
+        return 2 * self.anti_entropy_interval
 
     def index_of(self, name: str) -> int:
         for i, (member, _) in enumerate(self.members):
@@ -417,7 +405,6 @@ class BDNConfig:
     busy_retry_after: float = 1.0
     replication: ReplicationConfig | None = None
     shards: int = 1
-    dedup_budget: int | None = None
 
     _INJECTIONS = ("closest_farthest", "single", "all")
 
@@ -441,16 +428,6 @@ class BDNConfig:
             raise ConfigError("busy_retry_after must be positive")
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.dedup_budget is not None:
-            if self.dedup_budget < 1:
-                raise ConfigError(
-                    f"dedup_budget must be >= 1, got {self.dedup_budget}"
-                )
-            if self.dedup_budget < self.shards:
-                raise ConfigError(
-                    f"dedup_budget {self.dedup_budget} is smaller than "
-                    f"shard count {self.shards}"
-                )
 
 
 @dataclass(frozen=True, slots=True)

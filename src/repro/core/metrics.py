@@ -174,13 +174,10 @@ class OverloadStats:
 
     One row set for the experiments harness and report: how deep queues
     got, what was dropped or shed, how often requesters were told to
-    back off, and how often circuit breakers tripped.  Collection goes
-    through a :class:`~repro.obs.registry.MetricsRegistry`: every
-    contribution is published as an ``overload.*`` gauge and the row
-    set is read *back* strictly, so a misspelled metric name raises
-    instead of reading zero forever (this module still stays free of
-    simnet/discovery imports -- nodes are plain objects exposing the
-    expected counters, and a missing counter raises ``AttributeError``).
+    back off, and how often circuit breakers tripped.  This module
+    stays free of simnet/discovery imports -- nodes are plain objects
+    exposing the expected counters, and a missing counter raises
+    ``AttributeError`` instead of reading zero forever.
 
     Attributes
     ----------
@@ -215,22 +212,8 @@ class OverloadStats:
     retries_denied: int = 0
 
     @classmethod
-    def gather(
-        cls, bdns=(), brokers=(), responders=(), clients=(), registry=None
-    ) -> "OverloadStats":
-        """Collect the counters from live nodes through a metrics registry.
-
-        Node counters are read with plain attribute access (a node
-        missing an expected counter raises ``AttributeError``), published
-        into ``registry`` -- a private
-        :class:`~repro.obs.registry.MetricsRegistry` when not given --
-        as ``overload.*`` gauges, and the stats are then assembled by
-        :meth:`from_registry`'s strict reads.  Pass a world's shared
-        registry to make the totals visible to the exporters too.
-        """
-        from repro.obs.registry import MetricsRegistry
-
-        reg = registry if registry is not None else MetricsRegistry()
+    def gather(cls, bdns=(), brokers=(), responders=(), clients=()) -> "OverloadStats":
+        """Collect the counters from live nodes by plain attribute access."""
         depth = peak = overflows = served = 0
         for node in (*bdns, *brokers):
             queue = node.ingress
@@ -239,37 +222,16 @@ class OverloadStats:
                 peak = max(peak, queue.max_depth)
                 overflows += queue.overflows
                 served += queue.served
-        reg.gauge("overload.queue_depth").set(depth)
-        reg.gauge("overload.queue_peak").set(peak)
-        reg.gauge("overload.queue_overflows").set(overflows)
-        reg.gauge("overload.queue_served").set(served)
-        reg.gauge("overload.requests_shed").set(sum(b.requests_shed for b in bdns))
-        reg.gauge("overload.responses_suppressed").set(
-            sum(r.responses_suppressed for r in responders)
-        )
-        reg.gauge("overload.busy_received").set(sum(c.busy_received for c in clients))
-        reg.gauge("overload.breaker_trips").set(sum(c.breaker_trips for c in clients))
-        reg.gauge("overload.retries_denied").set(sum(c.retries_denied for c in clients))
-        return cls.from_registry(reg)
-
-    @classmethod
-    def from_registry(cls, registry) -> "OverloadStats":
-        """Build the row set by strict reads of the ``overload.*`` gauges.
-
-        ``registry.read`` raises ``KeyError`` for any name that was
-        never published -- the loud-failure contract that replaced the
-        old duck-typed zero-default.
-        """
         return cls(
-            queue_depth=int(registry.read("overload.queue_depth")),
-            queue_peak=int(registry.read("overload.queue_peak")),
-            queue_overflows=int(registry.read("overload.queue_overflows")),
-            queue_served=int(registry.read("overload.queue_served")),
-            requests_shed=int(registry.read("overload.requests_shed")),
-            responses_suppressed=int(registry.read("overload.responses_suppressed")),
-            busy_received=int(registry.read("overload.busy_received")),
-            breaker_trips=int(registry.read("overload.breaker_trips")),
-            retries_denied=int(registry.read("overload.retries_denied")),
+            queue_depth=depth,
+            queue_peak=peak,
+            queue_overflows=overflows,
+            queue_served=served,
+            requests_shed=sum(b.requests_shed for b in bdns),
+            responses_suppressed=sum(r.responses_suppressed for r in responders),
+            busy_received=sum(c.busy_received for c in clients),
+            breaker_trips=sum(c.breaker_trips for c in clients),
+            retries_denied=sum(c.retries_denied for c in clients),
         )
 
     def rows(self) -> list[tuple[str, int]]:

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.codec import LazyMessage, lazy_decode
 from repro.core.config import BDNConfig, Endpoint
-from repro.core.dedup import DEFAULT_CAPACITY
 from repro.core.errors import CodecError
 from repro.core.messages import (
     Ack,
@@ -114,11 +113,6 @@ class BDN(Node):
         self.registry = ShardedRegistry(
             shards=self.config.shards,
             interest_regions=self.config.interest_regions,
-            dedup_budget=(
-                self.config.dedup_budget
-                if self.config.dedup_budget is not None
-                else DEFAULT_CAPACITY
-            ),
         )
         self.store = self.registry
         self.dedup = self.registry.dedup

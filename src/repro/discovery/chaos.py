@@ -43,7 +43,14 @@ from repro.core.config import (
     ServiceConfig,
 )
 from repro.core.errors import DiscoveryError
-from repro.core.invariants import election_overlaps
+from repro.core.invariants import (
+    SIM_ELECTION_EPS,
+    bdn_evidence,
+    election_safety,
+    queue_bounds,
+    stale_targets,
+    zero_failed,
+)
 from repro.discovery.bdn import BDN, BDN_UDP_PORT
 from repro.discovery.faults import FaultInjector
 from repro.discovery.requester import DiscoveryClient, DiscoveryOutcome
@@ -494,40 +501,14 @@ def _check_aliveness(
     )
 
 
-def _check_stale_targets(world: ChaosWorld, violations: list[str]) -> None:
-    for bdn in world.bdns:
-        if bdn.stale_targets:
-            violations.append(
-                f"{bdn.name}: {bdn.stale_targets} expired advertisement(s) "
-                "chosen as dissemination targets"
-            )
-
-
 def _check_overload(world: ChaosWorld, violations: list[str]) -> None:
-    """Overload-variant invariants, checked after every storm has ended.
-
-    Queues must have stayed within their configured bound and drained
-    back below the admission watermark (bounded growth -- an overflow is
-    legal, a backlog that outlives its storm is not), and no circuit
-    breaker may be wedged: each is either closed again or eligible to
-    probe (an open breaker past its cooldown re-closes on the next
-    successful attempt, so "eligible" is the recovered state).
+    """Overload variant, after every storm has ended: queue bounds at
+    rest, and no circuit breaker wedged -- each is closed again or
+    eligible to probe (an open breaker past its cooldown re-closes on
+    the next successful attempt, so "eligible" is the recovered state).
     """
-    for bdn in world.bdns:
-        queue = bdn.ingress
-        if queue is None:
-            violations.append(f"{bdn.name}: no ingress queue in an overload world")
-            continue
-        if queue.max_depth > queue.config.queue_capacity:
-            violations.append(
-                f"{bdn.name}: queue peaked at {queue.max_depth} "
-                f"> capacity {queue.config.queue_capacity}"
-            )
-        if queue.depth > world.ADMISSION_WATERMARK:
-            violations.append(
-                f"{bdn.name}: queue still {queue.depth} deep after recovery "
-                f"(watermark {world.ADMISSION_WATERMARK})"
-            )
+    for name, queue in bdn_evidence(world.bdns).queues.items():
+        violations.extend(map(str, queue_bounds(name, queue, world.ADMISSION_WATERMARK)))
     for endpoint, breaker in world.client._breakers.items():  # noqa: SLF001
         if breaker.state != breaker.CLOSED and not breaker.available():
             violations.append(
@@ -536,29 +517,12 @@ def _check_overload(world: ChaosWorld, violations: list[str]) -> None:
 
 
 def _check_replication(world: ChaosWorld, violations: list[str]) -> None:
-    """Replicated-variant invariants, checked after every fault healed.
-
-    **Election safety**: across the whole run, no two *different* group
-    members may ever have believed themselves leader with overlapping
-    lease windows.  Each member records ``[term, start, until]`` rows
-    (``until`` is its own conservative lease belief), so pairwise
-    interval overlap between members is direct evidence of split brain.
-
-    **Post-heal convergence**: once partitions dissolve and restarts
-    finish, anti-entropy must have driven every member's registry to
-    the same set of live broker registrations.
+    """Replicated variant, after every fault healed: election safety
+    over the whole run, and post-heal convergence -- anti-entropy must
+    have driven every member's registry to the same live registrations.
     """
-    intervals = [
-        (bdn.name, *row)
-        for bdn in world.bdns
-        for row in bdn.replication.leadership_intervals
-    ]
-    for a, b in election_overlaps(intervals, eps=1e-9):
-        violations.append(
-            "election safety: "
-            f"{a[0]} led term {a[1]:g} over [{a[2]:.3f}, {a[3]:.3f}) "
-            f"overlapping {b[0]} term {b[1]:g} over [{b[2]:.3f}, {b[3]:.3f})"
-        )
+    intervals = bdn_evidence(world.bdns).intervals
+    violations.extend(map(str, election_safety(intervals, SIM_ELECTION_EPS)))
     now = world.sim.now
     registries = {bdn.name: frozenset(bdn.store.broker_ids(now)) for bdn in world.bdns}
     union = frozenset().union(*registries.values())
@@ -624,11 +588,13 @@ def run_chaos(
         outcomes.append(outcome)
         _check_phases(label, outcome, violations)
         _check_aliveness(label, world, outcome, violations, started_at, strict)
-        if replicated and not outcome.success:
+        if replicated:
             # Zero-outage invariant: the faults only ever touch a
             # minority of the replication group, so a failed discovery
             # means failover did not mask them.
-            violations.append(f"{label}: discovery failed despite replicated BDN group")
+            violations.extend(
+                map(str, zero_failed(label, not outcome.success, "failed despite replicated BDN group"))
+            )
         return outcome
 
     # 1. Baseline: the undisturbed world must discover successfully.
@@ -675,7 +641,8 @@ def run_chaos(
         world.injector.revive_broker(chosen)
 
     # 6. Store-level invariant: expired advertisements never disseminated.
-    _check_stale_targets(world, violations)
+    for name, count in bdn_evidence(world.bdns).stale_targets.items():
+        violations.extend(map(str, stale_targets(name, count)))
 
     # 7. Overload invariants: bounded queues drained, breakers not wedged.
     if overload:

@@ -196,7 +196,7 @@ class ReplicationState:
         self.role = FOLLOWER
         if cold:
             self.caught_up = False
-            self._catchup_deadline = now + self.config.effective_catchup_grace
+            self._catchup_deadline = now + self.config.catchup_grace
         self._arm_election_timer(now + self._election_timeout())
         self._anti_entropy_timer = self.bdn.runtime.call_every(
             self.config.anti_entropy_interval, self._anti_entropy_tick

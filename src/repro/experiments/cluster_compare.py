@@ -5,9 +5,9 @@ modelled latency) through a scripted sequential crash-restart of every
 BDN replica while a seeded discovery schedule replays.  The cluster
 side runs the *same protocol code* as real OS processes over loopback
 UDP/TCP (``repro.cluster``) with the fault injector performing a live
-rolling restart mid-load.  Both report per-phase mean latencies and the
-zero-failed-discoveries + election-safety invariants, rendered side by
-side by :func:`repro.experiments.report.cluster_table`.
+rolling restart mid-load.  Both report per-phase mean latencies and are
+held to the same check list (:func:`repro.core.invariants.verdict`),
+rendered side by side by :func:`repro.experiments.report.cluster_table`.
 
 The two columns are *not* expected to match absolutely -- the sim
 models 10 ms links while loopback is microseconds, and live BDN service
@@ -19,15 +19,20 @@ two replicas ever hold overlapping leases.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 from repro.cluster.coordinator import ClusterHarness
 from repro.cluster.report import (
-    check_election_safety,
-    check_invariants,
+    collect_rounds,
+    percentile,
+    phase_means,
+    round_record,
     summarize,
 )
 from repro.cluster.spec import ClusterSpec, derive_schedule
+from repro.core.invariants import SIM_ELECTION_EPS, bdn_evidence, failed, verdict
 from repro.discovery.chaos import ChaosAction, ChaosWorld, apply_schedule
+from repro.experiments.harness import run_discovery_once
 from repro.experiments.report import cluster_table
 
 __all__ = ["simulate_rolling_restart", "run_live_cluster", "run_cluster_compare"]
@@ -40,19 +45,22 @@ SIM_RESTART_STAGGER = 3.5
 SIM_RESTART_OUTAGE = 2.0
 
 
-def _mean_phases(rows: list[dict]) -> dict[str, float]:
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for row in rows:
-        for phase, duration in row["phases"].items():
-            sums[phase] = sums.get(phase, 0.0) + duration
-            counts[phase] = counts.get(phase, 0) + 1
-    return {phase: sums[phase] / counts[phase] for phase in sums}
+def _column(rounds: list[dict], violations: list[str]) -> dict:
+    """One side of the table, from recorded rounds and their verdict."""
+    totals = [r["total_time"] for r in rounds]
+    return {
+        "phases": phase_means(rounds),
+        "total_time": sum(totals) / len(totals) if totals else 0.0,
+        "rounds": len(rounds),
+        "failures": len(failed(rounds)),
+        "violations": violations,
+    }
 
 
 def simulate_rolling_restart(seed: int, rounds: int, mean_gap: float) -> dict:
-    """The sim column: replicated chaos world + scripted rolling restart."""
-    world = ChaosWorld(seed, replicated=True)
+    """The sim column: the cluster's world (replicated group, service
+    model, admission control) + scripted rolling restart."""
+    world = ChaosWorld(seed, overload=True, replicated=True)
     start = world.sim.now + 1.0
     actions = []
     for bdn in world.bdns:
@@ -63,38 +71,26 @@ def simulate_rolling_restart(seed: int, rounds: int, mean_gap: float) -> dict:
     apply_schedule(world, tuple(actions))
 
     records: list[dict] = []
-    failures = 0
-    for gap in derive_schedule(seed * 1009, rounds, mean_gap):
+    for index, gap in enumerate(derive_schedule(seed * 1009, rounds, mean_gap)):
         world.sim.run_for(gap)
-        box: list = []
-        world.client.discover(box.append)
-        deadline = world.sim.now + 30.0
-        while not box and world.sim.step() and world.sim.now <= deadline:
-            pass
-        if not box or not box[0].success:
-            failures += 1
-            continue
-        outcome = box[0]
-        records.append(
-            {"phases": dict(outcome.phases.durations()), "total": outcome.total_time}
-        )
+        outcome = run_discovery_once(world.client, max_virtual_seconds=30.0)
+        records.append(round_record(world.client.name, index, outcome))
     world.sim.run_for(SIM_RESTART_STAGGER)  # let the last revival settle
 
-    intervals = []
-    for bdn in world.bdns:
-        for term, begin, until in bdn.replication.leadership_intervals:
-            intervals.append((bdn.name, float(term), begin, until))
-    totals = [r["total"] for r in records]
-    return {
-        "phases": _mean_phases(records),
-        "total_time": sum(totals) / len(totals) if totals else 0.0,
-        "rounds": len(records),
-        "failures": failures,
-        # Sim clocks are exact; any overlap beyond float noise is real.
-        "election_violations": check_election_safety(sorted(
-            intervals, key=lambda row: row[2]
-        ), eps=1e-9),
-    }
+    evidence = replace(
+        bdn_evidence(world.bdns),
+        rounds=records,
+        p99=percentile([r["total_time"] for r in records], 0.99),
+    )
+    # The check list the live column's exit reports are held to; sim
+    # clocks are exact, so any overlap beyond float noise is real.
+    breaches = verdict(
+        evidence,
+        election_eps=SIM_ELECTION_EPS,
+        watermark=world.ADMISSION_WATERMARK,
+        p99_bound=ClusterSpec.p99_bound,
+    )
+    return _column(records, [str(breach) for breach in breaches])
 
 
 def run_live_cluster(seed: int, rounds: int, mean_gap: float, workdir: str) -> dict:
@@ -111,21 +107,8 @@ def run_live_cluster(seed: int, rounds: int, mean_gap: float, workdir: str) -> d
     harness.shutdown()
     reports, missing = harness.collect()
     summary = summarize(spec, reports, missing, harness.injector.injected)
-    rounds_rec = [
-        r
-        for report in reports
-        for r in report.get("load", {}).get("rounds", ())
-        if not r.get("aborted")
-    ]
-    return {
-        "phases": _mean_phases(rounds_rec),
-        "total_time": summary["latency"]["mean"],
-        "rounds": summary["rounds"],
-        "failures": summary["failures"],
-        "violations": check_invariants(spec, reports),
-        "missing": missing,
-        "summary": summary,
-    }
+    column = _column(collect_rounds(reports), summary["violations"])
+    return {**column, "missing": missing, "summary": summary}
 
 
 def run_cluster_compare(
@@ -143,14 +126,12 @@ def run_cluster_compare(
     print()
     print(cluster_table(sim, live))
     print()
-    problems = list(sim["election_violations"]) + list(live["violations"])
-    if sim["failures"]:
-        problems.append(f"sim side recorded {sim['failures']} failed discoveries")
-    for label in live["missing"]:
-        problems.append(f"live report lost: {label}")
+    problems = [f"sim: {v}" for v in sim["violations"]]
+    problems += [f"live: {v}" for v in live["violations"]]
+    problems += [f"live report lost: {label}" for label in live["missing"]]
     if problems:
         for problem in problems:
             print(f"VIOLATION: {problem}")
         return 1
-    print("zero failed discoveries and election safety held on both sides")
+    print("every soak invariant held on both sides")
     return 0

@@ -1,12 +1,12 @@
 """Sim-predicted reference run for the live localhost smoke test.
 
-``examples/live_discovery.py`` boots a BDN, three brokers and a client
-on real asyncio sockets and writes its measured outcome to an artifact
-JSON.  :func:`simulate_reference` replays the *same* scenario -- same
-protocol classes, same seeds, same client configuration -- on the
-deterministic simulated runtime with loopback-scale latencies, so
-:func:`repro.experiments.report.runtime_table` can put the simulator's
-prediction next to the live measurement.
+``examples/live_discovery.py`` boots the reference world
+(:func:`repro.experiments.harness.star_world`) on real asyncio sockets
+and writes its measured outcome to an artifact JSON.
+:func:`simulate_reference` runs the *same* world -- same builder, same
+seed -- on the deterministic simulated runtime with loopback-scale
+latencies, so :func:`repro.experiments.report.runtime_table` can put the
+simulator's prediction next to the live measurement.
 """
 
 from __future__ import annotations
@@ -17,16 +17,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.config import BDNConfig, ClientConfig
-from repro.discovery.advertisement import advertise_direct
-from repro.discovery.bdn import BDN
-from repro.discovery.requester import DiscoveryClient, DiscoveryOutcome
-from repro.discovery.responder import DiscoveryResponder
+from repro.experiments.harness import run_discovery_once, star_world
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import NoLoss
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
-from repro.substrate.broker import Broker
 
 __all__ = ["REFERENCE_SCENARIO", "simulate_reference", "load_artifact"]
 
@@ -37,11 +32,9 @@ REFERENCE_SCENARIO = "star-3-brokers"
 def simulate_reference(seed: int = 5, base_latency: float = 0.0005) -> dict[str, Any]:
     """Run the smoke-test scenario on the simulated runtime.
 
-    Mirrors ``examples/live_discovery.py`` node for node: one BDN with
-    ``injection="all"``, three registered brokers with responders, one
-    client issuing a single discovery.  ``base_latency`` models the
-    deployment's one-way propagation delay (default: loopback scale,
-    since the live smoke run binds every node to 127.0.0.1).
+    ``base_latency`` models the deployment's one-way propagation delay
+    (default: loopback scale, since the live smoke run binds every node
+    to 127.0.0.1).
 
     Returns the same keys the live artifact carries for comparison:
     ``phases``, ``total_time``, ``selected``, ``selected_rtt``, ``via``,
@@ -54,56 +47,12 @@ def simulate_reference(seed: int = 5, base_latency: float = 0.0005) -> dict[str,
         loss=NoLoss(),
         rng=np.random.default_rng(seed + 1),
     )
-    root = np.random.default_rng(seed)
-
-    def rng() -> np.random.Generator:
-        return np.random.default_rng(root.integers(0, 2**63))
-
-    bdn = BDN(
-        "bdn0",
-        "bdn0.local",
-        network,
-        rng(),
-        config=BDNConfig(injection="all", ping_interval=0.5),
-        site="site0",
-        realm="lab",
-    )
-    brokers = [
-        Broker(f"b{i}", f"b{i}.local", network, rng(), site=f"site{i}", realm="lab")
-        for i in range(3)
-    ]
-    responders = [DiscoveryResponder(broker) for broker in brokers]
-    client = DiscoveryClient(
-        "client0",
-        "client0.local",
-        network,
-        rng(),
-        config=ClientConfig(
-            bdn_endpoints=(bdn.udp_endpoint,),
-            response_timeout=1.0,
-            retransmit_interval=1.0,
-            ping_timeout=1.0,
-        ),
-        site="site9",
-        realm="lab",
-    )
-
-    bdn.start()
-    for broker in brokers:
-        broker.start()
-    client.start()
+    world = star_world(network, seed)
     sim.run_for(6.0)  # NTP settles; matches the live run's sync_now()
-    for broker in brokers:
-        advertise_direct(broker, bdn.udp_endpoint)
+    world.advertise()
     sim.run_for(0.5)
 
-    outcomes: list[DiscoveryOutcome] = []
-    client.discover(outcomes.append)
-    sim.run_for(10.0)
-    if not outcomes:
-        raise RuntimeError("reference simulation did not complete a discovery")
-    outcome = outcomes[0]
-    del responders  # kept alive until here so brokers keep answering
+    outcome = run_discovery_once(world.client, max_virtual_seconds=10.0)
     return {
         "runtime": "sim",
         "scenario": REFERENCE_SCENARIO,

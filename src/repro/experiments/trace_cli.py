@@ -24,8 +24,6 @@ from __future__ import annotations
 import asyncio
 import sys
 
-import numpy as np
-
 from repro.experiments.scenarios import DiscoveryScenario, ScenarioSpec
 from repro.obs import Observability
 from repro.obs.export import prometheus_text
@@ -85,67 +83,20 @@ def trace_sim(
 
 
 async def _trace_aio(seed: int, timeout: float) -> tuple[bool, str, Observability]:
-    from repro.core.config import BDNConfig, ClientConfig
-    from repro.discovery.advertisement import advertise_direct
-    from repro.discovery.bdn import BDN
-    from repro.discovery.requester import DiscoveryClient
-    from repro.discovery.responder import DiscoveryResponder
+    from repro.experiments.harness import star_world
     from repro.runtime import create_runtime
-    from repro.substrate.broker import Broker
 
     rt = create_runtime("aio")
     obs = Observability.for_runtime(rt)
     rt.attach_observability(obs)
-    root = np.random.default_rng(seed)
-
-    def rng() -> np.random.Generator:
-        return np.random.default_rng(root.integers(0, 2**63))
-
-    bdn = BDN(
-        "bdn0",
-        "bdn0.local",
-        rt,
-        rng(),
-        config=BDNConfig(injection="all", ping_interval=0.5),
-        site="site0",
-        realm="lab",
-        obs=obs,
-    )
-    brokers = []
-    responders = []
-    for i in range(3):
-        broker = Broker(
-            f"b{i}", f"b{i}.local", rt, rng(), site=f"site{i}", realm="lab", obs=obs
-        )
-        brokers.append(broker)
-        responders.append(DiscoveryResponder(broker))
-    client = DiscoveryClient(
-        "client0",
-        "client0.local",
-        rt,
-        rng(),
-        config=ClientConfig(
-            bdn_endpoints=(bdn.udp_endpoint,),
-            response_timeout=1.0,
-            retransmit_interval=1.0,
-            ping_timeout=1.0,
-        ),
-        site="site9",
-        realm="lab",
-        obs=obs,
-    )
-    bdn.start()
-    for broker in brokers:
-        broker.start()
-    client.start()
+    world = star_world(rt, seed, obs)
     await rt.ready()
-    for node in (bdn, client, *brokers):
+    for node in world.nodes():
         node.ntp.sync_now()
-    for broker in brokers:
-        advertise_direct(broker, bdn.udp_endpoint)
+    world.advertise()
 
     done: asyncio.Future = asyncio.get_event_loop().create_future()
-    client.discover(lambda outcome: done.set_result(outcome))
+    world.client.discover(done.set_result)
     try:
         outcome = await asyncio.wait_for(done, timeout=timeout)
     except asyncio.TimeoutError:

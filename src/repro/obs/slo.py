@@ -1,17 +1,17 @@
 """Live SLO monitoring: continuous soak invariants with burn-rate budgets.
 
-PR 8 checked the soak invariants (zero failed discoveries, queue bounds,
-wall-clock election safety, bounded p99) **once**, on the collected exit
-reports.  The :class:`SloMonitor` evaluates the same invariants
+PR 8 checked the soak invariants **once**, on the collected exit
+reports.  The :class:`SloMonitor` evaluates the same predicates
+(:mod:`repro.core.invariants`; docs/PROTOCOL.md "Soak invariants")
 continuously against the :class:`~repro.obs.live.RollingClusterView`,
 in fixed wall-clock windows, so a violation surfaces within one window
 of its occurrence:
 
-* **Hard invariants** fire immediately in the window that saw them --
-  any failed discovery, an ingress queue past capacity (or overflowing
-  at all: the protected world sheds at the admission watermark and must
-  never reach the hard queue bound), and any overlap between leadership
-  intervals of different members on the rebased wall-clock axis.
+* **Hard invariants** fire in the window that saw them -- a failed
+  discovery, a BDN's queue bounds or a stale dissemination target read
+  from its frames (a BDN whose frames carry no queue stats is a
+  ``no_evidence`` violation, not a healthy zero), and any overlap
+  between leadership intervals on the rebased wall-clock axis.
 * **The latency SLO** is budgeted, not hard: a single window whose
   rolling p99 (from the sliding-window histogram deltas) breaches the
   bound *burns error budget* rather than failing the run -- storms and
@@ -29,12 +29,25 @@ actionable report instead of a post-mortem grep.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from repro.core.invariants import election_overlaps
+from repro.core.invariants import (
+    LIVE_ELECTION_EPS,
+    QueueStats,
+    election_safety,
+    latency_bound,
+    queue_bounds,
+    stale_targets,
+    zero_failed,
+)
 from repro.obs.live import quantile_from_buckets
 
 __all__ = ["SloConfig", "SloViolation", "SloMonitor"]
+
+#: Invariants judged on evidence that accumulates over the run (the
+#: full interval history, a lifetime peak, a key that never appeared):
+#: the same breach is reported once, not again every window.
+_CUMULATIVE = frozenset({"election_safety", "queue_capacity", "no_evidence"})
 
 
 @dataclass
@@ -50,13 +63,6 @@ class SloConfig:
     #: Fraction of windows allowed to breach the p99 bound before the
     #: error budget is exhausted.
     latency_budget: float = 0.25
-    #: Tolerated leadership-interval overlap, seconds (wall clocks on
-    #: one host agree far tighter; mirrors ``LIVE_ELECTION_EPS``).
-    election_eps: float = 0.05
-    #: Ingress-queue overflows tolerated per window.  Zero: the
-    #: admission watermark sheds load long before the queue fills, so
-    #: any overflow means overload protection failed (or was disabled).
-    max_queue_overflows: int = 0
 
     def __post_init__(self) -> None:
         if self.window <= 0:
@@ -86,15 +92,7 @@ class SloViolation:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "start": self.start,
-            "end": self.end,
-            "invariant": self.invariant,
-            "process": self.process,
-            "detail": self.detail,
-            "detected_at": self.detected_at,
-        }
+        return asdict(self)
 
 
 class SloMonitor:
@@ -109,7 +107,7 @@ class SloMonitor:
         #: Per-window trend rows (JSON-serialisable), oldest first.
         self.trend: list[dict] = []
         self.breached_windows = 0
-        self._election_seen: set[str] = set()
+        self._reported: set = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -171,27 +169,21 @@ class SloMonitor:
         self, index: int, start: float, end: float, rows: list[dict], view, now: float
     ) -> list[SloViolation]:
         config = self.config
-        found: list[SloViolation] = []
-
-        def violate(invariant: str, process: str, detail: str) -> None:
-            found.append(
-                SloViolation(index, start, end, invariant, process, detail, now)
-            )
-
+        breaches = []
         rounds = failures = 0
         window_hist: dict | None = None
         for row in rows:
+            label = row["label"]
             counters = row["counters"]
             stats = row.get("stats") or {}
             if "failures" in stats:
                 # The load worker's stats count only *recorded* rounds.
                 # A run the requester gives up on mid-drain increments
                 # the discovery.failed metric (the requester cannot know
-                # the process is draining), but it is an abort of the
-                # schedule, not a failure of the cluster under test --
-                # the exit-report invariant checker excludes it, and the
-                # live monitor must agree or every clean run ends on a
-                # spurious violation in its final flushed window.
+                # the process is draining), but a drain abort is not a
+                # failure (core.invariants.recorded) -- the monitor must
+                # agree with the exit report or every clean run ends on
+                # a spurious violation in its final flushed window.
                 row_rounds = stats.get("rounds", 0)
                 failed = stats["failures"]
             else:
@@ -201,32 +193,24 @@ class SloMonitor:
                 failed = counters.get("discovery.failed", 0)
             rounds += row_rounds
             failures += failed
-            # Zero failed discoveries: hard, fires in the very window.
-            if failed:
-                violate(
-                    "zero_failed_discoveries",
-                    row["label"],
-                    f"{failed} discovery round(s) failed in this window",
-                )
-            # Queue bounds: depth may never exceed capacity, and with
-            # admission control healthy the queue never overflows at all.
-            gauges = row["gauges"]
-            peak = gauges.get("queue_max_depth", 0)
-            if peak > config.queue_capacity:
-                violate(
-                    "queue_capacity",
-                    row["label"],
-                    f"ingress queue peaked at {peak} > capacity {config.queue_capacity}",
-                )
-            overflows = stats.get("queue_overflows", 0)
-            if overflows > config.max_queue_overflows:
-                violate(
-                    "queue_overflow",
-                    row["label"],
-                    f"{overflows} ingress overflow(s) in this window "
-                    f"(tolerated {config.max_queue_overflows}); "
-                    "admission control should shed before the queue fills",
-                )
+            breaches += zero_failed(
+                label, failed, f"{failed} discovery round(s) failed in this window"
+            )
+            if row["role"].partition(":")[0] == "bdn":
+                # Peak and depth are gauges; overflows and stale targets
+                # are this window's increments, so each fires in the
+                # window where it happened.
+                gauges = row["gauges"]
+                queue = None
+                if "queue_max_depth" in gauges:
+                    queue = QueueStats(
+                        config.queue_capacity,
+                        gauges["queue_max_depth"],
+                        gauges.get("queue_depth", 0),
+                        stats.get("queue_overflows", 0),
+                    )
+                breaches += queue_bounds(label, queue)
+                breaches += stale_targets(label, stats.get("stale_targets", 0))
             hist = row["histograms"].get("discovery.total_time")
             if hist:
                 if window_hist is None:
@@ -242,17 +226,13 @@ class SloMonitor:
                     ]
                     window_hist["count"] += hist["count"]
                     window_hist["sum"] += hist["sum"]
-
-        # Election safety on the wall-clock axis, deduped so one overlap
-        # does not re-fire every subsequent window.
-        for a, b in election_overlaps(view.leadership_intervals(), config.election_eps):
-            overlap = (
-                f"{a[0]} term {a[1]:g} [{a[2]:.3f}, {a[3]:.3f}) "
-                f"overlaps {b[0]} term {b[1]:g} [{b[2]:.3f}, {b[3]:.3f})"
-            )
-            if overlap not in self._election_seen:
-                self._election_seen.add(overlap)
-                violate("election_safety", "bdn", overlap)
+        breaches += election_safety(view.leadership_intervals(), LIVE_ELECTION_EPS)
+        breaches = [b for b in breaches if b not in self._reported]
+        self._reported.update(b for b in breaches if b.invariant in _CUMULATIVE)
+        found = [
+            SloViolation(index, start, end, b.invariant, b.subject, b.detail, now)
+            for b in breaches
+        ]
 
         # Rolling p99 burns budget instead of failing outright.
         p99 = None
@@ -265,18 +245,20 @@ class SloMonitor:
             p99 = quantile_from_buckets(
                 window_hist["bounds"], cumulative, window_hist["count"], 0.99
             )
-            breached = p99 > config.p99_bound
+            breached = bool(latency_bound(p99, config.p99_bound))
         self.windows_evaluated += 1
         if breached:
             self.breached_windows += 1
             allowed = config.latency_budget * self.windows_evaluated
             if self.breached_windows > allowed + 1:
-                violate(
-                    "latency_budget",
-                    "load",
-                    f"rolling p99 {p99:.3f}s > {config.p99_bound:.1f}s in "
-                    f"{self.breached_windows}/{self.windows_evaluated} windows; "
-                    f"error budget ({config.latency_budget:.0%} of windows) exhausted",
+                found.append(
+                    SloViolation(
+                        index, start, end, "latency_budget", "load",
+                        f"rolling p99 {p99:.3f}s > {config.p99_bound:.1f}s in "
+                        f"{self.breached_windows}/{self.windows_evaluated} windows; "
+                        f"error budget ({config.latency_budget:.0%} of windows) exhausted",
+                        now,
+                    )
                 )
         self.trend.append(
             {

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 
 from repro.cluster.report import (
-    check_election_safety,
     check_invariants,
     merge_leadership_intervals,
     summarize,
 )
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.worker import Worker
+from repro.core.config import BDNConfig
+from repro.discovery.chaos import _check_overload
 from repro.obs.cluster import SEQ_STRIDE, merge_process_snapshots
+from repro.obs.live import RollingClusterView
+from repro.obs.slo import SloMonitor
 
 
 def snapshot(events=(), metrics=None):
@@ -194,23 +198,39 @@ def ok_round(i, total=0.1):
     }
 
 
+def invariant_names(violations):
+    return [v.split()[0] for v in violations]
+
+
 class TestElectionSafety:
+    """Intervals reach the predicate by member name, rebased onto the
+    wall clock, judged with the live epsilon."""
+
+    def names(self, *bdn_reports):
+        reports = [*bdn_reports, load_report([ok_round(0)])]
+        return invariant_names(check_invariants(ClusterSpec(), reports))
+
     def test_disjoint_leaderships_are_safe(self):
-        intervals = [("d0", 1.0, 0.0, 5.0), ("d1", 2.0, 5.2, 9.0)]
-        assert check_election_safety(intervals) == []
+        assert self.names(
+            bdn_report("d0", [[1.0, 0.0, 5.0]]), bdn_report("d1", [[2.0, 5.2, 9.0]])
+        ) == []
 
     def test_overlap_between_members_is_a_violation(self):
-        intervals = [("d0", 1.0, 0.0, 5.0), ("d1", 2.0, 4.0, 9.0)]
-        assert len(check_election_safety(intervals)) == 1
+        assert self.names(
+            bdn_report("d0", [[1.0, 0.0, 5.0]]), bdn_report("d1", [[2.0, 4.0, 9.0]])
+        ) == ["election_safety"]
 
     def test_same_member_may_overlap_itself(self):
-        # One member's consecutive terms can't violate safety.
-        intervals = [("d0", 1.0, 0.0, 5.0), ("d0", 2.0, 4.0, 9.0)]
-        assert check_election_safety(intervals) == []
+        # Two incarnations of one member (a respawn) report under one
+        # name: their consecutive terms can't violate safety.
+        assert self.names(
+            bdn_report("d0", [[1.0, 0.0, 5.0]]), bdn_report("d0", [[2.0, 4.0, 9.0]])
+        ) == []
 
     def test_sub_epsilon_handoff_tolerated(self):
-        intervals = [("d0", 1.0, 0.0, 5.0), ("d1", 2.0, 4.97, 9.0)]
-        assert check_election_safety(intervals) == []
+        assert self.names(
+            bdn_report("d0", [[1.0, 0.0, 5.0]]), bdn_report("d1", [[2.0, 4.97, 9.0]])
+        ) == []
 
     def test_wall_offsets_rebase_intervals(self):
         # 2s of leadership at local t in [1, 3), process born 10s later:
@@ -222,39 +242,55 @@ class TestElectionSafety:
         merged = merge_leadership_intervals(reports)
         assert merged[0][2:] == (101.0, 103.0)
         assert merged[1][2:] == (111.0, 113.0)
-        assert check_election_safety(merged) == []
+        assert self.names(*reports) == []
 
 
 class TestInvariants:
+    """The exit-report adapter: report dicts in, formatted verdict out.
+
+    The predicates themselves are tested in tests/core/test_invariants.py.
+    """
+
     def spec(self):
         return ClusterSpec(p99_bound=1.0)
 
+    def bdn(self, **queue):
+        return bdn_report("d0", [[1.0, 0.0, 4.0]], **queue)
+
     def test_clean_run_has_no_violations(self):
-        reports = [
-            bdn_report("d0", [[1.0, 0.0, 4.0]]),
-            load_report([ok_round(0), ok_round(1)]),
-        ]
+        reports = [self.bdn(), load_report([ok_round(0), ok_round(1)])]
         assert check_invariants(self.spec(), reports) == []
 
     def test_failed_discovery_reported(self):
         bad = dict(ok_round(3), success=False, selected=None)
-        violations = check_invariants(self.spec(), [load_report([bad])])
-        assert any("failed discovery" in v for v in violations)
+        violations = check_invariants(self.spec(), [self.bdn(), load_report([bad])])
+        assert violations == [
+            "zero_failed_discoveries (c0): round 3 (u3) failed via 'bdn'"
+        ]
 
     def test_aborted_rounds_excluded(self):
         aborted = dict(ok_round(3), success=False, aborted=True)
-        reports = [load_report([ok_round(0), aborted])]
+        reports = [self.bdn(), load_report([ok_round(0), aborted])]
         assert check_invariants(self.spec(), reports) == []
 
     def test_empty_run_is_a_violation(self):
-        assert any("no load rounds" in v for v in check_invariants(self.spec(), []))
+        # No rounds, no latencies, and a replicated spec nobody led.
+        assert invariant_names(check_invariants(self.spec(), [])) == ["no_evidence"] * 3
 
     def test_queue_overflow_reported(self):
-        reports = [
-            bdn_report("d0", [], max_depth=40, capacity=32),
-            load_report([ok_round(0)]),
+        reports = [self.bdn(max_depth=40, capacity=32), load_report([ok_round(0)])]
+        assert invariant_names(check_invariants(self.spec(), reports)) == ["queue_capacity"]
+        reports = [self.bdn(overflows=2, depth=9), load_report([ok_round(0)])]
+        assert invariant_names(check_invariants(self.spec(), reports)) == [
+            "queue_overflow",
+            "queue_watermark",
         ]
-        assert any("capacity" in v for v in check_invariants(self.spec(), reports))
+
+    def test_stale_targets_reported(self):
+        report = self.bdn()
+        report["bdn"]["stale_targets"] = 2
+        violations = check_invariants(self.spec(), [report, load_report([ok_round(0)])])
+        assert invariant_names(violations) == ["stale_targets"]
 
     def test_absent_queue_evidence_is_a_violation(self):
         # A worker whose BDN has no ingress queue reports "queue": null;
@@ -275,13 +311,65 @@ class TestInvariants:
         assert report["bdn"]["queue"] is None
         violations = check_invariants(self.spec(), [report, load_report([ok_round(0)])])
         assert [v for v in violations if "queue" in v] == [
-            "d0: no ingress-queue evidence in the report"
+            "no_evidence (d0): no ingress-queue evidence"
         ]
+
+    def test_absent_queue_evidence_is_loud_on_all_three_paths(self, monkeypatch):
+        # A BDN built without a ServiceConfig: its telemetry frames must
+        # omit the queue keys (not send zeros), and the live monitor, the
+        # exit report and the chaos check must all say ``no_evidence``.
+        monkeypatch.setattr(
+            ClusterSpec, "bdn_config", lambda self: BDNConfig(injection="all")
+        )
+
+        async def boot():
+            spec = self.spec()
+            spec.assign_ports()
+            worker = Worker(spec, "bdn:0", cold=True, report_path="unused")
+            worker.boot()
+            try:
+                await worker.rt.ready()
+                chaos: list[str] = []
+                _check_overload(
+                    SimpleNamespace(
+                        bdns=[worker.bdn],
+                        ADMISSION_WATERMARK=spec.admission_watermark,
+                        client=SimpleNamespace(_breakers={}),
+                    ),
+                    chaos,
+                )
+                return worker.live_stats(), worker.build_report(), chaos
+            finally:
+                await worker.rt.aclose()
+
+        stats, report, chaos = asyncio.run(boot())
+        assert not [key for key in stats if key.startswith("queue_")]
+
+        now = [0.0]
+        monitor = SloMonitor(self.spec().slo_config(), clock=lambda: now[0])
+        monitor.start()
+        view = RollingClusterView()
+        view.fold({"role": "bdn:0", "incarnation": 0, "seq": 0, "stats": stats}, now=1.0)
+        now[0] = self.spec().slo_window  # the first window closes
+        (live,) = monitor.maybe_evaluate(view)
+        assert (live.invariant, live.process, live.window) == ("no_evidence", "bdn:0#0", 0)
+        now[0] *= 2
+        assert monitor.maybe_evaluate(view) == []  # said once, not every window
+
+        # (The exit report also misses the leadership this unreplicated
+        # BDN never logged; the queue verdict is the one compared here.)
+        exit_report = [
+            v
+            for v in check_invariants(self.spec(), [report, load_report([ok_round(0)])])
+            if "queue" in v
+        ]
+        assert invariant_names(exit_report) == ["no_evidence"] == invariant_names(chaos)
+        assert live.detail in exit_report[0] and live.detail in chaos[0]
 
     def test_p99_bound_enforced(self):
         slow = ok_round(0, total=2.5)
-        violations = check_invariants(self.spec(), [load_report([slow])])
-        assert any("p99" in v for v in violations)
+        violations = check_invariants(self.spec(), [self.bdn(), load_report([slow])])
+        assert invariant_names(violations) == ["p99_bound"]
 
     def test_summary_shape(self):
         spec = self.spec()

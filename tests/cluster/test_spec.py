@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.spec import ClusterSpec, derive_schedule
 from repro.core.config import Endpoint
 from repro.discovery.bdn import BDN_UDP_PORT
+from repro.discovery.chaos import ChaosWorld
 from repro.substrate.broker import BROKER_LINK_PORT, BROKER_TCP_PORT, BROKER_UDP_PORT
 
 
@@ -98,6 +99,14 @@ class TestConfigs:
         config = spec.replication_config()
         assert [name for name, _ in config.members] == ["d0", "d1", "d2"]
         assert config.quorum_size == 2
+
+    def test_timers_and_retry_policy_are_the_chaos_worlds(self):
+        # Read from ChaosWorld, not retyped: the sim and the cluster
+        # cannot drift apart on what they are configured with.
+        spec = ClusterSpec()
+        config = spec.replication_config()
+        assert {k: getattr(config, k) for k in ChaosWorld.REPLICATION} == ChaosWorld.REPLICATION
+        assert spec.client_config().retry_policy is ChaosWorld.RETRY_POLICY
 
     def test_single_bdn_runs_unreplicated(self):
         assert ClusterSpec(n_bdns=1).bdn_config().replication is None

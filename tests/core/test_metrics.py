@@ -174,27 +174,6 @@ class TestOverloadStats:
         with pytest.raises(AttributeError):
             OverloadStats.gather(clients=[object()])
 
-    def test_gather_publishes_into_shared_registry(self):
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        OverloadStats.gather(
-            bdns=[_NodeStub(_QueueStub(2, 9, 3, 40), requests_shed=5)],
-            registry=registry,
-        )
-        assert registry.read("overload.queue_peak") == 9.0
-        assert registry.read("overload.requests_shed") == 5.0
-
-    def test_misspelled_counter_name_raises(self):
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        OverloadStats.gather(registry=registry)
-        with pytest.raises(KeyError):
-            registry.read("overload.queue_peek")  # typo'd name fails loudly
-        with pytest.raises(KeyError):
-            OverloadStats.from_registry(MetricsRegistry())  # nothing published
-
     def test_rows_cover_every_field(self):
         stats = OverloadStats(queue_depth=1, breaker_trips=2)
         rows = dict(stats.rows())

@@ -254,12 +254,14 @@ class TestBDNAdmission:
         chaos_view = SimpleNamespace(bdns=[bdn], ADMISSION_WATERMARK=4, client=world.client)
         backlog: list[str] = []
         _check_overload(chaos_view, backlog)
-        assert len(backlog) == 1 and "still 8 deep" in backlog[0]
+        assert [v.split()[0] for v in backlog] == ["queue_overflow", "queue_watermark"]
+        assert "still 8 deep" in backlog[1]
         world.sim.run_for(20.0)
         assert queue.depth == 0 and queue.served >= 8
         drained: list[str] = []
         _check_overload(chaos_view, drained)
-        assert drained == []
+        # The backlog is gone; the two drops at the full queue happened.
+        assert [v.split()[0] for v in drained] == ["queue_overflow"]
 
     def test_no_service_model_means_no_shedding(self):
         world = World()
@@ -283,7 +285,7 @@ class TestBDNAdmission:
         view = SimpleNamespace(bdns=[world.bdn], ADMISSION_WATERMARK=4, client=world.client)
         violations: list[str] = []
         _check_overload(view, violations)
-        assert violations == [f"{world.bdn.name}: no ingress queue in an overload world"]
+        assert violations == [f"no_evidence ({world.bdn.name}): no ingress-queue evidence"]
 
     def test_unknown_message_counted(self):
         world = World()

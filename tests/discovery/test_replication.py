@@ -191,12 +191,9 @@ class TestReplicationConfig:
     def test_quorum_defaults_to_majority(self):
         assert replication_config(3).quorum_size == 2
         assert replication_config(5).quorum_size == 3
-        assert replication_config(3, quorum=3).quorum_size == 3
 
     def test_catchup_grace_defaults_to_two_periods(self):
-        cfg = replication_config(3)
-        assert cfg.effective_catchup_grace == 2 * ANTI_ENTROPY
-        assert replication_config(3, catchup_grace=9.0).effective_catchup_grace == 9.0
+        assert replication_config(3).catchup_grace == 2 * ANTI_ENTROPY
 
     def test_membership_helpers(self):
         cfg = replication_config(3)
@@ -209,8 +206,6 @@ class TestReplicationConfig:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigError):
             replication_config(3, heartbeat_interval=LEASE)  # must renew before expiry
-        with pytest.raises(ConfigError):
-            replication_config(3, quorum=4)
         with pytest.raises(ConfigError):
             ReplicationConfig(group="g", members=())
 

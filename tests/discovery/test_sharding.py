@@ -248,14 +248,6 @@ class TestShardedBDN:
         assert isinstance(world.bdn.dedup, ShardedDedup)
         assert world.bdn.dedup.shards[0].capacity == DedupCache().capacity
 
-    def test_dedup_budget_config_flows_through(self):
-        world = World(
-            n_brokers=2,
-            injection="all",
-            bdn_config=BDNConfig(injection="all", shards=2, dedup_budget=64),
-        )
-        assert [c.capacity for c in world.bdn.dedup.shards] == [32, 32]
-
     def test_cold_restart_resets_every_shard(self):
         world = self._world(shards=4)
         world.discover()
@@ -268,7 +260,3 @@ class TestShardedBDN:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             BDNConfig(shards=0)
-        with pytest.raises(ConfigError):
-            BDNConfig(shards=8, dedup_budget=4)
-        with pytest.raises(ConfigError):
-            BDNConfig(dedup_budget=0)

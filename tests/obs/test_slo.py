@@ -40,6 +40,11 @@ def make_monitor(**config) -> tuple[SloMonitor, RollingClusterView, FakeClock]:
     return monitor, RollingClusterView(), clock
 
 
+#: A BDN frame's queue stats at rest; a BDN frame without them is a
+#: ``no_evidence`` violation, so every BDN fixture starts from these.
+QUIET_QUEUE = {"queue_depth": 0, "queue_max_depth": 0, "queue_overflows": 0}
+
+
 def fold(view, clock, role="load", incarnation=0, metrics=None, stats=None, **extra):
     message = {
         "role": role,
@@ -134,21 +139,46 @@ class TestWindowTiming:
 class TestHardInvariants:
     def test_queue_capacity_breach_names_the_process(self):
         monitor, view, clock = make_monitor(queue_capacity=32)
-        fold(view, clock, role="bdn:0", stats={"queue_max_depth": 33})
+        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "queue_max_depth": 33})
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "queue_capacity"
         assert violation.process == "bdn:0#0"
         assert "33" in violation.detail
+        clock.now = 10.0
+        assert monitor.maybe_evaluate(view) == []  # a lifetime peak: said once
 
     def test_queue_overflow_is_a_violation_even_under_capacity(self):
         # The queue is bounded, so overload with admission control off
         # shows up as overflows, not as depth > capacity.
         monitor, view, clock = make_monitor()
-        fold(view, clock, role="bdn:0", stats={"queue_overflows": 2})
+        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "queue_overflows": 2})
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "queue_overflow"
+
+    def test_stale_target_fires_in_the_window_where_it_happens(self):
+        monitor, view, clock = make_monitor()
+        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "stale_targets": 0})
+        clock.now = 5.0
+        assert monitor.maybe_evaluate(view) == []
+        fold(view, clock, role="bdn:0", seq=1, stats={**QUIET_QUEUE, "stale_targets": 1})
+        clock.now = 10.0
+        (violation,) = monitor.maybe_evaluate(view)
+        assert (violation.invariant, violation.process) == ("stale_targets", "bdn:0#0")
+        assert violation.window == 1
+        clock.now = 15.0  # same folded total: the delta is zero
+        assert monitor.maybe_evaluate(view) == []
+
+    def test_bdn_frame_without_queue_stats_is_no_evidence_once(self):
+        monitor, view, clock = make_monitor()
+        fold(view, clock, role="bdn:0", stats={"name": "d0"})
+        fold(view, clock, role="broker:0", stats={"name": "b0"})  # brokers own no queue
+        clock.now = 5.0
+        (violation,) = monitor.maybe_evaluate(view)
+        assert (violation.invariant, violation.process) == ("no_evidence", "bdn:0#0")
+        clock.now = 10.0
+        assert monitor.maybe_evaluate(view) == []
 
     def test_row_without_stats_is_evaluated_not_raised_on(self):
         # A process that has sent metrics but no stats yet: the window
@@ -162,7 +192,7 @@ class TestHardInvariants:
 
         monitor, _, clock = make_monitor()
         view = StatlessView()
-        fold(view, clock, role="bdn:0", metrics={"discovery.failed": counter(1)})
+        fold(view, clock, metrics={"discovery.failed": counter(1)})
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "zero_failed_discoveries"
@@ -170,8 +200,8 @@ class TestHardInvariants:
 
     def test_election_overlap_fires_once(self):
         monitor, view, clock = make_monitor()
-        fold(view, clock, role="bdn:0", stats={"name": "d0"}, intervals=[[1, 0.0, 4.0]])
-        fold(view, clock, role="bdn:1", stats={"name": "d1"}, intervals=[[2, 1.0, 3.0]])
+        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0"}, intervals=[[1, 0.0, 4.0]])
+        fold(view, clock, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1"}, intervals=[[2, 1.0, 3.0]])
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "election_safety"
@@ -180,8 +210,8 @@ class TestHardInvariants:
 
     def test_adjacent_leadership_is_fine(self):
         monitor, view, clock = make_monitor()
-        fold(view, clock, role="bdn:0", stats={"name": "d0"}, intervals=[[1, 0.0, 2.0]])
-        fold(view, clock, role="bdn:1", stats={"name": "d1"}, intervals=[[2, 2.0, 4.0]])
+        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0"}, intervals=[[1, 0.0, 2.0]])
+        fold(view, clock, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1"}, intervals=[[2, 2.0, 4.0]])
         clock.now = 5.0
         assert monitor.maybe_evaluate(view) == []
 
