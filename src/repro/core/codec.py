@@ -14,20 +14,22 @@ Three jobs:
 
    * every fixed-layout field group is a precompiled module-level
      :class:`struct.Struct` (no per-call format parsing);
-   * decoding walks a :class:`memoryview` of the buffer -- scalar reads
-     use ``unpack_from`` and strings decode straight out of view slices
-     without an intermediate ``bytes`` copy;
+   * each tag's body is decoded by one straight-line function over the
+     ``bytes`` buffer with the cursor in a local: no reader object, no
+     call per field, positional construction.  ``bytearray`` and
+     ``memoryview`` callers are copied to ``bytes`` once at entry --
+     copying a 100-byte datagram costs less than one ``memoryview``
+     slice object, and a cursor over a view makes one per field;
    * hot identifier strings (broker ids, hostnames, topics, realm and
      group names) are interned at decode time, so the fabric holds one
      object per distinct id and downstream dict/dedup lookups hit the
-     pointer-equality fast path.  Request UUIDs are deliberately *not*
-     interned -- they are unique per request and would pin the intern
-     table;
+     pointer-equality fast path, and their length-prefixed encoding is
+     memoised at encode time (:data:`_SYM_WIRE`, bounded).  Request
+     UUIDs are deliberately neither interned nor memoised -- they are
+     unique per request and would pin the table;
    * :func:`wire_size` *computes* the byte length from the precompiled
      layouts without encoding (and without caching message instances --
-     the old per-instance LRU pinned every message it ever sized);
-   * scratch :class:`_Reader` cursors come from a small free list, so a
-     steady-state decode loop allocates no codec objects at all.
+     the old per-instance LRU pinned every message it ever sized).
 
 Lazy decode
 -----------
@@ -42,19 +44,28 @@ on a :class:`LazyMessage` transparently materialises.
 
 Errors
 ------
-Every decode failure -- truncation, hostile length prefixes, trailing
-garbage, bad UTF-8, field validation -- surfaces as a typed
-:class:`~repro.core.errors.CodecError` carrying the message ``tag`` and
-byte ``offset`` where decoding stopped; raw ``struct.error`` or
-``IndexError`` never escape.
+Every failure is a typed :class:`~repro.core.errors.CodecError`
+carrying the message ``tag``; raw ``struct.error`` or ``IndexError``
+never escape, in either direction.  Decode failures -- truncation,
+hostile length prefixes, trailing garbage, bad UTF-8 -- also carry the
+byte ``offset`` where decoding stopped (every variable-length read is
+bounds-checked before the slice, which would silently truncate); a
+field that fails validation reports where its message's fields ended.
+Encode failures are a string over 64 KiB or a scalar that does not fit
+its field (a port of 70000, 256 transports).
 
-The codec is deliberately explicit (one pack/unpack function per type)
-rather than reflective: the message set is small, and explicitness makes
-the wire format auditable.
+One table
+---------
+The wire format of every tag is written once, in :data:`_LAYOUTS`; each
+tag's encoder, decoder, skipper and sizer are compiled from its row at
+import, so they cannot drift apart and the table *is* the auditable
+format.  ``"".join(linecache.getlines("<repro.core.codec Ack>"))`` shows
+the code a row became.
 """
 
 from __future__ import annotations
 
+import linecache
 import struct
 from dataclasses import replace
 from sys import intern as _intern
@@ -124,641 +135,433 @@ _HINT_MARKER = 0x4C  # "L"
 _HINTABLE_KINDS = frozenset({DiscoveryResponse.kind, DiscoveryBusy.kind})
 
 # ---------------------------------------------------------------------------
-# Precompiled layouts
+# Field layouts
 # ---------------------------------------------------------------------------
 #
-# One Struct per fixed-layout field group.  Adjacent scalars are fused
-# into a single pack/unpack so a hot decode touches C code once per
-# group instead of once per field.
+# The wire format of every tag's body, written once: a tag's encoder,
+# decoder and sizer are compiled from its row below, so the three cannot
+# disagree.  A row is a sequence of ``(attribute, kind)`` fields, sent in
+# order; ``kind`` is one of
+#
+# ``"str"``
+#     u16 byte length, then that many bytes of UTF-8.
+# ``"sym"``
+#     The same bytes, for a hot identifier (broker id, hostname, topic,
+#     realm/group/transport name): interned on decode, so the fabric
+#     holds one object per distinct id and dict/dedup lookups downstream
+#     hit pointer equality, and its wire bytes memoised on encode.
+#     Request UUIDs are "str": unique per request, they would pin both
+#     tables.
+# ``"data"``
+#     u32 byte length, then that many raw bytes.
+# ``"B" "H" "I" "Q" "d" "?"``
+#     One big-endian scalar, by its :mod:`struct` code.  Adjacent scalars
+#     (lengths and counts included) are fused into one precompiled
+#     Struct, so a hot path touches C once per group, not per field.
+# ``(count code, kind, ...)``
+#     A count, then that many items: a tuple of values for one item kind,
+#     of tuples for several.  A third field element ``frozenset`` makes
+#     it a set, which is sent sorted.
+# a message class
+#     That tag's body, nested.
+# ``(class, row)``
+#     A value object whose fields are sent in place.
 
-_U8 = struct.Struct(">B")
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_F64 = struct.Struct(">d")
+_ADVERTISEMENT_ROW = (
+    ("broker_id", "sym"),
+    ("hostname", "sym"),
+    ("transports", ("B", "sym", "H")),
+    ("logical_address", "sym"),
+    ("region", "sym"),
+    ("institution", "sym"),
+    ("issued_at", "d"),
+    ("ttl", "d"),
+)
+_SUBSCRIPTION_ROW = (("uuid", "str"), ("topic", "sym"), ("subscriber", "sym"))
+_METRICS_ROW = (
+    ("free_memory", "Q"),
+    ("total_memory", "Q"),
+    ("num_links", "I"),
+    ("num_connections", "I"),
+    ("cpu_load", "d"),
+    ("queue_depth", "I"),
+)
+
+_LAYOUTS: dict[type[Message], tuple] = {
+    Event: (
+        ("uuid", "str"),
+        ("topic", "sym"),
+        ("payload", "data"),
+        ("source", "sym"),
+        ("issued_at", "d"),
+        ("headers", ("B", "str", "str")),
+    ),
+    Ack: (("uuid", "str"), ("acked_by", "sym")),
+    BrokerAdvertisement: _ADVERTISEMENT_ROW,
+    DiscoveryRequest: (
+        ("uuid", "str"),
+        ("requester_host", "sym"),
+        ("requester_port", "H"),
+        ("transports", ("B", "sym")),
+        ("credentials", ("B", "sym"), frozenset),
+        ("realm", "sym"),
+        ("issued_at", "d"),
+        ("hop_count", "H"),
+        ("attempt", "B"),
+    ),
+    DiscoveryResponse: (
+        ("request_uuid", "str"),
+        ("broker_id", "sym"),
+        ("hostname", "sym"),
+        ("transports", ("B", "sym", "H")),
+        ("issued_at", "d"),
+        ("metrics", (UsageMetrics, _METRICS_ROW)),
+    ),
+    PingRequest: (("uuid", "str"), ("sent_at", "d"), ("reply_host", "sym"), ("reply_port", "H")),
+    PingResponse: (("uuid", "str"), ("sent_at", "d"), ("broker_id", "sym")),
+    Subscribe: _SUBSCRIPTION_ROW,
+    Unsubscribe: _SUBSCRIPTION_ROW,
+    DiscoveryBusy: (
+        ("request_uuid", "str"),
+        ("bdn", "sym"),
+        ("retry_after", "d"),
+        ("queue_depth", "I"),
+    ),
+    LeaseClaim: (
+        ("group", "sym"),
+        ("candidate", "sym"),
+        ("term", "I"),
+        ("duration", "d"),
+        ("sent_at", "d"),
+    ),
+    LeaseVote: (
+        ("group", "sym"),
+        ("voter", "sym"),
+        ("term", "I"),
+        ("granted", "?"),
+        ("claim_sent_at", "d"),
+        ("leader_hint", "sym"),
+    ),
+    ReplicaAppend: (
+        ("group", "sym"),
+        ("leader", "sym"),
+        ("term", "I"),
+        ("seq", "Q"),
+        ("ad", BrokerAdvertisement),
+    ),
+    ReplicaAck: (("group", "sym"), ("member", "sym"), ("term", "I"), ("seq", "Q")),
+    AntiEntropyDigest: (
+        ("group", "sym"),
+        ("member", "sym"),
+        ("entries", ("H", "sym", "d")),
+    ),
+    AntiEntropyDelta: (
+        ("group", "sym"),
+        ("member", "sym"),
+        ("ads", ("H", BrokerAdvertisement)),
+    ),
+    AdvertisementAck: (("broker_id", "sym"), ("bdn", "sym"), ("leader_hint", "sym")),
+}
+
 _HEADER = struct.Struct(">HB")  # magic + type tag
 _TRACE_TAIL = struct.Struct(">BH")  # trace marker + hop counter
-_PORT_COUNT = struct.Struct(">HB")  # requester_port + transport count
-_F64_U8 = struct.Struct(">dB")  # Event issued_at + header count
-_METRICS = struct.Struct(">QQIIdI")  # UsageMetrics, 36 bytes
-_RESP_TAIL = struct.Struct(">dQQIIdI")  # response issued_at + metrics
-_REQ_TAIL = struct.Struct(">dHB")  # request issued_at + hop_count + attempt
-_AD_TAIL = struct.Struct(">dd")  # advertisement issued_at + ttl
-_BUSY_TAIL = struct.Struct(">dI")  # busy retry_after + queue_depth
-_CLAIM_TAIL = struct.Struct(">Idd")  # claim term + duration + sent_at
-_VOTE_TAIL = struct.Struct(">IBd")  # vote term + granted + claim_sent_at
-_TERM_SEQ = struct.Struct(">IQ")  # replica term + seq
-
-_U16_pack = _U16.pack
-_U16_unpack_from = _U16.unpack_from
+_U16_pack = struct.Struct(">H").pack
 
 
 # ---------------------------------------------------------------------------
-# Encoding
+# What the compiled code calls
+# ---------------------------------------------------------------------------
+
+
+def _short(pos: int, need: int, end: int) -> CodecError:
+    return CodecError(
+        f"truncated message: need {need} bytes at offset {pos}, have {end - pos}",
+        offset=pos,
+    )
+
+
+def _bad_utf8(exc: UnicodeDecodeError, start: int) -> CodecError:
+    return CodecError(f"invalid UTF-8 in string field: {exc}", offset=start)
+
+
+def _bad_field(exc: ValueError, pos: int) -> CodecError:
+    # Field-level validation (e.g. UsageMetrics range checks) on a
+    # corrupted buffer is a protocol error, not a caller bug.
+    return CodecError(f"invalid field values in message: {exc}", offset=pos)
+
+
+def _str_wire(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise CodecError(f"string field too long: {len(raw)} bytes")
+    return _U16_pack(len(raw)) + raw
+
+
+#: Wire bytes of the hot identifiers (the "sym" fields), so a
+#: steady-state encode neither re-encodes nor re-prefixes them.
+#: Bounded: a flood of one-off names costs a refill, never memory.
+_SYM_WIRE: dict[str, bytes] = {}
+_SYM_WIRE_MAX = 4096
+
+
+def _sym_wire(value: str) -> bytes:
+    """A memo miss: encode ``value`` and remember it."""
+    if len(_SYM_WIRE) >= _SYM_WIRE_MAX:
+        _SYM_WIRE.clear()
+    wire = _SYM_WIRE[value] = _str_wire(value)
+    return wire
+
+
+def _utf8len(s: str) -> int:
+    # CPython tracks an ASCII flag per str, so ``len(s)`` is the UTF-8
+    # length for ASCII strings without touching the characters.
+    return len(s) if s.isascii() else len(s.encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Compiling a row
 # ---------------------------------------------------------------------------
 #
-# Encoders append ready-made byte chunks to a plain list which is
-# joined once at the end -- the fastest portable way to build small
-# buffers in CPython, and it needs no Writer object at all (the best
-# pooled scratch object is the one that was never allocated).
+# Each compiled function is what a careful hand would write for its tag
+# -- one straight line over the ``bytes`` buffer, the cursor in a local,
+# no reader object and no call per field -- which is why it is
+# generated: written out, every string read is seven lines, and
+# seventeen tags by four functions of them must be kept in step by
+# hand.  Encoders append ready-made chunks to a list joined once at the
+# end, the fastest portable way to build small buffers in CPython.  The
+# skipper is the decoder's walk without the values (the dedup key of a
+# request needs only that).  Decoders check the bounds of every
+# read before they slice (a slice past the end silently truncates) and
+# raise CodecError, never ``struct.error``, with the offset where the
+# buffer ran out.  Sizers sum the same layout arithmetically: nothing
+# is encoded and nothing cached, so sizing pins no message.
+
+_STRING_READ = [
+    "start = pos + 2",
+    "if start > end: raise _short(pos, 2, end)",
+    "pos = start + (buf[pos] << 8 | buf[pos + 1])",
+    "if pos > end: raise _short(start, pos - start, end)",
+]
 
 
-def _pack_str(parts: list[bytes], value: str) -> None:
-    raw = value.encode("utf-8")
-    n = len(raw)
-    if n > 0xFFFF:
-        raise CodecError(f"string field too long: {n} bytes")
-    parts.append(_U16_pack(n))
-    parts.append(raw)
-
-
-def _pack_data(parts: list[bytes], value: bytes) -> None:
-    if len(value) > 0xFFFFFFFF:
-        raise CodecError(f"payload too long: {len(value)} bytes")
-    parts.append(_U32.pack(len(value)))
-    parts.append(value)
-
-
-def _pack_transports(parts: list[bytes], transports: tuple[tuple[str, int], ...]) -> None:
-    parts.append(_U8.pack(len(transports)))
-    for proto, port in transports:
-        _pack_str(parts, proto)
-        parts.append(_U16_pack(port))
-
-
-def _pack_strset(parts: list[bytes], values: frozenset[str]) -> None:
-    ordered = sorted(values)
-    parts.append(_U8.pack(len(ordered)))
-    for v in ordered:
-        _pack_str(parts, v)
-
-
-def _encode_event(parts: list[bytes], m: Event) -> None:
-    _pack_str(parts, m.uuid)
-    _pack_str(parts, m.topic)
-    _pack_data(parts, m.payload)
-    _pack_str(parts, m.source)
-    parts.append(_F64_U8.pack(m.issued_at, len(m.headers)))
-    for k, v in m.headers:
-        _pack_str(parts, k)
-        _pack_str(parts, v)
-
-
-def _encode_ack(parts: list[bytes], m: Ack) -> None:
-    _pack_str(parts, m.uuid)
-    _pack_str(parts, m.acked_by)
-
-
-def _encode_advertisement(parts: list[bytes], m: BrokerAdvertisement) -> None:
-    _pack_str(parts, m.broker_id)
-    _pack_str(parts, m.hostname)
-    _pack_transports(parts, m.transports)
-    _pack_str(parts, m.logical_address)
-    _pack_str(parts, m.region)
-    _pack_str(parts, m.institution)
-    parts.append(_AD_TAIL.pack(m.issued_at, m.ttl))
-
-
-def _encode_request(parts: list[bytes], m: DiscoveryRequest) -> None:
-    _pack_str(parts, m.uuid)
-    _pack_str(parts, m.requester_host)
-    parts.append(_PORT_COUNT.pack(m.requester_port, len(m.transports)))
-    for proto in m.transports:
-        _pack_str(parts, proto)
-    _pack_strset(parts, m.credentials)
-    _pack_str(parts, m.realm)
-    parts.append(_REQ_TAIL.pack(m.issued_at, m.hop_count, m.attempt))
-
-
-def _encode_response(parts: list[bytes], m: DiscoveryResponse) -> None:
-    _pack_str(parts, m.request_uuid)
-    _pack_str(parts, m.broker_id)
-    _pack_str(parts, m.hostname)
-    _pack_transports(parts, m.transports)
-    metrics = m.metrics
-    parts.append(
-        _RESP_TAIL.pack(
-            m.issued_at,
-            metrics.free_memory,
-            metrics.total_memory,
-            metrics.num_links,
-            metrics.num_connections,
-            metrics.cpu_load,
-            metrics.queue_depth,
-        )
-    )
-
-
-def _encode_busy(parts: list[bytes], m: DiscoveryBusy) -> None:
-    _pack_str(parts, m.request_uuid)
-    _pack_str(parts, m.bdn)
-    parts.append(_BUSY_TAIL.pack(m.retry_after, m.queue_depth))
-
-
-def _encode_ping_request(parts: list[bytes], m: PingRequest) -> None:
-    _pack_str(parts, m.uuid)
-    parts.append(_F64.pack(m.sent_at))
-    _pack_str(parts, m.reply_host)
-    parts.append(_U16_pack(m.reply_port))
-
-
-def _encode_ping_response(parts: list[bytes], m: PingResponse) -> None:
-    _pack_str(parts, m.uuid)
-    parts.append(_F64.pack(m.sent_at))
-    _pack_str(parts, m.broker_id)
-
-
-def _encode_subscribe(parts: list[bytes], m: Subscribe) -> None:
-    _pack_str(parts, m.uuid)
-    _pack_str(parts, m.topic)
-    _pack_str(parts, m.subscriber)
-
-
-def _encode_unsubscribe(parts: list[bytes], m: Unsubscribe) -> None:
-    _pack_str(parts, m.uuid)
-    _pack_str(parts, m.topic)
-    _pack_str(parts, m.subscriber)
-
-
-def _encode_lease_claim(parts: list[bytes], m: LeaseClaim) -> None:
-    _pack_str(parts, m.group)
-    _pack_str(parts, m.candidate)
-    parts.append(_CLAIM_TAIL.pack(m.term, m.duration, m.sent_at))
-
-
-def _encode_lease_vote(parts: list[bytes], m: LeaseVote) -> None:
-    _pack_str(parts, m.group)
-    _pack_str(parts, m.voter)
-    parts.append(_VOTE_TAIL.pack(m.term, 1 if m.granted else 0, m.claim_sent_at))
-    _pack_str(parts, m.leader_hint)
-
-
-def _encode_replica_append(parts: list[bytes], m: ReplicaAppend) -> None:
-    _pack_str(parts, m.group)
-    _pack_str(parts, m.leader)
-    parts.append(_TERM_SEQ.pack(m.term, m.seq))
-    _encode_advertisement(parts, m.ad)
-
-
-def _encode_replica_ack(parts: list[bytes], m: ReplicaAck) -> None:
-    _pack_str(parts, m.group)
-    _pack_str(parts, m.member)
-    parts.append(_TERM_SEQ.pack(m.term, m.seq))
-
-
-def _encode_anti_entropy_digest(parts: list[bytes], m: AntiEntropyDigest) -> None:
-    _pack_str(parts, m.group)
-    _pack_str(parts, m.member)
-    if len(m.entries) > 0xFFFF:
-        raise CodecError(f"digest too large: {len(m.entries)} entries")
-    parts.append(_U16_pack(len(m.entries)))
-    for broker_id, remaining in m.entries:
-        _pack_str(parts, broker_id)
-        parts.append(_F64.pack(remaining))
-
-
-def _encode_anti_entropy_delta(parts: list[bytes], m: AntiEntropyDelta) -> None:
-    _pack_str(parts, m.group)
-    _pack_str(parts, m.member)
-    if len(m.ads) > 0xFFFF:
-        raise CodecError(f"delta too large: {len(m.ads)} advertisements")
-    parts.append(_U16_pack(len(m.ads)))
-    for ad in m.ads:
-        _encode_advertisement(parts, ad)
-
-
-def _encode_advertisement_ack(parts: list[bytes], m: AdvertisementAck) -> None:
-    _pack_str(parts, m.broker_id)
-    _pack_str(parts, m.bdn)
-    _pack_str(parts, m.leader_hint)
-
-
-# ---------------------------------------------------------------------------
-# Decoding
-# ---------------------------------------------------------------------------
-
-
-class _Reader:
-    """Cursor over a :class:`memoryview`; instances come from a free list.
-
-    Every read bounds-checks explicitly (memoryview slicing silently
-    truncates, so length prefixes must be validated before slicing) and
-    raises :class:`CodecError` -- never ``struct.error`` -- on a short
-    buffer.
-    """
-
-    __slots__ = ("buf", "pos", "end")
+class _Emitter:
+    """Source lines of one body's encoder, decoder, skipper and sizer, field by field."""
 
     def __init__(self) -> None:
-        self.buf: memoryview | None = None
-        self.pos = 0
-        self.end = 0
+        self.enc: list[str] = []
+        self.dec: list[str] = []
+        self.skip: list[str] = []  # the decoder's walk without the values it builds
+        self.size: list[str] = []  # sizer statements (loops)
+        self.terms: list[str] = []  # sizer summands
+        self.fixed = 0  # sizer: bytes present whatever the values
+        self.run: list[tuple[str, str, str]] = []  # pending scalars: code, value, target
 
-    def _short(self, n: int) -> CodecError:
-        return CodecError(
-            f"truncated message: need {n} bytes at offset {self.pos}, "
-            f"have {self.end - self.pos}",
-            offset=self.pos,
+    def walk(self, lines: list[str], *build: str) -> None:
+        """``lines`` move the cursor (decoder and skipper); ``build`` keeps what it passed."""
+        self.dec += [*lines, *build]
+        self.skip += lines
+
+    def flush(self) -> None:
+        """Emit the pending scalars as one fused Struct."""
+        if not self.run:
+            return
+        codes, values, targets = zip(*self.run)
+        self.run = []
+        fused = struct.Struct(">" + "".join(codes))
+        name = "_S_" + "".join(codes).replace("?", "b")
+        globals()[name] = fused
+        self.enc.append(f"parts.append({name}.pack({', '.join(values)}))")
+        self.walk(
+            [
+                f"stop = pos + {fused.size}",
+                f"if stop > end: raise _short(pos, {fused.size}, end)",
+                f"{', '.join(targets)}, = {name}.unpack_from(buf, pos)",
+                "pos = stop",
+            ]
         )
+        self.fixed += fused.size
 
-    def remaining(self) -> int:
-        return self.end - self.pos
+    def field(self, kind, value: str, target: str, container: type = tuple) -> str:
+        """Emit one field read from ``value``; the expression its decoded form has."""
+        if kind == "str" or kind == "sym":
+            self.flush()
+            sym = kind == "sym"
+            self.enc.append(
+                f"parts.append(_SYM_WIRE.get({value}) or _sym_wire({value}))"
+                if sym
+                else f"parts.append(_str_wire({value}))"
+            )
+            text = "buf[start:pos].decode()"
+            self.walk(_STRING_READ, f"{target} = {f'_intern({text})' if sym else text}")
+            self.fixed += 2
+            self.terms.append(f"_utf8len({value})")
+        elif kind == "data":
+            self.run.append(("I", f"len({value})", "n"))
+            self.flush()
+            self.enc.append(f"parts.append({value})")
+            # A hostile length fails the bounds check; it is never an allocation.
+            self.walk(
+                ["start = pos", "pos += n", "if pos > end: raise _short(start, n, end)"],
+                f"{target} = buf[start:pos]",
+            )
+            self.terms.append(f"len({value})")
+        elif isinstance(kind, str):
+            self.run.append((kind, value, target))
+        elif isinstance(kind, type):
+            self.flush()
+            self.enc.append(f"_encode_{kind.kind}(parts, {value})")
+            self.dec.append(f"{target}, pos = _decode_{kind.kind}(buf, pos, end)")
+            self.skip.append(f"pos = _skip_{kind.kind}(buf, pos, end)")
+            self.terms.append(f"_size_{kind.kind}({value})")
+        elif isinstance(kind[0], type):
+            made = [self.field(k, f"{value}.{name}", f"{target}_{name}") for name, k in kind[1]]
+            return f"{kind[0].__name__}({', '.join(made)})"
+        else:
+            count, *kinds = kind
+            self.run.append((count, f"len({value})", "n"))
+            self.flush()
+            names = [f"{target}_{i}" for i in range(len(kinds))]
+            item = _Emitter()
+            made = ", ".join(item.field(k, name, name) for k, name in zip(kinds, names))
+            item.flush()
+            each = f"for {', '.join(names)} in"
+            self.enc += [
+                f"{each} {f'sorted({value})' if container is frozenset else value}:",
+                *_indent(item.enc),
+            ]
+            self.dec += [
+                f"{target} = []",
+                "for _ in range(n):",
+                *_indent(item.dec),
+                f"    {target}.append({made if len(kinds) == 1 else f'({made})'})",
+            ]
+            self.skip += ["for _ in range(n):", *_indent(item.skip)]
+            self.size += [f"{each} {value}:", f"    n += {item.total()}", *_indent(item.size)]
+            return f"{container.__name__}({target})"
+        return target
 
-    def u8(self) -> int:
-        pos = self.pos
-        if pos + 1 > self.end:
-            raise self._short(1)
-        self.pos = pos + 1
-        return self.buf[pos]
-
-    def u16(self) -> int:
-        pos = self.pos
-        if pos + 2 > self.end:
-            raise self._short(2)
-        self.pos = pos + 2
-        return _U16_unpack_from(self.buf, pos)[0]
-
-    def u32(self) -> int:
-        pos = self.pos
-        if pos + 4 > self.end:
-            raise self._short(4)
-        self.pos = pos + 4
-        return _U32.unpack_from(self.buf, pos)[0]
-
-    def u64(self) -> int:
-        pos = self.pos
-        if pos + 8 > self.end:
-            raise self._short(8)
-        self.pos = pos + 8
-        return _U64.unpack_from(self.buf, pos)[0]
-
-    def f64(self) -> float:
-        pos = self.pos
-        if pos + 8 > self.end:
-            raise self._short(8)
-        self.pos = pos + 8
-        return _F64.unpack_from(self.buf, pos)[0]
-
-    def group(self, layout: struct.Struct) -> tuple:
-        """Unpack one fused fixed-layout field group."""
-        pos = self.pos
-        size = layout.size
-        if pos + size > self.end:
-            raise self._short(size)
-        self.pos = pos + size
-        return layout.unpack_from(self.buf, pos)
-
-    def string(self) -> str:
-        buf = self.buf
-        pos = self.pos
-        if pos + 2 > self.end:
-            raise self._short(2)
-        n = _U16_unpack_from(buf, pos)[0]
-        start = pos + 2
-        stop = start + n
-        if stop > self.end:
-            self.pos = start
-            raise self._short(n)
-        self.pos = stop
-        try:
-            # Decodes straight out of the view slice: no bytes copy.
-            return str(buf[start:stop], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(
-                f"invalid UTF-8 in string field: {exc}", offset=start
-            ) from exc
-
-    def sym(self) -> str:
-        """A string field interned as a hot identifier (broker id,
-        hostname, topic, realm/group name): one object per distinct
-        value process-wide, so dict and dedup lookups downstream hit
-        pointer equality."""
-        return _intern(self.string())
-
-    def data(self) -> bytes:
-        buf = self.buf
-        pos = self.pos
-        if pos + 4 > self.end:
-            raise self._short(4)
-        n = _U32.unpack_from(buf, pos)[0]
-        start = pos + 4
-        stop = start + n
-        if stop > self.end:
-            self.pos = start
-            raise self._short(n)  # hostile length prefix, not an allocation
-        self.pos = stop
-        return bytes(buf[start:stop])
-
-    def done(self) -> bool:
-        return self.pos == self.end
+    def total(self) -> str:
+        """The sizer's sum: the fixed bytes, then one term per variable field."""
+        fixed = [str(self.fixed)] if self.fixed or not self.terms else []
+        return " + ".join(fixed + self.terms)
 
 
-#: Free list of scratch readers; a steady-state decode loop allocates
-#: no cursor objects.  Sized generously past any realistic nesting.
-_READER_POOL: list[_Reader] = []
-_READER_POOL_MAX = 8
+def _indent(lines: list[str], by: str = "    ") -> list[str]:
+    return [by + line for line in lines]
 
 
-def _reader_acquire(view: memoryview, pos: int) -> _Reader:
-    r = _READER_POOL.pop() if _READER_POOL else _Reader()
-    r.buf = view
-    r.pos = pos
-    r.end = len(view)
-    return r
-
-
-def _reader_release(r: _Reader) -> None:
-    r.buf = None  # do not pin the caller's buffer from the pool
-    if len(_READER_POOL) < _READER_POOL_MAX:
-        _READER_POOL.append(r)
-
-
-def _read_transports(r: _Reader) -> tuple[tuple[str, int], ...]:
-    return tuple((r.sym(), r.u16()) for _ in range(r.u8()))
-
-
-def _read_strset(r: _Reader) -> frozenset[str]:
-    return frozenset(r.sym() for _ in range(r.u8()))
-
-
-def _decode_event(r: _Reader) -> Event:
-    uuid = r.string()
-    topic = r.sym()
-    payload = r.data()
-    source = r.sym()
-    issued_at, n_headers = r.group(_F64_U8)
-    return Event(
-        uuid=uuid,
-        topic=topic,
-        payload=payload,
-        source=source,
-        issued_at=issued_at,
-        headers=tuple((r.string(), r.string()) for _ in range(n_headers)),
+def _compile(cls: type[Message], row: tuple) -> None:
+    """Define ``_encode_<tag>``, ``_decode_<tag>``, ``_skip_<tag>`` and ``_size_<tag>``."""
+    body = _Emitter()
+    made = [body.field(kind, f"m.{name}", name, *rest) for name, kind, *rest in row]
+    body.flush()
+    tag = cls.kind
+    source = "\n".join(
+        [
+            f"def _encode_{tag}(parts, m):",
+            *_indent(body.enc),
+            f"def _decode_{tag}(buf, pos, end):",
+            "    try:",
+            *_indent(body.dec, "        "),
+            f"        return {cls.__name__}({', '.join(made)}), pos",
+            "    except UnicodeDecodeError as exc:",
+            "        raise _bad_utf8(exc, start) from exc",
+            "    except ValueError as exc:",
+            "        raise _bad_field(exc, pos) from exc",
+            f"def _skip_{tag}(buf, pos, end):",
+            *_indent(body.skip),
+            "    return pos",
+            f"def _size_{tag}(m):",
+            f"    n = {body.total()}",
+            *_indent(body.size),
+            "    return n",
+            "",
+        ]
     )
+    # Registered so that a traceback (or a curious reader) can show it:
+    # ``print("".join(linecache.getlines("<repro.core.codec Ack>")))``.
+    filename = f"<repro.core.codec {cls.__name__}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), globals())
 
 
-def _decode_ack(r: _Reader) -> Ack:
-    return Ack(uuid=r.string(), acked_by=r.sym())
+for _cls, _row in _LAYOUTS.items():
+    _compile(_cls, _row)
 
+_ENCODERS = {cls.kind: globals()[f"_encode_{cls.kind}"] for cls in _LAYOUTS}
+_DECODERS = {cls.kind: globals()[f"_decode_{cls.kind}"] for cls in _LAYOUTS}
+_SIZERS = {cls.kind: globals()[f"_size_{cls.kind}"] for cls in _LAYOUTS}
 
-def _decode_advertisement(r: _Reader) -> BrokerAdvertisement:
-    broker_id = r.sym()
-    hostname = r.sym()
-    transports = _read_transports(r)
-    logical_address = r.sym()
-    region = r.sym()
-    institution = r.sym()
-    issued_at, ttl = r.group(_AD_TAIL)
-    return BrokerAdvertisement(
-        broker_id=broker_id,
-        hostname=hostname,
-        transports=transports,
-        logical_address=logical_address,
-        region=region,
-        institution=institution,
-        issued_at=issued_at,
-        ttl=ttl,
-    )
-
-
-def _decode_request(r: _Reader) -> DiscoveryRequest:
-    uuid = r.string()
-    requester_host = r.sym()
-    requester_port, n_transports = r.group(_PORT_COUNT)
-    transports = tuple(r.sym() for _ in range(n_transports))
-    credentials = _read_strset(r)
-    realm = r.sym()
-    issued_at, hop_count, attempt = r.group(_REQ_TAIL)
-    return DiscoveryRequest(
-        uuid=uuid,
-        requester_host=requester_host,
-        requester_port=requester_port,
-        transports=transports,
-        credentials=credentials,
-        realm=realm,
-        issued_at=issued_at,
-        hop_count=hop_count,
-        attempt=attempt,
-    )
-
-
-def _decode_response(r: _Reader) -> DiscoveryResponse:
-    request_uuid = r.string()
-    broker_id = r.sym()
-    hostname = r.sym()
-    transports = _read_transports(r)
-    issued_at, free, total, links, conns, cpu, depth = r.group(_RESP_TAIL)
-    return DiscoveryResponse(
-        request_uuid=request_uuid,
-        broker_id=broker_id,
-        hostname=hostname,
-        transports=transports,
-        issued_at=issued_at,
-        metrics=UsageMetrics(
-            free_memory=free,
-            total_memory=total,
-            num_links=links,
-            num_connections=conns,
-            cpu_load=cpu,
-            queue_depth=depth,
-        ),
-    )
-
-
-def _decode_busy(r: _Reader) -> DiscoveryBusy:
-    request_uuid = r.string()
-    bdn = r.sym()
-    retry_after, queue_depth = r.group(_BUSY_TAIL)
-    return DiscoveryBusy(
-        request_uuid=request_uuid,
-        bdn=bdn,
-        retry_after=retry_after,
-        queue_depth=queue_depth,
-    )
-
-
-def _decode_ping_request(r: _Reader) -> PingRequest:
-    return PingRequest(
-        uuid=r.string(), sent_at=r.f64(), reply_host=r.sym(), reply_port=r.u16()
-    )
-
-
-def _decode_ping_response(r: _Reader) -> PingResponse:
-    return PingResponse(uuid=r.string(), sent_at=r.f64(), broker_id=r.sym())
-
-
-def _decode_subscribe(r: _Reader) -> Subscribe:
-    return Subscribe(uuid=r.string(), topic=r.sym(), subscriber=r.sym())
-
-
-def _decode_unsubscribe(r: _Reader) -> Unsubscribe:
-    return Unsubscribe(uuid=r.string(), topic=r.sym(), subscriber=r.sym())
-
-
-def _decode_lease_claim(r: _Reader) -> LeaseClaim:
-    group = r.sym()
-    candidate = r.sym()
-    term, duration, sent_at = r.group(_CLAIM_TAIL)
-    return LeaseClaim(
-        group=group, candidate=candidate, term=term, duration=duration, sent_at=sent_at
-    )
-
-
-def _decode_lease_vote(r: _Reader) -> LeaseVote:
-    group = r.sym()
-    voter = r.sym()
-    term, granted, claim_sent_at = r.group(_VOTE_TAIL)
-    return LeaseVote(
-        group=group,
-        voter=voter,
-        term=term,
-        granted=bool(granted),
-        claim_sent_at=claim_sent_at,
-        leader_hint=r.sym(),
-    )
-
-
-def _decode_replica_append(r: _Reader) -> ReplicaAppend:
-    group = r.sym()
-    leader = r.sym()
-    term, seq = r.group(_TERM_SEQ)
-    return ReplicaAppend(
-        group=group, leader=leader, term=term, seq=seq, ad=_decode_advertisement(r)
-    )
-
-
-def _decode_replica_ack(r: _Reader) -> ReplicaAck:
-    group = r.sym()
-    member = r.sym()
-    term, seq = r.group(_TERM_SEQ)
-    return ReplicaAck(group=group, member=member, term=term, seq=seq)
-
-
-def _decode_anti_entropy_digest(r: _Reader) -> AntiEntropyDigest:
-    return AntiEntropyDigest(
-        group=r.sym(),
-        member=r.sym(),
-        entries=tuple((r.sym(), r.f64()) for _ in range(r.u16())),
-    )
-
-
-def _decode_anti_entropy_delta(r: _Reader) -> AntiEntropyDelta:
-    return AntiEntropyDelta(
-        group=r.sym(),
-        member=r.sym(),
-        ads=tuple(_decode_advertisement(r) for _ in range(r.u16())),
-    )
-
-
-def _decode_advertisement_ack(r: _Reader) -> AdvertisementAck:
-    return AdvertisementAck(broker_id=r.sym(), bdn=r.sym(), leader_hint=r.sym())
-
-
-_ENCODERS = {
-    Event.kind: _encode_event,
-    Subscribe.kind: _encode_subscribe,
-    Unsubscribe.kind: _encode_unsubscribe,
-    Ack.kind: _encode_ack,
-    BrokerAdvertisement.kind: _encode_advertisement,
-    DiscoveryRequest.kind: _encode_request,
-    DiscoveryResponse.kind: _encode_response,
-    DiscoveryBusy.kind: _encode_busy,
-    PingRequest.kind: _encode_ping_request,
-    PingResponse.kind: _encode_ping_response,
-    LeaseClaim.kind: _encode_lease_claim,
-    LeaseVote.kind: _encode_lease_vote,
-    ReplicaAppend.kind: _encode_replica_append,
-    ReplicaAck.kind: _encode_replica_ack,
-    AntiEntropyDigest.kind: _encode_anti_entropy_digest,
-    AntiEntropyDelta.kind: _encode_anti_entropy_delta,
-    AdvertisementAck.kind: _encode_advertisement_ack,
-}
-
-_DECODERS = {
-    Event.kind: _decode_event,
-    Subscribe.kind: _decode_subscribe,
-    Unsubscribe.kind: _decode_unsubscribe,
-    Ack.kind: _decode_ack,
-    BrokerAdvertisement.kind: _decode_advertisement,
-    DiscoveryRequest.kind: _decode_request,
-    DiscoveryResponse.kind: _decode_response,
-    DiscoveryBusy.kind: _decode_busy,
-    PingRequest.kind: _decode_ping_request,
-    PingResponse.kind: _decode_ping_response,
-    LeaseClaim.kind: _decode_lease_claim,
-    LeaseVote.kind: _decode_lease_vote,
-    ReplicaAppend.kind: _decode_replica_append,
-    ReplicaAck.kind: _decode_replica_ack,
-    AntiEntropyDigest.kind: _decode_anti_entropy_digest,
-    AntiEntropyDelta.kind: _decode_anti_entropy_delta,
-    AdvertisementAck.kind: _decode_advertisement_ack,
-}
+_SKIP_REQUEST = globals()[f"_skip_{DiscoveryRequest.kind}"]
 
 #: Precomputed 3-byte wire header (magic + tag) per message kind.
 _HEADER_BYTES = {kind: _HEADER.pack(_MAGIC, kind) for kind in _ENCODERS}
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialise ``message`` to its binary wire form."""
+    """Serialise ``message`` to its binary wire form.
+
+    Raises
+    ------
+    CodecError
+        For a type with no wire form, a string over 64 KiB, or a scalar
+        that does not fit its field; the error carries the ``tag``.
+    """
     kind = type(message).kind
     encoder = _ENCODERS.get(kind)
-    if encoder is None or type(message) is Message:
+    if encoder is None:
         raise CodecError(f"cannot encode message type {type(message).__name__}")
     parts = [_HEADER_BYTES[kind]]
-    encoder(parts, message)
-    if kind in _HINTABLE_KINDS and message.leader_hint:
-        parts.append(b"\x4c")  # _HINT_MARKER
-        _pack_str(parts, message.leader_hint)
-    if getattr(message, "trace_flag", False):
-        parts.append(_TRACE_TAIL.pack(_TRACE_MARKER, message.trace_hop))
+    try:
+        encoder(parts, message)
+        if kind in _HINTABLE_KINDS and message.leader_hint:
+            hint = message.leader_hint
+            parts.append(b"\x4c")  # _HINT_MARKER
+            parts.append(_SYM_WIRE.get(hint) or _sym_wire(hint))
+        if kind in _TRACEABLE_KINDS and message.trace_flag:
+            parts.append(_TRACE_TAIL.pack(_TRACE_MARKER, message.trace_hop))
+    except CodecError as exc:
+        exc.tag = kind
+        raise
+    except (struct.error, OverflowError) as exc:
+        raise CodecError(
+            f"{type(message).__name__} field does not fit the wire format: {exc}", tag=kind
+        ) from exc
     return b"".join(parts)
 
 
-def _check_header(view: memoryview) -> int:
+def _check_header(buf: bytes) -> int:
     """Validate magic and tag; return the tag."""
-    if len(view) < 3:
+    if len(buf) < 3:
         raise CodecError(
-            f"truncated message: need 3 bytes at offset 0, have {len(view)}", offset=0
+            f"truncated message: need 3 bytes at offset 0, have {len(buf)}", offset=0
         )
-    magic = (view[0] << 8) | view[1]
+    magic = (buf[0] << 8) | buf[1]
     if magic != _MAGIC:
         raise CodecError(f"bad magic 0x{magic:04x}, expected 0x{_MAGIC:04x}", offset=0)
-    tag = view[2]
+    tag = buf[2]
     if tag not in _DECODERS:
         raise CodecError(f"unknown message type tag {tag}", tag=tag, offset=2)
     return tag
 
 
-def _decode_body(view: memoryview, tag: int) -> Message:
+def _decode_body(buf: bytes, tag: int) -> Message:
     """Decode the message body (and trailers) after a validated header."""
-    r = _reader_acquire(view, 3)
+    end = len(buf)
     try:
-        try:
-            message = _DECODERS[tag](r)
-        except CodecError as exc:
-            if exc.tag is None:
-                exc.tag = tag
-            if exc.offset is None:
-                exc.offset = r.pos
-            raise
-        except ValueError as exc:
-            # Field-level validation (e.g. UsageMetrics range checks) on a
-            # corrupted buffer is a protocol error, not a caller bug.
-            raise CodecError(
-                f"invalid field values in message: {exc}", tag=tag, offset=r.pos
-            ) from exc
-        except (struct.error, IndexError, OverflowError) as exc:
-            # Defence in depth: every read above bounds-checks before it
-            # unpacks, so this should be unreachable -- but a raw
-            # struct.error must never escape the codec.
-            raise CodecError(
-                f"malformed message body: {exc}", tag=tag, offset=r.pos
-            ) from exc
-        if not r.done():
-            message = _decode_trailers(r, tag, message)
+        message, pos = _DECODERS[tag](buf, 3, end)
+        if pos != end:
+            message = _decode_trailers(buf, pos, end, tag, message)
         return message
-    finally:
-        _reader_release(r)
+    except CodecError as exc:
+        if exc.tag is None:
+            exc.tag = tag
+        raise
+    except (struct.error, IndexError, OverflowError) as exc:
+        # Defence in depth: every read above bounds-checks before it
+        # unpacks, so this should be unreachable -- but a raw
+        # struct.error must never escape the codec.
+        raise CodecError(f"malformed message body: {exc}", tag=tag, offset=end) from exc
 
 
 def decode_message(buf: bytes | bytearray | memoryview) -> Message:
@@ -771,32 +574,45 @@ def decode_message(buf: bytes | bytearray | memoryview) -> Message:
         trailing garbage.  The error carries the message ``tag`` and
         the byte ``offset`` where decoding stopped.
     """
-    view = buf if type(buf) is memoryview else memoryview(buf)
-    return _decode_body(view, _check_header(view))
+    if type(buf) is not bytes:
+        buf = bytes(buf)
+    return _decode_body(buf, _check_header(buf))
 
 
-def _decode_trailers(r: _Reader, tag: int, message: Message) -> Message:
+def _str(buf: bytes, pos: int, end: int) -> tuple[str, int]:
+    """One length-prefixed string outside a compiled body: ``(value, next offset)``."""
+    start = pos + 2
+    if start > end:
+        raise _short(pos, 2, end)
+    stop = start + (buf[pos] << 8 | buf[pos + 1])
+    if stop > end:
+        raise _short(start, stop - start, end)
+    try:
+        return buf[start:stop].decode(), stop
+    except UnicodeDecodeError as exc:
+        raise _bad_utf8(exc, start) from exc
+
+
+def _decode_trailers(buf: bytes, pos: int, end: int, tag: int, message: Message) -> Message:
     """Parse the optional trailers (leader hint, then trace context).
 
     Anything that is not exactly a well-formed trailer sequence ending
     the buffer is trailing garbage.
     """
-    marker = r.u8()
+    marker = buf[pos]
+    pos += 1
     if marker == _HINT_MARKER and tag in _HINTABLE_KINDS:
-        hint = r.sym()
+        hint, pos = _str(buf, pos, end)
         if not hint:
-            raise CodecError("empty leader-hint trailer", tag=tag, offset=r.pos)
-        message = replace(message, leader_hint=hint)
-        if r.done():
+            raise CodecError("empty leader-hint trailer", tag=tag, offset=pos)
+        message = replace(message, leader_hint=_intern(hint))
+        if pos == end:
             return message
-        marker = r.u8()
-    if (
-        marker == _TRACE_MARKER
-        and tag in _TRACEABLE_KINDS
-        and r.remaining() == _TRACE_TRAILER_LEN - 1
-    ):
-        return replace(message, trace_flag=True, trace_hop=r.u16())
-    raise CodecError("trailing bytes after message body", tag=tag, offset=r.pos)
+        marker = buf[pos]
+        pos += 1
+    if marker == _TRACE_MARKER and tag in _TRACEABLE_KINDS and end - pos == 2:
+        return replace(message, trace_flag=True, trace_hop=buf[pos] << 8 | buf[pos + 1])
+    raise CodecError("trailing bytes after message body", tag=tag, offset=pos)
 
 
 # ---------------------------------------------------------------------------
@@ -820,36 +636,7 @@ _UUID_FIRST_TAGS = frozenset(
 )
 
 
-def _skip_str(view: memoryview, pos: int, end: int) -> int:
-    """Advance past one length-prefixed string without decoding it."""
-    if pos + 2 > end:
-        raise CodecError(
-            f"truncated message: need 2 bytes at offset {pos}, have {end - pos}",
-            offset=pos,
-        )
-    n = (view[pos] << 8) | view[pos + 1]
-    stop = pos + 2 + n
-    if stop > end:
-        raise CodecError(
-            f"truncated message: need {n} bytes at offset {pos + 2}, "
-            f"have {end - pos - 2}",
-            offset=pos + 2,
-        )
-    return stop
-
-
-def _peek_str(view: memoryview, pos: int, end: int) -> tuple[str, int]:
-    """Decode one length-prefixed string, returning (value, next offset)."""
-    stop = _skip_str(view, pos, end)
-    try:
-        return str(view[pos + 2 : stop], "utf-8"), stop
-    except UnicodeDecodeError as exc:
-        raise CodecError(
-            f"invalid UTF-8 in string field: {exc}", offset=pos + 2
-        ) from exc
-
-
-def _lazy_request_key(view: memoryview) -> tuple[str, int]:
+def _lazy_request_key(buf: bytes) -> tuple[str, int]:
     """Extract a DiscoveryRequest's ``(uuid, attempt)`` dedup key.
 
     Walks the request layout by length prefixes only: no UTF-8 decode of
@@ -858,43 +645,14 @@ def _lazy_request_key(view: memoryview) -> tuple[str, int]:
     a buffer that yields a key is structurally sound (field *content*
     is only validated on materialisation).
     """
-    end = len(view)
-    uuid, pos = _peek_str(view, 3, end)  # uuid
-    pos = _skip_str(view, pos, end)  # requester_host
-    if pos + 3 > end:
+    end = len(buf)
+    uuid, _ = _str(buf, 3, end)
+    stop = _SKIP_REQUEST(buf, 3, end)
+    if stop != end and not (end - stop == _TRACE_TRAILER_LEN and buf[stop] == _TRACE_MARKER):
         raise CodecError(
-            f"truncated message: need 3 bytes at offset {pos}, have {end - pos}",
-            offset=pos,
+            "trailing bytes after message body", tag=DiscoveryRequest.kind, offset=stop
         )
-    n_transports = view[pos + 2]
-    pos += 3  # requester_port + transport count
-    for _ in range(n_transports):
-        pos = _skip_str(view, pos, end)
-    if pos >= end:
-        raise CodecError(
-            f"truncated message: need 1 bytes at offset {pos}, have 0", offset=pos
-        )
-    n_credentials = view[pos]
-    pos += 1
-    for _ in range(n_credentials):
-        pos = _skip_str(view, pos, end)
-    pos = _skip_str(view, pos, end)  # realm
-    tail = _REQ_TAIL.size
-    if pos + tail > end:
-        raise CodecError(
-            f"truncated message: need {tail} bytes at offset {pos}, "
-            f"have {end - pos}",
-            offset=pos,
-        )
-    attempt = view[pos + tail - 1]
-    pos += tail
-    if pos != end and not (
-        end - pos == _TRACE_TRAILER_LEN and view[pos] == _TRACE_MARKER
-    ):
-        raise CodecError(
-            "trailing bytes after message body", tag=DiscoveryRequest.kind, offset=pos
-        )
-    return uuid, attempt
+    return uuid, buf[stop - 1]  # attempt is the body's last byte
 
 
 class LazyMessage:
@@ -918,10 +676,10 @@ class LazyMessage:
     full decode.
     """
 
-    __slots__ = ("_view", "tag", "_message", "_uuid")
+    __slots__ = ("_buf", "tag", "_message", "_uuid")
 
-    def __init__(self, view: memoryview, tag: int) -> None:
-        self._view = view
+    def __init__(self, buf: bytes, tag: int) -> None:
+        self._buf = buf
         self.tag = tag
         self._message: Message | None = None
         self._uuid: str | None = None
@@ -931,7 +689,7 @@ class LazyMessage:
         """The fully materialised message (decoded once, cached)."""
         m = self._message
         if m is None:
-            m = self._message = _decode_body(self._view, self.tag)
+            m = self._message = _decode_body(self._buf, self.tag)
         return m
 
     @property
@@ -949,7 +707,7 @@ class LazyMessage:
                 m = self.message
                 u = getattr(m, "uuid", None) or getattr(m, "request_uuid", "")
             else:
-                u, _ = _peek_str(self._view, 3, len(self._view))
+                u, _ = _str(self._buf, 3, len(self._buf))
             self._uuid = u
         return u
 
@@ -963,7 +721,7 @@ class LazyMessage:
         m = self._message
         if m is not None:
             return (m.uuid, m.attempt)
-        return _lazy_request_key(self._view)
+        return _lazy_request_key(self._buf)
 
     def __getattr__(self, name: str):
         # Only reached for names that are not slots/properties: any
@@ -972,7 +730,7 @@ class LazyMessage:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "materialized" if self._message is not None else "lazy"
-        return f"<LazyMessage tag={self.tag} {state} {len(self._view)}B>"
+        return f"<LazyMessage tag={self.tag} {state} {len(self._buf)}B>"
 
 
 def lazy_decode(buf: bytes | bytearray | memoryview) -> LazyMessage:
@@ -980,165 +738,17 @@ def lazy_decode(buf: bytes | bytearray | memoryview) -> LazyMessage:
 
     Validates only the magic number and type tag; raises
     :class:`CodecError` for anything that could never decode.  The body
-    is parsed on first field access.
+    is parsed on first field access.  A mutable ``buf`` is copied: the
+    view never pins, or changes under, a caller's buffer.
     """
-    view = buf if type(buf) is memoryview else memoryview(buf)
-    return LazyMessage(view, _check_header(view))
+    if type(buf) is not bytes:
+        buf = bytes(buf)
+    return LazyMessage(buf, _check_header(buf))
 
 
 # ---------------------------------------------------------------------------
 # Sizing
 # ---------------------------------------------------------------------------
-#
-# wire_size computes the byte length arithmetically from the same
-# layouts the encoders use -- no encode, no cache, and therefore no
-# pinned message instances (the old ``lru_cache`` kept a strong
-# reference to every message it ever sized for the life of the
-# process).  CPython tracks an ASCII flag per str, so ``len(s)`` is the
-# UTF-8 length for ASCII strings without touching the characters.
-
-
-def _utf8len(s: str) -> int:
-    return len(s) if s.isascii() else len(s.encode("utf-8"))
-
-
-def _size_transports(transports: tuple[tuple[str, int], ...]) -> int:
-    n = 1
-    for proto, _port in transports:
-        n += 4 + _utf8len(proto)
-    return n
-
-
-def _size_event(m: Event) -> int:
-    n = (
-        2 + _utf8len(m.uuid)
-        + 2 + _utf8len(m.topic)
-        + 4 + len(m.payload)
-        + 2 + _utf8len(m.source)
-        + 9  # issued_at f64 + header count u8
-    )
-    for k, v in m.headers:
-        n += 4 + _utf8len(k) + _utf8len(v)
-    return n
-
-
-def _size_ack(m: Ack) -> int:
-    return 4 + _utf8len(m.uuid) + _utf8len(m.acked_by)
-
-
-def _size_advertisement(m: BrokerAdvertisement) -> int:
-    return (
-        2 + _utf8len(m.broker_id)
-        + 2 + _utf8len(m.hostname)
-        + _size_transports(m.transports)
-        + 2 + _utf8len(m.logical_address)
-        + 2 + _utf8len(m.region)
-        + 2 + _utf8len(m.institution)
-        + 16  # issued_at + ttl
-    )
-
-
-def _size_request(m: DiscoveryRequest) -> int:
-    n = (
-        2 + _utf8len(m.uuid)
-        + 2 + _utf8len(m.requester_host)
-        + 3  # requester_port u16 + transport count u8
-    )
-    for proto in m.transports:
-        n += 2 + _utf8len(proto)
-    n += 1
-    for cred in m.credentials:
-        n += 2 + _utf8len(cred)
-    return n + 2 + _utf8len(m.realm) + _REQ_TAIL.size
-
-
-def _size_response(m: DiscoveryResponse) -> int:
-    return (
-        2 + _utf8len(m.request_uuid)
-        + 2 + _utf8len(m.broker_id)
-        + 2 + _utf8len(m.hostname)
-        + _size_transports(m.transports)
-        + _RESP_TAIL.size
-    )
-
-
-def _size_busy(m: DiscoveryBusy) -> int:
-    return 2 + _utf8len(m.request_uuid) + 2 + _utf8len(m.bdn) + _BUSY_TAIL.size
-
-
-def _size_ping_request(m: PingRequest) -> int:
-    return 2 + _utf8len(m.uuid) + 8 + 2 + _utf8len(m.reply_host) + 2
-
-
-def _size_ping_response(m: PingResponse) -> int:
-    return 2 + _utf8len(m.uuid) + 8 + 2 + _utf8len(m.broker_id)
-
-
-def _size_subscription(m: Subscribe | Unsubscribe) -> int:
-    return 6 + _utf8len(m.uuid) + _utf8len(m.topic) + _utf8len(m.subscriber)
-
-
-def _size_lease_claim(m: LeaseClaim) -> int:
-    return 4 + _utf8len(m.group) + _utf8len(m.candidate) + _CLAIM_TAIL.size
-
-
-def _size_lease_vote(m: LeaseVote) -> int:
-    return (
-        4 + _utf8len(m.group) + _utf8len(m.voter)
-        + _VOTE_TAIL.size
-        + 2 + _utf8len(m.leader_hint)
-    )
-
-
-def _size_replica_append(m: ReplicaAppend) -> int:
-    return (
-        4 + _utf8len(m.group) + _utf8len(m.leader)
-        + _TERM_SEQ.size
-        + _size_advertisement(m.ad)
-    )
-
-
-def _size_replica_ack(m: ReplicaAck) -> int:
-    return 4 + _utf8len(m.group) + _utf8len(m.member) + _TERM_SEQ.size
-
-
-def _size_anti_entropy_digest(m: AntiEntropyDigest) -> int:
-    n = 6 + _utf8len(m.group) + _utf8len(m.member)
-    for broker_id, _remaining in m.entries:
-        n += 10 + _utf8len(broker_id)
-    return n
-
-
-def _size_anti_entropy_delta(m: AntiEntropyDelta) -> int:
-    n = 6 + _utf8len(m.group) + _utf8len(m.member)
-    for ad in m.ads:
-        n += _size_advertisement(ad)
-    return n
-
-
-def _size_advertisement_ack(m: AdvertisementAck) -> int:
-    return 6 + _utf8len(m.broker_id) + _utf8len(m.bdn) + _utf8len(m.leader_hint)
-
-
-_SIZERS = {
-    Event.kind: _size_event,
-    Subscribe.kind: _size_subscription,
-    Unsubscribe.kind: _size_subscription,
-    Ack.kind: _size_ack,
-    BrokerAdvertisement.kind: _size_advertisement,
-    DiscoveryRequest.kind: _size_request,
-    DiscoveryResponse.kind: _size_response,
-    DiscoveryBusy.kind: _size_busy,
-    PingRequest.kind: _size_ping_request,
-    PingResponse.kind: _size_ping_response,
-    LeaseClaim.kind: _size_lease_claim,
-    LeaseVote.kind: _size_lease_vote,
-    ReplicaAppend.kind: _size_replica_append,
-    ReplicaAck.kind: _size_replica_ack,
-    AntiEntropyDigest.kind: _size_anti_entropy_digest,
-    AntiEntropyDelta.kind: _size_anti_entropy_delta,
-    AdvertisementAck.kind: _size_advertisement_ack,
-}
 
 
 def wire_size(message: Message) -> int:
@@ -1150,11 +760,11 @@ def wire_size(message: Message) -> int:
     """
     kind = type(message).kind
     sizer = _SIZERS.get(kind)
-    if sizer is None or type(message) is Message:
+    if sizer is None:
         raise CodecError(f"cannot encode message type {type(message).__name__}")
     n = 3 + sizer(message)
     if kind in _HINTABLE_KINDS and message.leader_hint:
         n += 3 + _utf8len(message.leader_hint)
-    if getattr(message, "trace_flag", False):
+    if kind in _TRACEABLE_KINDS and message.trace_flag:
         n += _TRACE_TRAILER_LEN
     return n

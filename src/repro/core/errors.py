@@ -18,11 +18,13 @@ class CodecError(ReproError):
     Decoding raises this for truncated buffers, unknown message type
     tags, or field values that fail validation (e.g. negative lengths).
 
-    Decode-side errors carry diagnostic position info: ``tag`` is the
-    wire type tag of the message being decoded (``None`` if the failure
-    happened before the tag was read) and ``offset`` is the byte offset
-    into the buffer where decoding stopped (``None`` for encode-side
-    errors, where there is no buffer).
+    Encoding raises it for a type with no wire form, a string over
+    64 KiB, or a scalar that does not fit its field.
+
+    ``tag`` is the wire type tag of the message being encoded or decoded
+    (``None`` if the failure happened before the tag was known) and
+    ``offset`` is the byte offset into the buffer where decoding stopped
+    (``None`` for encode-side errors, where there is no buffer).
     """
 
     def __init__(

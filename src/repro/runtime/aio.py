@@ -17,9 +17,11 @@ system sockets.  Design points:
 * **Synchronous socket setup, asynchronous I/O.**  ``bind_udp`` /
   ``listen_tcp`` create and bind the OS socket *synchronously* (so the
   real port is known, and sends can resolve it, the moment the call
-  returns) and then attach it to the event loop as a background task.
-  Await :meth:`AioRuntime.ready` after booting nodes to ensure every
-  socket is receiving before traffic starts.
+  returns).  A UDP socket receives from that moment: the runtime reads
+  it itself under ``loop.add_reader``, a ``recvfrom`` of a datagram's
+  size, not asyncio's 256 KiB transport read.  A TCP listener attaches
+  as a background task: await :meth:`AioRuntime.ready` after booting
+  nodes so every listener is accepting before traffic starts.
 * **Multicast is emulated in-registry.**  CI loopback offers no IGMP;
   group membership lives in the runtime and :meth:`multicast` fans out
   real unicast datagrams to in-realm members -- same visible semantics
@@ -59,6 +61,16 @@ __all__ = ["AioRuntime", "AioTimerHandle", "AioConnection"]
 _FRAME_PREAMBLE = 0  # payload: utf-8 "host:port" of the connector
 _FRAME_MESSAGE = 1  # payload: one encoded Message
 _FRAME_HEADER = struct.Struct(">BI")
+# Above any legal message (an AntiEntropyDelta of 65 535 advertisements
+# at 1 KiB each), far below the 4 GiB a u32 prefix could make us buffer.
+_MAX_FRAME_BYTES = 64 * 1024 * 1024
+_UDP_RECV_BYTES = 64 * 1024  # no UDP datagram is larger
+# Datagrams one readiness callback delivers before timers and the other
+# sockets get the loop back (level-triggered: the rest calls it again).
+# Small on purpose: a socket drained dry marches its senders in step --
+# at 4 and above, 32 closed-loop clients behind one BDN left the core
+# idle 15-25 % of a saturated run (EXPERIMENTS.md "PR 20").
+_UDP_DRAIN_MAX = 2
 
 
 class AioTimerHandle:
@@ -91,7 +103,6 @@ class _AioHostInfo:
 class _UdpBinding:
     sock: socket.socket
     handler: Handler
-    transport: asyncio.DatagramTransport | None = None
 
 
 @dataclass
@@ -422,45 +433,38 @@ class AioRuntime:
         binding = _UdpBinding(sock=sock, handler=handler)
         self._udp[endpoint] = binding
         self.map_endpoint(endpoint, *sock.getsockname()[:2])
-        self._spawn(self._attach_udp(endpoint, binding))
+        self.loop().add_reader(sock, self._udp_readable, endpoint, binding)
 
-    async def _attach_udp(self, endpoint: Endpoint, binding: _UdpBinding) -> None:
-        runtime = self
-
-        class _Proto(asyncio.DatagramProtocol):
-            def datagram_received(self, data: bytes, addr) -> None:
-                runtime._udp_received(endpoint, data, addr)
-
-            def error_received(self, exc: Exception) -> None:  # pragma: no cover
-                runtime._note_error(f"udp error on {endpoint}: {exc!r}")
-
-        transport, _ = await self.loop().create_datagram_endpoint(_Proto, sock=binding.sock)
-        if self._udp.get(endpoint) is binding:
-            binding.transport = transport
-        else:  # unbound while attaching
-            transport.close()
-
-    def _udp_received(self, endpoint: Endpoint, data: bytes, addr) -> None:
-        binding = self._udp.get(endpoint)
-        if binding is None:
-            return  # unbound while the datagram was queued
-        try:
-            message = decode_message(data)
-        except CodecError:
-            self.datagrams_dropped += 1
+    def _udp_readable(self, endpoint: Endpoint, binding: _UdpBinding) -> None:
+        """Deliver what the socket holds: socket -> bytes -> message -> handler."""
+        recvfrom = binding.sock.recvfrom
+        for _ in range(_UDP_DRAIN_MAX):
+            try:
+                data, addr = recvfrom(_UDP_RECV_BYTES)
+            except BlockingIOError:
+                return  # drained
+            except OSError as exc:
+                self._note_error(f"udp error on {endpoint}: {exc!r}")
+                return
+            try:
+                message = decode_message(data)
+            except CodecError:
+                self.datagrams_dropped += 1
+                if self.tracer is not None:
+                    self.tracer.record("udp_garbled", endpoint.host, src=f"{addr[0]}:{addr[1]}")
+                continue
+            src = self._by_real.get(addr) or Endpoint(*addr)
+            self.datagrams_delivered += 1
             if self.tracer is not None:
-                self.tracer.record("udp_garbled", endpoint.host, src=f"{addr[0]}:{addr[1]}")
-            return
-        src = self._by_real.get((addr[0], addr[1]), Endpoint(addr[0], addr[1]))
-        self.datagrams_delivered += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                "udp_deliver", endpoint.host, src=src, kind=type(message).__name__
-            )
-        try:
-            binding.handler(message, src)
-        except Exception as exc:
-            self._note_error(f"udp handler at {endpoint} failed: {exc!r}")
+                self.tracer.record(
+                    "udp_deliver", endpoint.host, src=src, kind=type(message).__name__
+                )
+            try:
+                binding.handler(message, src)
+            except Exception as exc:
+                self._note_error(f"udp handler at {endpoint} failed: {exc!r}")
+            if self._udp.get(endpoint) is not binding:
+                return  # unbound by its own handler: the socket is closed
 
     def unbind_udp(self, endpoint: Endpoint) -> None:
         """Close the socket behind ``endpoint`` (idempotent)."""
@@ -472,10 +476,8 @@ class AioRuntime:
             self._by_real.pop(real, None)
         for members in self._multicast_groups.values():
             members.discard(endpoint)
-        if binding.transport is not None:
-            binding.transport.close()
-        else:
-            binding.sock.close()
+        self.loop().remove_reader(binding.sock)
+        binding.sock.close()
 
     def send_udp(self, src: Endpoint, dst: Endpoint, message: Message) -> None:
         """Fire one real datagram; drops (kernel or addressing) are counted."""
@@ -566,6 +568,10 @@ class AioRuntime:
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 writer.close()
                 return
+            except TransportError as exc:
+                self._note_error(f"preamble at {endpoint}: {exc}")
+                writer.close()
+                return
             if kind != _FRAME_PREAMBLE:
                 writer.close()
                 return
@@ -635,6 +641,9 @@ class AioRuntime:
     async def _read_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
         header = await reader.readexactly(_FRAME_HEADER.size)
         kind, length = _FRAME_HEADER.unpack(header)
+        if length > _MAX_FRAME_BYTES:
+            # The prefix is the peer's word: refuse it before buffering.
+            raise TransportError(f"frame of {length} bytes exceeds {_MAX_FRAME_BYTES}")
         payload = await reader.readexactly(length) if length else b""
         return kind, payload
 
@@ -656,5 +665,8 @@ class AioRuntime:
                         self._note_error(f"link handler on {conn.local} failed: {exc!r}")
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
+        except TransportError as exc:
+            self._note_error(f"link {conn.local}<-{conn.remote}: {exc}")
+            conn.close()
         finally:
             conn._peer_gone()

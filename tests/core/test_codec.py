@@ -259,6 +259,34 @@ class TestErrors:
         with pytest.raises(CodecError):
             decode_message(b"")
 
+    @pytest.mark.parametrize(
+        "message",
+        [
+            PingRequest(uuid="p", sent_at=0.0, reply_host="h", reply_port=70_000),
+            DiscoveryRequest(uuid="u", requester_host="h", requester_port=1, hop_count=70_000),
+            DiscoveryRequest(uuid="u", requester_host="h", requester_port=1, attempt=256),
+            Event(
+                uuid="e", topic="t", payload=b"", source="s", issued_at=0.0,
+                headers=tuple((f"k{i}", "v") for i in range(300)),
+            ),
+            BrokerAdvertisement(
+                broker_id="b", hostname="h", logical_address="/b",
+                transports=tuple((f"t{i}", i) for i in range(256)),
+            ),
+            Ack(uuid="u" * 70_000, acked_by="x"),
+            Ack(uuid="u", acked_by="x" * 70_000),
+        ],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_unencodable_field_is_a_codec_error_with_the_tag(self, message):
+        """Regression: an out-of-range scalar used to escape as a raw
+        ``struct.error`` -- through ``send_udp`` into the engine, on the
+        live runtime -- and a too-long string as a CodecError with no tag."""
+        with pytest.raises(CodecError) as excinfo:
+            encode_message(message)
+        assert excinfo.value.tag == type(message).kind
+        assert excinfo.value.offset is None
+
 
 class TestSizes:
     def test_discovery_response_is_compact(self):

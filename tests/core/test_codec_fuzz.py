@@ -7,12 +7,14 @@ surface as a typed protocol error, never as an uncontrolled exception
 
 from __future__ import annotations
 
+import json
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.codec import decode_message, encode_message, lazy_decode
+from repro.core.codec import decode_message, encode_message, lazy_decode, wire_size
 from repro.core.errors import CodecError
 from repro.core.messages import (
     Ack,
@@ -211,6 +213,37 @@ def test_property_hostile_ttl_rejected_at_decode(bad_ttl):
         decode_message(bytes(buf))
 
 
+def test_invalid_utf8_is_codec_error_at_the_string():
+    buf = bytearray(encode_message(Ack(uuid="uuid", acked_by="bdn")))
+    buf[3 + 2 + 4 + 2] = 0xFF  # first byte of acked_by
+    with pytest.raises(CodecError, match="invalid UTF-8") as excinfo:
+        decode_message(bytes(buf))
+    assert excinfo.value.tag == Ack.kind
+    assert excinfo.value.offset == 3 + 2 + 4 + 2
+
+
+@pytest.mark.parametrize(
+    "message, tail",
+    [
+        # cpu_load 7.5 in a response's metrics block (f64 before the final u32)
+        (DiscoveryResponse(
+            request_uuid="r", broker_id="b0", hostname="h", transports=(), issued_at=1.0,
+            metrics=UsageMetrics(free_memory=1, total_memory=2, num_links=0, num_connections=0),
+        ), struct.pack(">dI", 7.5, 0)),
+        # retry_after -1 on a busy signal
+        (DiscoveryBusy(request_uuid="r", bdn="d", retry_after=1.0), struct.pack(">dI", -1.0, 0)),
+    ],
+    ids=["UsageMetrics", "retry_after"],
+)
+def test_out_of_range_field_rejected_at_decode(message, tail):
+    buf = encode_message(message)
+    buf = buf[: -len(tail)] + tail
+    with pytest.raises(CodecError, match="invalid field values") as excinfo:
+        decode_message(buf)
+    assert excinfo.value.tag == type(message).kind
+    assert excinfo.value.offset == len(buf)
+
+
 # ---------------------------------------------------------------------------
 # Every wire tag (1-17), including the 0x54 / 0x4C trailer variants
 # ---------------------------------------------------------------------------
@@ -281,13 +314,69 @@ def test_property_hostile_length_prefixes_rejected(data):
         pass
 
 
+_SAMPLE_IDS = [f"{i}-{type(m).__name__}" for i, m in enumerate(_SAMPLES)]
+
+
 def test_codec_error_carries_tag_and_offset():
-    buf = encode_message(_SAMPLES[3])  # DiscoveryRequest, tag 4
-    with pytest.raises(CodecError) as excinfo:
-        decode_message(buf[: len(buf) - 2])
-    assert excinfo.value.tag == DiscoveryRequest.kind
-    assert isinstance(excinfo.value.offset, int)
-    assert 0 < excinfo.value.offset <= len(buf)
+    """Every sample cut at every length: always CodecError, eagerly and
+    lazily, with the tag once the header is read and an offset inside
+    the buffer that was handed in."""
+    for message, wire in zip(_SAMPLES, _WIRES):
+        for cut in range(len(wire)):
+            buf = wire[:cut]
+            where = f"{type(message).__name__} cut at {cut}"
+            for decode in (decode_message, lambda b: lazy_decode(b).message):
+                try:
+                    decoded = decode(buf)
+                except CodecError as exc:
+                    if cut < 3:
+                        assert exc.tag is None and exc.offset == 0, where
+                    else:
+                        assert exc.tag == type(message).kind, where
+                        assert isinstance(exc.offset, int) and 0 < exc.offset <= cut, where
+                else:
+                    # Only a cut on an optional-trailer boundary is a
+                    # valid (shorter) message.
+                    assert encode_message(decoded) == buf, where
+
+
+#: ``encode_message(sample).hex()`` for every entry of ``_SAMPLES``,
+#: written by the codec as it stood before its decoders were rewritten.
+#: The golden trace digests only pin the tags the scenarios happen to
+#: send; this pins all 17 and the hint-then-trace trailer order.
+_CORPUS = json.loads(Path(__file__).with_name("wire_corpus.json").read_text())
+
+
+def test_wire_corpus_covers_every_sample():
+    assert [row["type"] for row in _CORPUS] == [type(m).__name__ for m in _SAMPLES]
+
+
+@pytest.mark.parametrize("index", range(len(_SAMPLES)), ids=_SAMPLE_IDS)
+def test_wire_corpus_matches_byte_for_byte(index):
+    message, wire = _SAMPLES[index], bytes.fromhex(_CORPUS[index]["hex"])
+    assert encode_message(message) == wire
+    assert wire_size(message) == len(wire)
+    assert decode_message(wire) == message
+    assert lazy_decode(wire).message == message
+
+
+@pytest.mark.parametrize("index", range(len(_SAMPLES)), ids=_SAMPLE_IDS)
+def test_bytes_bytearray_and_memoryview_decode_alike(index):
+    wire = _WIRES[index]
+    for buf in (wire, bytearray(wire), memoryview(wire), memoryview(bytearray(wire))[:]):
+        assert decode_message(buf) == _SAMPLES[index]
+        assert lazy_decode(buf).message == _SAMPLES[index]
+
+
+def test_lazy_message_never_pins_a_mutable_buffer():
+    """A receive loop reuses its bytearray: the view must neither hold
+    an export on it (resizing would raise BufferError) nor see it change."""
+    scratch = bytearray(_WIRES[3])
+    lazy = lazy_decode(scratch)
+    scratch[:] = bytes(len(scratch))
+    scratch.clear()
+    assert lazy.request_key() == (_SAMPLES[3].uuid, _SAMPLES[3].attempt)
+    assert lazy.message == _SAMPLES[3]
 
 
 def test_codec_error_tag_none_before_header_read():

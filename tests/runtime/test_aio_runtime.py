@@ -7,9 +7,12 @@ loopback (sub-millisecond), so settle times are generous multiples.
 from __future__ import annotations
 
 import asyncio
+import socket
+import struct
 
 import pytest
 
+from repro.core.codec import encode_message
 from repro.core.config import Endpoint
 from repro.core.messages import Ack, PingRequest
 from repro.core.errors import TransportError, UnknownHostError
@@ -22,6 +25,16 @@ def run(coro):
 
 async def settle(seconds: float = 0.15) -> None:
     await asyncio.sleep(seconds)
+
+
+async def until(condition, tries: int = 400) -> bool:
+    """Let the loop run until ``condition()`` holds (no wall-clock verdict:
+    a slow host takes more turns, a hang fails the assertion)."""
+    for _ in range(tries):
+        if condition():
+            return True
+        await asyncio.sleep(0.005)
+    return condition()
 
 
 class TestHostRegistry:
@@ -195,6 +208,99 @@ class TestUdp:
         run(scenario())
 
 
+class TestUdpReceivePath:
+    """What a burst does, pinned on the path that reads the socket."""
+
+    BURST = 100  # several readiness callbacks' worth
+
+    def test_burst_queued_before_the_loop_runs_arrives_whole_and_in_order(self):
+        async def scenario():
+            rt = AioRuntime()
+            rt.register_host("a.local", "sa")
+            rt.register_host("b.local", "sb")
+            a, b = Endpoint("a.local", 100), Endpoint("b.local", 200)
+            seen = []
+            rt.bind_udp(a, lambda m, src: None)
+            rt.bind_udp(b, lambda m, src: seen.append((m.uuid, src)))
+            for i in range(self.BURST):  # no await: the kernel queues them all
+                rt.send_udp(a, b, Ack(uuid=f"u{i}", acked_by="a"))
+            assert seen == []
+            assert await until(lambda: len(seen) == self.BURST)
+            assert seen == [(f"u{i}", a) for i in range(self.BURST)]
+            assert rt.datagrams_delivered == self.BURST
+            assert rt.datagrams_dropped == 0 and not rt.errors
+            await rt.aclose()
+
+        run(scenario())
+
+    def test_handler_unbinding_its_own_endpoint_mid_burst_hears_no_more(self):
+        async def scenario():
+            rt = AioRuntime()
+            rt.register_host("a.local", "sa")
+            rt.register_host("b.local", "sb")
+            a, b = Endpoint("a.local", 100), Endpoint("b.local", 200)
+            seen = []
+
+            def third_is_enough(message, src):
+                seen.append(message.uuid)
+                if len(seen) == 3:
+                    rt.unbind_udp(b)
+
+            rt.bind_udp(a, lambda m, src: None)
+            rt.bind_udp(b, third_is_enough)
+            for i in range(10):
+                rt.send_udp(a, b, Ack(uuid=f"u{i}", acked_by="a"))
+            assert await until(lambda: len(seen) == 3)
+            await settle(0.05)
+            assert seen == ["u0", "u1", "u2"]
+            assert rt.datagrams_delivered == 3
+            assert not rt.errors
+            await rt.aclose()
+
+        run(scenario())
+
+    def test_garbled_datagram_between_two_good_ones_is_one_drop(self):
+        async def scenario():
+            rt = AioRuntime()
+            rt.register_host("b.local", "sb")
+            b = Endpoint("b.local", 200)
+            seen = []
+            rt.bind_udp(b, lambda m, src: seen.append((m.uuid, src)))
+            peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            peer.bind(("127.0.0.1", 0))
+            try:
+                real = rt.real_address(b)
+                peer.sendto(encode_message(Ack(uuid="before", acked_by="p")), real)
+                peer.sendto(b"\x4e\x42\x02 not an ack", real)
+                peer.sendto(encode_message(Ack(uuid="after", acked_by="p")), real)
+                assert await until(lambda: len(seen) == 2)
+                # An unmapped source surfaces as its real address.
+                unmapped = Endpoint(*peer.getsockname())
+                assert seen == [("before", unmapped), ("after", unmapped)]
+                assert rt.datagrams_dropped == 1
+                assert rt.datagrams_delivered == 2
+                assert not rt.errors
+            finally:
+                peer.close()
+                await rt.aclose()
+
+        run(scenario())
+
+    def test_bind_then_send_without_awaiting_ready_is_delivered(self):
+        async def scenario():
+            rt = AioRuntime()
+            rt.register_host("a.local", "sa")
+            a = Endpoint("a.local", 100)
+            seen = []
+            rt.bind_udp(a, lambda m, src: seen.append(m.uuid))
+            rt.send_udp(a, a, Ack(uuid="early", acked_by="a"))
+            assert await until(lambda: seen == ["early"])
+            assert rt.datagrams_delivered == 1
+            await rt.aclose()
+
+        run(scenario())
+
+
 class TestErrorRing:
     def test_errors_bounded_with_dropped_counter(self):
         async def scenario():
@@ -348,6 +454,52 @@ class TestTcpLinks:
             with pytest.raises(TransportError):
                 links[0].send(Ack(uuid="late", acked_by="cli"))
             assert not rt.errors
+            await rt.aclose()
+
+        run(scenario())
+
+    def test_oversized_frame_length_closes_the_link_unbuffered(self):
+        """Regression: the u32 length prefix is the peer's word.  A raw
+        peer announcing 4 GiB used to park the link in ``readexactly``,
+        buffering whatever followed; now the announcement alone ends it."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            rt = AioRuntime()
+            rt.register_host("srv.local", "s")
+            srv = Endpoint("srv.local", 500)
+            accepted, closed = [], []
+
+            def on_accept(conn):
+                accepted.append(conn)
+                conn.on_close = lambda: closed.append(conn)
+
+            rt.listen_tcp(srv, on_accept)
+            await rt.ready()
+            hostile = struct.pack(">BI", 1, 0xFFFFFFFF)
+            preamble = b"raw.local:9"
+
+            async def raw_peer(*frames: bytes) -> bytes:
+                peer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                peer.setblocking(False)
+                try:
+                    await loop.sock_connect(peer, rt.real_address(srv))
+                    await loop.sock_sendall(peer, b"".join(frames))
+                    # EOF (b"") is the runtime hanging up on us.
+                    return await asyncio.wait_for(loop.sock_recv(peer, 16), timeout=5.0)
+                finally:
+                    peer.close()
+
+            # As the very first frame: no link yet, the socket is dropped.
+            assert await raw_peer(struct.pack(">BI", 0, 0xFFFFFFFF)) == b""
+            assert len(rt.errors) == 1 and "exceeds" in rt.errors[0]
+            assert not accepted
+            # On an established link: that link closes, and says so.
+            header = struct.pack(">BI", 0, len(preamble))
+            assert await raw_peer(header, preamble, hostile, b"x" * 1024) == b""
+            assert len(accepted) == 1 and closed == accepted
+            assert not accepted[0].open
+            assert len(rt.errors) == 2 and "exceeds" in rt.errors[1]
             await rt.aclose()
 
         run(scenario())
