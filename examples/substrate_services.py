@@ -3,17 +3,16 @@
 
 The paper's introduction describes NaradaBrokering's services --
 "reliable delivery, replays, (de)compression of large payloads,
-fragmentation and coalescing of large datasets" -- which this library
-implements in full.  This example runs a realistic data-grid session on
-top of broker discovery:
+fragmentation and coalescing of large datasets" -- of which this
+library implements the two the evaluation touches: reliable delivery
+with replays, and content routing.  This example runs a realistic
+data-grid session on top of broker discovery:
 
 1. a compute service discovers its nearest broker and attaches;
 2. it streams job-status events **reliably** (sequence-numbered, with a
    stable-storage archive) while a consumer disconnects and reconnects
    -- nothing is lost, order is preserved;
-3. it ships a large simulation output **compressed and fragmented**
-   across the broker network, reassembled and verified at the consumer;
-4. the network runs **content routing**, so brokers without subscribers
+3. the network runs **content routing**, so brokers without subscribers
    never carry the data stream.
 
 Run with::
@@ -26,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import BDNConfig, ClientConfig
-from repro.core.compression import compress_payload, decompress_payload
 from repro.discovery import (
     BDN,
     DiscoveryClient,
@@ -36,13 +34,11 @@ from repro.discovery import (
 from repro.experiments import run_discovery_once
 from repro.substrate import (
     BrokerNetwork,
-    Coalescer,
     PubSubClient,
     ReliableDeliveryService,
     ReliablePublisher,
     ReliableSubscriber,
     Topology,
-    fragment,
     install_content_routing,
 )
 
@@ -114,36 +110,6 @@ def main() -> None:
     assert statuses == ["queued", "running", "checkpoint-1", "checkpoint-2", "completed"]
     assert subscriber.gaps_requested == 1
     print(f"(one gap recovery served {archive.replays_served} archived events)")
-
-    # --- large dataset: compress, fragment, ship, reassemble ----------------
-    # A 640 KB dataset with 40x internal redundancy (within zlib's 32 KB
-    # window): compression shrinks it to ~16 KB, which still needs a
-    # few 8 KB fragments.
-    block = np.random.default_rng(7).bytes(16 * 1024)
-    dataset = block * 40
-    framed = compress_payload(dataset)
-    print(f"\nShipping dataset: {len(dataset)} bytes -> "
-          f"{len(framed)} bytes compressed")
-    results = []
-    coalescer = Coalescer()
-
-    def on_chunk(event):
-        whole = coalescer.offer(event)
-        if whole is not None:
-            results.append(decompress_payload(whole))
-
-    consumer_client.subscribe("grid/datasets/**", on_chunk)
-    net.sim.run_for(1.0)
-    fragments = fragment(
-        "grid/datasets/run42", framed, producer_client.name,
-        producer_client.utc(), producer_client.ids, mtu=8192,
-    )
-    for chunk in fragments:
-        producer_client.publish(chunk.topic, chunk.payload, headers=chunk.headers)
-    net.sim.run_for(3.0)
-    assert results and results[0] == dataset
-    print(f"Reassembled {len(fragments)} fragments into {len(results[0])} bytes, "
-          f"digest verified")
 
     # --- content routing receipts -------------------------------------------
     print("\nPer-broker events routed (content routing prunes dead branches):")

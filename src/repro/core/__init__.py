@@ -50,7 +50,6 @@ from repro.core.codec import (
     LazyMessage,
     wire_size,
 )
-from repro.core.compression import compress_payload, decompress_payload, is_compressed
 
 __all__ = [
     "ReproError",
@@ -85,7 +84,4 @@ __all__ = [
     "lazy_decode",
     "LazyMessage",
     "wire_size",
-    "compress_payload",
-    "decompress_payload",
-    "is_compressed",
 ]

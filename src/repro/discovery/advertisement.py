@@ -69,7 +69,7 @@ def build_advertisement(
     # A broker with a flight recorder marks its advertisements so BDN
     # registration shows up under the "ad:<broker_id>" trace id.
     return BrokerAdvertisement(
-        trace_flag=broker._recorder is not None,
+        trace_flag=broker.observing,
         broker_id=broker.name,
         hostname=broker.host,
         transports=(("tcp", BROKER_TCP_PORT), ("udp", BROKER_UDP_PORT)),
@@ -98,7 +98,7 @@ def advertise_direct(
     """
     ad = build_advertisement(broker, region=region, ttl=ttl)
     if ad.trace_flag:
-        broker.span("send", f"ad:{broker.name}", kind="BrokerAdvertisement", bdn=bdn_endpoint)
+        broker.emit("send", f"ad:{broker.name}", kind="BrokerAdvertisement", bdn=bdn_endpoint)
     broker.send_udp(bdn_endpoint, ad)
     return ad
 
@@ -127,7 +127,7 @@ def withdraw_registration(
         advertise_direct(broker, bdn_endpoint, region=region, ttl=WITHDRAW_TTL)
         sent += 1
     if sent:
-        broker.trace("registration_withdrawn", bdns=sent)
+        broker.emit("registration_withdrawn", bdns=sent)
     return sent
 
 
@@ -294,7 +294,7 @@ class GroupHeartbeat:
             if self._unacked > self.rehome_misses:
                 # The homed member went silent; fan back out so *some*
                 # member keeps the lease alive.
-                self.broker.trace("heartbeat_broadcast", misses=self._unacked - 1)
+                self.broker.emit("heartbeat_broadcast", misses=self._unacked - 1)
                 self.leader = None
         targets = (self.leader,) if self.leader is not None else self.endpoints
         for endpoint in targets:
@@ -311,7 +311,7 @@ class GroupHeartbeat:
             return
         self.rehomes += 1
         self.leader = hinted
-        self.broker.trace("heartbeat_rehomed", leader=str(hinted))
+        self.broker.emit("heartbeat_rehomed", leader=str(hinted))
         # Renew with the new leader immediately: a takeover mid-lease
         # must not cost a full heartbeat interval of exposure.
         advertise_direct(self.broker, hinted, region=self.region, ttl=self.lease)
@@ -344,10 +344,10 @@ def enable_bdn_autoregistration(broker: Broker, region: str = "") -> None:
             host, port_text = event.payload.decode().rsplit(":", 1)
             endpoint = Endpoint(host, int(port_text))
         except (ValueError, UnicodeDecodeError):
-            broker.trace("bdn_announce_malformed", uuid=event.uuid)
+            broker.emit("bdn_announce_malformed", uuid=event.uuid)
             return
         advertise_direct(broker, endpoint, region=region)
-        broker.trace("bdn_autoregistered", bdn=endpoint)
+        broker.emit("bdn_autoregistered", bdn=endpoint)
 
     broker.add_control_handler(BDN_ANNOUNCE_TOPIC, on_announce)
 

@@ -53,7 +53,6 @@ from repro.obs import trace_context
 from repro.runtime.api import OwnedTimers, Runtime, TimerHandle
 from repro.simnet.node import Node
 from repro.simnet.service import IngressQueue
-from repro.simnet.trace import Tracer
 from repro.discovery.advertisement import (
     AD_TOPIC,
     BDN_ANNOUNCE_TOPIC,
@@ -85,7 +84,7 @@ class BDN(Node):
     config:
         Injection strategy, interest regions, private-BDN credentials,
         ping sweep interval.
-    site, realm, tracer, obs:
+    site, realm, obs:
         Forwarded to :class:`~repro.simnet.node.Node`.
     """
 
@@ -98,11 +97,10 @@ class BDN(Node):
         config: BDNConfig | None = None,
         site: str | None = None,
         realm: str | None = None,
-        tracer: Tracer | None = None,
         obs=None,
     ) -> None:
         super().__init__(
-            name, host, network, rng, site=site, realm=realm, tracer=tracer, obs=obs
+            name, host, network, rng, site=site, realm=realm, obs=obs
         )
         self.config = config if config is not None else BDNConfig()
         # The registry partitions the advertisement table and the dedup
@@ -142,9 +140,8 @@ class BDN(Node):
                 self.runtime,
                 self._on_udp,
                 self.config.service,
-                trace=self.trace,
+                owner=self,
                 admit=self._admit,
-                span=self._queue_span if self._recorder is not None else None,
             )
         # Replicated control plane (None = the paper's island BDN).
         self.replication: ReplicationState | None = None
@@ -209,7 +206,7 @@ class BDN(Node):
         if self.replication is not None:
             self.replication.start(cold=self._cold_pending)
         self._cold_pending = False
-        self.trace("bdn_start")
+        self.emit("bdn_start")
 
     def stop(self) -> None:
         """Take the BDN offline (fault injection); idempotent."""
@@ -227,7 +224,7 @@ class BDN(Node):
             self.replication.stop()
         if self._network_client is not None:
             self._network_client.disconnect()
-        self.trace("bdn_stop")
+        self.emit("bdn_stop")
 
     def clear_registry(self) -> None:
         """Wipe the advertisement table: a *cold* restart's disk state.
@@ -249,8 +246,8 @@ class BDN(Node):
         self.dedup.reset()
         if self.replication is not None:
             self._cold_pending = True
-        self.trace("bdn_cold_restart")
-        self.span("cold_restart", f"bdn:{self.name}")
+        self.emit("bdn_cold_restart")
+        self.emit("cold_restart", f"bdn:{self.name}")
 
     def attach_to_network(self, broker: Broker) -> None:
         """Maintain an active connection into the broker network.
@@ -262,7 +259,7 @@ class BDN(Node):
         substrate subscribe to").
         """
         client = PubSubClient(
-            f"{self.name}-feed", self.host, self.runtime, self.rng, tracer=self.tracer
+            f"{self.name}-feed", self.host, self.runtime, self.rng, obs=self.obs
         )
         # The client shares this BDN's host (already registered).
         client.start()
@@ -288,7 +285,7 @@ class BDN(Node):
             issued_at=self.utc(),
         )
         broker.publish_local(event)
-        self.trace("bdn_announced", via=broker.name)
+        self.emit("bdn_announced", via=broker.name)
 
     def _on_topic_advertisement(self, event: Event) -> None:
         if not self.alive:
@@ -338,16 +335,10 @@ class BDN(Node):
         )
         self.runtime.send_udp(self.udp_endpoint, requester, busy)
         if message.trace_flag:
-            self.span("shed", message.uuid, hop=message.trace_hop, depth=self.queue_depth)
-            self.span("busy", message.uuid, hop=busy.trace_hop, retry_after=busy.retry_after)
-        self.trace("bdn_busy", request=message.uuid, depth=self.queue_depth)
+            self.emit("shed", message.uuid, hop=message.trace_hop, depth=self.queue_depth)
+            self.emit("busy", message.uuid, hop=busy.trace_hop, retry_after=busy.retry_after)
+        self.emit("bdn_busy", request=message.uuid, depth=self.queue_depth)
         return False
-
-    def _queue_span(self, event: str, message: Message) -> None:
-        """Ingress-queue hook: record enqueue/dequeue of traced messages."""
-        ctx = trace_context(message)
-        if ctx is not None:
-            self.span(event, ctx[0], hop=ctx[1], kind=type(message).__name__)
 
     _REPLICATION_DISPATCH = {
         LeaseClaim: "on_lease_claim",
@@ -369,7 +360,7 @@ class BDN(Node):
                 message = message.message
             except CodecError as exc:
                 self.unknown_messages += 1
-                self.trace("bdn_unknown_message", type=f"undecodable(tag={exc.tag})")
+                self.emit("bdn_unknown_message", type=f"undecodable(tag={exc.tag})")
                 return
         if isinstance(message, BrokerAdvertisement):
             self._register(message, src)
@@ -386,14 +377,14 @@ class BDN(Node):
             # (or a stale/misrouted datagram): count it and drop it
             # instead of silently ignoring it.
             self.unknown_messages += 1
-            self.trace("bdn_unknown_message", type=type(message).__name__)
+            self.emit("bdn_unknown_message", type=type(message).__name__)
 
     def _register(self, ad: BrokerAdvertisement, src: Endpoint | None = None) -> None:
-        if ad.trace_flag and self._recorder is not None:
-            self.span("recv", f"ad:{ad.broker_id}", hop=ad.trace_hop, kind="BrokerAdvertisement")
+        if ad.trace_flag and self.observing:
+            self.emit("recv", f"ad:{ad.broker_id}", hop=ad.trace_hop, kind="BrokerAdvertisement")
         if self.store.accept(ad, self.runtime.now):
             self._track(ad.broker_id)
-            self.trace("bdn_registered", broker=ad.broker_id)
+            self.emit("bdn_registered", broker=ad.broker_id)
             # Measure the new broker's distance right away so the
             # closest/farthest injection has data to work with.
             stored = self.store.get(ad.broker_id)
@@ -428,7 +419,7 @@ class BDN(Node):
         if not self.store.accept_if_newer(ad, now):
             return False
         self._track(ad.broker_id)
-        self.trace("bdn_registered", broker=ad.broker_id, via="replication")
+        self.emit("bdn_registered", broker=ad.broker_id, via="replication")
         stored = self.store.get(ad.broker_id)
         if stored is not None and self.pinger.average_rtt(ad.broker_id) is None:
             self.pinger.ping(stored.udp_endpoint, key=ad.broker_id)
@@ -445,9 +436,9 @@ class BDN(Node):
 
     def _handle_request(self, request: DiscoveryRequest) -> None:
         self.requests_received += 1
-        traced_req = request.trace_flag and self._recorder is not None
+        traced_req = request.trace_flag and self.observing
         if traced_req:
-            self.span("recv", request.uuid, hop=request.trace_hop, kind="DiscoveryRequest")
+            self.emit("recv", request.uuid, hop=request.trace_hop, kind="DiscoveryRequest")
         requester = Endpoint(request.requester_host, request.requester_port)
         if self.replication is not None and not self.replication.serving:
             # Cold-restarted member still catching up: an empty (or
@@ -465,22 +456,22 @@ class BDN(Node):
             )
             self.runtime.send_udp(self.udp_endpoint, requester, busy)
             if traced_req:
-                self.span("busy", request.uuid, hop=busy.trace_hop, retry_after=busy.retry_after)
-            self.trace("bdn_catchup_refused", request=request.uuid)
+                self.emit("busy", request.uuid, hop=busy.trace_hop, retry_after=busy.retry_after)
+            self.emit("bdn_catchup_refused", request=request.uuid)
             return
         # Timely acknowledgement (section 3), even for duplicates.
         self.runtime.send_udp(self.udp_endpoint, requester, Ack(uuid=request.uuid, acked_by=self.name))
         if traced_req:
-            self.span("send", request.uuid, hop=request.trace_hop, kind="Ack")
+            self.emit("send", request.uuid, hop=request.trace_hop, kind="Ack")
         if self.dedup.seen((request.uuid, request.attempt)):
             if traced_req:
-                self.span("dup_suppressed", request.uuid, hop=request.trace_hop, kind="DiscoveryRequest")
+                self.emit("dup_suppressed", request.uuid, hop=request.trace_hop, kind="DiscoveryRequest")
             return  # idempotent: duplicate of an already-disseminated copy
         if self.config.required_credentials and not (
             request.credentials & self.config.required_credentials
         ):
             self.credential_rejections += 1
-            self.trace("bdn_credential_reject", request=request.uuid)
+            self.emit("bdn_credential_reject", request=request.uuid)
             return
         self._disseminate(request)
 
@@ -495,7 +486,7 @@ class BDN(Node):
             self.stale_targets += len(stale)
             targets = [s for s in targets if not s.is_expired(now)]
         if not targets:
-            self.trace("bdn_no_brokers", request=request.uuid)
+            self.emit("bdn_no_brokers", request=request.uuid)
             return
         self.requests_disseminated += 1
         forwarded = request.forwarded()
@@ -511,13 +502,13 @@ class BDN(Node):
                 forwarded,
                 stored.broker_id,
             )
-        self.trace("bdn_disseminate", request=request.uuid, targets=len(targets))
+        self.emit("bdn_disseminate", request=request.uuid, targets=len(targets))
 
     def _fire_fanout(self, key: int, dst: Endpoint, message: Message, broker_id: str) -> None:
         self._fanout_timers.pop(key)
-        ctx = trace_context(message) if self._recorder is not None else None
+        ctx = trace_context(message) if self.observing else None
         if ctx is not None:
-            self.span("inject", ctx[0], hop=ctx[1], broker=broker_id)
+            self.emit("inject", ctx[0], hop=ctx[1], broker=broker_id)
         self.runtime.send_udp(self.udp_endpoint, dst, message)
 
     def _injection_targets(self) -> list[StoredAdvertisement]:
@@ -604,7 +595,7 @@ class BDN(Node):
         shard = self.registry.shard(index)
         for broker_id in shard.evict_expired(now):
             self._forget(broker_id)
-            self.trace("bdn_lease_expired", broker=broker_id)
+            self.emit("bdn_lease_expired", broker=broker_id)
         horizon = _PRUNE_MISSED_SWEEPS * self.config.ping_interval
         for stored in shard.all():
             broker_id = stored.broker_id
@@ -614,7 +605,7 @@ class BDN(Node):
             if now - reference > horizon:
                 shard.remove(broker_id)
                 self._forget(broker_id)
-                self.trace("bdn_pruned", broker=broker_id)
+                self.emit("bdn_pruned", broker=broker_id)
                 continue
             self.pinger.ping(stored.udp_endpoint, key=broker_id)
 

@@ -220,7 +220,7 @@ class ChaosWorld:
                 config=bdn_config,
                 site=f"bdn-s{j}",
                 realm="lab",
-                tracer=self.net.tracer,
+                obs=self.net.obs,
             )
             bdn.start()
             self.bdns.append(bdn)
@@ -253,7 +253,7 @@ class ChaosWorld:
             ),
             site="client-site",
             realm="lab",
-            tracer=self.net.tracer,
+            obs=self.net.obs,
         )
         self.client.start()
         self.injector = FaultInjector(self.net.network)

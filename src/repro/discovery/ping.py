@@ -106,7 +106,7 @@ class Pinger:
         uuid = self._node.ids()
         deadline = self._node.runtime.now + self._outstanding_timeout
         resolved_key = key if key is not None else target.host
-        traced = trace_id is not None and self._node._recorder is not None
+        traced = trace_id is not None and self._node.observing
         self._outstanding[uuid] = (resolved_key, deadline, trace_id if traced else None)
         request = PingRequest(
             uuid=uuid,
@@ -118,7 +118,7 @@ class Pinger:
         self._node.runtime.send_udp(self._reply, target, request)
         self.pings_sent += 1
         if traced:
-            self._node.span("send", trace_id, kind="PingRequest", broker=resolved_key)
+            self._node.emit("send", trace_id, kind="PingRequest", broker=resolved_key)
         return uuid
 
     def on_response(self, response: PingResponse, src: Endpoint) -> None:
@@ -136,7 +136,7 @@ class Pinger:
         if rtt < 0:
             return  # clock was stepped mid-flight; drop the sample
         if trace_id is not None:
-            self._node.span(
+            self._node.emit(
                 "recv", trace_id, hop=response.trace_hop, kind="PingResponse", broker=key
             )
         samples = self._samples.setdefault(key, [])

@@ -292,7 +292,7 @@ class ReplicationState:
         self._granted_to = self.me
         self._granted_term = self.term
         self._grant_expires = now + self.config.lease_duration
-        self.bdn.trace("election_started", term=self.term, member=self.me)
+        self.bdn.emit("election_started", term=self.term, member=self.me)
         self._count("replication.elections")
         claim = LeaseClaim(
             group=self.config.group,
@@ -318,8 +318,8 @@ class ReplicationState:
         self.leader = self.me
         self.elections_won += 1
         self.leadership_intervals.append([float(self.term), now, self._lease_until()])
-        self.bdn.trace("election_won", term=self.term, member=self.me)
-        self.bdn.span("leader_elected", f"group:{self.config.group}", term=self.term)
+        self.bdn.emit("election_won", term=self.term, member=self.me)
+        self.bdn.emit("leader_elected", f"group:{self.config.group}", term=self.term)
         self._count("replication.elections_won")
         self._gauge("replication.is_leader", 1)
         if self._heartbeat_timer is None:
@@ -346,7 +346,7 @@ class ReplicationState:
     def _step_down(self, why: str) -> None:
         if self.role == LEADER:
             self.stepdowns += 1
-            self.bdn.trace("leader_stepdown", term=self.term, member=self.me, why=why)
+            self.bdn.emit("leader_stepdown", term=self.term, member=self.me, why=why)
             self._count("replication.stepdowns")
             self._gauge("replication.is_leader", 0)
             if self.leadership_intervals:
@@ -418,7 +418,7 @@ class ReplicationState:
                 self._arm_election_timer(
                     self._grant_expires + self.index * self.config.election_stagger
                 )
-        self.bdn.trace(
+        self.bdn.emit(
             "lease_granted" if granted else "lease_denied",
             term=claim.term,
             candidate=claim.candidate,
@@ -486,7 +486,7 @@ class ReplicationState:
             self.foreign_group_messages += 1
             return
         if append.term < self.term:
-            self.bdn.trace("replica_stale_term", term=append.term, leader=append.leader)
+            self.bdn.emit("replica_stale_term", term=append.term, leader=append.leader)
             return
         now = self._now
         if append.term > self.term:
@@ -500,7 +500,7 @@ class ReplicationState:
         if append.seq > self._follower_next_seq:
             # Missed appends (loss or late join): pull a repair rather
             # than waiting for the next scheduled pass.
-            self.bdn.trace(
+            self.bdn.emit(
                 "replica_gap", expected=self._follower_next_seq, got=append.seq
             )
             self._count("replication.gaps")
@@ -533,7 +533,7 @@ class ReplicationState:
         sent_at = self._append_sent_at.pop(seq, None)
         self.committed_seq = max(self.committed_seq, seq)
         self.commits += 1
-        self.bdn.span("replica_commit", f"group:{self.config.group}", seq=seq)
+        self.bdn.emit("replica_commit", f"group:{self.config.group}", seq=seq)
         self._count("replication.commits")
         if sent_at is not None:
             self._observe("replication.commit_latency", self._now - sent_at)
@@ -550,7 +550,7 @@ class ReplicationState:
             # Grace lapsed with no delta (e.g. every peer is dead);
             # serve what we have rather than refusing forever.
             self.caught_up = True
-            self.bdn.trace("bdn_caught_up", via="grace")
+            self.bdn.emit("bdn_caught_up", via="grace")
 
     def _send_digests(self) -> None:
         digest = self._digest_message(self._now)
@@ -589,7 +589,7 @@ class ReplicationState:
                 continue
             ads.append(self._wire_ad(stored.advertisement, now, stored.expires_at))
         if truncated:
-            self.bdn.trace("anti_entropy_truncated", dropped=truncated)
+            self.bdn.emit("anti_entropy_truncated", dropped=truncated)
         self.repair_ads_sent += len(ads)
         self._count("replication.repair_ads_sent", len(ads))
         # Always answer, even with an empty delta: a catching-up member
@@ -610,12 +610,12 @@ class ReplicationState:
         self.repair_ads_applied += applied
         if applied:
             self._count("replication.repair_ads_applied", applied)
-            self.bdn.span(
+            self.bdn.emit(
                 "repair", f"group:{self.config.group}", ads=applied, peer=delta.member
             )
         if not self.caught_up:
             self.caught_up = True
-            self.bdn.trace("bdn_caught_up", via="anti_entropy", ads=applied)
+            self.bdn.emit("bdn_caught_up", via="anti_entropy", ads=applied)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -638,13 +638,13 @@ class ReplicationState:
         self.bdn.runtime.send_udp(self.bdn.udp_endpoint, dst, message)
 
     def _count(self, name: str, amount: int = 1) -> None:
-        if self.bdn.obs is not None:
+        if self.bdn.observing:
             self.bdn.obs.registry.counter(name).inc(amount)
 
     def _gauge(self, name: str, value: float) -> None:
-        if self.bdn.obs is not None:
+        if self.bdn.observing:
             self.bdn.obs.registry.gauge(name).set(value)
 
     def _observe(self, name: str, value: float) -> None:
-        if self.bdn.obs is not None:
+        if self.bdn.observing:
             self.bdn.obs.registry.histogram(name).observe(value)

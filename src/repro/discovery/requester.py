@@ -42,7 +42,6 @@ from repro.core.messages import (
 )
 from repro.runtime.api import Runtime, TimerHandle
 from repro.simnet.node import Node
-from repro.simnet.trace import Tracer
 from repro.discovery.overload import CircuitBreaker, DecorrelatedJitterBackoff, TokenBucket
 from repro.discovery.phases import PhaseTimer
 from repro.discovery.replication import try_parse_endpoint
@@ -221,7 +220,6 @@ class DiscoveryClient(Node):
         site: str | None = None,
         realm: str | None = None,
         multicast_enabled: bool = True,
-        tracer: Tracer | None = None,
         obs=None,
     ) -> None:
         super().__init__(
@@ -232,7 +230,6 @@ class DiscoveryClient(Node):
             site=site,
             realm=realm,
             multicast_enabled=multicast_enabled,
-            tracer=tracer,
             obs=obs,
         )
         self.config = config if config is not None else ClientConfig()
@@ -323,7 +320,7 @@ class DiscoveryClient(Node):
             return
         self.preferred_bdn = endpoint
         self.leader_hint_updates += 1
-        self.trace("leader_hint_update", bdn=endpoint)
+        self.emit("leader_hint_update", bdn=endpoint)
         if self.config.retry_policy is not None:
             self._breaker(endpoint).probe_now()
 
@@ -353,7 +350,7 @@ class DiscoveryClient(Node):
         if run is not None:
             self._fail(run)
         self.runtime.unbind_udp(self.udp_endpoint)
-        self.trace("client_stop")
+        self.emit("client_stop")
 
     # ------------------------------------------------------------------
     # Public API
@@ -375,7 +372,7 @@ class DiscoveryClient(Node):
         self._begin_phase(run, "issue_request")
         if self._backoff is not None:
             self._backoff.reset()  # each run starts its backoff sequence fresh
-        self.trace("discover_start", request=run.uuid)
+        self.emit("discover_start", request=run.uuid)
         if self.config.bdn_endpoints:
             self._send_to_bdn(run)
         else:
@@ -406,7 +403,7 @@ class DiscoveryClient(Node):
         run = _Run(self.ids(), phases, self.runtime.now, on_complete)
         self._run = run
         self._begin_phase(run, "issue_request")
-        self.trace("rediscover_start", request=run.uuid)
+        self.emit("rediscover_start", request=run.uuid)
         self._fallback_cached(run)
         return run.uuid
 
@@ -446,7 +443,7 @@ class DiscoveryClient(Node):
             if state["missed"] >= max_missed:
                 series.cancel()
                 self._watch_timers.discard(series)
-                self.trace("watch_broker_lost", broker=target.broker_id)
+                self.emit("watch_broker_lost", broker=target.broker_id)
                 self.rediscover(on_reconnect)
                 return
             state["pinged"] = True
@@ -468,7 +465,7 @@ class DiscoveryClient(Node):
         :meth:`PhaseTimer.percentages`.
         """
         run.phases.begin(name)
-        self.span("phase", run.uuid, phase=name)
+        self.emit("phase", run.uuid, phase=name)
 
     def _request(self, run: _Run) -> DiscoveryRequest:
         return DiscoveryRequest(
@@ -483,7 +480,7 @@ class DiscoveryClient(Node):
             # The request UUID doubles as the trace id; flag it on the
             # wire whenever this client records flight spans, so every
             # downstream engine can annotate the same trace.
-            trace_flag=self._recorder is not None,
+            trace_flag=self.observing,
         )
 
     def _arm_collection_deadline(self, run: _Run) -> None:
@@ -504,7 +501,7 @@ class DiscoveryClient(Node):
         run.via = "bdn"
         request = self._request(run)
         run.transmissions += 1
-        self.span("send", run.uuid, kind="DiscoveryRequest", bdn=bdn, attempt=request.attempt)
+        self.emit("send", run.uuid, kind="DiscoveryRequest", bdn=bdn, attempt=request.attempt)
         self.runtime.send_udp(self.udp_endpoint, bdn, request)
         self._arm_collection_deadline(run)
         if run.ack_timer is not None:
@@ -512,7 +509,7 @@ class DiscoveryClient(Node):
         run.ack_timer = self.runtime.schedule(
             self.config.retransmit_interval, self._on_silence, run
         )
-        self.trace("request_sent", request=run.uuid, bdn=bdn)
+        self.emit("request_sent", request=run.uuid, bdn=bdn)
 
     def _on_silence(self, run: _Run) -> None:
         """A silence timer fired with no responses collected yet.
@@ -528,12 +525,12 @@ class DiscoveryClient(Node):
                 self._on_bdn_silence_with_policy(run)
             elif run.retransmits_here < self.config.max_retransmits:
                 run.retransmits_here += 1
-                self.trace("request_retransmit", request=run.uuid)
+                self.emit("request_retransmit", request=run.uuid)
                 self._send_to_bdn(run)
             elif run.bdn_index + 1 < len(run.bdn_order):
                 run.bdn_index += 1
                 run.retransmits_here = 0
-                self.trace("request_next_bdn", request=run.uuid)
+                self.emit("request_next_bdn", request=run.uuid)
                 self._send_to_bdn(run)
             else:
                 self._fallback_multicast(run)
@@ -558,17 +555,17 @@ class DiscoveryClient(Node):
                 run.retransmits_here += 1
                 gate = self._bdn_retry_at.get(bdn, 0.0)
                 delay = max(self._backoff.next(), gate - self.runtime.now)
-                self.trace(
+                self.emit(
                     "request_retransmit_budgeted", request=run.uuid, delay=f"{delay:.3f}"
                 )
                 self._schedule_retry(run, delay)
                 return
             self.retries_denied += 1
-            self.trace("retry_denied", request=run.uuid)
+            self.emit("retry_denied", request=run.uuid)
         if run.bdn_index + 1 < len(run.bdn_order):
             run.bdn_index += 1
             run.retransmits_here = 0
-            self.trace("request_next_bdn", request=run.uuid)
+            self.emit("request_next_bdn", request=run.uuid)
             self._send_to_bdn(run)
         else:
             self._fallback_multicast(run)
@@ -585,10 +582,10 @@ class DiscoveryClient(Node):
             bdn = bdns[run.bdn_index]
             if self._bdn_retry_at.get(bdn, 0.0) > self.runtime.now:
                 self.bdn_skips += 1
-                self.trace("bdn_skipped_retry_after", request=run.uuid, bdn=bdn)
+                self.emit("bdn_skipped_retry_after", request=run.uuid, bdn=bdn)
             elif not self._breaker(bdn).allow():
                 self.bdn_skips += 1
-                self.trace("bdn_skipped_breaker", request=run.uuid, bdn=bdn)
+                self.emit("bdn_skipped_breaker", request=run.uuid, bdn=bdn)
             else:
                 return True
             run.bdn_index += 1
@@ -624,11 +621,11 @@ class DiscoveryClient(Node):
         run.via = "multicast"
         request = self._request(run)
         run.transmissions += 1
-        self.span("send", run.uuid, kind="DiscoveryRequest", via="multicast")
+        self.emit("send", run.uuid, kind="DiscoveryRequest", via="multicast")
         reached = self.runtime.multicast(
             self.udp_endpoint, self.config.multicast_group, request
         )
-        self.trace("request_multicast", request=run.uuid, reached=reached)
+        self.emit("request_multicast", request=run.uuid, reached=reached)
         if reached == 0:
             self._fallback_cached(run)
             return
@@ -647,13 +644,13 @@ class DiscoveryClient(Node):
         run.via = "cached"
         request = self._request(run)
         run.transmissions += 1
-        self.span(
+        self.emit(
             "send", run.uuid, kind="DiscoveryRequest", via="cached",
             targets=len(self.last_target_set),
         )
         for target in self.last_target_set:
             self.runtime.send_udp(self.udp_endpoint, target.udp_endpoint, request)
-        self.trace("request_cached_targets", request=run.uuid, targets=len(self.last_target_set))
+        self.emit("request_cached_targets", request=run.uuid, targets=len(self.last_target_set))
         self._arm_collection_deadline(run)
         if run.ack_timer is not None:
             run.ack_timer.cancel()
@@ -673,7 +670,7 @@ class DiscoveryClient(Node):
             if isinstance(message, DiscoveryResponse):
                 self.late_responses += 1
                 if message.trace_flag:
-                    self.span(
+                    self.emit(
                         "late", message.request_uuid, hop=message.trace_hop,
                         kind="DiscoveryResponse", broker=message.broker_id,
                     )
@@ -685,7 +682,7 @@ class DiscoveryClient(Node):
         elif isinstance(message, DiscoveryResponse):
             self.late_responses += 1
             if message.trace_flag:
-                self.span(
+                self.emit(
                     "late", message.request_uuid, hop=message.trace_hop,
                     kind="DiscoveryResponse", broker=message.broker_id,
                 )
@@ -698,7 +695,7 @@ class DiscoveryClient(Node):
         if self.config.retry_policy is not None:
             self._breaker(src).record_success()
         run.bdn_used = src
-        self.span("recv", run.uuid, kind="Ack", bdn=src)
+        self.emit("recv", run.uuid, kind="Ack", bdn=src)
         self._enter_collecting(run)
 
     def _on_busy(self, run: _Run, busy: DiscoveryBusy, src: Endpoint) -> None:
@@ -714,8 +711,8 @@ class DiscoveryClient(Node):
         if self.config.retry_policy is None:
             return  # no policy: treat like any stray datagram
         self.busy_received += 1
-        self.span("recv", run.uuid, hop=busy.trace_hop, kind="DiscoveryBusy", bdn=busy.bdn)
-        self.trace(
+        self.emit("recv", run.uuid, hop=busy.trace_hop, kind="DiscoveryBusy", bdn=busy.bdn)
+        self.emit(
             "bdn_busy_received",
             request=run.uuid,
             bdn=busy.bdn,
@@ -732,7 +729,7 @@ class DiscoveryClient(Node):
         if run.bdn_index + 1 < len(bdns):
             run.bdn_index = self._next_bdn_index(run, busy.leader_hint)
             run.retransmits_here = 0
-            self.trace("request_next_bdn", request=run.uuid)
+            self.emit("request_next_bdn", request=run.uuid)
             self._send_to_bdn(run)
             return
         if self.retry_budget.try_acquire():
@@ -740,11 +737,11 @@ class DiscoveryClient(Node):
             delay = max(self._backoff.next(), earliest - self.runtime.now)
             run.bdn_index = 0
             run.retransmits_here = 0
-            self.trace("request_rung_retry", request=run.uuid, delay=f"{delay:.3f}")
+            self.emit("request_rung_retry", request=run.uuid, delay=f"{delay:.3f}")
             self._schedule_retry(run, delay)
         else:
             self.retries_denied += 1
-            self.trace("retry_denied", request=run.uuid)
+            self.emit("retry_denied", request=run.uuid)
             self._fallback_multicast(run)
 
     def _next_bdn_index(self, run: _Run, hint: str) -> int:
@@ -766,7 +763,7 @@ class DiscoveryClient(Node):
                     j = -1
                 if j > run.bdn_index:
                     run.hint_jumped = True
-                    self.trace("leader_hint_jump", request=run.uuid, bdn=hinted)
+                    self.emit("leader_hint_jump", request=run.uuid, bdn=hinted)
                     return j
         return nxt
 
@@ -790,14 +787,14 @@ class DiscoveryClient(Node):
         if run.state != "COLLECTING":
             self.late_responses += 1
             if response.trace_flag:
-                self.span(
+                self.emit(
                     "late", run.uuid, hop=response.trace_hop,
                     kind="DiscoveryResponse", broker=response.broker_id,
                 )
             return
         if response.broker_id in run.candidates:
             if response.trace_flag:
-                self.span(
+                self.emit(
                     "dup_suppressed", run.uuid, hop=response.trace_hop,
                     kind="DiscoveryResponse", broker=response.broker_id,
                 )
@@ -806,11 +803,11 @@ class DiscoveryClient(Node):
             response, self.utc(), self.config.weights
         )
         if response.trace_flag:
-            self.span(
+            self.emit(
                 "recv", run.uuid, hop=response.trace_hop,
                 kind="DiscoveryResponse", broker=response.broker_id,
             )
-        self.trace("response_received", request=run.uuid, broker=response.broker_id)
+        self.emit("response_received", request=run.uuid, broker=response.broker_id)
         if len(run.candidates) >= self.config.max_responses:
             self._end_collection(run, reason="max_responses")
 
@@ -832,7 +829,7 @@ class DiscoveryClient(Node):
             # brokers whose responses were lost can answer again.
             run.extended = True
             run.retransmits_here += 1
-            self.trace("collection_extended", request=run.uuid)
+            self.emit("collection_extended", request=run.uuid)
             self._send_to_bdn(run)
             return
         self._end_collection(run, reason="timeout")
@@ -847,7 +844,7 @@ class DiscoveryClient(Node):
             self._begin_phase(run, "wait_initial_responses")
         self._begin_phase(run, "process_responses")
         run.state = "SELECTING"
-        self.trace("collection_done", request=run.uuid, reason=reason, n=len(run.candidates))
+        self.emit("collection_done", request=run.uuid, reason=reason, n=len(run.candidates))
         cost = _SELECT_COST_BASE + _SELECT_COST_PER_CANDIDATE * len(run.candidates)
         self._schedule_aux(run, cost, self._select_targets, run)
 
@@ -862,7 +859,7 @@ class DiscoveryClient(Node):
             if missing:
                 # Previously these fell through with a port-0 endpoint
                 # and got pinged into the void; exclude them up front.
-                self.trace(
+                self.emit(
                     "candidate_excluded",
                     request=run.uuid,
                     broker=cand.broker_id,
@@ -1007,7 +1004,7 @@ class DiscoveryClient(Node):
         run.state = "DONE" if outcome.success else "FAILED"
         self._run = None
         self._record_outcome(run, outcome)
-        self.trace("discover_done", request=run.uuid, success=outcome.success)
+        self.emit("discover_done", request=run.uuid, success=outcome.success)
         run.on_complete(outcome)
 
     def _fail(self, run: _Run) -> None:
@@ -1030,7 +1027,7 @@ class DiscoveryClient(Node):
         run.state = "FAILED"
         self._run = None
         self._record_outcome(run, outcome)
-        self.trace("discover_failed", request=run.uuid)
+        self.emit("discover_failed", request=run.uuid)
         run.on_complete(outcome)
 
     def _record_outcome(self, run: _Run, outcome: DiscoveryOutcome) -> None:
@@ -1040,8 +1037,8 @@ class DiscoveryClient(Node):
         registry (when observability is attached) accumulates outcome
         counters and latency histograms across runs.
         """
-        self.span("done", run.uuid, success=outcome.success, via=run.via)
-        if self.obs is None:
+        self.emit("done", run.uuid, success=outcome.success, via=run.via)
+        if not self.observing:
             return
         registry = self.obs.registry
         name = "discovery.completed" if outcome.success else "discovery.failed"

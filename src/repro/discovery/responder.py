@@ -123,7 +123,7 @@ class DiscoveryResponder:
         self.draining = False
         self._response_timers.cancel_all()
         self.detach_heartbeat()
-        self.broker.trace("responder_stop")
+        self.broker.emit("responder_stop")
 
     def drain(self, withdraw_endpoints=()) -> None:
         """Begin a graceful drain; idempotent.
@@ -150,7 +150,7 @@ class DiscoveryResponder:
             self.withdrawals_sent = withdraw_registration(
                 self.broker, tuple(withdraw_endpoints)
             )
-        self.broker.trace("responder_drain", pending=len(self._response_timers))
+        self.broker.emit("responder_drain", pending=len(self._response_timers))
 
     @property
     def pending_responses(self) -> int:
@@ -245,11 +245,11 @@ class DiscoveryResponder:
         sighting.  Observed worlds take the eager path so recv/dup spans
         carry exactly the same causal order as before.
         """
-        if self.broker._recorder is not None:
+        if self.broker.observing:
             try:
                 message = decode_message(event.payload)
             except CodecError:
-                self.broker.trace("discovery_bad_payload", topic=event.topic)
+                self.broker.emit("discovery_bad_payload", topic=event.topic)
                 return
             if isinstance(message, DiscoveryRequest):
                 self._process(message, propagate=False)
@@ -257,7 +257,7 @@ class DiscoveryResponder:
         try:
             lazy = lazy_decode(event.payload)
         except CodecError:
-            self.broker.trace("discovery_bad_payload", topic=event.topic)
+            self.broker.emit("discovery_bad_payload", topic=event.topic)
             return
         if lazy.tag != DiscoveryRequest.kind:
             return
@@ -266,7 +266,7 @@ class DiscoveryResponder:
         try:
             key = lazy.request_key()
         except CodecError:
-            self.broker.trace("discovery_bad_payload", topic=event.topic)
+            self.broker.emit("discovery_bad_payload", topic=event.topic)
             return
         if self.dedup.seen(key):
             return
@@ -277,7 +277,7 @@ class DiscoveryResponder:
             # failed validation: forget the key so a clean retransmit of
             # the same (uuid, attempt) is not treated as a duplicate.
             self.dedup.discard(key)
-            self.broker.trace("discovery_bad_payload", topic=event.topic)
+            self.broker.emit("discovery_bad_payload", topic=event.topic)
             return
         self._process(request, propagate=False, _deduped=True)
 
@@ -299,9 +299,9 @@ class DiscoveryResponder:
     ) -> None:
         if not self.active or self.draining or not self.broker.alive:
             return
-        traced = request.trace_flag and self.broker._recorder is not None
+        traced = request.trace_flag and self.broker.observing
         if traced:
-            self.broker.span(
+            self.broker.emit(
                 "recv",
                 request.uuid,
                 hop=request.trace_hop,
@@ -312,7 +312,7 @@ class DiscoveryResponder:
         # materialising the request, so don't charge a second lookup.
         if not _deduped and self.dedup.seen(self.request_key(request)):
             if traced:
-                self.broker.span(
+                self.broker.emit(
                     "dup_suppressed", request.uuid, hop=request.trace_hop, kind="DiscoveryRequest"
                 )
             return
@@ -322,7 +322,7 @@ class DiscoveryResponder:
         realm = self._requester_realm(request)
         if not self.broker.config.response_policy.permits(request.credentials, realm):
             self.policy_rejections += 1
-            self.broker.trace("discovery_policy_reject", request=request.uuid)
+            self.broker.emit("discovery_policy_reject", request=request.uuid)
             return
         delay = float(self.broker.rng.uniform(*_PROCESS_DELAY_RANGE))
         self._response_timers.schedule(delay, self._respond, request)
@@ -357,7 +357,7 @@ class DiscoveryResponder:
             issued_at=self.broker.utc(),
         )
         if request.trace_flag:
-            self.broker.span("inject", request.uuid, hop=forwarded.trace_hop, via="topic")
+            self.broker.emit("inject", request.uuid, hop=forwarded.trace_hop, via="topic")
         self.broker.publish_local(event, self._control_handler)
 
     def _respond(self, key: int, request: DiscoveryRequest) -> None:
@@ -373,14 +373,14 @@ class DiscoveryResponder:
             # condition is headroom).
             self.responses_suppressed += 1
             if request.trace_flag:
-                self.broker.span(
+                self.broker.emit(
                     "suppressed",
                     request.uuid,
                     hop=request.trace_hop,
                     broker=self.broker.name,
                     depth=self.broker.queue_depth,
                 )
-            self.broker.trace(
+            self.broker.emit(
                 "discovery_response_suppressed",
                 request=request.uuid,
                 depth=self.broker.queue_depth,
@@ -406,7 +406,7 @@ class DiscoveryResponder:
         )
         self.responses_sent += 1
         if request.trace_flag:
-            self.broker.span(
+            self.broker.emit(
                 "respond", request.uuid, hop=response.trace_hop, broker=self.broker.name
             )
-        self.broker.trace("discovery_response", request=request.uuid)
+        self.broker.emit("discovery_response", request=request.uuid)

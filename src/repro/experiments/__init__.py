@@ -24,11 +24,6 @@ from repro.experiments.stats import (
 from repro.experiments.scenarios import ScenarioSpec, DiscoveryScenario
 from repro.experiments.harness import run_discovery_once, repeat_discovery
 from repro.experiments.report import metric_table, percentage_table, comparison_table
-from repro.experiments.export import (
-    export_outcomes_csv,
-    export_percentages_csv,
-    export_summary_csv,
-)
 
 __all__ = [
     "SummaryStats",
@@ -42,7 +37,4 @@ __all__ = [
     "metric_table",
     "percentage_table",
     "comparison_table",
-    "export_outcomes_csv",
-    "export_percentages_csv",
-    "export_summary_csv",
 ]

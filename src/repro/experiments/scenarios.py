@@ -186,12 +186,15 @@ class DiscoveryScenario:
     Parameters
     ----------
     keep_trace:
-        Retain full :class:`~repro.simnet.trace.Tracer` records; the
-        determinism tests compare them byte for byte.
+        Keep every plain event the brokers and the fabric emit in
+        ``net.obs.log``; the determinism tests compare them byte for
+        byte.
     observe:
-        Attach a shared :class:`~repro.obs.Observability` to every node
-        (brokers, BDN, client), so each discovery run leaves a
-        cross-node flight-recorder timeline behind.
+        Make the network's :class:`~repro.obs.Observability` an
+        observing one and hand it to the BDN and the client as well
+        (unobserved, only the brokers and the fabric hold it), so each
+        discovery run leaves a cross-node flight-recorder timeline
+        behind.
     """
 
     def __init__(
@@ -208,7 +211,7 @@ class DiscoveryScenario:
             keep_trace=keep_trace,
             observe=observe,
         )
-        self.obs = self.net.obs
+        self.obs = self.net.obs if observe else None
         self.brokers = []
         self.responders: dict[str, DiscoveryResponder] = {}
         for site_spec in TABLE1_MACHINES:

@@ -1,35 +1,39 @@
-"""``repro.obs``: the discovery flight recorder and telemetry registry.
+"""``repro.obs``: the one event sink, its metrics registry and its exporters.
 
 Three pillars (see ``docs/PROTOCOL.md`` § Observability):
 
-1. **Trace-context propagation** -- Discovery{Request,Response,Busy},
-   ping/pong and advertisements carry an optional trace flag + hop
-   counter on the wire (the request UUID doubles as trace id); every
-   engine emits :class:`~repro.obs.recorder.SpanEvent` records into a
-   per-node :class:`~repro.obs.recorder.FlightRecorder`.
+1. **One way to say what happened** -- every node, fabric and ingress
+   queue is handed the world's :class:`Observability` and emits into it
+   through one method, in one checked vocabulary
+   (:mod:`repro.obs.events`).  *Plain* events (``request_retransmit``,
+   ``udp_drop``) are always counted and are logged when the sink keeps
+   a trace.  *Causal* events carry a trace id + hop and exist only
+   while the sink is *observing*: then Discovery{Request,Response,Busy},
+   ping/pong and advertisements carry a trace flag + hop counter on the
+   wire (the request UUID doubles as trace id) and every engine drops
+   :class:`~repro.obs.recorder.SpanEvent` records into its node's
+   bounded :class:`~repro.obs.recorder.FlightRecorder` ring.
 2. **MetricsRegistry** -- one namespaced home for counters, gauges and
    fixed-bucket histograms, driven identically by the sim and aio
    runtimes through the :class:`~repro.runtime.api.Runtime` protocol
-   (the registry only ever sees the runtime's clock).
+   (the registry only ever sees the runtime's clock).  Every event is
+   counted there as ``obs.event.<name>``.
 3. **Exporters + timeline assembly** -- :mod:`repro.obs.timeline`
    merges rings into causal per-request timelines;
    :mod:`repro.obs.export` renders JSON and Prometheus text.
 
-Everything is **off by default**: a world without an
-:class:`Observability` attached takes one ``is not None`` branch per
-instrumentation site, encodes byte-identical wire messages, and draws
-no extra randomness -- the golden-trace determinism suite pins this.
+Observing is **off by default**: a node with no sink, or with one that
+is not observing, encodes byte-identical wire messages, keeps no ring,
+publishes no engine metrics and draws no extra randomness -- the
+golden-trace determinism suite pins this.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from itertools import count
-
-from repro.obs.events import KNOWN_EVENTS, SPAN_EVENTS, TRACE_EVENTS, UnknownEventError
+from repro.obs.events import EVENTS, UnknownEventError
 from repro.obs.live import DeltaEncoder, LiveTelemetry, RollingClusterView
 from repro.obs.profiling import SamplingProfiler
-from repro.obs.recorder import DEFAULT_RING_CAPACITY, FlightRecorder, SpanEvent
+from repro.obs.recorder import DEFAULT_RING_CAPACITY, FlightRecorder, Observability, SpanEvent
 from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.slo import SloConfig, SloMonitor, SloViolation
 
@@ -41,15 +45,13 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_RING_CAPACITY",
     "DeltaEncoder",
-    "KNOWN_EVENTS",
+    "EVENTS",
     "LiveTelemetry",
     "RollingClusterView",
-    "SPAN_EVENTS",
     "SamplingProfiler",
     "SloConfig",
     "SloMonitor",
     "SloViolation",
-    "TRACE_EVENTS",
     "UnknownEventError",
     "trace_context",
 ]
@@ -67,60 +69,3 @@ def trace_context(message) -> tuple[str, int] | None:
     if uuid is None:
         return None
     return uuid.partition("#")[0], getattr(message, "trace_hop", 0)
-
-
-class Observability:
-    """One world's telemetry: a metrics registry + per-node recorders.
-
-    Construct one per world and hand it to every node (``obs=`` on the
-    constructors); nodes lazily create their flight recorder through
-    :meth:`recorder`.  The clock is the owning runtime's ``now`` so
-    sim worlds stamp virtual time and aio worlds wall time -- use
-    :meth:`for_runtime` to wire that up.
-    """
-
-    __slots__ = ("registry", "recorders", "ring_capacity", "_clock", "_seq")
-
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-    ) -> None:
-        self._clock = clock if clock is not None else (lambda: 0.0)
-        self.ring_capacity = ring_capacity
-        self.registry = MetricsRegistry()
-        self.recorders: dict[str, FlightRecorder] = {}
-        # Shared emission counter: same-timestamp events across nodes
-        # keep their true (single-threaded) causal order.
-        self._seq = count().__next__
-
-    @classmethod
-    def for_runtime(cls, runtime, ring_capacity: int = DEFAULT_RING_CAPACITY) -> Observability:
-        """An observability layer stamping the runtime's own clock."""
-        return cls(clock=lambda: runtime.now, ring_capacity=ring_capacity)
-
-    @property
-    def now(self) -> float:
-        return float(self._clock())
-
-    def recorder(self, node: str) -> FlightRecorder:
-        """The (lazily created) flight recorder for ``node``."""
-        recorder = self.recorders.get(node)
-        if recorder is None:
-            recorder = FlightRecorder(
-                self._clock, node, self.ring_capacity, counters=self.registry, seq=self._seq
-            )
-            self.recorders[node] = recorder
-        return recorder
-
-    def events(self, trace_id: str | None = None):
-        """All span events across nodes, causally ordered."""
-        from repro.obs.timeline import merge_events
-
-        streams = [self.recorders[name].snapshot() for name in sorted(self.recorders)]
-        return merge_events(streams, trace_id)
-
-    def snapshot(self) -> dict[str, object]:
-        from repro.obs.export import telemetry_snapshot
-
-        return telemetry_snapshot(self)

@@ -1,162 +1,150 @@
-"""Checked registry of every event name the codebase may emit.
+"""The one checked vocabulary of event names the codebase may emit.
 
-Two taxonomies live here:
+Every event is emitted the same way -- ``node.emit(name, ...)`` into
+the world's :class:`~repro.obs.Observability` -- and is one of two
+kinds, which :data:`EVENTS` records per name:
 
-* :data:`SPAN_EVENTS` -- the flight-recorder span vocabulary.  Spans
-  are causal: each carries a trace id (the discovery request UUID) and
-  a hop counter, and the timeline assembler
-  (:mod:`repro.obs.timeline`) merges them across nodes.  The set is
-  deliberately tiny so a cross-node timeline reads like a sequence
-  diagram, not a log dump.
-* :data:`TRACE_EVENTS` -- the legacy per-node
-  :class:`~repro.simnet.trace.Tracer` vocabulary (counters + optional
-  records, no causality).
+* **plain** (``False``): a per-node fact with no causality
+  (``request_retransmit``, ``udp_drop``, ``bdn_lease_expired``).  It is
+  emitted without a trace id, always counted, and logged when the sink
+  keeps a trace.
+* **causal** (``True``): a step of one traced request.  It carries a
+  trace id (the discovery request UUID; ``ping:<key>`` for standalone
+  pings, ``ad:<broker>`` for advertisements, ``group:<name>`` /
+  ``bdn:<name>`` for replication) and a hop counter, lands in the
+  emitting node's bounded ring, and is merged across nodes by
+  :mod:`repro.obs.timeline`.  The set is deliberately tiny so a
+  cross-node timeline reads like a sequence diagram, not a log dump.
+  Causal events exist only while the world is observing.
 
-A tier-1 test greps every ``.trace(`` / ``.record(`` / ``.span(`` /
-``.emit(`` call site under ``src/`` and asserts the literal event name
-appears below, so a typo'd name fails CI instead of silently vanishing
-from reports.  :meth:`FlightRecorder.emit
-<repro.obs.recorder.FlightRecorder.emit>` additionally validates at
-runtime (spans are new code; there is no back-compat to preserve).
+The sink validates a name (and that it is emitted as its kind) when it
+first creates the name's counter; a tier-1 test additionally greps
+every ``.emit("name"`` call site under ``src/`` against this table, so
+a typo fails CI even on a path no test drives.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "SPAN_EVENTS",
-    "TRACE_EVENTS",
-    "KNOWN_EVENTS",
-    "UnknownEventError",
-    "check_span_event",
-]
+__all__ = ["EVENTS", "UnknownEventError", "is_causal"]
 
 
 class UnknownEventError(ValueError):
     """An event name outside the checked registry was emitted."""
 
 
-#: Span vocabulary: event name -> what it marks.  Trace ids are the
-#: discovery request UUID (``ping:<key>`` for standalone pings,
-#: ``ad:<broker>`` for advertisements).
-SPAN_EVENTS: dict[str, str] = {
-    "send": "a traced message left this node",
-    "recv": "a traced message arrived at this node",
-    "inject": "a BDN/responder forwarded the request toward a broker",
-    "dup_suppressed": "a duplicate of the traced message was discarded",
-    "enqueue": "the message entered a bounded ingress queue",
-    "dequeue": "the message left the queue and began service",
-    "respond": "a responder sent a DiscoveryResponse",
-    "suppressed": "a responder withheld its response under load",
-    "shed": "admission control refused the request outright",
-    "busy": "a DiscoveryBusy was issued for the request",
-    "late": "a response arrived after its run had already closed",
-    "phase": "the requester entered a PhaseTimer phase",
-    "done": "the requester closed the run (success or failure)",
+#: Event name -> is it causal?  Grouped by the module that emits it.
+EVENTS: dict[str, bool] = {
+    # -- causal ---------------------------------------------------------
+    "send": True,  # a traced message left this node
+    "recv": True,  # a traced message arrived at this node
+    "inject": True,  # a BDN/responder forwarded the request toward a broker
+    "dup_suppressed": True,  # a duplicate of the traced message was discarded
+    "enqueue": True,  # the message entered a bounded ingress queue
+    "dequeue": True,  # the message left the queue and began service
+    "respond": True,  # a responder sent a DiscoveryResponse
+    "suppressed": True,  # a responder withheld its response under load
+    "shed": True,  # admission control refused the request outright
+    "busy": True,  # a DiscoveryBusy was issued for the request
+    "late": True,  # a response arrived after its run had already closed
+    "phase": True,  # the requester entered a PhaseTimer phase
+    "done": True,  # the requester closed the run (success or failure)
     # replication (trace id "group:<name>" or "bdn:<name>")
-    "leader_elected": "a replication-group member won a lease quorum",
-    "replica_commit": "a replicated advertisement reached write quorum",
-    "repair": "an anti-entropy delta was applied to the registry",
-    "cold_restart": "a BDN restarted with its registry wiped",
+    "leader_elected": True,  # a replication-group member won a lease quorum
+    "replica_commit": True,  # a replicated advertisement reached write quorum
+    "repair": True,  # an anti-entropy delta was applied to the registry
+    "cold_restart": True,  # a BDN restarted with its registry wiped
+    # -- plain: simnet fabric / aio runtime -------------------------------
+    "udp_deliver": False,
+    "udp_drop": False,
+    "udp_cut": False,
+    "udp_garbled": False,
+    "tcp_severed": False,
+    "tcp_syn_cut": False,
+    "handler_error": False,
+    # ingress queues
+    "queue_overflow": False,
+    # BDN
+    "bdn_start": False,
+    "bdn_stop": False,
+    "bdn_announced": False,
+    "bdn_busy": False,
+    "bdn_unknown_message": False,
+    "bdn_registered": False,
+    "bdn_credential_reject": False,
+    "bdn_no_brokers": False,
+    "bdn_disseminate": False,
+    "bdn_lease_expired": False,
+    "bdn_pruned": False,
+    "bdn_announce_malformed": False,
+    "bdn_autoregistered": False,
+    # BDN replication groups
+    "election_started": False,
+    "election_won": False,
+    "leader_stepdown": False,
+    "lease_granted": False,
+    "lease_denied": False,
+    "replica_stale_term": False,
+    "replica_gap": False,
+    "anti_entropy_truncated": False,
+    "bdn_caught_up": False,
+    "bdn_cold_restart": False,
+    "bdn_catchup_refused": False,
+    # group registration heartbeats
+    "heartbeat_rehomed": False,
+    "heartbeat_broadcast": False,
+    # discovery requester
+    "client_stop": False,
+    "discover_start": False,
+    "rediscover_start": False,
+    "watch_broker_lost": False,
+    "request_sent": False,
+    "request_retransmit": False,
+    "request_retransmit_budgeted": False,
+    "request_next_bdn": False,
+    "request_rung_retry": False,
+    "request_multicast": False,
+    "request_cached_targets": False,
+    "retry_denied": False,
+    "bdn_skipped_retry_after": False,
+    "bdn_skipped_breaker": False,
+    "bdn_busy_received": False,
+    "leader_hint_update": False,
+    "leader_hint_jump": False,
+    "response_received": False,
+    "collection_extended": False,
+    "collection_done": False,
+    "candidate_excluded": False,
+    "discover_done": False,
+    "discover_failed": False,
+    # discovery responder
+    "responder_stop": False,
+    "responder_drain": False,
+    "registration_withdrawn": False,
+    "discovery_bad_payload": False,
+    "discovery_policy_reject": False,
+    "discovery_response_suppressed": False,
+    "discovery_response": False,
+    # substrate
+    "broker_start": False,
+    "broker_stop": False,
+    "link_up": False,
+    "link_accepted": False,
+    "link_down": False,
+    "link_retry": False,
+    "client_gone": False,
+    "client_registered": False,
+    "client_connected": False,
+    "client_disconnected": False,
+    "reliable_bad_seq": False,
+    "reliable_bad_request": False,
 }
 
-#: Legacy Tracer vocabulary, grouped by the module that emits it.
-TRACE_EVENTS: frozenset[str] = frozenset(
-    {
-        # simnet fabric / aio runtime
-        "udp_deliver",
-        "udp_drop",
-        "udp_cut",
-        "udp_garbled",
-        "tcp_severed",
-        "tcp_syn_cut",
-        "handler_error",
-        # ingress queues
-        "queue_overflow",
-        # BDN
-        "bdn_start",
-        "bdn_stop",
-        "bdn_announced",
-        "bdn_busy",
-        "bdn_unknown_message",
-        "bdn_registered",
-        "bdn_credential_reject",
-        "bdn_no_brokers",
-        "bdn_disseminate",
-        "bdn_lease_expired",
-        "bdn_pruned",
-        "bdn_announce_malformed",
-        "bdn_autoregistered",
-        # BDN replication groups
-        "election_started",
-        "election_won",
-        "leader_stepdown",
-        "lease_granted",
-        "lease_denied",
-        "replica_stale_term",
-        "replica_gap",
-        "anti_entropy_truncated",
-        "bdn_caught_up",
-        "bdn_cold_restart",
-        "bdn_catchup_refused",
-        # group registration heartbeats
-        "heartbeat_rehomed",
-        "heartbeat_broadcast",
-        # discovery requester
-        "client_stop",
-        "discover_start",
-        "rediscover_start",
-        "watch_broker_lost",
-        "request_sent",
-        "request_retransmit",
-        "request_retransmit_budgeted",
-        "request_next_bdn",
-        "request_rung_retry",
-        "request_multicast",
-        "request_cached_targets",
-        "retry_denied",
-        "bdn_skipped_retry_after",
-        "bdn_skipped_breaker",
-        "bdn_busy_received",
-        "leader_hint_update",
-        "leader_hint_jump",
-        "response_received",
-        "collection_extended",
-        "collection_done",
-        "candidate_excluded",
-        "discover_done",
-        "discover_failed",
-        # discovery responder
-        "responder_stop",
-        "responder_drain",
-        "registration_withdrawn",
-        "discovery_bad_payload",
-        "discovery_policy_reject",
-        "discovery_response_suppressed",
-        "discovery_response",
-        # substrate
-        "broker_start",
-        "broker_stop",
-        "link_up",
-        "link_accepted",
-        "link_down",
-        "link_retry",
-        "client_gone",
-        "client_registered",
-        "client_connected",
-        "client_disconnected",
-        "reliable_bad_seq",
-        "reliable_bad_request",
-    }
-)
 
-#: Everything a ``src/`` call site may legitimately name.
-KNOWN_EVENTS: frozenset[str] = frozenset(SPAN_EVENTS) | TRACE_EVENTS
-
-
-def check_span_event(event: str) -> str:
-    """Return ``event`` if it is a registered span name, else raise."""
-    if event not in SPAN_EVENTS:
+def is_causal(event: str) -> bool:
+    """Whether ``event`` is a causal name; unknown names raise."""
+    try:
+        return EVENTS[event]
+    except KeyError:
         raise UnknownEventError(
-            f"unknown span event {event!r}; register it in repro.obs.events"
-        )
-    return event
+            f"unknown event {event!r}; register it in repro.obs.events"
+        ) from None

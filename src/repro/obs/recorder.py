@@ -1,15 +1,17 @@
-"""Per-node flight recorder: a bounded ring of span events.
+"""The event sink, its record type and its per-node flight ring.
 
-Every engine that handles a traced message drops a :class:`SpanEvent`
-into its node's :class:`FlightRecorder`.  The ring is bounded (old
-events are overwritten, with a ``dropped`` counter) so a recorder can
-stay attached to a long soak without growing; when observability is
-disabled the engines never construct one and the cost is a single
-``is not None`` branch per emission site.
+:meth:`Observability.emit` is the one place events enter: it validates
+the name, bumps the name's counter and decides what is kept.  Every
+kept event is a :class:`SpanEvent`: a causal one carries the trace id
+and hop of the request it belongs to and lands in its node's
+:class:`FlightRecorder`; a plain one has an empty trace id and lands in
+the sink's log (when the sink keeps one).  The ring is bounded (old
+events are overwritten, with a ``dropped`` counter) so it can stay
+attached to a long soak without growing.
 
-Recorders are clock-agnostic: they are handed a zero-argument callable
+The sink is clock-agnostic: it is handed a zero-argument callable
 (virtual ``sim.now`` or the aio runtime's monotonic clock) and never
-import a runtime.
+imports a runtime.
 """
 
 from __future__ import annotations
@@ -17,20 +19,26 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import count
 
-from repro.obs.events import SPAN_EVENTS, UnknownEventError
-from repro.obs.registry import MetricsRegistry
+from repro.obs.events import UnknownEventError, is_causal
+from repro.obs.registry import Counter, MetricsRegistry
 
-__all__ = ["SpanEvent", "FlightRecorder", "DEFAULT_RING_CAPACITY"]
+__all__ = ["Observability", "SpanEvent", "FlightRecorder", "DEFAULT_RING_CAPACITY"]
 
 DEFAULT_RING_CAPACITY = 1024
 
 
-class SpanEvent:
-    """One causal event: (when, what, where, which request, how deep).
+def normalise_detail(detail: dict[str, object]) -> tuple[tuple[str, str], ...]:
+    """``detail`` as a sorted tuple of ``(key, str(value))`` pairs."""
+    return tuple(sorted((k, str(v)) for k, v in detail.items()))
 
-    ``detail`` is a sorted tuple of ``(key, str(value))`` pairs --
-    the same normalisation :class:`~repro.simnet.trace.TraceRecord`
-    uses, so events hash/compare by value and serialise trivially.
+
+class SpanEvent:
+    """One event: (when, what, where, which request, how deep).
+
+    ``trace_id`` is empty (and ``hop`` 0) for a plain event.  ``detail``
+    is a sorted tuple of ``(key, str(value))`` pairs
+    (:func:`normalise_detail`), so events hash/compare by value and
+    serialise trivially.
 
     ``seq`` is a monotonic emission number shared across all recorders
     of one :class:`~repro.obs.Observability`; several hops can share one
@@ -95,81 +103,54 @@ class SpanEvent:
             node=str(payload["node"]),
             trace_id=str(payload["trace_id"]),
             hop=int(payload.get("hop", 0)),  # type: ignore[arg-type]
-            detail=tuple(sorted((str(k), str(v)) for k, v in dict(detail).items())),  # type: ignore[call-overload]
+            detail=normalise_detail(dict(detail)),  # type: ignore[call-overload]
             seq=int(payload.get("seq", 0)),  # type: ignore[arg-type]
         )
 
 
 class FlightRecorder:
-    """Bounded ring buffer of :class:`SpanEvent` for one node.
+    """Bounded ring buffer of causal :class:`SpanEvent` for one node."""
 
-    ``seq`` is the emission-sequence source; :class:`~repro.obs.Observability`
-    hands every recorder of one world the same counter so same-timestamp
-    events across nodes keep their causal order.  A standalone recorder
-    falls back to a private counter.
-    """
+    __slots__ = ("node", "capacity", "dropped", "emitted", "_ring", "_next")
 
-    __slots__ = (
-        "node", "capacity", "dropped", "emitted", "_clock", "_ring", "_next", "_counters", "_seq"
-    )
-
-    def __init__(
-        self,
-        clock: Callable[[], float],
-        node: str,
-        capacity: int = DEFAULT_RING_CAPACITY,
-        counters: MetricsRegistry | None = None,
-        seq: Callable[[], int] | None = None,
-    ) -> None:
+    def __init__(self, node: str, capacity: int = DEFAULT_RING_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
         self.node = node
         self.capacity = capacity
         self.dropped = 0
         self.emitted = 0
-        self._clock = clock
         self._ring: list[SpanEvent] = []
         self._next = 0
-        self._counters = counters
-        self._seq = seq if seq is not None else count().__next__
 
-    def emit(self, event: str, trace_id: str, hop: int = 0, **detail: object) -> None:
-        """Record one span event; unknown event names raise."""
-        if event not in SPAN_EVENTS:
-            raise UnknownEventError(
-                f"unknown span event {event!r}; register it in repro.obs.events"
-            )
+    def put(
+        self,
+        time: float,
+        event: str,
+        trace_id: str,
+        hop: int,
+        detail: tuple[tuple[str, str], ...],
+        seq: int,
+    ) -> None:
+        """Keep one event, overwriting the oldest once the ring is full."""
         ring = self._ring
         if len(ring) < self.capacity:
-            ring.append(
-                SpanEvent(
-                    time=float(self._clock()),
-                    event=event,
-                    node=self.node,
-                    trace_id=trace_id,
-                    hop=hop,
-                    detail=tuple(sorted((k, str(v)) for k, v in detail.items())),
-                    seq=self._seq(),
-                )
-            )
+            ring.append(SpanEvent(time, event, self.node, trace_id, hop, detail, seq))
         else:
             # Recycle the slot being overwritten in place: a full ring
-            # at steady state emits without allocating a SpanEvent per
-            # span.  snapshot() hands out copies, so recycled slots are
-            # never visible outside the recorder.
+            # at steady state keeps an event without allocating a
+            # SpanEvent.  snapshot() hands out copies, so recycled slots
+            # are never visible outside the recorder.
             record = ring[self._next]
-            record.time = float(self._clock())
+            record.time = time
             record.event = event
-            record.node = self.node
             record.trace_id = trace_id
             record.hop = hop
-            record.detail = tuple(sorted((k, str(v)) for k, v in detail.items()))
-            record.seq = self._seq()
+            record.detail = detail
+            record.seq = seq
             self._next = (self._next + 1) % self.capacity
             self.dropped += 1
         self.emitted += 1
-        if self._counters is not None:
-            self._counters.counter(f"obs.span.{event}").inc()
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -194,3 +175,153 @@ class FlightRecorder:
     def clear(self) -> None:
         self._ring.clear()
         self._next = 0
+
+
+class Observability:
+    """One world's event sink: counters, an optional log, per-node rings.
+
+    Construct one per world and hand it to every node (``obs=`` on the
+    constructors), fabric and runtime.  The clock is the owning
+    runtime's ``now`` so sim worlds stamp virtual time and aio worlds
+    wall time -- use :meth:`for_runtime` to wire that up.
+
+    Parameters
+    ----------
+    clock:
+        Zero-argument callable returning the current time.
+    ring_capacity:
+        Causal events retained per node.  ``0`` makes a sink that is
+        not :attr:`observing`: it keeps no rings, its nodes set no wire
+        trace flag and publish no engine metrics, and causal emissions
+        are no-ops -- it only counts (and, with ``keep_trace``, logs)
+        plain events.
+    keep_trace:
+        Keep every plain event in :attr:`log`, unbounded and in exact
+        emission order -- for short seeded runs whose full trace is
+        compared (the golden digests).  Off, a plain event costs one
+        counter bump and its details are never stringified.
+    """
+
+    __slots__ = (
+        "registry",
+        "recorders",
+        "ring_capacity",
+        "log",
+        "_clock",
+        "_seq",
+        "_plain",
+        "_causal",
+        "_by_event",
+    )
+
+    def __init__(
+        self,
+        clock: Callable[[], float] | None = None,
+        ring_capacity: int = DEFAULT_RING_CAPACITY,
+        keep_trace: bool = False,
+    ) -> None:
+        if ring_capacity < 0:
+            raise ValueError(f"ring capacity cannot be negative, got {ring_capacity}")
+        self._clock = clock if clock is not None else (lambda: 0.0)
+        self.ring_capacity = ring_capacity
+        self.registry = MetricsRegistry()
+        self.recorders: dict[str, FlightRecorder] = {}
+        self.log: list[SpanEvent] | None = [] if keep_trace else None
+        # Shared emission counter: same-timestamp events across nodes
+        # keep their true (single-threaded) causal order.
+        self._seq = count().__next__
+        # Each name's ``obs.event.<name>`` counter, resolved (and the
+        # name validated) once, by the kind it is emitted as.
+        self._plain: dict[str, Counter] = {}
+        self._causal: dict[str, Counter] = {}
+        self._by_event: dict[str, list[SpanEvent]] = {}
+
+    @classmethod
+    def for_runtime(cls, runtime, ring_capacity: int = DEFAULT_RING_CAPACITY) -> Observability:
+        """An observability layer stamping the runtime's own clock."""
+        return cls(clock=lambda: runtime.now, ring_capacity=ring_capacity)
+
+    @property
+    def observing(self) -> bool:
+        """Whether causal events are kept (and the wire is flagged)."""
+        return self.ring_capacity > 0
+
+    def emit(self, event: str, node: str, trace_id: str = "", hop: int = 0, **detail: object) -> None:
+        """The one place an event is validated, counted and kept.
+
+        Without a ``trace_id`` the event is plain; with one it is causal
+        and, unless the sink is :attr:`observing`, a no-op.  An unknown
+        name, or a name emitted as the wrong kind, raises
+        :class:`UnknownEventError`.
+        """
+        if trace_id:
+            if not self.ring_capacity:
+                return
+            counter = self._causal.get(event)
+            if counter is None:
+                counter = self._register(event, causal=True)
+            counter.value += 1
+            self.recorder(node).put(
+                float(self._clock()), event, trace_id, hop, normalise_detail(detail), self._seq()
+            )
+            return
+        counter = self._plain.get(event)
+        if counter is None:
+            counter = self._register(event, causal=False)
+        counter.value += 1
+        if self.log is not None:
+            entry = SpanEvent(
+                float(self._clock()), event, node, "", 0, normalise_detail(detail), self._seq()
+            )
+            self.log.append(entry)
+            self._by_event.setdefault(event, []).append(entry)
+
+    def _register(self, event: str, causal: bool) -> Counter:
+        if is_causal(event) is not causal:
+            raise UnknownEventError(
+                f"{event!r} is a causal event and needs a trace id"
+                if not causal
+                else f"{event!r} is a plain event and takes no trace id"
+            )
+        counter = self.registry.counter(f"obs.event.{event}")
+        (self._causal if causal else self._plain)[event] = counter
+        return counter
+
+    def count(self, event: str) -> int:
+        """How many times ``event`` was emitted (0 if never)."""
+        counter = (self._causal if is_causal(event) else self._plain).get(event)
+        return counter.value if counter is not None else 0
+
+    def events(self, event: str) -> list[SpanEvent]:
+        """Kept records named ``event``, in emission order.
+
+        Plain names are served from a per-name index of :attr:`log`
+        (empty unless the sink keeps a trace); causal names from what
+        the rings still hold.
+        """
+        if is_causal(event):
+            kept = [e for r in self.recorders.values() for e in r.snapshot() if e.event == event]
+            return sorted(kept, key=lambda e: e.seq)
+        return list(self._by_event.get(event, ()))
+
+    def clear(self) -> None:
+        """Drop every kept record and zero every event counter."""
+        for counter in (*self._plain.values(), *self._causal.values()):
+            counter.value = 0
+        if self.log is not None:
+            self.log.clear()
+        self._by_event.clear()
+        for recorder in self.recorders.values():
+            recorder.clear()
+
+    def recorder(self, node: str) -> FlightRecorder:
+        """The (lazily created) flight ring for ``node``."""
+        recorder = self.recorders.get(node)
+        if recorder is None:
+            recorder = self.recorders[node] = FlightRecorder(node, self.ring_capacity)
+        return recorder
+
+    def snapshot(self) -> dict[str, object]:
+        from repro.obs.export import telemetry_snapshot
+
+        return telemetry_snapshot(self)

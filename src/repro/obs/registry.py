@@ -1,10 +1,11 @@
 """Unified metrics: counters, gauges, histograms behind one namespace.
 
-The registry replaces the scattered ad-hoc counters (Tracer counters,
+The registry is the single namespaced home for what were scattered
+ad-hoc counters (every emitted event as ``obs.event.<name>``,
 ``requests_shed``, ``busy_received``, breaker trips, ingress-queue
-depth/peak) with a single namespaced API.  It is runtime-agnostic: a
-:class:`MetricsRegistry` never reads a clock itself, so the same code
-path serves :class:`~repro.runtime.sim.SimRuntime` (virtual time) and
+depth/peak).  It is runtime-agnostic: a :class:`MetricsRegistry` never
+reads a clock itself, so the same code path serves
+:class:`~repro.runtime.sim.SimRuntime` (virtual time) and
 :class:`~repro.runtime.aio.AioRuntime` (wall time) -- timestamps only
 enter through what callers observe.
 

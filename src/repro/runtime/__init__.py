@@ -31,7 +31,7 @@ def create_runtime(kind: str, **kwargs: Any) -> Runtime:
     ``sim`` forwards ``kwargs`` to :class:`~repro.simnet.network.Network`
     (``sim=``, ``latency=``, ``loss=``, ...) and returns the shared
     adapter for that fabric; ``aio`` forwards to
-    :class:`~repro.runtime.aio.AioRuntime` (``bind_ip=``, ``tracer=``).
+    :class:`~repro.runtime.aio.AioRuntime` (``bind_ip=``, ``port_plan=``).
     """
     if kind == "sim":
         network = kwargs.pop("network", None)

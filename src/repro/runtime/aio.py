@@ -33,8 +33,8 @@ system sockets.  Design points:
   endpoint so both sides know ``local``/``remote`` symbolically.
 
 Handler exceptions are caught and recorded in :attr:`AioRuntime.errors`
-(with a trace record when a tracer is attached) rather than killing the
-event loop; smoke tests assert the list is empty.
+(and emitted as ``handler_error`` to an attached sink) rather than killing
+the event loop; smoke tests assert the list is empty.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.core.config import Endpoint
 from repro.core.errors import CodecError, TransportError, UnknownHostError
 from repro.core.messages import Message
 from repro.runtime.api import Handler, Link
-from repro.simnet.trace import Tracer
 
 __all__ = ["AioRuntime", "AioTimerHandle", "AioConnection"]
 
@@ -69,7 +68,7 @@ _UDP_RECV_BYTES = 64 * 1024  # no UDP datagram is larger
 # sockets get the loop back (level-triggered: the rest calls it again).
 # Small on purpose: a socket drained dry marches its senders in step --
 # at 4 and above, 32 closed-loop clients behind one BDN left the core
-# idle 15-25 % of a saturated run (EXPERIMENTS.md "PR 20").
+# idle 15-25 % of a saturated run (docs/experiments/pr-20.md).
 _UDP_DRAIN_MAX = 2
 
 
@@ -174,10 +173,6 @@ class AioRuntime:
     ----------
     bind_ip:
         IP every symbolic endpoint binds on (default loopback).
-    tracer:
-        Optional :class:`~repro.simnet.trace.Tracer`; receives
-        ``udp_deliver`` / ``udp_drop`` / ``handler_error`` records so
-        live runs produce the same style of evidence as simulations.
     port_plan:
         Optional mapping of symbolic :class:`Endpoint` to a concrete OS
         port.  A planned endpoint binds exactly that port instead of an
@@ -195,13 +190,11 @@ class AioRuntime:
     def __init__(
         self,
         bind_ip: str = "127.0.0.1",
-        tracer: Tracer | None = None,
         *,
         port_plan: Mapping[Endpoint, int] | None = None,
         max_errors: int = 256,
     ) -> None:
         self.bind_ip = bind_ip
-        self.tracer = tracer
         self._port_plan: dict[Endpoint, int] = dict(port_plan or {})
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float | None = None
@@ -216,7 +209,8 @@ class AioRuntime:
         self.errors: deque[str] = deque(maxlen=max_errors)
         self.errors_dropped = 0
         # Optional telemetry: attach_observability() wires a world's
-        # Observability in, and aclose() freezes its final snapshot.
+        # Observability in; it hears the fabric's events, and aclose()
+        # freezes its final snapshot.
         self.observability = None
         self.telemetry: dict[str, object] | None = None
         # Counters, mirroring the simulated fabric's.
@@ -260,9 +254,11 @@ class AioRuntime:
     def attach_observability(self, obs) -> None:
         """Register the world's :class:`~repro.obs.Observability`.
 
-        The runtime does not drive the recorders itself (nodes do); the
-        attachment exists so :meth:`aclose` can dump a final telemetry
-        snapshot once the sockets are gone -- the live smoke artifact.
+        The runtime sends it the fabric's plain events (``udp_deliver``
+        / ``udp_drop`` / ``udp_garbled`` / ``handler_error``, named by
+        host) so live runs count the same evidence simulations do, and
+        :meth:`aclose` dumps a final telemetry snapshot once the sockets
+        are gone -- the live smoke artifact.
         """
         self.observability = obs
 
@@ -293,8 +289,8 @@ class AioRuntime:
         if self.errors.maxlen is not None and len(self.errors) == self.errors.maxlen:
             self.errors_dropped += 1
         self.errors.append(text)
-        if self.tracer is not None:
-            self.tracer.record("handler_error", "runtime", error=text)
+        if self.observability is not None:
+            self.observability.emit("handler_error", "runtime", error=text)
 
     # ------------------------------------------------------------------
     # Scheduler
@@ -450,13 +446,13 @@ class AioRuntime:
                 message = decode_message(data)
             except CodecError:
                 self.datagrams_dropped += 1
-                if self.tracer is not None:
-                    self.tracer.record("udp_garbled", endpoint.host, src=f"{addr[0]}:{addr[1]}")
+                if self.observability is not None:
+                    self.observability.emit("udp_garbled", endpoint.host, src=f"{addr[0]}:{addr[1]}")
                 continue
             src = self._by_real.get(addr) or Endpoint(*addr)
             self.datagrams_delivered += 1
-            if self.tracer is not None:
-                self.tracer.record(
+            if self.observability is not None:
+                self.observability.emit(
                     "udp_deliver", endpoint.host, src=src, kind=type(message).__name__
                 )
             try:
@@ -489,8 +485,8 @@ class AioRuntime:
             # Nobody bound/mapped the destination: the datagram vanishes,
             # exactly like a send to a dead host.
             self.datagrams_dropped += 1
-            if self.tracer is not None:
-                self.tracer.record("udp_drop", src.host, dst=dst, kind=type(message).__name__)
+            if self.observability is not None:
+                self.observability.emit("udp_drop", src.host, dst=dst, kind=type(message).__name__)
             return
         binding = self._udp.get(src)
         sock = binding.sock if binding is not None else self._egress_socket()
@@ -499,8 +495,8 @@ class AioRuntime:
         except (BlockingIOError, OSError):
             # Real UDP loss: the kernel refused the datagram.
             self.datagrams_dropped += 1
-            if self.tracer is not None:
-                self.tracer.record("udp_drop", src.host, dst=dst, kind=type(message).__name__)
+            if self.observability is not None:
+                self.observability.emit("udp_drop", src.host, dst=dst, kind=type(message).__name__)
 
     def _egress_socket(self) -> socket.socket:
         """Shared send-only socket for sources that never bound."""

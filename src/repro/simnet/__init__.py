@@ -19,7 +19,6 @@ It provides:
   realm-scoped multicast.
 * :mod:`repro.simnet.node` -- base class for simulated processes
   (brokers, BDNs, clients).
-* :mod:`repro.simnet.trace` -- structured tracing and counters.
 
 Everything is driven by explicit ``numpy.random.Generator`` instances,
 so a single master seed reproduces an entire experiment bit-for-bit.
@@ -31,7 +30,6 @@ from repro.simnet.latency import LatencyModel, MatrixLatencyModel, UniformLatenc
 from repro.simnet.loss import LossModel, NoLoss, UniformLoss, PerHopLoss
 from repro.simnet.network import Network, Datagram, Connection
 from repro.simnet.node import Node
-from repro.simnet.trace import Tracer, TraceRecord
 
 __all__ = [
     "Simulator",
@@ -49,6 +47,4 @@ __all__ = [
     "Datagram",
     "Connection",
     "Node",
-    "Tracer",
-    "TraceRecord",
 ]

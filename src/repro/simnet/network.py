@@ -50,7 +50,6 @@ from repro.core.messages import Message
 from repro.simnet.latency import LatencyModel, UniformLatencyModel
 from repro.simnet.loss import LossModel, NoLoss
 from repro.simnet.simulator import Simulator
-from repro.simnet.trace import Tracer
 
 __all__ = ["Network", "Datagram", "Connection"]
 
@@ -191,8 +190,10 @@ class Network:
         :class:`~repro.simnet.loss.PerHopLoss`).
     rng:
         Randomness source for jitter and loss draws.
-    tracer:
-        Optional structured tracer.
+    obs:
+        Optional :class:`repro.obs.Observability`; receives the fabric's
+        plain events (``udp_deliver`` / ``udp_drop`` / ``udp_cut`` /
+        ``tcp_severed`` / ``tcp_syn_cut``), named by host.
     """
 
     def __init__(
@@ -201,13 +202,13 @@ class Network:
         latency: LatencyModel | None = None,
         loss: LossModel | None = None,
         rng: np.random.Generator | None = None,
-        tracer: Tracer | None = None,
+        obs=None,
     ) -> None:
         self.sim = sim
         self.latency = latency if latency is not None else UniformLatencyModel()
         self.loss = loss if loss is not None else NoLoss()
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.tracer = tracer
+        self.obs = obs
         self._hosts: dict[str, _HostInfo] = {}
         self._udp_bindings: dict[Endpoint, Handler] = {}
         self._tcp_listeners: dict[Endpoint, Callable[[Connection], None]] = {}
@@ -410,8 +411,8 @@ class Network:
                 continue
             if not self.reachable(conn.local.host, conn.remote.host):
                 self.connections_severed += 1
-                if self.tracer is not None:
-                    self.tracer.record(
+                if self.obs is not None:
+                    self.obs.emit(
                         "tcp_severed", conn.local.host, dst=conn.remote.host
                     )
                 conn.close()
@@ -455,14 +456,14 @@ class Network:
         if not path.reachable:
             self.datagrams_dropped += 1
             self.datagrams_cut += 1
-            if self.tracer is not None:
-                self.tracer.record("udp_cut", src.host, dst=dst, kind=type(message).__name__)
+            if self.obs is not None:
+                self.obs.emit("udp_cut", src.host, dst=dst, kind=type(message).__name__)
             return
         loss = path.loss_override if path.loss_override is not None else self.loss
         if loss.lost(path.hops, self.rng):
             self.datagrams_dropped += 1
-            if self.tracer is not None:
-                self.tracer.record("udp_drop", src.host, dst=dst, kind=type(message).__name__)
+            if self.obs is not None:
+                self.obs.emit("udp_drop", src.host, dst=dst, kind=type(message).__name__)
             return
         delay = self.latency.delay(path.src_site, path.dst_site, size, self.rng)
         # Deliveries are never cancelled: the no-handle fast path skips
@@ -483,8 +484,8 @@ class Network:
             self.datagrams_dropped += 1
             return
         self.datagrams_delivered += 1
-        if self.tracer is not None:
-            self.tracer.record(
+        if self.obs is not None:
+            self.obs.emit(
                 "udp_deliver", dst.host, src=src, kind=type(message).__name__
             )
         handler(message, src)
@@ -587,8 +588,8 @@ class Network:
             raise TransportError(f"no TCP listener at {dst}")
         path = self._path(src.host, dst.host)
         if not path.reachable:
-            if self.tracer is not None:
-                self.tracer.record("tcp_syn_cut", src.host, dst=dst)
+            if self.obs is not None:
+                self.obs.emit("tcp_syn_cut", src.host, dst=dst)
             return
         one_way = self.latency.delay(path.src_site, path.dst_site, 64, self.rng)
         setup = 2.0 * one_way * _TCP_SETUP_RTTS

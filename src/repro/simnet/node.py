@@ -21,7 +21,6 @@ from repro.core.errors import UnknownHostError
 from repro.core.ids import IdGenerator
 from repro.runtime.api import Runtime, as_runtime
 from repro.simnet.clock import Clock, NTPService
-from repro.simnet.trace import Tracer
 
 __all__ = ["Node"]
 
@@ -48,13 +47,13 @@ class Node:
         registered with these values (``site`` required in that case).
     multicast_enabled:
         Forwarded to host registration.
-    tracer:
-        Optional tracer for node-level events.
     obs:
-        Optional :class:`repro.obs.Observability`; when given, the node
-        emits span events into its flight recorder via :meth:`span`.
-        ``None`` (the default) keeps every instrumentation site at a
-        single ``is not None`` branch.
+        Optional :class:`repro.obs.Observability`, the world's event
+        sink: everything the node has to say goes through :meth:`emit`
+        into it.  ``None`` (the default) keeps every emission site at a
+        single ``is not None`` branch.  :attr:`observing` is whether
+        the sink keeps causal events: only then does the node flag its
+        wire messages, keep a flight ring and publish engine metrics.
     """
 
     def __init__(
@@ -66,16 +65,16 @@ class Node:
         site: str | None = None,
         realm: str | None = None,
         multicast_enabled: bool = True,
-        tracer: Tracer | None = None,
         obs=None,
     ) -> None:
         self.name = name
         self.host = host
         self.runtime: Runtime = as_runtime(network)
         self.rng = rng
-        self.tracer = tracer
         self.obs = obs
-        self._recorder = obs.recorder(name) if obs is not None else None
+        self.observing = obs is not None and obs.observing
+        if self.observing:
+            obs.recorder(name)  # an idle node still shows its (empty) ring
         try:
             self.runtime.site_of(host)
         except UnknownHostError:
@@ -125,15 +124,16 @@ class Node:
         """Whether :meth:`start` has run."""
         return self._started
 
-    def trace(self, event: str, **detail: object) -> None:
-        """Emit a trace record if tracing is enabled."""
-        if self.tracer is not None:
-            self.tracer.record(event, self.name, **detail)
+    def emit(self, event: str, trace_id: str = "", hop: int = 0, **detail: object) -> None:
+        """Say what happened, if anyone listens.
 
-    def span(self, event: str, trace_id: str, hop: int = 0, **detail: object) -> None:
-        """Emit a flight-recorder span event if observability is attached."""
-        if self._recorder is not None:
-            self._recorder.emit(event, trace_id, hop, **detail)
+        A plain event passes no ``trace_id`` and reaches any sink; a
+        causal one passes the trace id (and hop) of the request it
+        belongs to and is a no-op unless the world is observing.
+        """
+        obs = self.obs
+        if obs is not None and (self.observing or not trace_id):
+            obs.emit(event, self.name, trace_id, hop, **detail)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} @ {self.host}>"

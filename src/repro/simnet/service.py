@@ -11,7 +11,7 @@ a node's UDP handler in the classic single-server queue:
 * each message occupies the server for its class's service time
   (:meth:`~repro.core.config.ServiceConfig.time_for`);
 * arrivals that find the queue full are **dropped**, with a
-  ``queue_overflow`` trace record and a counter -- exactly what a full
+  ``queue_overflow`` event and a counter -- exactly what a full
   socket buffer does to a real datagram;
 * an optional **admission** hook runs *before* enqueueing, so a node
   can refuse work cheaply while its queue is deep (the BDN's
@@ -31,6 +31,7 @@ from collections.abc import Callable
 
 from repro.core.config import Endpoint, ServiceConfig
 from repro.core.messages import Message
+from repro.obs import trace_context
 from repro.runtime.api import Scheduler, TimerHandle
 
 __all__ = ["IngressQueue"]
@@ -43,13 +44,6 @@ Handler = Callable[[Message, Endpoint], None]
 #: message (e.g. answered it with a busy signal) and it is not queued.
 AdmitFn = Callable[[Message, Endpoint], bool]
 
-#: Trace hook with the :meth:`Node.trace` signature.
-TraceFn = Callable[..., None]
-
-#: Span hook: ``span(event, message)`` with ``event`` in
-#: {"enqueue", "dequeue"}.  The owning node decides whether the message
-#: carries trace context worth recording.
-SpanFn = Callable[[str, Message], None]
 
 
 class IngressQueue:
@@ -64,15 +58,14 @@ class IngressQueue:
         The wrapped handler; invoked when a message *finishes* service.
     config:
         Capacity and service times.
-    trace:
-        Optional ``trace(event, **detail)`` callable (the owning
-        node's tracer); receives ``queue_overflow`` records.
+    owner:
+        Optional :class:`~repro.simnet.node.Node` this queue fronts;
+        the queue speaks through its ``emit``: ``queue_overflow`` for
+        every dropped arrival and, while the owner is ``observing``,
+        ``enqueue`` when a message carrying trace context is accepted
+        into the queue and ``dequeue`` when it leaves for service.
     admit:
         Optional pre-queue admission hook (see :data:`AdmitFn`).
-    span:
-        Optional flight-recorder hook (see :data:`SpanFn`); called with
-        ``"enqueue"`` when a message is accepted into the queue and
-        ``"dequeue"`` when it leaves the queue for service.
 
     Attributes
     ----------
@@ -91,8 +84,7 @@ class IngressQueue:
         "handler",
         "config",
         "admit",
-        "_trace",
-        "_span",
+        "_owner",
         "_waiting",
         "_in_service",
         "_service_event",
@@ -107,16 +99,14 @@ class IngressQueue:
         sim: Scheduler,
         handler: Handler,
         config: ServiceConfig,
-        trace: TraceFn | None = None,
+        owner=None,
         admit: AdmitFn | None = None,
-        span: SpanFn | None = None,
     ) -> None:
         self.sim = sim
         self.handler = handler
         self.config = config
         self.admit = admit
-        self._trace = trace
-        self._span = span
+        self._owner = owner
         self._waiting: deque[tuple[Message, Endpoint]] = deque()
         self._in_service = False
         self._service_event: TimerHandle | None = None
@@ -137,8 +127,8 @@ class IngressQueue:
             return
         if self.depth >= self.config.queue_capacity:
             self.overflows += 1
-            if self._trace is not None:
-                self._trace(
+            if self._owner is not None:
+                self._owner.emit(
                     "queue_overflow",
                     kind=type(message).__name__,
                     depth=self.depth,
@@ -147,10 +137,15 @@ class IngressQueue:
         self._waiting.append((message, src))
         if self.depth > self.max_depth:
             self.max_depth = self.depth
-        if self._span is not None:
-            self._span("enqueue", message)
+        if self._owner is not None and self._owner.observing:
+            self._emit_traced("enqueue", message)
         if not self._in_service:
             self._start_next()
+
+    def _emit_traced(self, event: str, message: Message) -> None:
+        ctx = trace_context(message)
+        if ctx is not None:
+            self._owner.emit(event, ctx[0], ctx[1], kind=type(message).__name__)
 
     def reset(self) -> None:
         """Drop queued work and abort the message in service.
@@ -168,8 +163,8 @@ class IngressQueue:
     def _start_next(self) -> None:
         message, src = self._waiting.popleft()
         self._in_service = True
-        if self._span is not None:
-            self._span("dequeue", message)
+        if self._owner is not None and self._owner.observing:
+            self._emit_traced("dequeue", message)
         self._service_event = self.sim.schedule(
             self.config.time_for(type(message)), self._finish, message, src
         )

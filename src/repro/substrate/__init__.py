@@ -22,7 +22,6 @@ from repro.substrate.broker import Broker, BROKER_TCP_PORT, BROKER_UDP_PORT
 from repro.substrate.client import PubSubClient
 from repro.substrate.builder import BrokerNetwork, Topology
 from repro.substrate.content_routing import ContentRouting, install_content_routing
-from repro.substrate.fragmentation import Coalescer, fragment
 from repro.substrate.reliable import (
     EventArchive,
     ReliableDeliveryService,
@@ -47,8 +46,6 @@ __all__ = [
     "Topology",
     "ContentRouting",
     "install_content_routing",
-    "Coalescer",
-    "fragment",
     "EventArchive",
     "ReliableDeliveryService",
     "ReliablePublisher",

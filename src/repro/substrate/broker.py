@@ -42,7 +42,6 @@ from repro.obs import Observability, trace_context
 from repro.runtime.api import Link, Runtime
 from repro.simnet.node import Node
 from repro.simnet.service import IngressQueue
-from repro.simnet.trace import Tracer
 from repro.substrate.routing import FloodRouting, RoutingStrategy
 from repro.substrate.subscriptions import SubscriptionManager
 from repro.substrate.topics import topic_matches, validate_pattern
@@ -80,7 +79,7 @@ class Broker(Node):
         Runtime (or simulated fabric) and node-private randomness.
     config:
         Static broker configuration.
-    site, realm, multicast_enabled, tracer, obs:
+    site, realm, multicast_enabled, obs:
         Forwarded to :class:`~repro.simnet.node.Node`.
     """
 
@@ -94,7 +93,6 @@ class Broker(Node):
         site: str | None = None,
         realm: str | None = None,
         multicast_enabled: bool = True,
-        tracer: Tracer | None = None,
         obs: Observability | None = None,
     ) -> None:
         super().__init__(
@@ -105,7 +103,6 @@ class Broker(Node):
             site=site,
             realm=realm,
             multicast_enabled=multicast_enabled,
-            tracer=tracer,
             obs=obs,
         )
         self.config = config if config is not None else BrokerConfig()
@@ -137,8 +134,7 @@ class Broker(Node):
                 self.runtime,
                 self._on_udp,
                 self.config.service,
-                trace=self.trace,
-                span=self._queue_span if self._recorder is not None else None,
+                owner=self,
             )
         self.alive = False
         # Counters.
@@ -183,7 +179,7 @@ class Broker(Node):
         for peer_id in sorted(self._neighbors):
             if peer_id not in self._links:
                 self._schedule_link_retry(peer_id)
-        self.trace("broker_start")
+        self.emit("broker_start")
 
     def stop(self) -> None:
         """Crash/shutdown: drop every connection and unbind (idempotent).
@@ -209,7 +205,7 @@ class Broker(Node):
         self._links.clear()
         self._clients.clear()
         self._invalidate_link_caches()
-        self.trace("broker_stop")
+        self.emit("broker_stop")
 
     # ------------------------------------------------------------------
     # UDP
@@ -226,12 +222,6 @@ class Broker(Node):
     def send_udp(self, dst: Endpoint, message: Message) -> None:
         """Send one datagram from this broker's UDP endpoint."""
         self.runtime.send_udp(self.udp_endpoint, dst, message)
-
-    def _queue_span(self, event: str, message: Message) -> None:
-        """Ingress-queue hook: record enqueue/dequeue of traced messages."""
-        ctx = trace_context(message)
-        if ctx is not None:
-            self.span(event, ctx[0], hop=ctx[1], kind=type(message).__name__)
 
     def _on_udp(self, message: Message, src: Endpoint) -> None:
         if not self.alive:
@@ -338,7 +328,7 @@ class Broker(Node):
             self._links[other.name] = conn
             self._invalidate_link_caches()
             conn.send(Ack(uuid=self.ids(), acked_by=self.name))
-            self.trace("link_up", peer=other.name)
+            self.emit("link_up", peer=other.name)
             if on_ready is not None:
                 on_ready()
 
@@ -367,14 +357,14 @@ class Broker(Node):
             conn.on_close = lambda: self._on_link_closed(peer_id)
             self._links[peer_id] = conn
             self._invalidate_link_caches()
-            self.trace("link_accepted", peer=peer_id)
+            self.emit("link_accepted", peer=peer_id)
 
         conn.on_receive = first_message
 
     def _on_link_closed(self, peer_id: str) -> None:
         self._links.pop(peer_id, None)
         self._invalidate_link_caches()
-        self.trace("link_down", peer=peer_id)
+        self.emit("link_down", peer=peer_id)
         if self.alive:
             self.links_lost += 1
             if peer_id in self._neighbors:
@@ -395,7 +385,7 @@ class Broker(Node):
         other = self._neighbors.get(peer_id)
         if other is None:
             return
-        self.trace("link_retry", peer=peer_id)
+        self.emit("link_retry", peer=peer_id)
         self.link_to(other, persistent=True)
 
     def _on_link_message(self, peer_id: str, message: Message) -> None:
@@ -460,7 +450,7 @@ class Broker(Node):
                 for pattern in removed:
                     if not self.subscriptions.has_pattern(pattern):
                         self._notify_local_interest(pattern, added=False)
-                self.trace("client_gone", client=client_id)
+                self.emit("client_gone", client=client_id)
 
         conn.on_receive = on_message
         conn.on_close = on_close
@@ -469,7 +459,7 @@ class Broker(Node):
         if state["client_id"] is None:
             state["client_id"] = client_id
             self._clients[client_id] = conn
-            self.trace("client_registered", client=client_id)
+            self.emit("client_registered", client=client_id)
 
     def _notify_local_interest(self, pattern: str, added: bool) -> None:
         """Tell a content-aware routing strategy about a local
@@ -577,7 +567,7 @@ class Broker(Node):
         self, event: Event, from_peer: str | None, publisher: ControlHandler | None = None
     ) -> None:
         if not self.mark_routed(event.uuid):
-            if self._recorder is not None:
+            if self.observing:
                 self._span_event_dup(event, from_peer)
             return
         # Local delivery to matching client subscribers (cached per
@@ -610,7 +600,7 @@ class Broker(Node):
     def _span_event_dup(self, event: Event, from_peer: str | None) -> None:
         """Flight-record an event-level duplicate suppression.
 
-        Only called with a recorder attached, and only emits for events
+        Only called while observing, and only emits for events
         whose payload decodes to a trace-flagged message (the discovery
         request flood); everything else is skipped silently.
         """
@@ -628,7 +618,7 @@ class Broker(Node):
         ctx = trace_context(message)
         if ctx is None:
             return
-        self.span(
+        self.emit(
             "dup_suppressed",
             ctx[0],
             hop=ctx[1],

@@ -22,12 +22,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.config import BrokerConfig
-from repro.obs import Observability
+from repro.obs import DEFAULT_RING_CAPACITY, Observability
 from repro.simnet.latency import LatencyModel
 from repro.simnet.loss import LossModel
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
-from repro.simnet.trace import Tracer
 from repro.substrate.broker import Broker
 from repro.substrate.routing import SpanningTreeRouting
 
@@ -61,11 +60,13 @@ class BrokerNetwork:
     latency / loss:
         Models installed on the fabric.
     keep_trace:
-        Whether to retain full trace records (counters always on).
+        Keep every plain event in ``obs.log``, unbounded and exactly
+        ordered (counters always on) -- what the golden digests hash.
     observe:
-        Attach a shared :class:`~repro.obs.Observability` (flight
-        recorders + metrics registry on the virtual clock) to every
-        broker built here.  Off by default: observed worlds mark
+        Make the shared :class:`~repro.obs.Observability` (``.obs``, on
+        the virtual clock, handed to the fabric and every broker built
+        here) an observing one: bounded per-node flight rings, causal
+        events, engine metrics.  Off by default: observed worlds mark
         discovery traffic on the wire, which perturbs byte-level
         determinism digests.
     scheduler:
@@ -85,17 +86,29 @@ class BrokerNetwork:
     ) -> None:
         self.sim = Simulator(scheduler)
         self.master_rng = np.random.default_rng(seed)
-        self.obs = Observability(clock=lambda: self.sim.now) if observe else None
-        self.tracer = Tracer(lambda: self.sim.now, keep_records=keep_trace)
+        self.obs = Observability(
+            clock=lambda: self.sim.now,
+            ring_capacity=DEFAULT_RING_CAPACITY if observe else 0,
+            keep_trace=keep_trace,
+        )
         self.network = Network(
             self.sim,
             latency=latency,
             loss=loss,
             rng=self._child_rng(),
-            tracer=self.tracer,
+            obs=self.obs,
         )
         self.brokers: dict[str, Broker] = {}
         self._edges: set[tuple[str, str]] = set()
+
+    @property
+    def tracer(self) -> Observability:
+        # Read-only alias of ``.obs``, kept for one caller this repo's
+        # process rules forbid editing here: benchmarks/roundbench/
+        # workloads.py reads ``world.net.tracer.count("bdn_registered")``
+        # and only a ``benchmark`` PR may touch that directory (ROADMAP
+        # item 1 switches it to ``net.obs.count`` and deletes this).
+        return self.obs
 
     def _child_rng(self) -> np.random.Generator:
         return np.random.default_rng(self.master_rng.integers(0, 2**63))
@@ -129,7 +142,6 @@ class BrokerNetwork:
             site=site,
             realm=realm,
             multicast_enabled=multicast_enabled,
-            tracer=self.tracer,
             obs=self.obs,
         )
         self.brokers[name] = broker

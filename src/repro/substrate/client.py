@@ -22,7 +22,6 @@ from repro.core.errors import TransportError
 from repro.core.messages import Ack, Event, Message, Subscribe, Unsubscribe
 from repro.runtime.api import Link, Runtime
 from repro.simnet.node import Node
-from repro.simnet.trace import Tracer
 from repro.substrate.topics import topic_matches, validate_pattern, validate_topic
 
 __all__ = ["PubSubClient"]
@@ -53,9 +52,9 @@ class PubSubClient(Node):
         rng: np.random.Generator,
         site: str | None = None,
         realm: str | None = None,
-        tracer: Tracer | None = None,
+        obs=None,
     ) -> None:
-        super().__init__(name, host, network, rng, site=site, realm=realm, tracer=tracer)
+        super().__init__(name, host, network, rng, site=site, realm=realm, obs=obs)
         self._conn: Link | None = None
         self._callbacks: dict[str, list[EventCallback]] = {}
         self.received: list[Event] = []
@@ -87,7 +86,7 @@ class PubSubClient(Node):
             conn.send(Ack(uuid=self.ids(), acked_by=self.name))
             for pattern in self._callbacks:
                 conn.send(Subscribe(uuid=self.ids(), topic=pattern, subscriber=self.name))
-            self.trace("client_connected", broker=str(broker_endpoint))
+            self.emit("client_connected", broker=str(broker_endpoint))
             if on_connected is not None:
                 on_connected()
 
@@ -101,7 +100,7 @@ class PubSubClient(Node):
 
     def _on_disconnected(self) -> None:
         self._conn = None
-        self.trace("client_disconnected")
+        self.emit("client_disconnected")
 
     # ------------------------------------------------------------------
     # Pub/sub

@@ -141,13 +141,13 @@ class ReliableDeliveryService:
         try:
             self.archive.store(stream, int(seq), event)
         except ValueError:
-            self.broker.trace("reliable_bad_seq", uuid=event.uuid)
+            self.broker.emit("reliable_bad_seq", uuid=event.uuid)
 
     def _on_request(self, event: Event, from_peer: str | None) -> None:
         try:
             stream, from_seq, to_seq, subscriber = _decode_request(event.payload)
         except CodecError:
-            self.broker.trace("reliable_bad_request", uuid=event.uuid)
+            self.broker.emit("reliable_bad_request", uuid=event.uuid)
             return
         self.requests_received += 1
         for archived in self.archive.fetch(stream, from_seq, to_seq):

@@ -27,8 +27,8 @@ from repro.discovery.advertisement import (
 from repro.discovery.bdn import BDN
 from repro.discovery.ping import Pinger
 from repro.discovery.sharding import ShardedRegistry
+from repro.obs import Observability
 from repro.simnet.latency import UniformLatencyModel
-from repro.simnet.trace import Tracer
 from repro.substrate.builder import BrokerNetwork, Topology
 from tests.discovery.conftest import World
 
@@ -260,7 +260,7 @@ class PongWorld:
         )
         self.sim = self.net.sim
         self.network = self.net.network
-        self.tracer = Tracer(lambda: self.sim.now)
+        self.obs = Observability(clock=lambda: self.sim.now, ring_capacity=0)
         self.bdn = BDN(
             "bdn0",
             "bdn0.host",
@@ -273,7 +273,7 @@ class PongWorld:
                 fanout_delay=1e-4,
             ),
             site="bdn-site",
-            tracer=self.tracer,
+            obs=self.obs,
         )
         self.bdn.start()
         self.network.register_host("client.host", "client-site")
@@ -397,10 +397,10 @@ class TestDistanceIndex:
             assert bdn.stale_targets == 0
         # The walk really went through every feeding site and the
         # selection really moved.
-        counters = world.tracer.counters
-        assert counters["bdn_lease_expired"] and counters["bdn_pruned"]
-        assert counters["bdn_cold_restart"] and counters["bdn_no_brokers"]
-        assert orphans or bdn.store.leases_expired > counters["bdn_lease_expired"]
+        count = world.obs.count
+        assert count("bdn_lease_expired") and count("bdn_pruned")
+        assert count("bdn_cold_restart") and count("bdn_no_brokers")
+        assert orphans or bdn.store.leases_expired > count("bdn_lease_expired")
         assert len(seen) >= 10
 
     def test_lapsed_closest_is_skipped_between_sweeps(self):
@@ -455,7 +455,7 @@ class TestDistanceIndex:
         world.sim.run_for(1.0)  # pongs of the wiped brokers change nothing
         assert world.index_ids() == []
         world.request()
-        assert world.tracer.counters["bdn_no_brokers"] == 1
+        assert world.obs.count("bdn_no_brokers") == 1
         assert world.bdn.requests_disseminated == 0
 
     def test_unmeasured_brokers_sort_last_by_id(self):

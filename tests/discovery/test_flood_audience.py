@@ -416,7 +416,7 @@ def run_flash_crowd(forced: bool, arrivals: Arrivals, clients: int, n_brokers: i
         np.random.default_rng(18),
         config=BDNConfig(injection="closest_farthest", shards=16),
         site="site0",
-        tracer=net.tracer,
+        obs=net.obs,
     )
     bdn.start()
     for broker in net.broker_list():

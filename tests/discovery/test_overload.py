@@ -365,8 +365,8 @@ class TestResponseSuppression:
         assert responder.responses_suppressed > 0
         assert broker.ingress.max_depth <= 8
         assert broker.ingress.overflows > 0  # 20 arrivals into a depth-8 queue
-        assert world.net.tracer.count("discovery_response_suppressed") > 0
-        assert world.net.tracer.count("queue_overflow") > 0
+        assert world.net.obs.count("discovery_response_suppressed") > 0
+        assert world.net.obs.count("queue_overflow") > 0
 
     def test_metrics_carry_live_queue_depth(self):
         world = World(
@@ -419,7 +419,7 @@ class _TwoBDNWorld:
                 ),
                 site=f"bdn-s{j}",
                 realm="lab",
-                tracer=self.net.tracer,
+                obs=self.net.obs,
             )
             bdn.start()
             self.bdns.append(bdn)
@@ -449,7 +449,7 @@ class _TwoBDNWorld:
             site="client-site",
             realm="lab",
             multicast_enabled=multicast,
-            tracer=self.net.tracer,
+            obs=self.net.obs,
         )
         self.client.start()
         self.net.sim.run_for(6.0)
@@ -467,7 +467,7 @@ class _TwoBDNWorld:
             )
 
     def events(self) -> list[str]:
-        return [r.event for r in self.net.tracer.records]
+        return [r.event for r in self.net.obs.log]
 
 
 class TestBusyFallbackLadder:

@@ -109,7 +109,7 @@ class GroupWorld:
                 config=config,
                 site=f"bdn-s{j}",
                 realm="lab",
-                tracer=self.net.tracer,
+                obs=self.net.obs,
             )
             bdn.start()
             self.bdns.append(bdn)
@@ -138,7 +138,7 @@ class GroupWorld:
             ),
             site="client-site",
             realm="lab",
-            tracer=self.net.tracer,
+            obs=self.net.obs,
         )
         self.client.start()
         self.injector = FaultInjector(self.net.network)

@@ -15,6 +15,7 @@ from repro.obs.export import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import assemble, assemble_from_snapshot, complete_request_ids
+from tests.obs import emitter
 
 TID = "req-0001"
 
@@ -30,13 +31,13 @@ class _Clock:
 def _observed_world() -> Observability:
     clock = _Clock()
     obs = Observability(clock=clock)
-    client, bdn = obs.recorder("client"), obs.recorder("bdn")
-    client.emit("phase", TID, phase="issue_request")
-    client.emit("send", TID, kind="DiscoveryRequest")
+    client, bdn = emitter(obs, "client"), emitter(obs, "bdn")
+    client("phase", TID, phase="issue_request")
+    client("send", TID, kind="DiscoveryRequest")
     clock.now = 0.01
-    bdn.emit("recv", TID, hop=1, kind="DiscoveryRequest")
+    bdn("recv", TID, hop=1, kind="DiscoveryRequest")
     clock.now = 0.02
-    client.emit("done", TID, success=True)
+    client("done", TID, success=True)
     obs.registry.counter("discovery.completed").inc()
     obs.registry.gauge("overload.queue_depth").set(2)
     obs.registry.histogram("discovery.total_time", bounds=(0.01, 0.1, 1.0)).observe(0.02)
@@ -69,9 +70,9 @@ class TestJsonSnapshot:
 
     def test_snapshot_records_ring_overflow(self):
         obs = Observability(ring_capacity=2)
-        rec = obs.recorder("n")
+        rec = emitter(obs, "n")
         for _ in range(5):
-            rec.emit("send", TID)
+            rec("send", TID)
         snap = telemetry_snapshot(obs)
         assert snap["rings"]["n"]["dropped"] == 3
         assert snap["rings"]["n"]["emitted"] == 5
@@ -104,9 +105,9 @@ class TestPrometheusText:
 
     def test_names_flattened_to_prometheus_charset(self):
         registry = MetricsRegistry()
-        registry.counter("obs.span.dup-suppressed").inc()
+        registry.counter("obs.event.dup-suppressed").inc()
         text = prometheus_text(registry)
-        assert "repro_obs_span_dup_suppressed 1" in text
+        assert "repro_obs_event_dup_suppressed 1" in text
 
     def test_prefix_is_configurable(self):
         registry = MetricsRegistry()

@@ -20,6 +20,7 @@ from repro.obs.timeline import (
     phase_agreement,
     render_ascii,
 )
+from tests.obs import emitter
 
 TID = "req-0001"
 
@@ -36,35 +37,35 @@ def _observed_request(lossy_fates: bool = False) -> Observability:
     """A hand-driven request across client, bdn and three brokers."""
     clock = _Clock()
     obs = Observability(clock=clock)
-    client = obs.recorder("client")
-    bdn = obs.recorder("bdn")
-    brokers = {f"b{i}": obs.recorder(f"b{i}") for i in range(3)}
+    client = emitter(obs, "client")
+    bdn = emitter(obs, "bdn")
+    brokers = {f"b{i}": emitter(obs, f"b{i}") for i in range(3)}
 
     clock.now = 0.0
-    client.emit("phase", TID, phase="issue_request")
-    client.emit("send", TID, kind="DiscoveryRequest", bdn="bdn")
+    client("phase", TID, phase="issue_request")
+    client("send", TID, kind="DiscoveryRequest", bdn="bdn")
     clock.now = 0.010
-    bdn.emit("recv", TID, kind="DiscoveryRequest")
+    bdn("recv", TID, kind="DiscoveryRequest")
     for name in brokers:
-        bdn.emit("inject", TID, broker=name)
+        bdn("inject", TID, broker=name)
     clock.now = 0.020
-    client.emit("phase", TID, phase="wait_initial_responses")
+    client("phase", TID, phase="wait_initial_responses")
     for rec in brokers.values():
-        rec.emit("recv", TID, hop=1, kind="DiscoveryRequest")
+        rec("recv", TID, hop=1, kind="DiscoveryRequest")
     # b0 responds and is received; b1's fate varies; b2 suppressed.
     clock.now = 0.030
-    brokers["b0"].emit("respond", TID, broker="b0")
-    brokers["b1"].emit("respond", TID, broker="b1")
-    brokers["b2"].emit("suppressed", TID, broker="b2")
+    brokers["b0"]("respond", TID, broker="b0")
+    brokers["b1"]("respond", TID, broker="b1")
+    brokers["b2"]("suppressed", TID, broker="b2")
     clock.now = 0.040
-    client.emit("recv", TID, hop=2, kind="DiscoveryResponse", broker="b0")
+    client("recv", TID, hop=2, kind="DiscoveryResponse", broker="b0")
     clock.now = 0.050
-    client.emit("phase", TID, phase="final_decision")
+    client("phase", TID, phase="final_decision")
     clock.now = 0.060
-    client.emit("done", TID, success=True)
+    client("done", TID, success=True)
     if lossy_fates:
         clock.now = 0.070  # b1's answer limps in after the run closed
-        client.emit("late", TID, broker="b1", kind="DiscoveryResponse")
+        client("late", TID, broker="b1", kind="DiscoveryResponse")
     return obs
 
 
@@ -72,14 +73,14 @@ class TestCausalOrdering:
     def test_out_of_emission_order_sources_sorted_by_seq(self):
         clock = _Clock()
         obs = Observability(clock=clock)
-        a, b = obs.recorder("a"), obs.recorder("b")
+        a, b = emitter(obs, "a"), emitter(obs, "b")
         # Same virtual instant; emission order is send -> recv -> done.
-        a.emit("send", TID)
-        b.emit("recv", TID)
-        a.emit("done", TID)
+        a("send", TID)
+        b("recv", TID)
+        a("done", TID)
         # merge_events visits recorders sorted by name, so b's stream is
         # read after a's -- the seq numbers must still interleave them.
-        merged = obs.events(TID)
+        merged = assemble(obs, TID).events
         assert [e.event for e in merged] == ["send", "recv", "done"]
 
     def test_rank_fallback_for_seqless_fixtures(self):
@@ -95,19 +96,19 @@ class TestCausalOrdering:
     def test_time_dominates_seq(self):
         clock = _Clock()
         obs = Observability(clock=clock)
-        rec = obs.recorder("n")
+        rec = emitter(obs, "n")
         clock.now = 2.0
-        rec.emit("done", TID)
+        rec("done", TID)
         clock.now = 1.0
-        rec.emit("send", TID)  # emitted later but stamped earlier
-        assert [e.event for e in obs.events(TID)] == ["send", "done"]
+        rec("send", TID)  # emitted later but stamped earlier
+        assert [e.event for e in assemble(obs, TID)] == ["send", "done"]
 
     def test_trace_id_filter_strips_attempt_suffix(self):
         clock = _Clock()
         obs = Observability(clock=clock)
-        rec = obs.recorder("n")
-        rec.emit("send", f"{TID}#2")
-        rec.emit("send", "other-request")
+        rec = emitter(obs, "n")
+        rec("send", f"{TID}#2")
+        rec("send", "other-request")
         assert normalize_trace_id(f"{TID}#2") == TID
         assert len(assemble(obs, TID)) == 1
 
@@ -151,15 +152,15 @@ class TestCompleteness:
     def test_done_alone_is_not_complete(self):
         clock = _Clock()
         obs = Observability(clock=clock)
-        obs.recorder("n").emit("done", TID)
+        obs.emit("done", "n", TID)
         assert not assemble(obs, TID).is_complete()
         assert complete_request_ids(obs) == ()
 
     def test_ping_and_ad_traces_excluded_from_request_ids(self):
         obs = _observed_request()
-        rec = obs.recorder("client")
-        rec.emit("send", "ping:b0", kind="PingRequest")
-        rec.emit("send", "ad:b0", kind="BrokerAdvertisement")
+        rec = emitter(obs, "client")
+        rec("send", "ping:b0", kind="PingRequest")
+        rec("send", "ad:b0", kind="BrokerAdvertisement")
         assert complete_request_ids(obs) == (TID,)
 
 
@@ -202,7 +203,7 @@ class TestPhaseMaths:
 class TestRendering:
     def test_render_ascii_mentions_fates_and_duplicates(self):
         obs = _observed_request(lossy_fates=True)
-        obs.recorder("b2").emit("dup_suppressed", TID, kind="DiscoveryRequest")
+        obs.emit("dup_suppressed", "b2", TID, kind="DiscoveryRequest")
         text = render_ascii(assemble(obs, TID))
         assert TID in text
         assert "late" in text
@@ -213,10 +214,10 @@ class TestRendering:
     def test_render_elides_beyond_max_events(self):
         clock = _Clock()
         obs = Observability(clock=clock)
-        rec = obs.recorder("n")
-        rec.emit("phase", TID, phase="issue_request")
+        rec = emitter(obs, "n")
+        rec("phase", TID, phase="issue_request")
         for i in range(30):
-            rec.emit("send", TID, i=i)
-        rec.emit("done", TID)
+            rec("send", TID, i=i)
+        rec("done", TID)
         text = render_ascii(assemble(obs, TID), max_events=10)
         assert "more events elided" in text

@@ -78,7 +78,7 @@ class TestAioTelemetryHook:
             rt = AioRuntime()
             obs = Observability.for_runtime(rt)
             rt.attach_observability(obs)
-            obs.recorder("n0").emit("send", "req-1", kind="DiscoveryRequest")
+            obs.emit("send", "n0", "req-1", kind="DiscoveryRequest")
             obs.registry.counter("discovery.completed").inc()
             assert rt.telemetry is None  # nothing frozen until close
             await rt.aclose()

@@ -6,7 +6,8 @@ rounds -- on the deterministic simulator and on an in-process
 :class:`~repro.runtime.aio.AioRuntime` over real loopback sockets.  Both
 runs must be handed the same verdict by
 :func:`repro.core.invariants.verdict` and leave the same per-request
-causal span order behind.
+causal span order behind -- and the client must have said the same plain
+things, by name, on both.
 
 Nothing here compares a duration.  The schedule is indexed by round, not
 by time; the verdict is compared by invariant and subject; and the span
@@ -16,6 +17,7 @@ order is the protocol's, not the wall clock's (see :func:`causal_order`).
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -81,6 +83,7 @@ class Run(NamedTuple):
     evidence: object
     orders: list[dict]
     spans: list[set]
+    client_said: Counter  # plain event names the client emitted, with multiplicity
 
 
 def _finish(world, obs, outcomes) -> Run:
@@ -92,7 +95,11 @@ def _finish(world, obs, outcomes) -> Run:
     )
     timelines = [assemble(obs, o.request_uuid) for o in outcomes]
     return Run(
-        rounds, evidence, [causal_order(t) for t in timelines], [span_set(t) for t in timelines]
+        rounds,
+        evidence,
+        [causal_order(t) for t in timelines],
+        [span_set(t) for t in timelines],
+        Counter(e.event for e in obs.log if e.node == world.client.name),
     )
 
 
@@ -103,7 +110,7 @@ def run_sim(seed: int) -> Run:
         loss=NoLoss(),
         rng=np.random.default_rng(seed + 1),
     )
-    obs = Observability.for_runtime(rt)
+    obs = Observability(clock=lambda: rt.now, keep_trace=True)
     world = star_world(rt, seed, obs)
     rt.sim.run_for(6.0)  # NTP settles
     world.advertise()
@@ -120,7 +127,7 @@ def run_sim(seed: int) -> Run:
 def run_aio(seed: int) -> Run:
     async def scenario() -> Run:
         rt = create_runtime("aio")
-        obs = Observability.for_runtime(rt)
+        obs = Observability(clock=lambda: rt.now, keep_trace=True)
         rt.attach_observability(obs)
         world = star_world(rt, seed, obs)
         try:
@@ -207,3 +214,14 @@ class TestSameCausalOrder:
         assert ("bdn0", "inject", None, victim) in whole & degraded
         assert any(node == victim for node, *_ in whole)
         assert not any(node == victim for node, *_ in degraded)
+
+
+class TestSamePlainEvents:
+    def test_client_says_the_same_things_by_name(self, sim, aio):
+        # Names with multiplicity, never times; only the client node, so
+        # the fabric's per-datagram events (named by host, and emitted
+        # by the live runtime alone here) stay out of it.
+        assert sim.client_said == aio.client_said
+        assert sim.client_said["discover_start"] == ROUNDS
+        assert sim.client_said["discover_done"] == ROUNDS
+        assert sim.client_said["request_sent"] == ROUNDS

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import Endpoint
+from repro.obs import Observability
 from repro.simnet.network import Network
 from repro.simnet.node import Node
 from repro.simnet.simulator import Simulator
-from repro.simnet.trace import Tracer
 
 
 def make_world():
@@ -76,13 +76,29 @@ class TestNodeLifecycle:
 
     def test_trace_goes_to_tracer(self):
         sim, net = make_world()
-        tracer = Tracer(lambda: sim.now)
-        node = Node("a", "a.example", net, np.random.default_rng(1), site="s", tracer=tracer)
-        node.trace("custom_event", detail="x")
-        assert tracer.count("custom_event") == 1
-        assert tracer.events("custom_event")[0].node == "a"
+        obs = Observability(lambda: sim.now, ring_capacity=0, keep_trace=True)
+        node = Node("a", "a.example", net, np.random.default_rng(1), site="s", obs=obs)
+        node.emit("link_up", detail="x")
+        assert obs.count("link_up") == 1
+        assert obs.events("link_up")[0].node == "a"
+        # A sink that is not observing hears plain events only.
+        assert not node.observing
+        node.emit("send", "req-1")
+        assert obs.count("send") == 0 and not obs.recorders
+
+    def test_observing_sink_hears_plain_and_causal(self):
+        sim, net = make_world()
+        obs = Observability(lambda: sim.now)
+        node = Node("a", "a.example", net, np.random.default_rng(1), site="s", obs=obs)
+        assert node.observing and len(obs.recorders["a"]) == 0  # idle ring exists
+        node.emit("link_up")
+        node.emit("send", "req-1", 2, kind="Ack")
+        assert obs.count("link_up") == obs.count("send") == 1
+        (event,) = obs.recorders["a"].snapshot()
+        assert (event.event, event.trace_id, event.hop) == ("send", "req-1", 2)
 
     def test_trace_without_tracer_is_noop(self):
         sim, net = make_world()
         node = Node("a", "a.example", net, np.random.default_rng(1), site="s")
-        node.trace("anything")  # must not raise
+        node.emit("anything")  # must not raise
+        node.emit("anything", "req-1")

@@ -22,7 +22,7 @@ from repro.substrate.builder import BrokerNetwork, Topology
 
 
 def _trace_signature(net) -> tuple:
-    return tuple((r.time, r.event, r.node, r.detail) for r in net.tracer.records)
+    return tuple((r.time, r.event, r.node, r.detail) for r in net.obs.log)
 
 
 def _run_discovery_world(topology: str) -> tuple:
@@ -107,7 +107,7 @@ def _run_overload_world() -> tuple:
         ),
         site="bdn-site",
         realm="lab",
-        tracer=net.tracer,
+        obs=net.obs,
     )
     bdn.start()
     for broker in net.brokers.values():
@@ -133,7 +133,7 @@ def _run_overload_world() -> tuple:
         ),
         site="client-site",
         realm="lab",
-        tracer=net.tracer,
+        obs=net.obs,
     )
     client.start()
     net.sim.run_for(4.0)

@@ -12,6 +12,17 @@ from repro.simnet.simulator import Simulator
 SRC = Endpoint("sender.example", 1234)
 
 
+class _Owner:
+    """What an ingress queue needs of its node: ``emit`` and ``observing``."""
+
+    def __init__(self, observing: bool) -> None:
+        self.observing = observing
+        self.heard: list[tuple] = []
+
+    def emit(self, event, trace_id="", hop=0, **detail) -> None:
+        self.heard.append((event, trace_id, hop, detail))
+
+
 def _ack(n: int) -> Ack:
     return Ack(uuid=f"u{n}", acked_by="x")
 
@@ -83,24 +94,58 @@ class TestBounds:
     def test_overflow_drops_and_counts(self):
         sim = Simulator()
         sink = _Sink(sim)
-        traces: list[tuple[str, dict]] = []
+        owner = _Owner(observing=False)
         q = IngressQueue(
-            sim,
-            sink,
-            ServiceConfig(queue_capacity=2, service_time=1.0),
-            trace=lambda event, **detail: traces.append((event, detail)),
+            sim, sink, ServiceConfig(queue_capacity=2, service_time=1.0), owner=owner
         )
         for n in range(5):
             q.deliver(_ack(n), SRC)
         assert q.depth == 2
         assert q.overflows == 3
-        # Detail values arrive unstringified; the Tracer normalises
+        # Detail values arrive unstringified; the sink normalises
         # them lazily only when records are kept.
-        assert traces == [
-            ("queue_overflow", {"kind": "Ack", "depth": 2})
+        assert owner.heard == [
+            ("queue_overflow", "", 0, {"kind": "Ack", "depth": 2})
         ] * 3
         sim.run()
         assert [m.uuid for m, _, _ in sink.calls] == ["u0", "u1"]
+
+    def test_single_hook_hears_overflow_enqueue_and_dequeue(self):
+        # The owning node's emit carries all three: the plain
+        # queue_overflow, and enqueue/dequeue for a message that carries
+        # trace context (and only for such a message).
+        sim = Simulator()
+        owner = _Owner(observing=True)
+        q = IngressQueue(
+            sim, _Sink(sim), ServiceConfig(queue_capacity=1, service_time=1.0), owner=owner
+        )
+        traced = PingRequest(
+            uuid="p#1", sent_at=0.0, reply_host="h", reply_port=1, trace_flag=True, trace_hop=3
+        )
+        q.deliver(traced, SRC)
+        q.deliver(_ack(0), SRC)  # untraced and over capacity
+        sim.run()
+        q.deliver(_ack(1), SRC)  # untraced, accepted: nothing to say
+        assert owner.heard == [
+            ("enqueue", "p", 3, {"kind": "PingRequest"}),
+            ("dequeue", "p", 3, {"kind": "PingRequest"}),
+            ("queue_overflow", "", 0, {"kind": "Ack", "depth": 1}),
+        ]
+
+    def test_unobserving_owner_never_inspects_the_message(self):
+        # Asking a lazily decoded wire view for its trace context would
+        # materialise it (and raise on a bad body) before the handler's
+        # own guarded decode: only an observing owner pays that.
+        class Opaque:
+            def __getattr__(self, name):
+                raise AssertionError(f"queue read .{name} of an unobserved message")
+
+        sim = Simulator()
+        owner = _Owner(observing=False)
+        q = IngressQueue(sim, _Sink(sim), ServiceConfig(service_time=1.0), owner=owner)
+        q.deliver(Opaque(), SRC)
+        sim.run()
+        assert q.served == 1 and owner.heard == []
 
     def test_capacity_counts_message_in_service(self):
         sim = Simulator()
