@@ -22,6 +22,11 @@ system sockets.  Design points:
   size, not asyncio's 256 KiB transport read.  A TCP listener attaches
   as a background task: await :meth:`AioRuntime.ready` after booting
   nodes so every listener is accepting before traffic starts.
+* **A timer costs its delay, not the selector's tick.**  Every timer
+  reaches the loop through :meth:`AioRuntime._arm`: a delay under half
+  a selector tick runs on the next loop pass, a longer one is a
+  ``call_later``, and a periodic series keeps its own schedule, so its
+  period is its interval.
 * **Multicast is emulated in-registry.**  CI loopback offers no IGMP;
   group membership lives in the runtime and :meth:`multicast` fans out
   real unicast datagrams to in-realm members -- same visible semantics
@@ -70,16 +75,22 @@ _UDP_RECV_BYTES = 64 * 1024  # no UDP datagram is larger
 # at 4 and above, 32 closed-loop clients behind one BDN left the core
 # idle 15-25 % of a saturated run (docs/experiments/pr-20.md).
 _UDP_DRAIN_MAX = 2
+# What the default Linux loop's selector makes of a timeout:
+# ``selectors.EpollSelector.select`` does ``math.ceil(timeout * 1e3) *
+# 1e-3``, so a ``call_later`` fires up to one tick late whatever it asked
+# for -- 0.3 ms waits 1.2 ms.  A delay under half a tick is closer to
+# "now" than to anything the selector can deliver (see ``_arm``).
+_TICK = 1e-3
 
 
 class AioTimerHandle:
-    """Cancellable handle over one ``loop.call_later`` (or a periodic series)."""
+    """Cancellable handle over one armed ``asyncio.Handle`` (or a periodic series)."""
 
     __slots__ = ("cancelled", "_handle")
 
     def __init__(self) -> None:
         self.cancelled = False
-        self._handle: asyncio.TimerHandle | None = None
+        self._handle: asyncio.Handle | None = None
 
     def cancel(self) -> None:
         """Prevent any further firing (idempotent)."""
@@ -309,12 +320,30 @@ class AioRuntime:
             self._t0 = monotonic_now
         return monotonic_now - self._t0
 
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> AioTimerHandle:
-        """Run ``fn(*args)`` after ``delay`` real seconds."""
+    def _arm(
+        self, handle: AioTimerHandle, delay: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Arm ``callback(*args)`` under ``handle``, ``delay`` seconds from now.
+
+        The one place a timer reaches the event loop.  A delay of half a
+        selector tick or more is a ``call_later``: never early, up to
+        one ``_TICK`` and a wake-up late.  A shorter one is a
+        ``call_soon``: the next loop pass (after one zero-timeout I/O
+        poll, never re-entrant, FIFO in arming order), tens of
+        microseconds away -- closer to its due time than the
+        millisecond-plus ``call_later`` would make of it.
+        """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
+        if delay < _TICK / 2:
+            handle._handle = self.loop().call_soon(callback, *args)
+        else:
+            handle._handle = self.loop().call_later(delay, callback, *args)
+
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> AioTimerHandle:
+        """Run ``fn(*args)`` after ``delay`` real seconds."""
         handle = AioTimerHandle()
-        handle._handle = self.loop().call_later(delay, self._fire, handle, fn, args)
+        self._arm(handle, delay, self._fire, handle, fn, args)
         return handle
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> AioTimerHandle:
@@ -331,34 +360,34 @@ class AioRuntime:
         """Run ``fn(*args)`` periodically until the handle is cancelled.
 
         Matches the simulator's semantics: one master handle controls
-        the series, and a tick that raises re-arms the next tick before
-        the exception surfaces (here: is recorded).
+        the series, and a tick that raises (here: is recorded) does not
+        end it.  The series keeps its own schedule -- each tick is due
+        ``interval`` after the last one was *due*, not after it ran --
+        so callback time and timer lateness do not stretch the period;
+        a tick that is already late is followed by one tick at once, not
+        by a burst of missed ones.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         series = AioTimerHandle()
+        first = interval if first_delay is None else first_delay
+        due = self.now + first
 
         def tick() -> None:
+            nonlocal due
             if series.cancelled:
                 return
             try:
                 fn(*args)
-            finally:
-                if not series.cancelled:
-                    series._handle = self.loop().call_later(
-                        interval, self._fire_tick, series, tick
-                    )
+            except Exception as exc:
+                self._note_error(f"periodic callback failed: {exc!r}")
+            if not series.cancelled:  # fn may have cancelled its own series
+                now = self.now
+                due = max(due + interval, now)
+                self._arm(series, due - now, tick)
 
-        series._handle = self.loop().call_later(
-            interval if first_delay is None else first_delay, self._fire_tick, series, tick
-        )
+        self._arm(series, first, tick)
         return series
-
-    def _fire_tick(self, series: AioTimerHandle, tick: Callable[[], None]) -> None:
-        try:
-            tick()
-        except Exception as exc:
-            self._note_error(f"periodic callback failed: {exc!r}")
 
     def _fire(self, handle: AioTimerHandle, fn: Callable[..., Any], args: tuple) -> None:
         if handle.cancelled:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.codec import encode_message
 from repro.core.config import Endpoint
 from repro.core.messages import Ack, PingRequest
 from repro.core.errors import TransportError, UnknownHostError
+from repro.runtime import create_runtime
 from repro.runtime.aio import AioRuntime
 
 
@@ -90,6 +92,159 @@ class TestScheduler:
             rt = AioRuntime()
             with pytest.raises(ValueError):
                 rt.schedule(-0.1, lambda: None)
+
+        run(scenario())
+
+    def test_call_every_rejects_negative_first_delay_on_both_runtimes(self):
+        """Parity: the live series used to reach ``call_later(-1)`` and
+        fire at once where the simulator's raises."""
+
+        async def scenario():
+            rt = AioRuntime()
+            fired = []
+            with pytest.raises(ValueError):
+                rt.call_every(0.02, fired.append, "tick", first_delay=-1)
+            await settle(0.05)
+            assert fired == []  # and nothing was left armed
+
+        run(scenario())
+        with pytest.raises(ValueError):
+            create_runtime("sim").call_every(0.02, lambda: None, first_delay=-1)
+
+    def test_sub_tick_hops_in_series_cost_loop_passes_not_selector_ticks(self):
+        """20 sequential 0.3 ms hops ask for 6 ms.  ``call_later`` makes
+        each wait out the selector's millisecond rounding (>= 20 ms in
+        all); next-pass timers finish the chain in well under one."""
+
+        async def scenario():
+            rt = AioRuntime()
+            done = asyncio.get_running_loop().create_future()
+
+            def hop(left):
+                if left:
+                    rt.schedule(0.0003, hop, left - 1)
+                else:
+                    done.set_result(time.monotonic())
+
+            started = time.monotonic()
+            rt.schedule(0.0003, hop, 19)
+            elapsed = await asyncio.wait_for(done, timeout=5.0) - started
+            assert elapsed < 0.010
+            assert not rt.errors
+
+        run(scenario())
+
+    def test_sub_tick_timers_fire_next_pass_in_arming_order(self):
+        async def scenario():
+            rt = AioRuntime()
+            fired = []
+            rt.schedule(0, fired.append, "zero")
+            rt.schedule(1e-5, fired.append, "ten-us")
+            doomed = rt.schedule(1e-4, fired.append, "cancelled")
+            rt.schedule(4e-4, fired.append, "sub-tick")
+            doomed.cancel()
+            assert fired == []  # never synchronously inside schedule()
+            assert await until(lambda: len(fired) == 3)
+            await settle(0.02)
+            assert fired == ["zero", "ten-us", "sub-tick"]
+
+        run(scenario())
+
+    @pytest.mark.parametrize("delay", [5e-4, 2e-3, 1.01e-2])
+    def test_half_a_tick_and_above_never_fires_early(self, delay):
+        async def scenario():
+            rt = AioRuntime()
+            for _ in range(10):
+                fired_at = asyncio.get_running_loop().create_future()
+                armed_at = time.monotonic()
+                rt.schedule(delay, lambda: fired_at.set_result(time.monotonic()))
+                assert await asyncio.wait_for(fired_at, timeout=5.0) - armed_at >= delay
+                await asyncio.sleep(0.0007)  # a different phase of the tick each time
+
+        run(scenario())
+
+    def test_next_pass_timer_that_raises_is_recorded(self):
+        async def scenario():
+            rt = AioRuntime()
+
+            def explode():
+                raise RuntimeError("timer bug")
+
+            rt.schedule(1e-4, explode)
+            fired = []
+            rt.schedule(1e-4, fired.append, "after")
+            assert await until(lambda: fired == ["after"])  # the loop lived on
+            assert list(rt.errors) == ["timer callback failed: RuntimeError('timer bug')"]
+
+        run(scenario())
+
+    def test_call_every_keeps_its_period(self):
+        """Regression: each tick was re-armed ``interval`` after the last
+        one *ran*, so a 10.5 ms series ticked every 11.3 ms (callback
+        time plus the selector's rounding, compounding)."""
+        interval, count = 0.0105, 40
+
+        async def scenario() -> float:
+            rt = AioRuntime()
+            done = asyncio.get_running_loop().create_future()
+            ticks = []
+
+            def tick():
+                ticks.append(time.monotonic())
+                if len(ticks) == count:
+                    series.cancel()
+                    done.set_result(None)
+
+            started = time.monotonic()
+            series = rt.call_every(interval, tick)
+            await asyncio.wait_for(done, timeout=5.0)
+            # No tick came early by more than the sub-tick hand-off.
+            assert all(
+                at - started >= (i + 1) * interval - 0.0006 for i, at in enumerate(ticks)
+            )
+            return ticks[-1] - started
+
+        # A busy host can only add to a wall-clock figure, so the best of
+        # three tries is the runtime's own (the old re-arm took 452 ms).
+        assert any(run(scenario()) <= count * interval + 0.003 for _ in range(3))
+
+    def test_call_every_late_tick_does_not_burst(self):
+        async def scenario():
+            rt = AioRuntime()
+            ticks = []
+
+            def tick():
+                ticks.append(rt.now)
+                if len(ticks) == 1:
+                    time.sleep(0.06)  # six periods gone by the time it returns
+
+            series = rt.call_every(0.01, tick)
+            assert await until(lambda: len(ticks) >= 3)
+            series.cancel()
+            blocked_until = ticks[0] + 0.06
+            # One tick at once for the six that were missed (the old
+            # re-arm waited out another interval first) ...
+            assert blocked_until <= ticks[1] < blocked_until + 0.008
+            # ... then the period again, not the backlog in a burst.
+            assert ticks[2] - ticks[1] >= 0.005
+
+        run(scenario())
+
+    def test_call_every_cancelled_before_or_inside_a_tick_stays_silent(self):
+        async def scenario():
+            rt = AioRuntime()
+            never, once = [], []
+            rt.call_every(0.01, never.append, "tick").cancel()
+            rt.call_every(0.01, never.append, "tick", first_delay=0).cancel()
+
+            def cancels_itself():
+                once.append(rt.now)
+                series.cancel()
+
+            series = rt.call_every(0.01, cancels_itself)
+            await settle(0.06)
+            assert never == [] and len(once) == 1
+            assert not rt.errors
 
         run(scenario())
 
