@@ -212,7 +212,7 @@ class BDN(Node):
         """Take the BDN offline (fault injection); idempotent."""
         if not self.alive:
             return
-        self.alive = False
+        self.alive = self._started = False  # start() brings it back
         self.runtime.unbind_udp(self.udp_endpoint)
         for timer in self._sweep_timers:
             timer.cancel()
@@ -323,17 +323,7 @@ class BDN(Node):
         ):
             return True
         self.requests_shed += 1
-        requester = Endpoint(message.requester_host, message.requester_port)
-        busy = DiscoveryBusy(
-            request_uuid=message.uuid,
-            bdn=self.name,
-            retry_after=self.config.busy_retry_after,
-            queue_depth=self.queue_depth,
-            trace_flag=message.trace_flag,
-            trace_hop=message.trace_hop + 1 if message.trace_flag else 0,
-            leader_hint=self._leader_hint(),
-        )
-        self.runtime.send_udp(self.udp_endpoint, requester, busy)
+        busy = self._refuse(message)
         if message.trace_flag:
             self.emit("shed", message.uuid, hop=message.trace_hop, depth=self.queue_depth)
             self.emit("busy", message.uuid, hop=busy.trace_hop, retry_after=busy.retry_after)
@@ -428,38 +418,42 @@ class BDN(Node):
     # ------------------------------------------------------------------
     # Discovery requests
     # ------------------------------------------------------------------
-    def _leader_hint(self) -> str:
-        """Current group leader as ``"host:port"``; ``""`` unreplicated."""
-        if self.replication is None:
-            return ""
-        return self.replication.leader_hint()
+    def _refuse(self, request: DiscoveryRequest) -> DiscoveryBusy:
+        """Answer ``request`` with a :class:`DiscoveryBusy`.
+
+        "Come back after ``busy_retry_after``", with the current group
+        leader as a ``"host:port"`` hint (``""`` unreplicated).
+        """
+        busy = DiscoveryBusy(
+            request_uuid=request.uuid,
+            bdn=self.name,
+            retry_after=self.config.busy_retry_after,
+            queue_depth=self.queue_depth,
+            trace_flag=request.trace_flag,
+            trace_hop=request.trace_hop + 1 if request.trace_flag else 0,
+            leader_hint=self.replication.leader_hint() if self.replication is not None else "",
+        )
+        requester = Endpoint(request.requester_host, request.requester_port)
+        self.runtime.send_udp(self.udp_endpoint, requester, busy)
+        return busy
 
     def _handle_request(self, request: DiscoveryRequest) -> None:
         self.requests_received += 1
         traced_req = request.trace_flag and self.observing
         if traced_req:
             self.emit("recv", request.uuid, hop=request.trace_hop, kind="DiscoveryRequest")
-        requester = Endpoint(request.requester_host, request.requester_port)
         if self.replication is not None and not self.replication.serving:
             # Cold-restarted member still catching up: an empty (or
             # partial) registry would disseminate to nobody and the
             # request would die here.  Redirect the client instead.
             self.requests_refused_catchup += 1
-            busy = DiscoveryBusy(
-                request_uuid=request.uuid,
-                bdn=self.name,
-                retry_after=self.config.busy_retry_after,
-                queue_depth=self.queue_depth,
-                trace_flag=request.trace_flag,
-                trace_hop=request.trace_hop + 1 if request.trace_flag else 0,
-                leader_hint=self._leader_hint(),
-            )
-            self.runtime.send_udp(self.udp_endpoint, requester, busy)
+            busy = self._refuse(request)
             if traced_req:
                 self.emit("busy", request.uuid, hop=busy.trace_hop, retry_after=busy.retry_after)
             self.emit("bdn_catchup_refused", request=request.uuid)
             return
         # Timely acknowledgement (section 3), even for duplicates.
+        requester = Endpoint(request.requester_host, request.requester_port)
         self.runtime.send_udp(self.udp_endpoint, requester, Ack(uuid=request.uuid, acked_by=self.name))
         if traced_req:
             self.emit("send", request.uuid, hop=request.trace_hop, kind="Ack")

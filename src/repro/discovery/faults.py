@@ -88,7 +88,6 @@ class FaultInjector:
                 return  # overlapping kill/revive windows; already back
             if cold:
                 bdn.clear_registry()
-            bdn._started = False  # noqa: SLF001 - deliberate restart hook
             bdn.start()
             self._log("revive_bdn_cold" if cold else "revive_bdn", bdn.name)
 
@@ -111,7 +110,6 @@ class FaultInjector:
         def do() -> None:
             if broker.alive:
                 return  # overlapping kill/revive windows; already back
-            broker._started = False  # noqa: SLF001 - deliberate restart hook
             broker.start()
             self._log("revive_broker", broker.name)
 

@@ -152,7 +152,6 @@ class ReplicationState:
         # Candidate/leader vote bookkeeping: member -> claim send time
         # (this node's clock) of the latest grant received from them.
         self._votes: dict[str, float] = {}
-        self._claim_sent_at = -math.inf
 
         # Replication log state.
         self.seq = 0
@@ -286,7 +285,6 @@ class ReplicationState:
         self.role = CANDIDATE
         self.elections_started += 1
         self._votes = {self.me: now}
-        self._claim_sent_at = now
         # Self-grant: a candidate is its own first voter, and the grant
         # is as binding as one given to a peer.
         self._granted_to = self.me
@@ -294,6 +292,18 @@ class ReplicationState:
         self._grant_expires = now + self.config.lease_duration
         self.bdn.emit("election_started", term=self.term, member=self.me)
         self._count("replication.elections")
+        self._claim(now)
+        if len(self._votes) >= self.config.quorum_size:
+            self._become_leader()
+        else:
+            # Retry (next term) once our own grant has lapsed, staggered
+            # so concurrent candidates do not collide forever.
+            self._arm_election_timer(
+                self._grant_expires + self.index * self.config.election_stagger
+            )
+
+    def _claim(self, now: float) -> None:
+        """Claim (or, as leader, renew) the lease for this term with every peer."""
         claim = LeaseClaim(
             group=self.config.group,
             candidate=self.me,
@@ -303,14 +313,6 @@ class ReplicationState:
         )
         for _, endpoint in self.peers:
             self._send(endpoint, claim)
-        if len(self._votes) >= self.config.quorum_size:
-            self._become_leader()
-        else:
-            # Retry (next term) once our own grant has lapsed, staggered
-            # so concurrent candidates do not collide forever.
-            self._arm_election_timer(
-                self._grant_expires + self.index * self.config.election_stagger
-            )
 
     def _become_leader(self) -> None:
         now = self._now
@@ -373,17 +375,8 @@ class ReplicationState:
         if self._lease_until() <= now:
             self._step_down("lease lapsed")
             return
-        self._claim_sent_at = now
         self._votes[self.me] = now
-        claim = LeaseClaim(
-            group=self.config.group,
-            candidate=self.me,
-            term=self.term,
-            duration=self.config.lease_duration,
-            sent_at=now,
-        )
-        for _, endpoint in self.peers:
-            self._send(endpoint, claim)
+        self._claim(now)
         if self.leadership_intervals:
             self.leadership_intervals[-1][2] = self._lease_until()
         self._gauge("replication.lag", self.seq - self.committed_seq)

@@ -1,31 +1,52 @@
 """The discovery client: issuing requests and selecting a broker.
 
-This is the requesting node of paper sections 3, 6 and 7, implemented
-as an event-driven state machine:
+The requesting node of paper sections 3, 6, 7 and 9, as an event-driven
+state machine with one method per event.  A run's state *is* its open
+:class:`~repro.discovery.phases.PhaseTimer` phase -- ``run.state`` holds
+one of ``PHASE_NAMES``, ``None`` once the run has closed -- so the
+sub-activity figures, the ``phase`` spans and every guard below read
+the same five names:
 
-``ISSUING``
-    The request has been sent (to a BDN, over multicast, or to the
-    cached target set) but nothing has come back yet.  A retransmission
-    timer guards this state: after ``retransmit_interval`` of silence
-    the client retransmits, then walks the fallback chain --
-    next configured BDN -> multicast -> cached target set (section 7).
-``COLLECTING``
-    Responses are being gathered, until ``max_responses`` arrive or the
-    ``response_timeout`` window closes (section 9's two knobs).
-``PINGING``
-    The target set has been shortlisted (section 6) and UDP pings are
-    measuring true RTTs, ``ping_repeats`` per broker.
-``DONE`` / ``FAILED``
-    The outcome has been delivered to the caller.
+``issue_request``
+    The request is out (to a BDN, over multicast, or to the cached
+    target set) and nothing has come back.  An ``Ack``, or the first
+    ``DiscoveryResponse`` standing in for a lost one, moves the run to
+    ``wait_initial_responses``; under a retry policy a ``DiscoveryBusy``
+    from the BDN just asked walks the ladder.  Every transmission
+    restarts two timers, ``window`` (``response_timeout``) and
+    ``silence`` (``retransmit_interval``); whichever finds nothing
+    collected walks the ladder.  While a retry policy has the run sit
+    out a backoff, ``retry`` stands in for both.
+``wait_initial_responses``
+    Responses are gathered, duplicates suppressed, until
+    ``max_responses`` have arrived or ``window`` closes (section 9's two
+    knobs); then ``process_responses``.  The ack disarmed ``silence``.
+    A window that closes empty walks the ladder from here; one that
+    closes under ``min_responses`` retransmits once and reopens.
+``process_responses``
+    Section 6's shortlist.  Nothing is accepted (a response is *late*
+    from here on); a run-scoped timer models the CPU cost, then
+    ``ping_target_set``.
+``ping_target_set``
+    ``ping_repeats`` UDP pings per shortlisted broker.  Pongs arrive
+    through the :class:`Pinger`; ``ping`` is ``ping_timeout``, cut to
+    ``ping_grace`` once every target has answered once.  The last pong,
+    or ``ping``, moves the run to ``final_decision``.
+``final_decision``
+    A run-scoped timer models the ranking cost; the run then closes.
 
-Every state transition is stamped into a
-:class:`~repro.discovery.phases.PhaseTimer`, which is what the
-sub-activity breakdown figures are computed from.
+Section 7's ladder is written once, in :meth:`DiscoveryClient._transmit`
+and :meth:`DiscoveryClient._advance`: each BDN in turn
+(``max_retransmits`` retransmissions apiece), then multicast, then the
+cached target set, then failure; a rung that cannot carry the request is
+passed over at once.  :meth:`DiscoveryClient._retransmit_here` is the
+one place the paper's fixed timer and a ``RetryPolicyConfig`` differ.
+Every run, decided or aborted, ends in :meth:`DiscoveryClient._close`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 
 import numpy as np
@@ -43,7 +64,7 @@ from repro.core.messages import (
 from repro.runtime.api import Runtime, TimerHandle
 from repro.simnet.node import Node
 from repro.discovery.overload import CircuitBreaker, DecorrelatedJitterBackoff, TokenBucket
-from repro.discovery.phases import PhaseTimer
+from repro.discovery.phases import PHASE_NAMES, PhaseTimer
 from repro.discovery.replication import try_parse_endpoint
 from repro.discovery.ping import Pinger
 from repro.discovery.selection import Candidate, make_candidate, select_target_set
@@ -51,6 +72,13 @@ from repro.discovery.selection import Candidate, make_candidate, select_target_s
 __all__ = ["CLIENT_UDP_PORT", "DiscoveryClient", "DiscoveryOutcome", "CachedTarget"]
 
 CLIENT_UDP_PORT = 7500
+
+# The five states, by their phase names.
+_ISSUE, _COLLECT, _SELECT, _PING, _DECIDE = PHASE_NAMES
+# The two in which the request is still waiting for an answer.
+_AWAITING = (_ISSUE, _COLLECT)
+# Section 7's rungs in order; ``run.via`` is the last one transmitted on.
+_LADDER = ("bdn", "multicast", "cached")
 
 # Simulated CPU cost of the selection computation: a base plus a small
 # per-candidate term (sorting/weighting is cheap but not free).
@@ -128,8 +156,17 @@ class DiscoveryOutcome:
     request_uuid: str
 
 
+def _cached(candidate: Candidate) -> CachedTarget:
+    endpoint = candidate.udp_endpoint
+    return CachedTarget(candidate.broker_id, endpoint.host, endpoint.port)
+
+
 class _Run:
-    """Mutable state of one discovery attempt."""
+    """Mutable state of one discovery attempt.
+
+    ``state`` is the open phase name: written by ``_begin_phase`` (the
+    first call opens the run) and by ``_close`` (``None``), nowhere else.
+    """
 
     __slots__ = (
         "uuid",
@@ -147,17 +184,13 @@ class _Run:
         "retransmits_here",
         "transmissions",
         "on_complete",
-        "ack_timer",
-        "collection_timer",
-        "ping_timer",
-        "retry_timer",
+        "timers",
         "aux_timers",
         "extended",
     )
 
     def __init__(self, uuid: str, phases: PhaseTimer, now: float, on_complete) -> None:
         self.uuid = uuid
-        self.state = "ISSUING"
         self.phases = phases
         self.started_at = now
         self.candidates: dict[str, Candidate] = {}
@@ -171,24 +204,16 @@ class _Run:
         self.retransmits_here = 0
         self.transmissions = 0
         self.on_complete = on_complete
-        self.ack_timer: TimerHandle | None = None
-        self.collection_timer: TimerHandle | None = None
-        self.ping_timer: TimerHandle | None = None
-        self.retry_timer: TimerHandle | None = None
+        # silence, window, retry, ping: DiscoveryClient._arm / _disarm.
+        self.timers: dict[str, TimerHandle] = {}
         # Short-lived scheduled work (selection/decision CPU cost, ping
         # repeats); tracked so an aborted run leaves nothing pending.
         self.aux_timers: set[TimerHandle] = set()
         self.extended = False
 
     def cancel_timers(self) -> None:
-        for timer in (
-            self.ack_timer,
-            self.collection_timer,
-            self.ping_timer,
-            self.retry_timer,
-        ):
-            if timer is not None:
-                timer.cancel()
+        for timer in self.timers.values():
+            timer.cancel()
         for timer in self.aux_timers:
             timer.cancel()
         self.aux_timers.clear()
@@ -348,7 +373,7 @@ class DiscoveryClient(Node):
         self._watch_timers.clear()
         run = self._run
         if run is not None:
-            self._fail(run)
+            self._close(run)
         self.runtime.unbind_udp(self.udp_endpoint)
         self.emit("client_stop")
 
@@ -361,25 +386,14 @@ class DiscoveryClient(Node):
         Returns the request UUID.  Raises :class:`DiscoveryError` if a
         discovery is already in flight.
         """
-        if self._run is not None:
-            raise DiscoveryError(f"client {self.name} already has a discovery in flight")
-        if not self.started:
-            raise DiscoveryError(f"client {self.name} must be started before discovering")
-        phases = PhaseTimer(lambda: self.runtime.now)
-        run = _Run(self.ids(), phases, self.runtime.now, on_complete)
+        run = self._open(on_complete, reconnect=False)
         run.bdn_order = self._bdn_order()
-        self._run = run
-        self._begin_phase(run, "issue_request")
         if self._backoff is not None:
             self._backoff.reset()  # each run starts its backoff sequence fresh
         self.emit("discover_start", request=run.uuid)
-        if self.config.bdn_endpoints:
-            self._send_to_bdn(run)
-        else:
-            # No BDNs configured at all -- straight to multicast
-            # ("our scheme ... can work even if there are no BDNs up
-            # and running", section 3).
-            self._fallback_multicast(run)
+        # With no BDNs configured the top rung is multicast ("our scheme
+        # ... can work even if there are no BDNs up and running", s. 3).
+        self._transmit(run)
         return run.uuid
 
     def rediscover(self, on_complete: Callable[[DiscoveryOutcome], None]) -> str:
@@ -391,21 +405,26 @@ class DiscoveryClient(Node):
         trip.  Raises :class:`DiscoveryError` if a discovery is already
         in flight, the client is not started, or nothing is cached.
         """
+        run = self._open(on_complete, reconnect=True)
+        self.emit("rediscover_start", request=run.uuid)
+        self._transmit(run, _LADDER.index("cached"))
+        return run.uuid
+
+    def _open(self, on_complete, reconnect: bool) -> _Run:
+        """Open a run in ``issue_request``, or refuse -- in this order and
+        before ``self.ids()`` draws: in flight, not started, nothing cached."""
         if self._run is not None:
             raise DiscoveryError(f"client {self.name} already has a discovery in flight")
         if not self.started:
             raise DiscoveryError(f"client {self.name} must be started before discovering")
-        if not self.last_target_set:
+        if reconnect and not self.last_target_set:
             raise DiscoveryError(
                 f"client {self.name} has no cached target set to reconnect with"
             )
         phases = PhaseTimer(lambda: self.runtime.now)
-        run = _Run(self.ids(), phases, self.runtime.now, on_complete)
-        self._run = run
-        self._begin_phase(run, "issue_request")
-        self.emit("rediscover_start", request=run.uuid)
-        self._fallback_cached(run)
-        return run.uuid
+        run = self._run = _Run(self.ids(), phases, self.runtime.now, on_complete)
+        self._begin_phase(run, _ISSUE)
+        return run
 
     def watch_selected(
         self,
@@ -454,10 +473,10 @@ class DiscoveryClient(Node):
         return series
 
     # ------------------------------------------------------------------
-    # Request transmission and the fallback chain
+    # States and timers
     # ------------------------------------------------------------------
     def _begin_phase(self, run: _Run, name: str) -> None:
-        """Advance the PhaseTimer and mirror it into the flight recorder.
+        """Enter state ``name``: the PhaseTimer, ``run.state`` and the span.
 
         The span is emitted at the same call site, off the same runtime
         clock, as :meth:`PhaseTimer.begin`, which is what makes the
@@ -465,10 +484,43 @@ class DiscoveryClient(Node):
         :meth:`PhaseTimer.percentages`.
         """
         run.phases.begin(name)
+        run.state = name
         self.emit("phase", run.uuid, phase=name)
 
-    def _request(self, run: _Run) -> DiscoveryRequest:
-        return DiscoveryRequest(
+    def _arm(self, run: _Run, name: str, delay: float, fn) -> None:
+        """(Re)start the run's timer ``name``: ``fn(run)`` after ``delay``."""
+        self._disarm(run, name)
+        run.timers[name] = self.runtime.schedule(delay, fn, run)
+
+    def _disarm(self, run: _Run, name: str) -> None:
+        timer = run.timers.pop(name, None)
+        if timer is not None:
+            timer.cancel()
+
+    def _schedule_aux(self, run: _Run, delay: float, fn, *args) -> None:
+        """Schedule run-scoped work whose handle dies with the run."""
+
+        def fire() -> None:
+            run.aux_timers.discard(handle)
+            fn(*args)
+
+        handle = self.runtime.schedule(delay, fire)
+        run.aux_timers.add(handle)
+
+    # ------------------------------------------------------------------
+    # Transmission and the ladder (section 7)
+    # ------------------------------------------------------------------
+    def _transmit(self, run: _Run, rung: int = 0) -> None:
+        """Send on the first of ``_LADDER[rung:]`` that can; else fail."""
+        for send in (self._send_to_bdn, self._send_multicast, self._send_cached)[rung:]:
+            if send(run):
+                return
+        self._close(run)
+
+    def _next_request(self, run: _Run, via: str) -> DiscoveryRequest:
+        """Build and count the run's next transmission, bound for ``via``."""
+        run.via = via
+        request = DiscoveryRequest(
             uuid=run.uuid,
             requester_host=self.host,
             requester_port=CLIENT_UDP_PORT,
@@ -482,215 +534,201 @@ class DiscoveryClient(Node):
             # downstream engine can annotate the same trace.
             trace_flag=self.observing,
         )
-
-    def _arm_collection_deadline(self, run: _Run) -> None:
-        if run.collection_timer is not None:
-            run.collection_timer.cancel()
-        run.collection_timer = self.runtime.schedule(
-            self.config.response_timeout, self._on_collection_deadline, run
-        )
-
-    def _send_to_bdn(self, run: _Run) -> None:
-        if self.config.retry_policy is not None and not self._skip_unavailable_bdns(run):
-            # Every remaining BDN is gated by a retry_after or an open
-            # breaker: don't waste a transmission, walk on down the
-            # fallback chain.
-            self._fallback_multicast(run)
-            return
-        bdn = run.bdn_order[run.bdn_index]
-        run.via = "bdn"
-        request = self._request(run)
         run.transmissions += 1
+        return request
+
+    def _await_reply(self, run: _Run) -> None:
+        """After any transmission: a fresh window, a fresh silence timer."""
+        self._arm(run, "window", self.config.response_timeout, self._on_collection_deadline)
+        self._arm(run, "silence", self.config.retransmit_interval, self._on_silence)
+
+    def _send_to_bdn(self, run: _Run) -> bool:
+        """The BDN rungs: ask the first one still admissible."""
+        bdn = self._admissible_bdn(run)
+        if bdn is None:
+            return False
+        request = self._next_request(run, "bdn")
         self.emit("send", run.uuid, kind="DiscoveryRequest", bdn=bdn, attempt=request.attempt)
         self.runtime.send_udp(self.udp_endpoint, bdn, request)
-        self._arm_collection_deadline(run)
-        if run.ack_timer is not None:
-            run.ack_timer.cancel()
-        run.ack_timer = self.runtime.schedule(
-            self.config.retransmit_interval, self._on_silence, run
-        )
+        self._await_reply(run)
         self.emit("request_sent", request=run.uuid, bdn=bdn)
+        return True
 
-    def _on_silence(self, run: _Run) -> None:
-        """A silence timer fired with no responses collected yet.
+    def _admissible_bdn(self, run: _Run) -> Endpoint | None:
+        """The BDN the run stands on, or ``None`` past the last.
 
-        Reached from the ack timer (still ISSUING) or from a collection
-        deadline that expired empty (COLLECTING after an ack whose
-        responses were all lost) -- both walk the same fallback chain.
-        """
-        if run.state not in ("ISSUING", "COLLECTING") or run.candidates:
-            return
-        if run.via == "bdn":
-            if self.config.retry_policy is not None:
-                self._on_bdn_silence_with_policy(run)
-            elif run.retransmits_here < self.config.max_retransmits:
-                run.retransmits_here += 1
-                self.emit("request_retransmit", request=run.uuid)
-                self._send_to_bdn(run)
-            elif run.bdn_index + 1 < len(run.bdn_order):
-                run.bdn_index += 1
-                run.retransmits_here = 0
-                self.emit("request_next_bdn", request=run.uuid)
-                self._send_to_bdn(run)
-            else:
-                self._fallback_multicast(run)
-        elif run.via == "multicast":
-            self._fallback_cached(run)
-        else:  # cached
-            self._fail(run)
-
-    def _on_bdn_silence_with_policy(self, run: _Run) -> None:
-        """The adaptive-retry replacement for the fixed BDN retransmit.
-
-        Silence is a failure signal for the current BDN's breaker.  A
-        retransmission must then be paid for from the retry budget and
-        waits out a decorrelated-jitter backoff (never earlier than the
-        BDN's advertised ``retry_after``); with the budget empty the
-        client moves on instead of hammering.
-        """
-        bdn = run.bdn_order[run.bdn_index]
-        self._breaker(bdn).record_failure()
-        if run.retransmits_here < self.config.max_retransmits:
-            if self.retry_budget.try_acquire():
-                run.retransmits_here += 1
-                gate = self._bdn_retry_at.get(bdn, 0.0)
-                delay = max(self._backoff.next(), gate - self.runtime.now)
-                self.emit(
-                    "request_retransmit_budgeted", request=run.uuid, delay=f"{delay:.3f}"
-                )
-                self._schedule_retry(run, delay)
-                return
-            self.retries_denied += 1
-            self.emit("retry_denied", request=run.uuid)
-        if run.bdn_index + 1 < len(run.bdn_order):
-            run.bdn_index += 1
-            run.retransmits_here = 0
-            self.emit("request_next_bdn", request=run.uuid)
-            self._send_to_bdn(run)
-        else:
-            self._fallback_multicast(run)
-
-    def _skip_unavailable_bdns(self, run: _Run) -> bool:
-        """Advance ``run.bdn_index`` past gated/broken BDNs.
-
-        Returns True when an admissible BDN remains.  The ``retry_after``
-        gate is checked *before* the breaker so that a gated BDN does
-        not consume the breaker's half-open probe.
+        Under a retry policy ``run.bdn_index`` first moves past every BDN
+        gated by a ``retry_after`` or behind an open breaker: no
+        transmission is wasted on them.  The gate is checked *before* the
+        breaker so a gated BDN does not consume its half-open probe.
         """
         bdns = run.bdn_order
+        policy = self.config.retry_policy is not None
         while run.bdn_index < len(bdns):
             bdn = bdns[run.bdn_index]
+            if not policy:
+                return bdn
             if self._bdn_retry_at.get(bdn, 0.0) > self.runtime.now:
-                self.bdn_skips += 1
-                self.emit("bdn_skipped_retry_after", request=run.uuid, bdn=bdn)
+                skipped = "bdn_skipped_retry_after"
             elif not self._breaker(bdn).allow():
-                self.bdn_skips += 1
-                self.emit("bdn_skipped_breaker", request=run.uuid, bdn=bdn)
+                skipped = "bdn_skipped_breaker"
             else:
-                return True
+                return bdn
+            self.bdn_skips += 1
+            self.emit(skipped, request=run.uuid, bdn=bdn)
             run.bdn_index += 1
             run.retransmits_here = 0
-        return False
+        return None
 
-    def _schedule_retry(self, run: _Run, delay: float) -> None:
-        """Park the run until the backoff elapses, then resend."""
-        if run.collection_timer is not None:
-            run.collection_timer.cancel()
-            run.collection_timer = None
-        if run.ack_timer is not None:
-            run.ack_timer.cancel()
-            run.ack_timer = None
-        if run.retry_timer is not None:
-            run.retry_timer.cancel()
-        run.retry_timer = self.runtime.schedule(delay, self._retry_fire, run)
-
-    def _retry_fire(self, run: _Run) -> None:
-        run.retry_timer = None
-        if run.state not in ("ISSUING", "COLLECTING") or run.candidates:
-            return
-        self._send_to_bdn(run)
-
-    def _fallback_multicast(self, run: _Run) -> None:
-        """Multicast the request to in-realm brokers (section 7)."""
-        if not (
-            self.config.use_multicast_fallback
-            and self.runtime.multicast_enabled(self.host)
-        ):
-            self._fallback_cached(run)
-            return
-        run.via = "multicast"
-        request = self._request(run)
-        run.transmissions += 1
+    def _send_multicast(self, run: _Run) -> bool:
+        """The multicast rung: in-realm brokers that joined the group."""
+        config = self.config
+        if not (config.use_multicast_fallback and self.runtime.multicast_enabled(self.host)):
+            return False
+        request = self._next_request(run, "multicast")
         self.emit("send", run.uuid, kind="DiscoveryRequest", via="multicast")
-        reached = self.runtime.multicast(
-            self.udp_endpoint, self.config.multicast_group, request
-        )
+        reached = self.runtime.multicast(self.udp_endpoint, config.multicast_group, request)
         self.emit("request_multicast", request=run.uuid, reached=reached)
         if reached == 0:
-            self._fallback_cached(run)
-            return
-        self._arm_collection_deadline(run)
-        if run.ack_timer is not None:
-            run.ack_timer.cancel()
-        run.ack_timer = self.runtime.schedule(
-            self.config.retransmit_interval, self._on_silence, run
-        )
+            return False
+        self._await_reply(run)
+        return True
 
-    def _fallback_cached(self, run: _Run) -> None:
-        """Re-issue the request to the cached last target set (section 7)."""
-        if not self.last_target_set:
-            self._fail(run)
-            return
-        run.via = "cached"
-        request = self._request(run)
-        run.transmissions += 1
-        self.emit(
-            "send", run.uuid, kind="DiscoveryRequest", via="cached",
-            targets=len(self.last_target_set),
-        )
-        for target in self.last_target_set:
+    def _send_cached(self, run: _Run) -> bool:
+        """The last rung: the cached target set, each broker directly."""
+        targets = self.last_target_set
+        if not targets:
+            return False
+        request = self._next_request(run, "cached")
+        self.emit("send", run.uuid, kind="DiscoveryRequest", via="cached", targets=len(targets))
+        for target in targets:
             self.runtime.send_udp(self.udp_endpoint, target.udp_endpoint, request)
-        self.emit("request_cached_targets", request=run.uuid, targets=len(self.last_target_set))
-        self._arm_collection_deadline(run)
-        if run.ack_timer is not None:
-            run.ack_timer.cancel()
-        run.ack_timer = self.runtime.schedule(
-            self.config.retransmit_interval, self._on_silence, run
-        )
+        self.emit("request_cached_targets", request=run.uuid, targets=len(targets))
+        self._await_reply(run)
+        return True
+
+    def _on_silence(self, run: _Run) -> None:
+        """``silence`` fired, or ``window`` closed empty (an ack whose
+        responses were all lost): walk the ladder."""
+        if run.state not in _AWAITING or run.candidates:
+            return
+        if run.via != "bdn" or not self._retransmit_here(run):
+            self._advance(run)
+
+    def _retransmit_here(self, run: _Run) -> bool:
+        """A BDN stayed silent: retransmit to it, if the run still may.
+
+        The one place the two retry policies differ.  The paper's fixed
+        timer retransmits at once, ``max_retransmits`` times.  Under a
+        ``RetryPolicyConfig`` the silence is first a failure on the BDN's
+        breaker; a retransmission is paid for from the retry budget and
+        waits out a decorrelated-jitter backoff (never earlier than the
+        BDN's ``retry_after``); an empty budget moves the run on.
+        """
+        policy = self.config.retry_policy is not None
+        bdn = run.bdn_order[run.bdn_index]
+        if policy:
+            self._breaker(bdn).record_failure()
+        if run.retransmits_here >= self.config.max_retransmits:
+            return False
+        if policy and not self._buy_retry(run):
+            return False
+        run.retransmits_here += 1
+        if policy:
+            gate = self._bdn_retry_at.get(bdn, 0.0)
+            delay = max(self._backoff.next(), gate - self.runtime.now)
+            self.emit("request_retransmit_budgeted", request=run.uuid, delay=f"{delay:.3f}")
+            self._park(run, delay)
+        else:
+            self.emit("request_retransmit", request=run.uuid)
+            self._transmit(run)
+        return True
+
+    def _advance(self, run: _Run, hint: str = "") -> None:
+        """Step off the rung the run stands on and transmit below it.
+
+        Below a BDN is the next BDN (or the leader a busy one named,
+        :meth:`_next_bdn_index`); below the last BDN, multicast; then
+        the cached target set; then failure.
+        """
+        rung = _LADDER.index(run.via)
+        if rung == 0 and run.bdn_index + 1 < len(run.bdn_order):
+            run.bdn_index = self._next_bdn_index(run, hint)
+            run.retransmits_here = 0
+            self.emit("request_next_bdn", request=run.uuid)
+            self._transmit(run)
+        else:
+            self._transmit(run, rung + 1)
+
+    def _next_bdn_index(self, run: _Run, hint: str) -> int:
+        """Where the walk resumes among the BDNs: usually the next rung.
+
+        When a busy signal names the group leader and that leader
+        sits *further down* this run's ladder, jump straight to it --
+        at most once per run, so a bouncing hint cannot re-order the
+        walk indefinitely.  The index only ever moves forward, which
+        keeps the ladder walk terminating.
+        """
+        if hint and not run.hint_jumped:
+            hinted = try_parse_endpoint(hint)
+            if hinted in run.bdn_order:
+                j = run.bdn_order.index(hinted)
+                if j > run.bdn_index:
+                    run.hint_jumped = True
+                    self.emit("leader_hint_jump", request=run.uuid, bdn=hinted)
+                    return j
+        return run.bdn_index + 1
+
+    def _buy_retry(self, run: _Run) -> bool:
+        """Pay one retry-budget token; a refusal is counted and said."""
+        if self.retry_budget.try_acquire():
+            return True
+        self.retries_denied += 1
+        self.emit("retry_denied", request=run.uuid)
+        return False
+
+    def _park(self, run: _Run, delay: float) -> None:
+        """Sit out a backoff: ``retry`` replaces ``window`` and ``silence``."""
+        self._disarm(run, "window")
+        self._disarm(run, "silence")
+        self._arm(run, "retry", delay, self._retry_fire)
+
+    def _retry_fire(self, run: _Run) -> None:
+        del run.timers["retry"]  # fired, nothing left to cancel
+        if run.state in _AWAITING and not run.candidates:
+            self._transmit(run)
 
     # ------------------------------------------------------------------
     # Message arrival
     # ------------------------------------------------------------------
     def _on_udp(self, message: Message, src: Endpoint) -> None:
-        run = self._run
         if isinstance(message, PingResponse):
             self.pinger.on_response(message, src)
             return
-        if run is None:
-            if isinstance(message, DiscoveryResponse):
-                self.late_responses += 1
-                if message.trace_flag:
-                    self.emit(
-                        "late", message.request_uuid, hop=message.trace_hop,
-                        kind="DiscoveryResponse", broker=message.broker_id,
-                    )
+        run = self._run
+        if isinstance(message, DiscoveryResponse):
+            if run is not None and message.request_uuid == run.uuid:
+                self._on_response(run, message)
+            else:
+                self._late(message)
+        elif run is None:
             return
-        if isinstance(message, Ack) and message.uuid == run.uuid:
+        elif isinstance(message, Ack) and message.uuid == run.uuid:
             self._on_ack(run, src)
-        elif isinstance(message, DiscoveryResponse) and message.request_uuid == run.uuid:
-            self._on_response(run, message)
-        elif isinstance(message, DiscoveryResponse):
-            self.late_responses += 1
-            if message.trace_flag:
-                self.emit(
-                    "late", message.request_uuid, hop=message.trace_hop,
-                    kind="DiscoveryResponse", broker=message.broker_id,
-                )
         elif isinstance(message, DiscoveryBusy) and message.request_uuid == run.uuid:
             self._on_busy(run, message, src)
 
+    def _late(self, response: DiscoveryResponse) -> None:
+        """A response no run is collecting any more."""
+        self.late_responses += 1
+        if response.trace_flag:
+            self.emit(
+                "late", response.request_uuid, hop=response.trace_hop,
+                kind="DiscoveryResponse", broker=response.broker_id,
+            )
+
     def _on_ack(self, run: _Run, src: Endpoint) -> None:
-        if run.state != "ISSUING":
+        if run.state != _ISSUE:
             return
         if self.config.retry_policy is not None:
             self._breaker(src).record_success()
@@ -713,66 +751,30 @@ class DiscoveryClient(Node):
         self.busy_received += 1
         self.emit("recv", run.uuid, hop=busy.trace_hop, kind="DiscoveryBusy", bdn=busy.bdn)
         self.emit(
-            "bdn_busy_received",
-            request=run.uuid,
-            bdn=busy.bdn,
+            "bdn_busy_received", request=run.uuid, bdn=busy.bdn,
             retry_after=f"{busy.retry_after:.3f}",
         )
         self._bdn_retry_at[src] = self.runtime.now + busy.retry_after
         self._breaker(src).record_failure()
         self._note_leader_hint(busy.leader_hint)
-        if run.state != "ISSUING" or run.via != "bdn" or run.candidates:
+        if run.state != _ISSUE or run.via != "bdn" or run.candidates:
             return
         bdns = run.bdn_order
         if run.bdn_index >= len(bdns) or bdns[run.bdn_index] != src:
             return  # stale busy from a BDN we already moved past
-        if run.bdn_index + 1 < len(bdns):
-            run.bdn_index = self._next_bdn_index(run, busy.leader_hint)
-            run.retransmits_here = 0
-            self.emit("request_next_bdn", request=run.uuid)
-            self._send_to_bdn(run)
+        if run.bdn_index + 1 < len(bdns) or not self._buy_retry(run):
+            self._advance(run, busy.leader_hint)
             return
-        if self.retry_budget.try_acquire():
-            earliest = min(self._bdn_retry_at.get(b, 0.0) for b in bdns)
-            delay = max(self._backoff.next(), earliest - self.runtime.now)
-            run.bdn_index = 0
-            run.retransmits_here = 0
-            self.emit("request_rung_retry", request=run.uuid, delay=f"{delay:.3f}")
-            self._schedule_retry(run, delay)
-        else:
-            self.retries_denied += 1
-            self.emit("retry_denied", request=run.uuid)
-            self._fallback_multicast(run)
-
-    def _next_bdn_index(self, run: _Run, hint: str) -> int:
-        """Where a busy-driven walk resumes: usually the next rung.
-
-        When the busy signal names the group leader and that leader
-        sits *further down* this run's ladder, jump straight to it --
-        at most once per run, so a bouncing hint cannot re-order the
-        walk indefinitely.  The index only ever moves forward, which
-        keeps the ladder walk terminating.
-        """
-        nxt = run.bdn_index + 1
-        if hint and not run.hint_jumped:
-            hinted = try_parse_endpoint(hint)
-            if hinted is not None:
-                try:
-                    j = run.bdn_order.index(hinted)
-                except ValueError:
-                    j = -1
-                if j > run.bdn_index:
-                    run.hint_jumped = True
-                    self.emit("leader_hint_jump", request=run.uuid, bdn=hinted)
-                    return j
-        return nxt
+        earliest = min(self._bdn_retry_at.get(b, 0.0) for b in bdns)
+        delay = max(self._backoff.next(), earliest - self.runtime.now)
+        run.bdn_index = 0
+        run.retransmits_here = 0
+        self.emit("request_rung_retry", request=run.uuid, delay=f"{delay:.3f}")
+        self._park(run, delay)
 
     def _enter_collecting(self, run: _Run) -> None:
-        run.state = "COLLECTING"
-        self._begin_phase(run, "wait_initial_responses")
-        if run.ack_timer is not None:
-            run.ack_timer.cancel()
-            run.ack_timer = None
+        self._begin_phase(run, _COLLECT)
+        self._disarm(run, "silence")
 
     def _on_response(self, run: _Run, response: DiscoveryResponse) -> None:
         if response.leader_hint:
@@ -780,17 +782,12 @@ class DiscoveryClient(Node):
             # belief; remember it so the next run tries the leader
             # first (and its breaker gets an immediate probe).
             self._note_leader_hint(response.leader_hint)
-        if run.state == "ISSUING":
+        if run.state == _ISSUE:
             # The response doubles as an implicit ack (the BDN's ack may
             # have been lost, or the request went out via multicast).
             self._enter_collecting(run)
-        if run.state != "COLLECTING":
-            self.late_responses += 1
-            if response.trace_flag:
-                self.emit(
-                    "late", run.uuid, hop=response.trace_hop,
-                    kind="DiscoveryResponse", broker=response.broker_id,
-                )
+        if run.state != _COLLECT:
+            self._late(response)
             return
         if response.broker_id in run.candidates:
             if response.trace_flag:
@@ -812,11 +809,11 @@ class DiscoveryClient(Node):
             self._end_collection(run, reason="max_responses")
 
     def _on_collection_deadline(self, run: _Run) -> None:
-        if run.state not in ("ISSUING", "COLLECTING"):
+        if run.state not in _AWAITING:
             return
         if not run.candidates:
-            # The whole window elapsed with nothing: walk the fallback
-            # chain from wherever we are.
+            # The whole window elapsed with nothing: walk the ladder
+            # from wherever we are.
             self._on_silence(run)
             return
         if (
@@ -830,7 +827,7 @@ class DiscoveryClient(Node):
             run.extended = True
             run.retransmits_here += 1
             self.emit("collection_extended", request=run.uuid)
-            self._send_to_bdn(run)
+            self._transmit(run)
             return
         self._end_collection(run, reason="timeout")
 
@@ -839,11 +836,7 @@ class DiscoveryClient(Node):
     # ------------------------------------------------------------------
     def _end_collection(self, run: _Run, reason: str) -> None:
         run.cancel_timers()
-        if run.phases.open_phase == "issue_request":
-            # Degenerate: responses arrived before any ack transition.
-            self._begin_phase(run, "wait_initial_responses")
-        self._begin_phase(run, "process_responses")
-        run.state = "SELECTING"
+        self._begin_phase(run, _SELECT)
         self.emit("collection_done", request=run.uuid, reason=reason, n=len(run.candidates))
         cost = _SELECT_COST_BASE + _SELECT_COST_PER_CANDIDATE * len(run.candidates)
         self._schedule_aux(run, cost, self._select_targets, run)
@@ -860,9 +853,7 @@ class DiscoveryClient(Node):
                 # Previously these fell through with a port-0 endpoint
                 # and got pinged into the void; exclude them up front.
                 self.emit(
-                    "candidate_excluded",
-                    request=run.uuid,
-                    broker=cand.broker_id,
+                    "candidate_excluded", request=run.uuid, broker=cand.broker_id,
                     missing=",".join(missing),
                 )
                 continue
@@ -872,39 +863,24 @@ class DiscoveryClient(Node):
             self.config.target_set_size,
             required_transports=self._REQUIRED_TRANSPORTS,
         )
-        self._begin_phase(run, "ping_target_set")
-        run.state = "PINGING"
+        self._begin_phase(run, _PING)
         self.pinger.clear_samples()
         run.expected_pongs = len(run.target_set) * self.config.ping_repeats
         for target in run.target_set:
             for repeat in range(self.config.ping_repeats):
                 self._schedule_aux(
-                    run,
-                    repeat * _PING_REPEAT_SPACING,
-                    self._ping_target,
-                    run,
-                    target,
+                    run, repeat * _PING_REPEAT_SPACING, self._ping_target, run, target
                 )
-        run.ping_timer = self.runtime.schedule(self.config.ping_timeout, self._decide, run)
-
-    def _schedule_aux(self, run: _Run, delay: float, fn, *args) -> None:
-        """Schedule run-scoped work whose handle dies with the run."""
-
-        def fire() -> None:
-            run.aux_timers.discard(handle)
-            fn(*args)
-
-        handle = self.runtime.schedule(delay, fire)
-        run.aux_timers.add(handle)
+        self._arm(run, "ping", self.config.ping_timeout, self._decide)
 
     def _ping_target(self, run: _Run, target: Candidate) -> None:
-        if run.state != "PINGING":
+        if run.state != _PING:
             return
         self.pinger.ping(target.udp_endpoint, key=target.broker_id, trace_id=run.uuid)
 
     def _on_ping_rtt(self, key: str, rtt: float) -> None:
         run = self._run
-        if run is None or run.state != "PINGING":
+        if run is None or run.state != _PING:
             return
         # Samples were cleared when the ping phase began, so the total
         # retained sample count is the pong count for this run.
@@ -916,25 +892,19 @@ class DiscoveryClient(Node):
         # repeat should not stall the phase until the hard timeout, so
         # re-arm a short grace deadline instead.
         if all(self.pinger.sample_count(t.broker_id) > 0 for t in run.target_set):
-            if run.ping_timer is not None:
-                run.ping_timer.cancel()
-            run.ping_timer = self.runtime.schedule(self.config.ping_grace, self._decide, run)
+            self._arm(run, "ping", self.config.ping_grace, self._decide)
 
     # ------------------------------------------------------------------
     # Decision
     # ------------------------------------------------------------------
     def _decide(self, run: _Run) -> None:
-        if run.state != "PINGING":
+        if run.state != _PING:
             return
-        run.state = "DECIDING"
-        if run.ping_timer is not None:
-            run.ping_timer.cancel()
-            run.ping_timer = None
-        self._begin_phase(run, "final_decision")
+        self._disarm(run, "ping")
+        self._begin_phase(run, _DECIDE)
         self._schedule_aux(run, _DECIDE_COST, self._complete, run)
 
     def _complete(self, run: _Run) -> None:
-        run.cancel_timers()
         ping_rtts: dict[str, float] = {}
         for target in run.target_set:
             rtt = self.pinger.average_rtt(target.broker_id)
@@ -972,13 +942,31 @@ class DiscoveryClient(Node):
             # Under ``require_ping_evidence`` this optimistic pick is
             # disabled -- zero pongs becomes an explicit failure.
             selected = run.target_set[0]
+        self._close(run, (selected, selected_rtt, ping_rtts))
+
+    def _close(self, run: _Run, decision=None) -> None:
+        """The one way a run ends: outcome, cache, ``done``, metrics, callback.
+
+        ``decision`` is :meth:`_complete`'s ``(selected, selected_rtt,
+        ping_rtts)``.  Without one the run was aborted (the ladder ran out,
+        or :meth:`stop`) and reports no candidates and no target set.
+        """
+        run.cancel_timers()
         run.phases.close()
+        run.state = None
+        if decision is None:
+            selected = selected_rtt = None
+            candidates, target_set, ping_rtts = [], [], {}
+        else:
+            selected, selected_rtt, ping_rtts = decision
+            candidates = sorted(run.candidates.values(), key=lambda c: c.broker_id)
+            target_set = run.target_set
         outcome = DiscoveryOutcome(
             success=selected is not None,
             selected=selected,
             selected_rtt=selected_rtt,
-            candidates=sorted(run.candidates.values(), key=lambda c: c.broker_id),
-            target_set=run.target_set,
+            candidates=candidates,
+            target_set=target_set,
             ping_rtts=ping_rtts,
             phases=run.phases,
             total_time=self.runtime.now - run.started_at,
@@ -988,61 +976,22 @@ class DiscoveryClient(Node):
             request_uuid=run.uuid,
         )
         if selected is not None:
-            self.last_target_set = [
-                CachedTarget(
-                    broker_id=t.broker_id,
-                    host=t.udp_endpoint.host,
-                    udp_port=t.udp_endpoint.port,
-                )
-                for t in run.target_set
-            ]
-            self.last_selected = CachedTarget(
-                broker_id=selected.broker_id,
-                host=selected.udp_endpoint.host,
-                udp_port=selected.udp_endpoint.port,
-            )
-        run.state = "DONE" if outcome.success else "FAILED"
+            self.last_target_set = [_cached(t) for t in target_set]
+            self.last_selected = _cached(selected)
         self._run = None
-        self._record_outcome(run, outcome)
-        self.emit("discover_done", request=run.uuid, success=outcome.success)
-        run.on_complete(outcome)
-
-    def _fail(self, run: _Run) -> None:
-        run.cancel_timers()
-        run.phases.close()
-        outcome = DiscoveryOutcome(
-            success=False,
-            selected=None,
-            selected_rtt=None,
-            candidates=[],
-            target_set=[],
-            ping_rtts={},
-            phases=run.phases,
-            total_time=self.runtime.now - run.started_at,
-            via=run.via,
-            bdn_used=run.bdn_used,
-            transmissions=run.transmissions,
-            request_uuid=run.uuid,
-        )
-        run.state = "FAILED"
-        self._run = None
-        self._record_outcome(run, outcome)
-        self.emit("discover_failed", request=run.uuid)
-        run.on_complete(outcome)
-
-    def _record_outcome(self, run: _Run, outcome: DiscoveryOutcome) -> None:
-        """Close the run's flight-recorder trace and publish metrics.
-
-        The ``done`` span carries the run's terminal state; the metrics
-        registry (when observability is attached) accumulates outcome
-        counters and latency histograms across runs.
-        """
+        # The ``done`` span closes the run's flight-recorder trace; an
+        # observing world also accumulates outcome counters and latency
+        # histograms across runs.
         self.emit("done", run.uuid, success=outcome.success, via=run.via)
-        if not self.observing:
-            return
-        registry = self.obs.registry
-        name = "discovery.completed" if outcome.success else "discovery.failed"
-        registry.counter(name).inc()
-        registry.histogram("discovery.total_time").observe(outcome.total_time)
-        for phase, duration in run.phases.durations().items():
-            registry.histogram(f"discovery.phase.{phase}").observe(duration)
+        if self.observing:
+            registry = self.obs.registry
+            name = "discovery.completed" if outcome.success else "discovery.failed"
+            registry.counter(name).inc()
+            registry.histogram("discovery.total_time").observe(outcome.total_time)
+            for phase, duration in run.phases.durations().items():
+                registry.histogram(f"discovery.phase.{phase}").observe(duration)
+        if decision is None:
+            self.emit("discover_failed", request=run.uuid)
+        else:
+            self.emit("discover_done", request=run.uuid, success=outcome.success)
+        run.on_complete(outcome)

@@ -189,7 +189,7 @@ class Broker(Node):
         """
         if not self.alive:
             return
-        self.alive = False
+        self.alive = self._started = False  # start() brings it back
         self.runtime.unbind_udp(self.udp_endpoint)
         if self.ingress is not None:
             self.ingress.reset()  # a crashed process loses its socket buffer

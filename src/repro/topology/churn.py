@@ -116,10 +116,7 @@ class ChurnProcess:
             self.on_event("stop", broker)
 
     def _restart(self, broker: Broker) -> None:
-        # Broker.start() is guarded by the started flag; reset the node
-        # to allow a true restart, then re-establish prior links.
-        broker._started = False  # noqa: SLF001 - deliberate restart hook
-        broker.start()
+        broker.start()  # then re-establish the links it had when halted
         for peer_name in self._prior_peers.pop(broker.name, frozenset()):
             peer = self.network.brokers.get(peer_name)
             if peer is not None and peer.alive:

@@ -232,6 +232,28 @@ class TestLifecycle:
         world.bdn.stop()
         world.bdn.stop()
 
+    def test_stop_then_start_serves_again(self):
+        """A stopped BDN is restarted with ``start()``: the port is bound
+        again, the sweep re-armed, requests acknowledged and disseminated
+        -- and ``started`` follows ``alive`` at every step."""
+        world = World(n_brokers=1)
+        bdn = world.bdn
+        box = inbox_of(world)
+        assert bdn.started is bdn.alive is True
+        bdn.stop()
+        assert bdn.started is bdn.alive is False
+        send_request(world, uuid="while-stopped")
+        world.sim.run_for(1.0)
+        assert box == []
+        bdn.start()  # no reaching in to reset the started flag first
+        assert bdn.started is bdn.alive is True
+        assert len(bdn._sweep_timers) == 1
+        send_request(world, uuid="after")
+        world.sim.run_for(1.0)
+        assert [m.uuid for m in box if isinstance(m, Ack)] == ["after"]
+        assert [m.request_uuid for m in box if isinstance(m, DiscoveryResponse)] == ["after"]
+        assert bdn.requests_disseminated == 1
+
 
 # ----------------------------------------------------------------------
 # The distance index behind _injection_targets

@@ -123,7 +123,6 @@ class TestHeartbeat:
         w.brokers[0].stop()
         w.sim.run_for(12.0)
         assert "b0" not in w.bdn.store
-        w.brokers[0]._started = False
         w.brokers[0].start()
         w.sim.run_for(6.0)
         assert "b0" in w.bdn.store

@@ -388,7 +388,6 @@ class TestColdRestart:
         follower = group.followers()[0]
         follower.stop()
         follower.clear_registry()
-        follower._started = False
         follower.start()
         assert not follower.replication.serving
         # A request hitting the cold member is refused with a hint.

@@ -399,7 +399,6 @@ class TestFallbackExhaustion:
         client.start()
         world.sim.run_for(1.0)
         assert not run_discovery_once(client).success
-        world.bdn._started = False
         world.bdn.start()
         world.sim.run_for(1.0)
         outcome = run_discovery_once(client)

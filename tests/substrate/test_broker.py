@@ -226,6 +226,49 @@ class TestUDP:
         assert got == []
 
 
+class TestLifecycle:
+    """A stopped broker is restarted with ``start()``; ``started`` follows
+    ``alive`` at every step."""
+
+    def test_stop_then_start_serves_again(self):
+        net = BrokerNetwork()
+        a = net.add_broker("a", site="sa", realm="lab", start=False)
+        probe = Endpoint("probe.example", 99)
+        net.network.register_host(probe.host, "sb", realm="lab")
+        got = []
+        net.network.bind_udp(probe, lambda m, s: got.append(m))
+        group = a.config.multicast_groups[0]
+
+        def ping(uuid: str) -> None:
+            request = PingRequest(uuid=uuid, sent_at=0.0, reply_host=probe.host, reply_port=probe.port)
+            net.network.send_udp(probe, a.udp_endpoint, request)
+            net.sim.run_for(1.0)
+
+        assert a.started is a.alive is False
+        a.start()
+        net.settle()
+        assert a.started is a.alive is True
+        ping("before")
+        assert [m.uuid for m in got] == ["before"]
+
+        a.stop()
+        assert a.started is a.alive is False
+        assert a.udp_endpoint not in net.network.multicast_members(group)
+        ping("while-stopped")
+        assert [m.uuid for m in got] == ["before"]
+
+        a.start()  # no reaching in to reset the started flag first
+        assert a.started is a.alive is True
+        assert a.udp_endpoint in net.network.multicast_members(group)
+        assert net.network.multicast(probe, group, PingRequest(
+            uuid="mc", sent_at=0.0, reply_host=probe.host, reply_port=probe.port
+        )) == 1
+        net.sim.run_for(1.0)
+        ping("after")
+        assert [m.uuid for m in got] == ["before", "mc", "after"]
+        assert all(isinstance(m, PingResponse) and m.broker_id == "a" for m in got)
+
+
 class TestMetrics:
     def test_metrics_reflect_links(self):
         net, a, b = two_linked_brokers()
