@@ -389,10 +389,6 @@ class BDNConfig:
         single flat table, bit-identical to the unsharded code.  Raise
         it for mega-scale registries (>~10k ads): lease sweeps and
         dedup eviction then operate per shard.
-    dedup_budget:
-        Global duplicate-cache entry budget, divided evenly across
-        shards.  ``None`` means the paper's 1000 ("the last 1000
-        broker discovery requests").  Must be >= ``shards``.
     """
 
     injection: str = "closest_farthest"

@@ -66,7 +66,7 @@ def build_advertisement(
     """
     if ttl < 0:
         raise ValueError(f"ttl must be non-negative, got {ttl}")
-    # A broker with a flight recorder marks its advertisements so BDN
+    # A broker whose sink is observing marks its advertisements so BDN
     # registration shows up under the "ad:<broker_id>" trace id.
     return BrokerAdvertisement(
         trace_flag=broker.observing,

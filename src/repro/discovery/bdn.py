@@ -246,8 +246,7 @@ class BDN(Node):
         self.dedup.reset()
         if self.replication is not None:
             self._cold_pending = True
-        self.emit("bdn_cold_restart")
-        self.emit("cold_restart", f"bdn:{self.name}")
+        self.emit("bdn_cold_restart", f"bdn:{self.name}")
 
     def attach_to_network(self, broker: Broker) -> None:
         """Maintain an active connection into the broker network.
@@ -324,10 +323,10 @@ class BDN(Node):
             return True
         self.requests_shed += 1
         busy = self._refuse(message)
-        if message.trace_flag:
-            self.emit("shed", message.uuid, hop=message.trace_hop, depth=self.queue_depth)
-            self.emit("busy", message.uuid, hop=busy.trace_hop, retry_after=busy.retry_after)
-        self.emit("bdn_busy", request=message.uuid, depth=self.queue_depth)
+        self.emit(
+            "bdn_busy", message.uuid if message.trace_flag else "", hop=busy.trace_hop,
+            depth=self.queue_depth, retry_after=busy.retry_after,
+        )
         return False
 
     _REPLICATION_DISPATCH = {
@@ -448,9 +447,10 @@ class BDN(Node):
             # request would die here.  Redirect the client instead.
             self.requests_refused_catchup += 1
             busy = self._refuse(request)
-            if traced_req:
-                self.emit("busy", request.uuid, hop=busy.trace_hop, retry_after=busy.retry_after)
-            self.emit("bdn_catchup_refused", request=request.uuid)
+            self.emit(
+                "bdn_catchup_refused", request.uuid if request.trace_flag else "",
+                hop=busy.trace_hop, retry_after=busy.retry_after,
+            )
             return
         # Timely acknowledgement (section 3), even for duplicates.
         requester = Endpoint(request.requester_host, request.requester_port)

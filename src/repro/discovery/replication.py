@@ -291,7 +291,6 @@ class ReplicationState:
         self._granted_term = self.term
         self._grant_expires = now + self.config.lease_duration
         self.bdn.emit("election_started", term=self.term, member=self.me)
-        self._count("replication.elections")
         self._claim(now)
         if len(self._votes) >= self.config.quorum_size:
             self._become_leader()
@@ -320,9 +319,7 @@ class ReplicationState:
         self.leader = self.me
         self.elections_won += 1
         self.leadership_intervals.append([float(self.term), now, self._lease_until()])
-        self.bdn.emit("election_won", term=self.term, member=self.me)
-        self.bdn.emit("leader_elected", f"group:{self.config.group}", term=self.term)
-        self._count("replication.elections_won")
+        self.bdn.emit("election_won", f"group:{self.config.group}", term=self.term, member=self.me)
         self._gauge("replication.is_leader", 1)
         if self._heartbeat_timer is None:
             self._heartbeat_timer = self.bdn.runtime.call_every(
@@ -349,7 +346,6 @@ class ReplicationState:
         if self.role == LEADER:
             self.stepdowns += 1
             self.bdn.emit("leader_stepdown", term=self.term, member=self.me, why=why)
-            self._count("replication.stepdowns")
             self._gauge("replication.is_leader", 0)
             if self.leadership_intervals:
                 # Leadership *belief* ends now, even if the lease had
@@ -496,7 +492,6 @@ class ReplicationState:
             self.bdn.emit(
                 "replica_gap", expected=self._follower_next_seq, got=append.seq
             )
-            self._count("replication.gaps")
             self._send(src, self._digest_message(now))
         self._follower_next_seq = max(self._follower_next_seq, append.seq) + 1
         self.bdn.apply_replicated(append.ad)
@@ -527,7 +522,6 @@ class ReplicationState:
         self.committed_seq = max(self.committed_seq, seq)
         self.commits += 1
         self.bdn.emit("replica_commit", f"group:{self.config.group}", seq=seq)
-        self._count("replication.commits")
         if sent_at is not None:
             self._observe("replication.commit_latency", self._now - sent_at)
         self._gauge("replication.lag", self.seq - self.committed_seq)

@@ -548,10 +548,11 @@ class DiscoveryClient(Node):
         if bdn is None:
             return False
         request = self._next_request(run, "bdn")
-        self.emit("send", run.uuid, kind="DiscoveryRequest", bdn=bdn, attempt=request.attempt)
         self.runtime.send_udp(self.udp_endpoint, bdn, request)
         self._await_reply(run)
-        self.emit("request_sent", request=run.uuid, bdn=bdn)
+        self.emit(
+            "request_sent", run.uuid, kind="DiscoveryRequest", bdn=bdn, attempt=request.attempt
+        )
         return True
 
     def _admissible_bdn(self, run: _Run) -> Endpoint | None:
@@ -586,9 +587,10 @@ class DiscoveryClient(Node):
         if not (config.use_multicast_fallback and self.runtime.multicast_enabled(self.host)):
             return False
         request = self._next_request(run, "multicast")
-        self.emit("send", run.uuid, kind="DiscoveryRequest", via="multicast")
         reached = self.runtime.multicast(self.udp_endpoint, config.multicast_group, request)
-        self.emit("request_multicast", request=run.uuid, reached=reached)
+        self.emit(
+            "request_multicast", run.uuid, kind="DiscoveryRequest", via="multicast", reached=reached
+        )
         if reached == 0:
             return False
         self._await_reply(run)
@@ -600,10 +602,12 @@ class DiscoveryClient(Node):
         if not targets:
             return False
         request = self._next_request(run, "cached")
-        self.emit("send", run.uuid, kind="DiscoveryRequest", via="cached", targets=len(targets))
         for target in targets:
             self.runtime.send_udp(self.udp_endpoint, target.udp_endpoint, request)
-        self.emit("request_cached_targets", request=run.uuid, targets=len(targets))
+        self.emit(
+            "request_cached_targets", run.uuid,
+            kind="DiscoveryRequest", via="cached", targets=len(targets),
+        )
         self._await_reply(run)
         return True
 
@@ -749,10 +753,9 @@ class DiscoveryClient(Node):
         if self.config.retry_policy is None:
             return  # no policy: treat like any stray datagram
         self.busy_received += 1
-        self.emit("recv", run.uuid, hop=busy.trace_hop, kind="DiscoveryBusy", bdn=busy.bdn)
         self.emit(
-            "bdn_busy_received", request=run.uuid, bdn=busy.bdn,
-            retry_after=f"{busy.retry_after:.3f}",
+            "bdn_busy_received", run.uuid, hop=busy.trace_hop,
+            kind="DiscoveryBusy", bdn=busy.bdn, retry_after=f"{busy.retry_after:.3f}",
         )
         self._bdn_retry_at[src] = self.runtime.now + busy.retry_after
         self._breaker(src).record_failure()
@@ -799,12 +802,10 @@ class DiscoveryClient(Node):
         run.candidates[response.broker_id] = make_candidate(
             response, self.utc(), self.config.weights
         )
-        if response.trace_flag:
-            self.emit(
-                "recv", run.uuid, hop=response.trace_hop,
-                kind="DiscoveryResponse", broker=response.broker_id,
-            )
-        self.emit("response_received", request=run.uuid, broker=response.broker_id)
+        self.emit(
+            "response_received", run.uuid if response.trace_flag else "", hop=response.trace_hop,
+            kind="DiscoveryResponse", broker=response.broker_id,
+        )
         if len(run.candidates) >= self.config.max_responses:
             self._end_collection(run, reason="max_responses")
 
@@ -979,10 +980,8 @@ class DiscoveryClient(Node):
             self.last_target_set = [_cached(t) for t in target_set]
             self.last_selected = _cached(selected)
         self._run = None
-        # The ``done`` span closes the run's flight-recorder trace; an
-        # observing world also accumulates outcome counters and latency
+        # An observing world accumulates outcome counters and latency
         # histograms across runs.
-        self.emit("done", run.uuid, success=outcome.success, via=run.via)
         if self.observing:
             registry = self.obs.registry
             name = "discovery.completed" if outcome.success else "discovery.failed"
@@ -990,8 +989,9 @@ class DiscoveryClient(Node):
             registry.histogram("discovery.total_time").observe(outcome.total_time)
             for phase, duration in run.phases.durations().items():
                 registry.histogram(f"discovery.phase.{phase}").observe(duration)
-        if decision is None:
-            self.emit("discover_failed", request=run.uuid)
-        else:
-            self.emit("discover_done", request=run.uuid, success=outcome.success)
+        # The closing fact also closes the run's flight-recorder trace.
+        self.emit(
+            "discover_failed" if decision is None else "discover_done", run.uuid,
+            success=outcome.success, via=run.via,
+        )
         run.on_complete(outcome)

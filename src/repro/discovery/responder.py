@@ -238,8 +238,8 @@ class DiscoveryResponder:
         responder must not re-publish it (that would double-propagate).
 
         This is the hottest decode site in a discovery run -- a flooded
-        request reaches every broker's responder -- so when no flight
-        recorder is attached it runs the lazy-decode dedup protocol:
+        request reaches every broker's responder -- so unless the
+        broker's sink is observing it runs the lazy-decode dedup protocol:
         pull only the ``(uuid, attempt)`` key from the wire buffer,
         consult the LRU, and materialise the full request only on first
         sighting.  Observed worlds take the eager path so recv/dup spans
@@ -372,17 +372,11 @@ class DiscoveryResponder:
             # responses be issued only if" conditions hold -- here the
             # condition is headroom).
             self.responses_suppressed += 1
-            if request.trace_flag:
-                self.broker.emit(
-                    "suppressed",
-                    request.uuid,
-                    hop=request.trace_hop,
-                    broker=self.broker.name,
-                    depth=self.broker.queue_depth,
-                )
             self.broker.emit(
                 "discovery_response_suppressed",
-                request=request.uuid,
+                request.uuid if request.trace_flag else "",
+                hop=request.trace_hop,
+                broker=self.broker.name,
                 depth=self.broker.queue_depth,
             )
             return
@@ -405,8 +399,7 @@ class DiscoveryResponder:
             Endpoint(request.requester_host, request.requester_port), response
         )
         self.responses_sent += 1
-        if request.trace_flag:
-            self.broker.emit(
-                "respond", request.uuid, hop=response.trace_hop, broker=self.broker.name
-            )
-        self.broker.emit("discovery_response", request=request.uuid)
+        self.broker.emit(
+            "discovery_response", request.uuid if request.trace_flag else "",
+            hop=response.trace_hop, broker=self.broker.name,
+        )

@@ -2,23 +2,30 @@
 
 Every event is emitted the same way -- ``node.emit(name, ...)`` into
 the world's :class:`~repro.obs.Observability` -- and is one of two
-kinds, which :data:`EVENTS` records per name:
+kinds, which :data:`EVENTS` records per name.  One fact has one name:
+no fact is said once as a step and again as a plain event.
 
-* **plain** (``False``): a per-node fact with no causality
-  (``request_retransmit``, ``udp_drop``, ``bdn_lease_expired``).  It is
-  emitted without a trace id, always counted, and logged when the sink
-  keeps a trace.
-* **causal** (``True``): a step of one traced request.  It carries a
-  trace id (the discovery request UUID; ``ping:<key>`` for standalone
-  pings, ``ad:<broker>`` for advertisements, ``group:<name>`` /
-  ``bdn:<name>`` for replication) and a hop counter, lands in the
-  emitting node's bounded ring, and is merged across nodes by
-  :mod:`repro.obs.timeline`.  The set is deliberately tiny so a
-  cross-node timeline reads like a sequence diagram, not a log dump.
-  Causal events exist only while the world is observing.
+* **plain** (``False``): a per-node fact (``request_sent``,
+  ``udp_drop``, ``bdn_lease_expired``).  It is always counted and
+  logged when the sink keeps a trace.  A fact about a traced request
+  (``request_sent``, ``discovery_response``, ``bdn_busy``,
+  ``discover_done``, ...) passes that request's trace id and hop, and
+  while the world is observing it also lands in the node's ring.
+* **causal** (``True``): a step of one traced request that is no fact
+  worth counting on its own -- a message's hop (``send``/``recv`` of
+  pings, advertisements, Acks, arrivals at a broker), a queue
+  transition, a requester phase.  It carries a trace id (the discovery
+  request UUID; ``ping:<key>`` for standalone pings, ``ad:<broker>``
+  for advertisements, ``group:<name>`` for replication) and a hop
+  counter, lands in the emitting node's bounded ring, and exists only
+  while the world is observing.
 
-The sink validates a name (and that it is emitted as its kind) when it
-first creates the name's counter; a tier-1 test additionally greps
+:mod:`repro.obs.timeline` merges the rings across nodes into one
+request's timeline.  The causal set is deliberately tiny so a
+cross-node timeline reads like a sequence diagram, not a log dump.
+
+The sink validates a name (and that a causal one carries a trace id)
+when it is emitted; a tier-1 test additionally greps
 every ``.emit("name"`` call site under ``src/`` against this table, so
 a typo fails CI even on a path no test drives.
 """
@@ -41,18 +48,11 @@ EVENTS: dict[str, bool] = {
     "dup_suppressed": True,  # a duplicate of the traced message was discarded
     "enqueue": True,  # the message entered a bounded ingress queue
     "dequeue": True,  # the message left the queue and began service
-    "respond": True,  # a responder sent a DiscoveryResponse
-    "suppressed": True,  # a responder withheld its response under load
-    "shed": True,  # admission control refused the request outright
-    "busy": True,  # a DiscoveryBusy was issued for the request
     "late": True,  # a response arrived after its run had already closed
     "phase": True,  # the requester entered a PhaseTimer phase
-    "done": True,  # the requester closed the run (success or failure)
-    # replication (trace id "group:<name>" or "bdn:<name>")
-    "leader_elected": True,  # a replication-group member won a lease quorum
+    # replication (trace id "group:<name>")
     "replica_commit": True,  # a replicated advertisement reached write quorum
     "repair": True,  # an anti-entropy delta was applied to the registry
-    "cold_restart": True,  # a BDN restarted with its registry wiped
     # -- plain: simnet fabric / aio runtime -------------------------------
     "udp_deliver": False,
     "udp_drop": False,

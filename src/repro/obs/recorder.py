@@ -2,11 +2,11 @@
 
 :meth:`Observability.emit` is the one place events enter: it validates
 the name, bumps the name's counter and decides what is kept.  Every
-kept event is a :class:`SpanEvent`: a causal one carries the trace id
-and hop of the request it belongs to and lands in its node's
-:class:`FlightRecorder`; a plain one has an empty trace id and lands in
-the sink's log (when the sink keeps one).  The ring is bounded (old
-events are overwritten, with a ``dropped`` counter) so it can stay
+kept event is a :class:`SpanEvent`.  One that carries the trace id and
+hop of the request it belongs to lands in its node's
+:class:`FlightRecorder` while the world is observing; a plain one also
+lands in the sink's log (when the sink keeps one).  The ring is bounded
+(old events are overwritten, with a ``dropped`` counter) so it can stay
 attached to a long soak without growing.
 
 The sink is clock-agnostic: it is handed a zero-argument callable
@@ -35,8 +35,8 @@ def normalise_detail(detail: dict[str, object]) -> tuple[tuple[str, str], ...]:
 class SpanEvent:
     """One event: (when, what, where, which request, how deep).
 
-    ``trace_id`` is empty (and ``hop`` 0) for a plain event.  ``detail``
-    is a sorted tuple of ``(key, str(value))`` pairs
+    ``trace_id`` is empty (and ``hop`` 0) for an event about no traced
+    request.  ``detail`` is a sorted tuple of ``(key, str(value))`` pairs
     (:func:`normalise_detail`), so events hash/compare by value and
     serialise trivially.
 
@@ -109,7 +109,7 @@ class SpanEvent:
 
 
 class FlightRecorder:
-    """Bounded ring buffer of causal :class:`SpanEvent` for one node."""
+    """Bounded ring buffer of one node's traced :class:`SpanEvent`."""
 
     __slots__ = ("node", "capacity", "dropped", "emitted", "_ring", "_next")
 
@@ -190,7 +190,7 @@ class Observability:
     clock:
         Zero-argument callable returning the current time.
     ring_capacity:
-        Causal events retained per node.  ``0`` makes a sink that is
+        Traced events retained per node.  ``0`` makes a sink that is
         not :attr:`observing`: it keeps no rings, its nodes set no wire
         trace flag and publish no engine metrics, and causal emissions
         are no-ops -- it only counts (and, with ``keep_trace``, logs)
@@ -198,8 +198,9 @@ class Observability:
     keep_trace:
         Keep every plain event in :attr:`log`, unbounded and in exact
         emission order -- for short seeded runs whose full trace is
-        compared (the golden digests).  Off, a plain event costs one
-        counter bump and its details are never stringified.
+        compared (the golden digests).  Off, a plain event outside the
+        rings costs one counter bump and its details are never
+        stringified.
     """
 
     __slots__ = (
@@ -249,43 +250,43 @@ class Observability:
     def emit(self, event: str, node: str, trace_id: str = "", hop: int = 0, **detail: object) -> None:
         """The one place an event is validated, counted and kept.
 
-        Without a ``trace_id`` the event is plain; with one it is causal
-        and, unless the sink is :attr:`observing`, a no-op.  An unknown
-        name, or a name emitted as the wrong kind, raises
-        :class:`UnknownEventError`.
+        A causal name is a step of a traced request: it needs a trace id
+        and, unless the sink is :attr:`observing`, is a no-op.  A plain
+        name is a fact: always counted, logged when the sink keeps a
+        trace and, when it carries a trace id and the sink is observing,
+        also kept in the node's ring.  An unknown name, or a causal one
+        without a trace id, raises :class:`UnknownEventError`.
         """
-        if trace_id:
-            if not self.ring_capacity:
-                return
-            counter = self._causal.get(event)
-            if counter is None:
-                counter = self._register(event, causal=True)
-            counter.value += 1
-            self.recorder(node).put(
-                float(self._clock()), event, trace_id, hop, normalise_detail(detail), self._seq()
-            )
-            return
         counter = self._plain.get(event)
         if counter is None:
-            counter = self._register(event, causal=False)
+            if is_causal(event):
+                self._step(event, node, trace_id, hop, detail)
+                return
+            counter = self._plain[event] = self.registry.counter(f"obs.event.{event}")
         counter.value += 1
+        ring = trace_id and self.ring_capacity
+        if not ring and self.log is None:
+            return
+        time, details, seq = float(self._clock()), normalise_detail(detail), self._seq()
+        if ring:
+            self.recorder(node).put(time, event, trace_id, hop, details, seq)
         if self.log is not None:
-            entry = SpanEvent(
-                float(self._clock()), event, node, "", 0, normalise_detail(detail), self._seq()
-            )
+            entry = SpanEvent(time, event, node, trace_id, hop, details, seq)
             self.log.append(entry)
             self._by_event.setdefault(event, []).append(entry)
 
-    def _register(self, event: str, causal: bool) -> Counter:
-        if is_causal(event) is not causal:
-            raise UnknownEventError(
-                f"{event!r} is a causal event and needs a trace id"
-                if not causal
-                else f"{event!r} is a plain event and takes no trace id"
-            )
-        counter = self.registry.counter(f"obs.event.{event}")
-        (self._causal if causal else self._plain)[event] = counter
-        return counter
+    def _step(self, event: str, node: str, trace_id: str, hop: int, detail: dict) -> None:
+        if not trace_id:
+            raise UnknownEventError(f"{event!r} is a causal event and needs a trace id")
+        if not self.ring_capacity:
+            return
+        counter = self._causal.get(event)
+        if counter is None:
+            counter = self._causal[event] = self.registry.counter(f"obs.event.{event}")
+        counter.value += 1
+        self.recorder(node).put(
+            float(self._clock()), event, trace_id, hop, normalise_detail(detail), self._seq()
+        )
 
     def count(self, event: str) -> int:
         """How many times ``event`` was emitted (0 if never)."""

@@ -3,7 +3,11 @@
 Flight-recorder rings are per-node and unordered across nodes; this
 module merges them into a single per-request timeline: which BDN
 injected the request where, which brokers suppressed the duplicate,
-and which UDP responses were lost vs. suppressed vs. late.
+and which UDP responses were lost vs. suppressed vs. late.  A ring
+holds a request's causal steps beside the facts that carry its trace
+id: ``request_sent`` opens a run and ``discover_done`` closes it; a
+broker's leg is ``discovery_response`` (or ``…_suppressed``) and, at
+the requester, ``response_received`` or ``late``.
 
 Ordering: events sort by ``(time, emission seq, causal rank, node)``.
 The emission sequence is shared across all recorders of one world, so
@@ -11,7 +15,7 @@ same-instant events (common in the simulator, where several hops can
 share one virtual timestamp) keep the order they actually happened in.
 The causal rank is the fallback for events without sequence numbers
 (hand-built fixtures, legacy snapshots): it breaks ties the way the
-protocol flows (a ``send`` precedes the matching ``recv``; an
+protocol flows (a ``request_sent`` precedes the matching ``recv``; an
 ``enqueue`` precedes its ``dequeue``).
 
 The requester emits a ``phase`` span at exactly the points it calls
@@ -42,18 +46,28 @@ __all__ = [
 _CAUSAL_RANK: dict[str, int] = {
     "phase": 0,
     "send": 1,
-    "shed": 2,
-    "busy": 3,
+    "request_sent": 1,
+    "request_multicast": 1,
+    "request_cached_targets": 1,
+    "bdn_busy": 2,
+    "bdn_catchup_refused": 3,
     "inject": 4,
     "recv": 5,
+    "response_received": 5,
+    "bdn_busy_received": 5,
     "enqueue": 6,
     "dequeue": 7,
     "dup_suppressed": 8,
-    "suppressed": 9,
-    "respond": 10,
+    "discovery_response_suppressed": 9,
+    "discovery_response": 10,
     "late": 11,
-    "done": 12,
+    "discover_done": 12,
+    "discover_failed": 12,
 }
+
+#: A run opens with a phase or a transmission and closes with one of two facts.
+_OPENS = frozenset({"phase", "send", "request_sent", "request_multicast", "request_cached_targets"})
+_CLOSES = frozenset({"discover_done", "discover_failed"})
 
 
 def normalize_trace_id(raw: str) -> str:
@@ -122,13 +136,13 @@ class RequestTimeline:
     def is_complete(self) -> bool:
         """A complete timeline saw the request start and the run close."""
         kinds = {e.event for e in self.events}
-        return "done" in kinds and ("send" in kinds or "phase" in kinds)
+        return bool(kinds & _CLOSES and kinds & _OPENS)
 
     def phase_durations(self) -> dict[str, float]:
         """Seconds spent in each requester phase, from ``phase`` spans.
 
         The open phase at each ``phase`` span ends where the next one
-        begins; the last phase ends at the ``done`` span (falling back
+        begins; the last phase ends where the run closes (falling back
         to the last event seen).  Mirrors
         :meth:`repro.discovery.phases.PhaseTimer.durations`.
         """
@@ -139,7 +153,7 @@ class RequestTimeline:
                 name = self._detail(event, "phase")
                 if name:
                     marks.append((event.time, name))
-            elif event.event == "done" and closed_at is None:
+            elif event.event in _CLOSES and closed_at is None:
                 closed_at = event.time
         if not marks:
             return {}
@@ -176,13 +190,13 @@ class RequestTimeline:
         late: set[str] = set()
         for event in self.events:
             broker = self._detail(event, "broker") or event.node
-            if event.event == "respond":
+            if event.event == "discovery_response":
                 responded.add(broker)
-            elif event.event == "suppressed":
+            elif event.event == "discovery_response_suppressed":
                 suppressed.add(broker)
             elif event.event == "late":
                 late.add(broker)
-            elif event.event == "recv" and self._detail(event, "kind") == "DiscoveryResponse":
+            elif event.event == "response_received":
                 received.add(broker)
         fates: dict[str, str] = {}
         for broker in sorted(responded | suppressed | received | late):

@@ -127,13 +127,12 @@ class Node:
     def emit(self, event: str, trace_id: str = "", hop: int = 0, **detail: object) -> None:
         """Say what happened, if anyone listens.
 
-        A plain event passes no ``trace_id`` and reaches any sink; a
-        causal one passes the trace id (and hop) of the request it
-        belongs to and is a no-op unless the world is observing.
+        An event about a traced request passes that request's trace id
+        (and hop); the sink, if there is one, decides what is kept
+        (:meth:`repro.obs.Observability.emit`).
         """
-        obs = self.obs
-        if obs is not None and (self.observing or not trace_id):
-            obs.emit(event, self.name, trace_id, hop, **detail)
+        if self.obs is not None:
+            self.obs.emit(event, self.name, trace_id, hop, **detail)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} @ {self.host}>"

@@ -31,7 +31,7 @@ from repro.substrate.builder import BrokerNetwork
 from repro.substrate.content_routing import ContentRouting
 from repro.substrate.routing import FloodRouting, SpanningTreeRouting
 from tests.discovery.test_request_path_garbage import assert_no_cyclic_garbage, collector_off
-from tests.simnet.test_perf_determinism import _trace_signature as trace_signature
+from tests.simnet.test_perf_determinism import _log as event_log
 from tests.substrate.test_client import attach
 
 REQUESTER = Endpoint("requester.host", 7500)
@@ -361,7 +361,7 @@ def run_scenario(topology: str, forced: bool, arrivals: Arrivals):
     sim = scenario.net.sim
     udp, from_peer = arrivals.take()
     result = (
-        trace_signature(scenario.net),
+        event_log(scenario.net),
         sim.events_processed,
         sim.now,
         [(o.success, o.total_time, o.via, o.transmissions, o.request_uuid) for o in outcomes],
@@ -448,7 +448,7 @@ def run_flash_crowd(forced: bool, arrivals: Arrivals, clients: int, n_brokers: i
         )
     net.sim.run(until=t0 + 3.0)
     result = (
-        trace_signature(net),
+        event_log(net),
         net.sim.events_processed,
         net.sim.now,
         responses,

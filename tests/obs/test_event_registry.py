@@ -8,6 +8,7 @@ registry, :data:`repro.obs.events.EVENTS`.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -78,9 +79,9 @@ def test_every_registered_name_is_emitted_somewhere():
 
 
 def test_vocabularies_do_not_overlap():
-    # One dict, so a name has exactly one kind; the sizes are the two
-    # vocabularies this registry merged.
-    assert sum(EVENTS.values()) == 17
+    # One dict, so a name has exactly one kind: 10 causal steps beside
+    # 76 plain facts.
+    assert sum(EVENTS.values()) == 10
     assert len(EVENTS) - sum(EVENTS.values()) == 76
 
 
@@ -89,6 +90,91 @@ def test_check_span_event_contract():
     assert is_causal("request_sent") is False  # a plain name, not causal
     with pytest.raises(UnknownEventError):
         is_causal("sennd")
+    # The steps folded into the facts they restated are gone.
+    for folded in ("respond", "suppressed", "shed", "busy", "done", "leader_elected", "cold_restart"):
+        with pytest.raises(UnknownEventError):
+            is_causal(folded)
+
+
+def _emit_name(node: ast.AST) -> str | None:
+    """``name`` if ``node`` is a ``….emit("name", …)`` call."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "emit"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    ):
+        return node.args[0].value
+    return None
+
+
+def _placement(call: ast.Call, parents: dict) -> list[tuple[list, int]]:
+    """Each statement list enclosing ``call`` inside its function,
+    outermost first, with the index of the statement that holds it."""
+    chain = []
+    node = call
+    while not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        parent = parents[node]
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            block = getattr(parent, field, None)
+            if isinstance(block, list) and node in block:
+                chain.append((block, block.index(node)))
+        node = parent
+    return chain[::-1]
+
+
+def _adjacent(first: list[tuple[list, int]], second: list[tuple[list, int]]) -> bool:
+    """Whether one path through a function runs both placements with no
+    exit and no other emission between them."""
+    for depth, ((a_block, a), (b_block, b)) in enumerate(zip(first, second)):
+        if a_block is not b_block:
+            return False  # two branches of one statement
+        if a != b:
+            early, late = (first, second) if a < b else (second, first)
+            between = a_block[min(a, b) + 1 : max(a, b)]
+            between += [s for block, i in early[depth + 1 :] for s in block[i + 1 :]]
+            between += [s for block, i in late[depth + 1 :] for s in block[:i]]
+            return not any(
+                isinstance(s, (ast.Return, ast.Raise, ast.Continue, ast.Break))
+                or any(_emit_name(n) for n in ast.walk(s))
+                for s in between
+            )
+    return True
+
+
+def test_no_fact_is_emitted_twice_as_a_step_and_a_fact():
+    # One fact, one event: a plain fact about a traced request carries
+    # the request's trace id itself.  A causal step with trace id ``X``
+    # emitted next to a plain fact carrying ``request=X`` says the same
+    # thing twice, under two names and two counters.
+    twins = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            steps, facts = [], []
+            for call in ast.walk(function):
+                name = _emit_name(call)
+                if name not in EVENTS:
+                    continue
+                if EVENTS[name] and len(call.args) > 1:
+                    steps.append((name, ast.dump(call.args[1]), call))
+                facts += [
+                    (name, ast.dump(k.value), call)
+                    for k in call.keywords
+                    if not EVENTS[name] and k.arg == "request"
+                ]
+            twins += [
+                f"{path.relative_to(SRC)}:{s_call.lineno}: {step!r} + {fact!r}"
+                for step, trace, s_call in steps
+                for fact, request, f_call in facts
+                if trace == request
+                and _adjacent(_placement(s_call, parents), _placement(f_call, parents))
+            ]
+    assert not twins, "a fact emitted twice (fold the step into the fact):\n  " + "\n  ".join(twins)
 
 
 def test_protocol_doc_lists_the_whole_vocabulary():

@@ -33,11 +33,11 @@ def _observed_world() -> Observability:
     obs = Observability(clock=clock)
     client, bdn = emitter(obs, "client"), emitter(obs, "bdn")
     client("phase", TID, phase="issue_request")
-    client("send", TID, kind="DiscoveryRequest")
+    client("request_sent", TID, kind="DiscoveryRequest")
     clock.now = 0.01
     bdn("recv", TID, hop=1, kind="DiscoveryRequest")
     clock.now = 0.02
-    client("done", TID, success=True)
+    client("discover_done", TID, success=True)
     obs.registry.counter("discovery.completed").inc()
     obs.registry.gauge("overload.queue_depth").set(2)
     obs.registry.histogram("discovery.total_time", bounds=(0.01, 0.1, 1.0)).observe(0.02)
@@ -61,7 +61,7 @@ class TestJsonSnapshot:
         assert rebuilt.events == direct.events
         # seq survives serialisation, so causal order does too.
         assert [e.seq for e in rebuilt] == [e.seq for e in direct]
-        assert [e.event for e in rebuilt] == ["phase", "send", "recv", "done"]
+        assert [e.event for e in rebuilt] == ["phase", "request_sent", "recv", "discover_done"]
 
     def test_complete_request_ids_work_on_parsed_snapshot(self):
         obs = _observed_world()

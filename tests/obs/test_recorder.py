@@ -104,11 +104,18 @@ class TestCheckedEventNames:
             assert len(obs.registry) == 0
 
     def test_known_trace_event_is_not_a_span(self):
-        # A plain name cannot be emitted as a causal event ...
+        # A plain name keeps its kind when it carries a trace id: a fact
+        # about a traced request, always counted, and kept in the ring
+        # (with its trace id and hop) only while the world observes ...
         obs, emit = _ring()
-        with pytest.raises(UnknownEventError):
-            emit("udp_drop", "t0")
-        assert not obs.recorders
+        emit("bdn_busy", "t0", 2, depth=3)
+        assert obs.count("bdn_busy") == 1
+        (event,) = obs.recorders["n0"].snapshot()
+        assert (event.event, event.trace_id, event.hop) == ("bdn_busy", "t0", 2)
+        quiet = Observability(ring_capacity=0, keep_trace=True)
+        quiet.emit("bdn_busy", "n0", "t0", 2, depth=3)
+        assert quiet.count("bdn_busy") == 1 and not quiet.recorders
+        assert [(e.trace_id, e.hop) for e in quiet.log] == [("t0", 2)]
 
     def test_causal_name_without_trace_id_raises(self):
         # ... nor a causal one without the request it belongs to.
@@ -142,7 +149,7 @@ class TestEmissionSequence:
         obs = Observability()
         obs.emit("send", "a", "t")
         obs.emit("recv", "b", "t")
-        obs.emit("done", "a", "t")
+        obs.emit("discover_done", "a", "t")
         # Interleaved emission across nodes still yields one total order.
         assert [e.seq for e in obs.recorders["a"].snapshot()] == [0, 2]
         assert [e.seq for e in obs.recorders["b"].snapshot()] == [1]

@@ -43,7 +43,7 @@ def _observed_request(lossy_fates: bool = False) -> Observability:
 
     clock.now = 0.0
     client("phase", TID, phase="issue_request")
-    client("send", TID, kind="DiscoveryRequest", bdn="bdn")
+    client("request_sent", TID, kind="DiscoveryRequest", bdn="bdn")
     clock.now = 0.010
     bdn("recv", TID, kind="DiscoveryRequest")
     for name in brokers:
@@ -54,15 +54,15 @@ def _observed_request(lossy_fates: bool = False) -> Observability:
         rec("recv", TID, hop=1, kind="DiscoveryRequest")
     # b0 responds and is received; b1's fate varies; b2 suppressed.
     clock.now = 0.030
-    brokers["b0"]("respond", TID, broker="b0")
-    brokers["b1"]("respond", TID, broker="b1")
-    brokers["b2"]("suppressed", TID, broker="b2")
+    brokers["b0"]("discovery_response", TID, broker="b0")
+    brokers["b1"]("discovery_response", TID, broker="b1")
+    brokers["b2"]("discovery_response_suppressed", TID, broker="b2")
     clock.now = 0.040
-    client("recv", TID, hop=2, kind="DiscoveryResponse", broker="b0")
+    client("response_received", TID, hop=2, kind="DiscoveryResponse", broker="b0")
     clock.now = 0.050
     client("phase", TID, phase="final_decision")
     clock.now = 0.060
-    client("done", TID, success=True)
+    client("discover_done", TID, success=True)
     if lossy_fates:
         clock.now = 0.070  # b1's answer limps in after the run closed
         client("late", TID, broker="b1", kind="DiscoveryResponse")
@@ -74,14 +74,14 @@ class TestCausalOrdering:
         clock = _Clock()
         obs = Observability(clock=clock)
         a, b = emitter(obs, "a"), emitter(obs, "b")
-        # Same virtual instant; emission order is send -> recv -> done.
+        # Same virtual instant; emission order is send -> recv -> close.
         a("send", TID)
         b("recv", TID)
-        a("done", TID)
+        a("discover_done", TID)
         # merge_events visits recorders sorted by name, so b's stream is
         # read after a's -- the seq numbers must still interleave them.
         merged = assemble(obs, TID).events
-        assert [e.event for e in merged] == ["send", "recv", "done"]
+        assert [e.event for e in merged] == ["send", "recv", "discover_done"]
 
     def test_rank_fallback_for_seqless_fixtures(self):
         # Legacy snapshots carry seq=0 everywhere; the protocol-flow
@@ -98,10 +98,10 @@ class TestCausalOrdering:
         obs = Observability(clock=clock)
         rec = emitter(obs, "n")
         clock.now = 2.0
-        rec("done", TID)
+        rec("discover_done", TID)
         clock.now = 1.0
         rec("send", TID)  # emitted later but stamped earlier
-        assert [e.event for e in assemble(obs, TID)] == ["send", "done"]
+        assert [e.event for e in assemble(obs, TID)] == ["send", "discover_done"]
 
     def test_trace_id_filter_strips_attempt_suffix(self):
         clock = _Clock()
@@ -130,10 +130,10 @@ class TestResponseFates:
 
     def test_received_wins_over_other_evidence(self):
         events = [
-            SpanEvent(1.0, "respond", "b0", TID, detail=(("broker", "b0"),)),
+            SpanEvent(1.0, "discovery_response", "b0", TID, detail=(("broker", "b0"),)),
             SpanEvent(
                 2.0,
-                "recv",
+                "response_received",
                 "client",
                 TID,
                 detail=(("broker", "b0"), ("kind", "DiscoveryResponse")),
@@ -152,7 +152,7 @@ class TestCompleteness:
     def test_done_alone_is_not_complete(self):
         clock = _Clock()
         obs = Observability(clock=clock)
-        obs.emit("done", "n", TID)
+        obs.emit("discover_done", "n", TID)
         assert not assemble(obs, TID).is_complete()
         assert complete_request_ids(obs) == ()
 
@@ -218,6 +218,6 @@ class TestRendering:
         rec("phase", TID, phase="issue_request")
         for i in range(30):
             rec("send", TID, i=i)
-        rec("done", TID)
+        rec("discover_done", TID)
         text = render_ascii(assemble(obs, TID), max_events=10)
         assert "more events elided" in text

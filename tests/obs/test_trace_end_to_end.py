@@ -36,7 +36,9 @@ class TestSimTrace:
         assert timeline.is_complete()
         assert len(timeline.nodes()) >= 3  # client + bdn + brokers
         kinds = {e.event for e in timeline}
-        assert {"send", "recv", "inject", "respond", "phase", "done"} <= kinds
+        assert {
+            "request_sent", "recv", "inject", "discovery_response", "phase", "discover_done"
+        } <= kinds
 
     def test_sim_agreement_is_exact(self, sim_trace):
         # Phase spans read the same virtual clock at the same call
@@ -44,7 +46,7 @@ class TestSimTrace:
         # bound -- it is exact.
         _, _, obs = sim_trace
         (trace_id,) = complete_request_ids(obs)
-        scenario_events = [e for e in assemble(obs, trace_id) if e.event == "done"]
+        scenario_events = [e for e in assemble(obs, trace_id) if e.event == "discover_done"]
         assert scenario_events, "run never closed"
         timeline = assemble(obs, trace_id)
         # Reconstruct reference percentages from the phase spans' own

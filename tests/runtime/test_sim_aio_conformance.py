@@ -205,11 +205,11 @@ class TestSameCausalOrder:
     def test_span_order_per_request(self, sim, aio):
         assert sim.orders == aio.orders
         client = sim.orders[0]["client0"]
-        assert client.index(("send", "DiscoveryRequest")) < client.index(("recv", "Ack"))
-        assert client.index(("recv", "DiscoveryResponse")) < client.index(
+        assert client.index(("request_sent", "DiscoveryRequest")) < client.index(("recv", "Ack"))
+        assert client.index(("response_received", "DiscoveryResponse")) < client.index(
             ("phase", "ping_target_set")
         )
-        assert client[-1] == ("done", "bdn")
+        assert client[-1] == ("discover_done", "bdn")
 
     def test_same_spans_and_the_stopped_broker_is_silent_on_both(self, sim, aio):
         assert sim.spans == aio.spans

@@ -1,15 +1,21 @@
 """Refactors and optimisations must be invisible to virtual-time results.
 
-Four seeded worlds are run and their full results (trace records, event
-counts, virtual end time, outcomes) hashed; the sha256 digests must
-match ``golden_traces.json``, captured before the hot-path caches, the
-timer wheel and the runtime split existed.  Any divergence means a
-change altered scheduling or RNG draw order -- a correctness bug, not a
-perf trade-off.
+Four seeded worlds are run and each is pinned by two sha256 digests in
+``golden_traces.json``:
+
+* the **schedule** -- events processed, virtual end time, outcomes and
+  selected brokers -- unchanged since before the hot-path caches, the
+  timer wheel and the runtime split existed.  Any divergence means a change
+  altered scheduling or RNG draw order: a correctness bug, not a perf
+  trade-off.  Nothing that only renames or reshapes events may move it.
+* the **log** -- every kept ``(time, event, node, trace id, detail)``
+  record.  A change to the event vocabulary regenerates this one, and
+  the schedule digest beside it proves that was all it changed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -21,8 +27,8 @@ from repro.experiments.scenarios import DiscoveryScenario, ScenarioSpec
 from repro.substrate.builder import BrokerNetwork, Topology
 
 
-def _trace_signature(net) -> tuple:
-    return tuple((r.time, r.event, r.node, r.detail) for r in net.obs.log)
+def _log(net) -> tuple:
+    return tuple((r.time, r.event, r.node, r.trace_id, r.detail) for r in net.obs.log)
 
 
 def _run_discovery_world(topology: str) -> tuple:
@@ -30,13 +36,13 @@ def _run_discovery_world(topology: str) -> tuple:
     scenario = DiscoveryScenario(ctor(seed=5), keep_trace=True)
     outcomes = scenario.run(runs=3)
     sim = scenario.net.sim
-    return (
-        _trace_signature(scenario.net),
+    schedule = (
         sim.events_processed,
         sim.now,
         [(o.success, o.total_time, o.via, o.transmissions) for o in outcomes],
         [o.selected.broker_id for o in outcomes if o.selected is not None],
     )
+    return schedule, _log(scenario.net)
 
 
 def _run_substrate_world() -> tuple:
@@ -66,14 +72,15 @@ def _run_substrate_world() -> tuple:
     for t in timers:
         t.cancel()
     net.sim.run_for(5.0)
-    return (_trace_signature(net), net.sim.events_processed, net.sim.now)
+    return (net.sim.events_processed, net.sim.now), _log(net)
 
 
-def _run_overload_world() -> tuple:
+def _run_overload_world(observe: bool = False) -> tuple:
     """An overload-protected world under a request storm.
 
     Exercises the service-time queues, admission shedding, the client's
-    budgeted retries / breakers, and the storm injector.
+    budgeted retries / breakers, and the storm injector.  Returns
+    ``(schedule, log, sink)``.
     """
     import numpy as np
 
@@ -85,7 +92,7 @@ def _run_overload_world() -> tuple:
     from repro.discovery.responder import DiscoveryResponder
     from repro.experiments.harness import run_discovery_once
 
-    net = BrokerNetwork(seed=21, keep_trace=True)
+    net = BrokerNetwork(seed=21, keep_trace=True, observe=observe)
     responders = []
     for i in range(3):
         broker = net.add_broker(f"b{i}", site=f"s{i}", realm="lab")
@@ -142,14 +149,14 @@ def _run_overload_world() -> tuple:
     net.sim.run_for(0.5)
     outcomes = [run_discovery_once(client) for _ in range(2)]
     net.sim.run_for(10.0)
-    return (
-        _trace_signature(net),
+    schedule = (
         net.sim.events_processed,
         net.sim.now,
         [(o.success, o.total_time, o.via, o.transmissions) for o in outcomes],
         (bdn.requests_shed, bdn.ingress.served, bdn.ingress.overflows),
         (client.busy_received, client.retries_denied, client.bdn_skips),
     )
+    return schedule, _log(net), net.obs
 
 
 # ----------------------------------------------------------------------
@@ -159,27 +166,48 @@ def _run_overload_world() -> tuple:
 _GOLDEN_PATH = Path(__file__).parent / "golden_traces.json"
 
 
+_WORLDS = {
+    "discovery_star": lambda: _run_discovery_world("star"),
+    "discovery_linear": lambda: _run_discovery_world("linear"),
+    "substrate": _run_substrate_world,
+    "overload": lambda: _run_overload_world()[:2],
+}
+
+
 def _digest(result: tuple) -> str:
     return hashlib.sha256(repr(result).encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def _digests(world: str) -> tuple[str, str]:
+    """``(schedule, log)`` digests of one world, run once per session."""
+    schedule, log = _WORLDS[world]()
+    return _digest(schedule), _digest(log)
+
+
 @pytest.fixture(scope="module")
-def golden() -> dict[str, str]:
+def golden() -> dict[str, dict[str, str]]:
     with open(_GOLDEN_PATH, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 @pytest.mark.parametrize("topology", ["star", "linear"])
 def test_discovery_traces_match_pre_refactor_golden(golden, topology):
-    assert _digest(_run_discovery_world(topology)) == golden[f"discovery_{topology}"]
+    world = f"discovery_{topology}"
+    assert _digests(world)[0] == golden[world]["schedule"]
 
 
 def test_substrate_traces_match_pre_refactor_golden(golden):
-    assert _digest(_run_substrate_world()) == golden["substrate"]
+    assert _digests("substrate")[0] == golden["substrate"]["schedule"]
 
 
 def test_overload_traces_match_pre_refactor_golden(golden):
-    assert _digest(_run_overload_world()) == golden["overload"]
+    assert _digests("overload")[0] == golden["overload"]["schedule"]
+
+
+@pytest.mark.parametrize("world", sorted(_WORLDS))
+def test_event_log_matches_golden(golden, world):
+    assert _digests(world)[1] == golden[world]["log"]
 
 
 # ----------------------------------------------------------------------
@@ -212,11 +240,14 @@ def test_observed_world_completes_and_records(golden):
     assert trace_id == outcome.request_uuid
     assert assemble(obs, trace_id).is_complete()
     # ... and running it did not disturb the disabled-world digests.
-    assert _digest(_run_discovery_world("star")) == golden["discovery_star"]
+    schedule, log = _run_discovery_world("star")
+    assert _digest(schedule) == golden["discovery_star"]["schedule"]
+    assert _digest(log) == golden["discovery_star"]["log"]
 
 
 def test_disabled_world_unchanged_after_observed_world(golden):
-    before = _digest(_run_discovery_world("linear"))
+    before = _run_discovery_world("linear")
     _run_observed_world("linear")
-    after = _digest(_run_discovery_world("linear"))
-    assert before == after == golden["discovery_linear"]
+    after = _run_discovery_world("linear")
+    assert before == after
+    assert _digest(after[0]) == golden["discovery_linear"]["schedule"]
