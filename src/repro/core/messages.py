@@ -570,13 +570,15 @@ class AntiEntropyDigest(Message):
     Attributes
     ----------
     entries:
-        ``(broker_id, remaining)`` pairs where ``remaining`` is the
-        lease seconds left on the sender's clock (``0.0`` for a
-        no-lease entry that never expires, mirroring advertisement
-        ``ttl`` semantics).  Expired entries are never shipped.  The
-        receiver answers with an :class:`AntiEntropyDelta` of every ad
-        it holds that the digest lacks or holds with an older lease
-        (newest-lease-wins, keyed by broker id).
+        ``(broker_id, issued_at)`` pairs, one per live registration:
+        the stamp the broker put on the renewal the sender holds, which
+        names that renewal on every member.  Expired entries are never
+        shipped.  A stamp is read off the broker's clock, which may be
+        negative, or step back once, before its NTP sync, so stamps are
+        compared for equality only.  The receiver answers with an
+        :class:`AntiEntropyDelta` of every ad it holds that the digest
+        lacks, or names another renewal of, once its own copy is an
+        anti-entropy period old.
     """
 
     kind: ClassVar[int] = 15
@@ -586,11 +588,10 @@ class AntiEntropyDigest(Message):
     entries: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        for broker_id, remaining in self.entries:
-            if not math.isfinite(remaining) or remaining < 0:
+        for broker_id, issued_at in self.entries:
+            if not math.isfinite(issued_at):
                 raise ValueError(
-                    f"digest lease remaining must be finite and non-negative, "
-                    f"got {remaining} for {broker_id!r}"
+                    f"digest stamp must be finite, got {issued_at} for {broker_id!r}"
                 )
 
 

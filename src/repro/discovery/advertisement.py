@@ -427,15 +427,24 @@ class AdvertisementStore:
         return True
 
     def accept_if_newer(self, ad: BrokerAdvertisement, now: float) -> bool:
-        """Store ``ad`` only if its lease outlives the current entry.
+        """Store ``ad`` only if it is another renewal whose lease outlives
+        the current entry.
 
-        The merge rule of replication and anti-entropy repair
-        (*newest-lease-wins*, keyed by broker id): a delayed replica of
-        an old heartbeat must never roll back a fresher renewal.  An
-        expired or missing entry always loses.  Returns True if stored.
+        The merge rule of replication and anti-entropy repair.  A renewal
+        is named by its broker's stamp (``issued_at``, compared for
+        equality only -- a broker's clock may step back once at NTP
+        sync), and the renewal already held is never booked again, even
+        lapsed: a second copy arrives one transit later and would only
+        push the deadline out by that transit.  Between different
+        renewals the newest lease wins, keyed by broker id: a delayed
+        replica of an old heartbeat must never roll back a fresher
+        renewal, and an expired or missing entry always loses.  Returns
+        True if stored.
         """
         existing = self._ads.get(ad.broker_id)
         if existing is not None:
+            if existing.advertisement.issued_at == ad.issued_at:
+                return False
             incoming_expires = now + ad.ttl if ad.ttl > 0 else math.inf
             if existing.expires_at >= incoming_expires and not existing.is_expired(now):
                 return False

@@ -358,9 +358,12 @@ class BDN(Node):
         elif isinstance(message, PingResponse):
             self.pinger.on_response(message, src)
         elif type(message) in self._REPLICATION_DISPATCH and self.replication is not None:
-            getattr(self.replication, self._REPLICATION_DISPATCH[type(message)])(
-                message, src
-            )
+            replication = self.replication
+            if message.group != replication.config.group:
+                # Another group's traffic on a shared port: never acted on.
+                replication.foreign_group_messages += 1
+            else:
+                getattr(replication, self._REPLICATION_DISPATCH[type(message)])(message, src)
         else:
             # Anything else on the discovery port is a protocol error
             # (or a stale/misrouted datagram): count it and drop it

@@ -519,15 +519,19 @@ def _check_overload(world: ChaosWorld, violations: list[str]) -> None:
 def _check_replication(world: ChaosWorld, violations: list[str]) -> None:
     """Replicated variant, after every fault healed: election safety
     over the whole run, and post-heal convergence -- anti-entropy must
-    have driven every member's registry to the same live registrations.
+    have driven every member's registry to the same renewal of every
+    live registration, named ``(broker_id, issued_at)``.
     """
     intervals = bdn_evidence(world.bdns).intervals
     violations.extend(map(str, election_safety(intervals, SIM_ELECTION_EPS)))
     now = world.sim.now
-    registries = {bdn.name: frozenset(bdn.store.broker_ids(now)) for bdn in world.bdns}
+    registries = {
+        bdn.name: frozenset((s.broker_id, s.advertisement.issued_at) for s in bdn.store.all(now))
+        for bdn in world.bdns
+    }
     union = frozenset().union(*registries.values())
-    for name, ids in registries.items():
-        missing = union - ids
+    for name, renewals in registries.items():
+        missing = union - renewals
         if missing:
             violations.append(
                 f"convergence: {name} is missing {sorted(missing)} after heal"

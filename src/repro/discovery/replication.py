@@ -31,16 +31,21 @@ the spirit of the replicated discovery tiers of related systems
   over strict single-writer purity -- and anti-entropy reconciles the
   difference.
 * **Anti-entropy repair.**  Every member periodically sends each peer a
-  digest of its registry (broker id + lease seconds remaining).  The
-  peer answers with every advertisement the digester lacks or holds
-  with an older lease (*newest-lease-wins*, keyed by broker id and
-  compared on lease expiry).  After a partition heals, both sides of
-  the cut therefore converge to the union of their registries, minus
-  whatever leases lapsed meanwhile, within one repair period.
+  digest of its registry: which renewal of each broker it holds, named
+  by the broker's own stamp (``issued_at``).  The peer answers with
+  every advertisement the digester lacks, and with any it holds another
+  renewal of once the peer's own copy is a period old (younger, it may
+  still be on its way as an append).  The receiver books a renewal it
+  does not hold yet if its lease outlives the current entry
+  (*newest-lease-wins*), and never books one it holds twice.  After a
+  partition heals, both sides of the cut therefore converge to the
+  union of their registries, minus whatever leases lapsed meanwhile; a
+  settled group ships nothing.
 
 Advertisements always travel with *receipt-relative* TTLs (the seconds
-remaining at the sender), never absolute deadlines, so replication
-inherits the clock-skew safety of the broker->BDN lease path.
+remaining at the sender), never absolute deadlines, so no clock offset
+between members enters a lease.  A replica books its copy one transit
+later than its sender, once per renewal.
 
 A cold-restarted member rejoins with an empty registry: it immediately
 digests every peer (pulling a full delta back) and, until the first
@@ -70,6 +75,7 @@ from repro.core.messages import (
 from repro.runtime.api import TimerHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.discovery.advertisement import StoredAdvertisement
     from repro.discovery.bdn import BDN
 
 __all__ = ["ReplicationState", "parse_endpoint", "try_parse_endpoint", "MAX_DELTA_ADS"]
@@ -78,11 +84,6 @@ __all__ = ["ReplicationState", "parse_endpoint", "try_parse_endpoint", "MAX_DELT
 #: bigger registry repairs over several periods (and the truncation is
 #: traced, never silent).
 MAX_DELTA_ADS = 128
-
-#: Slack when comparing lease expiries: a remote lease must be newer by
-#: more than this to overwrite, so two members holding the same renewal
-#: do not bounce it back and forth forever.
-_LEASE_EPSILON = 1e-9
 
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
@@ -132,6 +133,10 @@ class ReplicationState:
     simulated and live.
     """
 
+    #: FOLLOWER, CANDIDATE or LEADER.  Every member starts a follower;
+    #: :meth:`_become` is the only writer.
+    role = FOLLOWER
+
     def __init__(self, bdn: "BDN", config: ReplicationConfig) -> None:
         self.bdn = bdn
         self.config = config
@@ -139,15 +144,11 @@ class ReplicationState:
         self.index = config.index_of(self.me)
         self.peers = config.peers_of(self.me)
 
-        self.role = FOLLOWER
         self.term = 0
         self.leader: str | None = None
-        #: Local time until which the currently observed leader's lease
-        #: (as this member granted/witnessed it) is honoured.
-        self.leader_expires = -math.inf
-        # The one grant this member may have outstanding.
+        # The one grant this member may have outstanding; a grant to a
+        # peer doubles as that peer's leadership as seen from here.
         self._granted_to: str | None = None
-        self._granted_term = -1
         self._grant_expires = -math.inf
         # Candidate/leader vote bookkeeping: member -> claim send time
         # (this node's clock) of the latest grant received from them.
@@ -192,11 +193,10 @@ class ReplicationState:
         """Arm timers; ``cold`` marks the registry as wiped (catch-up)."""
         now = self._now
         self._running = True
-        self.role = FOLLOWER
         if cold:
             self.caught_up = False
             self._catchup_deadline = now + self.config.catchup_grace
-        self._arm_election_timer(now + self._election_timeout())
+        self._arm_election(now + self.config.lease_duration)
         self._anti_entropy_timer = self.bdn.runtime.call_every(
             self.config.anti_entropy_interval, self._anti_entropy_tick
         )
@@ -220,10 +220,7 @@ class ReplicationState:
         self._election_timer = None
         self._heartbeat_timer = None
         self._anti_entropy_timer = None
-        if self.role == LEADER:
-            self._step_down("stopped")
-        else:
-            self.role = FOLLOWER
+        self._become(FOLLOWER, "stopped")
 
     @property
     def _now(self) -> float:
@@ -238,7 +235,7 @@ class ReplicationState:
         """The leader this member currently recognises, if any."""
         if self.role == LEADER and self._lease_until() > self._now:
             return self.config.endpoint_of(self.me)
-        if self.leader is not None and self.leader_expires > self._now:
+        if self._granted_to not in (None, self.me) and self._grant_expires > self._now:
             return self.config.endpoint_of(self.leader)
         return None
 
@@ -252,54 +249,51 @@ class ReplicationState:
     # ------------------------------------------------------------------
     # Election
     # ------------------------------------------------------------------
-    def _election_timeout(self) -> float:
-        """Leader silence tolerated before this member claims.
+    def _arm_election(self, horizon: float) -> bool:
+        """Arm the election timer for ``horizon`` plus this member's stagger.
 
-        Staggered by member index so elections are deterministic and
-        usually uncontested: the surviving member with the lowest index
-        times out first and wins before the next one even claims.
+        ``horizon`` is when the silence this member tolerates ends: a
+        lease from now, or the end of the grant it holds.  The stagger
+        is by member index, so elections are deterministic and usually
+        uncontested: the surviving member with the lowest index times
+        out first and wins before the next one even claims.  Returns
+        False, arming nothing, when that moment has already come.
         """
-        return self.config.lease_duration + self.index * self.config.election_stagger
-
-    def _arm_election_timer(self, fire_at: float) -> None:
+        fire_at = horizon + self.index * self.config.election_stagger
+        now = self._now
+        if fire_at <= now:
+            return False
         if self._election_timer is not None:
             self._election_timer.cancel()
-        delay = max(fire_at - self._now, 0.0)
-        self._election_timer = self.bdn.runtime.schedule(delay, self._on_election_timeout)
+        self._election_timer = self.bdn.runtime.schedule(fire_at - now, self._on_election_timeout)
+        return True
 
     def _on_election_timeout(self) -> None:
         self._election_timer = None
         if not self._running or self.role == LEADER:
             return
-        now = self._now
         # A renewal may have landed since the timer was armed.
-        horizon = max(self.leader_expires, self._grant_expires)
-        if horizon + self.index * self.config.election_stagger > now:
-            self._arm_election_timer(horizon + self.index * self.config.election_stagger)
-            return
-        self._start_election()
+        if not self._arm_election(self._grant_expires):
+            self._start_election()
 
     def _start_election(self) -> None:
         now = self._now
         self.term += 1
-        self.role = CANDIDATE
+        self._become(CANDIDATE)
         self.elections_started += 1
         self._votes = {self.me: now}
         # Self-grant: a candidate is its own first voter, and the grant
         # is as binding as one given to a peer.
         self._granted_to = self.me
-        self._granted_term = self.term
         self._grant_expires = now + self.config.lease_duration
         self.bdn.emit("election_started", term=self.term, member=self.me)
         self._claim(now)
         if len(self._votes) >= self.config.quorum_size:
-            self._become_leader()
+            self._become(LEADER)
         else:
             # Retry (next term) once our own grant has lapsed, staggered
             # so concurrent candidates do not collide forever.
-            self._arm_election_timer(
-                self._grant_expires + self.index * self.config.election_stagger
-            )
+            self._arm_election(self._grant_expires)
 
     def _claim(self, now: float) -> None:
         """Claim (or, as leader, renew) the lease for this term with every peer."""
@@ -313,21 +307,47 @@ class ReplicationState:
         for _, endpoint in self.peers:
             self._send(endpoint, claim)
 
-    def _become_leader(self) -> None:
+    def _become(self, role: str, why: str = "") -> None:
+        """Enter ``role``: the one writer of :attr:`role`.
+
+        Leaving LEADER ends the recorded leadership interval *now*, even
+        if the lease had longer to run (e.g. renouncing to a higher
+        term): the interval must not outlive the belief.  Entering
+        LEADER starts the lease heartbeat and repairs the standbys at
+        once, since they may have drifted while there was no leader.
+        Entering FOLLOWER drops votes and uncommitted writes and, while
+        running, waits a lease (plus stagger) for a leader to show up.
+        """
         now = self._now
-        self.role = LEADER
-        self.leader = self.me
-        self.elections_won += 1
-        self.leadership_intervals.append([float(self.term), now, self._lease_until()])
-        self.bdn.emit("election_won", f"group:{self.config.group}", term=self.term, member=self.me)
-        self._gauge("replication.is_leader", 1)
-        if self._heartbeat_timer is None:
-            self._heartbeat_timer = self.bdn.runtime.call_every(
-                self.config.heartbeat_interval, self._on_heartbeat
+        if self.role == LEADER and role != LEADER:
+            self.stepdowns += 1
+            self.bdn.emit("leader_stepdown", term=self.term, member=self.me, why=why)
+            self._gauge("replication.is_leader", 0)
+            row = self.leadership_intervals[-1]
+            row[2] = min(row[2], now)
+        self.role = role
+        if role == LEADER:
+            self.leader = self.me
+            self.elections_won += 1
+            self.leadership_intervals.append([float(self.term), now, self._lease_until()])
+            self.bdn.emit(
+                "election_won", f"group:{self.config.group}", term=self.term, member=self.me
             )
-        # Standbys may have drifted while there was no leader; repair
-        # them now instead of waiting out the next anti-entropy period.
-        self._send_digests()
+            self._gauge("replication.is_leader", 1)
+            if self._heartbeat_timer is None:
+                self._heartbeat_timer = self.bdn.runtime.call_every(
+                    self.config.heartbeat_interval, self._on_heartbeat
+                )
+            self._send_digests()
+        elif role == FOLLOWER:
+            self._votes = {}
+            self._pending.clear()
+            self._append_sent_at.clear()
+            if self._heartbeat_timer is not None:
+                self._heartbeat_timer.cancel()
+                self._heartbeat_timer = None
+            if self._running:
+                self._arm_election(now + self.config.lease_duration)
 
     def _lease_until(self) -> float:
         """Conservative end of this node's (candidate/leader) lease.
@@ -342,50 +362,29 @@ class ReplicationState:
         times = sorted(self._votes.values(), reverse=True)
         return times[self.config.quorum_size - 1] + self.config.lease_duration
 
-    def _step_down(self, why: str) -> None:
-        if self.role == LEADER:
-            self.stepdowns += 1
-            self.bdn.emit("leader_stepdown", term=self.term, member=self.me, why=why)
-            self._gauge("replication.is_leader", 0)
-            if self.leadership_intervals:
-                # Leadership *belief* ends now, even if the lease had
-                # longer to run (e.g. renouncing to a higher term) --
-                # the recorded interval must not outlive the belief.
-                row = self.leadership_intervals[-1]
-                row[2] = min(row[2], self._now)
-        self.role = FOLLOWER
-        self._votes = {}
-        self._pending.clear()
-        self._append_sent_at.clear()
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-            self._heartbeat_timer = None
-        if self._running:
-            self._arm_election_timer(self._now + self._election_timeout())
-
     def _on_heartbeat(self) -> None:
         """Leader tick: renew the lease (and detect having lost it)."""
         if not self._running or self.role != LEADER:
             return
         now = self._now
         if self._lease_until() <= now:
-            self._step_down("lease lapsed")
+            self._become(FOLLOWER, "lease lapsed")
             return
+        # Renew the self-grant with the self-vote: a leader whose own
+        # grant had lapsed would grant a same-term claim from a member
+        # that missed its election, and both would lead that term.
         self._votes[self.me] = now
+        self._grant_expires = now + self.config.lease_duration
         self._claim(now)
-        if self.leadership_intervals:
-            self.leadership_intervals[-1][2] = self._lease_until()
+        self.leadership_intervals[-1][2] = self._lease_until()
         self._gauge("replication.lag", self.seq - self.committed_seq)
 
     def on_lease_claim(self, claim: LeaseClaim, src: Endpoint) -> None:
-        if claim.group != self.config.group:
-            self.foreign_group_messages += 1
-            return
         now = self._now
         if claim.term > self.term:
             self.term = claim.term
             if self.role != FOLLOWER:
-                self._step_down(f"higher term from {claim.candidate}")
+                self._become(FOLLOWER, f"higher term from {claim.candidate}")
         granted = False
         grant_active = self._grant_expires > now and self._granted_to is not None
         if claim.term < self.term:
@@ -395,18 +394,13 @@ class ReplicationState:
         else:
             granted = True
             self._granted_to = claim.candidate
-            self._granted_term = claim.term
             self._grant_expires = now + claim.duration
-            if claim.candidate != self.me:
-                # Witnessing a (probable) leader's claim doubles as its
-                # liveness signal; push our election timeout out.
-                self.leader = claim.candidate
-                self.leader_expires = self._grant_expires
-                if self.role == CANDIDATE:
-                    self.role = FOLLOWER
-                self._arm_election_timer(
-                    self._grant_expires + self.index * self.config.election_stagger
-                )
+            # Witnessing a (probable) leader's claim doubles as its
+            # liveness signal; push our election timeout out.
+            self.leader = claim.candidate
+            if self.role == CANDIDATE:
+                self._become(FOLLOWER)
+            self._arm_election(self._grant_expires)
         self.bdn.emit(
             "lease_granted" if granted else "lease_denied",
             term=claim.term,
@@ -423,9 +417,6 @@ class ReplicationState:
         self._send(src, vote)
 
     def on_lease_vote(self, vote: LeaseVote, src: Endpoint) -> None:
-        if vote.group != self.config.group:
-            self.foreign_group_messages += 1
-            return
         if vote.term != self.term or self.role == FOLLOWER:
             return
         if not vote.granted:
@@ -435,8 +426,8 @@ class ReplicationState:
         previous = self._votes.get(vote.voter, -math.inf)
         self._votes[vote.voter] = max(previous, vote.claim_sent_at)
         if self.role == CANDIDATE and len(self._votes) >= self.config.quorum_size:
-            self._become_leader()
-        elif self.role == LEADER and self.leadership_intervals:
+            self._become(LEADER)
+        elif self.role == LEADER:
             self.leadership_intervals[-1][2] = self._lease_until()
 
     # ------------------------------------------------------------------
@@ -458,7 +449,7 @@ class ReplicationState:
             leader=self.me,
             term=self.term,
             seq=self.seq,
-            ad=self._wire_ad(ad, now),
+            ad=self._wire_ad(self.bdn.store.get(ad.broker_id), now),
         )
         self._pending[self.seq] = {self.me}
         self._append_sent_at[self.seq] = now
@@ -471,9 +462,6 @@ class ReplicationState:
         self._gauge("replication.lag", self.seq - self.committed_seq)
 
     def on_replica_append(self, append: ReplicaAppend, src: Endpoint) -> None:
-        if append.group != self.config.group:
-            self.foreign_group_messages += 1
-            return
         if append.term < self.term:
             self.bdn.emit("replica_stale_term", term=append.term, leader=append.leader)
             return
@@ -481,7 +469,7 @@ class ReplicationState:
         if append.term > self.term:
             self.term = append.term
             if self.role != FOLLOWER:
-                self._step_down(f"append from newer leader {append.leader}")
+                self._become(FOLLOWER, f"append from newer leader {append.leader}")
         self.leader = append.leader
         if append.term != self._follower_term:
             self._follower_term = append.term
@@ -503,9 +491,6 @@ class ReplicationState:
         )
 
     def on_replica_ack(self, ack: ReplicaAck, src: Endpoint) -> None:
-        if ack.group != self.config.group:
-            self.foreign_group_messages += 1
-            return
         if self.role != LEADER or ack.term != self.term:
             return
         self.peer_acked[ack.member] = max(self.peer_acked.get(ack.member, 0), ack.seq)
@@ -545,36 +530,36 @@ class ReplicationState:
             self._send(endpoint, digest)
 
     def _digest_message(self, now: float) -> AntiEntropyDigest:
-        entries = []
-        for stored in self.bdn.store.all(now):
-            remaining = (
-                0.0 if stored.expires_at == math.inf else stored.expires_at - now
-            )
-            entries.append((stored.broker_id, remaining))
-        return AntiEntropyDigest(
-            group=self.config.group, member=self.me, entries=tuple(entries)
+        """Which renewal of each live registration this member holds."""
+        entries = tuple(
+            (stored.broker_id, stored.advertisement.issued_at)
+            for stored in self.bdn.store.all(now)
         )
+        return AntiEntropyDigest(group=self.config.group, member=self.me, entries=entries)
 
     def on_digest(self, digest: AntiEntropyDigest, src: Endpoint) -> None:
-        if digest.group != self.config.group:
-            self.foreign_group_messages += 1
-            return
+        """Ship what the digest's sender lacks, or holds another renewal of.
+
+        A renewal is named by its broker's own stamp, so two members
+        holding the same one agree exactly, whatever each booked for it.
+        Another renewal is shipped only once this copy is a period old:
+        a younger one may still be on its way to the sender as an append.
+        """
         now = self._now
         theirs = dict(digest.entries)
+        grace = self.config.anti_entropy_interval
         ads: list[BrokerAdvertisement] = []
         truncated = 0
         for stored in self.bdn.store.all(now):
-            their_remaining = theirs.get(stored.broker_id)
-            if their_remaining is not None:
-                their_expiry = (
-                    math.inf if their_remaining == 0.0 else now + their_remaining
-                )
-                if stored.expires_at <= their_expiry + _LEASE_EPSILON:
-                    continue  # they already hold an equal-or-newer lease
+            stamp = theirs.get(stored.broker_id)
+            if stamp is not None and (
+                stamp == stored.advertisement.issued_at or now - stored.received_at < grace
+            ):
+                continue
             if len(ads) >= MAX_DELTA_ADS:
                 truncated += 1
                 continue
-            ads.append(self._wire_ad(stored.advertisement, now, stored.expires_at))
+            ads.append(self._wire_ad(stored, now))
         if truncated:
             self.bdn.emit("anti_entropy_truncated", dropped=truncated)
         self.repair_ads_sent += len(ads)
@@ -587,9 +572,6 @@ class ReplicationState:
         )
 
     def on_delta(self, delta: AntiEntropyDelta, src: Endpoint) -> None:
-        if delta.group != self.config.group:
-            self.foreign_group_messages += 1
-            return
         applied = 0
         for ad in delta.ads:
             if self.bdn.apply_replicated(ad):
@@ -607,19 +589,13 @@ class ReplicationState:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _wire_ad(
-        self, ad: BrokerAdvertisement, now: float, expires_at: float | None = None
-    ) -> BrokerAdvertisement:
-        """Re-issue ``ad`` with a receipt-relative TTL for shipping.
-
-        ``expires_at`` defaults to this member's stored lease deadline
-        for the broker; trace context never crosses replication.
-        """
-        if expires_at is None:
-            stored = self.bdn.store.get(ad.broker_id)
-            expires_at = stored.expires_at if stored is not None else math.inf
-        remaining = 0.0 if expires_at == math.inf else max(expires_at - now, 0.0)
-        return replace(ad, ttl=remaining, trace_flag=False, trace_hop=0)
+    @staticmethod
+    def _wire_ad(stored: StoredAdvertisement, now: float) -> BrokerAdvertisement:
+        """``stored`` as shipped: the broker's own ``issued_at`` (the
+        renewal's identity), the lease seconds left here as ``ttl``, and
+        no trace context -- that never crosses replication."""
+        remaining = 0.0 if stored.expires_at == math.inf else max(stored.expires_at - now, 0.0)
+        return replace(stored.advertisement, ttl=remaining, trace_flag=False, trace_hop=0)
 
     def _send(self, dst: Endpoint, message) -> None:
         self.bdn.runtime.send_udp(self.bdn.udp_endpoint, dst, message)

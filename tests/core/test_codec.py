@@ -143,7 +143,7 @@ _digest = st.builds(
     group=_text,
     member=_text,
     entries=st.lists(
-        st.tuples(_text, st.floats(min_value=0.0, max_value=1e9, allow_nan=False)),
+        st.tuples(_text, _f),
         max_size=4,
     ).map(tuple),
 )

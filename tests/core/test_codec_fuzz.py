@@ -213,6 +213,24 @@ def test_property_hostile_ttl_rejected_at_decode(bad_ttl):
         decode_message(bytes(buf))
 
 
+def test_negative_digest_stamp_roundtrips():
+    """A broker stamps renewals off its clock, which can read negative
+    before NTP sync: the digest carries such a stamp unchanged."""
+    digest = AntiEntropyDigest(group="g", member="d0", entries=(("b0", -4.25), ("b1", 0.0)))
+    assert decode_message(encode_message(digest)) == digest
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_digest_stamp_refused(bad):
+    with pytest.raises(ValueError, match="stamp"):
+        AntiEntropyDigest(group="g", member="d0", entries=(("b0", bad),))
+    buf = bytearray(encode_message(AntiEntropyDigest(group="g", member="d0", entries=(("b0", 1.0),))))
+    # The one entry's stamp is the message's final field: the trailing f64.
+    buf[-8:] = struct.pack(">d", bad)
+    with pytest.raises(CodecError, match="invalid field values"):
+        decode_message(bytes(buf))
+
+
 def test_invalid_utf8_is_codec_error_at_the_string():
     buf = bytearray(encode_message(Ack(uuid="uuid", acked_by="bdn")))
     buf[3 + 2 + 4 + 2] = 0xFF  # first byte of acked_by

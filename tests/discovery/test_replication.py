@@ -12,6 +12,7 @@ loopback AioRuntime convergence smoke.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +25,20 @@ from repro.core.config import (
     ReplicationConfig,
     RetryPolicyConfig,
 )
-from repro.core.messages import BrokerAdvertisement, DiscoveryBusy, DiscoveryRequest
-from repro.discovery.advertisement import AdvertisementStore, advertise_direct
+from repro.core.invariants import SIM_ELECTION_EPS, bdn_evidence, election_safety
+from repro.core.messages import (
+    AntiEntropyDelta,
+    BrokerAdvertisement,
+    DiscoveryBusy,
+    DiscoveryRequest,
+)
+from repro.discovery.advertisement import (
+    AdvertisementStore,
+    advertise_direct,
+    build_advertisement,
+)
 from repro.discovery.bdn import BDN, BDN_UDP_PORT
+from repro.discovery.chaos import ChaosWorld
 from repro.discovery.faults import FaultInjector
 from repro.core.errors import EndpointParseError
 from repro.discovery.replication import (
@@ -168,20 +180,9 @@ def group() -> GroupWorld:
     return GroupWorld()
 
 
-def assert_no_lease_overlap(bdns) -> None:
-    rows = [
-        (b.name, term, start, until)
-        for b in bdns
-        for term, start, until in b.replication.leadership_intervals
-    ]
-    for i, (name_a, term_a, start_a, until_a) in enumerate(rows):
-        for name_b, term_b, start_b, until_b in rows[i + 1 :]:
-            if name_a == name_b:
-                continue
-            assert not (start_a < until_b - 1e-9 and start_b < until_a - 1e-9), (
-                f"{name_a} term {term_a} [{start_a:.3f},{until_a:.3f}) overlaps "
-                f"{name_b} term {term_b} [{start_b:.3f},{until_b:.3f})"
-            )
+def election_breaches(bdns) -> list:
+    """The chaos harness's election-safety verdict over these members."""
+    return election_safety(bdn_evidence(bdns).intervals, SIM_ELECTION_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,7 @@ class TestElection:
         replacement = group.leader()
         assert replacement is not old
         assert replacement.replication.term > old.replication.term
-        assert_no_lease_overlap(group.bdns)
+        assert election_breaches(group.bdns) == []
 
     def test_revived_leader_rejoins_as_follower(self, group):
         old = group.leader()
@@ -267,7 +268,7 @@ class TestElection:
         assert group.leader() is replacement
         assert old.replication.role == FOLLOWER
         assert old.replication.leader == replacement.name
-        assert_no_lease_overlap(group.bdns)
+        assert election_breaches(group.bdns) == []
 
     def test_minority_partition_cannot_elect(self, group):
         follower = group.followers()[0]
@@ -282,7 +283,7 @@ class TestElection:
         assert len(group.leaders()) == 1
         group.injector.heal()
         group.sim.run_for(LEASE + 1.0)
-        assert_no_lease_overlap(group.bdns)
+        assert election_breaches(group.bdns) == []
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +324,43 @@ class TestReplicationLog:
         assert leader.replication.committed_seq == committed
         group.injector.heal()
 
+    @staticmethod
+    def _ad(issued_at: float, ttl: float) -> BrokerAdvertisement:
+        return BrokerAdvertisement(
+            broker_id="b0",
+            hostname="b0.host",
+            transports=(("udp", 5046),),
+            logical_address="/lab/b0",
+            issued_at=issued_at,
+            ttl=ttl,
+        )
+
     def test_newest_lease_wins_in_store_merge(self):
         sim_now = 100.0
         store = AdvertisementStore()
-        def ad(ttl: float) -> BrokerAdvertisement:
-            return BrokerAdvertisement(
-                broker_id="b0",
-                hostname="b0.host",
-                transports=(("udp", 5046),),
-                logical_address="/lab/b0",
-                ttl=ttl,
-            )
-
-        older, newer = ad(10.0), ad(20.0)
+        older, newer = self._ad(1.0, 10.0), self._ad(3.0, 20.0)
         assert store.accept_if_newer(older, sim_now)
-        assert not store.accept_if_newer(older, sim_now)  # not strictly newer
+        assert not store.accept_if_newer(older, sim_now)  # the renewal it holds
         assert store.accept_if_newer(newer, sim_now)
         assert not store.accept_if_newer(older, sim_now)  # never regress
-        # An expired holder always loses.
+        # An expired holder always loses to another renewal.
         assert store.accept_if_newer(older, sim_now + 25.0)
+        # Stamps name renewals; they do not order them.  A stamp taken
+        # before the broker's NTP sync may be negative, or behind one
+        # taken earlier, and the longer lease still wins.
+        assert store.accept_if_newer(self._ad(-2.0, 30.0), sim_now + 25.0)
+        assert store.get("b0").advertisement.issued_at == -2.0
+
+    def test_the_renewal_held_is_never_booked_again(self):
+        store = AdvertisementStore()
+        renewal = self._ad(1.0, 10.0)
+        assert store.accept_if_newer(renewal, 100.0)
+        booked = store.get("b0")
+        # The same renewal one transit later, or relayed with a longer
+        # ttl, or after the copy held has lapsed: booked once.
+        for now, ttl in ((100.01, 10.0), (100.0, 20.0), (111.0, 10.0)):
+            assert not store.accept_if_newer(self._ad(1.0, ttl), now)
+            assert store.get("b0") is booked
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +572,7 @@ class TestAntiEntropyConvergence:
         expected = ["b0", "b1", "b2"]
         for bdn in world.bdns:
             assert sorted(bdn.store.broker_ids(now)) == expected, bdn.name
-        assert_no_lease_overlap(world.bdns)
+        assert election_breaches(world.bdns) == []
 
     def test_empty_deltas_are_still_answered(self):
         world = GroupWorld(seed=12, n_brokers=2)
@@ -562,6 +581,71 @@ class TestAntiEntropyConvergence:
         # empty deltas (that is what catch-up detection rides on).
         for bdn in world.bdns:
             assert bdn.replication.caught_up
+
+
+# ---------------------------------------------------------------------------
+# One identity per renewal: a converged group is quiet
+# ---------------------------------------------------------------------------
+class TestRenewalIdentity:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_settled_group_ships_no_repair_ads(self, seed):
+        world = ChaosWorld(seed, replicated=True)
+        sent = sum(b.replication.repair_ads_sent for b in world.bdns)
+        periods = 10
+        world.sim.run_for(periods * world.REPLICATION["anti_entropy_interval"])
+        assert sum(b.replication.repair_ads_sent for b in world.bdns) == sent
+        # Not vacuous: every member holds every broker, renewed meanwhile.
+        now = world.sim.now
+        for bdn in world.bdns:
+            assert len(bdn.store.all(now)) == world.N_BROKERS
+            assert all(s.received_at > now - world.HEARTBEAT_INTERVAL - 0.1
+                       for s in bdn.store.all(now))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_dead_brokers_lease_never_moves_later(self, seed):
+        world = ChaosWorld(seed, replicated=True)
+        world.sim.run_for(3.0)
+        world.injector.kill_broker(world.brokers[1])
+        world.sim.run_for(0.1)  # a renewal already on the wire lands
+        booked = {b.name: b.store.get("b1").expires_at for b in world.bdns}
+        while world.sim.now < max(booked.values()) + 1.0:
+            world.sim.run_for(0.05)
+            for bdn in world.bdns:
+                stored = bdn.store.get("b1")
+                if stored is not None:
+                    assert stored.expires_at <= booked[bdn.name], bdn.name
+        for bdn in world.bdns:
+            assert "b1" not in bdn.store.broker_ids(world.sim.now)
+
+    def test_one_renewal_delivered_twice_is_booked_once(self):
+        world = GroupWorld(seed=5, group_heartbeats=False)
+        leader, follower, other = world.leader(), *world.followers()
+        broker = world.brokers[0]
+        renewal = build_advertisement(broker, ttl=30.0)
+        appends = leader.replication.appends_sent
+        # Direct, then the leader's append of the same renewal.
+        broker.send_udp(follower.udp_endpoint, renewal)
+        broker.send_udp(leader.udp_endpoint, renewal)
+        world.sim.run_for(0.015)
+        booked = follower.store.get(broker.name)
+        assert booked.advertisement.issued_at == renewal.issued_at
+        world.sim.run_for(0.5)
+        assert leader.replication.appends_sent == appends + 1
+        assert follower.store.get(broker.name) is booked
+        # Append, then a repair carrying it again.
+        held = other.store.get(broker.name)
+        assert held.advertisement.issued_at == renewal.issued_at
+        applied = other.replication.repair_ads_applied
+        repair = AntiEntropyDelta(
+            group="g0",
+            member=follower.name,
+            # As a member ships it: the lease seconds left there as ttl.
+            ads=(replace(renewal, ttl=booked.expires_at - world.sim.now),),
+        )
+        follower.runtime.send_udp(follower.udp_endpoint, other.udp_endpoint, repair)
+        world.sim.run_for(0.5)
+        assert other.replication.repair_ads_applied == applied
+        assert other.store.get(broker.name) is held
 
 
 class TestAioConvergenceSmoke:

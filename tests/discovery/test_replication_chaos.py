@@ -112,3 +112,12 @@ class TestReplicatedChaosSweep:
                 failures.append((seed, ["an outcome failed without a violation"]))
         assert not failures, failures[:5]
         assert kinds_seen == set(REPLICATED_CHAOS_KINDS)
+
+    def test_a_leader_never_grants_a_same_term_rival(self):
+        """Seed 328: a member that missed term 3's election claims term
+        3 itself.  While the leader's own grant had lapsed (it was never
+        renewed after the election), the leader granted that claim and
+        both members led term 3 for ~24 s.  The leader's heartbeat now
+        renews its self-grant with its self-vote."""
+        report = run_chaos(328, replicated=True)
+        assert report.ok, report.violations

@@ -44,7 +44,7 @@ def _overload(observe: bool):
 
 
 def _replicated(observe: bool):
-    # Seed 16 cold-restarts members and re-elects leaders.  Observing
+    # Seed 29 cold-restarts members and re-elects leaders.  Observing
     # adds a trace trailer to the wire, which moves each delivery by
     # microseconds; at this seed no race turns on them.
     nets = []
@@ -55,7 +55,7 @@ def _replicated(observe: bool):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chaos, "BrokerNetwork", network)
-        assert chaos.run_chaos(16, replicated=True).ok
+        assert chaos.run_chaos(29, replicated=True).ok
     return nets[0].obs
 
 
