@@ -164,8 +164,12 @@ def start_periodic_advertisement(
     Advertisements ride UDP and "may also be lost in transit to the
     BDNs" (section 7); a single lost registration would otherwise make
     a broker permanently invisible to that BDN.  The initial burst
-    makes registration robust at startup and the periodic re-send keeps
-    the registration alive against BDN pruning and restarts.
+    makes registration robust at startup.  Each periodic re-send renews
+    the lease, at the cost of that one datagram, and registers the
+    broker again with a BDN that dropped it: after a cold restart, a
+    lapsed lease or a prune.  A BDN prunes a broker that answered none
+    of its sweep pings, however often it re-advertised; a broker
+    registered again is pinged on entry.
 
     ``ttl`` defaults to three heartbeat intervals, so the lease survives
     two consecutive lost heartbeats before the BDN evicts the broker;

@@ -375,13 +375,13 @@ class BDN(Node):
         if ad.trace_flag and self.observing:
             self.emit("recv", f"ad:{ad.broker_id}", hop=ad.trace_hop, kind="BrokerAdvertisement")
         if self.store.accept(ad, self.runtime.now):
-            self._track(ad.broker_id)
+            entered = self._track(ad.broker_id)
             self.emit("bdn_registered", broker=ad.broker_id)
-            # Measure the new broker's distance right away so the
-            # closest/farthest injection has data to work with.
-            stored = self.store.get(ad.broker_id)
-            if stored is not None:
-                self.pinger.ping(stored.udp_endpoint, key=ad.broker_id)
+            if entered:
+                # A broker entering the registry is measured right away,
+                # so the closest/farthest injection has its distance.  A
+                # renewal is left to the sweep: it costs one datagram.
+                self.pinger.ping(self.store.get(ad.broker_id).udp_endpoint, key=ad.broker_id)
             if self.replication is not None:
                 # Ack the direct path so the broker's heartbeat can
                 # re-home to the group leader, then replicate the write.
@@ -410,11 +410,10 @@ class BDN(Node):
         now = self.runtime.now
         if not self.store.accept_if_newer(ad, now):
             return False
-        self._track(ad.broker_id)
+        entered = self._track(ad.broker_id)
         self.emit("bdn_registered", broker=ad.broker_id, via="replication")
-        stored = self.store.get(ad.broker_id)
-        if stored is not None and self.pinger.average_rtt(ad.broker_id) is None:
-            self.pinger.ping(stored.udp_endpoint, key=ad.broker_id)
+        if entered:
+            self.pinger.ping(self.store.get(ad.broker_id).udp_endpoint, key=ad.broker_id)
         return True
 
     # ------------------------------------------------------------------
@@ -545,11 +544,19 @@ class BDN(Node):
                 return stored
         return None
 
-    def _track(self, broker_id: str) -> None:
-        """On a broker id's first stored ad: note when, and index it."""
-        if broker_id not in self._distance_key:
-            self._registered_at[broker_id] = self.runtime.now
-            self._index(broker_id)
+    def _track(self, broker_id: str) -> bool:
+        """Index a broker id entering the registry; True if it entered.
+
+        An id enters with its first stored ad, and again after a lease
+        eviction, a prune or :meth:`clear_registry`.  That is when the
+        BDN pings it; a renewal of an indexed id is the sweep's to
+        measure.
+        """
+        if broker_id in self._distance_key:
+            return False
+        self._registered_at[broker_id] = self.runtime.now
+        self._index(broker_id)
+        return True
 
     def _forget(self, broker_id: str) -> None:
         """Drop everything kept about a broker that left the registry."""

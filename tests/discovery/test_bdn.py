@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -520,6 +521,78 @@ class TestRequestCostDoesNotGrowWithTheRegistry:
             world.sim.run_for(0.01)
         assert world.bdn.requests_disseminated == requests
         assert calls == {"all": 0, "average_rtt": 0}
+
+
+# ----------------------------------------------------------------------
+# What a lease renewal costs the BDN
+# ----------------------------------------------------------------------
+class TestRenewalCost:
+    """A broker is pinged when it enters the registry and on the sweep,
+    never because it renewed: a renewal costs the BDN one datagram.
+    ``ping_interval=1e6`` keeps the sweep out of the cases that do not
+    need it."""
+
+    @staticmethod
+    def pings(world: PongWorld, action) -> int:
+        before = world.bdn.pinger.pings_sent
+        action()
+        return world.bdn.pinger.pings_sent - before
+
+    def test_a_measured_broker_renewing_draws_no_ping(self):
+        world = PongWorld(1, ping_interval=1e6)
+        world.register(0, ttl=60.0)
+        world.sim.run_for(1.0)
+        assert world.bdn.pinger.sample_count("b0") == 1
+
+        def renew_50_times() -> None:
+            for _ in range(50):
+                world.register(0, ttl=60.0)
+                world.sim.run_for(0.1)
+
+        assert self.pings(world, renew_50_times) == 0
+        assert world.obs.count("bdn_registered") == 51
+
+    def test_renewals_at_registry_scale_cost_no_ping(self):
+        n = 2000
+        world = PongWorld(n, shards=16, ping_interval=1e6)
+        for _ in range(5):
+            for i in range(n):
+                world.register(i)
+            world.sim.run_for(1.0)
+        assert world.obs.count("bdn_registered") == 5 * n
+        assert world.bdn.pinger.pings_sent == n
+        assert len(world.bdn.distance_table()) == n
+
+    def test_a_follower_applying_replicated_renewals_pings_once(self):
+        world = PongWorld(1, ping_interval=1e6)
+        world.muted.add(0)  # no pong comes back: the broker stays unmeasured
+        for stamp in range(1, 6):
+            renewal = dataclasses.replace(world.ad(0, ttl=60.0), issued_at=float(stamp))
+            assert world.bdn.apply_replicated(renewal)
+            world.sim.run_for(0.5)
+        assert world.obs.count("bdn_registered") == 5
+        assert world.bdn.pinger.pings_sent == 1
+
+    @pytest.mark.parametrize("departure", ["bdn_lease_expired", "bdn_pruned", "bdn_cold_restart"])
+    def test_a_broker_that_left_the_registry_is_pinged_on_return(self, departure):
+        world = PongWorld(1, ping_interval=2.0)
+        world.register(0, ttl=3.0 if departure == "bdn_lease_expired" else 0.0)
+        if departure == "bdn_lease_expired":
+            world.sim.run_for(4.5)  # lapses at 3.0, evicted by the sweep at 4.0
+        elif departure == "bdn_pruned":
+            world.muted.add(0)
+            world.sim.run_for(8.5)  # silent since ~0.02 s: pruned by the sweep at 8.0
+            world.muted.clear()
+        else:
+            world.sim.run_for(0.5)
+            world.bdn.clear_registry()
+        assert world.obs.count(departure) == 1
+        assert world.index_ids() == []
+        assert self.pings(world, lambda: world.register(0)) == 1
+        assert self.pings(world, lambda: world.register(0)) == 0
+        world.sim.run_for(0.5)
+        assert world.bdn.pinger.sample_count("b0") == 1
+        assert world.targets() == ["b0"]
 
 
 def test_networkx_is_not_imported_by_the_serving_processes():

@@ -1,4 +1,4 @@
-"""Event-stream parity digests over the chaos harness.
+"""Event-stream parity digests over the chaos harness and the golden worlds.
 
 A refactor that claims "nothing moves" is checked by running this
 script on the parent tree and on the change and comparing what it
@@ -17,6 +17,19 @@ overload=True``; ``replicated=True`` -- and the *running* digest and
 event count are printed after each variant, so the first variant that
 differs is the one to look at.
 
+A change to what goes on the wire is explained instead with::
+
+    PYTHONPATH=src python tests/event_parity.py --golden-worlds
+
+It runs the star and linear golden worlds
+(``tests/simnet/test_perf_determinism.py``) with jitter and loss off,
+so one datagram more or less moves no other delivery, and prints per
+world the events processed, the BDN's ``pings_sent``, a digest of the
+outcomes and a digest of the kept log without ``PingRequest`` /
+``PingResponse`` records.  A change that only drops BDN pings keeps
+both digests and processes two events fewer per ping dropped: the
+ping's delivery and its pong's.
+
 The file name keeps it out of pytest's collection: it is a tool, not a
 test, and a full run takes minutes.
 """
@@ -24,10 +37,12 @@ test, and a full run takes minutes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 
 from repro.discovery.chaos import STORM_KINDS, run_chaos
+from repro.experiments.scenarios import DiscoveryScenario, ScenarioSpec
 from repro.obs.recorder import Observability
 
 VARIANTS = (
@@ -36,11 +51,51 @@ VARIANTS = (
     ("replicated", {"replicated": True}),
 )
 
+GOLDEN_WORLDS = (("star", ScenarioSpec.star), ("linear", ScenarioSpec.linear))
+_PING_RECORDS = frozenset({("kind", "PingRequest"), ("kind", "PingResponse")})
+
+
+def _short(value: object) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def golden_worlds() -> None:
+    """Print the exact-fabric traffic of the star and linear golden worlds."""
+    for label, ctor in GOLDEN_WORLDS:
+        spec = dataclasses.replace(ctor(seed=5), jitter_sigma=0.0, per_hop_loss=0.0)
+        scenario = DiscoveryScenario(spec, keep_trace=True)
+        outcomes = scenario.run(runs=3)
+        sim = scenario.net.sim
+        decided = (
+            sim.now,
+            [(o.success, o.total_time, o.via, o.transmissions) for o in outcomes],
+            [o.selected.broker_id for o in outcomes if o.selected is not None],
+        )
+        kept = [
+            (r.time, r.event, r.node, r.trace_id, r.detail)
+            for r in scenario.net.obs.log
+            if _PING_RECORDS.isdisjoint(r.detail)
+        ]
+        print(
+            f"{label:<7} events {sim.events_processed}  "
+            f"bdn pings {scenario.bdn.pinger.pings_sent}  "
+            f"outcomes {_short(decided)}  log without pings {_short(kept)}",
+            flush=True,
+        )
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=100, help="run seeds 0..N-1 (default 100)")
+    parser.add_argument(
+        "--golden-worlds",
+        action="store_true",
+        help="print the exact-fabric traffic of the star and linear golden worlds instead",
+    )
     args = parser.parse_args(argv)
+    if args.golden_worlds:
+        golden_worlds()
+        return 0
 
     digest = hashlib.sha256()
     events = 0

@@ -4,10 +4,15 @@ Four seeded worlds are run and each is pinned by two sha256 digests in
 ``golden_traces.json``:
 
 * the **schedule** -- events processed, virtual end time, outcomes and
-  selected brokers -- unchanged since before the hot-path caches, the
-  timer wheel and the runtime split existed.  Any divergence means a change
-  altered scheduling or RNG draw order: a correctness bug, not a perf
-  trade-off.  Nothing that only renames or reshapes events may move it.
+  selected brokers.  A refactor never moves it: a divergence there means
+  the change altered scheduling or RNG draw order, a correctness bug,
+  not a perf trade-off.  It moves only with a deliberate change to the
+  traffic on the wire, explained by the exact-fabric parity of
+  ``tests/event_parity.py --golden-worlds`` (jitter and loss off: the
+  same outcomes and the same log bar the traffic removed) and logged
+  with that change's measurements.  The BDN that stopped pinging a
+  broker on every lease renewal moved ``discovery_star`` and
+  ``discovery_linear`` this way.
 * the **log** -- every kept ``(time, event, node, trace id, detail)``
   record.  A change to the event vocabulary regenerates this one, and
   the schedule digest beside it proves that was all it changed.
