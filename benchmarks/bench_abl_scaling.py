@@ -28,7 +28,7 @@ import numpy as np
 
 from benchmarks.conftest import record_report
 from repro.core.config import BDNConfig, ClientConfig
-from repro.discovery.advertisement import start_periodic_advertisement
+from repro.discovery.advertisement import start_heartbeat
 from repro.discovery.bdn import BDN
 from repro.discovery.requester import DiscoveryClient
 from repro.discovery.responder import DiscoveryResponder
@@ -60,7 +60,7 @@ def _run_world(n: int, connected: bool, seed: int) -> float:
     )
     bdn.start()
     for name in names:
-        start_periodic_advertisement(net.brokers[name], bdn.udp_endpoint)
+        start_heartbeat(net.brokers[name], (bdn.udp_endpoint,))
     net.settle(8.0)
     client = DiscoveryClient(
         "client", "client.host", net.network, np.random.default_rng(seed + 2),

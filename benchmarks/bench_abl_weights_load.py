@@ -23,7 +23,7 @@ import numpy as np
 from benchmarks.conftest import record_report
 from repro.core.config import BDNConfig, ClientConfig
 from repro.core.metrics import WeightConfig
-from repro.discovery.advertisement import start_periodic_advertisement
+from repro.discovery.advertisement import start_heartbeat
 from repro.discovery.bdn import BDN
 from repro.discovery.requester import DiscoveryClient
 from repro.discovery.responder import DiscoveryResponder
@@ -54,7 +54,7 @@ def _build_world(weights: WeightConfig, seed: int):
     )
     bdn.start()
     for name in names:
-        start_periodic_advertisement(net.brokers[name], bdn.udp_endpoint)
+        start_heartbeat(net.brokers[name], (bdn.udp_endpoint,))
     # Load down the two old cluster brokers.
     for i, name in enumerate(("loaded-a", "loaded-b")):
         for j in range(LOADED_CLIENTS):

@@ -26,7 +26,7 @@ from repro.discovery import (
     DiscoveryClient,
     DiscoveryResponder,
     FaultInjector,
-    start_periodic_advertisement,
+    start_heartbeat,
 )
 from repro.experiments import run_discovery_once
 from repro.substrate import BrokerNetwork, Topology
@@ -47,7 +47,7 @@ def build_world():
     )
     bdn.start()
     for broker in net.broker_list():
-        start_periodic_advertisement(broker, bdn.udp_endpoint)
+        start_heartbeat(broker, (bdn.udp_endpoint,))
     net.settle(8.0)
     client = DiscoveryClient(
         "survivor", "survivor.example", net.network, np.random.default_rng(2),

@@ -24,7 +24,7 @@ from repro.discovery import (
     BDN,
     DiscoveryClient,
     DiscoveryResponder,
-    start_periodic_advertisement,
+    start_heartbeat,
 )
 from repro.experiments import run_discovery_once
 from repro.simnet.latency import UniformLatencyModel
@@ -48,7 +48,7 @@ def main() -> None:
     def add_broker(name: str):
         broker = net.add_broker(name, site=CLUSTER)
         DiscoveryResponder(broker)
-        start_periodic_advertisement(broker, bdn.udp_endpoint)
+        start_heartbeat(broker, (bdn.udp_endpoint,))
         return broker
 
     old_a = add_broker("old-a")

@@ -23,7 +23,7 @@ from repro.discovery import (
     BDN,
     DiscoveryClient,
     DiscoveryResponder,
-    start_periodic_advertisement,
+    start_heartbeat,
 )
 from repro.experiments import run_discovery_once
 from repro.substrate import BrokerNetwork, PubSubClient, Topology
@@ -48,7 +48,7 @@ def main() -> None:
     )
     bdn.start()
     for broker in net.broker_list():
-        start_periodic_advertisement(broker, bdn.udp_endpoint)
+        start_heartbeat(broker, (bdn.udp_endpoint,))
 
     # Let TCP links settle and NTP clocks synchronise (3-5 s, as in the
     # paper), then give the BDN a beat to measure broker distances.

@@ -35,7 +35,7 @@ from repro.discovery import (
     BDN,
     DiscoveryClient,
     DiscoveryResponder,
-    start_periodic_advertisement,
+    start_heartbeat,
 )
 from repro.experiments import run_discovery_once
 from repro.security import (
@@ -114,7 +114,7 @@ def main() -> None:
     )
     bdn.start()
     for broker in net.broker_list():
-        start_periodic_advertisement(broker, bdn.udp_endpoint)
+        start_heartbeat(broker, (bdn.udp_endpoint,))
     net.settle(8.0)
 
     def make_client(name: str, credentials: frozenset[str]) -> DiscoveryClient:

@@ -29,7 +29,7 @@ from repro.discovery import (
     BDN,
     DiscoveryClient,
     DiscoveryResponder,
-    start_periodic_advertisement,
+    start_heartbeat,
 )
 from repro.experiments import run_discovery_once
 from repro.substrate import (
@@ -52,7 +52,7 @@ def main() -> None:
     bdn = BDN("bdn", "bdn.example", net.network, np.random.default_rng(1), site="bdn-site")
     bdn.start()
     for broker in net.broker_list():
-        start_periodic_advertisement(broker, bdn.udp_endpoint)
+        start_heartbeat(broker, (bdn.udp_endpoint,))
     archive = ReliableDeliveryService(net.brokers["b1"], pattern="grid/**")
     net.settle(8.0)
     install_content_routing(net)

@@ -6,7 +6,7 @@ Each worker boots exactly one tier role from a shared
 * ``bdn:<j>`` -- one member of the replicated BDN group (``--cold``
   restarts with a cleared registry, forcing the catch-up protocol);
 * ``broker:<i>`` -- a broker + :class:`DiscoveryResponder` maintaining a
-  leader-following group heartbeat with the BDN tier;
+  registration heartbeat with the BDN tier (homed on its leader);
 * ``load`` -- every discovery client, replaying its seeded schedule.
 
 Workers dial the coordinator's TCP control port, announce ``ready``,
@@ -138,7 +138,7 @@ class Worker:
             )
             self.responder = DiscoveryResponder(self.broker)
             self.broker.start()
-            self.responder.attach_group_heartbeat(
+            self.responder.attach_heartbeat(
                 spec.bdn_endpoints(),
                 interval=spec.broker_heartbeat,
                 ttl=spec.broker_lease_ttl,

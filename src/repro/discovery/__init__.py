@@ -34,12 +34,11 @@ from repro.discovery.advertisement import (
     AD_TOPIC,
     BDN_ANNOUNCE_TOPIC,
     AdvertisementStore,
-    GroupHeartbeat,
+    Heartbeat,
     StoredAdvertisement,
     build_advertisement,
     enable_bdn_autoregistration,
-    start_group_heartbeat,
-    start_periodic_advertisement,
+    start_heartbeat,
 )
 from repro.discovery.replication import (
     ReplicationState,
@@ -75,9 +74,8 @@ __all__ = [
     "AdvertisementStore",
     "StoredAdvertisement",
     "build_advertisement",
-    "start_periodic_advertisement",
-    "start_group_heartbeat",
-    "GroupHeartbeat",
+    "start_heartbeat",
+    "Heartbeat",
     "enable_bdn_autoregistration",
     "BDN_ANNOUNCE_TOPIC",
     "REQUEST_TOPIC",

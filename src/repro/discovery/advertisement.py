@@ -12,10 +12,13 @@ additions in North America").
 
 **Leases** extend the paper's registration scheme for partition and
 churn tolerance: an advertisement may carry a TTL, brokers renew it by
-re-advertising on a heartbeat (:func:`start_periodic_advertisement`),
-and a BDN evicts entries whose lease lapsed -- so a broker that died or
-was partitioned away stops being handed to requesters after at most one
-TTL, instead of lingering until ping-based pruning notices.
+re-advertising on one heartbeat (:func:`start_heartbeat`), and a BDN
+evicts entries whose lease lapsed -- so a broker that died or was
+partitioned away stops being handed to requesters after at most one
+TTL, instead of lingering until ping-based pruning notices.  The same
+heartbeat serves a plain BDN and a replicated group: it learns from the
+group's :class:`~repro.core.messages.AdvertisementAck` which member
+leads, and renews there only.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ __all__ = [
     "advertise_direct",
     "advertise_on_topic",
     "withdraw_registration",
-    "start_periodic_advertisement",
-    "start_group_heartbeat",
-    "GroupHeartbeat",
+    "start_heartbeat",
+    "Heartbeat",
     "enable_bdn_autoregistration",
     "StoredAdvertisement",
     "AdvertisementStore",
@@ -150,183 +152,138 @@ def advertise_on_topic(broker: Broker, region: str = "", ttl: float = 0.0) -> Br
     return ad
 
 
-def start_periodic_advertisement(
+#: The first beat goes out this many times in all, ``BURST_SPACING``
+#: seconds apart, until any BDN acks: a lone lost registration must not
+#: leave a broker invisible until its next renewal (section 7).
+BURST = 3
+BURST_SPACING = 0.5
+
+#: Unacknowledged beats a heartbeat homed on a leader tolerates before it
+#: renews at every endpoint again.
+REHOME_MISSES = 2
+
+
+def start_heartbeat(
     broker: Broker,
-    bdn_endpoint: Endpoint,
+    bdn_endpoints,
     interval: float = 30.0,
-    burst: int = 3,
-    burst_spacing: float = 0.5,
     region: str = "",
     ttl: float | None = None,
-):
-    """Advertise now (in a small burst) and re-advertise periodically.
+) -> "Heartbeat":
+    """Register with the listed BDNs and keep the lease renewed.
 
     Advertisements ride UDP and "may also be lost in transit to the
-    BDNs" (section 7); a single lost registration would otherwise make
-    a broker permanently invisible to that BDN.  The initial burst
-    makes registration robust at startup.  Each periodic re-send renews
-    the lease, at the cost of that one datagram, and registers the
-    broker again with a BDN that dropped it: after a cold restart, a
-    lapsed lease or a prune.  A BDN prunes a broker that answered none
-    of its sweep pings, however often it re-advertised; a broker
-    registered again is pinged on entry.
+    BDNs" (section 7), so the rule is:
 
-    ``ttl`` defaults to three heartbeat intervals, so the lease survives
-    two consecutive lost heartbeats before the BDN evicts the broker;
-    pass ``ttl=0`` explicitly for a non-expiring registration.  A dead
-    (or revived) broker pauses (resumes) the heartbeat automatically:
-    each tick checks ``broker.alive``.
+    * the first beat goes to every endpoint, repeated up to
+      :data:`BURST` times in all, :data:`BURST_SPACING` seconds apart,
+      until any BDN acks;
+    * each later beat, every ``interval`` seconds, renews the lease at
+      every endpoint -- or, once an
+      :class:`~repro.core.messages.AdvertisementAck` names a leader,
+      at that leader only (it replicates the write to its group);
+    * an ack naming a different leader re-homes the heartbeat at once,
+      and after :data:`REHOME_MISSES` unacknowledged beats it renews at
+      every endpoint again, so some member keeps the lease alive.
 
-    Returns the periodic series handle (cancel it to stop).
+    Only a replicated BDN acks, so against plain BDNs every beat goes
+    to every endpoint.  A renewal also registers the broker again with
+    a BDN that dropped it (cold restart, lapsed lease, prune).
+
+    ``ttl`` defaults to three intervals, so the lease survives two
+    consecutive lost beats; pass ``ttl=0`` for a non-expiring
+    registration.  A dead (or revived) broker pauses (resumes) the
+    heartbeat: each beat checks ``broker.alive``.
+
+    Installs the broker's :class:`AdvertisementAck` handler; cancel the
+    returned :class:`Heartbeat` to stop and remove it.
     """
-    if interval <= 0 or burst < 1 or burst_spacing < 0:
-        raise ValueError("invalid advertisement schedule")
+    if interval <= 0:
+        raise ValueError(f"heartbeat interval must be positive, got {interval}")
     lease = 3.0 * interval if ttl is None else ttl
-
-    def send() -> None:
-        if broker.alive:
-            advertise_direct(broker, bdn_endpoint, region=region, ttl=lease)
-
-    send()
-    handles = [broker.runtime.schedule(i * burst_spacing, send) for i in range(1, burst)]
-    handles.append(broker.runtime.call_every(interval, send))
-    return _HeartbeatHandle(handles)
-
-
-class _HeartbeatHandle:
-    """One cancellable handle over a heartbeat's burst + periodic timers.
-
-    Cancelling stops *everything* still pending -- including startup
-    burst sends that have not fired yet, so a heartbeat detached right
-    after starting goes completely silent.
-    """
-
-    __slots__ = ("cancelled", "_handles")
-
-    def __init__(self, handles: list) -> None:
-        self.cancelled = False
-        self._handles = handles
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        for handle in self._handles:
-            handle.cancel()
-        self._handles = []
-
-
-def start_group_heartbeat(
-    broker: Broker,
-    group_endpoints: tuple[Endpoint, ...] | list[Endpoint],
-    interval: float = 30.0,
-    region: str = "",
-    ttl: float | None = None,
-    rehome_misses: int = 2,
-) -> "GroupHeartbeat":
-    """Heartbeat with a *replicated* BDN group, re-homing to its leader.
-
-    With an unreplicated BDN a broker heartbeats one fixed endpoint
-    (:func:`start_periodic_advertisement`).  Against a replication
-    group that is wasteful (every member would be heartbeated) or
-    fragile (a single member is a single point of lease expiry), so
-    this variant:
-
-    * starts in **broadcast** mode, advertising to every member, until
-      a member's :class:`~repro.core.messages.AdvertisementAck` names
-      the group leader;
-    * then **homes** on the leader, renewing the lease there only (the
-      leader replicates the write to the standbys);
-    * **re-homes** whenever an ack names a different leader (takeover);
-    * falls back to broadcast after ``rehome_misses`` consecutive
-      unacknowledged beats -- the homed member died or was partitioned
-      away, and some other member must keep the lease alive.
-
-    Returns a :class:`GroupHeartbeat`; cancel it to stop.
-    """
-    if interval <= 0 or rehome_misses < 1:
-        raise ValueError("invalid group heartbeat schedule")
-    lease = 3.0 * interval if ttl is None else ttl
-    hb = GroupHeartbeat(broker, tuple(group_endpoints), lease, region, rehome_misses)
+    hb = Heartbeat(broker, tuple(bdn_endpoints), lease, region)
     broker.add_udp_handler(AdvertisementAck, hb._on_ack)
-    hb._beat()
-    hb._handles.append(broker.runtime.call_every(interval, hb._beat))
+    hb._burst()
+    runtime = broker.runtime
+    hb._timers = [runtime.schedule(i * BURST_SPACING, hb._burst) for i in range(1, BURST)]
+    hb._timers.append(runtime.call_every(interval, hb._beat))
     return hb
 
 
-class GroupHeartbeat:
-    """Live state of one broker's heartbeat into a BDN group."""
+class Heartbeat:
+    """Live state of one broker's registration heartbeat."""
 
     __slots__ = (
         "broker",
         "endpoints",
         "lease",
         "region",
-        "rehome_misses",
         "leader",
+        "acked",
         "cancelled",
         "rehomes",
         "_unacked",
-        "_handles",
+        "_timers",
     )
 
     def __init__(
-        self,
-        broker: Broker,
-        endpoints: tuple[Endpoint, ...],
-        lease: float,
-        region: str,
-        rehome_misses: int,
+        self, broker: Broker, endpoints: tuple[Endpoint, ...], lease: float, region: str
     ) -> None:
         self.broker = broker
         self.endpoints = endpoints
         self.lease = lease
         self.region = region
-        self.rehome_misses = rehome_misses
-        #: The member currently heartbeated exclusively (None = broadcast).
+        #: The endpoint renewed exclusively (None = every endpoint).
         self.leader: Endpoint | None = None
+        #: Whether any BDN has acked (ends the startup burst).
+        self.acked = False
         self.cancelled = False
         self.rehomes = 0
         self._unacked = 0
-        self._handles: list = []
+        self._timers: list = []
+
+    def _send(self, endpoints) -> None:
+        for endpoint in endpoints:
+            advertise_direct(self.broker, endpoint, region=self.region, ttl=self.lease)
+
+    def _burst(self) -> None:
+        if self.broker.alive and not self.acked:
+            self._send(self.endpoints)
 
     def _beat(self) -> None:
-        if self.cancelled or not self.broker.alive:
+        if not self.broker.alive:
             return
         if self.leader is not None:
             self._unacked += 1
-            if self._unacked > self.rehome_misses:
-                # The homed member went silent; fan back out so *some*
-                # member keeps the lease alive.
+            if self._unacked > REHOME_MISSES:
                 self.broker.emit("heartbeat_broadcast", misses=self._unacked - 1)
                 self.leader = None
-        targets = (self.leader,) if self.leader is not None else self.endpoints
-        for endpoint in targets:
-            advertise_direct(self.broker, endpoint, region=self.region, ttl=self.lease)
+        self._send(self.endpoints if self.leader is None else (self.leader,))
 
     def _on_ack(self, ack: AdvertisementAck, src: Endpoint) -> None:
-        if self.cancelled or not self.broker.alive or ack.broker_id != self.broker.name:
+        if ack.broker_id != self.broker.name:
             return
+        self.acked = True
         self._unacked = 0
-        if not ack.leader_hint:
-            return
         hinted = try_parse_endpoint(ack.leader_hint)
         if hinted is None or hinted not in self.endpoints or hinted == self.leader:
             return
         self.rehomes += 1
         self.leader = hinted
         self.broker.emit("heartbeat_rehomed", leader=str(hinted))
-        # Renew with the new leader immediately: a takeover mid-lease
-        # must not cost a full heartbeat interval of exposure.
-        advertise_direct(self.broker, hinted, region=self.region, ttl=self.lease)
+        # Renew with the new leader at once: a takeover mid-lease must
+        # not cost a full interval of exposure.
+        self._send((hinted,))
 
     def cancel(self) -> None:
+        """Stop every beat still pending and remove the ack handler; idempotent."""
         if self.cancelled:
             return
         self.cancelled = True
-        for handle in self._handles:
-            handle.cancel()
-        self._handles = []
+        for timer in self._timers:
+            timer.cancel()
+        self._timers = []
+        self.broker.remove_udp_handler(AdvertisementAck)
 
 
 def enable_bdn_autoregistration(broker: Broker, region: str = "") -> None:

@@ -144,8 +144,8 @@ class ChaosWorld:
 
     ``replicated=True`` swaps the two independent BDNs for a three
     member replication group (tight timers: 2 s leases, 0.5 s leader
-    heartbeats, 1 s anti-entropy) with leader-following group
-    heartbeats on the brokers and the adaptive retry policy on the
+    heartbeats, 1 s anti-entropy), whose acks home the brokers'
+    heartbeats on the leader, and the adaptive retry policy on the
     client -- the configuration the election-safety and zero-outage
     invariants run against.
     """
@@ -226,14 +226,9 @@ class ChaosWorld:
             self.bdns.append(bdn)
         endpoints = tuple(b.udp_endpoint for b in self.bdns)
         for broker in self.brokers:
-            if replicated:
-                self.responders[broker.name].attach_group_heartbeat(
-                    endpoints, interval=self.HEARTBEAT_INTERVAL, ttl=self.LEASE_TTL
-                )
-            else:
-                self.responders[broker.name].attach_heartbeat(
-                    endpoints, interval=self.HEARTBEAT_INTERVAL, ttl=self.LEASE_TTL
-                )
+            self.responders[broker.name].attach_heartbeat(
+                endpoints, interval=self.HEARTBEAT_INTERVAL, ttl=self.LEASE_TTL
+            )
         self.client = DiscoveryClient(
             "c0",
             "c0.host",

@@ -70,7 +70,7 @@ class DiscoveryResponder:
     active:
         Whether the responder is answering requests.  Responders start
         active; :meth:`stop` deactivates (and cancels every pending
-        response and heartbeat), :meth:`start` reactivates.  Both are
+        response and the heartbeat), :meth:`start` reactivates.  Both are
         idempotent.
     """
 
@@ -87,10 +87,9 @@ class DiscoveryResponder:
         self.draining = False
         #: Withdrawal advertisements sent by the last :meth:`drain`.
         self.withdrawals_sent = 0
-        self._heartbeats: list = []
-        #: Set by :meth:`attach_group_heartbeat`; its leader belief is
-        #: echoed in responses as ``leader_hint``.
-        self.group_heartbeat = None
+        #: Set by :meth:`attach_heartbeat`; its leader is echoed in
+        #: responses as ``leader_hint``.
+        self.heartbeat = None
         self._response_timers = OwnedTimers(broker.runtime)
         broker.add_udp_handler(DiscoveryRequest, self._on_udp_request)
         self._control_handler = broker.add_control_handler(
@@ -103,8 +102,8 @@ class DiscoveryResponder:
     def start(self) -> None:
         """(Re)activate the responder; idempotent.
 
-        Clears any drain in progress.  Heartbeats detached by
-        :meth:`stop` or :meth:`drain` are *not* re-armed here -- call
+        Clears any drain in progress.  A heartbeat detached by
+        :meth:`stop` or :meth:`drain` is *not* re-armed here -- call
         :meth:`attach_heartbeat` again with the desired schedule.
         """
         self.active = True
@@ -115,7 +114,7 @@ class DiscoveryResponder:
 
         After this returns the responder sends nothing: new requests are
         ignored, every not-yet-fired response timer is cancelled, and
-        every registration heartbeat is detached.
+        the registration heartbeat is detached.
         """
         if not self.active:
             return
@@ -132,7 +131,7 @@ class DiscoveryResponder:
         ignored from this call on, but responses already scheduled (the
         paper's per-request processing delay is pending) still fire --
         a client that was promised an answer gets it.  The registration
-        heartbeats stop first and a withdrawal advertisement (see
+        heartbeat stops first and a withdrawal advertisement (see
         :func:`~repro.discovery.advertisement.withdraw_registration`)
         goes to every endpoint in ``withdraw_endpoints``, so BDNs stop
         handing out this broker before its lease would have lapsed.
@@ -158,7 +157,7 @@ class DiscoveryResponder:
         return len(self._response_timers)
 
     # ------------------------------------------------------------------
-    # Registration heartbeats
+    # Registration heartbeat
     # ------------------------------------------------------------------
     def attach_heartbeat(
         self,
@@ -167,60 +166,31 @@ class DiscoveryResponder:
         ttl: float | None = None,
         region: str = "",
     ) -> None:
-        """Maintain leased registrations with every listed BDN.
+        """Maintain a leased registration with the listed BDNs.
 
-        Starts one periodic advertisement series per BDN endpoint (see
-        :func:`~repro.discovery.advertisement.start_periodic_advertisement`;
-        ``ttl`` defaults to three intervals there).  Heartbeats pause
-        while the broker is dead and resume when it is revived, so a
-        revived broker re-acquires its leases within one interval
-        without any extra wiring.
-        """
-        from repro.discovery.advertisement import start_periodic_advertisement
-
-        if not self.broker.config.advertise:
-            return
-        for endpoint in bdn_endpoints:
-            self._heartbeats.append(
-                start_periodic_advertisement(
-                    self.broker, endpoint, interval=interval, region=region, ttl=ttl
-                )
-            )
-
-    def attach_group_heartbeat(
-        self,
-        group_endpoints,
-        interval: float = 30.0,
-        ttl: float | None = None,
-        region: str = "",
-    ) -> None:
-        """Maintain one leased registration with a *replicated* BDN group.
-
-        Unlike :meth:`attach_heartbeat` (one independent series per
-        endpoint) this starts a single
-        :class:`~repro.discovery.advertisement.GroupHeartbeat` that
-        follows the group's leader: it broadcasts until an ack names
-        the leader, renews there only, and re-homes (or falls back to
-        broadcast) on takeover.  The broker's current leader belief is
-        also echoed as ``leader_hint`` in every discovery response, so
+        Starts one heartbeat (see
+        :func:`~repro.discovery.advertisement.start_heartbeat` for the
+        rule; ``ttl`` defaults to three intervals there) in place of any
+        already attached.  It pauses while the broker is dead and
+        resumes when it is revived, so a revived broker re-acquires its
+        lease within one interval.  Against a replicated group it
+        follows the leader named in the group's acks, and that leader
+        is echoed as ``leader_hint`` in every discovery response, so
         clients learn where the group's write path lives.
         """
-        from repro.discovery.advertisement import start_group_heartbeat
+        from repro.discovery.advertisement import start_heartbeat
 
-        if not self.broker.config.advertise:
-            return
-        hb = start_group_heartbeat(
-            self.broker, tuple(group_endpoints), interval=interval, region=region, ttl=ttl
-        )
-        self.group_heartbeat = hb
-        self._heartbeats.append(hb)
+        self.detach_heartbeat()
+        if self.broker.config.advertise:
+            self.heartbeat = start_heartbeat(
+                self.broker, bdn_endpoints, interval=interval, region=region, ttl=ttl
+            )
 
     def detach_heartbeat(self) -> None:
-        """Cancel every registration heartbeat started by this responder."""
-        for series in self._heartbeats:
-            series.cancel()
-        self._heartbeats.clear()
-        self.group_heartbeat = None
+        """Cancel the registration heartbeat, if one is attached."""
+        if self.heartbeat is not None:
+            self.heartbeat.cancel()
+            self.heartbeat = None
 
     # ------------------------------------------------------------------
     # Arrival paths
@@ -380,7 +350,7 @@ class DiscoveryResponder:
                 depth=self.broker.queue_depth,
             )
             return
-        hb = self.group_heartbeat
+        hb = self.heartbeat
         leader_hint = (
             str(hb.leader) if hb is not None and hb.leader is not None else ""
         )

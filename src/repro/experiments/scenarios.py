@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.config import BDNConfig, BrokerConfig, ClientConfig, Endpoint
 from repro.core.metrics import WeightConfig
-from repro.discovery.advertisement import start_periodic_advertisement
+from repro.discovery.advertisement import start_heartbeat
 from repro.discovery.bdn import BDN
 from repro.discovery.requester import DiscoveryClient, DiscoveryOutcome
 from repro.discovery.responder import DiscoveryResponder
@@ -274,7 +274,7 @@ class DiscoveryScenario:
         for broker in registered:
             # Burst + periodic re-advertisement: a single lost UDP
             # registration must not make a broker permanently invisible.
-            start_periodic_advertisement(broker, bdn.udp_endpoint)
+            start_heartbeat(broker, (bdn.udp_endpoint,))
         return bdn
 
     def _build_client(self) -> DiscoveryClient:

@@ -89,7 +89,7 @@ EVENTS: dict[str, bool] = {
     "bdn_caught_up": False,
     "bdn_cold_restart": False,
     "bdn_catchup_refused": False,
-    # group registration heartbeats
+    # registration heartbeat
     "heartbeat_rehomed": False,
     "heartbeat_broadcast": False,
     # discovery requester

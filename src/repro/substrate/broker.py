@@ -219,6 +219,10 @@ class Broker(Node):
             raise ValueError(f"UDP handler for {message_type.__name__} already installed")
         self._udp_handlers[message_type] = handler
 
+    def remove_udp_handler(self, message_type: type) -> None:
+        """Undo :meth:`add_udp_handler`; idempotent."""
+        self._udp_handlers.pop(message_type, None)
+
     def send_udp(self, dst: Endpoint, message: Message) -> None:
         """Send one datagram from this broker's UDP endpoint."""
         self.runtime.send_udp(self.udp_endpoint, dst, message)

@@ -93,7 +93,7 @@ class GroupWorld:
         seed: int = 0,
         n_brokers: int = 3,
         n_replicas: int = 3,
-        group_heartbeats: bool = True,
+        heartbeats: bool = True,
         heartbeat_interval: float = 1.0,
         lease_ttl: float = 4.0,
     ) -> None:
@@ -126,9 +126,9 @@ class GroupWorld:
             bdn.start()
             self.bdns.append(bdn)
         self.endpoints = tuple(b.udp_endpoint for b in self.bdns)
-        if group_heartbeats:
+        if heartbeats:
             for broker in self.brokers:
-                self.responders[broker.name].attach_group_heartbeat(
+                self.responders[broker.name].attach_heartbeat(
                     self.endpoints, interval=heartbeat_interval, ttl=lease_ttl
                 )
         self.client = DiscoveryClient(
@@ -366,11 +366,11 @@ class TestReplicationLog:
 # ---------------------------------------------------------------------------
 # Group heartbeats (broker side)
 # ---------------------------------------------------------------------------
-class TestGroupHeartbeat:
+class TestLeaderHeartbeat:
     def test_brokers_home_on_the_leader(self, group):
         leader_endpoint = group.leader().udp_endpoint
         for responder in group.responders.values():
-            assert responder.group_heartbeat.leader == leader_endpoint
+            assert responder.heartbeat.leader == leader_endpoint
 
     def test_reregistration_rehomes_after_takeover(self, group):
         old = group.leader()
@@ -378,7 +378,7 @@ class TestGroupHeartbeat:
         group.sim.run_for(LEASE + 3 * STAGGER + 3.0)
         replacement = group.leader()
         for responder in group.responders.values():
-            hb = responder.group_heartbeat
+            hb = responder.heartbeat
             assert hb.leader == replacement.udp_endpoint
             assert hb.rehomes >= 2  # initial homing + takeover
         # Leases kept alive across the takeover: nothing expired.
@@ -548,7 +548,7 @@ class TestClientLeaderHints:
 # ---------------------------------------------------------------------------
 class TestAntiEntropyConvergence:
     def test_partitioned_group_converges_after_heal(self):
-        world = GroupWorld(seed=11, n_brokers=4, group_heartbeats=False)
+        world = GroupWorld(seed=11, n_brokers=4, heartbeats=False)
         d0, d1, d2 = world.bdns
         b0, b1, b2, b3 = world.brokers
         # Split the group: {d0, d1} | {d2}, brokers divided across the
@@ -618,7 +618,7 @@ class TestRenewalIdentity:
             assert "b1" not in bdn.store.broker_ids(world.sim.now)
 
     def test_one_renewal_delivered_twice_is_booked_once(self):
-        world = GroupWorld(seed=5, group_heartbeats=False)
+        world = GroupWorld(seed=5, heartbeats=False)
         leader, follower, other = world.leader(), *world.followers()
         broker = world.brokers[0]
         renewal = build_advertisement(broker, ttl=30.0)

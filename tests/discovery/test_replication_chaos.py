@@ -29,7 +29,7 @@ class TestReplicatedWorld:
         assert len(world.bdns) == world.N_REPLICAS
         assert sum(1 for b in world.bdns if b.replication.is_leader()) == 1
         for responder in world.responders.values():
-            assert responder.group_heartbeat is not None
+            assert responder.heartbeat is not None
         assert world.client.config.retry_policy is not None
 
     def test_replicated_kind_pool(self):

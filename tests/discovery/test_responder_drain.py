@@ -57,9 +57,9 @@ class TestDrain:
         world.net.network.bind_udp(fake_bdn, lambda m, s: ads.append(m))
         responder.attach_heartbeat([fake_bdn], interval=1.0)
         world.sim.run_for(2.5)
-        assert responder._heartbeats
+        assert responder.heartbeat is not None
         responder.drain()
-        assert responder._heartbeats == []
+        assert responder.heartbeat is None
         before = len(ads)
         world.sim.run_for(5.0)
         assert len(ads) == before  # silence after drain

@@ -92,7 +92,7 @@ class TestSimRuntimeLifecycle:
         before = len([m for m in ads if isinstance(m, BrokerAdvertisement)])
         assert before >= 3  # burst + periodic renewals arrived
         responder.stop()
-        assert responder._heartbeats == []
+        assert responder.heartbeat is None
         world.sim.run_for(5.0)
         after = len([m for m in ads if isinstance(m, BrokerAdvertisement)])
         assert after == before  # nothing sent after stop
@@ -163,7 +163,7 @@ class TestAioRuntimeLifecycle:
             before = len([m for m in box if isinstance(m, BrokerAdvertisement)])
             assert before >= 3
             responder.stop()
-            assert responder._heartbeats == []
+            assert responder.heartbeat is None
             # Datagrams sent just before the stop may still be in
             # flight; drain them, then require silence.
             await self._settle(0.1)

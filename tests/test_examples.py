@@ -1,19 +1,23 @@
-"""Every example script must run clean end to end.
+"""Every example script, and every complete README program, must run
+clean end to end.
 
 Examples double as executable documentation; this keeps them from
 rotting.  Each runs in a subprocess with a reduced workload where the
-script supports it.
+script supports it.  A README ``python`` block that elides code with a
+``# ...`` line is a fragment, not a program, and is not run.
 """
 
 from __future__ import annotations
 
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
 
 CASES = [
     ("quickstart.py", []),
@@ -29,13 +33,25 @@ CASES = [
 #: tier-1 stays deterministic and loopback-free.
 LIVE_ONLY = {"live_discovery.py"}
 
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+_ELISION = re.compile(r"^\s*# \.\.\.", re.M)
 
-@pytest.mark.parametrize("script,args", CASES, ids=[c[0] for c in CASES])
-def test_example_runs_clean(script, args):
-    path = EXAMPLES_DIR / script
-    assert path.exists(), f"missing example {script}"
+
+def readme_programs() -> list[str]:
+    """The README's ``python`` blocks that are whole programs."""
+    blocks = _PYTHON_BLOCK.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+    return [block for block in blocks if not _ELISION.search(block)]
+
+
+RUNS = [(script, [str(EXAMPLES_DIR / script), *args]) for script, args in CASES] + [
+    (f"README.md[{i}]", ["-c", program]) for i, program in enumerate(readme_programs())
+]
+
+
+@pytest.mark.parametrize("script,argv", RUNS, ids=[r[0] for r in RUNS])
+def test_example_runs_clean(script, argv):
     result = subprocess.run(
-        [sys.executable, str(path), *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=300,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import BDNConfig, ClientConfig
-from repro.discovery.advertisement import start_periodic_advertisement
+from repro.discovery.advertisement import start_heartbeat
 from repro.discovery.bdn import BDN
 from repro.discovery.requester import DiscoveryClient
 from repro.discovery.responder import DiscoveryResponder
@@ -56,7 +56,7 @@ def test_soak_everything_at_once(seed):
     )
     bdn.start()
     for broker in net.broker_list():
-        start_periodic_advertisement(broker, bdn.udp_endpoint)
+        start_heartbeat(broker, (bdn.udp_endpoint,))
     net.settle(8.0)
 
     # Background pub/sub: a reliable stream across the network.
