@@ -37,7 +37,6 @@ import asyncio
 import json
 import sys
 
-from repro.core.config import RuntimeConfig
 from repro.discovery.requester import DiscoveryOutcome
 from repro.experiments.harness import star_world
 from repro.experiments.runtime_compare import REFERENCE_SCENARIO
@@ -47,18 +46,19 @@ from repro.runtime import create_runtime
 
 
 async def run(
-    config: RuntimeConfig,
+    seed: int,
     artifact_path: str | None,
     timeout: float,
     telemetry_path: str | None = None,
+    bind_ip: str = "127.0.0.1",
 ) -> int:
-    rt = create_runtime(config.kind, bind_ip=config.bind_ip)
+    rt = create_runtime("aio", bind_ip=bind_ip)
     obs: Observability | None = None
     if telemetry_path:
         obs = Observability.for_runtime(rt)
         rt.attach_observability(obs)
     # -- the reference world, on real sockets ------------------------------
-    world = star_world(rt, config.seed, obs)
+    world = star_world(rt, seed, obs)
     client = world.client
     await rt.ready()  # every socket attached to the loop
 
@@ -99,7 +99,7 @@ async def run(
         "handler_errors": list(rt.errors),
         # What runtime_compare replays on the simulator for the
         # sim-predicted column (not rerun in the smoke job).
-        "sim_reference": {"scenario": REFERENCE_SCENARIO, "seed": config.seed},
+        "sim_reference": {"scenario": REFERENCE_SCENARIO, "seed": seed},
     }
     print(json.dumps(result, indent=2))
     if artifact_path:
@@ -151,8 +151,7 @@ def main() -> int:
     parser.add_argument("--timeout", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args()
-    config = RuntimeConfig(kind="aio", seed=args.seed)
-    return asyncio.run(run(config, args.artifact, args.timeout, args.telemetry))
+    return asyncio.run(run(args.seed, args.artifact, args.timeout, args.telemetry))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,27 @@
 """Configuration records for every node type.
 
-The paper repeatedly leans on configuration files: the broker's dedup
-cache size (section 4), the node's list of BDNs (section 3), the
-client's response-collection timeout, maximum response count and target
-set size (section 9), and the weight factors (section 9).  These
-dataclasses are the in-memory form of those files, validated eagerly so
-that a bad experiment setup fails at construction rather than deep
-inside a simulation run.
+The paper configures a short list of values:
+
+* whether a broker registers, and which regions a BDN stores
+  (section 2.3): ``BrokerConfig.advertise``, ``BDNConfig.interest_regions``;
+* the node's list of BDNs (section 3): ``ClientConfig.bdn_endpoints``;
+* the broker's 1000-entry duplicate-detection cache (section 4):
+  ``BrokerConfig.dedup_capacity``;
+* the response policy, credentials and network realms (section 5):
+  ``ResponsePolicyConfig``, and a private BDN's
+  ``BDNConfig.required_credentials``;
+* the client's collection timeout, maximum response count N, target-set
+  size and weight factors (section 9): ``ClientConfig.response_timeout``,
+  ``.max_responses``, ``.target_set_size`` and ``.weights``.
+
+The other fields tune a mechanism the paper describes without a
+configured value (retransmission and the multicast fallback, ping
+repeats, BDN injection) or one the reproduction adds (ingress queues,
+adaptive retry, BDN replication and shards).  A value nothing outside
+the tests sets is a constant in the module that reads it, unless the
+``KEPT`` table of ``tests/core/test_config_callers.py`` says why it
+stays.  The records are validated eagerly so that a bad experiment setup
+fails at construction rather than deep inside a simulation run.
 """
 
 from __future__ import annotations
@@ -27,7 +42,6 @@ __all__ = [
     "BDNConfig",
     "ReplicationConfig",
     "ClientConfig",
-    "RuntimeConfig",
 ]
 
 
@@ -57,8 +71,6 @@ class ResponsePolicyConfig:
 
     Attributes
     ----------
-    respond:
-        Master switch; a broker with ``respond=False`` never answers.
     required_credentials:
         Credential identifiers at least one of which must appear in the
         request.  Empty set = no credential requirement.
@@ -67,14 +79,11 @@ class ResponsePolicyConfig:
         any realm is acceptable.
     """
 
-    respond: bool = True
     required_credentials: frozenset[str] = frozenset()
     allowed_realms: frozenset[str] | None = None
 
     def permits(self, credentials: frozenset[str], realm: str) -> bool:
         """Decide whether a request with these attributes gets a response."""
-        if not self.respond:
-            return False
         if self.required_credentials and not (credentials & self.required_credentials):
             return False
         if self.allowed_realms is not None and realm not in self.allowed_realms:
@@ -188,25 +197,10 @@ class BrokerConfig:
         Size of the UUID duplicate-detection cache (paper default 1000).
     response_policy:
         When/whether to answer discovery requests.
-    total_memory:
-        Bytes of memory the simulated broker process owns; feeds the
-        usage metrics in its discovery responses.
-    base_cpu_load:
-        Idle CPU load in ``[0, 1)``; per-connection load is added by the
-        broker at runtime.
     advertise:
         Whether this broker registers itself with BDNs at startup.  The
         paper stresses that *"not all brokers need to register their
         information with the BDN"*.
-    multicast_groups:
-        Multicast group names the broker listens on for discovery; an
-        empty tuple models the paper's "multicast service is disabled
-        for a particular set of brokers".
-    link_retry_interval:
-        Seconds between a broker's attempts to re-establish a lost
-        *persistent* link (one created with ``link_to(..., persistent=True)``).
-        Section 7 assumes the broker network heals after failures; this
-        is the repair cadence.
     service:
         Optional ingress-queue service model; queue depth feeds the
         usage metrics in discovery responses.  ``None`` = instant
@@ -221,23 +215,13 @@ class BrokerConfig:
 
     dedup_capacity: int = DEFAULT_CAPACITY
     response_policy: ResponsePolicyConfig = field(default_factory=ResponsePolicyConfig)
-    total_memory: int = 512 * 1024 * 1024
-    base_cpu_load: float = 0.02
     advertise: bool = True
-    multicast_groups: tuple[str, ...] = ("Services/BrokerDiscovery",)
-    link_retry_interval: float = 5.0
     service: ServiceConfig | None = None
     response_suppress_depth: int = 0
 
     def __post_init__(self) -> None:
         if self.dedup_capacity < 1:
             raise ConfigError("dedup_capacity must be >= 1")
-        if self.total_memory <= 0:
-            raise ConfigError("total_memory must be positive")
-        if not 0.0 <= self.base_cpu_load < 1.0:
-            raise ConfigError("base_cpu_load must be in [0, 1)")
-        if self.link_retry_interval <= 0:
-            raise ConfigError("link_retry_interval must be positive")
         if self.response_suppress_depth < 0:
             raise ConfigError("response_suppress_depth must be >= 0")
         if self.response_suppress_depth > 0 and self.service is None:
@@ -451,13 +435,6 @@ class ClientConfig:
         times to compute the average network Round Trip Time").
     ping_timeout:
         Seconds to wait for ping responses before selecting (hard cap).
-    ping_grace:
-        Once every target-set broker has answered at least one ping,
-        wait only this long for straggler repeats before deciding.
-        Keeps a single lost pong from stalling the whole ping phase,
-        while brokers that never answer still run into
-        ``ping_timeout`` (their silence is the paper's "good
-        indicator" that they are far away).
     retransmit_interval:
         Seconds of inactivity (no ack, no response) before the request
         is retransmitted (section 7).
@@ -467,21 +444,14 @@ class ClientConfig:
     use_multicast_fallback:
         Whether to multicast the request when no BDN answers
         (section 7).
-    multicast_group:
-        Group used for the multicast fallback.
     weights:
         Factor weights for the target-set scoring formula.
-    ping_tie_relative / ping_tie_absolute:
-        Two measured RTTs within ``best * (1 + relative) + absolute``
-        of the minimum are treated as equally near; the usage-metric
-        score breaks the tie.  This is how the metrics "facilitate
-        selection based on usage and dynamic real time load balancing"
-        (section 5.1) when a cluster's brokers are equidistant.
     credentials:
         Credential identifiers presented inside discovery requests.
     min_responses:
         If fewer responses than this arrive inside the timeout, the
         client retransmits rather than deciding on a thin sample.
+        At most ``max_responses``, where collection stops.
     require_ping_evidence:
         If True, a run whose ping phase produced *zero* pongs fails
         explicitly instead of falling back to the best-scored
@@ -502,14 +472,10 @@ class ClientConfig:
     target_set_size: int = 10
     ping_repeats: int = 2
     ping_timeout: float = 1.5
-    ping_grace: float = 0.06
     retransmit_interval: float = 2.0
     max_retransmits: int = 2
     use_multicast_fallback: bool = True
-    multicast_group: str = "Services/BrokerDiscovery"
     weights: WeightConfig = field(default_factory=WeightConfig)
-    ping_tie_relative: float = 0.15
-    ping_tie_absolute: float = 0.001
     credentials: frozenset[str] = frozenset()
     min_responses: int = 1
     require_ping_evidence: bool = False
@@ -531,48 +497,12 @@ class ClientConfig:
             raise ConfigError("ping_repeats must be >= 1")
         if self.ping_timeout <= 0:
             raise ConfigError("ping_timeout must be positive")
-        if self.ping_grace <= 0:
-            raise ConfigError("ping_grace must be positive")
         if self.retransmit_interval <= 0:
             raise ConfigError("retransmit_interval must be positive")
         if self.max_retransmits < 0:
             raise ConfigError("max_retransmits must be >= 0")
-        if self.min_responses < 1:
-            raise ConfigError("min_responses must be >= 1")
-        if self.ping_tie_relative < 0 or self.ping_tie_absolute < 0:
-            raise ConfigError("ping tie tolerances must be non-negative")
-
-
-@dataclass(frozen=True, slots=True)
-class RuntimeConfig:
-    """Selects and parameterises the runtime a scenario executes on.
-
-    The same node classes run under either runtime
-    (:mod:`repro.runtime`); this record is how scenario drivers and
-    examples choose between them.
-
-    Attributes
-    ----------
-    kind:
-        ``"sim"`` for the deterministic discrete-event runtime,
-        ``"aio"`` for real asyncio UDP/TCP sockets on ``bind_ip``.
-    seed:
-        Root RNG seed for node clocks and protocol jitter.  Under
-        ``sim`` it also seeds the fabric's loss/latency draws; under
-        ``aio`` the network itself is real and the seed only shapes
-        node-local randomness.
-    bind_ip:
-        Interface real sockets bind to (``aio`` only).
-    """
-
-    kind: str = "sim"
-    seed: int = 0
-    bind_ip: str = "127.0.0.1"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("sim", "aio"):
-            raise ConfigError(f"runtime kind must be 'sim' or 'aio', got {self.kind!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if not self.bind_ip:
-            raise ConfigError("bind_ip must be non-empty")
+        if not 1 <= self.min_responses <= self.max_responses:
+            raise ConfigError(
+                f"min_responses ({self.min_responses}) must be in "
+                f"[1, max_responses ({self.max_responses})]"
+            )

@@ -96,11 +96,11 @@ STORM_KINDS = CHAOS_KINDS + ("request_storm",)
 #: zero-outage invariants are about.
 REPLICATED_CHAOS_KINDS = ("kill_bdn", "bdn_crash_restart", "bdn_group_partition")
 
-# Kinds whose *onset* can invalidate a decision already in flight
-# (they change aliveness/reachability; loss storms only delay).
-_DISRUPTIVE = frozenset(
-    {"fail_link", "partition", "kill_bdn", "kill_broker", "bdn_crash_restart", "bdn_group_partition"}
-)
+# FaultInjector.injected log kinds (not schedule kinds: a
+# bdn_crash_restart is logged as kill_bdn, a bdn_group_partition as
+# partition) whose *onset* can invalidate a decision already in flight.
+# They change aliveness/reachability; loss storms only delay.
+_DISRUPTIVE = frozenset({"fail_link", "partition", "kill_bdn", "kill_broker"})
 
 # Phase-sum consistency tolerance (pure float accumulation error).
 _PHASE_EPS = 1e-6

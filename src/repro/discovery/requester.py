@@ -30,7 +30,7 @@ the same five names:
 ``ping_target_set``
     ``ping_repeats`` UDP pings per shortlisted broker.  Pongs arrive
     through the :class:`Pinger`; ``ping`` is ``ping_timeout``, cut to
-    ``ping_grace`` once every target has answered once.  The last pong,
+    ``PING_GRACE`` once every target has answered once.  The last pong,
     or ``ping``, moves the run to ``final_decision``.
 ``final_decision``
     A run-scoped timer models the ranking cost; the run then closes.
@@ -63,13 +63,22 @@ from repro.core.messages import (
 )
 from repro.runtime.api import Runtime, TimerHandle
 from repro.simnet.node import Node
+from repro.substrate.broker import DISCOVERY_GROUP
 from repro.discovery.overload import CircuitBreaker, DecorrelatedJitterBackoff, TokenBucket
 from repro.discovery.phases import PHASE_NAMES, PhaseTimer
 from repro.discovery.replication import try_parse_endpoint
 from repro.discovery.ping import Pinger
 from repro.discovery.selection import Candidate, make_candidate, select_target_set
 
-__all__ = ["CLIENT_UDP_PORT", "DiscoveryClient", "DiscoveryOutcome", "CachedTarget"]
+__all__ = [
+    "CLIENT_UDP_PORT",
+    "PING_GRACE",
+    "PING_TIE_ABSOLUTE",
+    "PING_TIE_RELATIVE",
+    "DiscoveryClient",
+    "DiscoveryOutcome",
+    "CachedTarget",
+]
 
 CLIENT_UDP_PORT = 7500
 
@@ -88,6 +97,19 @@ _SELECT_COST_PER_CANDIDATE = 2e-5
 _DECIDE_COST = 0.0001
 # Spacing between successive ping repeats to the same broker.
 _PING_REPEAT_SPACING = 0.010
+
+#: Once every target has answered one ping, wait only this long for
+#: straggler repeats: a lost pong must not stall the phase, while a
+#: broker that never answers still runs into ``ping_timeout`` (its
+#: silence is the paper's "good indicator" that it is far away).
+PING_GRACE = 0.06
+#: Measured RTTs within ``best * (1 + PING_TIE_RELATIVE) +
+#: PING_TIE_ABSOLUTE`` of the minimum count as equally near and the
+#: usage-metric score breaks the tie: how the metrics "facilitate
+#: selection based on usage and dynamic real time load balancing"
+#: (section 5.1) among equidistant brokers.
+PING_TIE_RELATIVE = 0.15
+PING_TIE_ABSOLUTE = 0.001
 
 
 @dataclass(frozen=True, slots=True)
@@ -587,7 +609,7 @@ class DiscoveryClient(Node):
         if not (config.use_multicast_fallback and self.runtime.multicast_enabled(self.host)):
             return False
         request = self._next_request(run, "multicast")
-        reached = self.runtime.multicast(self.udp_endpoint, config.multicast_group, request)
+        reached = self.runtime.multicast(self.udp_endpoint, DISCOVERY_GROUP, request)
         self.emit(
             "request_multicast", run.uuid, kind="DiscoveryRequest", via="multicast", reached=reached
         )
@@ -893,7 +915,7 @@ class DiscoveryClient(Node):
         # repeat should not stall the phase until the hard timeout, so
         # re-arm a short grace deadline instead.
         if all(self.pinger.sample_count(t.broker_id) > 0 for t in run.target_set):
-            self._arm(run, "ping", self.config.ping_grace, self._decide)
+            self._arm(run, "ping", PING_GRACE, self._decide)
 
     # ------------------------------------------------------------------
     # Decision
@@ -921,10 +943,7 @@ class DiscoveryClient(Node):
             # is what steers joiners onto a fresh broker in a cluster
             # of equidistant peers (paper section 8, advantage 3).
             best_rtt = min(ping_rtts.values())
-            threshold = (
-                best_rtt * (1.0 + self.config.ping_tie_relative)
-                + self.config.ping_tie_absolute
-            )
+            threshold = best_rtt * (1.0 + PING_TIE_RELATIVE) + PING_TIE_ABSOLUTE
             eligible = [
                 t
                 for t in run.target_set

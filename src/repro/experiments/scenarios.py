@@ -20,12 +20,11 @@ Defaults follow the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import BDNConfig, BrokerConfig, ClientConfig, Endpoint
-from repro.core.metrics import WeightConfig
+from repro.core.config import BDNConfig, ClientConfig
 from repro.discovery.advertisement import start_heartbeat
 from repro.discovery.bdn import BDN
 from repro.discovery.requester import DiscoveryClient, DiscoveryOutcome
@@ -67,22 +66,13 @@ class ScenarioSpec:
         Only meaningful when the client multicasts; WAN multicast is
         administratively scoped to one realm.
     response_timeout / max_responses / min_responses / target_set_size
-    / ping_repeats / ping_timeout / retransmit_interval /
-    max_retransmits:
+    / retransmit_interval / max_retransmits:
         Client configuration; ``max_responses=None`` defaults to the
         broker count (the client knows it wants "the first N").
     per_hop_loss:
         Per-router-hop UDP drop probability (0 disables loss).
     jitter_sigma:
         WAN latency jitter.
-    weights:
-        Selection weight factors.
-    credentials:
-        Credentials the client presents.
-    broker_config:
-        Applied to every broker (response policies etc.).
-    star_hub / linear_order:
-        Optional topology shape overrides (broker *site* names).
     bdn_fanout_delay:
         Override for the BDN's per-destination dispatch cost (None =
         the calibrated 2005-JVM default in :class:`BDNConfig`).
@@ -99,17 +89,10 @@ class ScenarioSpec:
     max_responses: int | None = None
     min_responses: int = 1
     target_set_size: int = 3
-    ping_repeats: int = 2
-    ping_timeout: float = 1.5
     retransmit_interval: float = 2.0
     max_retransmits: int = 2
     per_hop_loss: float = 0.001
     jitter_sigma: float = 0.08
-    weights: WeightConfig = field(default_factory=WeightConfig)
-    credentials: frozenset[str] = frozenset()
-    broker_config: BrokerConfig = field(default_factory=BrokerConfig)
-    star_hub: str | None = None
-    linear_order: tuple[str, ...] | None = None
     bdn_fanout_delay: float | None = None
 
     def resolved_injection(self) -> str:
@@ -221,11 +204,11 @@ class DiscoveryScenario:
                 site=site_spec.name,
                 host=site_spec.machine,
                 realm=realm,
-                config=spec.broker_config,
             )
             self.responders[broker.name] = DiscoveryResponder(broker)
             self.brokers.append(broker)
-        self._apply_topology()
+        # Site order: the star's hub and the chain's head are the first site.
+        self.net.apply_topology(spec.topology)
         self.bdn = self._build_bdn() if spec.use_bdn else None
         self.client = self._build_client()
         # Let TCP links establish, NTP converge, and the BDN measure
@@ -235,19 +218,6 @@ class DiscoveryScenario:
     # ------------------------------------------------------------------
     # Construction details
     # ------------------------------------------------------------------
-    def _broker_order(self) -> list[str]:
-        names = [b.name for b in self.brokers]
-        if self.spec.topology == Topology.STAR and self.spec.star_hub:
-            hub = f"broker-{self.spec.star_hub}"
-            names.remove(hub)
-            names.insert(0, hub)
-        if self.spec.topology == Topology.LINEAR and self.spec.linear_order:
-            names = [f"broker-{site}" for site in self.spec.linear_order]
-        return names
-
-    def _apply_topology(self) -> None:
-        self.net.apply_topology(self.spec.topology, self._broker_order())
-
     def _build_bdn(self) -> BDN:
         if self.spec.bdn_fanout_delay is not None:
             bdn_config = BDNConfig(
@@ -267,10 +237,7 @@ class DiscoveryScenario:
             obs=self.obs,
         )
         bdn.start()
-        if self.spec.register == "head":
-            registered = [self.net.brokers[self._broker_order()[0]]]
-        else:
-            registered = self.brokers
+        registered = self.brokers[:1] if self.spec.register == "head" else self.brokers
         for broker in registered:
             # Burst + periodic re-advertisement: a single lost UDP
             # registration must not make a broker permanently invisible.
@@ -286,12 +253,8 @@ class DiscoveryScenario:
             max_responses=max_responses,
             min_responses=spec.min_responses,
             target_set_size=min(spec.target_set_size, max_responses),
-            ping_repeats=spec.ping_repeats,
-            ping_timeout=spec.ping_timeout,
             retransmit_interval=spec.retransmit_interval,
             max_retransmits=spec.max_retransmits,
-            weights=spec.weights,
-            credentials=spec.credentials,
         )
         realm = LAB_REALM if spec.client_site in spec.lab_sites else None
         client = DiscoveryClient(

@@ -46,13 +46,31 @@ from repro.substrate.routing import FloodRouting, RoutingStrategy
 from repro.substrate.subscriptions import SubscriptionManager
 from repro.substrate.topics import topic_matches, validate_pattern
 
-__all__ = ["Broker", "BROKER_TCP_PORT", "BROKER_UDP_PORT", "BROKER_LINK_PORT"]
+__all__ = [
+    "Broker",
+    "BROKER_TCP_PORT",
+    "BROKER_UDP_PORT",
+    "BROKER_LINK_PORT",
+    "DISCOVERY_GROUP",
+    "LINK_RETRY_INTERVAL",
+]
 
 BROKER_TCP_PORT = 5045  # client connections
 BROKER_UDP_PORT = 5046  # pings, discovery datagrams, multicast
 BROKER_LINK_PORT = 5047  # broker-to-broker links
 
-# Memory/CPU cost constants for the simulated usage metrics.
+#: The section 7 multicast group: every broker on a multicast-enabled
+#: host joins it, and a requester with no BDN left sends to it.
+DISCOVERY_GROUP = "Services/BrokerDiscovery"
+
+#: Seconds between attempts to re-establish a lost *persistent* link
+#: (section 7 assumes the broker network heals after failures).
+LINK_RETRY_INTERVAL = 5.0
+
+# Memory/CPU model behind the section 9 usage metrics: the process owns
+# _MEM_TOTAL bytes and idles at _CPU_BASE load; clients and links add.
+_MEM_TOTAL = 512 * 1024 * 1024
+_CPU_BASE = 0.02
 _MEM_BASE = 40 * 1024 * 1024
 _MEM_PER_CLIENT = 2 * 1024 * 1024
 _MEM_PER_LINK = 4 * 1024 * 1024
@@ -173,8 +191,7 @@ class Broker(Node):
         self.runtime.listen_tcp(self.client_endpoint, self._accept_client)
         self.runtime.listen_tcp(self.link_endpoint, self._accept_link)
         if self.runtime.multicast_enabled(self.host):
-            for group in self.config.multicast_groups:
-                self.runtime.join_multicast(group, self.udp_endpoint)
+            self.runtime.join_multicast(DISCOVERY_GROUP, self.udp_endpoint)
         # A revived broker re-establishes its persistent neighbourhood.
         for peer_id in sorted(self._neighbors):
             if peer_id not in self._links:
@@ -196,8 +213,7 @@ class Broker(Node):
         self.runtime.stop_listening(self.client_endpoint)
         self.runtime.stop_listening(self.link_endpoint)
         if self.runtime.multicast_enabled(self.host):
-            for group in self.config.multicast_groups:
-                self.runtime.leave_multicast(group, self.udp_endpoint)
+            self.runtime.leave_multicast(DISCOVERY_GROUP, self.udp_endpoint)
         for conn in list(self._links.values()):
             conn.close()
         for conn in list(self._clients.values()):
@@ -311,7 +327,7 @@ class Broker(Node):
         acceptor can index the link by broker id.  With
         ``persistent=True`` the broker remembers ``other`` as a
         configured neighbour and keeps retrying (every
-        ``config.link_retry_interval`` seconds) whenever the link dies
+        ``LINK_RETRY_INTERVAL`` seconds) whenever the link dies
         or fails to come up -- the broker network heals itself after
         partitions and peer restarts.
         """
@@ -380,7 +396,7 @@ class Broker(Node):
         if peer_id in self._retry_pending:
             return
         self._retry_pending.add(peer_id)
-        self.runtime.schedule(self.config.link_retry_interval, self._retry_link, peer_id)
+        self.runtime.schedule(LINK_RETRY_INTERVAL, self._retry_link, peer_id)
 
     def _retry_link(self, peer_id: str) -> None:
         self._retry_pending.discard(peer_id)
@@ -636,18 +652,15 @@ class Broker(Node):
     # ------------------------------------------------------------------
     def usage_metrics(self) -> UsageMetrics:
         """Snapshot of this broker's load for discovery responses."""
-        total = self.config.total_memory
         used = _MEM_BASE + _MEM_PER_CLIENT * self.client_count + _MEM_PER_LINK * self.link_count
-        free = max(0, total - used)
+        free = max(0, _MEM_TOTAL - used)
         cpu = min(
             0.99,
-            self.config.base_cpu_load
-            + _CPU_PER_CLIENT * self.client_count
-            + _CPU_PER_LINK * self.link_count,
+            _CPU_BASE + _CPU_PER_CLIENT * self.client_count + _CPU_PER_LINK * self.link_count,
         )
         return UsageMetrics(
             free_memory=free,
-            total_memory=total,
+            total_memory=_MEM_TOTAL,
             num_links=self.link_count,
             num_connections=self.client_count,
             cpu_load=cpu,

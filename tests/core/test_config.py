@@ -30,10 +30,6 @@ class TestResponsePolicy:
         policy = ResponsePolicyConfig()
         assert policy.permits(frozenset(), "anywhere")
 
-    def test_respond_false_blocks_all(self):
-        policy = ResponsePolicyConfig(respond=False)
-        assert not policy.permits(frozenset({"any"}), "lab")
-
     def test_credential_requirement(self):
         policy = ResponsePolicyConfig(required_credentials=frozenset({"grid-user"}))
         assert not policy.permits(frozenset(), "lab")
@@ -64,14 +60,6 @@ class TestBrokerConfig:
     def test_dedup_capacity_validated(self):
         with pytest.raises(ConfigError):
             BrokerConfig(dedup_capacity=0)
-
-    def test_total_memory_validated(self):
-        with pytest.raises(ConfigError):
-            BrokerConfig(total_memory=0)
-
-    def test_base_cpu_load_validated(self):
-        with pytest.raises(ConfigError):
-            BrokerConfig(base_cpu_load=1.0)
 
 
 class TestBDNConfig:
@@ -123,13 +111,18 @@ class TestClientConfig:
         with pytest.raises(ConfigError):
             ClientConfig(max_retransmits=-1)
 
-    def test_ping_grace_validated(self):
-        with pytest.raises(ConfigError):
-            ClientConfig(ping_grace=0.0)
-
     def test_min_responses_validated(self):
         with pytest.raises(ConfigError):
             ClientConfig(min_responses=0)
+
+    def test_min_responses_cannot_exceed_max_responses(self):
+        """Collection stops at N, so a floor above N could never be met:
+        every deadline would count as a thin sample."""
+        with pytest.raises(ConfigError):
+            ClientConfig(max_responses=5, target_set_size=5, min_responses=6)
+
+    def test_min_responses_equal_to_max_allowed(self):
+        ClientConfig(max_responses=5, target_set_size=5, min_responses=5)
 
     def test_bdn_endpoints_tuple(self):
         cfg = ClientConfig(

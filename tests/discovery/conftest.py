@@ -10,7 +10,7 @@ from repro.discovery.advertisement import advertise_direct
 from repro.discovery.bdn import BDN
 from repro.discovery.requester import DiscoveryClient
 from repro.discovery.responder import DiscoveryResponder
-from repro.simnet.latency import UniformLatencyModel
+from repro.simnet.latency import LatencyModel, UniformLatencyModel
 from repro.simnet.loss import LossModel, NoLoss
 from repro.substrate.builder import BrokerNetwork, Topology
 
@@ -25,8 +25,10 @@ class World:
         injection: str = "all",
         seed: int = 0,
         loss: LossModel | None = None,
+        latency: LatencyModel | None = None,
         register: bool = True,
         broker_config: BrokerConfig | None = None,
+        broker_multicast: bool = True,
         bdn_config: BDNConfig | None = None,
         client_config: ClientConfig | None = None,
         client_realm: str | None = None,
@@ -34,7 +36,7 @@ class World:
     ) -> None:
         self.net = BrokerNetwork(
             seed=seed,
-            latency=UniformLatencyModel(base=0.010, jitter_fraction=0.02),
+            latency=latency or UniformLatencyModel(base=0.010, jitter_fraction=0.02),
             loss=loss if loss is not None else NoLoss(),
         )
         self.brokers = []
@@ -45,6 +47,7 @@ class World:
                 site=f"s{i}",
                 realm=shared_realm,
                 config=broker_config,
+                multicast_enabled=broker_multicast,
             )
             self.responders[broker.name] = DiscoveryResponder(broker)
             self.brokers.append(broker)

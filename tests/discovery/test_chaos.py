@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.discovery.chaos import (
+    _DISRUPTIVE,
     CHAOS_KINDS,
+    STORM_KINDS,
     ChaosWorld,
+    apply_schedule,
     draw_schedule,
     run_chaos,
 )
@@ -55,6 +58,28 @@ class TestDrawSchedule:
         world = ChaosWorld(seed=0)
         with pytest.raises(ValueError):
             draw_schedule(np.random.default_rng(0), world, start=0.0, duration=0.0)
+
+
+class TestDisruptiveKinds:
+    def test_disruptive_names_are_logged_kinds(self):
+        """The aliveness excuse matches ``_DISRUPTIVE`` against the
+        injector's log, so each name must be a kind the log carries
+        once one action of every schedule kind has been applied."""
+        world = ChaosWorld(seed=0)
+        rng = np.random.default_rng(0)
+        start = world.sim.now + 1.0
+        schedule = tuple(
+            action
+            for kind in STORM_KINDS
+            for action in draw_schedule(
+                rng, world, start, 4.0, min_actions=1, max_actions=1, kinds=(kind,)
+            )
+        )
+        assert {action.kind for action in schedule} == set(STORM_KINDS)
+        apply_schedule(world, schedule)
+        world.sim.run_for(6.0)
+        logged = {kind for _t, kind, _target in world.injector.injected}
+        assert _DISRUPTIVE <= logged
 
 
 class TestRunChaos:

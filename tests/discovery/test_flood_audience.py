@@ -18,7 +18,7 @@ import pytest
 
 import repro.discovery.responder as responder_module
 from repro.core.codec import encode_message
-from repro.core.config import BDNConfig, BrokerConfig, Endpoint
+from repro.core.config import BDNConfig, Endpoint
 from repro.core.messages import DiscoveryRequest, DiscoveryResponse, Event
 from repro.discovery.advertisement import advertise_direct
 from repro.discovery.bdn import BDN
@@ -27,6 +27,7 @@ from repro.discovery.responder import REQUEST_TOPIC, DiscoveryResponder
 from repro.experiments.scenarios import DiscoveryScenario, ScenarioSpec
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import NoLoss
+from repro.substrate.broker import LINK_RETRY_INTERVAL
 from repro.substrate.builder import BrokerNetwork
 from repro.substrate.content_routing import ContentRouting
 from repro.substrate.routing import FloodRouting, SpanningTreeRouting
@@ -53,7 +54,6 @@ class Flood:
 
     def __init__(self, monkeypatch) -> None:
         self.net = BrokerNetwork(seed=3)
-        self.config = BrokerConfig(link_retry_interval=1.0)
         self.responders: dict[str, DiscoveryResponder] = {}
         self.broker = self.add("b0")
         self.responder = self.responders["b0"]
@@ -70,7 +70,7 @@ class Flood:
         self.net.settle()
 
     def add(self, name: str):
-        broker = self.net.add_broker(name, site=f"site-{name}", config=self.config)
+        broker = self.net.add_broker(name, site=f"site-{name}")
         self.responders[name] = DiscoveryResponder(broker)
         return broker
 
@@ -192,7 +192,7 @@ def test_link_up_then_down(monkeypatch):
     assert world.responders["b1"].requests_processed == 1
 
     injector.heal_link(world.broker.host, b1.host)
-    world.net.sim.run_for(5.0)
+    world.net.sim.run_for(LINK_RETRY_INTERVAL + 1.0)
     assert world.broker.peers == {"b1"}
     world.assert_flooded_once("healed")
     assert world.responders["b1"].requests_processed == 2
@@ -213,7 +213,7 @@ def test_broker_stop_and_restart(monkeypatch):
     injector.revive_broker(world.broker)
     # Alive again, link not yet re-established: nobody to flood to.
     world.assert_unheard("restarting")
-    world.net.sim.run_for(5.0)
+    world.net.sim.run_for(LINK_RETRY_INTERVAL + 1.0)
     assert world.broker.peers == {"b1"}
     world.assert_flooded_once("restarted")
     assert world.responders["b1"].requests_processed == 2

@@ -7,8 +7,14 @@ import pytest
 
 from repro.core.config import ClientConfig, Endpoint
 from repro.core.errors import DiscoveryError
-from repro.discovery.requester import CachedTarget, DiscoveryClient
+from repro.discovery.requester import (
+    PING_TIE_ABSOLUTE,
+    PING_TIE_RELATIVE,
+    CachedTarget,
+    DiscoveryClient,
+)
 from repro.experiments.harness import run_discovery_once
+from repro.simnet.latency import MatrixLatencyModel
 from repro.simnet.loss import UniformLoss
 from repro.substrate.builder import Topology
 from tests.discovery.conftest import World
@@ -27,29 +33,28 @@ class TestHappyPath:
         outcome = small_world.discover()
         assert outcome.ping_rtts
         best = min(outcome.ping_rtts.values())
-        cfg = small_world.client.config
-        threshold = best * (1.0 + cfg.ping_tie_relative) + cfg.ping_tie_absolute
+        threshold = best * (1.0 + PING_TIE_RELATIVE) + PING_TIE_ABSOLUTE
         # The winner is within the near-tie band of the measured minimum.
         assert outcome.ping_rtts[outcome.selected.broker_id] <= threshold
         assert outcome.selected_rtt == outcome.ping_rtts[outcome.selected.broker_id]
 
     def test_distinct_rtts_select_strict_minimum(self):
-        """With clearly separated RTTs the tie band is irrelevant and the
-        lowest-delay broker wins outright (the paper's core rule)."""
-        world = World(n_brokers=3, seed=2)
-        # Disable the tie band entirely.
-        world.client.config = ClientConfig(
-            bdn_endpoints=(world.bdn.udp_endpoint,),
-            max_responses=3,
-            target_set_size=3,
-            response_timeout=2.0,
-            ping_tie_relative=0.0,
-            ping_tie_absolute=0.0,
-        )
+        """With RTTs separated by more than the tie band the lowest-delay
+        broker wins outright (the paper's core rule)."""
+        # One-way ms from the client to b0, b1, b2: 40, 5, 20.
+        sites = ("s0", "s1", "s2", "bdn-site", "client-site")
+        one_way_ms = np.full((5, 5), 10.0)
+        np.fill_diagonal(one_way_ms, 0.1)
+        for i, ms in enumerate((40.0, 5.0, 20.0)):
+            one_way_ms[i, 4] = one_way_ms[4, i] = ms
+        world = World(n_brokers=3, seed=2, latency=MatrixLatencyModel(sites, one_way_ms))
         outcome = world.discover()
         assert outcome.success
-        winner = min(outcome.ping_rtts, key=lambda b: (outcome.ping_rtts[b], b))
-        assert outcome.selected.broker_id == winner
+        assert len(outcome.ping_rtts) == 3
+        best, second = sorted(outcome.ping_rtts.values())[:2]
+        assert second > best * (1.0 + PING_TIE_RELATIVE) + PING_TIE_ABSOLUTE
+        assert outcome.selected.broker_id == "b1"
+        assert outcome.selected_rtt == best
 
     def test_all_brokers_respond(self, small_world):
         outcome = small_world.discover()

@@ -30,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.config import BDNConfig, BrokerConfig, ClientConfig
+from repro.core.config import BDNConfig, ClientConfig
 from repro.discovery.advertisement import advertise_direct
 from repro.discovery.bdn import BDN
 from repro.discovery.chaos import ChaosWorld
@@ -99,7 +99,7 @@ def build(bdns, multicast, cached, adaptive):
     world = World(
         n_brokers=2,
         shared_realm="lab",
-        broker_config=BrokerConfig(multicast_groups=()) if multicast == "deaf" else None,
+        broker_multicast=multicast != "deaf",
     )
     members = [world.bdn]
     if len(bdns) == 2:

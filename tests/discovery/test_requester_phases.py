@@ -43,12 +43,9 @@ class TestPingGrace:
         assert outcome.phases.duration("ping_target_set") < 0.3
 
     def test_lost_repeat_costs_only_grace(self):
-        """One lost repeat must cost ~ping_grace, not ping_timeout."""
+        """One lost repeat must cost ~PING_GRACE, not ping_timeout."""
         world = World(n_brokers=2, seed=5)
-        client = make_client(
-            world, "gracey",
-            ping_repeats=4, ping_grace=0.08, ping_timeout=5.0,
-        )
+        client = make_client(world, "gracey", ping_repeats=4, ping_timeout=5.0)
         # Make pings lossy enough that some repeats vanish, but every
         # broker answers at least once with overwhelming probability.
         world.net.network.loss = UniformLoss(0.25)

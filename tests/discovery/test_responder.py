@@ -136,16 +136,6 @@ class TestResponsePolicy:
     def _world_with_policy(self, policy: ResponsePolicyConfig) -> World:
         return World(n_brokers=1, broker_config=BrokerConfig(response_policy=policy))
 
-    def test_respond_false_silences_broker(self):
-        world = self._world_with_policy(ResponsePolicyConfig(respond=False))
-        box = inbox_of(world)
-        world.net.network.send_udp(
-            world.client.udp_endpoint, world.brokers[0].udp_endpoint, make_request(world)
-        )
-        world.sim.run_for(1.0)
-        assert [m for m in box if isinstance(m, DiscoveryResponse)] == []
-        assert world.responders["b0"].policy_rejections == 1
-
     def test_credential_gate(self):
         policy = ResponsePolicyConfig(required_credentials=frozenset({"grid"}))
         world = self._world_with_policy(policy)
@@ -161,6 +151,8 @@ class TestResponsePolicy:
         world.sim.run_for(1.0)
         responses = [m for m in box if isinstance(m, DiscoveryResponse)]
         assert [r.request_uuid for r in responses] == ["req-2"]
+        # The request without credentials was silenced and counted.
+        assert world.responders["b0"].policy_rejections == 1
 
     def test_realm_gate_uses_requester_realm(self):
         policy = ResponsePolicyConfig(allowed_realms=frozenset({"lab"}))

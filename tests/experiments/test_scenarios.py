@@ -54,10 +54,6 @@ class TestScenarioWorlds:
         assert g.number_of_edges() == 4
         assert g.degree["broker-indianapolis"] == 4
 
-    def test_star_hub_override(self):
-        scenario = DiscoveryScenario(ScenarioSpec.star(seed=1, star_hub="urbana"))
-        assert scenario.net.graph().degree["broker-urbana"] == 4
-
     def test_linear_world_registers_head(self):
         scenario = DiscoveryScenario(ScenarioSpec.linear(seed=1))
         g = scenario.net.graph()

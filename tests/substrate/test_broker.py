@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import BrokerConfig, Endpoint
 from repro.core.messages import Event, PingRequest, PingResponse
-from repro.substrate.broker import BROKER_UDP_PORT, Broker
+from repro.substrate.broker import BROKER_UDP_PORT, DISCOVERY_GROUP, Broker
 from repro.substrate.builder import BrokerNetwork, Topology
 from repro.substrate.topics import topic_matches
 
@@ -237,7 +237,6 @@ class TestLifecycle:
         net.network.register_host(probe.host, "sb", realm="lab")
         got = []
         net.network.bind_udp(probe, lambda m, s: got.append(m))
-        group = a.config.multicast_groups[0]
 
         def ping(uuid: str) -> None:
             request = PingRequest(uuid=uuid, sent_at=0.0, reply_host=probe.host, reply_port=probe.port)
@@ -253,14 +252,14 @@ class TestLifecycle:
 
         a.stop()
         assert a.started is a.alive is False
-        assert a.udp_endpoint not in net.network.multicast_members(group)
+        assert a.udp_endpoint not in net.network.multicast_members(DISCOVERY_GROUP)
         ping("while-stopped")
         assert [m.uuid for m in got] == ["before"]
 
         a.start()  # no reaching in to reset the started flag first
         assert a.started is a.alive is True
-        assert a.udp_endpoint in net.network.multicast_members(group)
-        assert net.network.multicast(probe, group, PingRequest(
+        assert a.udp_endpoint in net.network.multicast_members(DISCOVERY_GROUP)
+        assert net.network.multicast(probe, DISCOVERY_GROUP, PingRequest(
             uuid="mc", sent_at=0.0, reply_host=probe.host, reply_port=probe.port
         )) == 1
         net.sim.run_for(1.0)

@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.config import BrokerConfig
-from repro.core.errors import ConfigError
 from repro.discovery.faults import FaultInjector
-from repro.substrate.broker import Broker
+from repro.substrate.broker import LINK_RETRY_INTERVAL, Broker
 from repro.substrate.builder import BrokerNetwork, Topology
 
+# Long enough for the next retry probe after a fault, plus the handshake.
+REPAIR = LINK_RETRY_INTERVAL + 1.0
 
-def persistent_pair(seed=0, retry=1.0) -> tuple[BrokerNetwork, Broker, Broker]:
+
+def persistent_pair(seed=0) -> tuple[BrokerNetwork, Broker, Broker]:
     net = BrokerNetwork(seed=seed)
-    cfg = BrokerConfig(link_retry_interval=retry)
-    a = net.add_broker("a", site="sa", config=cfg)
-    b = net.add_broker("b", site="sb", config=cfg)
+    a = net.add_broker("a", site="sa")
+    b = net.add_broker("b", site="sb")
     net.link("a", "b", persistent=True)
     net.settle()
     return net, a, b
@@ -30,7 +28,7 @@ class TestPersistentLinks:
         assert a.peers == frozenset()
         assert a.links_lost == 1
         injector.revive_broker(b)
-        net.sim.run_for(5.0)  # a few retry intervals
+        net.sim.run_for(REPAIR)
         assert a.peers == {"b"}
         assert b.peers == {"a"}
 
@@ -41,7 +39,7 @@ class TestPersistentLinks:
         net.sim.run_for(0.5)
         assert a.peers == frozenset()
         injector.heal()
-        net.sim.run_for(5.0)
+        net.sim.run_for(REPAIR)
         assert a.peers == {"b"}
         assert b.peers == {"a"}
 
@@ -51,10 +49,10 @@ class TestPersistentLinks:
         net, a, b = persistent_pair()
         injector = FaultInjector(net.network)
         injector.fail_link(a.host, b.host)
-        net.sim.run_for(6.0)  # many failed retries
+        net.sim.run_for(3 * LINK_RETRY_INTERVAL)  # several failed retries
         assert a.peers == frozenset()
         injector.heal_link(a.host, b.host)
-        net.sim.run_for(5.0)
+        net.sim.run_for(REPAIR)
         assert a.peers == {"b"}
 
     def test_no_duplicate_links_after_repair(self):
@@ -63,7 +61,7 @@ class TestPersistentLinks:
         injector.partition([a.host], [b.host])
         net.sim.run_for(0.5)
         injector.heal()
-        net.sim.run_for(10.0)
+        net.sim.run_for(2 * REPAIR)
         assert a.link_count == 1
         assert b.link_count == 1
 
@@ -77,13 +75,13 @@ class TestPersistentLinks:
         injector.kill_broker(b)
         net.sim.run_for(0.5)
         injector.revive_broker(b)
-        net.sim.run_for(10.0)
+        net.sim.run_for(2 * REPAIR)
         assert a.peers == frozenset()
 
     def test_stop_does_not_trigger_repair(self):
         net, a, b = persistent_pair()
         a.stop()
-        net.sim.run_for(10.0)
+        net.sim.run_for(2 * REPAIR)
         assert a.peers == frozenset()
         assert b.peers == frozenset()
         assert a.links_lost == 0  # own shutdown is not a lost link
@@ -92,9 +90,8 @@ class TestPersistentLinks:
         """A ring broker is killed and revived; the ring closes again
         and events flood every broker."""
         net = BrokerNetwork(seed=3)
-        cfg = BrokerConfig(link_retry_interval=1.0)
         for i in range(4):
-            net.add_broker(f"b{i}", site=f"s{i}", config=cfg)
+            net.add_broker(f"b{i}", site=f"s{i}")
         net.apply_topology(Topology.RING, persistent=True)
         net.settle()
         injector = FaultInjector(net.network)
@@ -102,7 +99,7 @@ class TestPersistentLinks:
         injector.kill_broker(victim)
         net.sim.run_for(2.0)
         injector.revive_broker(victim)
-        net.sim.run_for(6.0)
+        net.sim.run_for(REPAIR)
         assert victim.peers == {"b0", "b2"}
         from tests.substrate.test_broker import make_event
 
@@ -112,7 +109,3 @@ class TestPersistentLinks:
         net.sim.run_for(2.0)
         for name, broker in net.brokers.items():
             assert broker.events_routed == routed[name] + 1, name
-
-    def test_retry_interval_validated(self):
-        with pytest.raises(ConfigError):
-            BrokerConfig(link_retry_interval=0.0)
