@@ -18,10 +18,25 @@ Each message type mirrors a structure the paper describes:
   ``retry_after`` hint (the overload-protection layer on top of the
   paper's load-aware selection metrics).
 
-All messages are frozen dataclasses: forwarding mutations (hop counts,
-re-timestamping) go through :func:`dataclasses.replace`, which keeps the
-simulator free of aliasing bugs when one message object fans out to many
-recipients.
+No message changes once built: a forwarded or re-stamped copy (hop
+counts, retransmission attempts, trace context) is a new object, made by
+:meth:`DiscoveryRequest.forwarded` or :func:`dataclasses.replace`, which
+keeps the simulator free of aliasing bugs when one message object fans
+out to many recipients.
+
+The classes are plain ``@dataclass(slots=True)``, not ``frozen=True``.
+A frozen dataclass sets every field through ``object.__setattr__``,
+which made a message about three times dearer to build (a
+``PingRequest`` by keyword: 1.40 us frozen, 0.52 us plain, on a 2-core
+Xeon), and a discovery round builds dozens of them, at least one per
+decode.  What ``frozen`` enforced at run time an AST rule enforces
+before it
+(``tests/test_record_rules.py``): no field of a message -- nor of
+:class:`~repro.core.metrics.UsageMetrics` or the requester's
+``Candidate`` / ``CachedTarget`` -- is stored, augmented or deleted on
+anything but ``self``, and nothing calls ``setattr`` or
+``object.__setattr__``.  Without ``frozen`` a message is not hashable,
+so none keys a dict or a set.
 
 Trace context
 -------------
@@ -83,7 +98,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     """Base class for every wire message.
 
@@ -94,7 +109,7 @@ class Message:
     kind: ClassVar[int] = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Event(Message):
     """A pub/sub event routed through the broker network.
 
@@ -132,7 +147,7 @@ class Event(Message):
         return default
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Ack(Message):
     """Acknowledgement of a request, keyed by the request's UUID."""
 
@@ -142,7 +157,7 @@ class Ack(Message):
     acked_by: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BrokerAdvertisement(Message):
     """A broker's self-registration with a BDN (paper section 2.2).
 
@@ -200,7 +215,7 @@ class BrokerAdvertisement(Message):
         return None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DiscoveryRequest(Message):
     """A request for the nearest available broker (paper section 3).
 
@@ -265,7 +280,7 @@ class DiscoveryRequest(Message):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DiscoveryResponse(Message):
     """A broker's answer to a discovery request (paper section 5.1).
 
@@ -312,7 +327,7 @@ class DiscoveryResponse(Message):
         return None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DiscoveryBusy(Message):
     """A BDN's overload signal: the request was shed, try again later.
 
@@ -360,7 +375,7 @@ class DiscoveryBusy(Message):
             raise ValueError(f"queue_depth must be non-negative, got {self.queue_depth}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Subscribe(Message):
     """A client's registration of interest in a topic (pub/sub core).
 
@@ -375,7 +390,7 @@ class Subscribe(Message):
     subscriber: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Unsubscribe(Message):
     """Withdraws a prior :class:`Subscribe` with the same topic/subscriber."""
 
@@ -386,7 +401,7 @@ class Unsubscribe(Message):
     subscriber: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PingRequest(Message):
     """UDP ping carrying the sender's timestamp (paper section 6).
 
@@ -407,7 +422,7 @@ class PingRequest(Message):
     trace_hop: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PingResponse(Message):
     """Echo of a :class:`PingRequest` from a broker."""
 
@@ -420,7 +435,7 @@ class PingResponse(Message):
     trace_hop: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LeaseClaim(Message):
     """A candidate's (or leader's) request for a leadership lease.
 
@@ -466,7 +481,7 @@ class LeaseClaim(Message):
             raise ValueError(f"sent_at must be finite, got {self.sent_at}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LeaseVote(Message):
     """A member's answer to a :class:`LeaseClaim`.
 
@@ -504,7 +519,7 @@ class LeaseVote(Message):
             raise ValueError(f"claim_sent_at must be finite, got {self.claim_sent_at}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReplicaAppend(Message):
     """Leader-to-follower replication of one advertisement-table write.
 
@@ -541,7 +556,7 @@ class ReplicaAppend(Message):
             raise ValueError(f"seq must fit in u64, got {self.seq}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReplicaAck(Message):
     """Follower's acknowledgement of a :class:`ReplicaAppend`.
 
@@ -563,7 +578,7 @@ class ReplicaAck(Message):
             raise ValueError(f"seq must fit in u64, got {self.seq}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AntiEntropyDigest(Message):
     """A member's registry summary, sent on the repair interval.
 
@@ -595,7 +610,7 @@ class AntiEntropyDigest(Message):
                 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AntiEntropyDelta(Message):
     """Repair payload answering an :class:`AntiEntropyDigest`.
 
@@ -611,7 +626,7 @@ class AntiEntropyDelta(Message):
     ads: tuple[BrokerAdvertisement, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AdvertisementAck(Message):
     """A replicated BDN's acknowledgement of a direct advertisement.
 

@@ -27,7 +27,7 @@ __all__ = ["UsageMetrics", "WeightConfig", "broker_weight", "OverloadStats"]
 _MB = 1024 * 1024
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UsageMetrics:
     """A snapshot of load at one broker, as shipped in a discovery response.
 

@@ -173,5 +173,13 @@ class Pinger:
         self._last_heard.pop(key, None)
 
     def clear_samples(self) -> None:
-        """Drop every RTT sample but keep outstanding pings."""
+        """Drop every RTT sample; outstanding pings stay outstanding
+        (:meth:`cancel` is how an owner stops waiting for its own)."""
         self._samples.clear()
+
+    def cancel(self, uuids: list[str]) -> None:
+        """Stop waiting for the pings ``uuids``: a later pong to one is
+        ignored like any unknown UUID."""
+        outstanding = self._outstanding
+        for uuid in uuids:
+            outstanding.pop(uuid, None)

@@ -28,10 +28,17 @@ the same five names:
     from here on); a run-scoped timer models the CPU cost, then
     ``ping_target_set``.
 ``ping_target_set``
-    ``ping_repeats`` UDP pings per shortlisted broker.  Pongs arrive
-    through the :class:`Pinger`; ``ping`` is ``ping_timeout``, cut to
-    ``PING_GRACE`` once every target has answered once.  The last pong,
-    or ``ping``, moves the run to ``final_decision``.
+    ``ping_repeats`` UDP pings per shortlisted broker, sent a repeat at
+    a time, target by target: repeat 0 as the phase opens, each later
+    repeat from one run-scoped event ``_PING_REPEAT_SPACING`` after the
+    one before -- one scheduler event per repeat, not per ping.  Pongs
+    arrive through the :class:`Pinger` and are counted as they come
+    (``pongs_due``, and the targets still ``silent``), never recounted
+    from its samples; a pong counts only if it answers one of this
+    run's pings, since a closing run cancels those still outstanding.
+    ``ping`` is ``ping_timeout``, cut to ``PING_GRACE`` once every
+    target has answered once.  The last pong due, or ``ping``, moves
+    the run to ``final_decision``.
 ``final_decision``
     A run-scoped timer models the ranking cost; the run then closes.
 
@@ -112,7 +119,7 @@ PING_TIE_RELATIVE = 0.15
 PING_TIE_ABSOLUTE = 0.001
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CachedTarget:
     """A remembered target-set entry for reconnect-after-disconnect.
 
@@ -197,7 +204,10 @@ class _Run:
         "started_at",
         "candidates",
         "target_set",
-        "expected_pongs",
+        "ping_to",
+        "silent",
+        "pongs_due",
+        "pings",
         "via",
         "bdn_index",
         "bdn_order",
@@ -217,7 +227,13 @@ class _Run:
         self.started_at = now
         self.candidates: dict[str, Candidate] = {}
         self.target_set: list[Candidate] = []
-        self.expected_pongs = 0
+        # ping_target_set: broker id -> UDP endpoint of each target, the
+        # targets not heard from yet, the pongs still due, and the uuid
+        # of every ping the run sent.
+        self.ping_to: dict[str, Endpoint] = {}
+        self.silent: set[str] = set()
+        self.pongs_due = 0
+        self.pings: list[str] = []
         self.via = "bdn"
         self.bdn_index = 0
         self.bdn_order: tuple[Endpoint, ...] = ()
@@ -888,33 +904,36 @@ class DiscoveryClient(Node):
         )
         self._begin_phase(run, _PING)
         self.pinger.clear_samples()
-        run.expected_pongs = len(run.target_set) * self.config.ping_repeats
-        for target in run.target_set:
-            for repeat in range(self.config.ping_repeats):
-                self._schedule_aux(
-                    run, repeat * _PING_REPEAT_SPACING, self._ping_target, run, target
-                )
+        run.ping_to = {t.broker_id: t.udp_endpoint for t in run.target_set}
+        run.silent = set(run.ping_to)
+        repeats = self.config.ping_repeats
+        run.pongs_due = len(run.ping_to) * repeats
+        self._ping_round(run)
+        for repeat in range(1, repeats):
+            self._schedule_aux(run, repeat * _PING_REPEAT_SPACING, self._ping_round, run)
         self._arm(run, "ping", self.config.ping_timeout, self._decide)
 
-    def _ping_target(self, run: _Run, target: Candidate) -> None:
+    def _ping_round(self, run: _Run) -> None:
+        """One repeat: a ping to every target, in target-set order."""
         if run.state != _PING:
             return
-        self.pinger.ping(target.udp_endpoint, key=target.broker_id, trace_id=run.uuid)
+        ping, sent = self.pinger.ping, run.pings
+        for broker_id, endpoint in run.ping_to.items():
+            sent.append(ping(endpoint, key=broker_id, trace_id=run.uuid))
 
     def _on_ping_rtt(self, key: str, rtt: float) -> None:
         run = self._run
-        if run is None or run.state != _PING:
-            return
-        # Samples were cleared when the ping phase began, so the total
-        # retained sample count is the pong count for this run.
-        received = sum(self.pinger.sample_count(t.broker_id) for t in run.target_set)
-        if received >= run.expected_pongs:
+        if run is None or run.state != _PING or key not in run.ping_to:
+            return  # no run pinging, or the pong of a broker watch
+        run.pongs_due -= 1
+        if run.pongs_due == 0:
             self._decide(run)
             return
-        # Every target has answered at least once: a lost straggler
-        # repeat should not stall the phase until the hard timeout, so
-        # re-arm a short grace deadline instead.
-        if all(self.pinger.sample_count(t.broker_id) > 0 for t in run.target_set):
+        run.silent.discard(key)
+        if not run.silent:
+            # Every target has answered at least once: a lost straggler
+            # repeat should not stall the phase until the hard timeout,
+            # so re-arm a short grace deadline instead.
             self._arm(run, "ping", PING_GRACE, self._decide)
 
     # ------------------------------------------------------------------
@@ -972,6 +991,9 @@ class DiscoveryClient(Node):
         or :meth:`stop`) and reports no candidates and no target set.
         """
         run.cancel_timers()
+        # A pong that answers this run's ping later belongs to no run: the
+        # next run's ping phase must neither count it nor average it in.
+        self.pinger.cancel(run.pings)
         run.phases.close()
         run.state = None
         if decision is None:

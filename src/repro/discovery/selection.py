@@ -22,7 +22,7 @@ from repro.core.metrics import WeightConfig, broker_weight
 __all__ = ["Candidate", "make_candidate", "select_target_set"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Candidate:
     """One responding broker, as seen by the requesting node.
 

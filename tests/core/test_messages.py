@@ -40,11 +40,6 @@ class TestEvent:
         assert event.header("missing") is None
         assert event.header("missing", "dflt") == "dflt"
 
-    def test_frozen(self):
-        event = Event(uuid="u", topic="t", payload=b"", source="s", issued_at=0.0)
-        with pytest.raises(AttributeError):
-            event.topic = "other"  # type: ignore[misc]
-
 
 class TestAdvertisement:
     def test_port_for(self):

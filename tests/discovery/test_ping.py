@@ -163,3 +163,13 @@ class TestOutstandingExpiry:
         assert pinger.sample_count("bk") == 0
         assert pinger.pongs_received == 0
         assert pinger.pings_expired == 1
+
+    def test_pong_to_a_cancelled_ping_ignored(self):
+        net, broker, pinger = ping_world()
+        pinger.ping(broker.udp_endpoint, key="bk")
+        dropped = pinger.ping(broker.udp_endpoint, key="bk")
+        pinger.cancel([dropped, "never-sent"])
+        net.sim.run_for(1.0)
+        assert pinger.sample_count("bk") == 1
+        assert pinger.pongs_received == 1
+        assert list(pinger._outstanding) == []

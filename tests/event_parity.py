@@ -24,11 +24,13 @@ A change to what goes on the wire is explained instead with::
 It runs the star and linear golden worlds
 (``tests/simnet/test_perf_determinism.py``) with jitter and loss off,
 so one datagram more or less moves no other delivery, and prints per
-world the events processed, the BDN's ``pings_sent``, a digest of the
-outcomes and a digest of the kept log without ``PingRequest`` /
-``PingResponse`` records.  A change that only drops BDN pings keeps
-both digests and processes two events fewer per ping dropped: the
-ping's delivery and its pong's.
+world the events processed (in all, and per discovery), the BDN's and
+the client's ``pings_sent``, a digest of the outcomes and a digest of
+the kept log without ``PingRequest`` / ``PingResponse`` records.  A
+change that only drops BDN pings keeps both digests and processes two
+events fewer per ping dropped: the ping's delivery and its pong's.  A
+change that only schedules the same pings with fewer events keeps both
+digests and both ping counts.
 
 The file name keeps it out of pytest's collection: it is a tool, not a
 test, and a full run takes minutes.
@@ -66,6 +68,7 @@ def golden_worlds() -> None:
         scenario = DiscoveryScenario(spec, keep_trace=True)
         outcomes = scenario.run(runs=3)
         sim = scenario.net.sim
+        pings = (scenario.bdn.pinger.pings_sent, scenario.client.pinger.pings_sent)
         decided = (
             sim.now,
             [(o.success, o.total_time, o.via, o.transmissions) for o in outcomes],
@@ -77,8 +80,9 @@ def golden_worlds() -> None:
             if _PING_RECORDS.isdisjoint(r.detail)
         ]
         print(
-            f"{label:<7} events {sim.events_processed}  "
-            f"bdn pings {scenario.bdn.pinger.pings_sent}  "
+            f"{label:<7} events {sim.events_processed} "
+            f"({sim.events_processed / len(outcomes):.1f} per discovery)  "
+            f"bdn pings {pings[0]}  client pings {pings[1]}  "
             f"outcomes {_short(decided)}  log without pings {_short(kept)}",
             flush=True,
         )

@@ -12,7 +12,11 @@ Four seeded worlds are run and each is pinned by two sha256 digests in
   same outcomes and the same log bar the traffic removed) and logged
   with that change's measurements.  The BDN that stopped pinging a
   broker on every lease renewal moved ``discovery_star`` and
-  ``discovery_linear`` this way.
+  ``discovery_linear`` this way.  So does a change to how many
+  scheduler events the same traffic takes, shown the same way with
+  every field but the event count unchanged: the client sending each
+  ping repeat from one event instead of one per ping moved
+  ``discovery_star``, ``discovery_linear`` and ``overload``.
 * the **log** -- every kept ``(time, event, node, trace id, detail)``
   record.  A change to the event vocabulary regenerates this one, and
   the schedule digest beside it proves that was all it changed.
