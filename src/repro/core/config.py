@@ -343,8 +343,9 @@ class BDNConfig:
         Non-empty for a *private* BDN (section 2.4): requests must carry
         one of these credentials before the BDN disseminates them.
     ping_interval:
-        Seconds between the BDN's distance-measurement ping sweeps over
-        its connected brokers.
+        Seconds between the BDN's sweeps: lease eviction, then a ping to
+        each broker it measures -- every broker under distance-based
+        injection, only the unleased ones under ``"all"``.
     fanout_delay:
         Per-destination marshalling/dispatch cost when the BDN fans a
         request out.  The unconnected topology pays it once per

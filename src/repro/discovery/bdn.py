@@ -15,6 +15,13 @@ advertisements, acknowledge discovery requests "in a timely manner"
   unconnected topology it has no choice but O(N) fan-out to every
   registered broker, which is exactly the inefficiency Figure 2
   quantifies.
+* **Pings that learn something** -- the BDN pings a broker only when
+  its injection uses distance, or when no lease vouches for the broker
+  (then a ping is how the BDN learns it left).  A leased broker under
+  ``injection="all"`` is never pinged and leaves by lease eviction
+  alone.  A pinged broker is pruned after ``_PRUNE_MISSED_SWEEPS``
+  sweep pings in a row went unanswered -- evidence, not elapsed time,
+  so a BDN that stalls forgets nobody.
 * **Private BDNs** (section 2.4) -- configured with required
   credentials; requests without them are acknowledged but never
   disseminated.
@@ -25,6 +32,7 @@ advertisements, acknowledge discovery requests "in a timely manner"
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 
@@ -68,8 +76,8 @@ __all__ = ["BDN", "BDN_UDP_PORT"]
 
 BDN_UDP_PORT = 7000
 
-# A broker that missed this many consecutive ping sweeps is considered
-# departed and its advertisement is dropped.
+# A broker that left this many consecutive sweep pings unanswered is
+# considered departed and its advertisement is dropped.
 _PRUNE_MISSED_SWEEPS = 3
 
 
@@ -117,7 +125,12 @@ class BDN(Node):
         self.pinger = Pinger(self, self.endpoint(BDN_UDP_PORT))
         self.pinger.on_rtt = self._on_rtt
         self.alive = False
-        self._registered_at: dict[str, float] = {}
+        # Whether injection reads the distance table; if not, only an
+        # unleased broker is pinged (see _measures).
+        self._uses_distance = self.config.injection != "all"
+        # Sweep pings sent to each broker since its last pong: the
+        # evidence a prune is judged on.
+        self._unanswered: dict[str, int] = {}
         # The distance table, kept sorted as pongs arrive so a request
         # only reads its two ends (invariant: see _injection_targets).
         self._by_distance: list[tuple[float, str]] = []
@@ -240,7 +253,7 @@ class BDN(Node):
         for stored in self.store.all():
             self.pinger.forget(stored.broker_id)
         self.store.clear()
-        self._registered_at.clear()
+        self._unanswered.clear()
         self._by_distance.clear()
         self._distance_key.clear()
         self.dedup.reset()
@@ -381,7 +394,7 @@ class BDN(Node):
                 # A broker entering the registry is measured right away,
                 # so the closest/farthest injection has its distance.  A
                 # renewal is left to the sweep: it costs one datagram.
-                self.pinger.ping(self.store.get(ad.broker_id).udp_endpoint, key=ad.broker_id)
+                self._ping_on_entry(ad.broker_id)
             if self.replication is not None:
                 # Ack the direct path so the broker's heartbeat can
                 # re-home to the group leader, then replicate the write.
@@ -413,7 +426,7 @@ class BDN(Node):
         entered = self._track(ad.broker_id)
         self.emit("bdn_registered", broker=ad.broker_id, via="replication")
         if entered:
-            self.pinger.ping(self.store.get(ad.broker_id).udp_endpoint, key=ad.broker_id)
+            self._ping_on_entry(ad.broker_id)
         return True
 
     # ------------------------------------------------------------------
@@ -549,24 +562,39 @@ class BDN(Node):
 
         An id enters with its first stored ad, and again after a lease
         eviction, a prune or :meth:`clear_registry`.  That is when the
-        BDN pings it; a renewal of an indexed id is the sweep's to
-        measure.
+        BDN pings it (if :meth:`_measures` says so); a renewal of an
+        indexed id is the sweep's to measure.
         """
         if broker_id in self._distance_key:
             return False
-        self._registered_at[broker_id] = self.runtime.now
         self._index(broker_id)
         return True
 
+    def _measures(self, stored: StoredAdvertisement) -> bool:
+        """Whether the BDN pings ``stored``'s broker, on entry and on sweeps.
+
+        A ping learns a distance, which only closest/farthest and single
+        injection read, or learns that a broker is gone, which a lease
+        already tells for a leased one.  So a leased broker under
+        ``injection="all"`` is never pinged: it leaves by lease eviction.
+        """
+        return self._uses_distance or stored.expires_at == math.inf
+
+    def _ping_on_entry(self, broker_id: str) -> None:
+        stored = self.store.get(broker_id)
+        if self._measures(stored):
+            self.pinger.ping(stored.udp_endpoint, key=broker_id)
+
     def _forget(self, broker_id: str) -> None:
         """Drop everything kept about a broker that left the registry."""
-        self._registered_at.pop(broker_id, None)
+        self._unanswered.pop(broker_id, None)
         self.pinger.forget(broker_id)
         self._unindex(broker_id)
 
     def _on_rtt(self, broker_id: str, rtt: float) -> None:
         # A pong that outlives its broker's registration moves nothing.
         if broker_id in self._distance_key:
+            self._unanswered.pop(broker_id, None)
             self._index(broker_id)
 
     def _index(self, broker_id: str) -> None:
@@ -586,7 +614,14 @@ class BDN(Node):
     # Distance sweeps
     # ------------------------------------------------------------------
     def _sweep_shard(self, index: int) -> None:
-        """One shard's lease sweep: evict, prune, then ping survivors.
+        """One shard's sweep: evict lapsed leases, prune, ping survivors.
+
+        Only brokers the BDN measures (:meth:`_measures`) are pruned and
+        pinged.  Before pinging one, the sweep prunes it if it left the
+        last ``_PRUNE_MISSED_SWEEPS`` sweep pings unanswered: the count
+        is of pings sent, so a sweep that comes late (a stalled loop)
+        prunes nobody, while a partition still does, because its pings
+        go out and are lost.
 
         With a single shard this is exactly the historical global sweep.
         With many, each series owns one partition of the table, so the
@@ -600,21 +635,26 @@ class BDN(Node):
         for broker_id in shard.evict_expired(now):
             self._forget(broker_id)
             self.emit("bdn_lease_expired", broker=broker_id)
-        horizon = _PRUNE_MISSED_SWEEPS * self.config.ping_interval
+        unanswered = self._unanswered
         for stored in shard.all():
+            if not self._measures(stored):
+                continue
             broker_id = stored.broker_id
-            last = self.pinger.last_heard(broker_id)
-            registered = self._registered_at.get(broker_id, now)
-            reference = last if last is not None else registered
-            if now - reference > horizon:
+            missed = unanswered.get(broker_id, 0)
+            if missed >= _PRUNE_MISSED_SWEEPS:
                 shard.remove(broker_id)
                 self._forget(broker_id)
                 self.emit("bdn_pruned", broker=broker_id)
                 continue
+            unanswered[broker_id] = missed + 1
             self.pinger.ping(stored.udp_endpoint, key=broker_id)
 
     def distance_table(self) -> dict[str, float]:
-        """Measured average RTT per registered broker (seconds)."""
+        """Measured average RTT per registered broker (seconds).
+
+        A broker without a measurement has no entry -- among them every
+        leased broker under ``injection="all"``, which is never pinged.
+        """
         table: dict[str, float] = {}
         for stored in self.store.all():
             rtt = self.pinger.average_rtt(stored.broker_id)

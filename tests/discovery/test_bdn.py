@@ -529,6 +529,10 @@ class TestRequestCostDoesNotGrowWithTheRegistry:
 class TestRenewalCost:
     """A broker is pinged when it enters the registry and on the sweep,
     never because it renewed: a renewal costs the BDN one datagram.
+    And only a broker the BDN learns something from is pinged at all:
+    under ``injection="all"`` no distance is read, so a leased broker
+    draws no ping ever and leaves by lease eviction alone; an unleased
+    one, and every broker under a distance-based injection, is pinged.
     ``ping_interval=1e6`` keeps the sweep out of the cases that do not
     need it."""
 
@@ -593,6 +597,86 @@ class TestRenewalCost:
         world.sim.run_for(0.5)
         assert world.bdn.pinger.sample_count("b0") == 1
         assert world.targets() == ["b0"]
+
+
+    @pytest.mark.parametrize("entry", ["direct", "replicated"])
+    def test_a_leased_broker_under_all_is_never_pinged(self, entry):
+        world = PongWorld(1, injection="all", ping_interval=2.0)
+
+        def renew(stamp: int) -> None:
+            ad = dataclasses.replace(world.ad(0, ttl=60.0), issued_at=float(stamp))
+            if entry == "direct":
+                world.bdn._on_udp(ad, world.endpoint(0))
+            else:
+                assert world.bdn.apply_replicated(ad)
+
+        renew(1)  # entry
+        for stamp in range(2, 12):
+            world.sim.run_for(1.0)  # five sweeps in all
+            renew(stamp)
+        assert world.obs.count("bdn_registered") == 11
+        assert world.bdn.pinger.pings_sent == 0
+        assert world.bdn.distance_table() == {}
+        assert world.targets() == ["b0"]
+
+    def test_a_leased_broker_under_all_leaves_only_by_its_lease(self):
+        world = PongWorld(1, injection="all", ping_interval=2.0)
+        world.muted.add(0)
+        world.register(0, ttl=9.0)
+        world.sim.run_for(8.5)  # four sweeps: a pinged, silent broker is pruned at 8.0
+        assert world.obs.count("bdn_pruned") == 0
+        assert world.targets() == ["b0"]
+        world.sim.run_for(2.0)  # lapses at 9.0, evicted by the sweep at 10.0
+        assert world.obs.count("bdn_lease_expired") == 1
+        assert world.obs.count("bdn_pruned") == 0
+        assert world.bdn.pinger.pings_sent == 0
+
+    @pytest.mark.parametrize(
+        "injection, ttl",
+        [("all", 0.0), ("closest_farthest", 0.0), ("closest_farthest", 60.0), ("single", 60.0)],
+    )
+    def test_brokers_whose_pings_learn_something_keep_them(self, injection, ttl):
+        world = PongWorld(1, injection=injection, ping_interval=2.0)
+        assert self.pings(world, lambda: world.register(0, ttl=ttl)) == 1
+        assert self.pings(world, lambda: world.register(0, ttl=ttl)) == 0
+        assert self.pings(world, lambda: world.sim.run_for(4.5)) == 2  # sweeps at 2.0, 4.0
+        assert world.bdn.pinger.sample_count("b0") == 3
+
+
+class TestPruneOnEvidence:
+    """A broker is pruned for sweep pings it left unanswered, never for
+    the time that passed: silence is judged on pings actually sent."""
+
+    def test_a_muted_broker_is_pruned_after_its_third_unanswered_sweep_ping(self):
+        world = PongWorld(1, ping_interval=2.0)
+        world.register(0)
+        world.sim.run_for(5.0)  # entry ping and the sweeps at 2.0 and 4.0 answered
+        assert world.bdn.pinger.sample_count("b0") == 3
+        world.muted.add(0)
+        sent = world.bdn.pinger.pings_sent
+        world.sim.run_for(6.9)  # sweep pings at 6.0, 8.0 and 10.0, none answered
+        assert world.bdn.pinger.pings_sent - sent == 3
+        assert world.obs.count("bdn_pruned") == 0
+        world.sim.run_for(0.2)  # the sweep at 12.0 prunes instead of pinging
+        assert world.bdn.pinger.pings_sent - sent == 3
+        assert world.obs.count("bdn_pruned") == 1
+        assert world.index_ids() == []
+
+    def test_a_sweep_after_a_long_gap_prunes_nothing(self):
+        world = PongWorld(3, ping_interval=2.0)
+        for i in range(3):
+            world.register(i)
+        world.sim.run_for(1.0)  # every entry ping answered
+        for timer in world.bdn._sweep_timers:
+            timer.cancel()  # as if the BDN's loop stalled
+        world.sim.run_for(5 * 2.0)
+        sent = world.bdn.pinger.pings_sent
+        world.bdn._sweep_shard(0)
+        assert world.obs.count("bdn_pruned") == 0
+        assert world.bdn.pinger.pings_sent - sent == 3
+        world.sim.run_for(0.5)
+        assert [world.bdn.pinger.sample_count(f"b{i}") for i in range(3)] == [2, 2, 2]
+        assert sorted(world.index_ids()) == ["b0", "b1", "b2"]
 
 
 def test_networkx_is_not_imported_by_the_serving_processes():

@@ -401,7 +401,7 @@ class TestColdRestart:
         follower.stop()
         follower.clear_registry()
         assert len(follower.store) == 0
-        assert follower._registered_at == {}
+        assert follower._unanswered == {}
 
     def test_cold_follower_refuses_until_repaired(self, group):
         follower = group.followers()[0]

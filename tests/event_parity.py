@@ -15,7 +15,9 @@ broker) and each run's violations.  ``run_chaos`` runs seeds
 ``0..N-1`` on three variants -- plain; ``kinds=STORM_KINDS,
 overload=True``; ``replicated=True`` -- and the *running* digest and
 event count are printed after each variant, so the first variant that
-differs is the one to look at.
+differs is the one to look at.  Each variant's line also carries the
+total ``pinger.pings_sent`` of its worlds' BDNs, so a change to when a
+BDN pings shows as a count, not only as a moved digest.
 
 A change to what goes on the wire is explained instead with::
 
@@ -43,6 +45,7 @@ import dataclasses
 import hashlib
 import sys
 
+from repro.discovery import chaos
 from repro.discovery.chaos import STORM_KINDS, run_chaos
 from repro.experiments.scenarios import DiscoveryScenario, ScenarioSpec
 from repro.obs.recorder import Observability
@@ -112,13 +115,25 @@ def main(argv: list[str] | None = None) -> int:
         digest.update(repr((float(self._clock()), event, node, trace_id, hop, details)).encode())
         return original(self, event, node, trace_id, hop, **detail)
 
+    built: list[chaos.ChaosWorld] = []
+    original_world = chaos.ChaosWorld
+
+    class CountedWorld(original_world):
+        def __init__(self, *a, **kw) -> None:
+            super().__init__(*a, **kw)
+            built.append(self)
+
     Observability.emit = hashed_emit
+    chaos.ChaosWorld = CountedWorld
     try:
         for label, kwargs in VARIANTS:
             flagged = 0
+            bdn_pings = 0
             for seed in range(args.seeds):
                 report = run_chaos(seed, **kwargs)
                 flagged += not report.ok
+                bdn_pings += sum(bdn.pinger.pings_sent for world in built for bdn in world.bdns)
+                built.clear()
                 for outcome in report.outcomes:
                     selected = outcome.selected.broker_id if outcome.selected is not None else None
                     digest.update(repr((
@@ -128,11 +143,13 @@ def main(argv: list[str] | None = None) -> int:
                 digest.update(repr(report.violations).encode())
             print(
                 f"{label:<10} seeds 0-{args.seeds - 1}: running digest "
-                f"{digest.hexdigest()[:16]}  events {events}  flagged seeds {flagged}",
+                f"{digest.hexdigest()[:16]}  events {events}  flagged seeds {flagged}  "
+                f"bdn pings {bdn_pings}",
                 flush=True,
             )
     finally:
         Observability.emit = original
+        chaos.ChaosWorld = original_world
     return 0
 
 
