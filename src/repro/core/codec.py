@@ -54,44 +54,32 @@ field that fails validation reports where its message's fields ended.
 Encode failures are a string over 64 KiB or a scalar that does not fit
 its field (a port of 70000, 256 transports).
 
-One table
----------
-The wire format of every tag is written once, in :data:`_LAYOUTS`; each
-tag's encoder, decoder, skipper and sizer are compiled from its row at
-import, so they cannot drift apart and the table *is* the auditable
-format.  ``"".join(linecache.getlines("<repro.core.codec Ack>"))`` shows
-the code a row became.
+Declared once
+-------------
+The wire format of every tag is its message class: each body field
+names its wire kind in its annotation (the kinds and their grammar sit
+beside the aliases in :mod:`repro.core.messages`).  :func:`_row` reads
+a class's fields, in declaration order, into a row of ``(attribute,
+kind)``, and the tag's encoder, decoder, skipper and sizer are compiled
+from that row at import, so they cannot drift apart.  ``trace_flag``,
+``trace_hop`` and an unannotated ``leader_hint`` are trailers.  Any
+other field without a kind, or a body field declared after a trailer,
+raises ``TypeError`` at import, naming ``Class.field``: it would
+otherwise be left off the wire without a word.
+``"".join(linecache.getlines("<repro.core.codec Ack>"))`` shows the
+code a class became.
 """
 
 from __future__ import annotations
 
 import linecache
 import struct
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from sys import intern as _intern
+from typing import Annotated, get_origin, get_type_hints
 
 from repro.core.errors import CodecError
-from repro.core.messages import (
-    Ack,
-    AdvertisementAck,
-    AntiEntropyDelta,
-    AntiEntropyDigest,
-    BrokerAdvertisement,
-    DiscoveryBusy,
-    DiscoveryRequest,
-    DiscoveryResponse,
-    Event,
-    LeaseClaim,
-    LeaseVote,
-    Message,
-    PingRequest,
-    PingResponse,
-    ReplicaAck,
-    ReplicaAppend,
-    Subscribe,
-    Unsubscribe,
-)
-from repro.core.metrics import UsageMetrics
+from repro.core.messages import WIRE_MESSAGE_TYPES, DiscoveryRequest, Message
 
 __all__ = [
     "encode_message",
@@ -111,18 +99,6 @@ _MAGIC = 0x4E42  # "NB" in ASCII.
 _TRACE_MARKER = 0x54  # "T"
 _TRACE_TRAILER_LEN = 3
 
-#: Message kinds allowed to carry the trace trailer.
-_TRACEABLE_KINDS = frozenset(
-    {
-        BrokerAdvertisement.kind,
-        DiscoveryRequest.kind,
-        DiscoveryResponse.kind,
-        DiscoveryBusy.kind,
-        PingRequest.kind,
-        PingResponse.kind,
-    }
-)
-
 # Leader-hint trailer: like trace context, the ``leader_hint`` on
 # DiscoveryResponse / DiscoveryBusy is an *optional trailer* (marker
 # byte + length-prefixed string) so an empty hint -- every unreplicated
@@ -131,137 +107,40 @@ _TRACEABLE_KINDS = frozenset(
 # always last.  An encoded hint is never empty (empty means "absent").
 _HINT_MARKER = 0x4C  # "L"
 
-#: Message kinds allowed to carry the leader-hint trailer.
-_HINTABLE_KINDS = frozenset({DiscoveryResponse.kind, DiscoveryBusy.kind})
+#: Fields that, left unannotated, are optional trailers after the body.
+_TRAILERS = frozenset({"trace_flag", "trace_hop", "leader_hint"})
 
-# ---------------------------------------------------------------------------
-# Field layouts
-# ---------------------------------------------------------------------------
-#
-# The wire format of every tag's body, written once: a tag's encoder,
-# decoder and sizer are compiled from its row below, so the three cannot
-# disagree.  A row is a sequence of ``(attribute, kind)`` fields, sent in
-# order; ``kind`` is one of
-#
-# ``"str"``
-#     u16 byte length, then that many bytes of UTF-8.
-# ``"sym"``
-#     The same bytes, for a hot identifier (broker id, hostname, topic,
-#     realm/group/transport name): interned on decode, so the fabric
-#     holds one object per distinct id and dict/dedup lookups downstream
-#     hit pointer equality, and its wire bytes memoised on encode.
-#     Request UUIDs are "str": unique per request, they would pin both
-#     tables.
-# ``"data"``
-#     u32 byte length, then that many raw bytes.
-# ``"B" "H" "I" "Q" "d" "?"``
-#     One big-endian scalar, by its :mod:`struct` code.  Adjacent scalars
-#     (lengths and counts included) are fused into one precompiled
-#     Struct, so a hot path touches C once per group, not per field.
-# ``(count code, kind, ...)``
-#     A count, then that many items: a tuple of values for one item kind,
-#     of tuples for several.  A third field element ``frozenset`` makes
-#     it a set, which is sent sorted.
-# a message class
-#     That tag's body, nested.
-# ``(class, row)``
-#     A value object whose fields are sent in place.
 
-_ADVERTISEMENT_ROW = (
-    ("broker_id", "sym"),
-    ("hostname", "sym"),
-    ("transports", ("B", "sym", "H")),
-    ("logical_address", "sym"),
-    ("region", "sym"),
-    ("institution", "sym"),
-    ("issued_at", "d"),
-    ("ttl", "d"),
-)
-_SUBSCRIPTION_ROW = (("uuid", "str"), ("topic", "sym"), ("subscriber", "sym"))
-_METRICS_ROW = (
-    ("free_memory", "Q"),
-    ("total_memory", "Q"),
-    ("num_links", "I"),
-    ("num_connections", "I"),
-    ("cpu_load", "d"),
-    ("queue_depth", "I"),
-)
+def _row(cls: type) -> tuple:
+    """``cls``'s wire body, read off its declaration: ``(attribute, kind)`` per field.
 
-_LAYOUTS: dict[type[Message], tuple] = {
-    Event: (
-        ("uuid", "str"),
-        ("topic", "sym"),
-        ("payload", "data"),
-        ("source", "sym"),
-        ("issued_at", "d"),
-        ("headers", ("B", "str", "str")),
-    ),
-    Ack: (("uuid", "str"), ("acked_by", "sym")),
-    BrokerAdvertisement: _ADVERTISEMENT_ROW,
-    DiscoveryRequest: (
-        ("uuid", "str"),
-        ("requester_host", "sym"),
-        ("requester_port", "H"),
-        ("transports", ("B", "sym")),
-        ("credentials", ("B", "sym"), frozenset),
-        ("realm", "sym"),
-        ("issued_at", "d"),
-        ("hop_count", "H"),
-        ("attempt", "B"),
-    ),
-    DiscoveryResponse: (
-        ("request_uuid", "str"),
-        ("broker_id", "sym"),
-        ("hostname", "sym"),
-        ("transports", ("B", "sym", "H")),
-        ("issued_at", "d"),
-        ("metrics", (UsageMetrics, _METRICS_ROW)),
-    ),
-    PingRequest: (("uuid", "str"), ("sent_at", "d"), ("reply_host", "sym"), ("reply_port", "H")),
-    PingResponse: (("uuid", "str"), ("sent_at", "d"), ("broker_id", "sym")),
-    Subscribe: _SUBSCRIPTION_ROW,
-    Unsubscribe: _SUBSCRIPTION_ROW,
-    DiscoveryBusy: (
-        ("request_uuid", "str"),
-        ("bdn", "sym"),
-        ("retry_after", "d"),
-        ("queue_depth", "I"),
-    ),
-    LeaseClaim: (
-        ("group", "sym"),
-        ("candidate", "sym"),
-        ("term", "I"),
-        ("duration", "d"),
-        ("sent_at", "d"),
-    ),
-    LeaseVote: (
-        ("group", "sym"),
-        ("voter", "sym"),
-        ("term", "I"),
-        ("granted", "?"),
-        ("claim_sent_at", "d"),
-        ("leader_hint", "sym"),
-    ),
-    ReplicaAppend: (
-        ("group", "sym"),
-        ("leader", "sym"),
-        ("term", "I"),
-        ("seq", "Q"),
-        ("ad", BrokerAdvertisement),
-    ),
-    ReplicaAck: (("group", "sym"), ("member", "sym"), ("term", "I"), ("seq", "Q")),
-    AntiEntropyDigest: (
-        ("group", "sym"),
-        ("member", "sym"),
-        ("entries", ("H", "sym", "d")),
-    ),
-    AntiEntropyDelta: (
-        ("group", "sym"),
-        ("member", "sym"),
-        ("ads", ("H", BrokerAdvertisement)),
-    ),
-    AdvertisementAck: (("broker_id", "sym"), ("bdn", "sym"), ("leader_hint", "sym")),
-}
+    A field's kind is its ``Annotated`` metadata (a ``frozenset`` field
+    adds a third element, ``frozenset``: it is sent sorted), or its class
+    when it is typed as a message (a nested body) or as another dataclass
+    (its own row, sent in place).  Trailers end the declaration and are
+    not in the row.
+    """
+    hints = get_type_hints(cls, include_extras=True)
+    row = []
+    trailer = None
+    for f in fields(cls):
+        hint = hints[f.name]
+        if get_origin(hint) is Annotated:
+            sent = (f.name, hint.__metadata__[0])
+            if get_origin(hint.__origin__) is frozenset:
+                sent += (frozenset,)
+        elif is_dataclass(hint):
+            sent = (f.name, hint)
+        elif f.name in _TRAILERS:
+            trailer = trailer or f.name
+            continue
+        else:
+            raise TypeError(f"{cls.__name__}.{f.name} has no wire kind and is not a trailer")
+        if trailer:
+            raise TypeError(f"{cls.__name__}.{f.name} is declared after the trailer {trailer}")
+        row.append(sent)
+    return tuple(row)
+
 
 _HEADER = struct.Struct(">HB")  # magic + type tag
 _TRACE_TAIL = struct.Struct(">BH")  # trace marker + hop counter
@@ -407,15 +286,19 @@ class _Emitter:
             self.terms.append(f"len({value})")
         elif isinstance(kind, str):
             self.run.append((kind, value, target))
-        elif isinstance(kind, type):
+        elif isinstance(kind, type) and issubclass(kind, Message):
             self.flush()
             self.enc.append(f"_encode_{kind.kind}(parts, {value})")
             self.dec.append(f"{target}, pos = _decode_{kind.kind}(buf, pos, end)")
             self.skip.append(f"pos = _skip_{kind.kind}(buf, pos, end)")
             self.terms.append(f"_size_{kind.kind}({value})")
-        elif isinstance(kind[0], type):
-            made = [self.field(k, f"{value}.{name}", f"{target}_{name}") for name, k in kind[1]]
-            return f"{kind[0].__name__}({', '.join(made)})"
+        elif isinstance(kind, type):
+            globals()[kind.__name__] = kind
+            made = [
+                self.field(k, f"{value}.{name}", f"{target}_{name}", *rest)
+                for name, k, *rest in _row(kind)
+            ]
+            return f"{kind.__name__}({', '.join(made)})"
         else:
             count, *kinds = kind
             self.run.append((count, f"len({value})", "n"))
@@ -482,15 +365,32 @@ def _compile(cls: type[Message], row: tuple) -> None:
     # ``print("".join(linecache.getlines("<repro.core.codec Ack>")))``.
     filename = f"<repro.core.codec {cls.__name__}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    globals()[cls.__name__] = cls  # the decoder constructs it by name
     exec(compile(source, filename, "exec"), globals())
 
 
-for _cls, _row in _LAYOUTS.items():
-    _compile(_cls, _row)
+_ROWS = {cls: _row(cls) for cls in WIRE_MESSAGE_TYPES}
+for _cls, _body in _ROWS.items():
+    _compile(_cls, _body)
 
-_ENCODERS = {cls.kind: globals()[f"_encode_{cls.kind}"] for cls in _LAYOUTS}
-_DECODERS = {cls.kind: globals()[f"_decode_{cls.kind}"] for cls in _LAYOUTS}
-_SIZERS = {cls.kind: globals()[f"_size_{cls.kind}"] for cls in _LAYOUTS}
+_ENCODERS = {cls.kind: globals()[f"_encode_{cls.kind}"] for cls in _ROWS}
+_DECODERS = {cls.kind: globals()[f"_decode_{cls.kind}"] for cls in _ROWS}
+_SIZERS = {cls.kind: globals()[f"_size_{cls.kind}"] for cls in _ROWS}
+if len(_DECODERS) != len(_ROWS):
+    raise TypeError("duplicate wire tag in WIRE_MESSAGE_TYPES")
+
+
+def _trailing(name: str) -> frozenset[int]:
+    """Tags that declare ``name`` as a trailer: among the fields after the body."""
+    return frozenset(
+        c.kind for c, row in _ROWS.items() if any(f.name == name for f in fields(c)[len(row):])
+    )
+
+
+#: Message kinds allowed to carry the trace trailer.
+_TRACEABLE_KINDS = _trailing("trace_flag")
+#: Message kinds allowed to carry the leader-hint trailer.
+_HINTABLE_KINDS = _trailing("leader_hint")
 
 _SKIP_REQUEST = globals()[f"_skip_{DiscoveryRequest.kind}"]
 
@@ -619,21 +519,10 @@ def _decode_trailers(buf: bytes, pos: int, end: int, tag: int, message: Message)
 # Lazy decode
 # ---------------------------------------------------------------------------
 
-#: Tags whose first body field is the request/event UUID, extractable
-#: without touching the rest of the buffer.
-_UUID_FIRST_TAGS = frozenset(
-    {
-        Event.kind,
-        Ack.kind,
-        DiscoveryRequest.kind,
-        DiscoveryResponse.kind,
-        DiscoveryBusy.kind,
-        PingRequest.kind,
-        PingResponse.kind,
-        Subscribe.kind,
-        Unsubscribe.kind,
-    }
-)
+#: Tags whose first body field is the request/event UUID (the one
+#: uninterned string kind), extractable without touching the rest of
+#: the buffer.
+_UUID_FIRST_TAGS = frozenset(c.kind for c, row in _ROWS.items() if row[0][1] == "str")
 
 
 def _lazy_request_key(buf: bytes) -> tuple[str, int]:

@@ -38,6 +38,20 @@ anything but ``self``, and nothing calls ``setattr`` or
 ``object.__setattr__``.  Without ``frozen`` a message is not hashable,
 so none keys a dict or a set.
 
+How a field is sent
+-------------------
+Each message is declared once, here: every body field names its wire
+kind in its annotation, ``Annotated[<type>, <kind>]``, spelled through
+the aliases below (:data:`Str`, :data:`Sym`, :data:`Data`, :data:`U8`
+... :data:`Transports`), and :mod:`repro.core.codec` compiles each
+tag's encoder, decoder and sizer from the fields in declaration order.
+A field typed as another message is that message's body, nested; one
+typed as another dataclass (:class:`~repro.core.metrics.UsageMetrics`)
+is its fields, sent in place.  ``trace_flag``, ``trace_hop`` and an
+unannotated ``leader_hint`` are optional trailers, declared after the
+body.  Any other field without a kind, or a body field declared after
+a trailer, is a ``TypeError`` when the codec is imported.
+
 Trace context
 -------------
 The discovery-path messages (request/response/busy, ping/pong, and
@@ -69,7 +83,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 from repro.core.metrics import UsageMetrics
 
@@ -94,8 +108,38 @@ __all__ = [
     "AdvertisementAck",
     "traced",
     "WIRE_MESSAGE_TYPES",
-    "MESSAGE_TYPE_BY_TAG",
 ]
+
+# The wire kinds, named once.  A kind is one of
+#
+# ``"str"``
+#     u16 byte length, then that many bytes of UTF-8.
+# ``"sym"``
+#     The same bytes, for a hot identifier (broker id, hostname, topic,
+#     realm/group/transport name): interned on decode and its wire bytes
+#     memoised on encode.  Request UUIDs are "str": unique per request,
+#     they would pin both tables.
+# ``"data"``
+#     u32 byte length, then that many raw bytes.
+# ``"B" "H" "I" "Q" "d" "?"``
+#     One big-endian scalar, by its :mod:`struct` code.  Adjacent scalars
+#     (counts included) are fused into one precompiled Struct.
+# ``(count code, kind, ...)``
+#     A count, then that many items: a value each for one item kind, a
+#     tuple each for several.  A ``frozenset`` field is sent sorted.
+# a message class
+#     That message's body, nested.
+Str = Annotated[str, "str"]
+Sym = Annotated[str, "sym"]
+Data = Annotated[bytes, "data"]
+U8 = Annotated[int, "B"]
+U16 = Annotated[int, "H"]
+U32 = Annotated[int, "I"]
+U64 = Annotated[int, "Q"]
+F64 = Annotated[float, "d"]
+Flag = Annotated[bool, "?"]
+#: (protocol, port) pairs.
+Transports = Annotated[tuple[tuple[str, int], ...], ("B", "sym", "H")]
 
 
 @dataclass(slots=True)
@@ -132,12 +176,12 @@ class Event(Message):
 
     kind: ClassVar[int] = 1
 
-    uuid: str
-    topic: str
-    payload: bytes
-    source: str
-    issued_at: float
-    headers: tuple[tuple[str, str], ...] = ()
+    uuid: Str
+    topic: Sym
+    payload: Data
+    source: Sym
+    issued_at: F64
+    headers: Annotated[tuple[tuple[str, str], ...], ("B", "str", "str")] = ()
 
     def header(self, key: str, default: str | None = None) -> str | None:
         """Look up a header value by key."""
@@ -153,8 +197,8 @@ class Ack(Message):
 
     kind: ClassVar[int] = 2
 
-    uuid: str
-    acked_by: str
+    uuid: Str
+    acked_by: Sym
 
 
 @dataclass(slots=True)
@@ -192,14 +236,14 @@ class BrokerAdvertisement(Message):
 
     kind: ClassVar[int] = 3
 
-    broker_id: str
-    hostname: str
-    transports: tuple[tuple[str, int], ...]
-    logical_address: str
-    region: str = ""
-    institution: str = ""
-    issued_at: float = 0.0
-    ttl: float = 0.0
+    broker_id: Sym
+    hostname: Sym
+    transports: Transports
+    logical_address: Sym
+    region: Sym = ""
+    institution: Sym = ""
+    issued_at: F64 = 0.0
+    ttl: F64 = 0.0
     trace_flag: bool = False
     trace_hop: int = 0
 
@@ -246,15 +290,15 @@ class DiscoveryRequest(Message):
 
     kind: ClassVar[int] = 4
 
-    uuid: str
-    requester_host: str
-    requester_port: int
-    transports: tuple[str, ...] = ("tcp", "udp")
-    credentials: frozenset[str] = frozenset()
-    realm: str = ""
-    issued_at: float = 0.0
-    hop_count: int = 0
-    attempt: int = 0
+    uuid: Str
+    requester_host: Sym
+    requester_port: U16
+    transports: Annotated[tuple[str, ...], ("B", "sym")] = ("tcp", "udp")
+    credentials: Annotated[frozenset[str], ("B", "sym")] = frozenset()
+    realm: Sym = ""
+    issued_at: F64 = 0.0
+    hop_count: U16 = 0
+    attempt: U8 = 0
     trace_flag: bool = False
     trace_hop: int = 0
 
@@ -309,11 +353,11 @@ class DiscoveryResponse(Message):
 
     kind: ClassVar[int] = 5
 
-    request_uuid: str
-    broker_id: str
-    hostname: str
-    transports: tuple[tuple[str, int], ...]
-    issued_at: float
+    request_uuid: Str
+    broker_id: Sym
+    hostname: Sym
+    transports: Transports
+    issued_at: F64
     metrics: UsageMetrics
     trace_flag: bool = False
     trace_hop: int = 0
@@ -358,10 +402,10 @@ class DiscoveryBusy(Message):
 
     kind: ClassVar[int] = 10
 
-    request_uuid: str
-    bdn: str
-    retry_after: float
-    queue_depth: int = 0
+    request_uuid: Str
+    bdn: Sym
+    retry_after: F64
+    queue_depth: U32 = 0
     trace_flag: bool = False
     trace_hop: int = 0
     leader_hint: str = ""
@@ -385,9 +429,9 @@ class Subscribe(Message):
 
     kind: ClassVar[int] = 8
 
-    uuid: str
-    topic: str
-    subscriber: str
+    uuid: Str
+    topic: Sym
+    subscriber: Sym
 
 
 @dataclass(slots=True)
@@ -396,9 +440,9 @@ class Unsubscribe(Message):
 
     kind: ClassVar[int] = 9
 
-    uuid: str
-    topic: str
-    subscriber: str
+    uuid: Str
+    topic: Sym
+    subscriber: Sym
 
 
 @dataclass(slots=True)
@@ -414,10 +458,10 @@ class PingRequest(Message):
 
     kind: ClassVar[int] = 6
 
-    uuid: str
-    sent_at: float
-    reply_host: str
-    reply_port: int
+    uuid: Str
+    sent_at: F64
+    reply_host: Sym
+    reply_port: U16
     trace_flag: bool = False
     trace_hop: int = 0
 
@@ -428,9 +472,9 @@ class PingResponse(Message):
 
     kind: ClassVar[int] = 7
 
-    uuid: str
-    sent_at: float
-    broker_id: str
+    uuid: Str
+    sent_at: F64
+    broker_id: Sym
     trace_flag: bool = False
     trace_hop: int = 0
 
@@ -466,11 +510,11 @@ class LeaseClaim(Message):
 
     kind: ClassVar[int] = 11
 
-    group: str
-    candidate: str
-    term: int
-    duration: float
-    sent_at: float = 0.0
+    group: Sym
+    candidate: Sym
+    term: U32
+    duration: F64
+    sent_at: F64 = 0.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.term <= 0xFFFFFFFF:
@@ -505,12 +549,12 @@ class LeaseVote(Message):
 
     kind: ClassVar[int] = 12
 
-    group: str
-    voter: str
-    term: int
-    granted: bool
-    claim_sent_at: float = 0.0
-    leader_hint: str = ""
+    group: Sym
+    voter: Sym
+    term: U32
+    granted: Flag
+    claim_sent_at: F64 = 0.0
+    leader_hint: Sym = ""
 
     def __post_init__(self) -> None:
         if not 0 <= self.term <= 0xFFFFFFFF:
@@ -543,10 +587,10 @@ class ReplicaAppend(Message):
 
     kind: ClassVar[int] = 13
 
-    group: str
-    leader: str
-    term: int
-    seq: int
+    group: Sym
+    leader: Sym
+    term: U32
+    seq: U64
     ad: BrokerAdvertisement
 
     def __post_init__(self) -> None:
@@ -566,10 +610,10 @@ class ReplicaAck(Message):
 
     kind: ClassVar[int] = 14
 
-    group: str
-    member: str
-    term: int
-    seq: int
+    group: Sym
+    member: Sym
+    term: U32
+    seq: U64
 
     def __post_init__(self) -> None:
         if not 0 <= self.term <= 0xFFFFFFFF:
@@ -598,9 +642,9 @@ class AntiEntropyDigest(Message):
 
     kind: ClassVar[int] = 15
 
-    group: str
-    member: str
-    entries: tuple[tuple[str, float], ...] = ()
+    group: Sym
+    member: Sym
+    entries: Annotated[tuple[tuple[str, float], ...], ("H", "sym", "d")] = ()
 
     def __post_init__(self) -> None:
         for broker_id, issued_at in self.entries:
@@ -621,9 +665,9 @@ class AntiEntropyDelta(Message):
 
     kind: ClassVar[int] = 16
 
-    group: str
-    member: str
-    ads: tuple[BrokerAdvertisement, ...] = ()
+    group: Sym
+    member: Sym
+    ads: Annotated[tuple[BrokerAdvertisement, ...], ("H", BrokerAdvertisement)] = ()
 
 
 @dataclass(slots=True)
@@ -637,14 +681,14 @@ class AdvertisementAck(Message):
 
     kind: ClassVar[int] = 17
 
-    broker_id: str
-    bdn: str
-    leader_hint: str = ""
+    broker_id: Sym
+    bdn: Sym
+    leader_hint: Sym = ""
 
 
-#: Every concrete wire message type, in tag order.  The codec keys its
-#: encoder/decoder/sizer tables on these tags; the fuzz suite iterates
-#: this registry so a newly added message type is covered automatically.
+#: Every concrete wire message type, in tag order: the codec compiles
+#: each one's wire form from its declaration, and the fuzz suite iterates
+#: this registry, so a new message type is sent and covered once listed.
 WIRE_MESSAGE_TYPES: tuple[type[Message], ...] = (
     Event,
     Ack,
@@ -664,12 +708,6 @@ WIRE_MESSAGE_TYPES: tuple[type[Message], ...] = (
     AntiEntropyDelta,
     AdvertisementAck,
 )
-
-#: Wire type tag -> message class (tags 1-17; 0 is the abstract base).
-MESSAGE_TYPE_BY_TAG: dict[int, type[Message]] = {
-    cls.kind: cls for cls in WIRE_MESSAGE_TYPES
-}
-assert len(MESSAGE_TYPE_BY_TAG) == len(WIRE_MESSAGE_TYPES), "duplicate wire tag"
 
 
 def traced(message: Message, hop: int | None = None) -> Message:

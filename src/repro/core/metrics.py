@@ -21,6 +21,7 @@ metric with respect to other factors").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 __all__ = ["UsageMetrics", "WeightConfig", "broker_weight", "OverloadStats"]
 
@@ -49,12 +50,12 @@ class UsageMetrics:
         model -- the pre-overload behaviour, and the default.
     """
 
-    free_memory: int
-    total_memory: int
-    num_links: int
-    num_connections: int
-    cpu_load: float = 0.0
-    queue_depth: int = 0
+    free_memory: Annotated[int, "Q"]  # wire kinds: repro.core.messages
+    total_memory: Annotated[int, "Q"]
+    num_links: Annotated[int, "I"]
+    num_connections: Annotated[int, "I"]
+    cpu_load: Annotated[float, "d"] = 0.0
+    queue_depth: Annotated[int, "I"] = 0
 
     def __post_init__(self) -> None:
         if self.total_memory <= 0:

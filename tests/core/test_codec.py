@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import codec
 from repro.core.codec import decode_message, encode_message, wire_size
 from repro.core.errors import CodecError
 from repro.core.messages import (
@@ -26,6 +29,9 @@ from repro.core.messages import (
     ReplicaAppend,
     Subscribe,
     Unsubscribe,
+    WIRE_MESSAGE_TYPES,
+    Str,
+    U8,
     traced,
 )
 from repro.core.metrics import UsageMetrics
@@ -344,3 +350,38 @@ class TestLeaderHintTrailer:
         buf = encode_message(Ack(uuid="u", acked_by="x"))
         with pytest.raises(CodecError):
             decode_message(buf + b"\x4c\x00\x01a")
+
+
+class TestDeclaredOnce:
+    """Every wire layout is read off its message class's declaration."""
+
+    def test_every_field_is_a_body_field_or_a_trailer(self):
+        for cls in WIRE_MESSAGE_TYPES:
+            body = [name for name, *_ in codec._row(cls)]
+            declared = [f.name for f in dataclasses.fields(cls)]
+            assert declared[: len(body)] == body, cls
+            assert set(declared[len(body):]) <= {"trace_flag", "trace_hop", "leader_hint"}, cls
+
+    def test_field_without_a_wire_kind_is_a_type_error(self):
+        @dataclasses.dataclass(slots=True)
+        class Unsent(Message):
+            uuid: Str
+            note: str = ""
+
+        with pytest.raises(TypeError, match=r"Unsent\.note"):
+            codec._row(Unsent)
+
+    def test_body_field_after_a_trailer_is_a_type_error(self):
+        @dataclasses.dataclass(slots=True)
+        class Late(Message):
+            uuid: Str
+            trace_flag: bool = False
+            attempt: U8 = 0
+
+        with pytest.raises(TypeError, match=r"Late\.attempt"):
+            codec._row(Late)
+
+    def test_derived_tag_sets_equal_the_lists_they_replace(self):
+        assert codec._TRACEABLE_KINDS == {3, 4, 5, 6, 7, 10}
+        assert codec._HINTABLE_KINDS == {5, 10}
+        assert codec._UUID_FIRST_TAGS == {1, 2, 4, 5, 6, 7, 8, 9, 10}

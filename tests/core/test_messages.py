@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 import pytest
 
@@ -114,19 +115,20 @@ class TestDiscoveryRequest:
         """The copies call the constructor by hand; a field added later
         and left out of that call would silently reset to its default."""
         values = {}
+        hints = typing.get_type_hints(DiscoveryRequest)  # wire kinds stripped
         for i, f in enumerate(dataclasses.fields(DiscoveryRequest), start=3):
-            kind = f.type.split("[")[0]  # annotations are strings here
+            kind = typing.get_origin(hints[f.name]) or hints[f.name]
             if f.name == "trace_flag":
                 values[f.name] = traced
-            elif kind == "str":
+            elif kind is str:
                 values[f.name] = f"{f.name}-{i}"
-            elif kind == "int":
+            elif kind is int:
                 values[f.name] = i
-            elif kind == "float":
+            elif kind is float:
                 values[f.name] = i + 0.5
-            elif kind == "tuple":
+            elif kind is tuple:
                 values[f.name] = (f"t{i}",)
-            elif kind == "frozenset":
+            elif kind is frozenset:
                 values[f.name] = frozenset({f"c{i}"})
             else:
                 pytest.fail(f"give DiscoveryRequest.{f.name} a non-default value here")

@@ -32,7 +32,11 @@ the kept log without ``PingRequest`` / ``PingResponse`` records.  A
 change that only drops BDN pings keeps both digests and processes two
 events fewer per ping dropped: the ping's delivery and its pong's.  A
 change that only schedules the same pings with fewer events keeps both
-digests and both ping counts.
+digests and both ping counts.  The same mode then prints one line per
+wire tag: the tag, its message class and the sha256 of the codec source
+compiled for it (``linecache.getlines("<repro.core.codec Cls>")``), so
+a change to the codec shows its code-generation diff, and a refactor of
+it shows identical lines.
 
 The file name keeps it out of pytest's collection: it is a tool, not a
 test, and a full run takes minutes.
@@ -43,8 +47,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import linecache
 import sys
 
+import repro.core.codec  # noqa: F401  (importing it compiles and registers each tag's source)
+from repro.core.messages import WIRE_MESSAGE_TYPES
 from repro.discovery import chaos
 from repro.discovery.chaos import STORM_KINDS, run_chaos
 from repro.experiments.scenarios import DiscoveryScenario, ScenarioSpec
@@ -65,7 +72,8 @@ def _short(value: object) -> str:
 
 
 def golden_worlds() -> None:
-    """Print the exact-fabric traffic of the star and linear golden worlds."""
+    """Print the exact-fabric traffic of the star and linear golden worlds,
+    then the digest of each wire tag's compiled codec source."""
     for label, ctor in GOLDEN_WORLDS:
         spec = dataclasses.replace(ctor(seed=5), jitter_sigma=0.0, per_hop_loss=0.0)
         scenario = DiscoveryScenario(spec, keep_trace=True)
@@ -89,6 +97,10 @@ def golden_worlds() -> None:
             f"outcomes {_short(decided)}  log without pings {_short(kept)}",
             flush=True,
         )
+    for cls in WIRE_MESSAGE_TYPES:
+        source = "".join(linecache.getlines(f"<repro.core.codec {cls.__name__}>"))
+        digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+        print(f"codegen {cls.kind:>2} {cls.__name__:<19} {digest}", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
