@@ -18,8 +18,8 @@ the spirit of the replicated discovery tiers of related systems
   own belief in its lease is computed from claim *send* times, which
   always expires no later than any voter's receipt-measured grant.
   Election timeouts are staggered by member index -- deterministic
-  under :class:`~repro.runtime.sim.SimRuntime` (no randomness is
-  drawn) and plain wall-clock under the asyncio runtime.
+  under the simulated :class:`~repro.simnet.network.Network` runtime
+  (no randomness is drawn) and plain wall-clock under the asyncio runtime.
 * **Log-style replication.**  The leader applies each accepted
   advertisement to its own registry first (read-your-own-ads: a broker
   that renews its heartbeat with the leader is immediately visible to

@@ -4,8 +4,8 @@ The registry is the single namespaced home for what were scattered
 ad-hoc counters (every emitted event as ``obs.event.<name>``,
 ``requests_shed``, ``busy_received``, breaker trips, ingress-queue
 depth/peak).  It is runtime-agnostic: a :class:`MetricsRegistry` never
-reads a clock itself, so the same code path serves
-:class:`~repro.runtime.sim.SimRuntime` (virtual time) and
+reads a clock itself, so the same code path serves the simulated
+:class:`~repro.simnet.network.Network` runtime (virtual time) and
 :class:`~repro.runtime.aio.AioRuntime` (wall time) -- timestamps only
 enter through what callers observe.
 

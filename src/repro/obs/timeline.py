@@ -21,8 +21,8 @@ protocol flows (a ``request_sent`` precedes the matching ``recv``; an
 The requester emits a ``phase`` span at exactly the points it calls
 :meth:`PhaseTimer.begin <repro.discovery.phases.PhaseTimer.begin>`,
 reading the same runtime clock, so the timeline's per-phase shares
-agree with :meth:`PhaseTimer.percentages` (identically under
-SimRuntime, within measurement noise under AioRuntime).
+agree with :meth:`PhaseTimer.percentages` (identically under the
+simulated runtime, within measurement noise under AioRuntime).
 """
 
 from __future__ import annotations

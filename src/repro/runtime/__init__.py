@@ -1,10 +1,12 @@
 """Runtime layer: one protocol core, pluggable schedulers/transports.
 
 Engines import the contract from :mod:`repro.runtime.api`; worlds pick
-an implementation -- :class:`~repro.runtime.sim.SimRuntime` for
-deterministic discrete-event simulation or
-:class:`~repro.runtime.aio.AioRuntime` for real asyncio sockets -- via
-:func:`create_runtime` or by constructing one directly.
+an implementation -- a :class:`~repro.simnet.network.Network` (the
+simulated fabric is its own runtime) for deterministic discrete-event
+simulation or :class:`~repro.runtime.aio.AioRuntime` for real asyncio
+sockets -- via :func:`create_runtime` or by constructing one directly.
+Both keep their hosts and multicast groups in one
+:class:`~repro.runtime.hosts.Hosts`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ def create_runtime(kind: str, **kwargs: Any) -> Runtime:
     """Build a runtime by configured kind (``"sim"`` or ``"aio"``).
 
     ``sim`` forwards ``kwargs`` to :class:`~repro.simnet.network.Network`
-    (``sim=``, ``latency=``, ``loss=``, ...) and returns the shared
-    adapter for that fabric; ``aio`` forwards to
+    (``sim=``, ``latency=``, ``loss=``, ...) and returns that fabric, or
+    returns ``network=`` itself; ``aio`` forwards to
     :class:`~repro.runtime.aio.AioRuntime` (``bind_ip=``, ``port_plan=``).
     """
     if kind == "sim":
@@ -43,7 +45,7 @@ def create_runtime(kind: str, **kwargs: Any) -> Runtime:
             network = Network(**kwargs)
         elif kwargs:
             raise TypeError(f"unexpected arguments with explicit network: {sorted(kwargs)}")
-        return as_runtime(network)
+        return network
     if kind == "aio":
         from repro.runtime.aio import AioRuntime
 

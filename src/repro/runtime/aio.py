@@ -28,10 +28,11 @@ system sockets.  Design points:
   ``call_later``, and a periodic series keeps its own schedule, so its
   period is its interval.
 * **Multicast is emulated in-registry.**  CI loopback offers no IGMP;
-  group membership lives in the runtime and :meth:`multicast` fans out
-  real unicast datagrams to in-realm members -- same visible semantics
-  as the simulated fabric (realm-scoped, capability-gated), real
-  packets on the wire.
+  group membership lives in the same :class:`~repro.runtime.hosts.Hosts`
+  table the simulated fabric uses, and :meth:`multicast` fans out real
+  unicast datagrams to its in-realm members -- the fabric's semantics
+  (realm-scoped, capability-gated, left on unbind) by the same code,
+  real packets on the wire.
 * **TCP links are length-prefixed frames.**  Each
   :class:`AioConnection` satisfies the :class:`~repro.runtime.api.Link`
   protocol; a one-frame preamble announces the connector's symbolic
@@ -55,9 +56,10 @@ from typing import Any
 
 from repro.core.codec import decode_message, encode_message
 from repro.core.config import Endpoint
-from repro.core.errors import CodecError, TransportError, UnknownHostError
+from repro.core.errors import CodecError, TransportError
 from repro.core.messages import Message
 from repro.runtime.api import Handler, Link
+from repro.runtime.hosts import Hosts
 
 __all__ = ["AioRuntime", "AioTimerHandle", "AioConnection"]
 
@@ -100,13 +102,6 @@ class AioTimerHandle:
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
-
-
-@dataclass
-class _AioHostInfo:
-    site: str
-    realm: str
-    multicast_enabled: bool
 
 
 @dataclass
@@ -209,12 +204,18 @@ class AioRuntime:
         self._port_plan: dict[Endpoint, int] = dict(port_plan or {})
         self._loop: asyncio.AbstractEventLoop | None = None
         self._t0: float | None = None
-        self._hosts: dict[str, _AioHostInfo] = {}
+        self.hosts = hosts = Hosts()
+        self.register_host = hosts.register
+        self.site_of = hosts.site_of
+        self.realm_of = hosts.realm_of
+        self.multicast_enabled = hosts.multicast_enabled
+        self.leave_multicast = hosts.leave
+        self.multicast_members = hosts.members
+        self._info = hosts.info
         self._udp: dict[Endpoint, _UdpBinding] = {}
         self._listeners: dict[Endpoint, _TcpListener] = {}
         self._real_addr: dict[Endpoint, tuple[str, int]] = {}
         self._by_real: dict[tuple[str, int], Endpoint] = {}
-        self._multicast_groups: dict[str, set[Endpoint]] = {}
         self._tasks: set[asyncio.Task] = set()
         self._egress: socket.socket | None = None
         self.errors: deque[str] = deque(maxlen=max_errors)
@@ -399,42 +400,8 @@ class AioRuntime:
             self._note_error(f"timer callback failed: {exc!r}")
 
     # ------------------------------------------------------------------
-    # Host registry
+    # Address mapping
     # ------------------------------------------------------------------
-    def register_host(
-        self,
-        host: str,
-        site: str,
-        realm: str | None = None,
-        multicast_enabled: bool = True,
-    ) -> None:
-        """Attach a symbolic host to a site/realm (mirrors the fabric)."""
-        if host in self._hosts:
-            raise TransportError(f"host {host!r} already registered")
-        self._hosts[host] = _AioHostInfo(
-            site=site,
-            realm=realm if realm is not None else site,
-            multicast_enabled=multicast_enabled,
-        )
-
-    def _info(self, host: str) -> _AioHostInfo:
-        info = self._hosts.get(host)
-        if info is None:
-            raise UnknownHostError(f"unknown host {host!r}")
-        return info
-
-    def site_of(self, host: str) -> str:
-        """Site a host was registered with."""
-        return self._info(host).site
-
-    def realm_of(self, host: str) -> str:
-        """Realm a host was registered with."""
-        return self._info(host).realm
-
-    def multicast_enabled(self, host: str) -> bool:
-        """Whether ``host`` may use the (emulated) multicast service."""
-        return self._info(host).multicast_enabled
-
     def map_endpoint(self, endpoint: Endpoint, real_ip: str, real_port: int) -> None:
         """Pre-seed the symbolic->real address mapping (cross-process use)."""
         self._real_addr[endpoint] = (real_ip, real_port)
@@ -499,8 +466,7 @@ class AioRuntime:
         real = self._real_addr.pop(endpoint, None)
         if real is not None:
             self._by_real.pop(real, None)
-        for members in self._multicast_groups.values():
-            members.discard(endpoint)
+        self.hosts.leave_all(endpoint)
         self.loop().remove_reader(binding.sock)
         binding.sock.close()
 
@@ -541,31 +507,15 @@ class AioRuntime:
         """Subscribe a bound endpoint to ``group``."""
         if endpoint not in self._udp:
             raise TransportError(f"{endpoint} must be UDP-bound before joining multicast")
-        if not self._info(endpoint.host).multicast_enabled:
-            raise TransportError(f"multicast disabled on host {endpoint.host!r}")
-        self._multicast_groups.setdefault(group, set()).add(endpoint)
-
-    def leave_multicast(self, group: str, endpoint: Endpoint) -> None:
-        """Unsubscribe ``endpoint`` from ``group`` (idempotent)."""
-        members = self._multicast_groups.get(group)
-        if members is not None:
-            members.discard(endpoint)
-
-    def multicast_members(self, group: str) -> frozenset[Endpoint]:
-        """Current members of ``group`` (all realms)."""
-        return frozenset(self._multicast_groups.get(group, ()))
+        self.hosts.join(group, endpoint)
 
     def multicast(self, src: Endpoint, group: str, message: Message) -> int:
         """Unicast ``message`` to every in-realm member of ``group``."""
-        if not self._info(src.host).multicast_enabled:
-            raise TransportError(f"multicast disabled on host {src.host!r}")
-        realm = self.realm_of(src.host)
         reached = 0
-        for member in sorted(self._multicast_groups.get(group, ())):
-            if member == src or self._info(member.host).realm != realm:
-                continue
-            self.send_udp(src, member, message)
-            reached += 1
+        for member in self.hosts.audience(src, group):
+            if member != src:
+                self.send_udp(src, member, message)
+                reached += 1
         return reached
 
     # ------------------------------------------------------------------

@@ -16,13 +16,12 @@ runtime surface they are allowed to touch instead:
 
 Two implementations ship with the repo:
 
-* :class:`repro.runtime.sim.SimRuntime` -- a zero-overhead bundle over
-  the existing :class:`~repro.simnet.simulator.Simulator` and
-  :class:`~repro.simnet.network.Network` (the fabric already satisfies
-  the :class:`Transport` protocol structurally; the simulator satisfies
-  :class:`Scheduler`).  Event ordering and trace output are
-  bit-identical to the pre-abstraction code -- the determinism tests
-  pin that with golden trace digests.
+* :class:`repro.simnet.network.Network` -- the simulated fabric is
+  itself the sim runtime: it is the :class:`Transport`, and its
+  ``schedule`` / ``schedule_at`` / ``call_every`` are its
+  :class:`~repro.simnet.simulator.Simulator`'s own bound methods, so
+  a timer costs no adapter frame.  The determinism tests pin event
+  ordering and trace output with golden trace digests.
 * :class:`repro.runtime.aio.AioRuntime` -- real asyncio UDP/TCP sockets
   on localhost with a wall-clock scheduler.  Loss is whatever the real
   network does; there is no simulated loss model.
@@ -219,19 +218,11 @@ class OwnedTimers:
 def as_runtime(fabric: Any) -> Runtime:
     """Coerce ``fabric`` into a :class:`Runtime`.
 
-    Accepts either an object already exposing the runtime surface (it
-    is returned unchanged) or a :class:`~repro.simnet.network.Network`,
-    which is wrapped in a (cached, shared) ``SimRuntime`` so every node
-    of one simulated world speaks through the same adapter.
+    Returns an object already exposing the runtime surface -- a
+    :class:`~repro.simnet.network.Network`, an
+    :class:`~repro.runtime.aio.AioRuntime`, or a proxy over either --
+    unchanged, and rejects anything else.
     """
     if hasattr(fabric, "kind") and hasattr(fabric, "schedule") and hasattr(fabric, "send_udp"):
         return fabric
-    if hasattr(fabric, "sim") and hasattr(fabric, "send_udp"):
-        from repro.runtime.sim import SimRuntime
-
-        cached = getattr(fabric, "_runtime_adapter", None)
-        if cached is None:
-            cached = SimRuntime(fabric)
-            fabric._runtime_adapter = cached
-        return cached
     raise TypeError(f"cannot derive a Runtime from {type(fabric).__name__}")

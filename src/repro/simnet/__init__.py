@@ -14,9 +14,10 @@ It provides:
   router hop count, exactly the property the paper exploits ("if the
   responses were to traverse over multiple router hops the chances that
   the packets would be lost would be higher").
-* :mod:`repro.simnet.network` -- the fabric: host registration, UDP
-  datagrams, TCP-like reliable connections with setup cost, and
-  realm-scoped multicast.
+* :mod:`repro.simnet.network` -- the fabric, which is also the sim
+  runtime: UDP datagrams, TCP-like reliable connections with setup
+  cost, and realm-scoped multicast over a shared
+  :class:`~repro.runtime.hosts.Hosts` table.
 * :mod:`repro.simnet.node` -- base class for simulated processes
   (brokers, BDNs, clients).
 
@@ -28,7 +29,7 @@ from repro.simnet.simulator import Simulator, ScheduledEvent
 from repro.simnet.clock import Clock, NTPService
 from repro.simnet.latency import LatencyModel, MatrixLatencyModel, UniformLatencyModel
 from repro.simnet.loss import LossModel, NoLoss, UniformLoss, PerHopLoss
-from repro.simnet.network import Network, Datagram, Connection
+from repro.simnet.network import Network, Connection
 from repro.simnet.node import Node
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "UniformLoss",
     "PerHopLoss",
     "Network",
-    "Datagram",
     "Connection",
     "Node",
 ]

@@ -1,4 +1,9 @@
-"""The network fabric: hosts, UDP, TCP-like connections, multicast.
+"""The network fabric, and the sim runtime: UDP, TCP-like connections, multicast.
+
+A :class:`Network` is the whole :class:`~repro.runtime.api.Runtime` of a
+simulated node: the fabric is the transport, the scheduler is its
+:class:`~repro.simnet.simulator.Simulator`'s bound methods, and hosts
+and multicast groups live in a :class:`~repro.runtime.hosts.Hosts`.
 
 The fabric is the single place where simulated packets acquire delay
 (via a :class:`~repro.simnet.latency.LatencyModel`) and may be dropped
@@ -18,7 +23,8 @@ The fabric is the single place where simulated packets acquire delay
 
 Hosts are registered with a *site* (keys the latency matrix) and a
 *realm* (scopes multicast and response policies).  Binding is by
-``(host, port)`` endpoint; handlers receive decoded message objects plus
+``(host, port)`` endpoint; unbinding one also leaves every multicast
+group it joined; handlers receive decoded message objects plus
 the source endpoint.
 
 The fabric also carries **fault state** (exercised by
@@ -45,13 +51,14 @@ import numpy as np
 
 from repro.core.codec import wire_size
 from repro.core.config import Endpoint
-from repro.core.errors import TransportError, UnknownHostError
+from repro.core.errors import TransportError
 from repro.core.messages import Message
+from repro.runtime.hosts import Hosts
 from repro.simnet.latency import LatencyModel, UniformLatencyModel
 from repro.simnet.loss import LossModel, NoLoss
 from repro.simnet.simulator import Simulator
 
-__all__ = ["Network", "Datagram", "Connection"]
+__all__ = ["Network", "Connection"]
 
 Handler = Callable[[Message, Endpoint], None]
 
@@ -59,28 +66,6 @@ Handler = Callable[[Message, Endpoint], None]
 # collection cost is charged to the *local* node when a short-lived
 # connection closes (the paper's argument against TCP responses).
 _TCP_SETUP_RTTS = 1.0
-
-
-@dataclass(frozen=True, slots=True)
-class Datagram:
-    """A UDP datagram in flight.
-
-    Kept as a public value type for callers that want to model one; the
-    network's own delivery path passes the fields as plain scheduler
-    arguments instead of allocating a record per datagram.
-    """
-
-    message: Message
-    src: Endpoint
-    dst: Endpoint
-    size: int
-
-
-@dataclass(frozen=True, slots=True)
-class _HostInfo:
-    site: str
-    realm: str
-    multicast_enabled: bool
 
 
 @dataclass(slots=True)
@@ -177,7 +162,7 @@ class Connection:
 
 
 class Network:
-    """The simulated internet connecting every node.
+    """The simulated internet connecting every node, and the sim runtime.
 
     Parameters
     ----------
@@ -196,6 +181,8 @@ class Network:
         ``tcp_severed`` / ``tcp_syn_cut``), named by host.
     """
 
+    kind = "sim"
+
     def __init__(
         self,
         sim: Simulator,
@@ -209,10 +196,20 @@ class Network:
         self.loss = loss if loss is not None else NoLoss()
         self.rng = rng if rng is not None else np.random.default_rng()
         self.obs = obs
-        self._hosts: dict[str, _HostInfo] = {}
+        # Runtime surface, bound straight to its owners (no wrapper frame).
+        self.schedule = sim.schedule
+        self.schedule_at = sim.schedule_at
+        self.call_every = sim.call_every
+        self.hosts = hosts = Hosts()
+        self.register_host = hosts.register
+        self.site_of = hosts.site_of
+        self.realm_of = hosts.realm_of
+        self.multicast_enabled = hosts.multicast_enabled
+        self.leave_multicast = hosts.leave
+        self.multicast_members = hosts.members
+        self._info = hosts.info
         self._udp_bindings: dict[Endpoint, Handler] = {}
         self._tcp_listeners: dict[Endpoint, Callable[[Connection], None]] = {}
-        self._multicast_groups: dict[str, set[Endpoint]] = {}
         # Fault state: cut host pairs, the active partition (host ->
         # group id; hosts absent from every group share the implicit
         # ``None`` group), and per-link loss-model overrides.
@@ -220,10 +217,8 @@ class Network:
         self._partition: dict[str, int] | None = None
         self._link_loss: dict[tuple[str, str], LossModel] = {}
         self._connections: list[Connection] = []
-        # Hot-path caches, dropped wholesale on any fault, topology or
-        # membership change.
+        # Hot-path cache, dropped wholesale on any fault or topology change.
         self._path_cache: dict[tuple[str, str], _PathRecord] = {}
-        self._mcast_cache: dict[tuple[str, str], tuple[Endpoint, ...]] = {}
         # One-entry wire-size memo: a fan-out sends the *same* message
         # object over many links back to back, so the last (object,
         # size) pair hits almost every time.  Holding one reference is
@@ -240,44 +235,10 @@ class Network:
         self.connections_opened = 0
         self.connections_severed = 0
 
-    # ------------------------------------------------------------------
-    # Host registry
-    # ------------------------------------------------------------------
-    def register_host(
-        self,
-        host: str,
-        site: str,
-        realm: str | None = None,
-        multicast_enabled: bool = True,
-    ) -> None:
-        """Attach ``host`` to ``site`` (latency) and ``realm`` (multicast scope).
-
-        ``realm`` defaults to the site name, which models one multicast
-        domain per institution.
-        """
-        if host in self._hosts:
-            raise TransportError(f"host {host!r} already registered")
-        self._hosts[host] = _HostInfo(
-            site=site, realm=realm if realm is not None else site, multicast_enabled=multicast_enabled
-        )
-
-    def site_of(self, host: str) -> str:
-        """Site a host belongs to (raises for unknown hosts)."""
-        return self._info(host).site
-
-    def realm_of(self, host: str) -> str:
-        """Multicast/security realm a host belongs to."""
-        return self._info(host).realm
-
-    def multicast_enabled(self, host: str) -> bool:
-        """Whether ``host`` may use multicast at all."""
-        return self._info(host).multicast_enabled
-
-    def _info(self, host: str) -> _HostInfo:
-        info = self._hosts.get(host)
-        if info is None:
-            raise UnknownHostError(f"unknown host {host!r}")
-        return info
+    @property
+    def now(self) -> float:
+        """Current virtual time in seconds."""
+        return self.sim._now
 
     # ------------------------------------------------------------------
     # Link faults and partitions
@@ -431,8 +392,9 @@ class Network:
         self._udp_bindings[endpoint] = handler
 
     def unbind_udp(self, endpoint: Endpoint) -> None:
-        """Detach the handler at ``endpoint`` (idempotent)."""
+        """Detach the handler at ``endpoint`` and leave its groups (idempotent)."""
         self._udp_bindings.pop(endpoint, None)
+        self.hosts.leave_all(endpoint)
 
     def send_udp(self, src: Endpoint, dst: Endpoint, message: Message) -> None:
         """Fire-and-forget datagram; may be silently lost in transit.
@@ -502,21 +464,7 @@ class Network:
         """
         if endpoint not in self._udp_bindings:
             raise TransportError(f"{endpoint} must be UDP-bound before joining multicast")
-        if not self._info(endpoint.host).multicast_enabled:
-            raise TransportError(f"multicast disabled on host {endpoint.host!r}")
-        self._multicast_groups.setdefault(group, set()).add(endpoint)
-        self._mcast_cache.clear()
-
-    def leave_multicast(self, group: str, endpoint: Endpoint) -> None:
-        """Unsubscribe ``endpoint`` from ``group`` (idempotent)."""
-        members = self._multicast_groups.get(group)
-        if members is not None:
-            members.discard(endpoint)
-        self._mcast_cache.clear()
-
-    def multicast_members(self, group: str) -> frozenset[Endpoint]:
-        """Current members of ``group`` (all realms)."""
-        return frozenset(self._multicast_groups.get(group, ()))
+        self.hosts.join(group, endpoint)
 
     def multicast(self, src: Endpoint, group: str, message: Message) -> int:
         """Send ``message`` to every group member in the sender's realm.
@@ -526,35 +474,12 @@ class Network:
         sender's realm never see it: WAN multicast is administratively
         disabled, as in the paper's testbed.
         """
-        if not self._info(src.host).multicast_enabled:
-            raise TransportError(f"multicast disabled on host {src.host!r}")
-        realm = self.realm_of(src.host)
-        members = self._in_realm_members(group, realm)
         reached = 0
-        for member in members:
-            if member == src:
-                continue
-            self.send_udp(src, member, message)
-            reached += 1
+        for member in self.hosts.audience(src, group):
+            if member != src:
+                self.send_udp(src, member, message)
+                reached += 1
         return reached
-
-    def _in_realm_members(self, group: str, realm: str) -> tuple[Endpoint, ...]:
-        """Sorted group members within ``realm``.
-
-        The whole fan-out is resolved once per (group, realm) and
-        reused for every subsequent multicast -- membership and realms
-        change only on join/leave, not per datagram.
-        """
-        key = (group, realm)
-        members = self._mcast_cache.get(key)
-        if members is None:
-            members = tuple(
-                m
-                for m in sorted(self._multicast_groups.get(group, ()))
-                if self._info(m.host).realm == realm
-            )
-            self._mcast_cache[key] = members
-        return members
 
     # ------------------------------------------------------------------
     # TCP

@@ -36,9 +36,9 @@ class Node:
         Hostname, already registered (or registered here) with the
         transport.
     network:
-        The runtime this node communicates through -- a
-        :class:`~repro.runtime.api.Runtime`, or a bare simulated
-        :class:`~repro.simnet.network.Network` (adapted automatically).
+        The runtime this node communicates through -- any
+        :class:`~repro.runtime.api.Runtime`: a simulated
+        :class:`~repro.simnet.network.Network` is one.
     rng:
         Node-private randomness; derive one per node from the master
         seed so nodes are statistically independent but reproducible.

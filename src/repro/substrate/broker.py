@@ -212,8 +212,6 @@ class Broker(Node):
             self.ingress.reset()  # a crashed process loses its socket buffer
         self.runtime.stop_listening(self.client_endpoint)
         self.runtime.stop_listening(self.link_endpoint)
-        if self.runtime.multicast_enabled(self.host):
-            self.runtime.leave_multicast(DISCOVERY_GROUP, self.udp_endpoint)
         for conn in list(self._links.values()):
             conn.close()
         for conn in list(self._clients.values()):

@@ -16,9 +16,10 @@ import pytest
 from repro.core.codec import encode_message
 from repro.core.config import Endpoint
 from repro.core.messages import Ack, PingRequest
-from repro.core.errors import TransportError, UnknownHostError
+from repro.core.errors import TransportError
 from repro.runtime import create_runtime
 from repro.runtime.aio import AioRuntime
+from tests.runtime.hosts_contract import AioSide, HostRegistryContract, MulticastContract
 
 
 def run(coro):
@@ -39,28 +40,8 @@ async def until(condition, tries: int = 400) -> bool:
     return condition()
 
 
-class TestHostRegistry:
-    def test_register_and_query(self):
-        async def scenario():
-            rt = AioRuntime()
-            rt.register_host("a.local", "site-a", realm="lab", multicast_enabled=False)
-            assert rt.site_of("a.local") == "site-a"
-            assert rt.realm_of("a.local") == "lab"
-            assert rt.multicast_enabled("a.local") is False
-            with pytest.raises(UnknownHostError):
-                rt.site_of("ghost.local")
-            with pytest.raises(TransportError):
-                rt.register_host("a.local", "elsewhere")
-
-        run(scenario())
-
-    def test_realm_defaults_to_site(self):
-        async def scenario():
-            rt = AioRuntime()
-            rt.register_host("a.local", "site-a")
-            assert rt.realm_of("a.local") == "site-a"
-
-        run(scenario())
+class TestHostRegistry(HostRegistryContract):
+    Side = AioSide
 
 
 class TestScheduler:
@@ -522,46 +503,8 @@ class TestPortPlan:
         run(scenario())
 
 
-class TestMulticast:
-    def test_realm_scoped_fanout(self):
-        async def scenario():
-            rt = AioRuntime()
-            rt.register_host("a.local", "sa", realm="lab")
-            rt.register_host("b.local", "sb", realm="lab")
-            rt.register_host("c.local", "sc", realm="other-lab")
-            endpoints = {
-                name: Endpoint(f"{name}.local", 10) for name in ("a", "b", "c")
-            }
-            boxes = {name: [] for name in endpoints}
-            for name, ep in endpoints.items():
-                rt.bind_udp(ep, lambda m, s, name=name: boxes[name].append(m))
-                rt.join_multicast("g", ep)
-            await rt.ready()
-            reached = rt.multicast(endpoints["a"], "g", Ack(uuid="m", acked_by="a"))
-            await settle()
-            assert reached == 1  # b only: same realm, sender excluded
-            assert len(boxes["b"]) == 1
-            assert boxes["a"] == [] and boxes["c"] == []
-            await rt.aclose()
-
-        run(scenario())
-
-    def test_multicast_requires_capability_and_binding(self):
-        async def scenario():
-            rt = AioRuntime()
-            rt.register_host("nomc.local", "s", multicast_enabled=False)
-            ep = Endpoint("nomc.local", 10)
-            rt.bind_udp(ep, lambda m, s: None)
-            with pytest.raises(TransportError):
-                rt.join_multicast("g", ep)
-            with pytest.raises(TransportError):
-                rt.multicast(ep, "g", Ack(uuid="m", acked_by="x"))
-            unbound = Endpoint("nomc.local", 99)
-            with pytest.raises(TransportError):
-                rt.join_multicast("g", unbound)
-            await rt.aclose()
-
-        run(scenario())
+class TestMulticast(MulticastContract):
+    Side = AioSide
 
 
 class TestTcpLinks:

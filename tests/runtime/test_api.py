@@ -8,7 +8,6 @@ from repro.core.errors import UnknownHostError
 from repro.runtime import create_runtime
 from repro.runtime.api import Runtime, Scheduler, TimerHandle, Transport, as_runtime
 from repro.runtime.aio import AioRuntime
-from repro.runtime.sim import SimRuntime
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
 
@@ -21,7 +20,7 @@ class TestStructuralConformance:
         assert isinstance(Network(Simulator()), Transport)
 
     def test_sim_runtime_is_a_runtime(self):
-        rt = SimRuntime(Network(Simulator()))
+        rt = Network(Simulator())
         assert isinstance(rt, Runtime)
         assert rt.kind == "sim"
 
@@ -39,16 +38,11 @@ class TestStructuralConformance:
 
 
 class TestAsRuntime:
-    def test_network_is_wrapped_and_cached(self):
+    def test_network_is_its_own_runtime(self):
         net = Network(Simulator())
-        rt = as_runtime(net)
-        assert isinstance(rt, SimRuntime)
-        assert rt.network is net
-        assert as_runtime(net) is rt  # one shared adapter per fabric
+        assert as_runtime(net) is net
 
     def test_runtime_passes_through(self):
-        rt = SimRuntime(Network(Simulator()))
-        assert as_runtime(rt) is rt
         aio = AioRuntime()
         assert as_runtime(aio) is aio
 
@@ -57,10 +51,9 @@ class TestAsRuntime:
             as_runtime(object())
 
 
-class TestSimRuntimeDelegation:
+class TestNetworkIsItsOwnRuntime:
     def test_time_and_timers_are_the_simulator(self):
-        net = Network(Simulator())
-        rt = as_runtime(net)
+        net = rt = Network(Simulator())
         fired = []
         rt.schedule(1.5, fired.append, "a")
         series = rt.call_every(1.0, fired.append, "b")
@@ -72,10 +65,9 @@ class TestSimRuntimeDelegation:
         assert len(fired) == 4
 
     def test_transport_is_the_fabric(self):
-        net = Network(Simulator())
-        rt = as_runtime(net)
+        rt = Network(Simulator())
         rt.register_host("h", "site-a", realm="r")
-        assert net.site_of("h") == "site-a"
+        assert rt.hosts.site_of("h") == "site-a"
         assert rt.realm_of("h") == "r"
         assert rt.multicast_enabled("h") is True
         with pytest.raises(UnknownHostError):
@@ -86,12 +78,11 @@ class TestCreateRuntime:
     def test_sim_kind_builds_a_fabric(self):
         rt = create_runtime("sim")
         assert rt.kind == "sim"
-        assert isinstance(rt.network, Network)
+        assert isinstance(rt, Network)
 
     def test_sim_kind_accepts_existing_network(self):
         net = Network(Simulator())
-        rt = create_runtime("sim", network=net)
-        assert rt.network is net
+        assert create_runtime("sim", network=net) is net
 
     def test_aio_kind(self):
         rt = create_runtime("aio", bind_ip="127.0.0.1")

@@ -1,4 +1,8 @@
-"""Tests for the network fabric: UDP, TCP, multicast."""
+"""Tests for the network fabric: UDP, TCP, multicast.
+
+The host registry and multicast cases are the contract both runtimes
+share (``tests/runtime/hosts_contract.py``), bound here to the fabric.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import UniformLoss
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
+from tests.runtime.hosts_contract import HostRegistryContract, MulticastContract, SimSide
 
 
 def make_net(loss=None, latency=None, seed=0) -> tuple[Simulator, Network]:
@@ -31,33 +36,8 @@ def msg(tag="m") -> Ack:
     return Ack(uuid=tag, acked_by="tester")
 
 
-class TestHostRegistry:
-    def test_site_and_realm_lookup(self):
-        sim, net = make_net()
-        assert net.site_of("a.x") == "sa"
-        assert net.realm_of("a.x") == "sa"  # realm defaults to site
-
-    def test_explicit_realm(self):
-        sim, net = make_net()
-        net.register_host("lab1.x", "sa", realm="lab")
-        assert net.realm_of("lab1.x") == "lab"
-        assert net.site_of("lab1.x") == "sa"
-
-    def test_duplicate_registration_rejected(self):
-        sim, net = make_net()
-        with pytest.raises(TransportError):
-            net.register_host("a.x", "other")
-
-    def test_unknown_host_rejected(self):
-        sim, net = make_net()
-        with pytest.raises(TransportError):
-            net.site_of("ghost.x")
-
-    def test_multicast_enabled_flag(self):
-        sim, net = make_net()
-        net.register_host("nomc.x", "sa", multicast_enabled=False)
-        assert net.multicast_enabled("a.x")
-        assert not net.multicast_enabled("nomc.x")
+class TestHostRegistry(HostRegistryContract):
+    Side = SimSide
 
 
 class TestUDP:
@@ -116,72 +96,8 @@ class TestUDP:
         assert net.bytes_sent > 0
 
 
-class TestMulticast:
-    def _bind(self, net, host, port=9):
-        inbox = []
-        net.bind_udp(Endpoint(host, port), lambda m, s: inbox.append(m))
-        return inbox
-
-    def test_same_realm_members_receive(self):
-        sim, net = make_net()
-        net.register_host("m1.x", "sa")  # same realm as a.x (realm = site)
-        box_m1 = self._bind(net, "m1.x")
-        net.join_multicast("grp", Endpoint("m1.x", 9))
-        net.bind_udp(Endpoint("a.x", 1), lambda m, s: None)
-        reached = net.multicast(Endpoint("a.x", 1), "grp", msg())
-        sim.run()
-        assert reached == 1
-        assert len(box_m1) == 1
-
-    def test_cross_realm_members_excluded(self):
-        """Paper: 'multicast was disabled for network traffic outside the
-        lab' -- members in other realms never see the datagram."""
-        sim, net = make_net()
-        box_b = self._bind(net, "b.x")  # realm sb != sa
-        net.join_multicast("grp", Endpoint("b.x", 9))
-        net.bind_udp(Endpoint("a.x", 1), lambda m, s: None)
-        reached = net.multicast(Endpoint("a.x", 1), "grp", msg())
-        sim.run()
-        assert reached == 0
-        assert box_b == []
-
-    def test_sender_not_delivered_to_itself(self):
-        sim, net = make_net()
-        box_a = self._bind(net, "a.x", port=1)
-        net.join_multicast("grp", Endpoint("a.x", 1))
-        reached = net.multicast(Endpoint("a.x", 1), "grp", msg())
-        sim.run()
-        assert reached == 0
-        assert box_a == []
-
-    def test_join_requires_udp_binding(self):
-        sim, net = make_net()
-        with pytest.raises(TransportError):
-            net.join_multicast("grp", Endpoint("a.x", 9))
-
-    def test_multicast_disabled_host_cannot_join(self):
-        sim, net = make_net()
-        net.register_host("nomc.x", "sa", multicast_enabled=False)
-        net.bind_udp(Endpoint("nomc.x", 9), lambda m, s: None)
-        with pytest.raises(TransportError):
-            net.join_multicast("grp", Endpoint("nomc.x", 9))
-
-    def test_multicast_disabled_host_cannot_send(self):
-        sim, net = make_net()
-        net.register_host("nomc.x", "sa", multicast_enabled=False)
-        with pytest.raises(TransportError):
-            net.multicast(Endpoint("nomc.x", 1), "grp", msg())
-
-    def test_leave_multicast(self):
-        sim, net = make_net()
-        net.register_host("m1.x", "sa")
-        box = self._bind(net, "m1.x")
-        net.join_multicast("grp", Endpoint("m1.x", 9))
-        net.leave_multicast("grp", Endpoint("m1.x", 9))
-        net.bind_udp(Endpoint("a.x", 1), lambda m, s: None)
-        assert net.multicast(Endpoint("a.x", 1), "grp", msg()) == 0
-        sim.run()
-        assert box == []
+class TestMulticast(MulticastContract):
+    Side = SimSide
 
 
 class TestTCP:

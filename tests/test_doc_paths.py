@@ -5,10 +5,15 @@ path named in the documents below must be in the tree, unless the same
 document names it as an output: the value of ``--out``, ``--output``,
 ``--summary`` or ``--artifact``, or an entry of an upload ``path:``.
 A deleted script or baseline that a README still points at fails here.
+
+Every dotted ``repro.x.y[.Name]`` they name must import as a module, or
+resolve as attributes of the longest prefix that imports: a document
+citing a deleted module or class fails here too.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -28,6 +33,7 @@ _SCRIPT = re.compile(r"\b(?:benchmarks|examples)/[\w/]+\.py\b")
 _ROOT_JSON = re.compile(r"(?<![\w/.-])[\w-]+\.json\b")
 _OUTPUT_FLAG = re.compile(r"--(?:out|output|summary|artifact)[ =]+(\S+\.json)")
 _UPLOAD_PATH = re.compile(r"^(\s*)path:\s*(.*)$")
+_DOTTED = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+")
 
 
 def _named_outputs(text: str) -> set[str]:
@@ -54,9 +60,42 @@ def missing_paths(text: str) -> list[str]:
     return sorted(p for p in named if p not in outputs and not (ROOT / p).is_file())
 
 
+def _resolves(name: str) -> bool:
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def unresolved_names(text: str) -> list[str]:
+    return sorted(name for name in set(_DOTTED.findall(text)) if not _resolves(name))
+
+
 @pytest.mark.parametrize("document", DOCUMENTS)
 def test_named_paths_exist_or_are_outputs(document):
     assert missing_paths((ROOT / document).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("document", DOCUMENTS)
+def test_named_repro_objects_exist(document):
+    assert unresolved_names((ROOT / document).read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_deleted_module_and_a_deleted_name():
+    text = (
+        "`repro.simnet.network.Network` is the fabric (`repro.simnet`), run by\n"
+        "`python -m repro.cluster smoke`; `repro.simnet.transport` and\n"
+        "`repro.simnet.network.Datagram` are gone, src/repro/runtime/sim.py too.\n"
+    )
+    assert unresolved_names(text) == ["repro.simnet.network.Datagram", "repro.simnet.transport"]
 
 
 def test_the_check_sees_a_deleted_file_and_spares_an_output():
