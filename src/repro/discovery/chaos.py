@@ -26,6 +26,8 @@ Every disruption is drawn *with its recovery*: link cuts heal,
 partitions dissolve, killed nodes revive, storms end.  The world is
 whole again before the post-heal checks, so a green chaos run really
 does mean the protocol recovered, not that the schedule was gentle.
+Each kind is declared once, as one ``_KINDS`` entry saying how it is
+drawn and how it is armed on the :class:`FaultInjector`.
 """
 
 from __future__ import annotations
@@ -104,6 +106,13 @@ _DISRUPTIVE = frozenset({"fail_link", "partition", "kill_bdn", "kill_broker"})
 
 # Phase-sum consistency tolerance (pure float accumulation error).
 _PHASE_EPS = 1e-6
+
+# run_chaos's timeline: the window the schedule is drawn in, the quiet
+# time after it for recoveries to land, and the gap between windowed
+# discoveries (virtual seconds).
+_FAULT_WINDOW = 20.0
+_RECOVERY = 12.0
+_RUN_GAP = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,6 +302,103 @@ class ChaosReport:
         return not self.violations
 
 
+def _pick(rng: np.random.Generator, items: list):
+    return items[int(rng.integers(len(items)))]
+
+
+def _pair(rng: np.random.Generator, hosts: list[str]) -> tuple[str, str]:
+    a, b = rng.choice(len(hosts), size=2, replace=False)
+    return (hosts[int(a)], hosts[int(b)])
+
+
+def _bipartition(rng: np.random.Generator, world: ChaosWorld) -> dict:
+    # Re-rolled until both sides are populated so the cut cuts something.
+    hosts = world.all_hosts()
+    while True:
+        sides = rng.integers(0, 2, size=len(hosts))
+        if 0 < int(sides.sum()) < len(hosts):
+            break
+    return {
+        "groups": tuple(tuple(h for h, s in zip(hosts, sides) if s == side) for side in (0, 1))
+    }
+
+
+def _isolate_bdn(rng: np.random.Generator, world: ChaosWorld) -> dict:
+    # Network.partition folds unlisted hosts into one implicit group, so
+    # the two explicit groups cover every host.
+    bdn = _pick(rng, world.bdns)
+    rest = tuple(h for h in world.all_hosts() if h != bdn.host)
+    return {"targets": (bdn.name,), "groups": ((bdn.host,), rest)}
+
+
+def _arm_cut(inj: FaultInjector, world: ChaosWorld, action: ChaosAction) -> None:
+    inj.fail_link(*action.targets, at=action.start)
+    inj.heal_link(*action.targets, at=action.end)
+
+
+def _arm_partition(inj: FaultInjector, world: ChaosWorld, action: ChaosAction) -> None:
+    inj.partition(*action.groups, at=action.start)
+    inj.heal(at=action.end)
+
+
+def _arm_kill_bdn(cold: bool):
+    def arm(inj: FaultInjector, world: ChaosWorld, action: ChaosAction) -> None:
+        bdn = world.node_by_name(action.targets[0])
+        inj.kill_bdn(bdn, at=action.start)
+        inj.revive_bdn(bdn, at=action.end, cold=cold)
+
+    return arm
+
+
+def _arm_kill_broker(inj: FaultInjector, world: ChaosWorld, action: ChaosAction) -> None:
+    broker = world.node_by_name(action.targets[0])
+    inj.kill_broker(broker, at=action.start)
+    inj.revive_broker(broker, at=action.end)
+
+
+#: Every chaos kind, declared once: ``kind -> (draw, arm)``.
+#: ``draw(rng, world)`` returns the action's kind-specific fields; its
+#: draws follow a fixed order, so one seed keeps its schedule.
+#: ``arm(injector, world, action)`` arms the onset at ``action.start``
+#: before the recovery at ``action.end`` (same-instant events fire in
+#: arming order).
+_KINDS = {
+    "fail_link": (lambda rng, w: {"targets": _pair(rng, w.broker_hosts())}, _arm_cut),
+    "partition": (_bipartition, _arm_partition),
+    "kill_bdn": (lambda rng, w: {"targets": (_pick(rng, w.bdns).name,)}, _arm_kill_bdn(False)),
+    "kill_broker": (lambda rng, w: {"targets": (_pick(rng, w.brokers).name,)}, _arm_kill_broker),
+    "loss_storm": (
+        lambda rng, w: {"intensity": float(rng.uniform(0.3, 0.8))},
+        lambda inj, w, a: inj.loss_storm(UniformLoss(a.intensity), a.start, a.duration),
+    ),
+    "link_loss_storm": (
+        lambda rng, w: {
+            "targets": _pair(rng, w.all_hosts()),
+            "intensity": float(rng.uniform(0.5, 0.95)),
+        },
+        lambda inj, w, a: inj.link_loss_storm(
+            *a.targets, UniformLoss(a.intensity), a.start, a.duration
+        ),
+    ),
+    # Kill + *cold* revive: the registry is wiped, so recovery needs
+    # heartbeats (or anti-entropy catch-up) to repopulate it.
+    "bdn_crash_restart": (
+        lambda rng, w: {"targets": (_pick(rng, w.bdns).name,)},
+        _arm_kill_bdn(True),
+    ),
+    "bdn_group_partition": (_isolate_bdn, _arm_partition),
+    "request_storm": (
+        lambda rng, w: {
+            "targets": (_pick(rng, w.bdns).name,),
+            "intensity": float(rng.uniform(20.0, 60.0)),
+        },
+        lambda inj, w, a: inj.request_storm(
+            w.node_by_name(a.targets[0]).udp_endpoint, a.intensity, a.start, a.duration
+        ),
+    ),
+}
+
+
 def draw_schedule(
     rng: np.random.Generator,
     world: ChaosWorld,
@@ -310,8 +416,6 @@ def draw_schedule(
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    hosts = world.all_hosts()
-    broker_hosts = world.broker_hosts()
     actions: list[ChaosAction] = []
     n = int(rng.integers(min_actions, max_actions + 1))
     for _ in range(n):
@@ -319,117 +423,16 @@ def draw_schedule(
         at = start + float(rng.uniform(0.0, duration * 0.5))
         dur = float(rng.uniform(duration * 0.15, duration * 0.5))
         dur = min(dur, start + duration - at)
-        if kind == "fail_link":
-            a, b = rng.choice(len(broker_hosts), size=2, replace=False)
-            actions.append(
-                ChaosAction(
-                    kind, at, dur, targets=(broker_hosts[int(a)], broker_hosts[int(b)])
-                )
-            )
-        elif kind == "partition":
-            # Random bipartition; re-rolled until both sides are
-            # populated so the cut actually cuts something.
-            while True:
-                sides = rng.integers(0, 2, size=len(hosts))
-                if 0 < int(sides.sum()) < len(hosts):
-                    break
-            group_a = tuple(h for h, s in zip(hosts, sides) if s == 0)
-            group_b = tuple(h for h, s in zip(hosts, sides) if s == 1)
-            actions.append(ChaosAction(kind, at, dur, groups=(group_a, group_b)))
-        elif kind == "kill_bdn":
-            bdn = world.bdns[int(rng.integers(len(world.bdns)))]
-            actions.append(ChaosAction(kind, at, dur, targets=(bdn.name,)))
-        elif kind == "bdn_crash_restart":
-            # Kill + *cold* revive: the registry is wiped, so recovery
-            # needs heartbeats (or anti-entropy catch-up) to repopulate.
-            bdn = world.bdns[int(rng.integers(len(world.bdns)))]
-            actions.append(ChaosAction(kind, at, dur, targets=(bdn.name,)))
-        elif kind == "bdn_group_partition":
-            # Isolate one BDN from everything else.  Network.partition
-            # folds unlisted hosts into one implicit group, so the two
-            # explicit groups must cover every host.
-            bdn = world.bdns[int(rng.integers(len(world.bdns)))]
-            rest = tuple(h for h in hosts if h != bdn.host)
-            actions.append(
-                ChaosAction(kind, at, dur, targets=(bdn.name,), groups=((bdn.host,), rest))
-            )
-        elif kind == "kill_broker":
-            broker = world.brokers[int(rng.integers(len(world.brokers)))]
-            actions.append(ChaosAction(kind, at, dur, targets=(broker.name,)))
-        elif kind == "loss_storm":
-            actions.append(
-                ChaosAction(kind, at, dur, intensity=float(rng.uniform(0.3, 0.8)))
-            )
-        elif kind == "request_storm":
-            bdn = world.bdns[int(rng.integers(len(world.bdns)))]
-            actions.append(
-                ChaosAction(
-                    kind,
-                    at,
-                    dur,
-                    targets=(bdn.name,),
-                    intensity=float(rng.uniform(20.0, 60.0)),
-                )
-            )
-        else:  # link_loss_storm
-            a, b = rng.choice(len(hosts), size=2, replace=False)
-            actions.append(
-                ChaosAction(
-                    kind,
-                    at,
-                    dur,
-                    targets=(hosts[int(a)], hosts[int(b)]),
-                    intensity=float(rng.uniform(0.5, 0.95)),
-                )
-            )
+        draw, _arm = _KINDS[kind]
+        actions.append(ChaosAction(kind, at, dur, **draw(rng, world)))
     return tuple(sorted(actions, key=lambda a: (a.start, a.kind)))
 
 
 def apply_schedule(world: ChaosWorld, schedule: tuple[ChaosAction, ...]) -> None:
     """Arm every action (and its recovery) on the world's injector."""
-    inj = world.injector
     for action in schedule:
-        if action.kind == "fail_link":
-            a, b = action.targets
-            inj.fail_link(a, b, at=action.start)
-            inj.heal_link(a, b, at=action.end)
-        elif action.kind == "partition":
-            inj.partition(*action.groups, at=action.start)
-            inj.heal(at=action.end)
-        elif action.kind == "kill_bdn":
-            bdn = world.node_by_name(action.targets[0])
-            inj.kill_bdn(bdn, at=action.start)
-            inj.revive_bdn(bdn, at=action.end)
-        elif action.kind == "bdn_crash_restart":
-            bdn = world.node_by_name(action.targets[0])
-            inj.kill_bdn(bdn, at=action.start)
-            inj.revive_bdn(bdn, at=action.end, cold=True)
-        elif action.kind == "bdn_group_partition":
-            inj.partition(*action.groups, at=action.start)
-            inj.heal(at=action.end)
-        elif action.kind == "kill_broker":
-            broker = world.node_by_name(action.targets[0])
-            inj.kill_broker(broker, at=action.start)
-            inj.revive_broker(broker, at=action.end)
-        elif action.kind == "loss_storm":
-            inj.loss_storm(
-                UniformLoss(action.intensity), start=action.start, duration=action.duration
-            )
-        elif action.kind == "request_storm":
-            bdn = world.node_by_name(action.targets[0])
-            inj.request_storm(
-                bdn.udp_endpoint,
-                rate=action.intensity,
-                start=action.start,
-                duration=action.duration,
-            )
-        elif action.kind == "link_loss_storm":
-            a, b = action.targets
-            inj.link_loss_storm(
-                a, b, UniformLoss(action.intensity), start=action.start, duration=action.duration
-            )
-        else:
-            raise ValueError(f"unknown chaos action kind {action.kind!r}")
+        _draw, arm = _KINDS[action.kind]
+        arm(world.injector, world, action)
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +541,6 @@ def _check_replication(world: ChaosWorld, violations: list[str]) -> None:
 # ---------------------------------------------------------------------------
 def run_chaos(
     seed: int,
-    fault_window: float = 20.0,
-    recovery: float = 12.0,
-    run_gap: float = 0.5,
     kinds: tuple[str, ...] | None = None,
     overload: bool = False,
     replicated: bool = False,
@@ -603,20 +603,20 @@ def run_chaos(
 
     # 2. Draw and arm the fault schedule.
     start = world.sim.now + 1.0
-    schedule = draw_schedule(rng, world, start, fault_window, kinds=kinds)
+    schedule = draw_schedule(rng, world, start, _FAULT_WINDOW, kinds=kinds)
     apply_schedule(world, schedule)
 
     # 3. Discovery workload through the turbulence.  Failures are
     #    legitimate here (the client may be cut off entirely); wedging
     #    and invariant breaches are not.
-    window_end = start + fault_window
+    window_end = start + _FAULT_WINDOW
     while world.sim.now < window_end:
         attempt("windowed", world.client.discover)
-        world.sim.run_for(run_gap)
+        world.sim.run_for(_RUN_GAP)
 
     # 4. Let recoveries land: leases renew within one heartbeat, rings
     #    re-link within one retry interval.
-    world.sim.run_for(recovery)
+    world.sim.run_for(_RECOVERY)
     final = attempt("final", world.client.discover, strict=True)
     if final is None or not final.success:
         violations.append("final: post-heal discovery failed")

@@ -7,9 +7,12 @@ both the discovery requests ... and discovery responses".
 
 :class:`FaultInjector` provides the levers the fault-tolerance tests,
 the chaos harness and the ablation benchmarks pull: killing/reviving
-BDNs and brokers at chosen times, swapping the network's loss model
-mid-run (loss storms, globally or per link), cutting and healing
-individual links, and partitioning the fabric into isolated groups.
+BDNs and brokers at chosen times, request storms, loss storms (globally
+or per link), cutting and healing individual links, and partitioning
+the fabric into isolated groups.  It tells time and arms faults through
+the :class:`~repro.runtime.api.Runtime` contract alone, so node faults
+and request storms work on either runtime; loss storms, link cuts and
+partitions change the simulated fabric's fault state.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from __future__ import annotations
 from repro.core.config import Endpoint
 from repro.core.errors import TransportError
 from repro.core.messages import DiscoveryRequest
-from repro.simnet.loss import LossModel
-from repro.simnet.network import Network
 from repro.discovery.bdn import BDN
+from repro.runtime.api import Runtime
+from repro.simnet.loss import LossModel
 from repro.substrate.broker import Broker
 
 __all__ = ["FaultInjector"]
@@ -31,32 +34,29 @@ _STORM_PORT = 7999
 
 
 class FaultInjector:
-    """Schedules failures against a running simulation.
+    """Schedules failures against a running runtime.
 
     Parameters
     ----------
     network:
-        The fabric whose loss model may be swapped.
+        The runtime faults are armed on: a simulated
+        :class:`~repro.simnet.network.Network` or an
+        :class:`~repro.runtime.aio.AioRuntime`.
     """
 
-    def __init__(self, network: Network) -> None:
+    def __init__(self, network: Runtime) -> None:
         self.network = network
         self.injected: list[tuple[float, str, str]] = []
-        # Active global loss storms, in onset order, plus the model to
-        # restore once the last one ends.  Keyed bookkeeping (not a
-        # save/restore pair per storm) so overlapping storms that are
-        # not strictly nested still unwind to the right model.
-        self._storms: list[list] = []
-        self._pre_storm_loss: LossModel | None = None
-        # Same per link: {link pair: (active storm entries, prior override)}.
-        self._link_storms: dict[tuple[str, str], list[list]] = {}
-        self._pre_storm_link_loss: dict[tuple[str, str], LossModel | None] = {}
+        # Open loss storms per slot -- ``None`` for the global model, a
+        # host pair for one link -- in onset order, with the model to
+        # restore once the last one ends: {slot: (prior, {token: model})}.
+        self._storms: dict[tuple[str, str] | None, tuple[LossModel | None, dict]] = {}
         # Monotone id for request-storm uuids (must never collide with a
         # real client's request uuids).
         self._storm_seq = 0
 
     def _log(self, kind: str, target: str) -> None:
-        self.injected.append((self.network.sim.now, kind, target))
+        self.injected.append((self.network.now, kind, target))
 
     # ------------------------------------------------------------------
     # Node failures
@@ -153,62 +153,74 @@ class FaultInjector:
                 requester_host=source_host,
                 requester_port=_STORM_PORT,
             )
-            self.network.sim.schedule_at(
-                start + i / rate, self.network.send_udp, src, target, request
-            )
-        self.network.sim.schedule_at(
-            start, self._log, "request_storm_start", f"{target}@{rate:g}/s"
-        )
-        self.network.sim.schedule_at(
-            start + duration, self._log, "request_storm_end", str(target)
-        )
+            self.network.schedule_at(start + i / rate, self.network.send_udp, src, target, request)
+        self.network.schedule_at(start, self._log, "request_storm_start", f"{target}@{rate:g}/s")
+        self.network.schedule_at(start + duration, self._log, "request_storm_end", str(target))
         return n
 
     # ------------------------------------------------------------------
-    # Network degradation
+    # Loss storms
     # ------------------------------------------------------------------
-    def set_loss(self, model: LossModel, at: float | None = None) -> None:
-        """Swap the fabric's datagram loss model."""
-
-        def do() -> None:
-            self.network.loss = model
-            self._log("set_loss", type(model).__name__)
-
-        self._when(do, at)
-
     def loss_storm(self, model: LossModel, start: float, duration: float) -> None:
-        """Apply ``model`` for a window, then restore the prior model.
+        """Apply ``model`` to the whole fabric for a window, then restore
+        the prior model (see :meth:`_storm` for overlapping storms)."""
+        self._storm(None, model, start, duration, "loss_storm", None)
 
-        The model to restore is captured when the first storm *starts*,
-        not when a storm is scheduled, so a storm composes with loss
-        changes made before its window opens.  Overlapping storms are
-        tracked as a set: while any storm is active the most recently
-        started one governs, and only when the last one ends does the
-        pre-storm model come back -- interleaved (non-nested) windows
-        unwind correctly instead of resurrecting an ended storm.
+    def link_loss_storm(
+        self, host_a: str, host_b: str, model: LossModel, start: float, duration: float
+    ) -> None:
+        """Degrade one link for a window, then restore its prior override
+        (or its absence)."""
+        slot = (min(host_a, host_b), max(host_a, host_b))
+        self._storm(slot, model, start, duration, "link_loss_storm", f"{host_a}|{host_b}")
+
+    def _storm(
+        self, slot, model: LossModel, start: float, duration: float, kind: str, target
+    ) -> None:
+        """Arm one loss storm on ``slot`` (``None``: the global model).
+
+        The model to restore is captured when the slot's first storm
+        *starts*, not when a storm is scheduled, so a storm composes
+        with loss changes made before its window opens.  While any storm
+        on the slot is open the most recently started one governs, and
+        the prior model comes back only when the last one ends, so
+        interleaved (non-nested) windows unwind correctly.  A log entry
+        names the link, or for a global storm the model that took over.
         """
         if duration <= 0:
             raise ValueError("duration must be positive")
-        entry = [model]  # unique identity token for this storm
+        token = object()
 
         def begin() -> None:
-            if not self._storms:
-                self._pre_storm_loss = self.network.loss
-            self._storms.append(entry)
-            self.network.loss = model
-            self._log("loss_storm_start", type(model).__name__)
+            if slot not in self._storms:
+                self._storms[slot] = (self._loss(slot), {})
+            self._storms[slot][1][token] = model
+            self._set_loss(slot, model)
+            self._log(f"{kind}_start", target or type(model).__name__)
 
         def end() -> None:
-            self._storms.remove(entry)
-            if self._storms:
-                self.network.loss = self._storms[-1][0]
+            prior, open_storms = self._storms[slot]
+            del open_storms[token]
+            if open_storms:
+                self._set_loss(slot, next(reversed(open_storms.values())))
             else:
-                self.network.loss = self._pre_storm_loss
-                self._pre_storm_loss = None
-            self._log("loss_storm_end", type(self.network.loss).__name__)
+                del self._storms[slot]
+                self._set_loss(slot, prior)
+            self._log(f"{kind}_end", target or type(self.network.loss).__name__)
 
-        self._when(begin, at=start)
-        self._when(end, at=start + duration)
+        self.network.schedule_at(start, begin)
+        self.network.schedule_at(start + duration, end)
+
+    def _loss(self, slot) -> LossModel | None:
+        return self.network.loss if slot is None else self.network.link_loss(*slot)
+
+    def _set_loss(self, slot, model: LossModel | None) -> None:
+        if slot is None:
+            self.network.loss = model
+        elif model is None:
+            self.network.clear_link_loss(*slot)
+        else:
+            self.network.set_link_loss(*slot, model)
 
     # ------------------------------------------------------------------
     # Link faults and partitions
@@ -251,67 +263,8 @@ class FaultInjector:
 
         self._when(do, at)
 
-    def set_link_loss(
-        self, host_a: str, host_b: str, model: LossModel, at: float | None = None
-    ) -> None:
-        """Override the loss model on one link."""
-
-        def do() -> None:
-            self.network.set_link_loss(host_a, host_b, model)
-            self._log("set_link_loss", f"{host_a}|{host_b}")
-
-        self._when(do, at)
-
-    def clear_link_loss(self, host_a: str, host_b: str, at: float | None = None) -> None:
-        """Remove a per-link loss override."""
-
-        def do() -> None:
-            self.network.clear_link_loss(host_a, host_b)
-            self._log("clear_link_loss", f"{host_a}|{host_b}")
-
-        self._when(do, at)
-
-    def link_loss_storm(
-        self, host_a: str, host_b: str, model: LossModel, start: float, duration: float
-    ) -> None:
-        """Degrade one link for a window, then restore its prior state.
-
-        Overlapping storms on the same link are tracked like global
-        storms: the most recently started active one governs, and the
-        pre-storm override (or its absence) comes back only when the
-        last storm on that link ends.
-        """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        key = (min(host_a, host_b), max(host_a, host_b))
-        entry = [model]
-
-        def begin() -> None:
-            active = self._link_storms.setdefault(key, [])
-            if not active:
-                self._pre_storm_link_loss[key] = self.network.link_loss(host_a, host_b)
-            active.append(entry)
-            self.network.set_link_loss(host_a, host_b, model)
-            self._log("link_loss_storm_start", f"{host_a}|{host_b}")
-
-        def end() -> None:
-            active = self._link_storms[key]
-            active.remove(entry)
-            if active:
-                self.network.set_link_loss(host_a, host_b, active[-1][0])
-            else:
-                previous = self._pre_storm_link_loss.pop(key)
-                if previous is None:
-                    self.network.clear_link_loss(host_a, host_b)
-                else:
-                    self.network.set_link_loss(host_a, host_b, previous)
-            self._log("link_loss_storm_end", f"{host_a}|{host_b}")
-
-        self._when(begin, at=start)
-        self._when(end, at=start + duration)
-
     def _when(self, fn, at: float | None) -> None:
         if at is None:
             fn()
         else:
-            self.network.sim.schedule_at(at, fn)
+            self.network.schedule_at(at, fn)

@@ -248,13 +248,11 @@ class Network:
         self._info(host_b)
         return (host_a, host_b) if host_a <= host_b else (host_b, host_a)
 
-    def invalidate_path_cache(self) -> None:
-        """Drop every precomputed path record.
+    def _invalidate_path_cache(self) -> None:
+        """Drop every precomputed path record (on any fault change).
 
-        Called internally on any fault or topology change; call it
-        manually after swapping :attr:`latency` for a different model
-        mid-run (nothing in the repo does, but the cache bakes in hop
-        counts, so a swap without invalidation would go stale).
+        The records bake in hop counts too, so swapping :attr:`latency`
+        mid-run would need this as well; nothing does.
         """
         self._path_cache.clear()
 
@@ -294,17 +292,13 @@ class Network:
         of a partitioned broker observe as link death.
         """
         self._failed_links.add(self._link_key(host_a, host_b))
-        self.invalidate_path_cache()
+        self._invalidate_path_cache()
         self._sever_unreachable()
 
     def heal_link(self, host_a: str, host_b: str) -> None:
         """Restore a previously cut host pair (idempotent)."""
         self._failed_links.discard(self._link_key(host_a, host_b))
-        self.invalidate_path_cache()
-
-    def failed_links(self) -> frozenset[tuple[str, str]]:
-        """Currently cut host pairs (normalised order)."""
-        return frozenset(self._failed_links)
+        self._invalidate_path_cache()
 
     def partition(self, *groups) -> None:
         """Split the fabric into reachability groups.
@@ -324,18 +318,13 @@ class Network:
                     raise TransportError(f"host {host!r} appears in multiple partition groups")
                 mapping[host] = index
         self._partition = mapping
-        self.invalidate_path_cache()
+        self._invalidate_path_cache()
         self._sever_unreachable()
 
     def heal_partition(self) -> None:
         """Remove the active partition (idempotent; link cuts persist)."""
         self._partition = None
-        self.invalidate_path_cache()
-
-    @property
-    def partitioned(self) -> bool:
-        """Whether a partition is currently in force."""
-        return self._partition is not None
+        self._invalidate_path_cache()
 
     def reachable(self, host_a: str, host_b: str) -> bool:
         """Whether the fabric will currently carry traffic between two hosts.
@@ -353,12 +342,12 @@ class Network:
         :class:`~repro.simnet.loss.CompositeLoss` to layer them instead.
         """
         self._link_loss[self._link_key(host_a, host_b)] = model
-        self.invalidate_path_cache()
+        self._invalidate_path_cache()
 
     def clear_link_loss(self, host_a: str, host_b: str) -> None:
         """Remove a per-link loss override (idempotent)."""
         self._link_loss.pop(self._link_key(host_a, host_b), None)
-        self.invalidate_path_cache()
+        self._invalidate_path_cache()
 
     def link_loss(self, host_a: str, host_b: str) -> LossModel | None:
         """The loss override for a host pair, if any."""

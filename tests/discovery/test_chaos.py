@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.discovery.chaos import (
     _DISRUPTIVE,
+    _KINDS,
     CHAOS_KINDS,
+    REPLICATED_CHAOS_KINDS,
     STORM_KINDS,
     ChaosWorld,
     apply_schedule,
@@ -53,6 +57,23 @@ class TestDrawSchedule:
                     flat = [h for g in action.groups for h in g]
                     assert sorted(flat) == sorted(hosts)
                     assert all(g for g in action.groups)
+
+    def test_seed_to_schedule_map_is_pinned(self):
+        """Seeds 0-19 of each pool draw exactly these schedules.  A
+        reordered draw, or a change to a kind pool's contents or order,
+        re-maps every seed the sweeps cover; this digest is what says so."""
+        world = ChaosWorld(seed=0)
+        schedules = [
+            draw_schedule(np.random.default_rng(s), world, 10.0, 20.0, kinds=pool)
+            for pool in (CHAOS_KINDS, STORM_KINDS, REPLICATED_CHAOS_KINDS)
+            for s in range(20)
+        ]
+        digest = hashlib.sha256(repr(schedules).encode()).hexdigest()
+        assert digest == "65e57e1116059a27b456af199081440ea9e79bd1ca9f5972d6d089cc8d686fe5"
+
+    def test_every_kind_is_declared_once(self):
+        assert sorted(_KINDS) == sorted(STORM_KINDS)
+        assert set(CHAOS_KINDS) | set(REPLICATED_CHAOS_KINDS) <= set(STORM_KINDS)
 
     def test_rejects_empty_window(self):
         world = ChaosWorld(seed=0)

@@ -11,7 +11,9 @@ Every event that reaches the sink (``Observability.emit``: virtual
 time, name, node, trace id, hop and details, in order) is folded into
 one SHA-256, together with each discovery's outcome (``success``,
 ``via``, ``transmissions``, ``total_time``, request uuid, selected
-broker) and each run's violations.  ``run_chaos`` runs seeds
+broker), each run's violations and each chaos world's fault log
+(``FaultInjector.injected``, so a change to *when* a fault applies
+shows even where no emitted event moves).  ``run_chaos`` runs seeds
 ``0..N-1`` on three variants -- plain; ``kinds=STORM_KINDS,
 overload=True``; ``replicated=True`` -- and the *running* digest and
 event count are printed after each variant, so the first variant that
@@ -145,6 +147,8 @@ def main(argv: list[str] | None = None) -> int:
                 report = run_chaos(seed, **kwargs)
                 flagged += not report.ok
                 bdn_pings += sum(bdn.pinger.pings_sent for world in built for bdn in world.bdns)
+                for world in built:
+                    digest.update(repr(world.injector.injected).encode())
                 built.clear()
                 for outcome in report.outcomes:
                     selected = outcome.selected.broker_id if outcome.selected is not None else None

@@ -34,6 +34,7 @@ from repro.core.invariants import (
     bdn_evidence,
     verdict,
 )
+from repro.discovery.faults import FaultInjector
 from repro.experiments.harness import run_discovery_once, star_world
 from repro.obs import Observability
 from repro.obs.timeline import assemble
@@ -116,6 +117,7 @@ def run_sim(seed: int) -> Run:
     )
     obs = Observability(clock=lambda: rt.now, keep_trace=True)
     world = star_world(rt, seed, obs)
+    injector = FaultInjector(rt)
     rt.sim.run_for(6.0)  # NTP settles
     world.advertise()
     rt.sim.run_for(0.5)
@@ -123,7 +125,7 @@ def run_sim(seed: int) -> Run:
     for gap, victim in schedule(seed):
         rt.sim.run_for(gap)
         if victim is not None:
-            world.brokers[victim].stop()
+            injector.kill_broker(world.brokers[victim])
         outcomes.append(run_discovery_once(world.client, max_virtual_seconds=15.0))
     return _finish(world, obs, outcomes)
 
@@ -134,6 +136,7 @@ def run_aio(seed: int) -> Run:
         obs = Observability(clock=lambda: rt.now, keep_trace=True)
         rt.attach_observability(obs)
         world = star_world(rt, seed, obs)
+        injector = FaultInjector(rt)
         try:
             await rt.ready()
             for node in world.nodes():
@@ -144,7 +147,7 @@ def run_aio(seed: int) -> Run:
             for gap, victim in schedule(seed):
                 await asyncio.sleep(gap)
                 if victim is not None:
-                    world.brokers[victim].stop()
+                    injector.kill_broker(world.brokers[victim])
                 done = asyncio.get_event_loop().create_future()
                 world.client.discover(done.set_result)
                 outcomes.append(await asyncio.wait_for(done, timeout=15.0))
@@ -242,3 +245,42 @@ class TestSamePlainEvents:
         assert sim.client_said["discover_start"] == ROUNDS
         assert sim.client_said["discover_done"] == ROUNDS
         assert sim.client_said["request_sent"] == ROUNDS
+
+
+class TestFaultsArmOnEitherRuntime:
+    def test_kill_and_revive_arm_on_the_live_clock(self):
+        """The injector tells time and arms through the runtime alone, so
+        a node fault scheduled ahead lands on sockets as it does in the
+        simulator: down inside its window, back after it, both logged."""
+        delta = 0.05
+
+        async def scenario():
+            rt = create_runtime("aio")
+            world = star_world(rt, SEED)
+            injector = FaultInjector(rt)
+            broker = world.brokers[0]
+            try:
+                await rt.ready()
+                armed_at = rt.now
+                injector.kill_broker(broker, at=armed_at + delta)
+                injector.revive_broker(broker, at=armed_at + 3 * delta)
+                states = [broker.alive]
+                # asyncio fires timers in deadline order, so each sleep
+                # wakes after the fault armed before its deadline.
+                await asyncio.sleep(2 * delta)
+                states.append(broker.alive)
+                await asyncio.sleep(2 * delta)
+                states.append(broker.alive)
+            finally:
+                await rt.aclose()
+            assert not rt.errors, list(rt.errors)
+            return armed_at, states, injector.injected
+
+        armed_at, states, injected = asyncio.run(scenario())
+        assert states == [True, False, True]
+        assert [(kind, target) for _t, kind, target in injected] == [
+            ("kill_broker", "b0"),
+            ("revive_broker", "b0"),
+        ]
+        assert injected[0][0] >= armed_at + delta
+        assert injected[1][0] >= armed_at + 3 * delta
