@@ -26,9 +26,10 @@ CUT_DURATIONS = (2.0, 6.0, 12.0)
 CHAOS_SEEDS = range(20)
 
 
-def _client_cut(world: ChaosWorld) -> None:
-    """Partition the client away from every broker and BDN."""
+def _client_cut(world: ChaosWorld, heal_at: float) -> None:
+    """Partition the client away from every broker and BDN until ``heal_at``."""
     world.injector.partition([world.client.host])
+    world.injector.heal([world.client.host], at=heal_at)
 
 
 def test_ablation_partition_recovery(benchmark):
@@ -39,8 +40,7 @@ def test_ablation_partition_recovery(benchmark):
         warm = run_discovery_once(world.client)
         assert warm.success
         heal_at = world.sim.now + duration
-        _client_cut(world)
-        world.injector.heal(at=heal_at)
+        _client_cut(world, heal_at)
         # Discoveries during the cut terminate unsuccessfully.
         failures = 0
         while world.sim.now < heal_at:

@@ -26,6 +26,8 @@ Every disruption is drawn *with its recovery*: link cuts heal,
 partitions dissolve, killed nodes revive, storms end.  The world is
 whole again before the post-heal checks, so a green chaos run really
 does mean the protocol recovered, not that the schedule was gentle.
+Windows drawn on one target may overlap; the injector keeps the target
+faulted while any of them is open (see :mod:`repro.discovery.faults`).
 Each kind is declared once, as one ``_KINDS`` entry saying how it is
 drawn and how it is armed on the :class:`FaultInjector`.
 """
@@ -338,7 +340,7 @@ def _arm_cut(inj: FaultInjector, world: ChaosWorld, action: ChaosAction) -> None
 
 def _arm_partition(inj: FaultInjector, world: ChaosWorld, action: ChaosAction) -> None:
     inj.partition(*action.groups, at=action.start)
-    inj.heal(at=action.end)
+    inj.heal(*action.groups, at=action.end)
 
 
 def _arm_kill_bdn(cold: bool):

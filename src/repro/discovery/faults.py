@@ -13,9 +13,17 @@ the fabric into isolated groups.  It tells time and arms faults through
 the :class:`~repro.runtime.api.Runtime` contract alone, so node faults
 and request storms work on either runtime; loss storms, link cuts and
 partitions change the simulated fabric's fault state.
+
+Fault windows on one target overlap cleanly: a target stays faulted
+while any window on it is open.  A node killed twice stays down until
+both kills are revived, and that revive is cold if either was; a link
+cut twice stays cut until both cuts heal; partitions open at once
+intersect; the most recently started loss storm on a slot governs.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from repro.core.config import Endpoint
 from repro.core.errors import TransportError
@@ -33,6 +41,11 @@ __all__ = ["FaultInjector"]
 _STORM_PORT = 7999
 
 
+def _link(host_a: str, host_b: str) -> tuple[str, str]:
+    """A link's key: its host pair in sorted order."""
+    return (min(host_a, host_b), max(host_a, host_b))
+
+
 class FaultInjector:
     """Schedules failures against a running runtime.
 
@@ -47,6 +60,13 @@ class FaultInjector:
     def __init__(self, network: Runtime) -> None:
         self.network = network
         self.injected: list[tuple[float, str, str]] = []
+        # Open kill and cut windows per target (a node, or a link's host
+        # pair); the target recovers when its last window closes.  Nodes
+        # in ``_cold`` come back cold: one of their windows said so.
+        self._open: Counter = Counter()
+        self._cold: set = set()
+        # Open partitions, in onset order, each a tuple of host groups.
+        self._partitions: list[tuple[tuple[str, ...], ...]] = []
         # Open loss storms per slot -- ``None`` for the global model, a
         # host pair for one link -- in onset order, with the model to
         # restore once the last one ends: {slot: (prior, {token: model})}.
@@ -62,13 +82,8 @@ class FaultInjector:
     # Node failures
     # ------------------------------------------------------------------
     def kill_bdn(self, bdn: BDN, at: float | None = None) -> None:
-        """Stop a BDN now or at virtual time ``at``."""
-
-        def do() -> None:
-            bdn.stop()
-            self._log("kill_bdn", bdn.name)
-
-        self._when(do, at)
+        """Stop a BDN now or at runtime time ``at``."""
+        self._when(lambda: self._kill(bdn, "kill_bdn"), at)
 
     def revive_bdn(self, bdn: BDN, at: float | None = None, cold: bool = False) -> None:
         """Bring a stopped BDN back, warm or cold.
@@ -82,38 +97,45 @@ class FaultInjector:
         node refuses discovery requests with a leader hint until it has
         caught up).
         """
-
-        def do() -> None:
-            if bdn.alive:
-                return  # overlapping kill/revive windows; already back
-            if cold:
-                bdn.clear_registry()
-            bdn.start()
-            self._log("revive_bdn_cold" if cold else "revive_bdn", bdn.name)
-
-        self._when(do, at)
+        self._when(lambda: self._revive(bdn, "revive_bdn", cold), at)
 
     def kill_broker(self, broker: Broker, at: float | None = None) -> None:
-        """Stop a broker now or at virtual time ``at``."""
-
-        def do() -> None:
-            broker.stop()
-            self._log("kill_broker", broker.name)
-
-        self._when(do, at)
+        """Stop a broker now or at runtime time ``at``."""
+        self._when(lambda: self._kill(broker, "kill_broker"), at)
 
     def revive_broker(self, broker: Broker, at: float | None = None) -> None:
         """Bring a stopped broker back (subscriptions and persistent
         neighbour list survive; persistent links re-establish on their
         retry cadence)."""
+        self._when(lambda: self._revive(broker, "revive_broker"), at)
 
-        def do() -> None:
-            if broker.alive:
-                return  # overlapping kill/revive windows; already back
-            broker.start()
-            self._log("revive_broker", broker.name)
+    def _kill(self, node: BDN | Broker, kind: str) -> None:
+        self._open[node] += 1
+        node.stop()
+        self._log(kind, node.name)
 
-        self._when(do, at)
+    def _revive(self, node: BDN | Broker, kind: str, cold: bool = False) -> None:
+        if cold:
+            self._cold.add(node)
+        if not self._closes_last(node):
+            return  # another kill window on it is still open
+        cold = node in self._cold
+        self._cold.discard(node)
+        if node.alive:
+            return  # already back
+        if cold:
+            node.clear_registry()
+            kind += "_cold"
+        node.start()
+        self._log(kind, node.name)
+
+    def _closes_last(self, target) -> bool:
+        """Close one open window on ``target``; whether none is left."""
+        if self._open[target] > 1:
+            self._open[target] -= 1
+            return False
+        del self._open[target]
+        return True
 
     # ------------------------------------------------------------------
     # Overload
@@ -171,8 +193,8 @@ class FaultInjector:
     ) -> None:
         """Degrade one link for a window, then restore its prior override
         (or its absence)."""
-        slot = (min(host_a, host_b), max(host_a, host_b))
-        self._storm(slot, model, start, duration, "link_loss_storm", f"{host_a}|{host_b}")
+        target = f"{host_a}|{host_b}"
+        self._storm(_link(host_a, host_b), model, start, duration, "link_loss_storm", target)
 
     def _storm(
         self, slot, model: LossModel, start: float, duration: float, kind: str, target
@@ -229,39 +251,65 @@ class FaultInjector:
         """Cut the link between two hosts now or at time ``at``."""
 
         def do() -> None:
+            self._open[_link(host_a, host_b)] += 1
             self.network.fail_link(host_a, host_b)
             self._log("fail_link", f"{host_a}|{host_b}")
 
         self._when(do, at)
 
     def heal_link(self, host_a: str, host_b: str, at: float | None = None) -> None:
-        """Restore a previously cut link."""
+        """Close one cut on a link; it heals when no cut on it is open."""
 
         def do() -> None:
-            self.network.heal_link(host_a, host_b)
-            self._log("heal_link", f"{host_a}|{host_b}")
+            if self._closes_last(_link(host_a, host_b)):
+                self.network.heal_link(host_a, host_b)
+                self._log("heal_link", f"{host_a}|{host_b}")
 
         self._when(do, at)
 
     def partition(self, *groups, at: float | None = None) -> None:
-        """Split the fabric into isolated host groups (replaces any
-        existing partition)."""
-        frozen = [list(g) for g in groups]
+        """Split the fabric into isolated host groups until :meth:`heal`
+        is called with the same groups.
+
+        Hosts in no group form one implicit group.  Partitions open at
+        the same time intersect: two hosts can talk only if every open
+        partition puts them on the same side.
+        """
+        frozen = tuple(tuple(g) for g in groups)
+        hosts = [h for g in frozen for h in g]
+        if len(set(hosts)) != len(hosts):
+            raise TransportError(f"a host appears in several groups of {frozen}")
 
         def do() -> None:
-            self.network.partition(*frozen)
+            self._partitions.append(frozen)
+            self._enforce_partitions()
             self._log("partition", ";".join(",".join(g) for g in frozen))
 
         self._when(do, at)
 
-    def heal(self, at: float | None = None) -> None:
-        """Dissolve the current partition (cut links stay cut)."""
+    def heal(self, *groups, at: float | None = None) -> None:
+        """Dissolve the open partition with these groups (cut links and
+        other partitions stay).  ValueError if no such partition is open."""
+        frozen = tuple(tuple(g) for g in groups)
 
         def do() -> None:
-            self.network.heal_partition()
+            self._partitions.remove(frozen)
+            self._enforce_partitions()
             self._log("heal", "partition")
 
         self._when(do, at)
+
+    def _enforce_partitions(self) -> None:
+        """Install the intersection of the open partitions on the fabric:
+        hosts share a group iff they share a side in every partition."""
+        if not self._partitions:
+            self.network.heal_partition()
+            return
+        sides = [{h: i for i, g in enumerate(p) for h in g} for p in self._partitions]
+        groups: dict[tuple, list[str]] = {}
+        for host in dict.fromkeys(h for side in sides for h in side):
+            groups.setdefault(tuple(side.get(host) for side in sides), []).append(host)
+        self.network.partition(*groups.values())
 
     def _when(self, fn, at: float | None) -> None:
         if at is None:

@@ -27,19 +27,24 @@ Hosts are registered with a *site* (keys the latency matrix) and a
 group it joined; handlers receive decoded message objects plus
 the source endpoint.
 
-The fabric also carries **fault state** (exercised by
-:class:`~repro.discovery.faults.FaultInjector` and the chaos harness):
+The fabric also carries **fault state**, asserted through
+:meth:`Network.reachable`:
 
 * **link cuts** (:meth:`Network.fail_link` / :meth:`Network.heal_link`)
   -- a bidirectional host-pair cut: datagrams are dropped, connection
   attempts vanish like a timed-out SYN, and established connections
   crossing the cut are closed;
-* **partitions** (:meth:`Network.partition` / :meth:`Network.heal_partition`)
+* **a partition** (:meth:`Network.partition` / :meth:`Network.heal_partition`)
   -- the host set is split into reachability groups and every path
   across the cut behaves as a failed link;
 * **per-link loss overrides** (:meth:`Network.set_link_loss`) -- a loss
   model applying to one host pair, layered over the global model (see
   :class:`~repro.simnet.loss.CompositeLoss` for additive layering).
+
+This is state, not windows: the fabric holds one partition and a set of
+cut links.  :class:`~repro.discovery.faults.FaultInjector` owns the
+windows -- it counts overlapping cuts and installs the intersection of
+overlapping partitions -- so faults meet here already composed.
 """
 
 from __future__ import annotations

@@ -103,6 +103,28 @@ class TestDisruptiveKinds:
         assert _DISRUPTIVE <= logged
 
 
+class TestOverlappingWindows:
+    def test_overlapping_partitions_intersect(self):
+        """Plain seed 4 isolates d1, then opens a second partition that
+        puts d1 on the client's side before d1's own window has closed.
+        d1 must stay cut off until that window closes: the later
+        partition neither replaces the earlier one nor is dissolved by
+        its heal."""
+        world = ChaosWorld(seed=4)
+        net = world.net.network
+        schedule = draw_schedule(np.random.default_rng(4), world, world.sim.now + 1.0, 20.0)
+        isolate, split = (a for a in schedule if a.groups)
+        assert isolate.kind == "bdn_group_partition"
+        assert isolate.start < split.start < isolate.end < split.end
+        apply_schedule(world, (isolate, split))
+        world.sim.run_for(isolate.start + 4.0 - world.sim.now)
+        assert not net.reachable("c0.host", "d1.host")
+        world.sim.run_for(isolate.end + 0.1 - world.sim.now)
+        assert net.reachable("c0.host", "d1.host")  # only the split is left
+        world.sim.run_for(split.end + 0.1 - world.sim.now)
+        assert all(net.reachable("c0.host", h) for h in world.all_hosts())
+
+
 class TestRunChaos:
     def test_single_seed_runs_green(self):
         report = run_chaos(seed=1)

@@ -145,6 +145,70 @@ class TestFaultInjector:
         kinds = [k for _, k, _ in injector.injected]
         assert kinds.count("revive_broker") == 1
 
+    def test_overlapping_kills_keep_the_node_down(self):
+        world = World(n_brokers=1)
+        injector = FaultInjector(world.net.network)
+        broker = world.brokers[0]
+        t0 = world.sim.now
+        injector.kill_broker(broker, at=t0 + 1.0)
+        injector.revive_broker(broker, at=t0 + 5.0)  # [1, 5]
+        injector.kill_broker(broker, at=t0 + 3.0)
+        injector.revive_broker(broker, at=t0 + 8.0)  # [3, 8]
+        world.sim.run_for(6.0)
+        assert not broker.alive
+        world.sim.run_for(3.0)
+        assert broker.alive
+        # Every onset is logged; the node came back once.
+        kinds = [k for _, k, _ in injector.injected]
+        assert kinds == ["kill_broker", "kill_broker", "revive_broker"]
+
+    def test_last_revive_is_cold_if_any_overlapping_window_was(self):
+        world = World(n_brokers=1)
+        injector = FaultInjector(world.net.network)
+        t0 = world.sim.now
+        injector.kill_bdn(world.bdn, at=t0 + 1.0)
+        injector.revive_bdn(world.bdn, at=t0 + 5.0, cold=True)  # [1, 5] cold
+        injector.kill_bdn(world.bdn, at=t0 + 3.0)
+        injector.revive_bdn(world.bdn, at=t0 + 8.0)  # [3, 8] warm
+        world.sim.run_for(6.0)
+        assert not world.bdn.alive
+        world.sim.run_for(3.0)
+        assert world.bdn.alive
+        assert injector.injected[-1][1] == "revive_bdn_cold"
+
+    def test_overlapping_cuts_keep_the_link_cut(self):
+        world = World(n_brokers=2)
+        net = world.net.network
+        injector = FaultInjector(net)
+        hosts = (world.brokers[0].host, world.brokers[1].host)
+        t0 = world.sim.now
+        injector.fail_link(*hosts, at=t0 + 1.0)
+        injector.heal_link(*hosts, at=t0 + 5.0)
+        injector.fail_link(*reversed(hosts), at=t0 + 3.0)
+        injector.heal_link(*reversed(hosts), at=t0 + 8.0)
+        world.sim.run_for(6.0)
+        assert not net.reachable(*hosts)
+        world.sim.run_for(3.0)
+        assert net.reachable(*hosts)
+
+    def test_heal_names_the_partition_it_dissolves(self):
+        world = World(n_brokers=2)
+        net = world.net.network
+        injector = FaultInjector(net)
+        b0, b1 = (b.host for b in world.brokers)
+        injector.partition([b0])
+        injector.partition([b1])
+        # Both open: each broker is cut off from the other and the client.
+        assert not net.reachable(b0, b1)
+        assert not net.reachable(b1, "client0.host")
+        injector.heal([b0])
+        assert net.reachable(b0, "client0.host")
+        assert not net.reachable(b1, "client0.host")
+        with pytest.raises(ValueError):
+            injector.heal([b0])  # not open any more
+        injector.heal([b1])
+        assert net.reachable(b0, b1)
+
     def test_fail_and_heal_link_via_injector(self):
         world = World(n_brokers=2)
         net = world.net.network
@@ -168,7 +232,7 @@ class TestFaultInjector:
         assert not net.reachable(island, world.brokers[1].host)
         # The client (implicit group) is cut off from the island too.
         assert not net.reachable(island, "client0.host")
-        injector.heal()
+        injector.heal([island])
         assert net.reachable(island, world.brokers[1].host)
         assert net.reachable(island, "client0.host")
         assert [k for _, k, _ in injector.injected] == ["partition", "heal"]
@@ -183,7 +247,7 @@ class TestFaultInjector:
 
         outcome = run_discovery_once(world.client)
         assert not outcome.success
-        injector.heal()
+        injector.heal(["client0.host"])
         world.sim.run_for(1.0)
         recovered = world.discover()
         assert recovered.success

@@ -275,13 +275,14 @@ class TestElection:
         hosts = [b.host for b in group.brokers] + [
             b.host for b in group.bdns if b is not follower
         ] + [group.client.host]
-        group.injector.partition((follower.host,), tuple(hosts))
+        split = ((follower.host,), tuple(hosts))
+        group.injector.partition(*split)
         group.sim.run_for(3 * LEASE)
         # The isolated member may claim forever; with no quorum it must
         # never believe itself leader.
         assert not follower.replication.is_leader()
         assert len(group.leaders()) == 1
-        group.injector.heal()
+        group.injector.heal(*split)
         group.sim.run_for(LEASE + 1.0)
         assert election_breaches(group.bdns) == []
 
@@ -313,16 +314,17 @@ class TestReplicationLog:
         )]
         # Cut the leader's peers away, then write: append cannot reach
         # a quorum, so committed_seq must stall at its pre-write value.
-        group.injector.partition(
+        split = (
             (leader.host, *[b.host for b in group.brokers], group.client.host),
             tuple(b.host for b in group.bdns if b is not leader),
         )
+        group.injector.partition(*split)
         committed = leader.replication.committed_seq
         advertise_direct(group.brokers[0], leader.udp_endpoint, ttl=30.0)
         group.sim.run_for(0.5)
         assert leader.replication.seq > committed
         assert leader.replication.committed_seq == committed
-        group.injector.heal()
+        group.injector.heal(*split)
 
     @staticmethod
     def _ad(issued_at: float, ttl: float) -> BrokerAdvertisement:
@@ -566,7 +568,7 @@ class TestAntiEntropyConvergence:
         assert "b0" not in d2.store.broker_ids(now)
         # Heal; within one anti-entropy period every member holds the
         # union of live ads -- minus the lease that expired mid-split.
-        world.injector.heal()
+        world.injector.heal(side_a, side_b)
         world.sim.run_for(ANTI_ENTROPY + 0.5)
         now = world.sim.now
         expected = ["b0", "b1", "b2"]

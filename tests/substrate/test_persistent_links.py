@@ -38,7 +38,7 @@ class TestPersistentLinks:
         injector.partition([a.host], [b.host])
         net.sim.run_for(0.5)
         assert a.peers == frozenset()
-        injector.heal()
+        injector.heal([a.host], [b.host])
         net.sim.run_for(REPAIR)
         assert a.peers == {"b"}
         assert b.peers == {"a"}
@@ -60,7 +60,7 @@ class TestPersistentLinks:
         injector = FaultInjector(net.network)
         injector.partition([a.host], [b.host])
         net.sim.run_for(0.5)
-        injector.heal()
+        injector.heal([a.host], [b.host])
         net.sim.run_for(2 * REPAIR)
         assert a.link_count == 1
         assert b.link_count == 1
