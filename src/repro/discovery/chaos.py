@@ -326,8 +326,8 @@ def _bipartition(rng: np.random.Generator, world: ChaosWorld) -> dict:
 
 
 def _isolate_bdn(rng: np.random.Generator, world: ChaosWorld) -> dict:
-    # Network.partition folds unlisted hosts into one implicit group, so
-    # the two explicit groups cover every host.
+    # A partition folds unlisted hosts into one implicit group, so the
+    # two explicit groups cover every host.
     bdn = _pick(rng, world.bdns)
     rest = tuple(h for h in world.all_hosts() if h != bdn.host)
     return {"targets": (bdn.name,), "groups": ((bdn.host,), rest)}

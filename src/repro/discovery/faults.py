@@ -10,9 +10,13 @@ the chaos harness and the ablation benchmarks pull: killing/reviving
 BDNs and brokers at chosen times, request storms, loss storms (globally
 or per link), cutting and healing individual links, and partitioning
 the fabric into isolated groups.  It tells time and arms faults through
-the :class:`~repro.runtime.api.Runtime` contract alone, so node faults
-and request storms work on either runtime; loss storms, link cuts and
-partitions change the simulated fabric's fault state.
+the :class:`~repro.runtime.api.Runtime` contract alone.  A fabric fault
+opens a window in the runtime's :class:`~repro.runtime.hosts.Hosts`
+fault table at its start and closes it at its end, so node faults,
+request storms, cuts and partitions work on either runtime; injected
+loss needs the simulated fabric, and a loss storm armed on another
+runtime raises :class:`~repro.core.errors.TransportError` at the call.
+Every call checks its host names when it is made, not when it fires.
 
 Fault windows on one target overlap cleanly: a target stays faulted
 while any window on it is open.  A node killed twice stays down until
@@ -41,11 +45,6 @@ __all__ = ["FaultInjector"]
 _STORM_PORT = 7999
 
 
-def _link(host_a: str, host_b: str) -> tuple[str, str]:
-    """A link's key: its host pair in sorted order."""
-    return (min(host_a, host_b), max(host_a, host_b))
-
-
 class FaultInjector:
     """Schedules failures against a running runtime.
 
@@ -60,17 +59,11 @@ class FaultInjector:
     def __init__(self, network: Runtime) -> None:
         self.network = network
         self.injected: list[tuple[float, str, str]] = []
-        # Open kill and cut windows per target (a node, or a link's host
-        # pair); the target recovers when its last window closes.  Nodes
-        # in ``_cold`` come back cold: one of their windows said so.
+        # Open kill windows per node; a node recovers when its last
+        # window closes.  Nodes in ``_cold`` come back cold: one of
+        # their windows said so.  (Fabric windows live in network.hosts.)
         self._open: Counter = Counter()
         self._cold: set = set()
-        # Open partitions, in onset order, each a tuple of host groups.
-        self._partitions: list[tuple[tuple[str, ...], ...]] = []
-        # Open loss storms per slot -- ``None`` for the global model, a
-        # host pair for one link -- in onset order, with the model to
-        # restore once the last one ends: {slot: (prior, {token: model})}.
-        self._storms: dict[tuple[str, str] | None, tuple[LossModel | None, dict]] = {}
         # Monotone id for request-storm uuids (must never collide with a
         # real client's request uuids).
         self._storm_seq = 0
@@ -117,8 +110,10 @@ class FaultInjector:
     def _revive(self, node: BDN | Broker, kind: str, cold: bool = False) -> None:
         if cold:
             self._cold.add(node)
-        if not self._closes_last(node):
+        self._open[node] -= 1
+        if self._open[node] > 0:
             return  # another kill window on it is still open
+        del self._open[node]
         cold = node in self._cold
         self._cold.discard(node)
         if node.alive:
@@ -128,14 +123,6 @@ class FaultInjector:
             kind += "_cold"
         node.start()
         self._log(kind, node.name)
-
-    def _closes_last(self, target) -> bool:
-        """Close one open window on ``target``; whether none is left."""
-        if self._open[target] > 1:
-            self._open[target] -= 1
-            return False
-        del self._open[target]
-        return True
 
     # ------------------------------------------------------------------
     # Overload
@@ -184,85 +171,74 @@ class FaultInjector:
     # Loss storms
     # ------------------------------------------------------------------
     def loss_storm(self, model: LossModel, start: float, duration: float) -> None:
-        """Apply ``model`` to the whole fabric for a window, then restore
-        the prior model (see :meth:`_storm` for overlapping storms)."""
+        """Lay ``model`` over the whole fabric for a window (see
+        :meth:`_storm` for overlapping storms)."""
         self._storm(None, model, start, duration, "loss_storm", None)
 
     def link_loss_storm(
         self, host_a: str, host_b: str, model: LossModel, start: float, duration: float
     ) -> None:
-        """Degrade one link for a window, then restore its prior override
-        (or its absence)."""
-        target = f"{host_a}|{host_b}"
-        self._storm(_link(host_a, host_b), model, start, duration, "link_loss_storm", target)
+        """Lay ``model`` over one link for a window; it governs there over
+        any fabric-wide storm."""
+        link = self.network.hosts.link(host_a, host_b)
+        self._storm(link, model, start, duration, "link_loss_storm", f"{host_a}|{host_b}")
 
     def _storm(
         self, slot, model: LossModel, start: float, duration: float, kind: str, target
     ) -> None:
-        """Arm one loss storm on ``slot`` (``None``: the global model).
+        """Arm one loss storm on ``slot`` (``None``: the whole fabric).
 
-        The model to restore is captured when the slot's first storm
-        *starts*, not when a storm is scheduled, so a storm composes
-        with loss changes made before its window opens.  While any storm
-        on the slot is open the most recently started one governs, and
-        the prior model comes back only when the last one ends, so
-        interleaved (non-nested) windows unwind correctly.  A log entry
-        names the link, or for a global storm the model that took over.
+        While any storm on the slot is open the most recently started
+        one governs; the fabric's own :attr:`~repro.simnet.network.Network.loss`
+        is never overwritten, so nothing is captured or restored.  A log
+        entry names the link, or for a global storm the model in force
+        once the storm has started or ended.
         """
         if duration <= 0:
             raise ValueError("duration must be positive")
+        if self.network.kind != "sim":
+            raise TransportError(
+                f"{kind} injects loss, which only the simulated fabric models "
+                f"(a {self.network.kind} runtime's loss is real)"
+            )
+        hosts = self.network.hosts
         token = object()
 
         def begin() -> None:
-            if slot not in self._storms:
-                self._storms[slot] = (self._loss(slot), {})
-            self._storms[slot][1][token] = model
-            self._set_loss(slot, model)
+            hosts.storm(slot, token, model)
             self._log(f"{kind}_start", target or type(model).__name__)
 
         def end() -> None:
-            prior, open_storms = self._storms[slot]
-            del open_storms[token]
-            if open_storms:
-                self._set_loss(slot, next(reversed(open_storms.values())))
-            else:
-                del self._storms[slot]
-                self._set_loss(slot, prior)
-            self._log(f"{kind}_end", target or type(self.network.loss).__name__)
+            hosts.calm(slot, token)
+            in_force = hosts.storm_loss(None)
+            if in_force is None:
+                in_force = self.network.loss
+            self._log(f"{kind}_end", target or type(in_force).__name__)
 
         self.network.schedule_at(start, begin)
         self.network.schedule_at(start + duration, end)
-
-    def _loss(self, slot) -> LossModel | None:
-        return self.network.loss if slot is None else self.network.link_loss(*slot)
-
-    def _set_loss(self, slot, model: LossModel | None) -> None:
-        if slot is None:
-            self.network.loss = model
-        elif model is None:
-            self.network.clear_link_loss(*slot)
-        else:
-            self.network.set_link_loss(*slot, model)
 
     # ------------------------------------------------------------------
     # Link faults and partitions
     # ------------------------------------------------------------------
     def fail_link(self, host_a: str, host_b: str, at: float | None = None) -> None:
         """Cut the link between two hosts now or at time ``at``."""
+        hosts = self.network.hosts
+        link = hosts.link(host_a, host_b)
 
         def do() -> None:
-            self._open[_link(host_a, host_b)] += 1
-            self.network.fail_link(host_a, host_b)
+            hosts.cut(link)
             self._log("fail_link", f"{host_a}|{host_b}")
 
         self._when(do, at)
 
     def heal_link(self, host_a: str, host_b: str, at: float | None = None) -> None:
         """Close one cut on a link; it heals when no cut on it is open."""
+        hosts = self.network.hosts
+        link = hosts.link(host_a, host_b)
 
         def do() -> None:
-            if self._closes_last(_link(host_a, host_b)):
-                self.network.heal_link(host_a, host_b)
+            if hosts.mend(link):
                 self._log("heal_link", f"{host_a}|{host_b}")
 
         self._when(do, at)
@@ -275,14 +251,11 @@ class FaultInjector:
         the same time intersect: two hosts can talk only if every open
         partition puts them on the same side.
         """
-        frozen = tuple(tuple(g) for g in groups)
-        hosts = [h for g in frozen for h in g]
-        if len(set(hosts)) != len(hosts):
-            raise TransportError(f"a host appears in several groups of {frozen}")
+        hosts = self.network.hosts
+        frozen = hosts.groups(groups)
 
         def do() -> None:
-            self._partitions.append(frozen)
-            self._enforce_partitions()
+            hosts.partition(frozen)
             self._log("partition", ";".join(",".join(g) for g in frozen))
 
         self._when(do, at)
@@ -290,26 +263,14 @@ class FaultInjector:
     def heal(self, *groups, at: float | None = None) -> None:
         """Dissolve the open partition with these groups (cut links and
         other partitions stay).  ValueError if no such partition is open."""
-        frozen = tuple(tuple(g) for g in groups)
+        hosts = self.network.hosts
+        frozen = hosts.groups(groups)
 
         def do() -> None:
-            self._partitions.remove(frozen)
-            self._enforce_partitions()
+            hosts.heal(frozen)
             self._log("heal", "partition")
 
         self._when(do, at)
-
-    def _enforce_partitions(self) -> None:
-        """Install the intersection of the open partitions on the fabric:
-        hosts share a group iff they share a side in every partition."""
-        if not self._partitions:
-            self.network.heal_partition()
-            return
-        sides = [{h: i for i, g in enumerate(p) for h in g} for p in self._partitions]
-        groups: dict[tuple, list[str]] = {}
-        for host in dict.fromkeys(h for side in sides for h in side):
-            groups.setdefault(tuple(side.get(host) for side in sides), []).append(host)
-        self.network.partition(*groups.values())
 
     def _when(self, fn, at: float | None) -> None:
         if at is None:

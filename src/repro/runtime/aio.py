@@ -13,7 +13,11 @@ system sockets.  Design points:
 * **Real loss, no loss model.**  Datagrams are plain UDP ``sendto``
   calls: if the kernel drops them (full socket buffer, blocked send),
   they are gone -- the counters record it, nothing retransmits.  That
-  is the paper's "usefully lossy" UDP for real.
+  is the paper's "usefully lossy" UDP for real.  The one injected drop
+  is a fault: while a cut or a partition is open in the shared
+  :class:`~repro.runtime.hosts.Hosts` fault table, ``send_udp`` drops a
+  datagram across it and emits ``udp_cut``, as the simulated fabric
+  does.  Loss storms stay the fabric's (TCP links ignore cuts here).
 * **Synchronous socket setup, asynchronous I/O.**  ``bind_udp`` /
   ``listen_tcp`` create and bind the OS socket *synchronously* (so the
   real port is known, and sends can resolve it, the moment the call
@@ -211,6 +215,7 @@ class AioRuntime:
         self.multicast_enabled = hosts.multicast_enabled
         self.leave_multicast = hosts.leave
         self.multicast_members = hosts.members
+        self.reachable = hosts.reachable
         self._info = hosts.info
         self._udp: dict[Endpoint, _UdpBinding] = {}
         self._listeners: dict[Endpoint, _TcpListener] = {}
@@ -267,8 +272,8 @@ class AioRuntime:
         """Register the world's :class:`~repro.obs.Observability`.
 
         The runtime sends it the fabric's plain events (``udp_deliver``
-        / ``udp_drop`` / ``udp_garbled`` / ``handler_error``, named by
-        host) so live runs count the same evidence simulations do, and
+        / ``udp_drop`` / ``udp_cut`` / ``udp_garbled`` /
+        ``handler_error``, named by host) so live runs count the same evidence simulations do, and
         :meth:`aclose` dumps a final telemetry snapshot once the sockets
         are gone -- the live smoke artifact.
         """
@@ -471,10 +476,15 @@ class AioRuntime:
         binding.sock.close()
 
     def send_udp(self, src: Endpoint, dst: Endpoint, message: Message) -> None:
-        """Fire one real datagram; drops (kernel or addressing) are counted."""
+        """Fire one real datagram; drops (kernel, addressing, a cut) are counted."""
         payload = encode_message(message)
         self.datagrams_sent += 1
         self.bytes_sent += len(payload)
+        if self.hosts.split and not self.reachable(src.host, dst.host):
+            self.datagrams_dropped += 1
+            if self.observability is not None:
+                self.observability.emit("udp_cut", src.host, dst=dst, kind=type(message).__name__)
+            return
         real = self._real_addr.get(dst)
         if real is None:
             # Nobody bound/mapped the destination: the datagram vanishes,

@@ -27,24 +27,13 @@ Hosts are registered with a *site* (keys the latency matrix) and a
 group it joined; handlers receive decoded message objects plus
 the source endpoint.
 
-The fabric also carries **fault state**, asserted through
-:meth:`Network.reachable`:
-
-* **link cuts** (:meth:`Network.fail_link` / :meth:`Network.heal_link`)
-  -- a bidirectional host-pair cut: datagrams are dropped, connection
-  attempts vanish like a timed-out SYN, and established connections
-  crossing the cut are closed;
-* **a partition** (:meth:`Network.partition` / :meth:`Network.heal_partition`)
-  -- the host set is split into reachability groups and every path
-  across the cut behaves as a failed link;
-* **per-link loss overrides** (:meth:`Network.set_link_loss`) -- a loss
-  model applying to one host pair, layered over the global model (see
-  :class:`~repro.simnet.loss.CompositeLoss` for additive layering).
-
-This is state, not windows: the fabric holds one partition and a set of
-cut links.  :class:`~repro.discovery.faults.FaultInjector` owns the
-windows -- it counts overlapping cuts and installs the intersection of
-overlapping partitions -- so faults meet here already composed.
+The fabric keeps no fault state of its own: cuts, partitions and loss
+storms are open windows in the :class:`~repro.runtime.hosts.Hosts` fault
+table (opened and closed by :class:`~repro.discovery.faults.FaultInjector`),
+and :meth:`Network.reachable` is the table's.  Across a cut or a
+partition datagrams are dropped, connection attempts vanish like a
+timed-out SYN, and established connections are closed; an open loss
+storm replaces :attr:`Network.loss` on the links it covers.
 """
 
 from __future__ import annotations
@@ -77,17 +66,16 @@ _TCP_SETUP_RTTS = 1.0
 class _PathRecord:
     """Precomputed per-(src, dst) delivery state for the datagram hot path.
 
-    One flat record replaces the chain of dict resolutions (host info,
-    link key, failed-link set, partition map, per-link loss override,
-    hop count) that :meth:`Network.send_udp` would otherwise repeat for
-    every datagram.  Records are invalidated wholesale on any fault or
-    topology change, which only happens at chaos-schedule frequency --
-    datagrams happen at traffic frequency.
+    One flat record replaces the chain of lookups (host info, the
+    fault table, hop count) that :meth:`Network.send_udp` would
+    otherwise repeat for every datagram.  Records are dropped wholesale
+    on any change to the fault table, which only happens at
+    chaos-schedule frequency -- datagrams happen at traffic frequency.
 
-    The *global* loss model is deliberately not baked in:
-    ``loss_override`` is the per-link override or None, and the sender
-    resolves ``None`` against ``Network.loss`` at send time, so loss
-    storms that swap the global model keep working unchanged.
+    The fabric's own loss model is deliberately not baked in:
+    ``loss_override`` is the injected loss (the link's storm, else the
+    fabric-wide one) or None, and the sender resolves ``None`` against
+    ``Network.loss`` at send time.
     """
 
     reachable: bool
@@ -205,24 +193,19 @@ class Network:
         self.schedule = sim.schedule
         self.schedule_at = sim.schedule_at
         self.call_every = sim.call_every
-        self.hosts = hosts = Hosts()
+        self.hosts = hosts = Hosts(on_fault=self._refault)
         self.register_host = hosts.register
         self.site_of = hosts.site_of
         self.realm_of = hosts.realm_of
         self.multicast_enabled = hosts.multicast_enabled
         self.leave_multicast = hosts.leave
         self.multicast_members = hosts.members
+        self.reachable = hosts.reachable
         self._info = hosts.info
         self._udp_bindings: dict[Endpoint, Handler] = {}
         self._tcp_listeners: dict[Endpoint, Callable[[Connection], None]] = {}
-        # Fault state: cut host pairs, the active partition (host ->
-        # group id; hosts absent from every group share the implicit
-        # ``None`` group), and per-link loss-model overrides.
-        self._failed_links: set[tuple[str, str]] = set()
-        self._partition: dict[str, int] | None = None
-        self._link_loss: dict[tuple[str, str], LossModel] = {}
         self._connections: list[Connection] = []
-        # Hot-path cache, dropped wholesale on any fault or topology change.
+        # Hot-path cache, dropped wholesale on any fault table change.
         self._path_cache: dict[tuple[str, str], _PathRecord] = {}
         # One-entry wire-size memo: a fan-out sends the *same* message
         # object over many links back to back, so the last (object,
@@ -246,117 +229,33 @@ class Network:
         return self.sim._now
 
     # ------------------------------------------------------------------
-    # Link faults and partitions
+    # Paths and faults
     # ------------------------------------------------------------------
-    def _link_key(self, host_a: str, host_b: str) -> tuple[str, str]:
-        self._info(host_a)
-        self._info(host_b)
-        return (host_a, host_b) if host_a <= host_b else (host_b, host_a)
-
-    def _invalidate_path_cache(self) -> None:
-        """Drop every precomputed path record (on any fault change).
-
-        The records bake in hop counts too, so swapping :attr:`latency`
-        mid-run would need this as well; nothing does.
-        """
-        self._path_cache.clear()
-
     def _path(self, src_host: str, dst_host: str) -> _PathRecord:
         """The (possibly cached) flat delivery record for one host pair."""
         key = (src_host, dst_host)
         record = self._path_cache.get(key)
         if record is not None:
             return record
-        link_key = self._link_key(src_host, dst_host)
+        hosts = self.hosts
         src_site = self._info(src_host).site
         dst_site = self._info(dst_host).site
-        reachable = True
-        if src_host != dst_host:
-            if link_key in self._failed_links:
-                reachable = False
-            elif self._partition is not None and self._partition.get(
-                src_host
-            ) != self._partition.get(dst_host):
-                reachable = False
+        loss = hosts.storm_loss(hosts.link(src_host, dst_host))
         record = _PathRecord(
-            reachable=reachable,
+            reachable=hosts.reachable(src_host, dst_host),
             src_site=src_site,
             dst_site=dst_site,
             hops=self.latency.hops(src_site, dst_site),
-            loss_override=self._link_loss.get(link_key),
+            loss_override=loss if loss is not None else hosts.storm_loss(None),
         )
         self._path_cache[key] = record
         return record
 
-    def fail_link(self, host_a: str, host_b: str) -> None:
-        """Cut the bidirectional path between two hosts.
-
-        Datagrams between them are dropped, new connection attempts
-        vanish (a SYN into a black hole), and established connections
-        crossing the cut are closed immediately -- which is what peers
-        of a partitioned broker observe as link death.
-        """
-        self._failed_links.add(self._link_key(host_a, host_b))
-        self._invalidate_path_cache()
+    def _refault(self) -> None:
+        """The fault table changed: drop every path record and close the
+        established connections that now cross a cut."""
+        self._path_cache.clear()
         self._sever_unreachable()
-
-    def heal_link(self, host_a: str, host_b: str) -> None:
-        """Restore a previously cut host pair (idempotent)."""
-        self._failed_links.discard(self._link_key(host_a, host_b))
-        self._invalidate_path_cache()
-
-    def partition(self, *groups) -> None:
-        """Split the fabric into reachability groups.
-
-        Each ``group`` is an iterable of hostnames.  Hosts in different
-        groups cannot exchange datagrams or connections; hosts absent
-        from every group form one implicit extra group (they can still
-        talk to each other, but not across the cut).  A new partition
-        replaces the previous one.  Established connections across the
-        cut are closed.
-        """
-        mapping: dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for host in group:
-                self._info(host)
-                if host in mapping:
-                    raise TransportError(f"host {host!r} appears in multiple partition groups")
-                mapping[host] = index
-        self._partition = mapping
-        self._invalidate_path_cache()
-        self._sever_unreachable()
-
-    def heal_partition(self) -> None:
-        """Remove the active partition (idempotent; link cuts persist)."""
-        self._partition = None
-        self._invalidate_path_cache()
-
-    def reachable(self, host_a: str, host_b: str) -> bool:
-        """Whether the fabric will currently carry traffic between two hosts.
-
-        False across a cut link or a partition boundary; loss models are
-        probabilistic and do not affect reachability.
-        """
-        return self._path(host_a, host_b).reachable
-
-    def set_link_loss(self, host_a: str, host_b: str, model: LossModel) -> None:
-        """Install ``model`` as the loss model for one host pair.
-
-        The override replaces the global model for that link only; wrap
-        the global model and the override in a
-        :class:`~repro.simnet.loss.CompositeLoss` to layer them instead.
-        """
-        self._link_loss[self._link_key(host_a, host_b)] = model
-        self._invalidate_path_cache()
-
-    def clear_link_loss(self, host_a: str, host_b: str) -> None:
-        """Remove a per-link loss override (idempotent)."""
-        self._link_loss.pop(self._link_key(host_a, host_b), None)
-        self._invalidate_path_cache()
-
-    def link_loss(self, host_a: str, host_b: str) -> LossModel | None:
-        """The loss override for a host pair, if any."""
-        return self._link_loss.get(self._link_key(host_a, host_b))
 
     def _sever_unreachable(self) -> None:
         """Close established connections that now cross a cut."""

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.core.errors import TransportError, UnknownHostError
 from repro.discovery.faults import FaultInjector
+from repro.runtime.aio import AioRuntime
 from repro.simnet.loss import UniformLoss
 from tests.discovery.conftest import World
+
+
+def in_force(net):
+    """The loss model governing the whole fabric now: the most recent
+    open fabric-wide storm, else the fabric's own model."""
+    storm = net.hosts.storm_loss(None)
+    return net.loss if storm is None else storm
 
 
 class TestFaultInjector:
@@ -44,15 +55,19 @@ class TestFaultInjector:
 
     def test_loss_storm_restores_previous(self):
         world = World(n_brokers=1)
-        injector = FaultInjector(world.net.network)
-        original = world.net.network.loss
+        net = world.net.network
+        injector = FaultInjector(net)
+        original = net.loss
         storm = UniformLoss(0.9)
         start = world.sim.now + 1.0
         injector.loss_storm(storm, start=start, duration=2.0)
         world.sim.run_for(1.5)
-        assert world.net.network.loss is storm
+        assert in_force(net) is storm
+        assert net.loss is original  # a storm overlays, never overwrites
         world.sim.run_for(2.0)
-        assert world.net.network.loss is original
+        assert in_force(net) is original
+        assert [k for _, k, _ in injector.injected] == ["loss_storm_start", "loss_storm_end"]
+        assert injector.injected[-1][2] == type(original).__name__
 
     def test_loss_storm_duration_validated(self):
         world = World(n_brokers=1)
@@ -77,49 +92,56 @@ class TestFaultInjector:
 
         world.sim.schedule_at(world.sim.now + 1.0, swap)
         world.sim.run_for(6.0)
-        assert world.net.network.loss is storm
+        assert in_force(world.net.network) is storm
         world.sim.run_for(2.0)
-        assert world.net.network.loss is newer
+        assert in_force(world.net.network) is newer
 
     def test_interleaved_loss_storms_unwind_to_original(self):
         """Two overlapping, non-nested storms (A starts, B starts, A
         ends, B ends) must end with the pre-storm model, not resurrect
         storm A when B ends."""
         world = World(n_brokers=1)
-        injector = FaultInjector(world.net.network)
-        original = world.net.network.loss
+        net = world.net.network
+        injector = FaultInjector(net)
+        original = net.loss
         storm_a, storm_b = UniformLoss(0.9), UniformLoss(0.8)
         t0 = world.sim.now
         injector.loss_storm(storm_a, start=t0 + 1.0, duration=4.0)  # [1, 5]
         injector.loss_storm(storm_b, start=t0 + 3.0, duration=4.0)  # [3, 7]
         world.sim.run_for(2.0)
-        assert world.net.network.loss is storm_a
+        assert in_force(net) is storm_a
         world.sim.run_for(2.0)  # t0+4: both active, B governs
-        assert world.net.network.loss is storm_b
+        assert in_force(net) is storm_b
         world.sim.run_for(2.0)  # t0+6: A ended, B still active
-        assert world.net.network.loss is storm_b
+        assert in_force(net) is storm_b
         world.sim.run_for(2.0)  # t0+8: all over
-        assert world.net.network.loss is original
+        assert in_force(net) is original
+        # Each end names the model in force once that storm is over.
+        ends = [target for _, kind, target in injector.injected if kind == "loss_storm_end"]
+        assert ends == ["UniformLoss", type(original).__name__]
 
     def test_link_loss_storm_restores_prior_override(self):
         world = World(n_brokers=2)
         net = world.net.network
         injector = FaultInjector(net)
         hosts = (world.brokers[0].host, world.brokers[1].host)
-        prior = UniformLoss(0.05)
-        net.set_link_loss(*hosts, prior)
-        storm = UniformLoss(0.9)
+        link = net.hosts.link(*hosts)
+        prior, storm = UniformLoss(0.05), UniformLoss(0.9)
         t0 = world.sim.now
-        injector.link_loss_storm(*hosts, storm, start=t0 + 1.0, duration=2.0)
+        injector.link_loss_storm(*hosts, prior, start=t0 + 0.5, duration=5.0)  # [0.5, 5.5]
+        injector.link_loss_storm(*reversed(hosts), storm, start=t0 + 1.0, duration=2.0)  # [1, 3]
         world.sim.run_for(2.0)
-        assert net.link_loss(*hosts) is storm
+        assert net.hosts.storm_loss(link) is storm
         world.sim.run_for(2.0)
-        assert net.link_loss(*hosts) is prior
-        # With no prior override, the storm's end clears the link.
-        other = (world.brokers[0].host, "client0.host")
-        injector.link_loss_storm(*other, storm, start=world.sim.now + 1.0, duration=1.0)
-        world.sim.run_for(3.0)
-        assert net.link_loss(*other) is None
+        assert net.hosts.storm_loss(link) is prior
+        world.sim.run_for(2.0)
+        assert net.hosts.storm_loss(link) is None
+        # A link's storm governs there over a fabric-wide one, and only there.
+        injector.loss_storm(UniformLoss(0.5), start=world.sim.now + 1.0, duration=3.0)
+        injector.link_loss_storm(*hosts, storm, start=world.sim.now + 1.0, duration=2.0)
+        world.sim.run_for(2.0)
+        assert net._path(*hosts).loss_override is storm
+        assert net._path(hosts[0], "client0.host").loss_override is net.hosts.storm_loss(None)
 
     def test_revive_broker_restores_service(self):
         world = World(n_brokers=2)
@@ -236,6 +258,57 @@ class TestFaultInjector:
         assert net.reachable(island, world.brokers[1].host)
         assert net.reachable(island, "client0.host")
         assert [k for _, k, _ in injector.injected] == ["partition", "heal"]
+
+    def test_fail_link_checks_hosts_at_the_call(self):
+        world = World(n_brokers=2)
+        net = world.net.network
+        injector = FaultInjector(net)
+        b0, b1 = (b.host for b in world.brokers)
+        with pytest.raises(UnknownHostError):
+            injector.fail_link(b0, "ghost.host", at=world.sim.now + 1.0)
+        injector.fail_link(b0, b1, at=world.sim.now + 1.0)
+        injector.heal_link(b0, b1, at=world.sim.now + 2.0)
+        world.sim.run_for(3.0)  # nothing fires for the refused cut
+        assert net.reachable(b0, b1)
+        assert [k for _, k, _ in injector.injected] == ["fail_link", "heal_link"]
+
+    def test_partition_checks_hosts_at_the_call(self):
+        world = World(n_brokers=2)
+        injector = FaultInjector(world.net.network)
+        with pytest.raises(UnknownHostError):
+            injector.partition([world.brokers[0].host], ["ghost.host"], at=world.sim.now + 1.0)
+        world.sim.run_for(2.0)
+        assert injector.injected == []
+
+    def test_link_loss_storm_checks_hosts_at_the_call(self):
+        world = World(n_brokers=2)
+        injector = FaultInjector(world.net.network)
+        with pytest.raises(UnknownHostError):
+            injector.link_loss_storm(
+                world.brokers[0].host, "ghost.host", UniformLoss(0.5),
+                start=world.sim.now + 1.0, duration=1.0,
+            )
+        world.sim.run_for(3.0)
+        assert injector.injected == []
+
+    def test_heal_of_no_open_partition_names_its_groups(self):
+        world = World(n_brokers=2)
+        injector = FaultInjector(world.net.network)
+        b0 = world.brokers[0].host
+        with pytest.raises(ValueError, match=re.escape(repr(((b0,),)))):
+            injector.heal([b0])
+
+    def test_loss_storm_on_aio_raises_at_the_call(self):
+        """Injected loss is the simulated fabric's: on sockets the call
+        itself refuses, before anything is armed."""
+        rt = AioRuntime()
+        rt.register_host("a.x", "sa")
+        rt.register_host("b.x", "sb")
+        injector = FaultInjector(rt)
+        with pytest.raises(TransportError, match="simulated fabric"):
+            injector.loss_storm(UniformLoss(0.5), start=rt.now + 1.0, duration=1.0)
+        with pytest.raises(TransportError, match="simulated fabric"):
+            injector.link_loss_storm("a.x", "b.x", UniformLoss(0.5), start=rt.now + 1.0, duration=1.0)
 
     def test_partitioned_client_falls_back_then_recovers(self):
         """A client partitioned away from BDN and brokers fails its

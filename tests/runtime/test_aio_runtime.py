@@ -19,7 +19,12 @@ from repro.core.messages import Ack, PingRequest
 from repro.core.errors import TransportError
 from repro.runtime import create_runtime
 from repro.runtime.aio import AioRuntime
-from tests.runtime.hosts_contract import AioSide, HostRegistryContract, MulticastContract
+from tests.runtime.hosts_contract import (
+    AioSide,
+    FaultContract,
+    HostRegistryContract,
+    MulticastContract,
+)
 
 
 def run(coro):
@@ -504,6 +509,10 @@ class TestPortPlan:
 
 
 class TestMulticast(MulticastContract):
+    Side = AioSide
+
+
+class TestFaults(FaultContract):
     Side = AioSide
 
 

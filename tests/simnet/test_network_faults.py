@@ -1,4 +1,11 @@
-"""Tests for link faults, partitions, and per-link loss on the fabric."""
+"""Faults on the fabric: the fault contract, TCP across cuts, injected loss.
+
+The datagram cases are :class:`~tests.runtime.hosts_contract.FaultContract`,
+bound here to the simulated fabric (and to sockets in
+``tests/runtime/test_aio_runtime.py``); what only the fabric has --
+datagrams in flight, TCP-like connections, injected loss -- is tested
+here alone.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import CompositeLoss, NoLoss, UniformLoss
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
+from tests.runtime.hosts_contract import FaultContract, SimSide, cut, split
 
 
 def make_net(loss=None, seed=0) -> tuple[Simulator, Network]:
@@ -31,78 +39,26 @@ def msg(tag="m") -> Ack:
     return Ack(uuid=tag, acked_by="tester")
 
 
-class TestLinkFaults:
-    def test_failed_link_drops_datagrams_both_directions(self):
-        sim, net = make_net()
-        got = []
-        net.bind_udp(Endpoint("a.x", 1), lambda m, s: got.append(m))
-        net.bind_udp(Endpoint("b.x", 1), lambda m, s: got.append(m))
-        net.fail_link("a.x", "b.x")
-        net.send_udp(Endpoint("a.x", 1), Endpoint("b.x", 1), msg("ab"))
-        net.send_udp(Endpoint("b.x", 1), Endpoint("a.x", 1), msg("ba"))
-        sim.run()
-        assert got == []
-        assert net.datagrams_cut == 2
+class TestLinkFaults(FaultContract):
+    """The fault contract on the fabric (cuts and partitions alike)."""
 
-    def test_other_links_unaffected(self):
-        sim, net = make_net()
-        got = []
-        net.bind_udp(Endpoint("c.x", 1), lambda m, s: got.append(m))
-        net.fail_link("a.x", "b.x")
-        net.send_udp(Endpoint("a.x", 1), Endpoint("c.x", 1), msg())
-        sim.run()
-        assert len(got) == 1
+    Side = SimSide
 
-    def test_heal_link_restores_delivery(self):
-        sim, net = make_net()
-        got = []
-        net.bind_udp(Endpoint("b.x", 1), lambda m, s: got.append(m))
-        net.fail_link("a.x", "b.x")
-        net.heal_link("a.x", "b.x")
-        net.send_udp(Endpoint("a.x", 1), Endpoint("b.x", 1), msg())
-        sim.run()
-        assert len(got) == 1
-        assert net.reachable("a.x", "b.x")
-
-    def test_link_key_is_order_insensitive(self):
-        sim, net = make_net()
-        net.fail_link("b.x", "a.x")
-        assert not net.reachable("a.x", "b.x")
-        net.heal_link("a.x", "b.x")
-        assert net.reachable("a.x", "b.x")
-
-    def test_unknown_host_rejected(self):
-        sim, net = make_net()
-        with pytest.raises(TransportError):
-            net.fail_link("a.x", "ghost.x")
-
-    def test_in_flight_datagram_dropped_by_late_cut(self):
-        sim, net = make_net()
+    def test_in_flight_datagram_dropped_by_late_cut(self, side):
+        sim, net = side.sim, side.rt
         got = []
         net.bind_udp(Endpoint("b.x", 1), lambda m, s: got.append(m))
         net.send_udp(Endpoint("a.x", 1), Endpoint("b.x", 1), msg())
-        sim.schedule(0.001, net.fail_link, "a.x", "b.x")  # before ~10ms delivery
+        sim.schedule(0.001, cut, net, "a.x", "b.x")  # before ~10ms delivery
         sim.run()
         assert got == []
         assert net.datagrams_cut == 1
 
 
 class TestPartitions:
-    def test_cross_group_traffic_dropped(self):
-        sim, net = make_net()
-        got = []
-        net.bind_udp(Endpoint("c.x", 1), lambda m, s: got.append(m))
-        net.bind_udp(Endpoint("b.x", 1), lambda m, s: got.append(m))
-        net.partition(["a.x", "b.x"], ["c.x"])
-        net.send_udp(Endpoint("a.x", 1), Endpoint("c.x", 1), msg("cross"))
-        net.send_udp(Endpoint("a.x", 1), Endpoint("b.x", 1), msg("same"))
-        sim.run()
-        assert [m.uuid for m in got] == ["same"]
-        assert not net.reachable("a.x", "c.x")
-
     def test_unlisted_hosts_form_implicit_group(self):
         sim, net = make_net()
-        net.partition(["a.x"])
+        split(net, ["a.x"])
         # b, c, d are unassigned: they share a group with each other but
         # are cut off from a.
         assert net.reachable("b.x", "c.x")
@@ -111,32 +67,23 @@ class TestPartitions:
     def test_duplicate_host_rejected(self):
         sim, net = make_net()
         with pytest.raises(TransportError):
-            net.partition(["a.x", "b.x"], ["b.x"])
-
-    def test_new_partition_replaces_old(self):
-        sim, net = make_net()
-        net.partition(["a.x"], ["b.x", "c.x"])
-        net.partition(["a.x", "b.x"], ["c.x"])
-        assert net.reachable("a.x", "b.x")
-        assert not net.reachable("b.x", "c.x")
+            split(net, ["a.x", "b.x"], ["b.x"])
 
     def test_heal_partition_restores_everything(self):
         sim, net = make_net()
-        net.partition(["a.x"], ["b.x"])
-        net.heal_partition()
+        groups = net.hosts.groups([["a.x"], ["b.x"]])
+        net.hosts.partition(groups)
+        net.hosts.heal(groups)
         assert net.reachable("a.x", "b.x")
+        assert not net.hosts.split
 
     def test_heal_partition_keeps_link_cuts(self):
         sim, net = make_net()
-        net.fail_link("a.x", "b.x")
-        net.partition(["a.x"], ["b.x"])
-        net.heal_partition()
+        cut(net, "a.x", "b.x")
+        groups = net.hosts.groups([["a.x"], ["b.x"]])
+        net.hosts.partition(groups)
+        net.hosts.heal(groups)
         assert not net.reachable("a.x", "b.x")
-
-    def test_same_host_always_reachable(self):
-        sim, net = make_net()
-        net.partition(["a.x"], ["b.x"])
-        assert net.reachable("a.x", "a.x")
 
 
 class TestTcpAcrossCuts:
@@ -153,7 +100,7 @@ class TestTcpAcrossCuts:
         closed = []
         conns["local"].on_close = lambda: closed.append("local")
         conns["remote"].on_close = lambda: closed.append("remote")
-        net.partition(["a.x"], ["b.x"])
+        split(net, ["a.x"], ["b.x"])
         assert net.connections_severed == 1
         assert sorted(closed) == ["local", "remote"]
         assert not conns["local"].open
@@ -162,7 +109,7 @@ class TestTcpAcrossCuts:
         sim, net = make_net()
         connected = []
         net.listen_tcp(Endpoint("b.x", 5), lambda c: connected.append("accept"))
-        net.fail_link("a.x", "b.x")
+        cut(net, "a.x", "b.x")
         # No exception -- the SYN just disappears.
         net.connect_tcp(Endpoint("a.x", 5), Endpoint("b.x", 5), lambda c: connected.append("local"))
         sim.run()
@@ -173,7 +120,7 @@ class TestTcpAcrossCuts:
         connected = []
         net.listen_tcp(Endpoint("b.x", 5), lambda c: connected.append("accept"))
         net.connect_tcp(Endpoint("a.x", 5), Endpoint("b.x", 5), lambda c: connected.append("local"))
-        net.fail_link("a.x", "b.x")  # before the handshake completes
+        cut(net, "a.x", "b.x")  # before the handshake completes
         sim.run()
         assert connected == []
 
@@ -183,7 +130,7 @@ class TestTcpAcrossCuts:
         got = []
         conns["remote"].on_receive = lambda m, s: got.append(m)
         conns["local"].send(msg())
-        net.fail_link("a.x", "b.x")
+        cut(net, "a.x", "b.x")
         sim.run()
         assert got == []
 
@@ -196,7 +143,7 @@ class TestTcpAcrossCuts:
 class TestPerLinkLoss:
     def test_override_replaces_global_model_for_pair(self):
         sim, net = make_net(loss=NoLoss())
-        net.set_link_loss("a.x", "b.x", UniformLoss(0.999999999))
+        net.hosts.storm(net.hosts.link("a.x", "b.x"), "s", UniformLoss(0.999999999))
         delivered = []
         net.bind_udp(Endpoint("b.x", 1), lambda m, s: delivered.append(m))
         net.bind_udp(Endpoint("c.x", 1), lambda m, s: delivered.append(m))
@@ -208,9 +155,10 @@ class TestPerLinkLoss:
 
     def test_clear_link_loss_restores_global(self):
         sim, net = make_net(loss=NoLoss())
-        net.set_link_loss("a.x", "b.x", UniformLoss(0.999999999))
-        net.clear_link_loss("a.x", "b.x")
-        assert net.link_loss("a.x", "b.x") is None
+        link = net.hosts.link("a.x", "b.x")
+        net.hosts.storm(link, "s", UniformLoss(0.999999999))
+        net.hosts.calm(link, "s")
+        assert net.hosts.storm_loss(link) is None
         got = []
         net.bind_udp(Endpoint("b.x", 1), lambda m, s: got.append(m))
         net.send_udp(Endpoint("a.x", 1), Endpoint("b.x", 1), msg())
