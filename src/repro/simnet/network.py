@@ -218,7 +218,6 @@ class Network:
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
         self.datagrams_dropped = 0
-        self.datagrams_cut = 0
         self.bytes_sent = 0
         self.connections_opened = 0
         self.connections_severed = 0
@@ -309,10 +308,7 @@ class Network:
         if path is None:
             path = self._path(src.host, dst.host)
         if not path.reachable:
-            self.datagrams_dropped += 1
-            self.datagrams_cut += 1
-            if self.obs is not None:
-                self.obs.emit("udp_cut", src.host, dst=dst, kind=type(message).__name__)
+            self._cut(message, src, dst)
             return
         loss = path.loss_override if path.loss_override is not None else self.loss
         if loss.lost(path.hops, self.rng):
@@ -325,14 +321,17 @@ class Network:
         # the ScheduledEvent allocation on the hottest schedule in a run.
         self.sim.schedule_fire(delay, self._deliver_udp, message, src, dst)
 
+    def _cut(self, message: Message, src: Endpoint, dst: Endpoint) -> None:
+        self.datagrams_dropped += 1
+        if self.obs is not None:
+            self.obs.emit("udp_cut", src.host, dst=dst, kind=type(message).__name__)
+
     def _deliver_udp(self, message: Message, src: Endpoint, dst: Endpoint) -> None:
         path = self._path_cache.get((src.host, dst.host))
         if path is None:
             path = self._path(src.host, dst.host)
         if not path.reachable:
-            # A cut landed while the datagram was in flight.
-            self.datagrams_dropped += 1
-            self.datagrams_cut += 1
+            self._cut(message, src, dst)  # a cut landed while it was in flight
             return
         handler = self._udp_bindings.get(dst)
         if handler is None:

@@ -52,7 +52,7 @@ class TestLinkFaults(FaultContract):
         sim.schedule(0.001, cut, net, "a.x", "b.x")  # before ~10ms delivery
         sim.run()
         assert got == []
-        assert net.datagrams_cut == 1
+        assert side.obs.count("udp_cut") == 1
 
 
 class TestPartitions:
