@@ -81,7 +81,7 @@ class CompositeLoss:
 
     Used to stack a per-link degradation (a congested or flapping path)
     on top of the fabric's global model without replacing it:
-    ``network.set_link_loss(a, b, CompositeLoss((network.loss, storm)))``.
+    ``injector.link_loss_storm(a, b, CompositeLoss((network.loss, storm)), start, duration)``.
 
     Every layer is always consulted (no short-circuit), so the RNG draw
     sequence -- and therefore the simulation -- stays deterministic

@@ -32,8 +32,8 @@ storms are open windows in the :class:`~repro.runtime.hosts.Hosts` fault
 table (opened and closed by :class:`~repro.discovery.faults.FaultInjector`),
 and :meth:`Network.reachable` is the table's.  Across a cut or a
 partition datagrams are dropped, connection attempts vanish like a
-timed-out SYN, and established connections are closed; an open loss
-storm replaces :attr:`Network.loss` on the links it covers.
+timed-out SYN, and established connections are closed; on the links an
+open loss storm covers, its model is drawn instead of :attr:`Network.loss`.
 """
 
 from __future__ import annotations
