@@ -55,19 +55,18 @@ def _print_summary(summary: dict) -> None:
         print(f"  lost report: {label}")
     for violation in summary["violations"]:
         print(f"  VIOLATION: {violation}")
-    slo = summary.get("slo")
-    if slo:
+    slo = summary["slo"]
+    print(
+        f"slo: {slo['windows_evaluated']} windows evaluated, "
+        f"{len(slo['violations'])} live violation(s), "
+        f"latency budget burned {slo['budget_burned']:.0%}"
+    )
+    for violation in slo["violations"]:
         print(
-            f"slo: {slo.get('windows_evaluated', 0)} windows evaluated, "
-            f"{len(slo.get('violations', []))} live violation(s), "
-            f"latency budget burned {slo.get('budget_burned', 0.0):.0%}"
+            f"  SLO VIOLATION [window {violation['window']}] "
+            f"{violation['invariant']} ({violation['process']}): "
+            f"{violation['detail']}"
         )
-        for violation in slo.get("violations", []):
-            print(
-                f"  SLO VIOLATION [window {violation['window']}] "
-                f"{violation['invariant']} ({violation['process']}): "
-                f"{violation['detail']}"
-            )
 
 
 def _write_flamegraph(path: str, reports: list[dict]) -> None:
@@ -85,7 +84,7 @@ def _write_flamegraph(path: str, reports: list[dict]) -> None:
 
 def _finish(harness: ClusterHarness, spec: ClusterSpec, args) -> int:
     harness.shutdown()
-    live = harness.live.summary() if harness.live is not None else None
+    live = harness.live.summary()
     reports, missing = harness.collect()
     summary = summarize(spec, reports, missing, harness.injector.injected, live=live)
     _print_summary(summary)
@@ -99,12 +98,11 @@ def _finish(harness: ClusterHarness, spec: ClusterSpec, args) -> int:
         print(f"merged timeline -> {args.timeline}")
     if getattr(args, "flamegraph", None):
         _write_flamegraph(args.flamegraph, reports)
-    if getattr(args, "slo_trend", None) and live is not None:
+    if getattr(args, "slo_trend", None):
         with open(args.slo_trend, "w", encoding="utf-8") as fh:
-            json.dump(live.get("trend", []), fh, indent=2)
+            json.dump(live["trend"], fh, indent=2)
         print(f"slo trend -> {args.slo_trend}")
-    slo_violations = live.get("violations", []) if live else []
-    return 1 if summary["violations"] or missing or slo_violations else 0
+    return 1 if summary["violations"] or missing or live["violations"] else 0
 
 
 def _build_spec(args, rounds: int) -> ClusterSpec:
@@ -115,7 +113,6 @@ def _build_spec(args, rounds: int) -> ClusterSpec:
         seed=args.seed,
         rounds=rounds,
         mean_gap=args.mean_gap,
-        telemetry_interval=args.telemetry_interval,
         slo_window=args.slo_window,
         admission_control=not args.no_admission_control,
         profile_rate=args.profile_rate,
@@ -140,8 +137,6 @@ def _smoke(args) -> int:
 
 def _slo_failed(harness: ClusterHarness, context: str) -> bool:
     """Fail-fast check: report any live SLO violations and say so."""
-    if harness.live is None:
-        return False
     violations = harness.live.violations
     if not violations:
         return False
@@ -189,9 +184,6 @@ def _top(args) -> int:
     """A soak-shaped run with a live redrawn terminal dashboard."""
     rounds = max(1, int(args.duration / args.mean_gap))
     spec = _build_spec(args, rounds)
-    if spec.telemetry_interval <= 0:
-        print("top needs streaming telemetry; set --telemetry-interval > 0")
-        return 2
     harness = ClusterHarness(spec, args.workdir)
     harness.start()
     time.sleep(WARMUP)
@@ -231,13 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--settle", type=float, default=1.5, help="pause between BDN restarts")
         p.add_argument("--summary", default=None, help="write run summary JSON here")
         p.add_argument("--timeline", default=None, help="write merged timeline JSON here")
-        p.add_argument(
-            "--telemetry-interval",
-            type=float,
-            default=1.0,
-            dest="telemetry_interval",
-            help="seconds between streamed telemetry frames (0 disables)",
-        )
         p.add_argument(
             "--slo-window",
             type=float,

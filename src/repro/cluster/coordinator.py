@@ -15,6 +15,11 @@ counterpart of the sim :class:`~repro.discovery.faults.FaultInjector`:
                         group, one member at a time so quorum holds;
 * ``storm``          -- multiplies the load generator's offered rate.
 
+Every worker also streams ``telemetry`` frames up its control
+connection, each carrying the worker's whole metrics registry.  The
+harness folds them into its :class:`~repro.obs.live.LiveTelemetry` plane
+(rolling view plus SLO monitor) and sends nothing back.
+
 Everything here is plain blocking code on threads: the coordinator is
 not part of the protocol under test, so it deliberately avoids sharing
 an event loop (or a runtime) with it.
@@ -33,7 +38,7 @@ import threading
 import time
 
 import repro
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import DRAIN_DEADLINE, ClusterSpec
 from repro.obs.live import LiveTelemetry
 from repro.obs.slo import SloMonitor
 
@@ -47,16 +52,13 @@ class ClusterError(RuntimeError):
 class _ControlServer:
     """Threaded JSON-lines TCP server the workers dial into.
 
-    ``on_telemetry`` is an optional callable invoked *on the reader
-    thread* for every ``type == "telemetry"`` frame; the dict it returns
-    (if any) is written back on the same connection as the ack.  Routed
-    frames never enter the inbox, so streaming telemetry cannot starve
-    or reorder the coordinator's ``wait_for`` calls.  Without a handler
-    telemetry frames park in ``_unclaimed`` like any other unsolicited
-    message -- buffered, never dropped.
+    ``on_telemetry`` is invoked *on the reader thread* for every
+    ``type == "telemetry"`` frame.  Routed frames never enter the inbox,
+    so streaming telemetry cannot starve or reorder the coordinator's
+    ``wait_for`` calls.
     """
 
-    def __init__(self, bind_ip: str, on_telemetry=None) -> None:
+    def __init__(self, bind_ip: str, on_telemetry) -> None:
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.sock.bind((bind_ip, 0))
@@ -69,8 +71,8 @@ class _ControlServer:
         self._unclaimed: list[dict] = []
         self.conns: dict[str, socket.socket] = {}
         self._lock = threading.Lock()
-        #: Per-connection write locks: acks (reader threads) and commands
-        #: (coordinator thread) must not interleave on one socket.
+        #: Per-connection write locks: commands sent from different
+        #: threads must not interleave on one socket.
         self._send_locks: dict[socket.socket, threading.Lock] = {}
         self._closing = False
         threading.Thread(target=self._accept_loop, daemon=True).start()
@@ -111,17 +113,11 @@ class _ControlServer:
                     role = message["role"]
                     with self._lock:
                         self.conns[role] = conn  # respawn replaces the old conn
-                if message.get("type") == "telemetry" and self.on_telemetry is not None:
+                if message.get("type") == "telemetry":
                     try:
-                        ack = self.on_telemetry(message)
+                        self.on_telemetry(message)
                     except Exception:  # noqa: BLE001 - telemetry must not kill the reader
-                        ack = None
-                    if ack is not None:
-                        try:
-                            with self._send_lock(conn):
-                                conn.sendall((json.dumps(ack) + "\n").encode("utf-8"))
-                        except OSError:
-                            pass  # worker went away mid-ack; the next frame re-deltas
+                        pass
                     continue
                 self.inbox.put(message)
 
@@ -188,9 +184,8 @@ class ClusterHarness:
         self.control: _ControlServer | None = None
         self.injector = ClusterFaultInjector(self)
         #: The live telemetry plane: folds worker frames into a rolling
-        #: cluster view and evaluates SLO windows continuously.  Built
-        #: in :meth:`start` unless the spec disables streaming.
-        self.live: LiveTelemetry | None = None
+        #: cluster view and evaluates SLO windows continuously.
+        self.live = LiveTelemetry(SloMonitor(spec.slo_config()))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -199,16 +194,11 @@ class ClusterHarness:
         if not self.spec.ports:
             self.spec.assign_ports()
         self.spec.save(self.spec_path)
-        on_telemetry = None
-        if self.spec.telemetry_interval > 0:
-            self.live = LiveTelemetry(monitor=SloMonitor(self.spec.slo_config()))
-            on_telemetry = self.live.on_frame
-        self.control = _ControlServer(self.spec.bind_ip, on_telemetry=on_telemetry)
+        self.control = _ControlServer(self.spec.bind_ip, on_telemetry=self.live.on_frame)
         for role in self.spec.roles():
             self.spawn(role)
         self.wait_ready(self.spec.roles(), timeout=ready_timeout)
-        if self.live is not None:
-            self.live.start()
+        self.live.start()
 
     def _worker_env(self) -> dict[str, str]:
         env = dict(os.environ)
@@ -290,8 +280,7 @@ class ClusterHarness:
                 proc.kill()
                 proc.wait()
                 codes[role] = None  # refused to drain: recorded, not hidden
-        if self.live is not None:
-            self.live.stop()  # idempotent; flushes the open SLO window
+        self.live.stop()  # idempotent; flushes the open SLO window
         if self.control is not None:
             self.control.close()
         return codes
@@ -338,7 +327,7 @@ class ClusterFaultInjector:
     def drain(self, role: str, deadline: float | None = None) -> int:
         """SIGTERM graceful drain; asserts exit 0 within the deadline."""
         proc = self.harness.procs[role]
-        limit = deadline if deadline is not None else self.harness.spec.drain_deadline + 5.0
+        limit = deadline if deadline is not None else DRAIN_DEADLINE + 5.0
         self._note("drain", role)
         proc.send_signal(signal.SIGTERM)
         try:

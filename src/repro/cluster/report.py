@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import ADMISSION_WATERMARK, P99_BOUND, ClusterSpec
 from repro.core.invariants import (
     LIVE_ELECTION_EPS,
     Evidence,
@@ -135,8 +135,8 @@ def check_invariants(spec: ClusterSpec, reports: list[dict]) -> list[str]:
     breaches = verdict(
         gather_evidence(spec, reports),
         election_eps=LIVE_ELECTION_EPS,
-        watermark=spec.admission_watermark,
-        p99_bound=spec.p99_bound,
+        watermark=ADMISSION_WATERMARK,
+        p99_bound=P99_BOUND,
     )
     return [str(breach) for breach in breaches]
 

@@ -40,6 +40,23 @@ from repro.substrate.broker import BROKER_LINK_PORT, BROKER_TCP_PORT, BROKER_UDP
 
 __all__ = ["ClusterSpec", "derive_schedule"]
 
+#: Broker registration lease: renewed every ``BROKER_HEARTBEAT`` seconds,
+#: expiring after ``BROKER_LEASE_TTL`` (3 intervals = two misses).
+BROKER_HEARTBEAT = 1.0
+BROKER_LEASE_TTL = 3.0
+#: Overload layer (ingress queue, admission control), live-speed service time.
+QUEUE_CAPACITY = 32
+SERVICE_TIME = 0.002
+ADMISSION_WATERMARK = 8
+#: Soak invariant bounds.
+P99_BOUND = 3.0
+DRAIN_DEADLINE = 5.0
+#: Fraction of SLO windows allowed to breach the p99 bound before the
+#: latency error budget is exhausted.
+SLO_LATENCY_BUDGET = 0.25
+#: Role kinds the sampling profiler runs on when ``profile_rate > 0``.
+PROFILE_ROLES = ("load",)
+
 
 def derive_schedule(seed: int, rounds: int, mean_gap: float) -> list[float]:
     """Seeded inter-discovery gaps (seconds) for one load-generator client.
@@ -67,42 +84,19 @@ class ClusterSpec:
     #: seeded exponential gaps of mean ``mean_gap`` seconds.
     rounds: int = 20
     mean_gap: float = 0.15
-    #: Broker registration lease: renewed every ``broker_heartbeat``,
-    #: expiring after ``broker_lease_ttl`` (3 intervals = two misses).
-    broker_heartbeat: float = 1.0
-    broker_lease_ttl: float = 3.0
-    #: Overload layer (PR 3) knobs, live-speed service time.
-    queue_capacity: int = 32
-    service_time: float = 0.002
-    admission_watermark: int = 8
-    #: Soak invariant bounds.
-    p99_bound: float = 3.0
-    drain_deadline: float = 5.0
-    #: Live telemetry plane (see ``repro.obs.live``): workers stream
-    #: delta-encoded telemetry frames on the control channel every
-    #: ``telemetry_interval`` seconds; 0 disables streaming entirely.
-    telemetry_interval: float = 1.0
-    #: SLO monitor evaluation window (wall-clock seconds) and the
-    #: fraction of windows allowed to breach the p99 bound before the
-    #: latency error budget is exhausted.
+    #: SLO monitor evaluation window (wall-clock seconds).
     slo_window: float = 5.0
-    slo_latency_budget: float = 0.25
     #: Overload protection master switch.  ``False`` zeroes the BDN
     #: admission watermark -- the violation-injection drill the SLO
     #: monitor's queue-overflow invariant is meant to catch live.
     admission_control: bool = True
     #: Continuous profiling: stack-sampling rate in Hz (0 = profiler
     #: never constructed) for the roles whose kind is in
-    #: ``profile_roles`` (``load`` | ``bdn`` | ``broker``).
+    #: :data:`PROFILE_ROLES`.
     profile_rate: float = 0.0
-    profile_roles: tuple = ("load",)
     #: Symbolic ``"host:port"`` -> real OS port, filled by
     #: :meth:`assign_ports` on the coordinator.
     ports: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # JSON has no tuples: normalise so load(save(spec)) == spec.
-        self.profile_roles = tuple(self.profile_roles)
 
     # ------------------------------------------------------------------
     # Naming
@@ -231,11 +225,9 @@ class ClusterSpec:
             injection="all",
             ping_interval=2.0,
             service=ServiceConfig(
-                queue_capacity=self.queue_capacity, service_time=self.service_time
+                queue_capacity=QUEUE_CAPACITY, service_time=SERVICE_TIME
             ),
-            admission_high_watermark=(
-                self.admission_watermark if self.admission_control else 0
-            ),
+            admission_high_watermark=ADMISSION_WATERMARK if self.admission_control else 0,
             busy_retry_after=0.5,
             replication=self.replication_config() if self.n_bdns > 1 else None,
         )
@@ -246,14 +238,14 @@ class ClusterSpec:
 
         return SloConfig(
             window=self.slo_window,
-            queue_capacity=self.queue_capacity,
-            p99_bound=self.p99_bound,
-            latency_budget=self.slo_latency_budget,
+            queue_capacity=QUEUE_CAPACITY,
+            p99_bound=P99_BOUND,
+            latency_budget=SLO_LATENCY_BUDGET,
         )
 
     def profiled(self, role: str) -> bool:
         """Whether ``role`` runs the opt-in sampling profiler."""
-        return self.profile_rate > 0 and role.partition(":")[0] in self.profile_roles
+        return self.profile_rate > 0 and role.partition(":")[0] in PROFILE_ROLES
 
     def client_config(self) -> ClientConfig:
         return ClientConfig(

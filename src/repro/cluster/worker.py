@@ -22,13 +22,12 @@ The exit report carries the process's telemetry snapshot plus a
 can rebase all per-process flight-recorder rings onto one cluster
 timeline.
 
-Telemetry is no longer exit-only: with ``spec.telemetry_interval > 0``
-the worker also streams periodic ``telemetry`` frames up the control
-channel -- delta-encoded against the last snapshot the coordinator
-acknowledged (:class:`~repro.obs.live.DeltaEncoder`), carrying the
-changed registry metrics, flat per-role stats (queue depth, rounds,
-breaker states) and, for BDN members, the full leadership-interval
-list.  With ``spec.profiled(role)`` a
+Telemetry is no longer exit-only: every :data:`TELEMETRY_INTERVAL`
+seconds the worker also streams a ``telemetry`` frame up the control
+channel, carrying its whole registry snapshot, flat per-role stats
+(queue depth, rounds, breaker states) and, for BDN members, the full
+leadership-interval list.  Nothing comes back for a frame: the next one
+replaces it.  With ``spec.profiled(role)`` a
 :class:`~repro.obs.profiling.SamplingProfiler` samples the event-loop
 thread for the whole run and lands its collapsed stacks in the exit
 report.
@@ -47,7 +46,12 @@ import time
 import numpy as np
 
 from repro.cluster.report import round_record
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import (
+    BROKER_HEARTBEAT,
+    BROKER_LEASE_TTL,
+    DRAIN_DEADLINE,
+    ClusterSpec,
+)
 from repro.core.invariants import bdn_evidence, failed, recorded
 from repro.core.messages import DiscoveryRequest
 from repro.discovery.bdn import BDN
@@ -55,7 +59,6 @@ from repro.discovery.requester import CLIENT_UDP_PORT, DiscoveryClient
 from repro.discovery.responder import DiscoveryResponder
 from repro.obs import Observability
 from repro.obs.export import telemetry_snapshot
-from repro.obs.live import DeltaEncoder
 from repro.obs.profiling import SamplingProfiler
 from repro.runtime.aio import AioRuntime
 from repro.substrate.broker import Broker
@@ -63,6 +66,9 @@ from repro.substrate.broker import Broker
 __all__ = ["main"]
 
 _POLL = 0.02
+
+#: Seconds between two streamed telemetry frames.
+TELEMETRY_INTERVAL = 1.0
 
 
 class Worker:
@@ -104,7 +110,6 @@ class Worker:
         self.drain_requested = asyncio.Event()
         self.load_tasks: list[asyncio.Task] = []
         self.writer: asyncio.StreamWriter | None = None
-        self.encoder = DeltaEncoder()
         self.frames_sent = 0
         self.telemetry_task: asyncio.Task | None = None
         self.profiler: SamplingProfiler | None = (
@@ -140,8 +145,8 @@ class Worker:
             self.broker.start()
             self.responder.attach_heartbeat(
                 spec.bdn_endpoints(),
-                interval=spec.broker_heartbeat,
-                ttl=spec.broker_lease_ttl,
+                interval=BROKER_HEARTBEAT,
+                ttl=BROKER_LEASE_TTL,
             )
         elif self.kind == "load":
             for k in range(spec.n_clients):
@@ -305,16 +310,14 @@ class Worker:
         return stats
 
     async def send_telemetry(self) -> None:
-        """One delta frame: changed metrics since the last acked snapshot."""
-        seq, delta = self.encoder.encode(self.obs.registry.snapshot())
+        """One frame: the whole registry snapshot plus this role's stats."""
         frame = {
             "type": "telemetry",
             "role": self.role,
             "incarnation": self.incarnation,
-            "seq": seq,
             "now": self.rt.now,
             "wall_offset": time.time() - self.rt.now,
-            "metrics": delta,
+            "metrics": self.obs.registry.snapshot(),
             "stats": self.live_stats(),
         }
         if self.bdn is not None and self.bdn.replication is not None:
@@ -325,9 +328,8 @@ class Worker:
         self.frames_sent += 1
 
     async def telemetry_loop(self) -> None:
-        interval = self.spec.telemetry_interval
         while not self.drain_requested.is_set():
-            await asyncio.sleep(interval)
+            await asyncio.sleep(TELEMETRY_INTERVAL)
             if self.drain_requested.is_set():
                 return
             await self.send_telemetry()
@@ -348,7 +350,7 @@ class Worker:
             self.surge_task = None
         if self.profiler is not None:
             self.profiler.stop()
-        deadline = self.rt.now + self.spec.drain_deadline
+        deadline = self.rt.now + DRAIN_DEADLINE
         if self.responder is not None:
             self.responder.drain(withdraw_endpoints=self.spec.bdn_endpoints())
             while self.responder.pending_responses and self.rt.now < deadline:
@@ -359,7 +361,7 @@ class Worker:
         if self.bdn is not None:
             self.bdn.stop()  # steps down if leader: the successor can win now
         if self.load_tasks:
-            await asyncio.wait(self.load_tasks, timeout=self.spec.drain_deadline)
+            await asyncio.wait(self.load_tasks, timeout=DRAIN_DEADLINE)
             for task in self.load_tasks:
                 task.cancel()
         for client in self.clients:
@@ -373,7 +375,6 @@ class Worker:
             "wall_offset": time.time() - self.rt.now,
             "telemetry": telemetry_snapshot(self.obs),
             "telemetry_frames_sent": self.frames_sent,
-            "telemetry_frames_acked": self.encoder.acked_seq + 1,
             "errors": list(self.rt.errors),
             "errors_dropped": self.rt.errors_dropped,
             "datagrams": {
@@ -467,8 +468,6 @@ class Worker:
                 await self.start_load()
             elif cmd == "storm":
                 self.storm(command.get("factor", 4.0), command.get("duration", 2.0))
-            elif cmd == "telemetry_ack":
-                self.encoder.ack(int(command.get("seq", -1)))
             elif cmd in ("drain", "stop"):
                 stop.set()
                 return
@@ -497,15 +496,13 @@ async def run(
     worker.writer = writer
     await worker.send({"type": "ready", "role": role, "pid": os.getpid()})
     control = loop.create_task(worker.control_loop(reader, stop))
-    if spec.telemetry_interval > 0:
-        worker.telemetry_task = loop.create_task(worker.telemetry_loop())
+    worker.telemetry_task = loop.create_task(worker.telemetry_loop())
 
     await stop.wait()
     await worker.drain()
-    if spec.telemetry_interval > 0:
-        # One last frame so the coordinator's rolling view matches the
-        # exit report (the ack may never come; the report notes both).
-        await worker.send_telemetry()
+    # One last frame so the coordinator's rolling view matches the
+    # exit report.
+    await worker.send_telemetry()
     worker.write_report()
     await worker.send({"type": "bye", "role": role})
     control.cancel()

@@ -132,7 +132,9 @@ def _crypto(which: str, runs: int, seed: int) -> str:
 
 
 def _replication(runs: int, seed: int) -> str:
+    from repro.core.errors import DiscoveryError
     from repro.discovery.chaos import ChaosAction, ChaosWorld, apply_schedule
+    from repro.experiments.harness import run_discovery_once
 
     def measure(replicated: bool) -> dict[str, float]:
         world = ChaosWorld(seed, replicated=replicated)
@@ -147,13 +149,13 @@ def _replication(runs: int, seed: int) -> str:
         attempts = max(4, min(runs, 40))
         ok, times_ms = 0, []
         for _ in range(attempts):
-            box: list = []
-            world.client.discover(box.append)
-            while not box and world.sim.step():
-                pass
-            if box and box[0].success:
+            try:
+                outcome = run_discovery_once(world.client)
+            except DiscoveryError:  # wedged: a failed attempt, not a hang
+                outcome = None
+            if outcome is not None and outcome.success:
                 ok += 1
-                times_ms.append(box[0].total_time * 1000.0)
+                times_ms.append(outcome.total_time * 1000.0)
             world.sim.run_for(0.4)
         row = {
             "success %": 100.0 * ok / attempts,

@@ -29,7 +29,7 @@ from repro.cluster.report import (
     round_record,
     summarize,
 )
-from repro.cluster.spec import ClusterSpec, derive_schedule
+from repro.cluster.spec import P99_BOUND, ClusterSpec, derive_schedule
 from repro.core.invariants import SIM_ELECTION_EPS, bdn_evidence, failed, verdict
 from repro.discovery.chaos import ChaosAction, ChaosWorld, apply_schedule
 from repro.experiments.harness import run_discovery_once
@@ -88,7 +88,7 @@ def simulate_rolling_restart(seed: int, rounds: int, mean_gap: float) -> dict:
         evidence,
         election_eps=SIM_ELECTION_EPS,
         watermark=world.ADMISSION_WATERMARK,
-        p99_bound=ClusterSpec.p99_bound,
+        p99_bound=P99_BOUND,
     )
     return _column(records, [str(breach) for breach in breaches])
 

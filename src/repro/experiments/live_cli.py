@@ -9,7 +9,7 @@ see anything" and "where did the load generator spend its time" without
 re-running the cluster.
 
 Exit codes: 0 on a clean render, 1 when the summary exists but carries
-no live-plane data (the run streamed no telemetry), 2 when the summary
+no live-plane data (no ``slo`` or ``profiles`` block), 2 when the summary
 file itself is missing or unreadable.
 """
 
@@ -40,8 +40,8 @@ def run_cluster_live(summary_path: str) -> int:
     profiles = summary.get("profiles") or {}
     if not slo and not profiles:
         print(
-            f"{summary_path}: no live-plane data (the run streamed no "
-            "telemetry; check spec.telemetry_interval / --profile-rate)"
+            f"{summary_path}: no live-plane data (no `slo` or `profiles` block; "
+            "write it with `python -m repro.cluster smoke --summary <path>`)"
         )
         return EXIT_NO_LIVE_DATA
 

@@ -31,7 +31,7 @@ golden-trace determinism suite pins this.
 from __future__ import annotations
 
 from repro.obs.events import EVENTS, UnknownEventError
-from repro.obs.live import DeltaEncoder, LiveTelemetry, RollingClusterView
+from repro.obs.live import LiveTelemetry, RollingClusterView
 from repro.obs.profiling import SamplingProfiler
 from repro.obs.recorder import DEFAULT_RING_CAPACITY, FlightRecorder, Observability, SpanEvent
 from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry
@@ -44,7 +44,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "DEFAULT_RING_CAPACITY",
-    "DeltaEncoder",
     "EVENTS",
     "LiveTelemetry",
     "RollingClusterView",

@@ -1,4 +1,4 @@
-"""Streaming telemetry plane: delta frames, rolling cluster view, live top.
+"""Streaming telemetry plane: snapshot frames, rolling cluster view, live top.
 
 PR 8's cluster harness only ever saw telemetry *post mortem*: each
 worker froze one :func:`~repro.obs.export.telemetry_snapshot` into its
@@ -6,19 +6,17 @@ exit report, so a soak that violated its invariants at minute 1 burned
 the remaining minutes before anyone noticed.  This module turns that
 exit artifact into a plane:
 
-* **Worker side** -- a :class:`DeltaEncoder` turns successive registry
-  snapshots into delta frames: only the metrics whose value changed
-  since the last *acknowledged* snapshot ride the JSON-lines control
-  channel, so a 5-minute soak does not resend full counter tables every
-  interval.  Values are absolute, never increments, which makes frame
-  folding idempotent -- a redelivered frame is harmless.
+* **Worker side** -- every telemetry interval a worker sends its whole
+  ``registry.snapshot()`` up the JSON-lines control channel.  Values
+  are absolute, so a frame replaces what the coordinator held for that
+  process and nothing flows back.
 * **Coordinator side** -- a :class:`RollingClusterView` folds frames per
   process and closes fixed wall-clock windows, producing per-window
   counter rates and histogram deltas (rolling p50/p99 without keeping
-  raw samples).  :class:`LiveTelemetry` owns the view, acknowledges
-  frames, and drives a :class:`~repro.obs.slo.SloMonitor` from a
-  wall-clock ticker thread so violations surface within one evaluation
-  window of occurrence -- not at collect time.
+  raw samples).  :class:`LiveTelemetry` owns the view and drives its
+  :class:`~repro.obs.slo.SloMonitor` from a wall-clock ticker thread so
+  violations surface within one evaluation window of occurrence -- not
+  at collect time.
 * **Terminal dashboard** -- :func:`render_top` renders the view as the
   per-role table behind ``python -m repro.cluster top``.
 
@@ -29,14 +27,10 @@ control channel, and the golden sim digests are unaffected.
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.obs.cluster import merge_process_snapshots
 
 __all__ = [
-    "MAX_PENDING_FRAMES",
-    "DeltaEncoder",
-    "metrics_delta",
     "histogram_delta",
     "quantile_from_buckets",
     "ProcessView",
@@ -44,68 +38,6 @@ __all__ = [
     "LiveTelemetry",
     "render_top",
 ]
-
-#: Upper bound on unacknowledged frames a :class:`DeltaEncoder` keeps
-#: around.  When the coordinator falls this far behind, the oldest
-#: pending baseline is dropped: later deltas are computed against an
-#: older base (larger, still correct) rather than growing memory.
-MAX_PENDING_FRAMES = 16
-
-
-def metrics_delta(current: dict, base: dict) -> dict:
-    """The entries of ``current`` that differ from ``base``.
-
-    Both are ``registry.snapshot()``-shaped dicts.  Values in the delta
-    are **absolute** (the full current value, not an increment): folding
-    is ``dict.update``, so delivering the same frame twice is a no-op.
-    """
-    return {
-        name: entry
-        for name, entry in current.items()
-        if base.get(name) != entry
-    }
-
-
-class DeltaEncoder:
-    """Worker-side delta encoding against the last acked snapshot.
-
-    Each :meth:`encode` call diffs the fresh snapshot against the last
-    snapshot the coordinator acknowledged and remembers the fresh one
-    under its frame seq; :meth:`ack` promotes that remembered snapshot
-    to the new base.  Unacked history is bounded by ``max_pending``.
-    """
-
-    def __init__(self, max_pending: int = MAX_PENDING_FRAMES) -> None:
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.max_pending = max_pending
-        self.seq = 0
-        self.acked_seq = -1
-        self._base: dict = {}
-        self._pending: dict[int, dict] = {}
-
-    def encode(self, metrics: dict) -> tuple[int, dict]:
-        """``(seq, delta)`` for one fresh ``registry.snapshot()``."""
-        seq = self.seq
-        self.seq += 1
-        delta = metrics_delta(metrics, self._base)
-        self._pending[seq] = metrics
-        while len(self._pending) > self.max_pending:
-            self._pending.pop(min(self._pending))
-        return seq, delta
-
-    def ack(self, seq: int) -> bool:
-        """Record the coordinator's ack; returns True if it moved the base."""
-        if seq <= self.acked_seq:
-            return False
-        snapshot = self._pending.get(seq)
-        if snapshot is None:
-            return False
-        self.acked_seq = seq
-        self._base = snapshot
-        for pending in [s for s in self._pending if s <= seq]:
-            del self._pending[pending]
-        return True
 
 
 def histogram_delta(current: dict | None, base: dict | None) -> dict | None:
@@ -155,8 +87,7 @@ class ProcessView:
 
     __slots__ = (
         "label", "role", "incarnation", "wall_offset", "metrics", "stats",
-        "intervals", "frames", "last_seq", "first_frame_at", "last_frame_at",
-        "_window_metrics", "_window_stats",
+        "intervals", "frames", "_window_metrics", "_window_stats",
     )
 
     def __init__(self, label: str, role: str, incarnation: int) -> None:
@@ -164,32 +95,25 @@ class ProcessView:
         self.role = role
         self.incarnation = incarnation
         self.wall_offset = 0.0
-        #: Folded absolute metric values (``registry.snapshot()`` shape).
+        #: The latest frame's whole ``registry.snapshot()``.
         self.metrics: dict = {}
         #: Latest flat role stats (queue depth, rounds, breaker states...).
         self.stats: dict = {}
         #: Latest full leadership-interval list (BDN roles only).
         self.intervals: list = []
         self.frames = 0
-        self.last_seq = -1
-        self.first_frame_at = 0.0
-        self.last_frame_at = 0.0
         # Window baselines, reset at every close_window().
         self._window_metrics: dict = {}
         self._window_stats: dict = {}
 
-    def fold(self, frame: dict, now: float) -> None:
-        self.metrics.update(frame.get("metrics") or {})
+    def fold(self, frame: dict) -> None:
+        self.metrics = frame.get("metrics") or {}
         self.stats.update(frame.get("stats") or {})
         if frame.get("intervals") is not None:
             self.intervals = frame["intervals"]
         if "wall_offset" in frame:
             self.wall_offset = float(frame["wall_offset"])
-        if not self.frames:
-            self.first_frame_at = now
         self.frames += 1
-        self.last_seq = max(self.last_seq, int(frame.get("seq", -1)))
-        self.last_frame_at = now
 
     def _counter_deltas(self) -> dict[str, float]:
         out = {}
@@ -259,9 +183,8 @@ class RollingClusterView:
         self.last_window_rows: list[dict] = []
         self.last_window_duration = 0.0
 
-    def fold(self, frame: dict, now: float | None = None) -> ProcessView:
+    def fold(self, frame: dict) -> ProcessView:
         """Fold one telemetry frame; returns the process's view."""
-        now = time.time() if now is None else now
         role = str(frame.get("role", "?"))
         incarnation = int(frame.get("incarnation", 0))
         label = f"{role}#{incarnation}"
@@ -269,7 +192,7 @@ class RollingClusterView:
         if view is None:
             view = ProcessView(label, role, incarnation)
             self.processes[label] = view
-        view.fold(frame, now)
+        view.fold(frame)
         self.frames_folded += 1
         return view
 
@@ -357,7 +280,7 @@ def _fmt(value, unit: str = "", width: int = 8) -> str:
     return f"{text:>{width}}"
 
 
-def render_top(view: RollingClusterView, monitor=None) -> str:
+def render_top(view: RollingClusterView, monitor) -> str:
     """The ``python -m repro.cluster top`` dashboard, one frame of text."""
     lines = [
         f"{'process':<12}{'frames':>8}{'rounds/s':>10}{'fails':>7}"
@@ -378,19 +301,18 @@ def render_top(view: RollingClusterView, monitor=None) -> str:
             + _fmt(None if row["p99"] is None else row["p99"] * 1000, "ms", 9)
             + f"  {breakers if breakers is not None else '-'}"
         )
-    if monitor is not None:
-        lines.append(
-            f"slo: {monitor.windows_evaluated} windows evaluated, "
-            f"{len(monitor.violations)} violation(s), "
-            f"latency budget burned {monitor.budget_burned:.0%}"
-        )
-        for violation in monitor.violations[-3:]:
-            lines.append(f"  VIOLATION {violation.describe()}")
+    lines.append(
+        f"slo: {monitor.windows_evaluated} windows evaluated, "
+        f"{len(monitor.violations)} violation(s), "
+        f"latency budget burned {monitor.budget_burned:.0%}"
+    )
+    for violation in monitor.violations[-3:]:
+        lines.append(f"  VIOLATION {violation.describe()}")
     return "\n".join(lines)
 
 
 class LiveTelemetry:
-    """Coordinator-side plane: fold frames, ack them, drive the monitor.
+    """Coordinator-side plane: fold frames and drive the SLO monitor.
 
     ``on_frame`` is called from control-channel reader threads, the
     ticker from its own thread, and readers like ``render_top`` from the
@@ -399,7 +321,7 @@ class LiveTelemetry:
     (crash, wedge) cannot stall evaluation.
     """
 
-    def __init__(self, monitor=None) -> None:
+    def __init__(self, monitor) -> None:
         self.view = RollingClusterView()
         self.monitor = monitor
         self.lock = threading.Lock()
@@ -410,31 +332,25 @@ class LiveTelemetry:
     # ------------------------------------------------------------------
     # Frame path (reader threads)
     # ------------------------------------------------------------------
-    def on_frame(self, frame: dict) -> dict:
-        """Fold one ``telemetry`` frame; returns the ack command."""
+    def on_frame(self, frame: dict) -> None:
+        """Fold one ``telemetry`` frame."""
         with self.lock:
             self.view.fold(frame)
-            if self.monitor is not None:
-                self.monitor.maybe_evaluate(self.view)
-        return {"cmd": "telemetry_ack", "seq": frame.get("seq", -1)}
+            self.monitor.maybe_evaluate(self.view)
 
     # ------------------------------------------------------------------
     # Ticker (wall clock)
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self.monitor is not None:
-            self.monitor.start()
+        self.monitor.start()
         if self._ticker is not None:
             return
-        period = 0.25
-        if self.monitor is not None:
-            period = max(0.1, min(1.0, self.monitor.config.window / 4.0))
+        period = max(0.1, min(1.0, self.monitor.config.window / 4.0))
 
         def tick() -> None:
             while not self._stop.wait(period):
                 with self.lock:
-                    if self.monitor is not None:
-                        self.monitor.maybe_evaluate(self.view)
+                    self.monitor.maybe_evaluate(self.view)
 
         self._ticker = threading.Thread(target=tick, daemon=True, name="slo-ticker")
         self._ticker.start()
@@ -446,7 +362,7 @@ class LiveTelemetry:
             self._ticker.join(timeout=2.0)
             self._ticker = None
         with self.lock:
-            if self.monitor is not None and not self._flushed:
+            if not self._flushed:
                 self._flushed = True
                 self.monitor.flush(self.view)
 
@@ -456,12 +372,12 @@ class LiveTelemetry:
     @property
     def violations(self) -> list:
         with self.lock:
-            return list(self.monitor.violations) if self.monitor else []
+            return list(self.monitor.violations)
 
     @property
     def windows_evaluated(self) -> int:
         with self.lock:
-            return self.monitor.windows_evaluated if self.monitor else 0
+            return self.monitor.windows_evaluated
 
     def render(self) -> str:
         with self.lock:
@@ -474,10 +390,8 @@ class LiveTelemetry:
     def summary(self) -> dict:
         """JSON-serialisable plane summary for the run report."""
         with self.lock:
-            out = {
+            return {
                 "frames_folded": self.view.frames_folded,
                 "processes": sorted(self.view.processes),
+                **self.monitor.summary(),
             }
-            if self.monitor is not None:
-                out.update(self.monitor.summary())
-            return out

@@ -188,10 +188,6 @@ class ReliablePublisher:
             headers=((STREAM_HEADER, self.stream_id(topic)), (SEQ_HEADER, str(seq))),
         )
 
-    def last_seq(self, topic: str) -> int:
-        """Highest sequence number published on ``topic`` (0 if none)."""
-        return self._next_seq.get(topic, 1) - 1
-
 
 class ReliableSubscriber:
     """Delivers a reliable stream's events in order, recovering gaps.

@@ -2,18 +2,17 @@
 
 These tests run a real :class:`repro.cluster.coordinator._ControlServer`
 against fake worker sockets (no subprocesses), pinning the routing
-contract of the streaming telemetry plane:
-
-* with a handler wired, ``telemetry`` frames are consumed on the reader
-  thread and acked on the same connection -- they never enter the inbox,
-  so a coordinator blocked in ``wait_for`` cannot be starved or handed
-  the wrong message by a telemetry flood;
-* without a handler, frames park in the unclaimed buffer like any other
-  unsolicited message: buffered, never dropped.
+contract of the streaming telemetry plane: ``telemetry`` frames are
+consumed by the handler on the reader thread and never enter the inbox,
+so a coordinator blocked in ``wait_for`` cannot be starved or handed the
+wrong message by a telemetry flood.  One test dials a booted
+:class:`~repro.cluster.worker.Worker` in: each of its frames carries the
+whole registry, so any single frame rebuilds the process's view.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -22,6 +21,10 @@ import time
 import pytest
 
 from repro.cluster.coordinator import _ControlServer
+from repro.cluster.spec import ClusterSpec
+from repro.cluster.worker import Worker
+from repro.obs.live import LiveTelemetry, RollingClusterView
+from repro.obs.slo import SloConfig, SloMonitor
 
 
 class FakeWorker:
@@ -50,34 +53,25 @@ class FakeWorker:
         self.sock.close()
 
 
-def telemetry(role: str, seq: int) -> dict:
-    return {"type": "telemetry", "role": role, "incarnation": 0, "seq": seq,
-            "metrics": {}, "stats": {}}
+def telemetry(role: str, tag: int) -> dict:
+    return {"type": "telemetry", "role": role, "incarnation": 0,
+            "metrics": {}, "stats": {"tag": tag}}
 
 
 @pytest.fixture
 def handled():
-    """A server whose telemetry handler records frames and acks them."""
+    """A server whose telemetry handler records frames."""
     frames: list[dict] = []
     lock = threading.Lock()
 
-    def on_telemetry(frame: dict) -> dict:
+    def on_telemetry(frame: dict) -> None:
+        frame["stats"]["tag"]  # a malformed frame raises KeyError here
         with lock:
             frames.append(frame)
-        return {"cmd": "telemetry_ack", "seq": frame["seq"]}
 
     server = _ControlServer("127.0.0.1", on_telemetry=on_telemetry)
     try:
         yield server, frames
-    finally:
-        server.close()
-
-
-@pytest.fixture
-def unhandled():
-    server = _ControlServer("127.0.0.1")
-    try:
-        yield server
     finally:
         server.close()
 
@@ -96,8 +90,8 @@ class TestHandledTelemetry:
         # Stream a burst of frames, then the message the coordinator is
         # actually blocked on.  wait_for must return load_done -- not a
         # telemetry frame -- and every frame must reach the handler.
-        for seq in range(20):
-            worker.send(telemetry("load", seq))
+        for tag in range(20):
+            worker.send(telemetry("load", tag))
         worker.send({"type": "load_done", "rounds": 3, "failures": 0})
 
         done = server.wait_for(lambda m: m.get("type") == "load_done", timeout=5)
@@ -105,45 +99,34 @@ class TestHandledTelemetry:
         deadline = time.monotonic() + 5
         while len(frames) < 20 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert [f["seq"] for f in frames] == list(range(20))
+        assert [f["stats"]["tag"] for f in frames] == list(range(20))
         assert server._unclaimed == []  # nothing leaked into the buffer
-        worker.close()
-
-    def test_acks_flow_back_on_the_same_connection(self, handled):
-        server, _ = handled
-        worker = FakeWorker(server, "load")
-        _drain_ready(server, 1)
-        worker.send(telemetry("load", 0))
-        worker.send(telemetry("load", 1))
-        acks = [worker.recv(), worker.recv()]
-        assert [a["cmd"] for a in acks] == ["telemetry_ack", "telemetry_ack"]
-        assert [a["seq"] for a in acks] == [0, 1]
         worker.close()
 
     def test_interleaved_workers_keep_per_worker_frame_order(self, handled):
         server, frames = handled
         workers = [FakeWorker(server, f"bdn:{i}") for i in range(3)]
         _drain_ready(server, 3)
-        for seq in range(10):
+        for tag in range(10):
             for worker in workers:
-                worker.send(telemetry(worker.role, seq))
+                worker.send(telemetry(worker.role, tag))
         deadline = time.monotonic() + 5
         while len(frames) < 30 and time.monotonic() < deadline:
             time.sleep(0.01)
         assert len(frames) == 30
         for worker in workers:
-            seqs = [f["seq"] for f in frames if f["role"] == worker.role]
-            assert seqs == list(range(10))  # per-conn order is preserved
+            tags = [f["stats"]["tag"] for f in frames if f["role"] == worker.role]
+            assert tags == list(range(10))  # per-conn order is preserved
             worker.close()
 
     def test_handler_exception_does_not_kill_the_reader(self, handled):
         server, frames = handled
         worker = FakeWorker(server, "load")
         _drain_ready(server, 1)
-        worker.send({"type": "telemetry", "role": "load"})  # no seq: KeyError
+        worker.send({"type": "telemetry", "role": "load"})  # no stats: KeyError
         worker.send(telemetry("load", 1))
         deadline = time.monotonic() + 5
-        while not any(f.get("seq") == 1 for f in frames):
+        while not any(f["stats"]["tag"] == 1 for f in frames):
             assert time.monotonic() < deadline, "reader thread died on bad frame"
             time.sleep(0.01)
         # The connection still serves commands after the bad frame.
@@ -154,21 +137,50 @@ class TestHandledTelemetry:
         worker.close()
 
 
-class TestUnhandledTelemetry:
-    def test_frames_buffer_unclaimed_without_a_handler(self, unhandled):
-        server = unhandled
-        worker = FakeWorker(server, "load")
-        _drain_ready(server, 1)
-        for seq in range(5):
-            worker.send(telemetry("load", seq))
-        worker.send({"type": "load_done", "rounds": 2, "failures": 0})
+class TestSnapshotFrames:
+    def test_second_frame_holds_whole_registry(self):
+        # The coordinator folds only the worker's second frame into a
+        # fresh view; that view must still hold every registry metric.
+        live = LiveTelemetry(SloMonitor(SloConfig()))
+        frames: list[dict] = []
 
-        # The coordinator waits for load_done; the five telemetry frames
-        # land in the unclaimed buffer rather than being dropped...
-        done = server.wait_for(lambda m: m.get("type") == "load_done", timeout=5)
-        assert done["rounds"] == 2
-        assert [m["seq"] for m in server._unclaimed] == list(range(5))
-        # ...and a later wait_for can still claim them in order.
-        first = server.wait_for(lambda m: m.get("type") == "telemetry", timeout=5)
-        assert first["seq"] == 0
-        worker.close()
+        def on_telemetry(frame: dict):
+            frames.append(frame)
+            return live.on_frame(frame)
+
+        server = _ControlServer("127.0.0.1", on_telemetry=on_telemetry)
+
+        async def two_frames() -> dict:
+            spec = ClusterSpec(n_bdns=1)
+            spec.assign_ports()
+            worker = Worker(spec, "bdn:0", cold=True, report_path="unused")
+            worker.boot()
+            try:
+                await worker.rt.ready()
+                reader, worker.writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                control = asyncio.ensure_future(worker.control_loop(reader, asyncio.Event()))
+                await worker.send_telemetry()
+                deadline = time.monotonic() + 5
+                while not frames and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.2)  # room for any reply to reach the worker
+                await worker.send_telemetry()
+                while len(frames) < 2 and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                control.cancel()
+                worker.writer.close()
+                return worker.obs.registry.snapshot()
+            finally:
+                await worker.rt.aclose()
+
+        try:
+            registry = asyncio.run(two_frames())
+        finally:
+            server.close()
+        assert len(frames) == 2
+        assert registry, "a booted BDN has counted its start events"
+        view = RollingClusterView()
+        view.fold(frames[1])
+        assert view.processes["bdn:0#0"].metrics == registry

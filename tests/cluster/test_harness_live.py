@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster.coordinator import ClusterHarness
 from repro.cluster.report import check_invariants
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import DRAIN_DEADLINE, ClusterSpec
 
 
 @pytest.fixture(scope="module")
@@ -26,16 +26,13 @@ def run(tmp_path_factory):
         n_clients=1,
         rounds=3,
         mean_gap=0.05,
-        broker_heartbeat=0.5,
-        broker_lease_ttl=1.5,
-        telemetry_interval=0.25,
         slo_window=2.0,
         profile_rate=50.0,
     )
     workdir = str(tmp_path_factory.mktemp("cluster"))
     harness = ClusterHarness(spec, workdir)
     harness.start(ready_timeout=60)
-    time.sleep(1.2)  # two heartbeat intervals: both brokers registered
+    time.sleep(2.5)  # two heartbeat intervals: both brokers registered
     harness.start_load()
     done = harness.wait_load_done(timeout=30)
 
@@ -60,14 +57,14 @@ def run(tmp_path_factory):
         "codes": codes,
         "reports": {r["label"]: r for r in reports},
         "missing": missing,
-        "live": harness.live.summary() if harness.live else None,
+        "live": harness.live.summary(),
     }
 
 
 class TestGracefulDrain:
     def test_exit_zero_within_deadline(self, run):
         assert run["drain_code"] == 0
-        assert run["drain_elapsed"] < run["spec"].drain_deadline + 5.0
+        assert run["drain_elapsed"] < DRAIN_DEADLINE + 5.0
 
     def test_report_written_with_no_pending_responses(self, run):
         broker = run["reports"]["broker:0#0"]["broker"]
@@ -115,19 +112,13 @@ class TestLiveTelemetryPlane:
         for label, report in run["reports"].items():
             assert report["telemetry_frames_sent"] >= 1, label
 
-    def test_coordinator_acked_frames(self, run):
-        # At least one frame per worker made the round trip: folded by
-        # the coordinator, acked on the same conn, recorded by the
-        # worker's encoder.  (The final post-drain frame may go unacked.)
-        for label, report in run["reports"].items():
-            assert report["telemetry_frames_acked"] >= 1, label
-            assert (
-                report["telemetry_frames_acked"] <= report["telemetry_frames_sent"]
-            ), label
+    def test_coordinator_folded_every_reporter(self, run):
+        # Every worker that wrote a report reached the coordinator's
+        # rolling view: its frames were received and folded.
+        assert set(run["reports"]) <= set(run["live"]["processes"])
 
     def test_rolling_view_saw_every_process(self, run):
         live = run["live"]
-        assert live is not None
         # broker:1 was SIGKILLed but streamed before dying; every spawned
         # incarnation should appear in the rolling view.
         assert set(live["processes"]) >= {"bdn:0#0", "broker:0#0", "load#0"}

@@ -10,7 +10,7 @@ from repro.cluster.report import (
     merge_leadership_intervals,
     summarize,
 )
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import ADMISSION_WATERMARK, P99_BOUND, ClusterSpec
 from repro.cluster.worker import Worker
 from repro.core.config import BDNConfig
 from repro.discovery.chaos import _check_overload
@@ -252,7 +252,7 @@ class TestInvariants:
     """
 
     def spec(self):
-        return ClusterSpec(p99_bound=1.0)
+        return ClusterSpec()
 
     def bdn(self, **queue):
         return bdn_report("d0", [[1.0, 0.0, 4.0]], **queue)
@@ -333,7 +333,7 @@ class TestInvariants:
                 _check_overload(
                     SimpleNamespace(
                         bdns=[worker.bdn],
-                        ADMISSION_WATERMARK=spec.admission_watermark,
+                        ADMISSION_WATERMARK=ADMISSION_WATERMARK,
                         client=SimpleNamespace(_breakers={}),
                     ),
                     chaos,
@@ -349,7 +349,7 @@ class TestInvariants:
         monitor = SloMonitor(self.spec().slo_config(), clock=lambda: now[0])
         monitor.start()
         view = RollingClusterView()
-        view.fold({"role": "bdn:0", "incarnation": 0, "seq": 0, "stats": stats}, now=1.0)
+        view.fold({"role": "bdn:0", "incarnation": 0, "stats": stats})
         now[0] = self.spec().slo_window  # the first window closes
         (live,) = monitor.maybe_evaluate(view)
         assert (live.invariant, live.process, live.window) == ("no_evidence", "bdn:0#0", 0)
@@ -367,7 +367,7 @@ class TestInvariants:
         assert live.detail in exit_report[0] and live.detail in chaos[0]
 
     def test_p99_bound_enforced(self):
-        slow = ok_round(0, total=2.5)
+        slow = ok_round(0, total=P99_BOUND + 0.5)
         violations = check_invariants(self.spec(), [self.bdn(), load_report([slow])])
         assert invariant_names(violations) == ["p99_bound"]
 

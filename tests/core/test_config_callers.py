@@ -1,7 +1,8 @@
 """Knob lint: every configuration field has a caller, or a stated reason.
 
-A field of a record in :mod:`repro.core.config`, or of
-:class:`~repro.experiments.scenarios.ScenarioSpec`, is a setting only if
+A field of a record in :mod:`repro.core.config`, of
+:class:`~repro.experiments.scenarios.ScenarioSpec` or of
+:class:`~repro.cluster.spec.ClusterSpec`, is a setting only if
 code outside ``tests/`` sets it.  A value nobody sets is a constant in
 the module that reads it.  This scans ``src/``, ``benchmarks/`` and
 ``examples/`` and counts as setting a field:
@@ -27,6 +28,7 @@ import dataclasses
 from pathlib import Path
 
 import repro.core.config as config_module
+from repro.cluster.spec import ClusterSpec
 from repro.experiments.scenarios import ScenarioSpec
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -38,6 +40,7 @@ RECORDS: dict[str, type] = {
     if dataclasses.is_dataclass(getattr(config_module, name))
 }
 RECORDS["ScenarioSpec"] = ScenarioSpec
+RECORDS["ClusterSpec"] = ClusterSpec
 
 #: Fields that stay although nothing outside ``tests/`` sets them.
 KEPT: dict[str, str] = {
@@ -57,6 +60,8 @@ KEPT: dict[str, str] = {
         "tests/event_parity.py --golden-worlds (a tool CI's perf job runs) turns "
         "WAN jitter off for the exact-fabric parity"
     ),
+    "ClusterSpec.bind_ip": "deployment setting: the address every worker binds and dials",
+    "ClusterSpec.ports": "deployment setting: the real OS ports assign_ports() fills in",
 }
 
 

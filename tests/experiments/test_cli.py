@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.discovery.requester import DiscoveryClient
 from repro.experiments.cli import TARGETS, main
 
 
@@ -46,6 +47,15 @@ class TestCli:
         assert "independent BDNs" in out
         assert "3-replica group" in out
         assert "elections" in out
+
+    def test_replication_reports_a_discovery_that_never_completes(self, capsys, monkeypatch):
+        # Heartbeats keep the scheduler busy for ever, so only a virtual
+        # time cap ends an attempt whose outcome never arrives.
+        monkeypatch.setattr(DiscoveryClient, "discover", lambda self, on_done: None)
+        assert main(["replication", "--runs", "4", "--seed", "1"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        success = {" ".join(row[:2]): row[2] for row in rows[2:]}
+        assert success == {"independent BDNs": "0.00", "3-replica group": "0.00"}
 
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):

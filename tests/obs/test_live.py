@@ -1,17 +1,15 @@
-"""The streaming telemetry plane: delta encoding, rolling view, dashboard."""
+"""The streaming telemetry plane: rolling view, window deltas, dashboard."""
 
 from __future__ import annotations
 
 from repro.obs.live import (
-    MAX_PENDING_FRAMES,
-    DeltaEncoder,
     LiveTelemetry,
     RollingClusterView,
     histogram_delta,
-    metrics_delta,
     quantile_from_buckets,
     render_top,
 )
+from repro.obs.slo import SloConfig, SloMonitor
 
 
 def counter(value: int) -> dict:
@@ -28,58 +26,6 @@ def hist(buckets: list[int], count: int, total: float) -> dict:
             "sum": total,
         },
     }
-
-
-class TestDeltaEncoder:
-    def test_first_frame_carries_everything(self):
-        encoder = DeltaEncoder()
-        seq, delta = encoder.encode({"a": counter(1), "b": counter(2)})
-        assert seq == 0
-        assert delta == {"a": counter(1), "b": counter(2)}
-
-    def test_unacked_frames_rediff_against_old_base(self):
-        encoder = DeltaEncoder()
-        encoder.encode({"a": counter(1)})
-        # No ack yet: the second frame still diffs against the empty base.
-        _, delta = encoder.encode({"a": counter(1), "b": counter(5)})
-        assert delta == {"a": counter(1), "b": counter(5)}
-
-    def test_ack_promotes_base_and_shrinks_deltas(self):
-        encoder = DeltaEncoder()
-        seq, _ = encoder.encode({"a": counter(1), "b": counter(2)})
-        assert encoder.ack(seq) is True
-        _, delta = encoder.encode({"a": counter(1), "b": counter(3)})
-        assert delta == {"b": counter(3)}  # only the changed metric rides
-
-    def test_stale_and_unknown_acks_are_ignored(self):
-        encoder = DeltaEncoder()
-        seq, _ = encoder.encode({"a": counter(1)})
-        assert encoder.ack(seq) is True
-        assert encoder.ack(seq) is False  # duplicate
-        assert encoder.ack(99) is False  # never issued
-
-    def test_pending_history_is_bounded(self):
-        encoder = DeltaEncoder(max_pending=3)
-        seqs = [encoder.encode({"a": counter(i)})[0] for i in range(6)]
-        assert len(encoder._pending) == 3
-        # The dropped oldest baseline can no longer be acked...
-        assert encoder.ack(seqs[0]) is False
-        # ...but a surviving one still can.
-        assert encoder.ack(seqs[-1]) is True
-
-    def test_default_bound_matches_module_constant(self):
-        assert DeltaEncoder().max_pending == MAX_PENDING_FRAMES
-
-
-class TestMetricsDelta:
-    def test_absolute_values_make_folding_idempotent(self):
-        base = {"a": counter(1)}
-        current = {"a": counter(4), "b": counter(2)}
-        delta = metrics_delta(current, base)
-        folded = dict(base)
-        folded.update(delta)
-        folded.update(delta)  # redelivered frame
-        assert folded == current
 
 
 class TestHistogramDelta:
@@ -116,12 +62,11 @@ class TestQuantileFromBuckets:
         assert quantile_from_buckets([0.1], [0], 0, 0.99) == 0.0
 
 
-def frame(role="load", incarnation=0, seq=0, metrics=None, stats=None, **extra):
+def frame(role="load", incarnation=0, metrics=None, stats=None, **extra):
     out = {
         "type": "telemetry",
         "role": role,
         "incarnation": incarnation,
-        "seq": seq,
         "wall_offset": 0.0,
         "metrics": metrics or {},
         "stats": stats or {},
@@ -133,16 +78,23 @@ def frame(role="load", incarnation=0, seq=0, metrics=None, stats=None, **extra):
 class TestRollingClusterView:
     def test_folding_keys_processes_by_incarnation(self):
         view = RollingClusterView()
-        view.fold(frame(role="bdn:0", incarnation=0), now=1.0)
-        view.fold(frame(role="bdn:0", incarnation=1), now=2.0)
+        view.fold(frame(role="bdn:0", incarnation=0))
+        view.fold(frame(role="bdn:0", incarnation=1))
         assert sorted(view.processes) == ["bdn:0#0", "bdn:0#1"]
         assert view.frames_folded == 2
 
+    def test_a_frame_replaces_the_process_metrics(self):
+        view = RollingClusterView()
+        view.fold(frame(metrics={"a": counter(1), "b": counter(2)}))
+        (process,) = view.processes.values()
+        view.fold(frame(metrics={"a": counter(3)}))
+        assert process.metrics == {"a": counter(3)}
+
     def test_window_counter_rates(self):
         view = RollingClusterView()
-        view.fold(frame(metrics={"discovery.completed": counter(4)}), now=1.0)
+        view.fold(frame(metrics={"discovery.completed": counter(4)}))
         view.close_window(2.0)
-        view.fold(frame(seq=1, metrics={"discovery.completed": counter(10)}), now=3.0)
+        view.fold(frame(metrics={"discovery.completed": counter(10)}))
         view.close_window(2.0)
         (row,) = view.top_rows()
         assert row["rounds_per_s"] == 3.0  # (10 - 4) / 2s
@@ -150,8 +102,7 @@ class TestRollingClusterView:
     def test_window_histogram_quantiles(self):
         view = RollingClusterView()
         view.fold(
-            frame(metrics={"discovery.total_time": hist([9, 10], 10, 1.0)}),
-            now=1.0,
+            frame(metrics={"discovery.total_time": hist([9, 10], 10, 1.0)})
         )
         view.close_window(1.0)
         (row,) = view.top_rows()
@@ -166,8 +117,7 @@ class TestRollingClusterView:
                 stats={"name": "d0"},
                 intervals=[[1, 0.0, 2.0]],
                 wall_offset=100.0,
-            ),
-            now=1.0,
+            )
         )
         view.fold(
             frame(
@@ -175,8 +125,7 @@ class TestRollingClusterView:
                 stats={"name": "d1"},
                 intervals=[[2, 0.5, 3.0]],
                 wall_offset=103.0,
-            ),
-            now=1.0,
+            )
         )
         assert view.leadership_intervals() == [
             ("d0", 1.0, 100.0, 102.0),
@@ -185,37 +134,40 @@ class TestRollingClusterView:
 
     def test_merged_snapshot_sums_counters_across_processes(self):
         view = RollingClusterView()
-        view.fold(frame(role="bdn:0", metrics={"reqs": counter(3)}), now=1.0)
-        view.fold(frame(role="bdn:1", metrics={"reqs": counter(4)}), now=1.0)
+        view.fold(frame(role="bdn:0", metrics={"reqs": counter(3)}))
+        view.fold(frame(role="bdn:1", metrics={"reqs": counter(4)}))
         merged = view.merged_snapshot()
         assert merged["metrics"]["reqs"]["value"] == 7
         assert [p["label"] for p in merged["parts"]] == ["bdn:0#0", "bdn:1#0"]
 
     def test_render_top_mentions_every_process(self):
         view = RollingClusterView()
-        view.fold(frame(role="load", stats={"breaker_states": {"c0:d0": "open"}}), now=1.0)
+        view.fold(frame(role="load", stats={"breaker_states": {"c0:d0": "open"}}))
         view.close_window(1.0)
-        text = render_top(view)
+        text = render_top(view, SloMonitor(SloConfig()))
         assert "load#0" in text
         assert "1 open" in text
 
 
+def live_telemetry() -> LiveTelemetry:
+    return LiveTelemetry(SloMonitor(SloConfig()))
+
+
 class TestLiveTelemetry:
-    def test_on_frame_returns_the_ack(self):
-        live = LiveTelemetry()
-        ack = live.on_frame(frame(seq=7))
-        assert ack == {"cmd": "telemetry_ack", "seq": 7}
+    def test_on_frame_folds_and_replies_nothing(self):
+        live = live_telemetry()
+        assert live.on_frame(frame()) is None
         assert live.view.frames_folded == 1
 
     def test_stop_without_start_is_safe_and_idempotent(self):
-        live = LiveTelemetry()
+        live = live_telemetry()
         live.stop()
         live.stop()
         assert live.violations == []
         assert live.windows_evaluated == 0
 
     def test_summary_shape(self):
-        live = LiveTelemetry()
+        live = live_telemetry()
         live.on_frame(frame())
         summary = live.summary()
         assert summary["frames_folded"] == 1

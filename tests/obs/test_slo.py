@@ -45,17 +45,16 @@ def make_monitor(**config) -> tuple[SloMonitor, RollingClusterView, FakeClock]:
 QUIET_QUEUE = {"queue_depth": 0, "queue_max_depth": 0, "queue_overflows": 0}
 
 
-def fold(view, clock, role="load", incarnation=0, metrics=None, stats=None, **extra):
+def fold(view, role="load", incarnation=0, metrics=None, stats=None, **extra):
     message = {
         "role": role,
         "incarnation": incarnation,
-        "seq": 0,
         "wall_offset": 0.0,
         "metrics": metrics or {},
         "stats": stats or {},
     }
     message.update(extra)
-    view.fold(message, now=clock.now)
+    view.fold(message)
 
 
 class TestConfig:
@@ -76,7 +75,7 @@ class TestWindowTiming:
     def test_violation_detected_within_one_window(self):
         monitor, view, clock = make_monitor()
         clock.now = 2.0
-        fold(view, clock, metrics={"discovery.failed": counter(1)})
+        fold(view, metrics={"discovery.failed": counter(1)})
         clock.now = 5.0  # first window closes
         violations = monitor.maybe_evaluate(view)
         assert [v.invariant for v in violations] == ["zero_failed_discoveries"]
@@ -91,7 +90,7 @@ class TestWindowTiming:
 
     def test_failure_counted_once_not_every_window(self):
         monitor, view, clock = make_monitor()
-        fold(view, clock, metrics={"discovery.failed": counter(1)})
+        fold(view, metrics={"discovery.failed": counter(1)})
         clock.now = 5.0
         assert len(monitor.maybe_evaluate(view)) == 1
         clock.now = 10.0  # same folded totals: the delta is zero
@@ -106,7 +105,6 @@ class TestWindowTiming:
         monitor, view, clock = make_monitor()
         fold(
             view,
-            clock,
             metrics={"discovery.failed": counter(2),
                      "discovery.completed": counter(40)},
             stats={"rounds": 40, "failures": 0},
@@ -120,7 +118,6 @@ class TestWindowTiming:
         monitor, view, clock = make_monitor()
         fold(
             view,
-            clock,
             metrics={"discovery.failed": counter(1)},
             stats={"rounds": 10, "failures": 1},
         )
@@ -139,7 +136,7 @@ class TestWindowTiming:
 class TestHardInvariants:
     def test_queue_capacity_breach_names_the_process(self):
         monitor, view, clock = make_monitor(queue_capacity=32)
-        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "queue_max_depth": 33})
+        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "queue_max_depth": 33})
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "queue_capacity"
@@ -152,17 +149,17 @@ class TestHardInvariants:
         # The queue is bounded, so overload with admission control off
         # shows up as overflows, not as depth > capacity.
         monitor, view, clock = make_monitor()
-        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "queue_overflows": 2})
+        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "queue_overflows": 2})
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "queue_overflow"
 
     def test_stale_target_fires_in_the_window_where_it_happens(self):
         monitor, view, clock = make_monitor()
-        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "stale_targets": 0})
+        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "stale_targets": 0})
         clock.now = 5.0
         assert monitor.maybe_evaluate(view) == []
-        fold(view, clock, role="bdn:0", seq=1, stats={**QUIET_QUEUE, "stale_targets": 1})
+        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "stale_targets": 1})
         clock.now = 10.0
         (violation,) = monitor.maybe_evaluate(view)
         assert (violation.invariant, violation.process) == ("stale_targets", "bdn:0#0")
@@ -172,8 +169,8 @@ class TestHardInvariants:
 
     def test_bdn_frame_without_queue_stats_is_no_evidence_once(self):
         monitor, view, clock = make_monitor()
-        fold(view, clock, role="bdn:0", stats={"name": "d0"})
-        fold(view, clock, role="broker:0", stats={"name": "b0"})  # brokers own no queue
+        fold(view, role="bdn:0", stats={"name": "d0"})
+        fold(view, role="broker:0", stats={"name": "b0"})  # brokers own no queue
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert (violation.invariant, violation.process) == ("no_evidence", "bdn:0#0")
@@ -192,7 +189,7 @@ class TestHardInvariants:
 
         monitor, _, clock = make_monitor()
         view = StatlessView()
-        fold(view, clock, metrics={"discovery.failed": counter(1)})
+        fold(view, metrics={"discovery.failed": counter(1)})
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "zero_failed_discoveries"
@@ -200,8 +197,8 @@ class TestHardInvariants:
 
     def test_election_overlap_fires_once(self):
         monitor, view, clock = make_monitor()
-        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0"}, intervals=[[1, 0.0, 4.0]])
-        fold(view, clock, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1"}, intervals=[[2, 1.0, 3.0]])
+        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0"}, intervals=[[1, 0.0, 4.0]])
+        fold(view, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1"}, intervals=[[2, 1.0, 3.0]])
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "election_safety"
@@ -210,8 +207,8 @@ class TestHardInvariants:
 
     def test_adjacent_leadership_is_fine(self):
         monitor, view, clock = make_monitor()
-        fold(view, clock, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0"}, intervals=[[1, 0.0, 2.0]])
-        fold(view, clock, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1"}, intervals=[[2, 2.0, 4.0]])
+        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0"}, intervals=[[1, 0.0, 2.0]])
+        fold(view, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1"}, intervals=[[2, 2.0, 4.0]])
         clock.now = 5.0
         assert monitor.maybe_evaluate(view) == []
 
@@ -219,7 +216,7 @@ class TestHardInvariants:
 class TestLatencyBudget:
     def test_single_breach_burns_budget_without_violating(self):
         monitor, view, clock = make_monitor(p99_bound=3.0, latency_budget=0.25)
-        fold(view, clock, metrics={"discovery.total_time": latency_hist(slow=5, fast=0)})
+        fold(view, metrics={"discovery.total_time": latency_hist(slow=5, fast=0)})
         clock.now = 5.0
         assert monitor.maybe_evaluate(view) == []  # burned, not failed
         assert monitor.breached_windows == 1
@@ -232,7 +229,7 @@ class TestLatencyBudget:
         for window in range(1, 9):
             slow += 5
             fold(
-                view, clock, seq=window,
+                view,
                 metrics={"discovery.total_time": latency_hist(slow=slow, fast=0)},
             )
             clock.now = 5.0 * window
@@ -245,7 +242,7 @@ class TestLatencyBudget:
 
     def test_fast_windows_do_not_burn(self):
         monitor, view, clock = make_monitor(p99_bound=3.0)
-        fold(view, clock, metrics={"discovery.total_time": latency_hist(slow=0, fast=50)})
+        fold(view, metrics={"discovery.total_time": latency_hist(slow=0, fast=50)})
         clock.now = 5.0
         assert monitor.maybe_evaluate(view) == []
         assert monitor.breached_windows == 0
@@ -255,7 +252,7 @@ class TestLatencyBudget:
 class TestTrend:
     def test_rows_are_json_shaped_and_cumulative(self):
         monitor, view, clock = make_monitor()
-        fold(view, clock, metrics={"discovery.completed": counter(3)})
+        fold(view, metrics={"discovery.completed": counter(3)})
         clock.now = 5.0
         monitor.maybe_evaluate(view)
         clock.now = 7.0
