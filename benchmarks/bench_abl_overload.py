@@ -54,7 +54,7 @@ from repro.discovery.faults import FaultInjector
 from repro.discovery.requester import DiscoveryClient
 from repro.discovery.responder import DiscoveryResponder
 from repro.experiments.harness import run_discovery_once
-from repro.experiments.report import comparison_table, overload_table
+from repro.experiments.report import comparison_table
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import NoLoss
 from repro.substrate.builder import BrokerNetwork

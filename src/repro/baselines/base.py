@@ -18,6 +18,9 @@ from repro.simnet.latency import MatrixLatencyModel
 
 __all__ = ["DistanceOracle", "SelectionResult", "BaselineSelector", "optimal_broker"]
 
+#: Lognormal sigma of one probe's measurement noise.
+NOISE_SIGMA = 0.08
+
 
 class DistanceOracle:
     """Measured RTTs over a latency matrix, with probe accounting.
@@ -27,21 +30,18 @@ class DistanceOracle:
     latency:
         The ground-truth WAN.
     rng:
-        Randomness for per-measurement jitter.
-    noise_sigma:
-        Lognormal sigma of measurement noise (a single ping sample
-        jitters; averaging multiple reduces it).
+        Randomness for per-measurement jitter (lognormal,
+        :data:`NOISE_SIGMA`: a single ping sample jitters; averaging
+        multiple reduces it).
     """
 
     def __init__(
         self,
         latency: MatrixLatencyModel,
         rng: np.random.Generator,
-        noise_sigma: float = 0.08,
     ) -> None:
         self.latency = latency
         self.rng = rng
-        self.noise_sigma = noise_sigma
         self.probes = 0
 
     def true_rtt(self, site_a: str, site_b: str) -> float:
@@ -56,12 +56,8 @@ class DistanceOracle:
         total = 0.0
         for _ in range(samples):
             self.probes += 1
-            total += base * float(self.rng.lognormal(0.0, self.noise_sigma))
+            total += base * float(self.rng.lognormal(0.0, NOISE_SIGMA))
         return total / samples
-
-    def reset_probes(self) -> None:
-        """Zero the probe counter (between selector runs)."""
-        self.probes = 0
 
 
 @dataclass(frozen=True, slots=True)

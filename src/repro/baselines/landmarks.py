@@ -29,18 +29,17 @@ class LandmarkSelector:
     landmark_sites:
         The beacon sites.  Brokers' landmark vectors are maintained by
         the infrastructure (offline); the client measures its own.
-    use_upper_bound:
-        If True, score by the midpoint of the triangulation interval
-        instead of the lower bound alone.
+
+    A broker is scored by the midpoint of its triangulation interval
+    (the lower bound alone ranks worse).
     """
 
     name = "landmarks"
 
-    def __init__(self, landmark_sites: tuple[str, ...], use_upper_bound: bool = True) -> None:
+    def __init__(self, landmark_sites: tuple[str, ...]) -> None:
         if not landmark_sites:
             raise ValueError("need at least one landmark site")
         self.landmark_sites = tuple(landmark_sites)
-        self.use_upper_bound = use_upper_bound
 
     def select(
         self,
@@ -59,11 +58,8 @@ class LandmarkSelector:
                 [oracle.true_rtt(site, l) for l in self.landmark_sites]
             )
             lower = float(np.max(np.abs(client_vec - broker_vec)))
-            if self.use_upper_bound:
-                upper = float(np.min(client_vec + broker_vec))
-                estimates[name] = 0.5 * (lower + upper)
-            else:
-                estimates[name] = lower
+            upper = float(np.min(client_vec + broker_vec))
+            estimates[name] = 0.5 * (lower + upper)
         chosen = min(estimates, key=lambda b: (estimates[b], b))
         return SelectionResult(
             broker=chosen,

@@ -17,19 +17,10 @@ __all__ = ["StaticSelector", "RandomSelector", "PingAllSelector"]
 
 
 class StaticSelector:
-    """Always connect to one fixed, well-known broker.
-
-    Parameters
-    ----------
-    broker:
-        The configured broker name; defaults to the lexically first
-        broker at selection time (a "well-known" deployment).
-    """
+    """Always connect to one fixed, well-known broker: the lexically
+    first broker at selection time."""
 
     name = "static"
-
-    def __init__(self, broker: str | None = None) -> None:
-        self.broker = broker
 
     def select(
         self,
@@ -38,13 +29,7 @@ class StaticSelector:
         oracle: DistanceOracle,
         rng: np.random.Generator,
     ) -> SelectionResult:
-        if self.broker is not None:
-            if self.broker not in brokers:
-                raise ValueError(f"configured broker {self.broker!r} not present")
-            chosen = self.broker
-        else:
-            chosen = min(brokers)
-        return SelectionResult(broker=chosen, probes=0)
+        return SelectionResult(broker=min(brokers), probes=0)
 
 
 class RandomSelector:

@@ -28,17 +28,16 @@ class TiersSelector:
     ----------
     landmark_sites:
         Sites used to build the clustering feature vectors (offline).
-    clusters:
-        Number of top-level groups; None picks ``round(sqrt(N))``.
+
+    The brokers fall into ``round(sqrt(N))`` top-level groups.
     """
 
     name = "tiers"
 
-    def __init__(self, landmark_sites: tuple[str, ...], clusters: int | None = None) -> None:
+    def __init__(self, landmark_sites: tuple[str, ...]) -> None:
         if not landmark_sites:
             raise ValueError("need at least one landmark site for clustering")
         self.landmark_sites = tuple(landmark_sites)
-        self.clusters = clusters
 
     def select(
         self,
@@ -49,8 +48,7 @@ class TiersSelector:
     ) -> SelectionResult:
         before = oracle.probes
         names = sorted(brokers)
-        k = self.clusters if self.clusters is not None else max(1, int(round(len(names) ** 0.5)))
-        k = min(k, len(names))
+        k = min(max(1, int(round(len(names) ** 0.5))), len(names))
         # Offline: cluster brokers by their landmark RTT vectors.
         features = np.array(
             [

@@ -44,6 +44,13 @@ from repro.obs.slo import SloMonitor
 
 __all__ = ["ClusterHarness", "ClusterFaultInjector", "ClusterError"]
 
+#: Wall seconds every worker of a fresh cluster has to report ready.
+READY_TIMEOUT = 30.0
+#: Wall seconds a respawned worker has to report ready.
+RESPAWN_READY_TIMEOUT = 20.0
+#: Wall seconds shutdown waits for every worker to drain before killing it.
+SHUTDOWN_DEADLINE = 15.0
+
 
 class ClusterError(RuntimeError):
     """A worker did not reach the state the harness required in time."""
@@ -190,14 +197,14 @@ class ClusterHarness:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, ready_timeout: float = 30.0) -> None:
+    def start(self) -> None:
         if not self.spec.ports:
             self.spec.assign_ports()
         self.spec.save(self.spec_path)
         self.control = _ControlServer(self.spec.bind_ip, on_telemetry=self.live.on_frame)
         for role in self.spec.roles():
             self.spawn(role)
-        self.wait_ready(self.spec.roles(), timeout=ready_timeout)
+        self.wait_ready(self.spec.roles(), timeout=READY_TIMEOUT)
         self.live.start()
 
     def _worker_env(self) -> dict[str, str]:
@@ -265,13 +272,13 @@ class ClusterHarness:
     # ------------------------------------------------------------------
     # Shutdown and collection
     # ------------------------------------------------------------------
-    def shutdown(self, deadline: float = 15.0) -> dict[str, int | None]:
+    def shutdown(self) -> dict[str, int | None]:
         """Drain every live worker (SIGTERM) and reap exit codes."""
         codes: dict[str, int | None] = {}
         for role, proc in self.procs.items():
             if proc.poll() is None:
                 proc.send_signal(signal.SIGTERM)
-        end = time.monotonic() + deadline
+        end = time.monotonic() + SHUTDOWN_DEADLINE
         for role, proc in self.procs.items():
             remaining = max(0.1, end - time.monotonic())
             try:
@@ -324,10 +331,10 @@ class ClusterFaultInjector:
         proc.kill()
         proc.wait()
 
-    def drain(self, role: str, deadline: float | None = None) -> int:
+    def drain(self, role: str) -> int:
         """SIGTERM graceful drain; asserts exit 0 within the deadline."""
         proc = self.harness.procs[role]
-        limit = deadline if deadline is not None else DRAIN_DEADLINE + 5.0
+        limit = DRAIN_DEADLINE + 5.0
         self._note("drain", role)
         proc.send_signal(signal.SIGTERM)
         try:
@@ -340,13 +347,13 @@ class ClusterFaultInjector:
             raise ClusterError(f"{role} drained with exit code {code}, expected 0")
         return code
 
-    def respawn(self, role: str, cold: bool = True, ready_timeout: float = 20.0) -> None:
+    def respawn(self, role: str, cold: bool = True) -> None:
         """Start a fresh incarnation (cold by default: cleared registry)."""
         self._note("respawn", role)
         self.harness.spawn(role, cold=cold)
-        self.harness.wait_ready([role], timeout=ready_timeout)
+        self.harness.wait_ready([role], timeout=RESPAWN_READY_TIMEOUT)
 
-    def rolling_restart(self, settle: float = 2.0, ready_timeout: float = 20.0) -> None:
+    def rolling_restart(self, settle: float = 2.0) -> None:
         """Drain + cold-respawn each BDN member, one at a time.
 
         Staggered so a quorum of the replication group is always up:
@@ -358,7 +365,7 @@ class ClusterFaultInjector:
             role = f"bdn:{j}"
             self._note("rolling_restart", role)
             self.drain(role)
-            self.respawn(role, cold=True, ready_timeout=ready_timeout)
+            self.respawn(role, cold=True)
             time.sleep(settle)
 
     def storm(self, factor: float = 4.0, duration: float = 2.0) -> None:

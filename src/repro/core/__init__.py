@@ -21,7 +21,7 @@ from repro.core.errors import (
     TransportError,
     DiscoveryError,
 )
-from repro.core.ids import IdGenerator, new_uuid
+from repro.core.ids import IdGenerator
 from repro.core.dedup import DedupCache
 from repro.core.metrics import UsageMetrics, WeightConfig, broker_weight
 from repro.core.config import (
@@ -59,7 +59,6 @@ __all__ = [
     "TransportError",
     "DiscoveryError",
     "IdGenerator",
-    "new_uuid",
     "DedupCache",
     "UsageMetrics",
     "WeightConfig",

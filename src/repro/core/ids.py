@@ -10,11 +10,9 @@ layout, purely so that logs and traces look familiar.
 
 from __future__ import annotations
 
-import uuid as _uuid
-
 import numpy as np
 
-__all__ = ["IdGenerator", "new_uuid"]
+__all__ = ["IdGenerator"]
 
 
 class IdGenerator:
@@ -71,8 +69,3 @@ class IdGenerator:
         keeps their ID sequences independent of call interleaving.
         """
         return IdGenerator(np.random.default_rng(self._rng.integers(0, 2**63)))
-
-
-def new_uuid() -> str:
-    """Return a non-deterministic v4 UUID (convenience for examples)."""
-    return str(_uuid.uuid4())

@@ -183,12 +183,12 @@ class Event(Message):
     issued_at: F64
     headers: Annotated[tuple[tuple[str, str], ...], ("B", "str", "str")] = ()
 
-    def header(self, key: str, default: str | None = None) -> str | None:
-        """Look up a header value by key."""
+    def header(self, key: str) -> str | None:
+        """Look up a header value by key (None if absent)."""
         for k, v in self.headers:
             if k == key:
                 return v
-        return default
+        return None
 
 
 @dataclass(slots=True)
@@ -309,18 +309,11 @@ class DiscoveryRequest(Message):
         spans downstream can tell fan-out tiers apart.
         """
         trace_hop = self.trace_hop + 1 if self.trace_flag else self.trace_hop
-        return self._copy(self.hop_count + 1, self.attempt, trace_hop)
-
-    def retransmission(self) -> "DiscoveryRequest":
-        """Copy of this request marked as the next retransmission attempt."""
-        return self._copy(self.hop_count, self.attempt + 1, self.trace_hop)
-
-    def _copy(self, hop_count: int, attempt: int, trace_hop: int) -> "DiscoveryRequest":
         # Not dataclasses.replace: twice the cost, three copies per discovery.
         return DiscoveryRequest(
             self.uuid, self.requester_host, self.requester_port, self.transports,
-            self.credentials, self.realm, self.issued_at, hop_count, attempt,
-            self.trace_flag, trace_hop,
+            self.credentials, self.realm, self.issued_at, self.hop_count + 1,
+            self.attempt, self.trace_flag, trace_hop,
         )
 
 
@@ -710,14 +703,8 @@ WIRE_MESSAGE_TYPES: tuple[type[Message], ...] = (
 )
 
 
-def traced(message: Message, hop: int | None = None) -> Message:
-    """Copy of ``message`` marked as participating in a trace.
-
-    ``hop`` overrides the hop counter (e.g. a response echoes the
-    request's hop plus one); omitted, the current value is kept.
-    """
+def traced(message: Message) -> Message:
+    """Copy of ``message`` marked as participating in a trace (hop kept)."""
     if not hasattr(message, "trace_flag"):
         raise TypeError(f"{type(message).__name__} does not carry trace context")
-    if hop is None:
-        return replace(message, trace_flag=True)
-    return replace(message, trace_flag=True, trace_hop=hop)
+    return replace(message, trace_flag=True)

@@ -31,13 +31,10 @@ The pieces map one-to-one onto the paper's sections:
 """
 
 from repro.discovery.advertisement import (
-    AD_TOPIC,
-    BDN_ANNOUNCE_TOPIC,
     AdvertisementStore,
     Heartbeat,
     StoredAdvertisement,
     build_advertisement,
-    enable_bdn_autoregistration,
     start_heartbeat,
 )
 from repro.discovery.replication import (
@@ -70,14 +67,11 @@ from repro.discovery.chaos import (
 )
 
 __all__ = [
-    "AD_TOPIC",
     "AdvertisementStore",
     "StoredAdvertisement",
     "build_advertisement",
     "start_heartbeat",
     "Heartbeat",
-    "enable_bdn_autoregistration",
-    "BDN_ANNOUNCE_TOPIC",
     "REQUEST_TOPIC",
     "DiscoveryResponder",
     "BDN",

@@ -3,12 +3,11 @@
 Sections 2.1-2.3 of the paper: brokers *may* advertise with one or more
 BDNs (registration is optional and non-uniform); an advertisement
 carries hostname, transports+ports, logical address and optional
-geography/institution; dissemination is either **direct** (to the BDNs
-in the broker's configuration file) or **topic-based** (published on a
-public topic such as ``Services/BrokerDiscoveryNodes/BrokerAdvertisement``
-that BDNs subscribe to); and a BDN may *ignore* advertisements outside
-its interest (e.g. "a BDN in the US may be interested only in broker
-additions in North America").
+geography/institution; dissemination is **direct** (to the BDNs in the
+broker's configuration file -- section 2.3's topic-based form is not
+reproduced, see the README); and a BDN may *ignore* advertisements
+outside its interest (e.g. "a BDN in the US may be interested only in
+broker additions in North America").
 
 **Leases** extend the paper's registration scheme for partition and
 churn tolerance: an advertisement may carry a TTL, brokers renew it by
@@ -27,39 +26,24 @@ import math
 
 from dataclasses import dataclass
 
-from repro.core.codec import encode_message
 from repro.core.config import Endpoint
-from repro.core.messages import AdvertisementAck, BrokerAdvertisement, Event
+from repro.core.messages import AdvertisementAck, BrokerAdvertisement
 from repro.discovery.replication import try_parse_endpoint
 from repro.substrate.broker import BROKER_TCP_PORT, BROKER_UDP_PORT, Broker
 
 __all__ = [
-    "AD_TOPIC",
-    "BDN_ANNOUNCE_TOPIC",
     "WITHDRAW_TTL",
     "build_advertisement",
     "advertise_direct",
-    "advertise_on_topic",
     "withdraw_registration",
     "start_heartbeat",
     "Heartbeat",
-    "enable_bdn_autoregistration",
     "StoredAdvertisement",
     "AdvertisementStore",
 ]
 
-#: The public topic every BDN subscribes to (paper section 2.3).
-AD_TOPIC = "Services/BrokerDiscoveryNodes/BrokerAdvertisement"
 
-#: The topic a newly added (private) BDN announces itself on
-#: (paper section 2.4: "the private BDN must advertise its services to
-#: brokers within the broker network").
-BDN_ANNOUNCE_TOPIC = "Services/BrokerDiscoveryNodes/Announce"
-
-
-def build_advertisement(
-    broker: Broker, region: str = "", institution: str = "", ttl: float = 0.0
-) -> BrokerAdvertisement:
+def build_advertisement(broker: Broker, ttl: float = 0.0) -> BrokerAdvertisement:
     """Construct a broker's advertisement from its live state.
 
     ``ttl`` is the lease duration in seconds (0 = never expires, the
@@ -76,8 +60,8 @@ def build_advertisement(
         hostname=broker.host,
         transports=(("tcp", BROKER_TCP_PORT), ("udp", BROKER_UDP_PORT)),
         logical_address=f"/{broker.site}/{broker.name}",
-        region=region or _region_hint(broker),
-        institution=institution or broker.site,
+        region=_region_hint(broker),
+        institution=broker.site,
         issued_at=broker.utc(),
         ttl=ttl,
     )
@@ -88,9 +72,7 @@ def _region_hint(broker: Broker) -> str:
     return "europe" if broker.site == "cardiff" else "north-america"
 
 
-def advertise_direct(
-    broker: Broker, bdn_endpoint: Endpoint, region: str = "", ttl: float = 0.0
-) -> BrokerAdvertisement:
+def advertise_direct(broker: Broker, bdn_endpoint: Endpoint, ttl: float = 0.0) -> BrokerAdvertisement:
     """Send the broker's advertisement straight to one BDN over UDP.
 
     The first dissemination form of section 2.3 ("sending this
@@ -98,7 +80,7 @@ def advertise_direct(
     configuration file").  Like any datagram it may be lost; section 7
     notes the scheme tolerates lost advertisements.
     """
-    ad = build_advertisement(broker, region=region, ttl=ttl)
+    ad = build_advertisement(broker, ttl=ttl)
     if ad.trace_flag:
         broker.emit("send", f"ad:{broker.name}", kind="BrokerAdvertisement", bdn=bdn_endpoint)
     broker.send_udp(bdn_endpoint, ad)
@@ -113,9 +95,7 @@ def advertise_direct(
 WITHDRAW_TTL = 1e-6
 
 
-def withdraw_registration(
-    broker: Broker, bdn_endpoints, region: str = ""
-) -> int:
+def withdraw_registration(broker: Broker, bdn_endpoints) -> int:
     """Withdraw the broker's registration from every listed BDN.
 
     Sent directly to each group member rather than through replication:
@@ -126,30 +106,11 @@ def withdraw_registration(
     """
     sent = 0
     for bdn_endpoint in bdn_endpoints:
-        advertise_direct(broker, bdn_endpoint, region=region, ttl=WITHDRAW_TTL)
+        advertise_direct(broker, bdn_endpoint, ttl=WITHDRAW_TTL)
         sent += 1
     if sent:
         broker.emit("registration_withdrawn", bdns=sent)
     return sent
-
-
-def advertise_on_topic(broker: Broker, region: str = "", ttl: float = 0.0) -> BrokerAdvertisement:
-    """Publish the broker's advertisement on the public topic.
-
-    The second dissemination form of section 2.3: every BDN attached to
-    the broker network (via :meth:`repro.discovery.bdn.BDN.attach_to_network`)
-    receives it through normal pub/sub routing.
-    """
-    ad = build_advertisement(broker, region=region, ttl=ttl)
-    event = Event(
-        uuid=broker.ids(),
-        topic=AD_TOPIC,
-        payload=encode_message(ad),
-        source=broker.name,
-        issued_at=broker.utc(),
-    )
-    broker.publish_local(event)
-    return ad
 
 
 #: The first beat goes out this many times in all, ``BURST_SPACING``
@@ -167,7 +128,6 @@ def start_heartbeat(
     broker: Broker,
     bdn_endpoints,
     interval: float = 30.0,
-    region: str = "",
     ttl: float | None = None,
 ) -> "Heartbeat":
     """Register with the listed BDNs and keep the lease renewed.
@@ -201,7 +161,7 @@ def start_heartbeat(
     if interval <= 0:
         raise ValueError(f"heartbeat interval must be positive, got {interval}")
     lease = 3.0 * interval if ttl is None else ttl
-    hb = Heartbeat(broker, tuple(bdn_endpoints), lease, region)
+    hb = Heartbeat(broker, tuple(bdn_endpoints), lease)
     broker.add_udp_handler(AdvertisementAck, hb._on_ack)
     hb._burst()
     runtime = broker.runtime
@@ -217,7 +177,6 @@ class Heartbeat:
         "broker",
         "endpoints",
         "lease",
-        "region",
         "leader",
         "acked",
         "cancelled",
@@ -226,13 +185,10 @@ class Heartbeat:
         "_timers",
     )
 
-    def __init__(
-        self, broker: Broker, endpoints: tuple[Endpoint, ...], lease: float, region: str
-    ) -> None:
+    def __init__(self, broker: Broker, endpoints: tuple[Endpoint, ...], lease: float) -> None:
         self.broker = broker
         self.endpoints = endpoints
         self.lease = lease
-        self.region = region
         #: The endpoint renewed exclusively (None = every endpoint).
         self.leader: Endpoint | None = None
         #: Whether any BDN has acked (ends the startup burst).
@@ -244,7 +200,7 @@ class Heartbeat:
 
     def _send(self, endpoints) -> None:
         for endpoint in endpoints:
-            advertise_direct(self.broker, endpoint, region=self.region, ttl=self.lease)
+            advertise_direct(self.broker, endpoint, ttl=self.lease)
 
     def _burst(self) -> None:
         if self.broker.alive and not self.acked:
@@ -284,33 +240,6 @@ class Heartbeat:
             timer.cancel()
         self._timers = []
         self.broker.remove_udp_handler(AdvertisementAck)
-
-
-def enable_bdn_autoregistration(broker: Broker, region: str = "") -> None:
-    """React to BDN announcements by (re-)advertising with the new BDN.
-
-    Section 2.4: when a private BDN "advertise[s] its services to
-    brokers within the broker network", "individual brokers may have
-    the option to re-advertise their information at this newly added
-    BDN".  Installing this handler opts the broker in: whenever a BDN
-    announcement event arrives (an :class:`~repro.core.messages.Ack`
-    whose ``acked_by`` encodes ``host:port``), the broker sends its
-    advertisement straight to the announced endpoint.
-    """
-
-    def on_announce(event: Event, from_peer: str | None) -> None:
-        if not broker.alive or not broker.config.advertise:
-            return
-        try:
-            host, port_text = event.payload.decode().rsplit(":", 1)
-            endpoint = Endpoint(host, int(port_text))
-        except (ValueError, UnicodeDecodeError):
-            broker.emit("bdn_announce_malformed", uuid=event.uuid)
-            return
-        advertise_direct(broker, endpoint, region=region)
-        broker.emit("bdn_autoregistered", bdn=endpoint)
-
-    broker.add_control_handler(BDN_ANNOUNCE_TOPIC, on_announce)
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,7 +38,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.codec import LazyMessage, lazy_decode
+from repro.core.codec import LazyMessage
 from repro.core.config import BDNConfig, Endpoint
 from repro.core.errors import CodecError
 from repro.core.messages import (
@@ -49,7 +49,6 @@ from repro.core.messages import (
     BrokerAdvertisement,
     DiscoveryBusy,
     DiscoveryRequest,
-    Event,
     LeaseClaim,
     LeaseVote,
     Message,
@@ -61,16 +60,10 @@ from repro.obs import trace_context
 from repro.runtime.api import OwnedTimers, Runtime, TimerHandle
 from repro.simnet.node import Node
 from repro.simnet.service import IngressQueue
-from repro.discovery.advertisement import (
-    AD_TOPIC,
-    BDN_ANNOUNCE_TOPIC,
-    StoredAdvertisement,
-)
+from repro.discovery.advertisement import StoredAdvertisement
 from repro.discovery.ping import Pinger
 from repro.discovery.sharding import ShardedRegistry
 from repro.discovery.replication import ReplicationState
-from repro.substrate.broker import Broker
-from repro.substrate.client import PubSubClient
 
 __all__ = ["BDN", "BDN_UDP_PORT"]
 
@@ -135,7 +128,6 @@ class BDN(Node):
         # only reads its two ends (invariant: see _injection_targets).
         self._by_distance: list[tuple[float, str]] = []
         self._distance_key: dict[str, tuple[float, str]] = {}
-        self._network_client: PubSubClient | None = None
         # Outstanding timers, cancelled on stop() so a dead BDN leaves
         # nothing ticking in the scheduler.  One lease-sweep series per
         # shard, phase-staggered across the ping interval.
@@ -235,8 +227,6 @@ class BDN(Node):
             self.ingress.reset()  # a dead process loses its socket buffer
         if self.replication is not None:
             self.replication.stop()
-        if self._network_client is not None:
-            self._network_client.disconnect()
         self.emit("bdn_stop")
 
     def clear_registry(self) -> None:
@@ -260,58 +250,6 @@ class BDN(Node):
         if self.replication is not None:
             self._cold_pending = True
         self.emit("bdn_cold_restart", f"bdn:{self.name}")
-
-    def attach_to_network(self, broker: Broker) -> None:
-        """Maintain an active connection into the broker network.
-
-        The BDN connects a pub/sub client to ``broker`` and subscribes
-        to the public advertisement topic, implementing section 2.3's
-        second dissemination form ("the broker might send this
-        advertisement over a public topic ... which all BDNs within the
-        substrate subscribe to").
-        """
-        client = PubSubClient(
-            f"{self.name}-feed", self.host, self.runtime, self.rng, obs=self.obs
-        )
-        # The client shares this BDN's host (already registered).
-        client.start()
-        client.subscribe(AD_TOPIC, self._on_topic_advertisement)
-        client.connect(broker.client_endpoint)
-        self._network_client = client
-
-    def announce_to_network(self, broker: Broker) -> None:
-        """Announce this BDN's endpoint on the broker network.
-
-        Section 2.4: a newly added (private) BDN "must advertise its
-        services to brokers within the broker network" so that brokers
-        opted in via
-        :func:`~repro.discovery.advertisement.enable_bdn_autoregistration`
-        can re-advertise with it.  The announcement is injected at
-        ``broker`` and floods the network like any control event.
-        """
-        event = Event(
-            uuid=self.ids(),
-            topic=BDN_ANNOUNCE_TOPIC,
-            payload=f"{self.udp_endpoint.host}:{self.udp_endpoint.port}".encode(),
-            source=self.name,
-            issued_at=self.utc(),
-        )
-        broker.publish_local(event)
-        self.emit("bdn_announced", via=broker.name)
-
-    def _on_topic_advertisement(self, event: Event) -> None:
-        if not self.alive:
-            return
-        # Lazy decode: the advertisement topic carries other control
-        # traffic too, so check the tag before paying for a full decode.
-        try:
-            lazy = lazy_decode(event.payload)
-            if lazy.tag != BrokerAdvertisement.kind:
-                return
-            message = lazy.message
-        except CodecError:
-            return
-        self._register(message)
 
     # ------------------------------------------------------------------
     # UDP dispatch

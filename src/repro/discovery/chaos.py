@@ -59,6 +59,7 @@ from repro.discovery.bdn import BDN, BDN_UDP_PORT
 from repro.discovery.faults import FaultInjector
 from repro.discovery.requester import DiscoveryClient, DiscoveryOutcome
 from repro.discovery.responder import DiscoveryResponder
+from repro.experiments.harness import drive_discovery
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import NoLoss, UniformLoss
 from repro.substrate.builder import BrokerNetwork, Topology
@@ -115,6 +116,12 @@ _PHASE_EPS = 1e-6
 _FAULT_WINDOW = 20.0
 _RECOVERY = 12.0
 _RUN_GAP = 0.5
+# Virtual seconds one discovery may take before it counts as not
+# terminating (a termination-invariant violation).
+_ATTEMPT_CAP = 60.0
+# Actions in one drawn fault schedule.
+_MIN_ACTIONS = 2
+_MAX_ACTIONS = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -406,11 +413,10 @@ def draw_schedule(
     world: ChaosWorld,
     start: float,
     duration: float,
-    min_actions: int = 2,
-    max_actions: int = 4,
     kinds: tuple[str, ...] = CHAOS_KINDS,
 ) -> tuple[ChaosAction, ...]:
-    """Draw a randomized fault schedule inside ``[start, start+duration]``.
+    """Draw a randomized fault schedule inside ``[start, start+duration]``:
+    between :data:`_MIN_ACTIONS` and :data:`_MAX_ACTIONS` actions.
 
     Every action carries its own recovery time; nothing outlives the
     window.  All randomness comes from ``rng``, so one (seed, kinds)
@@ -419,7 +425,7 @@ def draw_schedule(
     if duration <= 0:
         raise ValueError("duration must be positive")
     actions: list[ChaosAction] = []
-    n = int(rng.integers(min_actions, max_actions + 1))
+    n = int(rng.integers(_MIN_ACTIONS, _MAX_ACTIONS + 1))
     for _ in range(n):
         kind = kinds[int(rng.integers(len(kinds)))]
         at = start + float(rng.uniform(0.0, duration * 0.5))
@@ -440,21 +446,6 @@ def apply_schedule(world: ChaosWorld, schedule: tuple[ChaosAction, ...]) -> None
 # ---------------------------------------------------------------------------
 # Invariant checks
 # ---------------------------------------------------------------------------
-def _drive_to_outcome(world: ChaosWorld, begin, cap: float = 60.0) -> DiscoveryOutcome | None:
-    """Start a discovery via ``begin(callback)`` and step to its outcome.
-
-    Returns None if the run fails to terminate within ``cap`` virtual
-    seconds (a termination-invariant violation at the caller).
-    """
-    box: list[DiscoveryOutcome] = []
-    begin(box.append)
-    deadline = world.sim.now + cap
-    while not box:
-        if not world.sim.step() or world.sim.now > deadline:
-            return None
-    return box[0]
-
-
 def _check_phases(label: str, outcome: DiscoveryOutcome, violations: list[str]) -> None:
     timer = outcome.phases
     if timer.open_phase is not None:
@@ -579,7 +570,7 @@ def run_chaos(
     def attempt(label: str, begin, strict: bool = False) -> DiscoveryOutcome | None:
         started_at = world.sim.now
         try:
-            outcome = _drive_to_outcome(world, begin)
+            outcome = drive_discovery(world.sim, begin, _ATTEMPT_CAP)
         except DiscoveryError as exc:
             violations.append(f"{label}: discovery raised instead of completing: {exc}")
             return None

@@ -39,9 +39,10 @@ from repro.substrate.broker import Broker
 
 __all__ = ["FaultInjector"]
 
-#: Source port of storm datagrams; deliberately never bound, so any
-#: acks/busies/responses the flood provokes vanish like replies to a
-#: spoofed source address would.
+#: Source host and port of storm datagrams; the port is deliberately
+#: never bound, so any acks/busies/responses the flood provokes vanish
+#: like replies to a spoofed source address would.
+_STORM_HOST = "storm.injector"
 _STORM_PORT = 7999
 
 
@@ -133,7 +134,6 @@ class FaultInjector:
         rate: float,
         start: float,
         duration: float,
-        source_host: str = "storm.injector",
     ) -> int:
         """Flood ``target`` with discovery requests for a window.
 
@@ -150,16 +150,16 @@ class FaultInjector:
         if duration <= 0:
             raise ValueError("duration must be positive")
         try:
-            self.network.register_host(source_host, site="storm-site", realm=None)
+            self.network.register_host(_STORM_HOST, site="storm-site", realm=None)
         except TransportError:
             pass  # already registered by an earlier storm
-        src = Endpoint(source_host, _STORM_PORT)
+        src = Endpoint(_STORM_HOST, _STORM_PORT)
         n = int(rate * duration)
         for i in range(n):
             self._storm_seq += 1
             request = DiscoveryRequest(
                 uuid=f"storm-{self._storm_seq}",
-                requester_host=source_host,
+                requester_host=_STORM_HOST,
                 requester_port=_STORM_PORT,
             )
             self.network.schedule_at(start + i / rate, self.network.send_udp, src, target, request)

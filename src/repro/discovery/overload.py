@@ -66,12 +66,6 @@ class TokenBucket:
             )
         self._last = now
 
-    @property
-    def tokens(self) -> float:
-        """Current token count (after a lazy refill); read-only."""
-        self._refill()
-        return self._tokens
-
     def try_acquire(self) -> bool:
         """Spend one token; False (and no spend) if none is available."""
         self._refill()

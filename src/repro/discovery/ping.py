@@ -27,6 +27,11 @@ from repro.simnet.node import Node
 
 __all__ = ["Pinger"]
 
+#: RTT samples retained per key (older ones roll off).
+MAX_SAMPLES = 16
+#: Seconds an unanswered ping stays tracked.
+OUTSTANDING_TIMEOUT = 30.0
+
 RttCallback = Callable[[str, float], None]
 
 
@@ -43,38 +48,23 @@ class Pinger:
         The owning node; supplies the clock and runtime.
     reply_endpoint:
         Endpoint ping responses should come back to.
-    max_samples:
-        RTT samples retained per key (older ones roll off).
-    outstanding_timeout:
-        Seconds an unanswered ping stays tracked.  UDP pings are lossy
-        by design, so without a deadline every lost pong would leave its
-        UUID in the outstanding table forever -- a slow leak on
-        long-lived BDNs that ping every registered broker periodically.
-        Expiry is lazy (checked on the next ping/response, no timers),
-        so it cannot perturb the event schedule.
+
+    An unanswered ping stays tracked for :data:`OUTSTANDING_TIMEOUT`
+    seconds.  UDP pings are lossy by design, so without a deadline every
+    lost pong would leave its UUID in the outstanding table forever -- a
+    slow leak on long-lived BDNs that ping every registered broker
+    periodically.  Expiry is lazy (checked on the next ping/response,
+    no timers), so it cannot perturb the event schedule.
     """
 
-    def __init__(
-        self,
-        node: Node,
-        reply_endpoint: Endpoint,
-        max_samples: int = 16,
-        outstanding_timeout: float = 30.0,
-    ) -> None:
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-        if outstanding_timeout <= 0:
-            raise ValueError("outstanding_timeout must be positive")
+    def __init__(self, node: Node, reply_endpoint: Endpoint) -> None:
         self._node = node
         self._reply = reply_endpoint
-        self._max_samples = max_samples
-        self._outstanding_timeout = outstanding_timeout
         # ping uuid -> (target key, expiry deadline, trace id).  Insertion
         # order is deadline order (the timeout is constant), so expiry
         # only ever needs to pop from the front.
         self._outstanding: dict[str, tuple[str, float, str | None]] = {}
         self._samples: dict[str, list[float]] = {}
-        self._last_heard: dict[str, float] = {}
         self.on_rtt: RttCallback | None = None
         self.pings_sent = 0
         self.pongs_received = 0
@@ -104,7 +94,7 @@ class Pinger:
         """
         self._expire_outstanding()
         uuid = self._node.ids()
-        deadline = self._node.runtime.now + self._outstanding_timeout
+        deadline = self._node.runtime.now + OUTSTANDING_TIMEOUT
         resolved_key = key if key is not None else target.host
         traced = trace_id is not None and self._node.observing
         self._outstanding[uuid] = (resolved_key, deadline, trace_id if traced else None)
@@ -141,9 +131,8 @@ class Pinger:
             )
         samples = self._samples.setdefault(key, [])
         samples.append(rtt)
-        if len(samples) > self._max_samples:
+        if len(samples) > MAX_SAMPLES:
             del samples[0]
-        self._last_heard[key] = self._node.runtime.now
         self.pongs_received += 1
         if self.on_rtt is not None:
             self.on_rtt(key, rtt)
@@ -159,18 +148,9 @@ class Pinger:
         """Number of retained samples for ``key``."""
         return len(self._samples.get(key, ()))
 
-    def last_heard(self, key: str) -> float | None:
-        """Runtime time the last response for ``key`` arrived (None if never)."""
-        return self._last_heard.get(key)
-
-    def known_keys(self) -> list[str]:
-        """Keys with at least one recorded sample, sorted."""
-        return sorted(self._samples)
-
     def forget(self, key: str) -> None:
         """Drop all state for ``key``."""
         self._samples.pop(key, None)
-        self._last_heard.pop(key, None)
 
     def clear_samples(self) -> None:
         """Drop every RTT sample; outstanding pings stay outstanding

@@ -301,7 +301,6 @@ class DiscoveryClient(Node):
         self.last_target_set: list[CachedTarget] = []
         self.last_selected: CachedTarget | None = None
         self._run: _Run | None = None
-        self._watch_timers: set[TimerHandle] = set()
         self.late_responses = 0
         # Adaptive retry machinery, active only with a RetryPolicyConfig
         # (the default None preserves the paper's fixed retransmit timer
@@ -399,16 +398,13 @@ class DiscoveryClient(Node):
 
         Any in-flight discovery fails immediately (its completion
         callback fires with ``success=False``), every outstanding timer
-        -- run timers, scheduled CPU-cost callbacks, ping repeats and
-        broker watches -- is cancelled, and the UDP port is released.
+        -- run timers, scheduled CPU-cost callbacks and ping repeats --
+        is cancelled, and the UDP port is released.
         Nothing this client scheduled remains pending afterwards.
         """
         if not self.started:
             return
         self._started = False
-        for series in self._watch_timers:
-            series.cancel()
-        self._watch_timers.clear()
         run = self._run
         if run is not None:
             self._close(run)
@@ -463,52 +459,6 @@ class DiscoveryClient(Node):
         run = self._run = _Run(self.ids(), phases, self.runtime.now, on_complete)
         self._begin_phase(run, _ISSUE)
         return run
-
-    def watch_selected(
-        self,
-        on_reconnect: Callable[[DiscoveryOutcome], None],
-        interval: float = 1.0,
-        max_missed: int = 3,
-    ):
-        """Monitor the selected broker; rediscover when it stops answering.
-
-        Pings :attr:`last_selected` every ``interval`` seconds.  After
-        ``max_missed`` consecutive intervals with no pong the broker is
-        declared dead, the watch cancels itself and
-        :meth:`rediscover` runs with ``on_reconnect`` as its completion
-        callback.  Ticks that land while a discovery is already in
-        flight are skipped.  Returns the periodic series handle (cancel
-        it to stop watching).
-        """
-        if interval <= 0 or max_missed < 1:
-            raise DiscoveryError("invalid watch schedule")
-        target = self.last_selected
-        if target is None:
-            raise DiscoveryError(f"client {self.name} has no selected broker to watch")
-        key = f"watch:{target.broker_id}"
-        state = {"missed": 0, "pinged": False}
-
-        def tick() -> None:
-            if self._run is not None:
-                return
-            last = self.pinger.last_heard(key)
-            heard_recently = last is not None and self.runtime.now - last <= interval
-            if state["pinged"] and not heard_recently:
-                state["missed"] += 1
-            elif heard_recently:
-                state["missed"] = 0
-            if state["missed"] >= max_missed:
-                series.cancel()
-                self._watch_timers.discard(series)
-                self.emit("watch_broker_lost", broker=target.broker_id)
-                self.rediscover(on_reconnect)
-                return
-            state["pinged"] = True
-            self.pinger.ping(target.udp_endpoint, key=key)
-
-        series = self.runtime.call_every(interval, tick)
-        self._watch_timers.add(series)
-        return series
 
     # ------------------------------------------------------------------
     # States and timers
@@ -924,7 +874,7 @@ class DiscoveryClient(Node):
     def _on_ping_rtt(self, key: str, rtt: float) -> None:
         run = self._run
         if run is None or run.state != _PING or key not in run.ping_to:
-            return  # no run pinging, or the pong of a broker watch
+            return  # no run pinging, or a late pong
         run.pongs_due -= 1
         if run.pongs_due == 0:
             self._decide(run)

@@ -164,7 +164,6 @@ class DiscoveryResponder:
         bdn_endpoints,
         interval: float = 30.0,
         ttl: float | None = None,
-        region: str = "",
     ) -> None:
         """Maintain a leased registration with the listed BDNs.
 
@@ -183,7 +182,7 @@ class DiscoveryResponder:
         self.detach_heartbeat()
         if self.broker.config.advertise:
             self.heartbeat = start_heartbeat(
-                self.broker, bdn_endpoints, interval=interval, region=region, ttl=ttl
+                self.broker, bdn_endpoints, interval=interval, ttl=ttl
             )
 
     def detach_heartbeat(self) -> None:

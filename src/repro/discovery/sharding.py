@@ -9,7 +9,7 @@ simulated instant and the duplicate-UUID cache churns as one global LRU.
 This module partitions both structures by **consistent hash of broker
 id**:
 
-* :class:`HashRing` places ``vnodes`` points per shard on a CRC-32 ring
+* :class:`HashRing` places :data:`DEFAULT_VNODES` points per shard on a CRC-32 ring
   and maps any key to the owning shard with one ``bisect``.  Consistent
   hashing means growing an ``n``-shard ring to ``n + 1`` shards reassigns
   roughly ``1/(n+1)`` of the keys -- the rest keep their shard, so a
@@ -63,9 +63,6 @@ class HashRing:
     ----------
     shards:
         Number of shards (>= 1).
-    vnodes:
-        Virtual nodes per shard.  More vnodes smooth the load split at
-        the cost of a larger ring.
 
     Examples
     --------
@@ -76,18 +73,15 @@ class HashRing:
     True
     """
 
-    __slots__ = ("shards", "vnodes", "_points", "_owners")
+    __slots__ = ("shards", "_points", "_owners")
 
-    def __init__(self, shards: int, vnodes: int = DEFAULT_VNODES) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
-        if vnodes < 1:
-            raise ConfigError(f"vnodes must be >= 1, got {vnodes}")
         self.shards = shards
-        self.vnodes = vnodes
         points: list[tuple[int, int]] = []
         for shard in range(shards):
-            for replica in range(vnodes):
+            for replica in range(DEFAULT_VNODES):
                 point = crc32(f"shard:{shard}:{replica}".encode())
                 points.append((point, shard))
         points.sort()
@@ -113,24 +107,23 @@ class ShardedDedup:
     ``uuid`` so every retry attempt of one request shares a shard (the
     retry path relies on attempt-level dedup keys co-residing).
 
-    Eviction is per-shard LRU over ``budget // shards`` entries each, so
+    Eviction is per-shard LRU over ``DEFAULT_CAPACITY // shards`` entries each, so
     the documented global budget holds while one flooded shard cannot
     evict another shard's in-flight request keys.  With ``shards=1``
     this is exactly one :class:`~repro.core.dedup.DedupCache` of the
     full budget.
     """
 
-    __slots__ = ("_ring", "_caches", "_budget")
+    __slots__ = ("_ring", "_caches")
 
-    def __init__(self, ring: HashRing, budget: int = DEFAULT_CAPACITY) -> None:
-        if budget < ring.shards:
+    def __init__(self, ring: HashRing) -> None:
+        if DEFAULT_CAPACITY < ring.shards:
             raise ConfigError(
-                f"dedup budget {budget} is smaller than shard count {ring.shards}"
+                f"dedup budget {DEFAULT_CAPACITY} is smaller than shard count {ring.shards}"
             )
         self._ring = ring
-        self._budget = budget
         self._caches = [
-            DedupCache(capacity=budget // ring.shards) for _ in range(ring.shards)
+            DedupCache(capacity=DEFAULT_CAPACITY // ring.shards) for _ in range(ring.shards)
         ]
 
     def _route(self, key: object) -> DedupCache:
@@ -138,11 +131,6 @@ class ShardedDedup:
             return self._caches[0]
         name = key[0] if isinstance(key, tuple) else key
         return self._caches[self._ring.shard_of(str(name))]
-
-    @property
-    def budget(self) -> int:
-        """Global entry budget (divided evenly across shards)."""
-        return self._budget
 
     @property
     def shards(self) -> list[DedupCache]:
@@ -185,7 +173,7 @@ class ShardedDedup:
         matching the old ``self.dedup = DedupCache()`` restart idiom.
         """
         self._caches = [
-            DedupCache(capacity=self._budget // self._ring.shards)
+            DedupCache(capacity=DEFAULT_CAPACITY // self._ring.shards)
             for _ in range(self._ring.shards)
         ]
 
@@ -208,24 +196,21 @@ class ShardedRegistry:
         ``AdvertisementStore``.
     interest_regions:
         Forwarded to every shard (the section 2.3 interest filter).
-    dedup_budget:
-        Global duplicate-cache budget; defaults to the paper's 1000.
-    vnodes:
-        Ring smoothing knob, see :class:`HashRing`.
+
+    The duplicate cache holds the paper's 1000 entries in all, split
+    across the shards.
     """
 
     def __init__(
         self,
         shards: int = 1,
         interest_regions: frozenset[str] = frozenset(),
-        dedup_budget: int = DEFAULT_CAPACITY,
-        vnodes: int = DEFAULT_VNODES,
     ) -> None:
-        self.ring = HashRing(shards, vnodes=vnodes)
+        self.ring = HashRing(shards)
         self._shards = [
             AdvertisementStore(interest_regions) for _ in range(shards)
         ]
-        self.dedup = ShardedDedup(self.ring, budget=dedup_budget)
+        self.dedup = ShardedDedup(self.ring)
 
     # ------------------------------------------------------------------
     # Introspection

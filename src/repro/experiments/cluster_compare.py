@@ -43,6 +43,8 @@ __all__ = ["simulate_rolling_restart", "run_live_cluster", "run_cluster_compare"
 #: role the live injector's ``settle`` plays.
 SIM_RESTART_STAGGER = 3.5
 SIM_RESTART_OUTAGE = 2.0
+#: Mean gap between one client's discovery rounds, both sides (seconds).
+MEAN_GAP = 0.15
 
 
 def _column(rounds: list[dict], violations: list[str]) -> dict:
@@ -57,7 +59,7 @@ def _column(rounds: list[dict], violations: list[str]) -> dict:
     }
 
 
-def simulate_rolling_restart(seed: int, rounds: int, mean_gap: float) -> dict:
+def simulate_rolling_restart(seed: int, rounds: int) -> dict:
     """The sim column: the cluster's world (replicated group, service
     model, admission control) + scripted rolling restart."""
     world = ChaosWorld(seed, overload=True, replicated=True)
@@ -71,7 +73,7 @@ def simulate_rolling_restart(seed: int, rounds: int, mean_gap: float) -> dict:
     apply_schedule(world, tuple(actions))
 
     records: list[dict] = []
-    for index, gap in enumerate(derive_schedule(seed * 1009, rounds, mean_gap)):
+    for index, gap in enumerate(derive_schedule(seed * 1009, rounds, MEAN_GAP)):
         world.sim.run_for(gap)
         outcome = run_discovery_once(world.client, max_virtual_seconds=30.0)
         records.append(round_record(world.client.name, index, outcome))
@@ -93,17 +95,17 @@ def simulate_rolling_restart(seed: int, rounds: int, mean_gap: float) -> dict:
     return _column(records, [str(breach) for breach in breaches])
 
 
-def run_live_cluster(seed: int, rounds: int, mean_gap: float, workdir: str) -> dict:
+def run_live_cluster(seed: int, rounds: int, workdir: str) -> dict:
     """The cluster column: real processes, live rolling restart mid-load."""
     import time
 
-    spec = ClusterSpec(seed=seed, rounds=rounds, mean_gap=mean_gap)
+    spec = ClusterSpec(seed=seed, rounds=rounds, mean_gap=MEAN_GAP)
     harness = ClusterHarness(spec, workdir)
     harness.start()
     time.sleep(2.5)  # broker heartbeats must register before load starts
     harness.start_load()
     harness.injector.rolling_restart(settle=1.5)
-    harness.wait_load_done(timeout=rounds * mean_gap * spec.n_clients + 90.0)
+    harness.wait_load_done(timeout=rounds * MEAN_GAP * spec.n_clients + 90.0)
     harness.shutdown()
     reports, missing = harness.collect()
     summary = summarize(spec, reports, missing, harness.injector.injected)
@@ -112,17 +114,17 @@ def run_live_cluster(seed: int, rounds: int, mean_gap: float, workdir: str) -> d
 
 
 def run_cluster_compare(
-    seed: int = 7, rounds: int = 40, mean_gap: float = 0.15, workdir: str = "cluster-run"
+    seed: int = 7, rounds: int = 40, workdir: str = "cluster-run"
 ) -> int:
     """Run both sides, print the phase table, return a process exit code."""
     os.makedirs(workdir, exist_ok=True)
     print(f"sim: replicated chaos world, {rounds} rounds, scripted rolling restart ...")
-    sim = simulate_rolling_restart(seed, rounds, mean_gap)
+    sim = simulate_rolling_restart(seed, rounds)
     print(
         f"live: {ClusterSpec().n_bdns}-BDN/{ClusterSpec().n_brokers}-broker cluster, "
         "rolling restart mid-load ..."
     )
-    live = run_live_cluster(seed, rounds, mean_gap, workdir)
+    live = run_live_cluster(seed, rounds, workdir)
     print()
     print(cluster_table(sim, live))
     print()

@@ -13,6 +13,7 @@ virtual-time cap so a wedged protocol run fails loudly, not hangs).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.discovery.responder import DiscoveryResponder
 from repro.simnet.simulator import Simulator
 from repro.substrate.broker import Broker
 
-__all__ = ["StarWorld", "star_world", "run_discovery_once", "repeat_discovery"]
+__all__ = ["StarWorld", "star_world", "drive_discovery", "run_discovery_once", "repeat_discovery"]
 
 # A discovery can legitimately take several timeout windows (BDN
 # retries, multicast fallback, cached targets); 120 virtual seconds is
@@ -111,18 +112,32 @@ def run_discovery_once(
         ``max_virtual_seconds`` of virtual time (protocol wedged).
     """
     sim: Simulator = client.runtime.sim
-    outcomes: list[DiscoveryOutcome] = []
-    client.discover(outcomes.append)
     deadline = sim.now + max_virtual_seconds
+    outcome = drive_discovery(sim, client.discover, max_virtual_seconds)
+    if outcome is not None:
+        return outcome
+    if sim.now <= deadline:
+        raise DiscoveryError("simulation queue drained before the discovery completed")
+    raise DiscoveryError(
+        f"discovery did not complete within {max_virtual_seconds}s of virtual time"
+    )
+
+
+def drive_discovery(
+    sim: Simulator, begin: Callable[[Callable[[DiscoveryOutcome], None]], object], cap: float
+) -> DiscoveryOutcome | None:
+    """Start a discovery with ``begin(callback)`` and step ``sim`` to its outcome.
+
+    The one step-until-outcome loop: :func:`run_discovery_once` and the
+    chaos harness both drive their runs through it.  Returns None if the
+    event queue drains, or ``cap`` virtual seconds pass, first.
+    """
+    outcomes: list[DiscoveryOutcome] = []
+    begin(outcomes.append)
+    deadline = sim.now + cap
     while not outcomes:
-        if not sim.step():
-            raise DiscoveryError(
-                "simulation queue drained before the discovery completed"
-            )
-        if sim.now > deadline:
-            raise DiscoveryError(
-                f"discovery did not complete within {max_virtual_seconds}s of virtual time"
-            )
+        if not sim.step() or sim.now > deadline:
+            return None
     return outcomes[0]
 
 
@@ -130,7 +145,6 @@ def repeat_discovery(
     client: DiscoveryClient,
     runs: int,
     gap: float = 0.5,
-    max_virtual_seconds: float = _DEFAULT_CAP,
 ) -> list[DiscoveryOutcome]:
     """Run ``runs`` sequential discoveries with ``gap`` idle seconds between.
 
@@ -144,6 +158,6 @@ def repeat_discovery(
         raise ValueError("gap must be >= 0")
     outcomes: list[DiscoveryOutcome] = []
     for _ in range(runs):
-        outcomes.append(run_discovery_once(client, max_virtual_seconds))
+        outcomes.append(run_discovery_once(client))
         client.runtime.sim.run_for(gap)
     return outcomes

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from repro.core.metrics import OverloadStats
 from repro.experiments.stats import SummaryStats
 
 __all__ = [
     "metric_table",
     "percentage_table",
     "comparison_table",
-    "overload_table",
     "runtime_table",
     "cluster_table",
     "slo_table",
@@ -25,9 +23,9 @@ __all__ = [
 ]
 
 
-def metric_table(stats: SummaryStats, title: str, unit: str = "MilliSec") -> str:
+def metric_table(stats: SummaryStats, title: str) -> str:
     """The paper's five-row metric table (Figures 3-7, 12-14)."""
-    lines = [title, f"{'Metric':<12} Time ({unit})"]
+    lines = [title, f"{'Metric':<12} Time (MilliSec)"]
     for label, value in stats.rows():
         lines.append(f"{label:<12} {value:>12.2f}")
     lines.append(f"{'(n)':<12} {stats.count:>12d}")
@@ -46,7 +44,6 @@ def comparison_table(
     rows: Sequence[tuple[str, Mapping[str, float]]],
     columns: Sequence[str],
     title: str,
-    fmt: str = "{:>12.2f}",
 ) -> str:
     """A generic labelled-rows / named-columns table for ablations.
 
@@ -64,18 +61,14 @@ def comparison_table(
         cells = []
         for column in columns:
             if column in values:
-                cells.append(fmt.format(values[column]).rjust(14))
+                cells.append(f"{values[column]:>14.2f}")
             else:
                 cells.append(f"{'-':>14}")
         lines.append(f"{label:<24}" + "".join(cells))
     return "\n".join(lines)
 
 
-def runtime_table(
-    sim: Mapping[str, object],
-    live: Mapping[str, object],
-    title: str = "Discovery latency: simulated vs live",
-) -> str:
+def runtime_table(sim: Mapping[str, object], live: Mapping[str, object]) -> str:
     """Sim-predicted vs live-measured discovery latency, phase by phase.
 
     ``sim`` comes from
@@ -94,7 +87,7 @@ def runtime_table(
     rows.append(("total", sim.get("total_time"), live.get("total_time")))
 
     header = f"{'Phase':<24}{'Sim (ms)':>12}{'Live (ms)':>12}{'Live/Sim':>10}"
-    lines = [title, header]
+    lines = ["Discovery latency: simulated vs live", header]
     for name, predicted, measured in rows:
         cells = [f"{name:<24}"]
         for value in (predicted, measured):
@@ -111,11 +104,7 @@ def runtime_table(
     return "\n".join(lines)
 
 
-def cluster_table(
-    sim: Mapping[str, object],
-    cluster: Mapping[str, object],
-    title: str = "Rolling BDN restart under load: sim vs live cluster",
-) -> str:
+def cluster_table(sim: Mapping[str, object], cluster: Mapping[str, object]) -> str:
     """Mean per-phase latency, sim chaos world vs multi-process cluster.
 
     Both mappings come out of :mod:`repro.experiments.cluster_compare`:
@@ -130,7 +119,7 @@ def cluster_table(
     rows.append(("mean total", sim.get("total_time"), cluster.get("total_time")))
 
     header = f"{'Phase (mean)':<24}{'Sim (ms)':>12}{'Cluster (ms)':>14}{'Cluster/Sim':>13}"
-    lines = [title, header]
+    lines = ["Rolling BDN restart under load: sim vs live cluster", header]
     for name, predicted, measured in rows:
         cells = [f"{name:<24}"]
         cells.append(
@@ -154,10 +143,7 @@ def cluster_table(
     return "\n".join(lines)
 
 
-def slo_table(
-    slo: Mapping[str, object],
-    title: str = "Live SLO monitor: per-window trend",
-) -> str:
+def slo_table(slo: Mapping[str, object]) -> str:
     """The streaming SLO monitor's window-by-window trend, one row each.
 
     ``slo`` is ``summary["slo"]`` from a cluster run summary (the
@@ -165,7 +151,7 @@ def slo_table(
     budget burn, and a ``trend`` list of per-window rows.
     """
     lines = [
-        title,
+        "Live SLO monitor: per-window trend",
         f"{'Window':>7}{'Span (s)':>10}{'Rounds':>8}{'Fails':>7}"
         f"{'p99 (ms)':>10}{'Burn':>7}  Violations",
     ]
@@ -190,17 +176,14 @@ def slo_table(
     return "\n".join(lines)
 
 
-def profile_table(
-    profiles: Mapping[str, Mapping[str, object]],
-    title: str = "Continuous profiling: CPU attribution per process",
-) -> str:
+def profile_table(profiles: Mapping[str, Mapping[str, object]]) -> str:
     """Sampled CPU attribution (``summary["profiles"]``), one process per block.
 
     Each value is a :meth:`repro.obs.profiling.SamplingProfiler.report`
     minus its collapsed stacks: total samples, elapsed seconds, and the
     per-module attribution rows the sampler assembled.
     """
-    lines = [title]
+    lines = ["Continuous profiling: CPU attribution per process"]
     for label in sorted(profiles):
         profile = profiles[label]
         elapsed = profile.get("elapsed")
@@ -218,16 +201,4 @@ def profile_table(
             )
     if len(lines) == 1:
         lines.append("(no profiled processes; run with --profile-rate > 0)")
-    return "\n".join(lines)
-
-
-def overload_table(stats: OverloadStats, title: str) -> str:
-    """The overload-protection counters of one world, one row each.
-
-    ``stats`` usually comes from :meth:`OverloadStats.gather` over a
-    world's BDNs, brokers, responders and clients.
-    """
-    lines = [title, f"{'Counter':<26} {'Value':>10}"]
-    for label, value in stats.rows():
-        lines.append(f"{label:<26} {value:>10d}")
     return "\n".join(lines)

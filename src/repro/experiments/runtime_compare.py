@@ -28,13 +28,13 @@ __all__ = ["REFERENCE_SCENARIO", "simulate_reference", "load_artifact"]
 #: Name stamped into the live artifact's ``sim_reference`` block.
 REFERENCE_SCENARIO = "star-3-brokers"
 
+#: One-way propagation delay of the reference world: loopback scale,
+#: since the live smoke run binds every node to 127.0.0.1.
+LOOPBACK_LATENCY = 0.0005
 
-def simulate_reference(seed: int = 5, base_latency: float = 0.0005) -> dict[str, Any]:
+
+def simulate_reference(seed: int = 5) -> dict[str, Any]:
     """Run the smoke-test scenario on the simulated runtime.
-
-    ``base_latency`` models the deployment's one-way propagation delay
-    (default: loopback scale, since the live smoke run binds every node
-    to 127.0.0.1).
 
     Returns the same keys the live artifact carries for comparison:
     ``phases``, ``total_time``, ``selected``, ``selected_rtt``, ``via``,
@@ -43,7 +43,7 @@ def simulate_reference(seed: int = 5, base_latency: float = 0.0005) -> dict[str,
     sim = Simulator()
     network = Network(
         sim,
-        latency=UniformLatencyModel(base=base_latency),
+        latency=UniformLatencyModel(base=LOOPBACK_LATENCY),
         loss=NoLoss(),
         rng=np.random.default_rng(seed + 1),
     )

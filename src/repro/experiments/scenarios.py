@@ -109,15 +109,15 @@ class ScenarioSpec:
         return cls(topology=Topology.UNCONNECTED, client_site=client_site, seed=seed, **kw)
 
     @classmethod
-    def star(cls, client_site: str = "bloomington", seed: int = 0, **kw) -> "ScenarioSpec":
+    def star(cls, seed: int = 0, **kw) -> "ScenarioSpec":
         """Figure 8/9 setup."""
-        return cls(topology=Topology.STAR, client_site=client_site, seed=seed, **kw)
+        return cls(topology=Topology.STAR, seed=seed, **kw)
 
     @classmethod
-    def linear(cls, client_site: str = "bloomington", seed: int = 0, **kw) -> "ScenarioSpec":
+    def linear(cls, seed: int = 0, **kw) -> "ScenarioSpec":
         """Figure 10/11 setup: only the chain head registers."""
         kw.setdefault("register", "head")
-        return cls(topology=Topology.LINEAR, client_site=client_site, seed=seed, **kw)
+        return cls(topology=Topology.LINEAR, seed=seed, **kw)
 
     @classmethod
     def multicast_only(

@@ -57,8 +57,8 @@ class SummaryStats:
         ]
 
 
-def remove_outliers_iqr(values: np.ndarray, k: float = 1.5) -> np.ndarray:
-    """Drop values outside ``[Q1 - k*IQR, Q3 + k*IQR]``, keeping order.
+def remove_outliers_iqr(values: np.ndarray) -> np.ndarray:
+    """Drop values outside ``[Q1 - 1.5*IQR, Q3 + 1.5*IQR]``, keeping order.
 
     The classic Tukey fence.  With fewer than 4 values there is no
     meaningful quartile spread, so the input is returned unchanged.
@@ -68,11 +68,11 @@ def remove_outliers_iqr(values: np.ndarray, k: float = 1.5) -> np.ndarray:
         return values
     q1, q3 = np.percentile(values, [25, 75])
     iqr = q3 - q1
-    lo, hi = q1 - k * iqr, q3 + k * iqr
+    lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     return values[(values >= lo) & (values <= hi)]
 
 
-def paper_sample(values, keep: int = 100, k: float = 1.5) -> np.ndarray:
+def paper_sample(values, keep: int = 100) -> np.ndarray:
     """The section 9 sampling pipeline.
 
     Remove outliers (Tukey fences), then keep the *first* ``keep``
@@ -81,7 +81,7 @@ def paper_sample(values, keep: int = 100, k: float = 1.5) -> np.ndarray:
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
-    cleaned = remove_outliers_iqr(np.asarray(values, dtype=float), k=k)
+    cleaned = remove_outliers_iqr(np.asarray(values, dtype=float))
     return cleaned[:keep]
 
 

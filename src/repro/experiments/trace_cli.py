@@ -40,6 +40,9 @@ AGREEMENT_BOUND = 1.0
 #: the discovery ran and was reconstructed but failed a check.
 EXIT_NO_TIMELINE = 3
 
+#: Wall seconds the real-socket discovery may take.
+_AIO_TIMEOUT = 15.0
+
 
 class NoTimelineError(RuntimeError):
     """The requested run id produced no flight-recorder events."""
@@ -78,11 +81,11 @@ def trace_sim(
     }
     scenario = DiscoveryScenario(spec_for[topology](seed=seed), observe=True)
     outcome = scenario.run_one()
-    ok, text = _render(scenario.obs, outcome, f"SimRuntime, {topology} topology")
+    ok, text = _render(scenario.obs, outcome, f"Network (sim runtime), {topology} topology")
     return ok, text, scenario.obs
 
 
-async def _trace_aio(seed: int, timeout: float) -> tuple[bool, str, Observability]:
+async def _trace_aio(seed: int) -> tuple[bool, str, Observability]:
     from repro.experiments.harness import star_world
     from repro.runtime import create_runtime
 
@@ -98,7 +101,7 @@ async def _trace_aio(seed: int, timeout: float) -> tuple[bool, str, Observabilit
     done: asyncio.Future = asyncio.get_event_loop().create_future()
     world.client.discover(done.set_result)
     try:
-        outcome = await asyncio.wait_for(done, timeout=timeout)
+        outcome = await asyncio.wait_for(done, timeout=_AIO_TIMEOUT)
     except asyncio.TimeoutError:
         await rt.aclose()
         return False, "=== AioRuntime ===\nFAIL: discovery timed out", obs
@@ -112,9 +115,9 @@ async def _trace_aio(seed: int, timeout: float) -> tuple[bool, str, Observabilit
     return ok, text, obs
 
 
-def trace_aio(seed: int = 42, timeout: float = 15.0) -> tuple[bool, str, Observability]:
+def trace_aio(seed: int = 42) -> tuple[bool, str, Observability]:
     """One observed discovery over real sockets; returns (ok, text, obs)."""
-    return asyncio.run(_trace_aio(seed, timeout))
+    return asyncio.run(_trace_aio(seed))
 
 
 def run_trace(
@@ -122,7 +125,6 @@ def run_trace(
     seed: int = 42,
     topology: str = "star",
     prom_out: str | None = None,
-    timeout: float = 15.0,
 ) -> int:
     """Run the trace target; prints the report, returns an exit code.
 
@@ -138,7 +140,7 @@ def run_trace(
             if kind == "sim":
                 ok, text, obs = trace_sim(seed=seed, topology=topology)
             else:
-                ok, text, obs = trace_aio(seed=seed, timeout=timeout)
+                ok, text, obs = trace_aio(seed=seed)
         except NoTimelineError as exc:
             print("\n\n".join(blocks + [f"=== {kind} ===\nERROR: {exc}"]))
             return EXIT_NO_TIMELINE

@@ -66,7 +66,6 @@ EVENTS: dict[str, bool] = {
     # BDN
     "bdn_start": False,
     "bdn_stop": False,
-    "bdn_announced": False,
     "bdn_busy": False,
     "bdn_unknown_message": False,
     "bdn_registered": False,
@@ -75,8 +74,6 @@ EVENTS: dict[str, bool] = {
     "bdn_disseminate": False,
     "bdn_lease_expired": False,
     "bdn_pruned": False,
-    "bdn_announce_malformed": False,
-    "bdn_autoregistered": False,
     # BDN replication groups
     "election_started": False,
     "election_won": False,
@@ -96,7 +93,6 @@ EVENTS: dict[str, bool] = {
     "client_stop": False,
     "discover_start": False,
     "rediscover_start": False,
-    "watch_broker_lost": False,
     "request_sent": False,
     "request_retransmit": False,
     "request_retransmit_budgeted": False,

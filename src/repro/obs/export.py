@@ -11,15 +11,11 @@ Two consumers drive the formats:
 
 from __future__ import annotations
 
-import json
-
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
     "telemetry_snapshot",
-    "telemetry_json",
     "prometheus_text",
-    "escape_label_value",
 ]
 
 SNAPSHOT_VERSION = 1
@@ -43,13 +39,8 @@ def telemetry_snapshot(obs) -> dict[str, object]:
     }
 
 
-def telemetry_json(obs, indent: int | None = 2) -> str:
-    return json.dumps(telemetry_snapshot(obs), indent=indent, sort_keys=True)
-
-
-def _prom_name(name: str, prefix: str) -> str:
-    flat = name.replace(".", "_").replace("-", "_")
-    return f"{prefix}_{flat}" if prefix else flat
+def _prom_name(name: str) -> str:
+    return "repro_" + name.replace(".", "_").replace("-", "_")
 
 
 def _prom_float(value: float) -> str:
@@ -59,58 +50,24 @@ def _prom_float(value: float) -> str:
     return repr(float(value))
 
 
-def escape_label_value(value: str) -> str:
-    """Escape one label value per the 0.0.4 text exposition format.
-
-    Inside a quoted label value, exactly three characters are escaped:
-    backslash (``\\\\``), the line feed (``\\n``) and the double quote
-    (``\\"``).  Backslash must be replaced first or the escapes it
-    introduces would themselves be re-escaped.
-    """
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace("\n", "\\n")
-        .replace('"', '\\"')
-    )
-
-
-def _label_text(labels: dict[str, str] | None, extra: str = "") -> str:
-    """Render a ``{k="v",...}`` block, values escaped; empty dict -> ''."""
-    pairs = [
-        f'{key}="{escape_label_value(value)}"'
-        for key, value in (labels or {}).items()
-    ]
-    if extra:
-        pairs.append(extra)
-    return "{" + ",".join(pairs) + "}" if pairs else ""
-
-
-def prometheus_text(
-    registry: MetricsRegistry,
-    prefix: str = "repro",
-    labels: dict[str, str] | None = None,
-) -> str:
+def prometheus_text(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format (version 0.0.4).
 
-    ``labels`` are attached to every sample (e.g. ``{"process":
-    "bdn:0#1"}`` on a cluster worker's dump); values are escaped per the
-    exposition format, so hostile process names cannot corrupt the
-    output.  For each histogram the ``+Inf`` bucket is emitted from the
-    histogram's total observation count, and the last finite cumulative
-    bucket is asserted to never exceed it -- an inconsistent histogram
-    raises instead of exporting silently-wrong quantile data.
+    Every name carries the ``repro_`` prefix.  For each histogram the
+    ``+Inf`` bucket is emitted from the histogram's total observation
+    count, and the last finite cumulative bucket is asserted to never
+    exceed it -- an inconsistent histogram raises instead of exporting
+    silently-wrong quantile data.
     """
     lines: list[str] = []
     for metric in registry.metrics():
-        name = _prom_name(metric.name, prefix)
-        plain = _label_text(labels)
+        name = _prom_name(metric.name)
         if isinstance(metric, Counter):
             lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name}{plain} {metric.value}")
+            lines.append(f"{name} {metric.value}")
         elif isinstance(metric, Gauge):
             lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name}{plain} {_prom_float(metric.value)}")
+            lines.append(f"{name} {_prom_float(metric.value)}")
         elif isinstance(metric, Histogram):
             cumulative = metric.cumulative()
             if cumulative and cumulative[-1] > metric.count:
@@ -121,10 +78,8 @@ def prometheus_text(
                 )
             lines.append(f"# TYPE {name} histogram")
             for bound, running in zip(metric.bounds, cumulative):
-                le = _label_text(labels, f'le="{_prom_float(bound)}"')
-                lines.append(f"{name}_bucket{le} {running}")
-            inf = _label_text(labels, 'le="+Inf"')
-            lines.append(f"{name}_bucket{inf} {metric.count}")
-            lines.append(f"{name}_sum{plain} {_prom_float(metric.sum)}")
-            lines.append(f"{name}_count{plain} {metric.count}")
+                lines.append(f'{name}_bucket{{le="{_prom_float(bound)}"}} {running}')
+            lines.append(f'{name}_bucket{{le="+Inf"}} {metric.count}')
+            lines.append(f"{name}_sum {_prom_float(metric.sum)}")
+            lines.append(f"{name}_count {metric.count}")
     return "\n".join(lines) + "\n"

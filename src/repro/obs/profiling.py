@@ -40,17 +40,10 @@ MAX_STACK_DEPTH = 64
 class SamplingProfiler:
     """Sample one thread's stack at a fixed rate into collapsed stacks."""
 
-    def __init__(
-        self,
-        rate_hz: float = DEFAULT_RATE_HZ,
-        max_depth: int = MAX_STACK_DEPTH,
-    ) -> None:
+    def __init__(self, rate_hz: float = DEFAULT_RATE_HZ) -> None:
         if rate_hz <= 0:
             raise ValueError(f"rate_hz must be positive, got {rate_hz}")
-        if max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         self.rate_hz = float(rate_hz)
-        self.max_depth = max_depth
         self.samples = 0
         #: ``(frame, ..., leaf) -> count``; frames are ``module:function``.
         self.stacks: dict[tuple[str, ...], int] = {}
@@ -67,13 +60,11 @@ class SamplingProfiler:
     def running(self) -> bool:
         return self._thread is not None
 
-    def start(self, target_thread_id: int | None = None) -> None:
-        """Begin sampling (the calling thread by default)."""
+    def start(self) -> None:
+        """Begin sampling the calling thread."""
         if self._thread is not None:
             return
-        self._target = (
-            target_thread_id if target_thread_id is not None else threading.get_ident()
-        )
+        self._target = threading.get_ident()
         self._stop.clear()
         self.started_at = time.monotonic()
         self._thread = threading.Thread(
@@ -104,7 +95,7 @@ class SamplingProfiler:
             return
         stack: list[str] = []
         depth = 0
-        while frame is not None and depth < self.max_depth:
+        while frame is not None and depth < MAX_STACK_DEPTH:
             code = frame.f_code
             module = frame.f_globals.get("__name__", "?")
             stack.append(f"{module}:{code.co_name}")

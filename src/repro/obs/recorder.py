@@ -238,9 +238,9 @@ class Observability:
         self._by_event: dict[str, list[SpanEvent]] = {}
 
     @classmethod
-    def for_runtime(cls, runtime, ring_capacity: int = DEFAULT_RING_CAPACITY) -> Observability:
+    def for_runtime(cls, runtime) -> Observability:
         """An observability layer stamping the runtime's own clock."""
-        return cls(clock=lambda: runtime.now, ring_capacity=ring_capacity)
+        return cls(clock=lambda: runtime.now)
 
     @property
     def observing(self) -> bool:

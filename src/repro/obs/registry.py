@@ -20,7 +20,6 @@ zero forever.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -89,23 +88,18 @@ class Gauge:
 class Histogram:
     """Fixed-bound cumulative histogram (Prometheus ``le`` semantics).
 
-    ``bounds`` are inclusive upper edges: an observation equal to a
-    bound lands in that bound's bucket; anything above the last bound
-    counts only toward ``+Inf`` (i.e. ``count``).
+    ``bounds`` (:data:`DEFAULT_BUCKETS`) are inclusive upper edges: an
+    observation equal to a bound lands in that bound's bucket; anything
+    above the last bound counts only toward ``+Inf`` (i.e. ``count``).
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "sum")
     kind = "histogram"
 
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        if not bounds:
-            raise ValueError(f"histogram {name!r} needs at least one bucket bound")
-        ordered = tuple(float(b) for b in bounds)
-        if list(ordered) != sorted(set(ordered)):
-            raise ValueError(f"histogram {name!r} bounds must be strictly increasing")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds = ordered
-        self.bucket_counts = [0] * len(ordered)
+        self.bounds = DEFAULT_BUCKETS
+        self.bucket_counts = [0] * len(DEFAULT_BUCKETS)
         self.count = 0
         self.sum = 0.0
 
@@ -124,20 +118,6 @@ class Histogram:
             running += n
             out.append(running)
         return tuple(out)
-
-    def quantile(self, q: float) -> float:
-        """Upper-bound quantile estimate from the fixed buckets.
-
-        Returns the smallest bucket bound covering the ``q``-quantile
-        (the last bound when the quantile falls in ``+Inf``): a
-        conservative read at bucket resolution, matching what the live
-        SLO monitor computes from windowed bucket deltas.
-        """
-        from repro.obs.live import quantile_from_buckets
-
-        return quantile_from_buckets(
-            list(self.bounds), list(self.cumulative()), self.count, q
-        )
 
     def read(self) -> dict[str, object]:
         return {
@@ -173,15 +153,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, lambda: Gauge(name), "gauge")
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        metric = self._get_or_create(name, lambda: Histogram(name, bounds), "histogram")
-        if tuple(float(b) for b in bounds) != metric.bounds:
-            raise ValueError(
-                f"histogram {name!r} already registered with different bounds"
-            )
-        return metric
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, lambda: Histogram(name), "histogram")
 
     def read(self, name: str):
         """Strict read: unknown names raise ``KeyError``, never 0.

@@ -112,9 +112,9 @@ class SloMonitor:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, now: float | None = None) -> None:
+    def start(self) -> None:
         if self.started_at is None:
-            self.started_at = self._clock() if now is None else now
+            self.started_at = self._clock()
 
     @property
     def budget_burned(self) -> float:
@@ -143,7 +143,7 @@ class SloMonitor:
             )
         return fresh
 
-    def flush(self, view, now: float | None = None) -> list[SloViolation]:
+    def flush(self, view) -> list[SloViolation]:
         """Close the open partial window (run teardown).
 
         Guarantees at least one evaluated window per run, however short:
@@ -151,7 +151,7 @@ class SloMonitor:
         """
         if self.started_at is None:
             return []
-        now = self._clock() if now is None else now
+        now = self._clock()
         fresh = self.maybe_evaluate(view, now)
         index = self.windows_evaluated
         start = self.started_at + index * self.config.window

@@ -68,6 +68,8 @@ _CAUSAL_RANK: dict[str, int] = {
 #: A run opens with a phase or a transmission and closes with one of two facts.
 _OPENS = frozenset({"phase", "send", "request_sent", "request_multicast", "request_cached_targets"})
 _CLOSES = frozenset({"discover_done", "discover_failed"})
+_BAR_WIDTH = 40
+_MAX_EVENTS = 80
 
 
 def normalize_trace_id(raw: str) -> str:
@@ -290,8 +292,12 @@ def phase_agreement(
     return max(abs(own.get(n, 0.0) - float(reference.get(n, 0.0))) for n in names)
 
 
-def render_ascii(timeline: RequestTimeline, width: int = 40, max_events: int = 80) -> str:
-    """ASCII phase chart + causal event log, mirroring Figures 9/11."""
+def render_ascii(timeline: RequestTimeline) -> str:
+    """ASCII phase chart + causal event log, mirroring Figures 9/11.
+
+    A 100 % phase bar is :data:`_BAR_WIDTH` characters; the log shows the
+    first :data:`_MAX_EVENTS` events.
+    """
     lines = [
         f"Trace {timeline.trace_id}",
         f"  nodes : {', '.join(timeline.nodes()) or '-'}",
@@ -301,7 +307,7 @@ def render_ascii(timeline: RequestTimeline, width: int = 40, max_events: int = 8
     ]
     percentages = timeline.phase_percentages()
     for name, pct in sorted(percentages.items(), key=lambda kv: -kv[1]):
-        bar = "#" * max(1, round(pct / 100.0 * width)) if pct > 0 else ""
+        bar = "#" * max(1, round(pct / 100.0 * _BAR_WIDTH)) if pct > 0 else ""
         lines.append(f"{name:<28} {pct:>9.1f}% {bar}")
     fates = timeline.response_fates()
     if fates:
@@ -315,7 +321,7 @@ def render_ascii(timeline: RequestTimeline, width: int = 40, max_events: int = 8
     lines.append("")
     lines.append(f"{'t (ms)':>10}  {'node':<18} {'event':<14} detail")
     start = timeline.start
-    shown = timeline.events[:max_events]
+    shown = timeline.events[:_MAX_EVENTS]
     for event in shown:
         detail = " ".join(f"{k}={v}" for k, v in event.detail)
         if event.hop:

@@ -15,12 +15,13 @@ plus validity dates.  This module provides exactly that pipeline:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.errors import SecurityError
-from repro.security.rsa import RSAKeyPair, RSAPrivateKey, RSAPublicKey, generate_keypair
+from repro.security.rsa import RSAPrivateKey, RSAPublicKey, generate_keypair
 
 __all__ = ["Certificate", "CertificateAuthority", "validate_chain"]
 
@@ -100,15 +101,12 @@ class CertificateAuthority:
     def __init__(
         self,
         name: str,
-        keypair: RSAKeyPair | None = None,
         bits: int = 1024,
         rng: np.random.Generator | None = None,
         parent: "CertificateAuthority | None" = None,
-        not_before: float = 0.0,
-        not_after: float = float("inf"),
     ) -> None:
         self.name = name
-        self.keypair = keypair if keypair is not None else generate_keypair(bits, rng)
+        self.keypair = generate_keypair(bits, rng)
         self._serial = 0
         if parent is None:
             # Self-signed root.
@@ -117,8 +115,8 @@ class CertificateAuthority:
                 issuer=name,
                 public_key=self.keypair.public,
                 signer=self.keypair.private,
-                not_before=not_before,
-                not_after=not_after,
+                not_before=0.0,
+                not_after=math.inf,
                 serial=0,
                 is_ca=True,
             )
@@ -126,8 +124,8 @@ class CertificateAuthority:
             self.certificate = parent.issue(
                 name,
                 self.keypair.public,
-                not_before=not_before,
-                not_after=not_after,
+                not_before=0.0,
+                not_after=math.inf,
                 is_ca=True,
             )
 

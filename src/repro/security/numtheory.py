@@ -12,6 +12,8 @@ import numpy as np
 
 __all__ = ["is_probable_prime", "generate_prime", "modinv", "egcd"]
 
+#: Random Miller-Rabin witnesses drawn for large candidates.
+_ROUNDS = 40
 # Small primes for fast trial division before Miller-Rabin.
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -33,7 +35,7 @@ def _rand_below(rng: np.random.Generator, n: int) -> int:
             return candidate
 
 
-def is_probable_prime(n: int, rng: np.random.Generator | None = None, rounds: int = 40) -> bool:
+def is_probable_prime(n: int, rng: np.random.Generator | None = None) -> bool:
     """Miller-Rabin primality test.
 
     Uses the first few small primes as fixed witnesses plus random
@@ -70,7 +72,7 @@ def is_probable_prime(n: int, rng: np.random.Generator | None = None, rounds: in
         if witness_composite(a):
             return False
     if rng is not None:
-        for _ in range(rounds):
+        for _ in range(_ROUNDS):
             a = 2 + _rand_below(rng, n - 3)
             if witness_composite(a):
                 return False

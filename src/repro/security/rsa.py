@@ -72,11 +72,6 @@ class RSAPublicKey:
         em = pow(s, self.e, self.n).to_bytes(k, "big")
         return em == _emsa_pkcs1v15(message, k)
 
-    def fingerprint(self) -> str:
-        """SHA-256 fingerprint of the key (hex)."""
-        blob = self.n.to_bytes(self.byte_size, "big") + self.e.to_bytes(4, "big")
-        return hashlib.sha256(blob).hexdigest()
-
 
 @dataclass(frozen=True, slots=True)
 class RSAPrivateKey:

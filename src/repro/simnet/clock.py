@@ -31,6 +31,13 @@ from repro.runtime.api import Scheduler
 
 __all__ = ["Clock", "NTPService"]
 
+#: Bounds of the uniform NTP initialisation delay, seconds (paper: "3-5
+#: seconds").
+INIT_DELAY_RANGE = (3.0, 5.0)
+#: Bounds of the magnitude of the post-sync residual error, seconds
+#: (paper: 1-20 ms).
+RESIDUAL_RANGE = (0.001, 0.020)
+
 
 class Clock:
     """A node's raw hardware clock.
@@ -86,12 +93,8 @@ class NTPService:
     sim, clock:
         The scheduler and the raw clock being disciplined.
     rng:
-        Randomness for init delay and residual error.
-    init_delay_range:
-        Bounds of the uniform initialisation delay, seconds.
-    residual_range:
-        Bounds of the magnitude of the post-sync residual error, seconds
-        (paper: 1-20 ms).
+        Randomness for init delay (:data:`INIT_DELAY_RANGE`) and residual
+        error (:data:`RESIDUAL_RANGE`).
     """
 
     def __init__(
@@ -99,25 +102,12 @@ class NTPService:
         sim: Scheduler,
         clock: Clock,
         rng: np.random.Generator,
-        init_delay_range: tuple[float, float] = (3.0, 5.0),
-        residual_range: tuple[float, float] = (0.001, 0.020),
     ) -> None:
-        if init_delay_range[0] > init_delay_range[1] or init_delay_range[0] < 0:
-            raise ValueError(f"bad init_delay_range {init_delay_range}")
-        if residual_range[0] > residual_range[1] or residual_range[0] < 0:
-            raise ValueError(f"bad residual_range {residual_range}")
         self._sim = sim
         self._clock = clock
         self._rng = rng
-        self._init_delay_range = init_delay_range
-        self._residual_range = residual_range
         self._correction: float | None = None
         self._residual: float | None = None
-
-    @property
-    def synchronized(self) -> bool:
-        """True once the offset computation has completed."""
-        return self._correction is not None
 
     @property
     def residual_error(self) -> float | None:
@@ -126,7 +116,7 @@ class NTPService:
 
     def start(self) -> float:
         """Begin synchronisation; returns the initialisation delay used."""
-        delay = float(self._rng.uniform(*self._init_delay_range))
+        delay = float(self._rng.uniform(*INIT_DELAY_RANGE))
         self._sim.schedule(delay, self._complete_sync)
         return delay
 
@@ -135,7 +125,7 @@ class NTPService:
         self._complete_sync()
 
     def _complete_sync(self) -> None:
-        magnitude = float(self._rng.uniform(*self._residual_range))
+        magnitude = float(self._rng.uniform(*RESIDUAL_RANGE))
         sign = 1.0 if self._rng.random() < 0.5 else -1.0
         self._residual = sign * magnitude
         # The correction maps the raw clock to (true time + residual).

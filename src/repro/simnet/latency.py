@@ -25,6 +25,17 @@ import numpy as np
 
 __all__ = ["LatencyModel", "MatrixLatencyModel", "UniformLatencyModel"]
 
+#: Bytes per second for the size-dependent term (10 Mbit/s, a 2005
+#: WAN-ish figure).
+BANDWIDTH = 1.25e6
+#: Hops a :class:`UniformLatencyModel` reports between distinct sites.
+HOP_COUNT = 8
+#: Router hops a :class:`MatrixLatencyModel` estimates per millisecond
+#: of one-way propagation delay, with a floor of 1 hop.  ~0.35 hops/ms
+#: matches classic traceroute studies (a 40 ms one-way US path crosses
+#: ~14 routers).
+HOPS_PER_MS = 0.35
+
 
 class LatencyModel(Protocol):
     """Interface consumed by the network fabric."""
@@ -56,10 +67,8 @@ class UniformLatencyModel:
     jitter_fraction:
         Standard deviation of multiplicative jitter, as a fraction of
         the base delay.
-    bandwidth:
-        Bytes per second for the size-dependent term.
-    hop_count:
-        Hops reported between distinct sites (1 within a site).
+
+    Distinct sites are :data:`HOP_COUNT` hops apart (1 within a site).
     """
 
     def __init__(
@@ -67,18 +76,12 @@ class UniformLatencyModel:
         base: float = 0.010,
         local: float = 0.0002,
         jitter_fraction: float = 0.05,
-        bandwidth: float = 1.25e6,
-        hop_count: int = 8,
     ) -> None:
         if base <= 0 or local <= 0:
             raise ValueError("latencies must be positive")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
         self.base = base
         self.local = local
         self.jitter_fraction = jitter_fraction
-        self.bandwidth = bandwidth
-        self.hop_count = hop_count
 
     def delay(
         self, src_site: str, dst_site: str, size: int, rng: np.random.Generator
@@ -89,10 +92,10 @@ class UniformLatencyModel:
         # skipping the loc/scale broadcasting -- ~20% faster per draw,
         # and this is one draw per datagram/segment on the fabric.
         jitter = 1.0 + abs(float(rng.standard_normal())) * self.jitter_fraction
-        return base * jitter + size / self.bandwidth
+        return base * jitter + size / BANDWIDTH
 
     def hops(self, src_site: str, dst_site: str) -> int:
-        return 1 if src_site == dst_site else self.hop_count
+        return 1 if src_site == dst_site else HOP_COUNT
 
 
 class MatrixLatencyModel:
@@ -109,14 +112,6 @@ class MatrixLatencyModel:
     jitter_sigma:
         Sigma of the lognormal jitter multiplier (mean-one-ish, right
         tail).  0 disables jitter.
-    bandwidth:
-        Bytes per second for the size term (10 Mbit/s default, a 2005
-        WAN-ish figure).
-    hops_per_ms:
-        Router hops estimated per millisecond of one-way propagation
-        delay, with a floor of 1 hop.  ~0.35 hops/ms matches classic
-        traceroute studies (a 40 ms one-way US path crosses ~14
-        routers).
     """
 
     def __init__(
@@ -124,8 +119,6 @@ class MatrixLatencyModel:
         sites: tuple[str, ...],
         one_way_ms: np.ndarray,
         jitter_sigma: float = 0.08,
-        bandwidth: float = 1.25e6,
-        hops_per_ms: float = 0.35,
     ) -> None:
         matrix = np.asarray(one_way_ms, dtype=float)
         n = len(sites)
@@ -137,18 +130,14 @@ class MatrixLatencyModel:
             raise ValueError("latency matrix must be symmetric")
         if jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
         self.sites = tuple(sites)
         self._index = {s: i for i, s in enumerate(self.sites)}
         if len(self._index) != n:
             raise ValueError("site names must be unique")
         self._seconds = matrix / 1000.0
         self.jitter_sigma = jitter_sigma
-        self.bandwidth = bandwidth
-        self.hops_per_ms = hops_per_ms
         # Precompute hop counts: floor 1, scale with propagation delay.
-        self._hops = np.maximum(1, np.round(matrix * hops_per_ms)).astype(int)
+        self._hops = np.maximum(1, np.round(matrix * HOPS_PER_MS)).astype(int)
 
     def base_delay(self, src_site: str, dst_site: str) -> float:
         """Jitter-free one-way propagation delay in seconds."""
@@ -160,7 +149,7 @@ class MatrixLatencyModel:
         base = self._seconds[self._index[src_site], self._index[dst_site]]
         if self.jitter_sigma > 0:
             base = base * float(rng.lognormal(0.0, self.jitter_sigma))
-        return float(base) + size / self.bandwidth
+        return float(base) + size / BANDWIDTH
 
     def hops(self, src_site: str, dst_site: str) -> int:
         return int(self._hops[self._index[src_site], self._index[dst_site]])

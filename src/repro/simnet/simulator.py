@@ -45,7 +45,7 @@ from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 from typing import Any
 
-from .wheel import DEFAULT_GRANULARITY, TimerWheel
+from .wheel import TimerWheel
 
 __all__ = ["Simulator", "ScheduledEvent"]
 
@@ -110,11 +110,10 @@ class Simulator:
     ----------
     scheduler:
         ``"wheel"`` (default) for the hierarchical timer wheel,
-        ``"heap"`` for the reference binary-heap scheduler.
-    granularity:
-        Wheel mode only: virtual seconds per level-0 tick (default
-        1 ms).  Exact fire times are unaffected; the tick only selects
-        the delivery bucket.
+        ``"heap"`` for the reference binary-heap scheduler.  The wheel's
+        level-0 tick is ``DEFAULT_GRANULARITY`` (1 ms) of virtual time;
+        exact fire times are unaffected, the tick only selects the
+        delivery bucket.
 
     Examples
     --------
@@ -127,11 +126,7 @@ class Simulator:
     (['b', 'a'], 1.5)
     """
 
-    def __init__(
-        self,
-        scheduler: str = "wheel",
-        granularity: float = DEFAULT_GRANULARITY,
-    ) -> None:
+    def __init__(self, scheduler: str = "wheel") -> None:
         if scheduler not in ("wheel", "heap"):
             raise ValueError(f"scheduler must be 'wheel' or 'heap', got {scheduler!r}")
         self.scheduler = scheduler
@@ -142,7 +137,7 @@ class Simulator:
         self._dead = 0  # heap mode: queued cancelled entries (lazy-deleted)
         self._compactions = 0
         if scheduler == "wheel":
-            self._wheel: TimerWheel | None = TimerWheel(granularity)
+            self._wheel: TimerWheel | None = TimerWheel()
             #: Min-heap of entries at or before the wheel cursor -- the
             #: slot currently being drained plus same-tick arrivals.
             self._active: list[tuple] = []

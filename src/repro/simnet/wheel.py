@@ -87,11 +87,9 @@ class TimerWheel:
         "sweeps",
     )
 
-    def __init__(self, granularity: float = DEFAULT_GRANULARITY) -> None:
-        if granularity <= 0:
-            raise ValueError(f"granularity must be positive, got {granularity}")
-        self.granularity = granularity
-        self.inv_granularity = 1.0 / granularity
+    def __init__(self) -> None:
+        self.granularity = DEFAULT_GRANULARITY
+        self.inv_granularity = 1.0 / DEFAULT_GRANULARITY
         #: Tick of the most recently promoted level-0 slot.  Entries at
         #: or before the cursor belong in the simulator's active heap.
         self.cur_tick = 0
@@ -110,10 +108,6 @@ class TimerWheel:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def tick_of(self, time: float) -> int:
-        """The level-0 slot index for an absolute virtual time."""
-        return int(time * self.inv_granularity)
-
     def insert(self, entry: tuple, tick: int) -> None:
         """File ``entry`` (whose time maps to ``tick``) into a bucket.
 

@@ -316,7 +316,6 @@ class Broker(Node):
     def link_to(
         self,
         other: "Broker",
-        on_ready: Callable[[], None] | None = None,
         persistent: bool = False,
     ) -> None:
         """Open a link to ``other`` (async; completes after the TCP handshake).
@@ -347,8 +346,6 @@ class Broker(Node):
             self._invalidate_link_caches()
             conn.send(Ack(uuid=self.ids(), acked_by=self.name))
             self.emit("link_up", peer=other.name)
-            if on_ready is not None:
-                on_ready()
 
         try:
             self.runtime.connect_tcp(self.link_endpoint, other.link_endpoint, connected)

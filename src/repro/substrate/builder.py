@@ -124,9 +124,8 @@ class BrokerNetwork:
         realm: str | None = None,
         config: BrokerConfig | None = None,
         multicast_enabled: bool = True,
-        start: bool = True,
     ) -> Broker:
-        """Create (and by default start) one broker.
+        """Create and start one broker.
 
         ``host`` defaults to ``"<name>.<site>"`` so every broker lives
         on its own host.
@@ -145,8 +144,7 @@ class BrokerNetwork:
             obs=self.obs,
         )
         self.brokers[name] = broker
-        if start:
-            broker.start()
+        broker.start()
         return broker
 
     def link(self, a: str, b: str, persistent: bool = False) -> None:

@@ -51,10 +51,8 @@ class PubSubClient(Node):
         network: Runtime | object,
         rng: np.random.Generator,
         site: str | None = None,
-        realm: str | None = None,
-        obs=None,
     ) -> None:
-        super().__init__(name, host, network, rng, site=site, realm=realm, obs=obs)
+        super().__init__(name, host, network, rng, site=site)
         self._conn: Link | None = None
         self._callbacks: dict[str, list[EventCallback]] = {}
         self.received: list[Event] = []
@@ -68,9 +66,7 @@ class PubSubClient(Node):
         """True while the broker connection is open."""
         return self._conn is not None and self._conn.open
 
-    def connect(
-        self, broker_endpoint: Endpoint, on_connected: Callable[[], None] | None = None
-    ) -> None:
+    def connect(self, broker_endpoint: Endpoint) -> None:
         """Open the TCP connection to a broker's client port (async).
 
         Any subscriptions made before the connection completes are
@@ -87,8 +83,6 @@ class PubSubClient(Node):
             for pattern in self._callbacks:
                 conn.send(Subscribe(uuid=self.ids(), topic=pattern, subscriber=self.name))
             self.emit("client_connected", broker=str(broker_endpoint))
-            if on_connected is not None:
-                on_connected()
 
         self.runtime.connect_tcp(self.endpoint(0), broker_endpoint, established)
 

@@ -42,17 +42,14 @@ class ContentRouting:
     """Shared routing state for one broker network.
 
     One instance is installed on every broker of the network (like
-    :class:`SpanningTreeRouting`, which it builds on).
-
-    Parameters
-    ----------
-    flood_patterns:
-        Topic patterns forwarded on every tree link unconditionally.
+    :class:`SpanningTreeRouting`, which it builds on).  Topics matching
+    ``flood_patterns`` (:data:`DEFAULT_FLOOD_PATTERNS`) are forwarded on
+    every tree link unconditionally.
     """
 
-    def __init__(self, flood_patterns: tuple[str, ...] = DEFAULT_FLOOD_PATTERNS) -> None:
+    def __init__(self) -> None:
         self.tree = SpanningTreeRouting()
-        self.flood_patterns = tuple(flood_patterns)
+        self.flood_patterns = DEFAULT_FLOOD_PATTERNS
         # interests[broker][link peer] = {(origin broker, pattern), ...}
         self._interests: dict[str, dict[str, set[tuple[str, str]]]] = {}
         self.interest_messages = 0
@@ -135,10 +132,7 @@ class ContentRouting:
                 self.interest_messages += 1
 
 
-def install_content_routing(
-    network,  # BrokerNetwork; untyped to avoid a circular import
-    flood_patterns: tuple[str, ...] = DEFAULT_FLOOD_PATTERNS,
-) -> ContentRouting:
+def install_content_routing(network) -> ContentRouting:  # network: a BrokerNetwork
     """Switch a broker network to content routing.
 
     Builds a BFS spanning tree per connected component, installs one
@@ -149,7 +143,7 @@ def install_content_routing(
     import networkx as nx
 
     graph = network.graph()
-    strategy = ContentRouting(flood_patterns)
+    strategy = ContentRouting()
     for component in nx.connected_components(graph):
         nodes = sorted(component)
         for a, b in nx.bfs_edges(graph.subgraph(component), nodes[0]):

@@ -47,6 +47,8 @@ SEQ_HEADER = "x-reliable-seq"
 REPLAY_HEADER = "x-reliable-replay"
 
 RELIABLE_REQUEST_TOPIC = "Services/ReliableDelivery/Request"
+#: Events of each stream an archive keeps.
+ARCHIVE_CAPACITY = 1024
 _REPLAY_PREFIX = "Services/ReliableDelivery/Replay"
 
 
@@ -58,15 +60,13 @@ def replay_topic(subscriber: str) -> str:
 class EventArchive:
     """Bounded per-stream storage of stamped events.
 
-    Keeps the most recent ``capacity`` events of each stream; older
-    sequence numbers roll off and become unrecoverable (real stable
-    storage is finite too).
+    Keeps the most recent ``capacity`` (:data:`ARCHIVE_CAPACITY`) events
+    of each stream; older sequence numbers roll off and become
+    unrecoverable (real stable storage is finite too).
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self.capacity = ARCHIVE_CAPACITY
         self._streams: dict[str, OrderedDict[int, Event]] = {}
 
     def store(self, stream: str, seq: int, event: Event) -> None:
@@ -82,11 +82,6 @@ class EventArchive:
         """Archived events of ``stream`` with ``from_seq <= seq <= to_seq``."""
         entries = self._streams.get(stream, {})
         return [entries[s] for s in sorted(entries) if from_seq <= s <= to_seq]
-
-    def latest_seq(self, stream: str) -> int | None:
-        """Highest archived sequence number of ``stream`` (None if empty)."""
-        entries = self._streams.get(stream)
-        return max(entries) if entries else None
 
     def streams(self) -> list[str]:
         """Known stream ids, sorted."""
@@ -116,13 +111,11 @@ class ReliableDeliveryService:
         archives every stamped event in the (connected) network.
     pattern:
         Topic pattern to archive (default: everything).
-    capacity:
-        Per-stream archive bound.
     """
 
-    def __init__(self, broker: Broker, pattern: str = "**", capacity: int = 1024) -> None:
+    def __init__(self, broker: Broker, pattern: str = "**") -> None:
         self.broker = broker
-        self.archive = EventArchive(capacity)
+        self.archive = EventArchive()
         self.replays_served = 0
         self.requests_received = 0
         broker.add_control_handler(pattern, self._maybe_archive)
@@ -205,8 +198,8 @@ class ReliableSubscriber:
     Notes
     -----
     Gap recovery is requested as soon as an out-of-order arrival
-    reveals one.  Events that fell out of the archive are unrecoverable;
-    :meth:`skip_gap` lets an application accept the loss and resume.
+    reveals one.  Events that fell out of the archive are unrecoverable,
+    and delivery of the stream stops at the hole.
     """
 
     def __init__(
@@ -230,10 +223,6 @@ class ReliableSubscriber:
     def next_expected(self, stream: str) -> int:
         """Next in-order sequence number for ``stream``."""
         return self._next.get(stream, 1)
-
-    def buffered(self, stream: str) -> int:
-        """Out-of-order events currently buffered for ``stream``."""
-        return len(self._ahead.get(stream, ()))
 
     def _on_raw(self, event: Event) -> None:
         stream = event.header(STREAM_HEADER)
@@ -277,44 +266,3 @@ class ReliableSubscriber:
             RELIABLE_REQUEST_TOPIC,
             _encode_request(stream, from_seq, to_seq, self.client.name),
         )
-
-    def request_history(self, stream: str, from_seq: int = 1, to_seq: int | None = None) -> None:
-        """Ask the archive to replay a stream's history ("replays").
-
-        The paper's introduction lists *replays* among the substrate
-        services: a late-joining consumer can pull everything the
-        archive still holds.  Replayed events flow through the normal
-        ordered-delivery path, so already-seen sequence numbers are
-        filtered as duplicates and the rest are delivered in order.
-
-        Parameters
-        ----------
-        stream:
-            Stream id (``publisher:topic``).
-        from_seq / to_seq:
-            Inclusive range; ``to_seq=None`` requests everything the
-            archive has (a practically unbounded upper limit).
-        """
-        if from_seq < 1:
-            raise ValueError("from_seq must be >= 1")
-        upper = to_seq if to_seq is not None else 2**31
-        if upper < from_seq:
-            raise ValueError("to_seq must be >= from_seq")
-        self.client.publish(
-            RELIABLE_REQUEST_TOPIC,
-            _encode_request(stream, from_seq, upper, self.client.name),
-        )
-
-    def skip_gap(self, stream: str) -> int:
-        """Abandon an unrecoverable gap: jump to the earliest buffered
-        event and deliver onward.  Returns how many sequence numbers
-        were skipped (0 if nothing was buffered)."""
-        ahead = self._ahead.get(stream)
-        if not ahead:
-            return 0
-        target = min(ahead)
-        skipped = target - self.next_expected(stream)
-        self._next[stream] = target
-        while self.next_expected(stream) in ahead:
-            self._deliver(stream, ahead.pop(self.next_expected(stream)))
-        return skipped

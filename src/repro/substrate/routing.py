@@ -54,23 +54,17 @@ class FloodRouting:
 class SpanningTreeRouting:
     """Forward only along spanning-tree edges.
 
-    Parameters
-    ----------
-    tree_edges:
-        The undirected edge set of the spanning tree, as (a, b) broker
-        id pairs.  Builders compute it per connected component (e.g.
-        BFS tree) and hand the same instance to every broker.
+    Builders add the undirected tree edges (per connected component,
+    e.g. a BFS tree) with :meth:`add_edge` and hand the same instance to
+    every broker.
     """
 
-    def __init__(self, tree_edges: set[tuple[str, str]] | None = None) -> None:
+    def __init__(self) -> None:
         self._neighbors: dict[str, set[str]] = {}
         #: Bumped on every mutation; brokers memoise target sets keyed on
         #: this, so in-place edits (builders growing the tree after the
         #: strategy is installed) invalidate their caches automatically.
         self.version = 0
-        if tree_edges:
-            for a, b in tree_edges:
-                self.add_edge(a, b)
 
     def add_edge(self, a: str, b: str) -> None:
         """Add one undirected tree edge."""

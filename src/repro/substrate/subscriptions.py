@@ -101,12 +101,3 @@ class SubscriptionManager:
             cached = tuple(sorted(self._trie.match(topic)))
             self._match_cache[topic] = cached
         return cached
-
-    def patterns_of(self, subscriber: str) -> frozenset[str]:
-        """Patterns currently held by ``subscriber``."""
-        return frozenset(self._by_subscriber.get(subscriber, ()))
-
-    @property
-    def subscriber_count(self) -> int:
-        """Number of distinct subscribers with at least one pattern."""
-        return len(self._by_subscriber)

@@ -3,7 +3,7 @@
 :mod:`repro.topology.sites` encodes the paper's Table 1 testbed -- the
 five WAN machines plus the Bloomington client site -- with a calibrated
 one-way latency matrix.  :mod:`repro.topology.generators` produces
-larger random broker graphs for the scaling ablations, and
+larger random site sets for the scaling ablations, and
 :mod:`repro.topology.churn` drives broker join/leave processes ("broker
 processes may join and leave the broker network at arbitrary times and
 intervals").
@@ -16,11 +16,7 @@ from repro.topology.sites import (
     paper_latency_model,
     paper_site_names,
 )
-from repro.topology.generators import (
-    random_waxman_sites,
-    scale_free_broker_graph,
-    grid_latency_model,
-)
+from repro.topology.generators import random_waxman_sites
 from repro.topology.churn import ChurnProcess
 
 __all__ = [
@@ -30,7 +26,5 @@ __all__ = [
     "paper_latency_model",
     "paper_site_names",
     "random_waxman_sites",
-    "scale_free_broker_graph",
-    "grid_latency_model",
     "ChurnProcess",
 ]

@@ -16,14 +16,16 @@ finding live brokers.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.substrate.broker import Broker
 from repro.substrate.builder import BrokerNetwork
 
 __all__ = ["ChurnProcess"]
+
+#: Probability a churn event revives a stopped broker (if any) rather
+#: than stopping a live one.
+RESTART_PROBABILITY = 0.5
 
 
 class ChurnProcess:
@@ -40,9 +42,6 @@ class ChurnProcess:
     min_alive:
         Never stop a broker if it would leave fewer than this many
         alive.
-    restart_probability:
-        Probability a churn event revives a stopped broker (if any)
-        rather than stopping a live one.
 
     Notes
     -----
@@ -57,21 +56,15 @@ class ChurnProcess:
         rng: np.random.Generator,
         mean_interval: float = 10.0,
         min_alive: int = 1,
-        restart_probability: float = 0.5,
-        on_event: Callable[[str, Broker], None] | None = None,
     ) -> None:
         if mean_interval <= 0:
             raise ValueError("mean_interval must be positive")
         if min_alive < 0:
             raise ValueError("min_alive must be >= 0")
-        if not 0.0 <= restart_probability <= 1.0:
-            raise ValueError("restart_probability must be in [0, 1]")
         self.network = network
         self.rng = rng
         self.mean_interval = mean_interval
         self.min_alive = min_alive
-        self.restart_probability = restart_probability
-        self.on_event = on_event
         self._prior_peers: dict[str, frozenset[str]] = {}
         self._running = False
         self.stops = 0
@@ -98,7 +91,7 @@ class ChurnProcess:
         stopped = [b for b in self.network.brokers.values() if not b.alive]
         alive = [b for b in self.network.brokers.values() if b.alive]
         revive = stopped and (
-            len(alive) <= self.min_alive or self.rng.random() < self.restart_probability
+            len(alive) <= self.min_alive or self.rng.random() < RESTART_PROBABILITY
         )
         if revive:
             victim = stopped[int(self.rng.integers(len(stopped)))]
@@ -112,8 +105,6 @@ class ChurnProcess:
         self._prior_peers[broker.name] = broker.peers
         broker.stop()
         self.stops += 1
-        if self.on_event is not None:
-            self.on_event("stop", broker)
 
     def _restart(self, broker: Broker) -> None:
         broker.start()  # then re-establish the links it had when halted
@@ -122,5 +113,3 @@ class ChurnProcess:
             if peer is not None and peer.alive:
                 broker.link_to(peer)
         self.restarts += 1
-        if self.on_event is not None:
-            self.on_event("restart", broker)

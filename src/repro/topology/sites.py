@@ -136,21 +136,12 @@ def paper_site_names() -> tuple[str, ...]:
     return tuple(site.name for site in PAPER_SITES)
 
 
-def paper_latency_model(
-    jitter_sigma: float = 0.08, bandwidth: float = 1.25e6
-) -> MatrixLatencyModel:
+def paper_latency_model(jitter_sigma: float = 0.08) -> MatrixLatencyModel:
     """The Table 1 WAN as a :class:`MatrixLatencyModel`.
 
-    Parameters
-    ----------
-    jitter_sigma:
-        Lognormal jitter sigma (0 for deterministic delays in tests).
-    bandwidth:
-        Bytes/second for the message-size term (10 Mbit/s default).
+    ``jitter_sigma`` is the lognormal jitter sigma (0 for deterministic
+    delays in tests).
     """
     return MatrixLatencyModel(
-        sites=paper_site_names(),
-        one_way_ms=_ONE_WAY_MS,
-        jitter_sigma=jitter_sigma,
-        bandwidth=bandwidth,
+        sites=paper_site_names(), one_way_ms=_ONE_WAY_MS, jitter_sigma=jitter_sigma
     )

@@ -31,7 +31,7 @@ def run(tmp_path_factory):
     )
     workdir = str(tmp_path_factory.mktemp("cluster"))
     harness = ClusterHarness(spec, workdir)
-    harness.start(ready_timeout=60)
+    harness.start()
     time.sleep(2.5)  # two heartbeat intervals: both brokers registered
     harness.start_load()
     done = harness.wait_load_done(timeout=30)

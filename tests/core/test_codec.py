@@ -333,7 +333,7 @@ class TestLeaderHintTrailer:
         assert decode_message(encode_message(hinted)) == hinted
 
     def test_hint_and_trace_roundtrip_together(self):
-        hinted = traced(self._busy("bdn-host:7000"), hop=4)
+        hinted = dataclasses.replace(traced(self._busy("bdn-host:7000")), trace_hop=4)
         decoded = decode_message(encode_message(hinted))
         assert decoded == hinted
         assert decoded.leader_hint == "bdn-host:7000"

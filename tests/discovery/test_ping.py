@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import Endpoint
 from repro.core.messages import PingResponse
-from repro.discovery.ping import Pinger
+from repro.discovery.ping import MAX_SAMPLES, Pinger
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import UniformLoss
 from repro.simnet.node import Node
@@ -81,18 +81,10 @@ class TestPinger:
 
     def test_sample_window_bounded(self):
         net, broker, pinger = ping_world()
-        pinger._max_samples = 3
-        for _ in range(6):
+        for _ in range(MAX_SAMPLES + 3):
             pinger.ping(broker.udp_endpoint, key="bk")
         net.sim.run_for(1.0)
-        assert pinger.sample_count("bk") == 3
-
-    def test_last_heard_tracked(self):
-        net, broker, pinger = ping_world()
-        assert pinger.last_heard("bk") is None
-        pinger.ping(broker.udp_endpoint, key="bk")
-        net.sim.run_for(1.0)
-        assert pinger.last_heard("bk") == pytest.approx(net.sim.now, abs=1.0)
+        assert pinger.sample_count("bk") == MAX_SAMPLES
 
     def test_on_rtt_callback(self):
         net, broker, pinger = ping_world()
@@ -109,26 +101,6 @@ class TestPinger:
         net.sim.run_for(1.0)
         pinger.forget("bk")
         assert pinger.average_rtt("bk") is None
-        assert pinger.last_heard("bk") is None
-
-    def test_known_keys(self):
-        net, broker, pinger = ping_world()
-        pinger.ping(broker.udp_endpoint, key="zz")
-        pinger.ping(broker.udp_endpoint, key="aa")
-        net.sim.run_for(1.0)
-        assert pinger.known_keys() == ["aa", "zz"]
-
-    def test_invalid_max_samples(self):
-        net, broker, _ = ping_world()
-        node = Node("p2", "p2.host", net.network, np.random.default_rng(0), site="sx")
-        with pytest.raises(ValueError):
-            Pinger(node, node.endpoint(1), max_samples=0)
-
-    def test_invalid_outstanding_timeout(self):
-        net, broker, _ = ping_world()
-        node = Node("p3", "p3.host", net.network, np.random.default_rng(0), site="sx")
-        with pytest.raises(ValueError):
-            Pinger(node, node.endpoint(1), outstanding_timeout=0.0)
 
 
 class TestOutstandingExpiry:

@@ -440,34 +440,3 @@ class TestRediscover:
         selected = small_world.client.last_selected
         assert selected is not None
         assert selected.broker_id == outcome.selected.broker_id
-
-
-class TestWatchSelected:
-    def test_watch_triggers_cached_rediscovery_on_broker_death(self):
-        world = World(n_brokers=3)
-        first = world.discover()
-        assert first.success
-        chosen = world.net.brokers[first.selected.broker_id]
-        outcomes = []
-        world.client.watch_selected(outcomes.append, interval=0.5, max_missed=2)
-        world.sim.run_for(3.0)
-        assert outcomes == []  # broker healthy, no rediscovery
-        chosen.stop()
-        world.sim.run_for(10.0)
-        assert outcomes, "watch never reacted to the dead broker"
-        assert outcomes[0].via == "cached"
-        assert outcomes[0].success
-        assert outcomes[0].selected.broker_id != chosen.name
-
-    def test_watch_requires_a_selection(self, small_world):
-        with pytest.raises(DiscoveryError):
-            small_world.client.watch_selected(lambda outcome: None)
-
-    def test_watch_handle_cancellable(self):
-        world = World(n_brokers=2)
-        assert world.discover().success
-        series = world.client.watch_selected(lambda outcome: None, interval=0.5)
-        series.cancel()
-        world.net.brokers[world.client.last_selected.broker_id].stop()
-        world.sim.run_for(5.0)
-        assert world.client._run is None  # no rediscovery started

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import BDNConfig
-from repro.core.dedup import DedupCache
+from repro.core.dedup import DEFAULT_CAPACITY, DedupCache
 from repro.core.errors import ConfigError
 from repro.core.messages import BrokerAdvertisement
 from repro.discovery.advertisement import AdvertisementStore
@@ -49,8 +49,6 @@ class TestHashRing:
     def test_validation(self):
         with pytest.raises(ConfigError):
             HashRing(0)
-        with pytest.raises(ConfigError):
-            HashRing(4, vnodes=0)
 
     def test_stable_and_in_range(self):
         ring = HashRing(8)
@@ -89,17 +87,16 @@ class TestHashRing:
 
 class TestShardedDedup:
     def test_budget_split_across_shards(self):
-        dedup = ShardedDedup(HashRing(4), budget=1000)
-        assert dedup.budget == 1000
+        dedup = ShardedDedup(HashRing(4))  # the paper's 1000 entries
         assert [c.capacity for c in dedup.shards] == [250, 250, 250, 250]
 
     def test_budget_smaller_than_shards_rejected(self):
         with pytest.raises(ConfigError):
-            ShardedDedup(HashRing(8), budget=4)
+            ShardedDedup(HashRing(DEFAULT_CAPACITY + 1))
 
     def test_single_shard_gets_full_budget(self):
-        dedup = ShardedDedup(HashRing(1), budget=1000)
-        assert dedup.shards[0].capacity == 1000
+        dedup = ShardedDedup(HashRing(1))
+        assert dedup.shards[0].capacity == DEFAULT_CAPACITY
 
     def test_attempts_of_one_request_share_a_shard(self):
         ring = HashRing(4)
@@ -114,7 +111,7 @@ class TestShardedDedup:
         )
 
     def test_seen_contract_and_counters_aggregate(self):
-        dedup = ShardedDedup(HashRing(4), budget=400)
+        dedup = ShardedDedup(HashRing(4))
         assert dedup.seen("k1") is False
         assert dedup.seen("k1") is True
         assert ("k1", 0) not in dedup and "k1" in dedup
@@ -126,20 +123,21 @@ class TestShardedDedup:
         that keeps being re-added is never evicted while quieter keys
         churn past it."""
         ring = HashRing(2)
-        dedup = ShardedDedup(ring, budget=8)  # 4 entries per shard
+        dedup = ShardedDedup(ring)
+        per_shard = DEFAULT_CAPACITY // 2
         # Pick keys that all land on shard 0 so we exercise one LRU.
-        keys = [f"key-{i}" for i in range(200) if ring.shard_of(f"key-{i}") == 0]
-        hot, rest = keys[0], keys[1:6]
+        keys = [f"key-{i}" for i in range(4 * per_shard) if ring.shard_of(f"key-{i}") == 0]
+        hot, rest = keys[0], keys[1 : per_shard + 1]
         dedup.add(hot)
-        for k in rest[:3]:
-            dedup.add(k)  # shard 0 now full: [hot, r0, r1, r2]
+        for k in rest[:-1]:
+            dedup.add(k)  # shard 0 now full: hot and per_shard - 1 others
         dedup.add(hot)  # refresh: hot becomes MRU
-        dedup.add(rest[3])  # evicts r0, NOT hot
+        dedup.add(rest[-1])  # evicts rest[0], NOT hot
         assert hot in dedup
         assert rest[0] not in dedup
 
     def test_reset_versus_clear(self):
-        dedup = ShardedDedup(HashRing(2), budget=10)
+        dedup = ShardedDedup(HashRing(2))
         dedup.seen("a")
         dedup.seen("a")
         dedup.clear()

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from repro.core.metrics import OverloadStats
 from repro.experiments.report import (
     comparison_table,
     metric_table,
-    overload_table,
     percentage_table,
 )
 from repro.experiments.stats import summarize
@@ -51,15 +49,3 @@ class TestComparisonTable:
         assert "unconnected" in out
         assert "365.00" in out
         assert "-" in out  # missing p95 cell
-
-
-class TestOverloadTable:
-    def test_renders_every_counter_row(self):
-        stats = OverloadStats(queue_peak=12, requests_shed=5, breaker_trips=2)
-        out = overload_table(stats, "Overload counters")
-        lines = out.splitlines()
-        assert lines[0] == "Overload counters"
-        assert len(lines) == 2 + len(stats.rows())
-        assert any("queue depth (peak)" in line and "12" in line for line in lines)
-        assert any("requests shed" in line and "5" in line for line in lines)
-        assert any("breaker trips" in line and "2" in line for line in lines)

@@ -51,9 +51,9 @@ class TestRuntimeTable:
         }
 
     def test_rows_per_phase_plus_total(self, reference):
-        out = runtime_table(reference, self._live(reference), title="Sim vs live")
+        out = runtime_table(reference, self._live(reference))
         lines = out.splitlines()
-        assert lines[0] == "Sim vs live"
+        assert lines[0] == "Discovery latency: simulated vs live"
         for phase in reference["phases"]:
             assert any(line.startswith(phase) for line in lines)
         assert any(line.startswith("total") for line in lines)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 import pytest
 
 from repro.core.codec import decode_message, encode_message, wire_size
@@ -49,7 +50,7 @@ def _traceable_messages():
 @pytest.mark.parametrize("message", _traceable_messages(), ids=lambda m: type(m).__name__)
 class TestTrailerRoundTrip:
     def test_traced_roundtrip(self, message):
-        marked = traced(message, hop=3)
+        marked = replace(traced(message), trace_hop=3)
         decoded = decode_message(encode_message(marked))
         assert decoded == marked
         assert decoded.trace_flag is True
@@ -59,7 +60,7 @@ class TestTrailerRoundTrip:
         # Disabled observability must be wire-invisible: the traced
         # encoding is the plain encoding plus exactly the 3-byte trailer.
         plain = encode_message(message)
-        with_trailer = encode_message(traced(message, hop=1))
+        with_trailer = encode_message(replace(traced(message), trace_hop=1))
         assert with_trailer[: len(plain)] == plain
         assert len(with_trailer) == len(plain) + 3
         assert with_trailer[len(plain)] == 0x54  # the "T" marker
@@ -114,4 +115,3 @@ class TestHopSemantics:
             uuid="u", requester_host="h", requester_port=1, trace_hop=4
         )
         assert traced(request).trace_hop == 4
-        assert traced(request, hop=9).trace_hop == 9

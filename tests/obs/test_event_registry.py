@@ -80,9 +80,9 @@ def test_every_registered_name_is_emitted_somewhere():
 
 def test_vocabularies_do_not_overlap():
     # One dict, so a name has exactly one kind: 10 causal steps beside
-    # 76 plain facts.
+    # 72 plain facts.
     assert sum(EVENTS.values()) == 10
-    assert len(EVENTS) - sum(EVENTS.values()) == 76
+    assert len(EVENTS) - sum(EVENTS.values()) == 72
 
 
 def test_check_span_event_contract():

@@ -65,7 +65,7 @@ class TestSimTrace:
         code = run_trace(runtime="sim", seed=42, topology="star", prom_out=str(prom))
         assert code == 0
         out = capsys.readouterr().out
-        assert "SimRuntime" in out
+        assert "Network (sim runtime)" in out
         assert "PhaseTimer cross-check" in out
         text = prom.read_text()
         assert "# TYPE repro_discovery_completed counter" in text
@@ -109,7 +109,7 @@ class TestAioTrace:
         # the CLI's --trace-runtime aio performs.
         from repro.experiments.trace_cli import trace_aio
 
-        ok, text, obs = trace_aio(seed=42, timeout=30.0)
+        ok, text, obs = trace_aio(seed=42)
         assert ok, text
         (trace_id,) = complete_request_ids(obs)
         timeline = assemble(obs, trace_id)

@@ -146,11 +146,10 @@ class TestChainValidation:
     def test_expired_root_fails(self, pki):
         _, _, keys = pki
         rng = np.random.default_rng(55)
-        short_root = CertificateAuthority(
-            "short-root", bits=512, rng=rng, not_before=0.0, not_after=10.0
-        )
-        cert = short_root.issue("client", keys.public, 0.0, 100.0)
+        from repro.security.certificates import _make_cert
+
+        root_keys = generate_keypair(512, rng)
+        root = _make_cert("short-root", "short-root", root_keys.public, root_keys.private, 0.0, 10.0, 0, True)
+        cert = _make_cert("client", "short-root", keys.public, root_keys.private, 0.0, 100.0, 1, False)
         with pytest.raises(SecurityError, match="validity|root"):
-            validate_chain(
-                cert, [], {"short-root": short_root.certificate}, now=50.0
-            )
+            validate_chain(cert, [], {"short-root": root}, now=50.0)

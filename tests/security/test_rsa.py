@@ -103,9 +103,3 @@ class TestEncryption:
     def test_property_roundtrip_arbitrary_secrets(self, keypair_a, secret, seed):
         local_rng = np.random.default_rng(seed)
         assert keypair_a.private.decrypt(keypair_a.public.encrypt(secret, local_rng)) == secret
-
-
-class TestFingerprint:
-    def test_stable_and_distinct(self, keypair_a, keypair_b):
-        assert keypair_a.public.fingerprint() == keypair_a.public.fingerprint()
-        assert keypair_a.public.fingerprint() != keypair_b.public.fingerprint()

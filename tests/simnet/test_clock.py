@@ -47,7 +47,7 @@ class TestNTPService:
         sim, clock, ntp = self._make()
         ntp.start()
         sim.run_for(2.9)
-        assert not ntp.synchronized
+        assert ntp.residual_error is None
 
     def test_init_takes_three_to_five_seconds(self):
         """Paper: 'generally take between 3-5 seconds'."""
@@ -56,7 +56,7 @@ class TestNTPService:
             delay = ntp.start()
             assert 3.0 <= delay <= 5.0
             sim.run_for(5.01)
-            assert ntp.synchronized
+            assert ntp.residual_error is not None
 
     def test_residual_error_in_paper_band(self):
         """Paper: 'within 1-20 msecs of each other'."""
@@ -100,12 +100,3 @@ class TestNTPService:
         sim.run_for(100.0)
         readings = [s.utc() for s in services]
         assert max(readings) - min(readings) < 0.042
-
-    def test_invalid_ranges_rejected(self):
-        sim = Simulator()
-        rng = np.random.default_rng(0)
-        clock = Clock(sim)
-        with pytest.raises(ValueError):
-            NTPService(sim, clock, rng, init_delay_range=(5.0, 3.0))
-        with pytest.raises(ValueError):
-            NTPService(sim, clock, rng, residual_range=(-0.1, 0.02))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.simnet.latency import MatrixLatencyModel, UniformLatencyModel
+from repro.simnet.latency import BANDWIDTH, HOP_COUNT, MatrixLatencyModel, UniformLatencyModel
 
 
 class TestUniformLatencyModel:
@@ -20,9 +20,9 @@ class TestUniformLatencyModel:
         assert model.delay("a", "a", 0, rng) == pytest.approx(0.001)
 
     def test_size_term(self):
-        model = UniformLatencyModel(base=0.01, jitter_fraction=0.0, bandwidth=1000.0)
+        model = UniformLatencyModel(base=0.01, jitter_fraction=0.0)
         rng = np.random.default_rng(0)
-        assert model.delay("a", "b", 500, rng) == pytest.approx(0.01 + 0.5)
+        assert model.delay("a", "b", 500, rng) == pytest.approx(0.01 + 500 / BANDWIDTH)
 
     def test_jitter_only_increases(self):
         model = UniformLatencyModel(base=0.01, jitter_fraction=0.2)
@@ -31,15 +31,13 @@ class TestUniformLatencyModel:
             assert model.delay("a", "b", 0, rng) >= 0.01
 
     def test_hops(self):
-        model = UniformLatencyModel(hop_count=12)
-        assert model.hops("a", "b") == 12
+        model = UniformLatencyModel()
+        assert model.hops("a", "b") == HOP_COUNT
         assert model.hops("a", "a") == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
             UniformLatencyModel(base=0.0)
-        with pytest.raises(ValueError):
-            UniformLatencyModel(bandwidth=0.0)
 
 
 def small_matrix() -> MatrixLatencyModel:

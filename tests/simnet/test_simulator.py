@@ -248,10 +248,6 @@ class TestAccounting:
         with pytest.raises(ValueError):
             Simulator("calendar")
 
-    def test_invalid_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(granularity=0.0)
-
     def test_fire_and_forget_has_no_handle(self):
         for sim in (Simulator("wheel"), Simulator("heap")):
             fired = []

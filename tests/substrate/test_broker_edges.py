@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import Endpoint
 from repro.core.messages import Ack
-from repro.simnet.latency import UniformLatencyModel
+from repro.simnet.latency import BANDWIDTH, UniformLatencyModel
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
 from repro.substrate.builder import BrokerNetwork, Topology
@@ -62,7 +62,7 @@ class TestMessageSizeDelays:
         sim = Simulator()
         net = Network(
             sim,
-            latency=UniformLatencyModel(base=0.010, jitter_fraction=0.0, bandwidth=100_000),
+            latency=UniformLatencyModel(base=0.010, jitter_fraction=0.0),
             rng=np.random.default_rng(0),
         )
         net.register_host("a.x", "sa")
@@ -76,5 +76,5 @@ class TestMessageSizeDelays:
         net.send_udp(Endpoint("a.x", 1), Endpoint("b.x", 9), small)
         net.send_udp(Endpoint("a.x", 1), Endpoint("b.x", 9), large)
         sim.run()
-        # 50 KB at 100 KB/s adds ~0.5 s of serialisation delay.
-        assert arrivals["large"] - arrivals["small"] > 0.4
+        # 50 KB at 1.25 MB/s adds 40 ms of serialisation delay.
+        assert arrivals["large"] - arrivals["small"] >= 50_000 / BANDWIDTH

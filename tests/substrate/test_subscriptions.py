@@ -29,8 +29,8 @@ class TestSubscriptionManager:
         mgr.subscribe("a", "alice")
         mgr.subscribe("b/*", "alice")
         mgr.subscribe("c", "bob")
-        assert mgr.patterns_of("alice") == {"a", "b/*"}
-        assert mgr.patterns_of("ghost") == frozenset()
+        assert mgr.drop_subscriber("alice") == {"a", "b/*"}
+        assert mgr.drop_subscriber("ghost") == frozenset()
 
     def test_drop_subscriber_removes_everything(self):
         mgr = SubscriptionManager()
@@ -41,7 +41,7 @@ class TestSubscriptionManager:
         assert removed == {"a", "b/**"}
         assert mgr.subscribers_for("a") == {"bob"}
         assert mgr.subscribers_for("b/x") == set()
-        assert mgr.patterns_of("alice") == frozenset()
+        assert mgr.drop_subscriber("alice") == frozenset()
 
     def test_drop_unknown_subscriber_is_empty(self):
         mgr = SubscriptionManager()
@@ -71,12 +71,13 @@ class TestSubscriptionManager:
         mgr.subscribe("a", "alice")
         mgr.subscribe("b", "alice")
         mgr.subscribe("c", "bob")
-        assert mgr.subscriber_count == 2
         mgr.unsubscribe("c", "bob")
-        assert mgr.subscriber_count == 1
+        assert mgr.drop_subscriber("bob") == frozenset()
+        assert mgr.drop_subscriber("alice") == {"a", "b"}
 
     def test_unsubscribe_last_pattern_clears_subscriber(self):
         mgr = SubscriptionManager()
         mgr.subscribe("a", "alice")
         mgr.unsubscribe("a", "alice")
-        assert mgr.subscriber_count == 0
+        assert len(mgr) == 0
+        assert mgr.drop_subscriber("alice") == frozenset()

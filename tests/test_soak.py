@@ -13,6 +13,7 @@ survive the chaos:
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -31,7 +32,7 @@ from repro.substrate.reliable import (
     ReliableSubscriber,
 )
 from repro.topology.churn import ChurnProcess
-from repro.topology.generators import random_waxman_sites, scale_free_broker_graph
+from repro.topology.generators import random_waxman_sites
 
 
 @pytest.mark.parametrize("seed", [11, 29])
@@ -40,7 +41,10 @@ def test_soak_everything_at_once(seed):
     n = 16
     latency = random_waxman_sites(n + 4, rng)
     net = BrokerNetwork(seed=seed, latency=latency, loss=PerHopLoss(0.0008))
-    graph = scale_free_broker_graph(n, rng)
+    # A Barabasi-Albert broker graph: operators attach new brokers to
+    # well-known ones.
+    graph = nx.barabasi_albert_graph(n, 2, seed=int(rng.integers(0, 2**31)))
+    graph = nx.relabel_nodes(graph, {i: f"b{i:02d}" for i in graph.nodes})
     for i, name in enumerate(sorted(graph.nodes)):
         broker = net.add_broker(name, site=latency.sites[i])
         DiscoveryResponder(broker)

@@ -29,8 +29,7 @@ class TestChurnProcess:
     def test_min_alive_respected(self):
         net = world(4)
         churn = ChurnProcess(
-            net, np.random.default_rng(2), mean_interval=0.5, min_alive=2,
-            restart_probability=0.0,
+            net, np.random.default_rng(2), mean_interval=0.5, min_alive=2
         )
         churn.start()
         for _ in range(100):
@@ -61,20 +60,6 @@ class TestChurnProcess:
         net.sim.run_for(30.0)
         assert churn.stops + churn.restarts == events_before
 
-    def test_on_event_callback(self):
-        net = world()
-        seen = []
-        churn = ChurnProcess(
-            net,
-            np.random.default_rng(5),
-            mean_interval=1.0,
-            on_event=lambda kind, broker: seen.append((kind, broker.name)),
-        )
-        churn.start()
-        net.sim.run_for(30.0)
-        assert seen
-        assert all(kind in ("stop", "restart") for kind, _ in seen)
-
     def test_validation(self):
         net = world()
         rng = np.random.default_rng(0)
@@ -82,8 +67,6 @@ class TestChurnProcess:
             ChurnProcess(net, rng, mean_interval=0.0)
         with pytest.raises(ValueError):
             ChurnProcess(net, rng, min_alive=-1)
-        with pytest.raises(ValueError):
-            ChurnProcess(net, rng, restart_probability=1.5)
 
     def test_start_idempotent(self):
         net = world()

@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
 
-from repro.topology.generators import (
-    grid_latency_model,
-    random_waxman_sites,
-    scale_free_broker_graph,
-)
+from repro.topology.generators import random_waxman_sites
 
 
 class TestWaxmanSites:
@@ -42,31 +37,3 @@ class TestWaxmanSites:
     def test_minimum_site_count(self):
         with pytest.raises(ValueError):
             random_waxman_sites(0, np.random.default_rng(0))
-
-
-class TestGridModel:
-    def test_manhattan_distances(self):
-        model = grid_latency_model(2, 3, hop_ms=5.0, jitter_sigma=0.0)
-        assert model.base_delay("g0_0", "g0_1") == pytest.approx(0.005)
-        assert model.base_delay("g0_0", "g1_2") == pytest.approx(0.015)
-
-    def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            grid_latency_model(0, 3)
-
-
-class TestScaleFreeGraph:
-    def test_connected_and_named(self):
-        g = scale_free_broker_graph(20, np.random.default_rng(1))
-        assert nx.is_connected(g)
-        assert all(isinstance(n, str) and n.startswith("b") for n in g.nodes)
-        assert g.number_of_nodes() == 20
-
-    def test_hub_structure(self):
-        g = scale_free_broker_graph(50, np.random.default_rng(2))
-        degrees = sorted((d for _, d in g.degree), reverse=True)
-        assert degrees[0] >= 3 * degrees[-1]  # preferential attachment hubs
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            scale_free_broker_graph(2, np.random.default_rng(0), m=2)
