@@ -3,9 +3,10 @@
 ``smoke``
     One seeded run sized for CI: spawn the full tier set, start the
     load replay, perform a staggered rolling restart of the replicated
-    BDN group *while load is running*, then collect every worker's exit
-    report, assert the soak invariants, and write the merged cluster
-    timeline artifact.  Exits non-zero on any violation or lost report.
+    BDN group *while load is running*, then collect every worker's final
+    telemetry frame (its exit report), assert the soak invariants, and
+    write the merged cluster timeline artifact.  Exits non-zero on any
+    violation or lost report.
 
 ``soak``
     Duration-driven fault soak: the load schedule is sized to span
@@ -32,14 +33,9 @@ import time
 
 from repro.cluster.coordinator import ClusterError, ClusterHarness
 from repro.cluster.report import merged_cluster_snapshot, summarize
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import WARMUP, ClusterSpec
 
 __all__ = ["main"]
-
-#: Seconds of heartbeat warm-up between "all workers ready" and load
-#: start, so every broker is registered at the BDN tier before the
-#: first discovery fires (two broker heartbeat intervals + slack).
-WARMUP = 2.5
 
 
 def _print_summary(summary: dict) -> None:
@@ -69,24 +65,24 @@ def _print_summary(summary: dict) -> None:
         )
 
 
-def _write_flamegraph(path: str, reports: list[dict]) -> None:
+def _write_flamegraph(path: str, frames: list[dict]) -> None:
     """Write the load generator's collapsed stacks (fall back to any)."""
-    profiled = [r for r in reports if r.get("profile", {}).get("collapsed")]
-    profiled.sort(key=lambda r: (r.get("role") != "load", r.get("label", "")))
+    profiled = [f for f in frames if f.get("profile", {}).get("collapsed")]
+    profiled.sort(key=lambda f: (f["role"] != "load", f["label"]))
     if not profiled:
         print(f"flamegraph: no profiled worker produced samples, skipping {path}")
         return
-    report = profiled[0]
+    frame = profiled[0]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report["profile"]["collapsed"]) + "\n")
-    print(f"flamegraph ({report['label']}) -> {path}")
+        fh.write("\n".join(frame["profile"]["collapsed"]) + "\n")
+    print(f"flamegraph ({frame['label']}) -> {path}")
 
 
 def _finish(harness: ClusterHarness, spec: ClusterSpec, args) -> int:
     harness.shutdown()
     live = harness.live.summary()
-    reports, missing = harness.collect()
-    summary = summarize(spec, reports, missing, harness.injector.injected, live=live)
+    frames, missing = harness.collect()
+    summary = summarize(spec, frames, missing, harness.injector.injected, live=live)
     _print_summary(summary)
     if args.summary:
         with open(args.summary, "w", encoding="utf-8") as fh:
@@ -94,10 +90,10 @@ def _finish(harness: ClusterHarness, spec: ClusterSpec, args) -> int:
         print(f"summary -> {args.summary}")
     if args.timeline:
         with open(args.timeline, "w", encoding="utf-8") as fh:
-            json.dump(merged_cluster_snapshot(reports), fh)
+            json.dump(merged_cluster_snapshot(frames), fh)
         print(f"merged timeline -> {args.timeline}")
     if getattr(args, "flamegraph", None):
-        _write_flamegraph(args.flamegraph, reports)
+        _write_flamegraph(args.flamegraph, frames)
     if getattr(args, "slo_trend", None):
         with open(args.slo_trend, "w", encoding="utf-8") as fh:
             json.dump(live["trend"], fh, indent=2)
@@ -171,7 +167,7 @@ def _soak(args) -> int:
     # A soak is duration-driven, not schedule-driven: the load worker got
     # more rounds than the window can fit once per-round latency is paid,
     # so don't block on load_done -- shutdown drains the leftovers
-    # gracefully and the reports carry every recorded round.
+    # gracefully and the final frames carry every recorded round.
     try:
         done = harness.wait_load_done(timeout=15.0)
         print(f"load drained: {done['rounds']} rounds, {done['failures']} failures")
@@ -203,7 +199,7 @@ def _top(args) -> int:
             except ClusterError:
                 continue  # refresh tick elapsed; redraw
     except KeyboardInterrupt:
-        print("\ninterrupted; collecting reports")
+        print("\ninterrupted; collecting final frames")
     if done is not None:
         print(f"load drained: {done['rounds']} rounds, {done['failures']} failures")
     return _finish(harness, spec, args)
@@ -214,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workdir", default="cluster-run", help="reports + spec directory")
+        p.add_argument("--workdir", default="cluster-run", help="cluster spec directory")
         p.add_argument("--bdns", type=int, default=3)
         p.add_argument("--brokers", type=int, default=4)
         p.add_argument("--clients", type=int, default=2)

@@ -8,7 +8,8 @@ TCP control channel.  The :class:`ClusterFaultInjector` is the live
 counterpart of the sim :class:`~repro.discovery.faults.FaultInjector`:
 
 * ``crash``          -- SIGKILL: the process vanishes mid-datagram, its
-                        report is lost (the collector notes the gap);
+                        final frame is never sent (the collector notes
+                        the lost report);
 * ``drain``          -- SIGTERM: graceful drain-and-exit, asserted to
                         exit 0 within the deadline;
 * ``rolling_restart``-- staggered drain + cold respawn across the BDN
@@ -16,9 +17,14 @@ counterpart of the sim :class:`~repro.discovery.faults.FaultInjector`:
 * ``storm``          -- multiplies the load generator's offered rate.
 
 Every worker also streams ``telemetry`` frames up its control
-connection, each carrying the worker's whole metrics registry.  The
-harness folds them into its :class:`~repro.obs.live.LiveTelemetry` plane
-(rolling view plus SLO monitor) and sends nothing back.
+connection, each carrying the worker's whole metrics registry and its
+role's record.  The harness folds them into its
+:class:`~repro.obs.live.LiveTelemetry` plane (rolling view plus SLO
+monitor) and sends nothing back.  A worker's last frame after its drain
+(``"final": true``) is its exit report: :meth:`ClusterHarness.collect`
+returns one per incarnation, and :meth:`ClusterHarness.shutdown` joins
+the control readers before it closes the server, so none is lost to
+the close.
 
 Everything here is plain blocking code on threads: the coordinator is
 not part of the protocol under test, so it deliberately avoids sharing
@@ -50,6 +56,9 @@ READY_TIMEOUT = 30.0
 RESPAWN_READY_TIMEOUT = 20.0
 #: Wall seconds shutdown waits for every worker to drain before killing it.
 SHUTDOWN_DEADLINE = 15.0
+#: Wall seconds shutdown waits for the control readers once every worker
+#: has exited (each ends at its worker's EOF).
+READER_JOIN_TIMEOUT = 5.0
 
 
 class ClusterError(RuntimeError):
@@ -77,6 +86,7 @@ class _ControlServer:
         #: (e.g. a ``load_done`` arriving while waiting on a ``ready``).
         self._unclaimed: list[dict] = []
         self.conns: dict[str, socket.socket] = {}
+        self.readers: list[threading.Thread] = []
         self._lock = threading.Lock()
         #: Per-connection write locks: commands sent from different
         #: threads must not interleave on one socket.
@@ -97,36 +107,32 @@ class _ControlServer:
                 conn, _ = self.sock.accept()
             except OSError:
                 return
-            threading.Thread(target=self._reader, args=(conn,), daemon=True).start()
+            reader = threading.Thread(target=self._reader, args=(conn,), daemon=True)
+            self.readers.append(reader)
+            reader.start()
 
     def _reader(self, conn: socket.socket) -> None:
         role = None
-        buffer = b""
-        while True:
-            try:
-                chunk = conn.recv(65536)
-            except OSError:
-                chunk = b""
-            if not chunk:
-                return
-            buffer += chunk
-            while b"\n" in buffer:
-                line, buffer = buffer.split(b"\n", 1)
-                try:
-                    message = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if message.get("type") == "ready" and role is None:
-                    role = message["role"]
-                    with self._lock:
-                        self.conns[role] = conn  # respawn replaces the old conn
-                if message.get("type") == "telemetry":
+        try:
+            with conn.makefile("rb") as lines:
+                for line in lines:
                     try:
-                        self.on_telemetry(message)
-                    except Exception:  # noqa: BLE001 - telemetry must not kill the reader
-                        pass
-                    continue
-                self.inbox.put(message)
+                        message = json.loads(line)
+                    except json.JSONDecodeError:
+                        continue
+                    if message.get("type") == "ready" and role is None:
+                        role = message["role"]
+                        with self._lock:
+                            self.conns[role] = conn  # respawn replaces the old conn
+                    if message.get("type") == "telemetry":
+                        try:
+                            self.on_telemetry(message)
+                        except Exception:  # noqa: BLE001 - telemetry must not kill the reader
+                            pass
+                        continue
+                    self.inbox.put(message)
+        except OSError:
+            return
 
     def send(self, role: str, command: dict) -> None:
         with self._lock:
@@ -160,6 +166,12 @@ class _ControlServer:
                 return message
             self._unclaimed.append(message)
 
+    def join_readers(self, timeout: float) -> None:
+        """Wait for every reader to reach its worker's EOF."""
+        end = time.monotonic() + timeout
+        for reader in list(self.readers):
+            reader.join(max(0.0, end - time.monotonic()))
+
     def close(self) -> None:
         self._closing = True
         try:
@@ -169,6 +181,7 @@ class _ControlServer:
         with self._lock:
             for conn in self.conns.values():
                 try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes a reader blocked in read
                     conn.close()
                 except OSError:
                     pass
@@ -177,7 +190,7 @@ class _ControlServer:
 
 
 class ClusterHarness:
-    """One live cluster run: spawn workers, drive load, collect reports."""
+    """One live cluster run: spawn workers, drive load, collect final frames."""
 
     def __init__(self, spec: ClusterSpec, workdir: str) -> None:
         self.spec = spec
@@ -186,8 +199,10 @@ class ClusterHarness:
         self.spec_path = os.path.join(workdir, "cluster_spec.json")
         self.procs: dict[str, subprocess.Popen] = {}
         self.incarnations: dict[str, int] = {}
-        #: ``(role, incarnation, report_path, cold)`` for every spawn ever.
-        self.spawned: list[tuple[str, int, str, bool]] = []
+        #: ``role#incarnation`` of every spawn ever.
+        self.spawned: list[str] = []
+        #: Each incarnation's final frame, by ``role#incarnation``.
+        self.finals: dict[str, dict] = {}
         self.control: _ControlServer | None = None
         self.injector = ClusterFaultInjector(self)
         #: The live telemetry plane: folds worker frames into a rolling
@@ -201,7 +216,7 @@ class ClusterHarness:
         if not self.spec.ports:
             self.spec.assign_ports()
         self.spec.save(self.spec_path)
-        self.control = _ControlServer(self.spec.bind_ip, on_telemetry=self.live.on_frame)
+        self.control = _ControlServer(self.spec.bind_ip, on_telemetry=self.on_frame)
         for role in self.spec.roles():
             self.spawn(role)
         self.wait_ready(self.spec.roles(), timeout=READY_TIMEOUT)
@@ -217,15 +232,15 @@ class ClusterHarness:
             )
         return env
 
-    def report_path(self, role: str, incarnation: int) -> str:
-        return os.path.join(
-            self.workdir, f"report-{role.replace(':', '-')}-{incarnation}.json"
-        )
+    def on_frame(self, frame: dict) -> None:
+        """Keep a final frame, then fold it like any other (reader thread)."""
+        if frame.get("final"):
+            self.finals[f"{frame['role']}#{frame['incarnation']}"] = frame
+        self.live.on_frame(frame)
 
     def spawn(self, role: str, cold: bool = False) -> subprocess.Popen:
         incarnation = self.incarnations.get(role, -1) + 1
         self.incarnations[role] = incarnation
-        report = self.report_path(role, incarnation)
         argv = [
             sys.executable,
             "-m",
@@ -236,8 +251,6 @@ class ClusterHarness:
             role,
             "--control-port",
             str(self.control.port),
-            "--report",
-            report,
             "--incarnation",
             str(incarnation),
         ]
@@ -245,7 +258,7 @@ class ClusterHarness:
             argv.append("--cold")
         proc = subprocess.Popen(argv, env=self._worker_env())
         self.procs[role] = proc
-        self.spawned.append((role, incarnation, report, cold))
+        self.spawned.append(f"{role}#{incarnation}")
         return proc
 
     def wait_ready(self, roles, timeout: float = 30.0) -> None:
@@ -273,7 +286,8 @@ class ClusterHarness:
     # Shutdown and collection
     # ------------------------------------------------------------------
     def shutdown(self) -> dict[str, int | None]:
-        """Drain every live worker (SIGTERM) and reap exit codes."""
+        """Drain every live worker (SIGTERM), reap exit codes, and read
+        every final frame off the wire before the server closes."""
         codes: dict[str, int | None] = {}
         for role, proc in self.procs.items():
             if proc.poll() is None:
@@ -287,30 +301,28 @@ class ClusterHarness:
                 proc.kill()
                 proc.wait()
                 codes[role] = None  # refused to drain: recorded, not hidden
+        if self.control is not None:
+            self.control.join_readers(READER_JOIN_TIMEOUT)
+        # After the join, so the flushed window has seen every final frame.
         self.live.stop()  # idempotent; flushes the open SLO window
         if self.control is not None:
             self.control.close()
         return codes
 
     def collect(self) -> tuple[list[dict], list[str]]:
-        """All exit reports written so far, plus the labels of lost ones.
+        """Every incarnation's final frame, plus the labels of lost ones.
 
-        A SIGKILLed incarnation never writes its report; the label list
-        is the collector's honest record of those gaps.
+        A SIGKILLed incarnation never sends its final frame; the label
+        list is the collector's honest record of those gaps.
         """
-        reports, missing = [], []
-        for role, incarnation, path, cold in self.spawned:
-            label = f"{role}#{incarnation}"
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    report = json.load(fh)
-            except (OSError, json.JSONDecodeError):
+        frames, missing = [], []
+        for label in self.spawned:
+            frame = self.finals.get(label)
+            if frame is None:
                 missing.append(label)
-                continue
-            report["label"] = label
-            report["incarnation"] = incarnation
-            reports.append(report)
-        return reports, missing
+            else:
+                frames.append({**frame, "label": label})
+        return frames, missing
 
 
 class ClusterFaultInjector:
@@ -325,7 +337,7 @@ class ClusterFaultInjector:
         self.injected.append((time.time(), kind, role))
 
     def crash(self, role: str) -> None:
-        """SIGKILL: the hard-crash path; no drain, no report."""
+        """SIGKILL: the hard-crash path; no drain, no final frame."""
         proc = self.harness.procs[role]
         self._note("crash", role)
         proc.kill()

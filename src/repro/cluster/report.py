@@ -1,11 +1,15 @@
-"""Cluster run collection: merge worker reports, assert soak invariants.
+"""Cluster run collection: merge final frames, assert soak invariants.
 
-:func:`gather_evidence` reads one run's exit reports into the
+A worker's exit report is its final ``telemetry`` frame
+(:mod:`repro.cluster.worker`): the record every frame carries in
+``stats``, plus the rings, rounds and profile only an exit needs.
+:func:`gather_evidence` reads one run's final frames into the
 :class:`~repro.core.invariants.Evidence` record -- recorded load rounds,
 leadership intervals rebased onto the shared wall clock via each
-report's ``wall_offset``, per-BDN queue stats and stale-target counts,
-the p99 of client-observed round times -- and :func:`check_invariants`
-holds it to the whole check list of
+frame's ``wall_offset``, per-BDN queue stats and stale-target counts,
+the p99 of client-observed round times -- from the same record keys the
+live :class:`~repro.obs.slo.SloMonitor` reads, and
+:func:`check_invariants` holds it to the whole check list of
 :func:`~repro.core.invariants.verdict` (docs/PROTOCOL.md "Soak
 invariants").
 
@@ -21,12 +25,13 @@ from repro.cluster.spec import ADMISSION_WATERMARK, P99_BOUND, ClusterSpec
 from repro.core.invariants import (
     LIVE_ELECTION_EPS,
     Evidence,
-    QueueStats,
     failed,
+    queue_stats,
     recorded,
     verdict,
 )
 from repro.obs.cluster import merge_process_snapshots
+from repro.obs.live import rebased_intervals
 
 __all__ = [
     "round_record",
@@ -42,8 +47,8 @@ __all__ = [
 
 
 def round_record(client: str, index: int, outcome, aborted: bool = False) -> dict:
-    """One discovery round as the reports, the invariants and the phase
-    tables read it (``outcome`` is a ``DiscoveryOutcome``)."""
+    """One discovery round as the final frames, the invariants and the
+    phase tables read it (``outcome`` is a ``DiscoveryOutcome``)."""
     return {
         "client": client,
         "round": index,
@@ -58,30 +63,14 @@ def round_record(client: str, index: int, outcome, aborted: bool = False) -> dic
     }
 
 
-def merge_leadership_intervals(reports: list[dict]) -> list[tuple[str, float, float, float]]:
-    """``(member, term, start_wall, until_wall)`` across all BDN reports.
-
-    Each worker logs intervals in its own ``runtime.now`` units; adding
-    its ``wall_offset`` moves them onto the shared wall-clock axis, so
-    intervals from different incarnations and different processes are
-    directly comparable.
-    """
-    merged = []
-    for report in reports:
-        bdn = report.get("bdn")
-        if not bdn:
-            continue
-        offset = report["wall_offset"]
-        for term, start, until in bdn.get("leadership_intervals", ()):
-            merged.append((bdn["name"], float(term), start + offset, until + offset))
-    return sorted(merged, key=lambda row: row[2])
+def merge_leadership_intervals(frames: list[dict]) -> list[tuple[str, float, float, float]]:
+    """``(member, term, start_wall, until_wall)`` across all BDN frames."""
+    return rebased_intervals((frame["stats"], frame["wall_offset"]) for frame in frames)
 
 
-def collect_rounds(reports: list[dict]) -> list[dict]:
-    """Every recorded (non-aborted) load round across load reports."""
-    return [
-        r for report in reports for r in recorded(report.get("load", {}).get("rounds", ()))
-    ]
+def collect_rounds(frames: list[dict]) -> list[dict]:
+    """Every recorded (non-aborted) load round across the final frames."""
+    return [r for frame in frames for r in recorded(frame.get("rounds", ()))]
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -92,48 +81,43 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[index]
 
 
-def merged_cluster_snapshot(reports: list[dict]) -> dict:
-    parts = [
-        {
-            "label": report.get("label", report.get("role", "?")),
-            "wall_offset": report.get("wall_offset", 0.0),
-            "snapshot": report.get("telemetry"),
-        }
-        for report in reports
-    ]
-    return merge_process_snapshots(parts)
+def merged_cluster_snapshot(frames: list[dict]) -> dict:
+    """Every final frame's metrics and rings on one wall-clock axis."""
+    return merge_process_snapshots(
+        [
+            {"label": frame["label"], "wall_offset": frame["wall_offset"], "snapshot": frame}
+            for frame in frames
+        ]
+    )
 
 
-def gather_evidence(spec: ClusterSpec, reports: list[dict]) -> Evidence:
-    """One run's exit reports as the invariants' evidence record.
+def gather_evidence(spec: ClusterSpec, frames: list[dict]) -> Evidence:
+    """One run's final frames as the invariants' evidence record.
 
-    Every spec configures a service model, so a BDN report whose
-    ``queue`` is null is missing evidence; a replicated tier that
-    reported no leadership at all likewise.
+    Every spec configures a service model, so a BDN record without queue
+    keys is missing evidence; a replicated tier that reported no
+    leadership at all likewise.
     """
-    rounds = collect_rounds(reports)
-    intervals = merge_leadership_intervals(reports)
+    rounds = collect_rounds(frames)
+    intervals = merge_leadership_intervals(frames)
     bdns = {
-        report.get("label", report["bdn"]["name"]): report["bdn"]
-        for report in reports
-        if report.get("bdn")
+        frame["label"]: frame["stats"]
+        for frame in frames
+        if frame["role"].partition(":")[0] == "bdn"
     }
     return Evidence(
         rounds=rounds,
         intervals=None if spec.n_bdns > 1 and not intervals else intervals,
-        queues={
-            label: bdn.get("queue") and QueueStats(*(bdn["queue"][k] for k in QueueStats._fields))
-            for label, bdn in bdns.items()
-        },
-        stale_targets={label: bdn.get("stale_targets", 0) for label, bdn in bdns.items()},
+        queues={label: queue_stats(stats) for label, stats in bdns.items()},
+        stale_targets={label: stats.get("stale_targets", 0) for label, stats in bdns.items()},
         p99=percentile([r["total_time"] for r in rounds], 0.99) if rounds else None,
     )
 
 
-def check_invariants(spec: ClusterSpec, reports: list[dict]) -> list[str]:
-    """Every soak invariant over one run's reports; empty = healthy."""
+def check_invariants(spec: ClusterSpec, frames: list[dict]) -> list[str]:
+    """Every soak invariant over one run's final frames; empty = healthy."""
     breaches = verdict(
-        gather_evidence(spec, reports),
+        gather_evidence(spec, frames),
         election_eps=LIVE_ELECTION_EPS,
         watermark=ADMISSION_WATERMARK,
         p99_bound=P99_BOUND,
@@ -153,7 +137,7 @@ def phase_means(rounds: list[dict]) -> dict[str, float]:
 
 def summarize(
     spec: ClusterSpec,
-    reports: list[dict],
+    frames: list[dict],
     missing: list[str],
     injected: list[tuple[float, str, str]],
     live: dict | None = None,
@@ -164,20 +148,17 @@ def summarize(
     streaming plane (frames folded, SLO windows, violations, trend); the
     CI smoke asserts on ``summary["slo"]`` when present.
     """
-    rounds = collect_rounds(reports)
+    rounds = collect_rounds(frames)
     totals = [r["total_time"] for r in rounds]
     client_counters: dict[str, dict] = {}
-    for report in reports:
-        for name, counters in report.get("load", {}).get("clients", {}).items():
-            client_counters[name] = counters
+    for frame in frames:
+        client_counters.update(frame["stats"].get("clients", {}))
     # Per-phase CPU attribution per profiled process; the raw collapsed
     # stacks are written separately (``--flamegraph``), not inlined here.
     profiles = {
-        report["label"]: {
-            k: v for k, v in report["profile"].items() if k != "collapsed"
-        }
-        for report in reports
-        if report.get("profile") and report.get("label")
+        frame["label"]: {k: v for k, v in frame["profile"].items() if k != "collapsed"}
+        for frame in frames
+        if frame.get("profile")
     }
     return {
         "slo": live,
@@ -192,7 +173,7 @@ def summarize(
         },
         "rounds": len(rounds),
         "failures": len(failed(rounds)),
-        "aborted": sum(r.get("load", {}).get("aborted", 0) for r in reports),
+        "aborted": sum(frame["stats"].get("aborted", 0) for frame in frames),
         "latency": {
             "mean": sum(totals) / len(totals) if totals else 0.0,
             "p50": percentile(totals, 0.50),
@@ -201,11 +182,11 @@ def summarize(
         },
         "phase_means": phase_means(rounds),
         "leadership_intervals": [
-            list(row) for row in merge_leadership_intervals(reports)
+            list(row) for row in merge_leadership_intervals(frames)
         ],
         "client_counters": client_counters,
         "faults_injected": [list(row) for row in injected],
-        "reports_collected": len(reports),
+        "reports_collected": len(frames),
         "reports_missing": missing,
-        "violations": check_invariants(spec, reports),
+        "violations": check_invariants(spec, frames),
     }

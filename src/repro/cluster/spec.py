@@ -44,6 +44,10 @@ __all__ = ["ClusterSpec", "derive_schedule"]
 #: expiring after ``BROKER_LEASE_TTL`` (3 intervals = two misses).
 BROKER_HEARTBEAT = 1.0
 BROKER_LEASE_TTL = 3.0
+#: Seconds between "all workers ready" and load start, so every broker
+#: is registered at the BDN tier before the first discovery fires (two
+#: broker heartbeat intervals + slack).
+WARMUP = 2.5
 #: Overload layer (ingress queue, admission control), live-speed service time.
 QUEUE_CAPACITY = 32
 SERVICE_TIME = 0.002
@@ -238,7 +242,6 @@ class ClusterSpec:
 
         return SloConfig(
             window=self.slo_window,
-            queue_capacity=QUEUE_CAPACITY,
             p99_bound=P99_BOUND,
             latency_budget=SLO_LATENCY_BUDGET,
         )

@@ -14,23 +14,21 @@ then obey newline-delimited JSON commands (``start_load``, ``storm``,
 ``drain``, ``stop``).  **SIGTERM is a graceful drain**: a broker stops
 accepting new requests, finishes in-flight responses, withdraws its BDN
 registration, and exits 0 -- the lifecycle the rolling-restart fault
-injector and the drain tests rely on.  SIGKILL is the crash path: no
-report is written, which the collector records as a lost incarnation.
+injector and the drain tests rely on.
 
-The exit report carries the process's telemetry snapshot plus a
-``wall_offset`` so :func:`repro.obs.cluster.merge_process_snapshots`
-can rebase all per-process flight-recorder rings onto one cluster
-timeline.
-
-Telemetry is no longer exit-only: every :data:`TELEMETRY_INTERVAL`
-seconds the worker also streams a ``telemetry`` frame up the control
-channel, carrying its whole registry snapshot, flat per-role stats
-(queue depth, rounds, breaker states) and, for BDN members, the full
-leadership-interval list.  Nothing comes back for a frame: the next one
-replaces it.  With ``spec.profiled(role)`` a
-:class:`~repro.obs.profiling.SamplingProfiler` samples the event-loop
-thread for the whole run and lands its collapsed stacks in the exit
-report.
+Every :data:`TELEMETRY_INTERVAL` seconds the worker sends a
+``telemetry`` frame up the control channel: its whole registry
+snapshot, a ``wall_offset`` that rebases its clock onto the shared wall
+clock, and its role's record (:meth:`Worker.record`: the counters,
+queue keys and leadership intervals both verdicts read).  Nothing comes
+back for a frame: the next one replaces it.  After its drain the worker
+sends one last frame marked ``"final": true``, which is its exit
+report: it adds the flight-recorder rings, the recorded load rounds,
+transport errors, datagram counters, ``pid``, ``cold`` and, with
+``spec.profiled(role)``, the
+:class:`~repro.obs.profiling.SamplingProfiler`'s collapsed stacks.
+SIGKILL is the crash path: no final frame, which the coordinator
+records as a lost report.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from repro.cluster.spec import (
     DRAIN_DEADLINE,
     ClusterSpec,
 )
-from repro.core.invariants import bdn_evidence, failed, recorded
+from repro.core.invariants import bdn_evidence, failed, queue_record, recorded
 from repro.core.messages import DiscoveryRequest
 from repro.discovery.bdn import BDN
 from repro.discovery.requester import CLIENT_UDP_PORT, DiscoveryClient
@@ -77,13 +75,11 @@ class Worker:
         spec: ClusterSpec,
         role: str,
         cold: bool,
-        report_path: str,
         incarnation: int = 0,
     ) -> None:
         self.spec = spec
         self.role = role
         self.cold = cold
-        self.report_path = report_path
         self.incarnation = incarnation
         self.kind, _, index_text = role.partition(":")
         self.index = int(index_text) if index_text else 0
@@ -110,7 +106,6 @@ class Worker:
         self.drain_requested = asyncio.Event()
         self.load_tasks: list[asyncio.Task] = []
         self.writer: asyncio.StreamWriter | None = None
-        self.frames_sent = 0
         self.telemetry_task: asyncio.Task | None = None
         self.profiler: SamplingProfiler | None = (
             SamplingProfiler(rate_hz=spec.profile_rate) if spec.profiled(role) else None
@@ -264,8 +259,8 @@ class Worker:
     # ------------------------------------------------------------------
     # Streaming telemetry
     # ------------------------------------------------------------------
-    def live_stats(self) -> dict:
-        """Flat per-role gauges/counters for one telemetry frame."""
+    def record(self) -> dict:
+        """This role's record: what every frame carries and both verdicts read."""
         stats: dict = {}
         if self.bdn is not None:
             bdn = self.bdn
@@ -273,18 +268,15 @@ class Worker:
                 name=bdn.name,
                 requests_received=bdn.requests_received,
                 requests_shed=bdn.requests_shed,
+                requests_refused_catchup=bdn.requests_refused_catchup,
                 stale_targets=bdn.stale_targets,
-                is_leader=bool(bdn.replication and bdn.replication.is_leader()),
+                intervals=[list(row) for row in (
+                    bdn.replication.leadership_intervals if bdn.replication else []
+                )],
+                # No ingress queue means no queue keys, not healthy zeros:
+                # the exit verdict and the monitor both flag their absence.
+                **queue_record(bdn_evidence([bdn]).queues[bdn.name]),
             )
-            # No ingress queue means no queue keys, not healthy zeros:
-            # the monitor flags their absence.
-            queue = bdn_evidence([bdn]).queues[bdn.name]
-            if queue is not None:
-                stats.update(
-                    queue_depth=queue.depth,
-                    queue_max_depth=queue.max_depth,
-                    queue_overflows=queue.overflows,
-                )
         if self.responder is not None:
             stats.update(
                 name=self.broker.name,
@@ -292,6 +284,7 @@ class Worker:
                 responses_sent=self.responder.responses_sent,
                 responses_suppressed=self.responder.responses_suppressed,
                 pending_responses=self.responder.pending_responses,
+                withdrawals_sent=self.responder.withdrawals_sent,
             )
         if self.clients:
             breakers: dict[str, str] = {}
@@ -301,16 +294,28 @@ class Worker:
             stats.update(
                 rounds=len(recorded(self.rounds)),
                 failures=len(failed(self.rounds)),
-                busy_received=sum(c.busy_received for c in self.clients),
-                retries_denied=sum(c.retries_denied for c in self.clients),
-                breaker_trips=sum(c.breaker_trips for c in self.clients),
-                breaker_states=breakers,
+                aborted=self.aborted_rounds,
                 surge_sent=self.surge_sent,
+                breaker_states=breakers,
+                clients={
+                    c.name: {
+                        "busy_received": c.busy_received,
+                        "retries_denied": c.retries_denied,
+                        "bdn_skips": c.bdn_skips,
+                        "breaker_trips": c.breaker_trips,
+                        "leader_hint_updates": c.leader_hint_updates,
+                    }
+                    for c in self.clients
+                },
             )
         return stats
 
-    async def send_telemetry(self) -> None:
-        """One frame: the whole registry snapshot plus this role's stats."""
+    async def send_telemetry(self, final: bool = False) -> None:
+        """One frame: the whole registry snapshot plus this role's record.
+
+        The ``final`` frame, sent once after the drain, is the exit
+        report: it adds what only an exit needs.
+        """
         frame = {
             "type": "telemetry",
             "role": self.role,
@@ -318,14 +323,26 @@ class Worker:
             "now": self.rt.now,
             "wall_offset": time.time() - self.rt.now,
             "metrics": self.obs.registry.snapshot(),
-            "stats": self.live_stats(),
+            "stats": self.record(),
         }
-        if self.bdn is not None and self.bdn.replication is not None:
-            frame["intervals"] = [
-                list(row) for row in self.bdn.replication.leadership_intervals
-            ]
+        if final:
+            frame.update(
+                final=True,
+                pid=os.getpid(),
+                cold=self.cold,
+                rings=telemetry_snapshot(self.obs)["rings"],
+                rounds=self.rounds,
+                errors=list(self.rt.errors),
+                errors_dropped=self.rt.errors_dropped,
+                datagrams={
+                    "sent": self.rt.datagrams_sent,
+                    "delivered": self.rt.datagrams_delivered,
+                    "dropped": self.rt.datagrams_dropped,
+                },
+            )
+            if self.profiler is not None:
+                frame["profile"] = self.profiler.report()
         await self.send(frame)
-        self.frames_sent += 1
 
     async def telemetry_loop(self) -> None:
         while not self.drain_requested.is_set():
@@ -335,10 +352,10 @@ class Worker:
             await self.send_telemetry()
 
     # ------------------------------------------------------------------
-    # Drain / report
+    # Drain
     # ------------------------------------------------------------------
     async def drain(self) -> None:
-        """Graceful exit: finish in-flight work, withdraw, report, stop."""
+        """Graceful exit: finish in-flight work, withdraw, stop."""
         if self.drain_requested.is_set():
             return
         self.drain_requested.set()
@@ -366,75 +383,6 @@ class Worker:
                 task.cancel()
         for client in self.clients:
             client.stop()
-
-    def build_report(self) -> dict:
-        report: dict = {
-            "role": self.role,
-            "pid": os.getpid(),
-            "cold": self.cold,
-            "wall_offset": time.time() - self.rt.now,
-            "telemetry": telemetry_snapshot(self.obs),
-            "telemetry_frames_sent": self.frames_sent,
-            "errors": list(self.rt.errors),
-            "errors_dropped": self.rt.errors_dropped,
-            "datagrams": {
-                "sent": self.rt.datagrams_sent,
-                "delivered": self.rt.datagrams_delivered,
-                "dropped": self.rt.datagrams_dropped,
-            },
-        }
-        if self.bdn is not None:
-            bdn = self.bdn
-            queue = bdn_evidence([bdn]).queues[bdn.name]
-            report["bdn"] = {
-                "name": bdn.name,
-                "leadership_intervals": [list(row) for row in (
-                    bdn.replication.leadership_intervals if bdn.replication else []
-                )],
-                "registered_brokers": sorted(bdn.store.broker_ids(self.rt.now)),
-                "requests_received": bdn.requests_received,
-                "requests_shed": bdn.requests_shed,
-                "requests_refused_catchup": bdn.requests_refused_catchup,
-                "stale_targets": bdn.stale_targets,
-                # No ingress queue means no evidence, not a healthy zero:
-                # check_invariants flags a null here.
-                "queue": queue and {**queue._asdict(), "shed": bdn.ingress.shed},
-            }
-        if self.responder is not None:
-            report["broker"] = {
-                "name": self.broker.name,
-                "requests_processed": self.responder.requests_processed,
-                "responses_sent": self.responder.responses_sent,
-                "responses_suppressed": self.responder.responses_suppressed,
-                "withdrawals_sent": self.responder.withdrawals_sent,
-                "pending_at_exit": self.responder.pending_responses,
-            }
-        if self.clients:
-            report["load"] = {
-                "rounds": self.rounds,
-                "completed": len(recorded(self.rounds)),
-                "failures": len(failed(self.rounds)),
-                "aborted": self.aborted_rounds,
-                "clients": {
-                    c.name: {
-                        "busy_received": c.busy_received,
-                        "retries_denied": c.retries_denied,
-                        "bdn_skips": c.bdn_skips,
-                        "breaker_trips": c.breaker_trips,
-                        "leader_hint_updates": c.leader_hint_updates,
-                    }
-                    for c in self.clients
-                },
-            }
-        if self.profiler is not None:
-            report["profile"] = self.profiler.report()
-        return report
-
-    def write_report(self) -> None:
-        tmp = self.report_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.build_report(), fh)
-        os.replace(tmp, self.report_path)  # atomic: the collector never sees a torn file
 
     # ------------------------------------------------------------------
     # Control channel
@@ -477,11 +425,10 @@ async def run(
     spec: ClusterSpec,
     role: str,
     cold: bool,
-    report: str,
     control_port: int,
     incarnation: int = 0,
 ) -> int:
-    worker = Worker(spec, role, cold, report, incarnation=incarnation)
+    worker = Worker(spec, role, cold, incarnation=incarnation)
     worker.boot()
     await worker.rt.ready()
     for node in worker.nodes():
@@ -500,12 +447,15 @@ async def run(
 
     await stop.wait()
     await worker.drain()
-    # One last frame so the coordinator's rolling view matches the
-    # exit report.
-    await worker.send_telemetry()
-    worker.write_report()
-    await worker.send({"type": "bye", "role": role})
+    await worker.send_telemetry(final=True)
     control.cancel()
+    # close() flushes what drain() left buffered: the final frame is
+    # the exit report, and a process that exits mid-write loses it.
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
     await worker.rt.aclose()
     return 0
 
@@ -515,7 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--spec", required=True, help="path to the ClusterSpec JSON")
     parser.add_argument("--role", required=True, help="bdn:<j> | broker:<i> | load")
     parser.add_argument("--control-port", type=int, required=True)
-    parser.add_argument("--report", required=True, help="exit report JSON path")
     parser.add_argument("--cold", action="store_true", help="restart with a cleared registry")
     parser.add_argument(
         "--incarnation", type=int, default=0, help="respawn count, stamped on telemetry frames"
@@ -527,7 +476,6 @@ def main(argv: list[str] | None = None) -> int:
             spec,
             args.role,
             args.cold,
-            args.report,
             args.control_port,
             incarnation=args.incarnation,
         )

@@ -582,11 +582,6 @@ class LazyMessage:
         return m
 
     @property
-    def materialized(self) -> bool:
-        """Whether the full decode has already happened."""
-        return self._message is not None
-
-    @property
     def request_uuid(self) -> str:
         """The leading UUID without a full decode (where the layout
         starts with one); falls back to materialising otherwise."""

@@ -10,7 +10,9 @@ A harness holds a run to the predicates it calls.  Evidence a called
 predicate needs and does not get (``None``) is a ``no_evidence`` breach,
 never a pass: a queue that was not there did not stay within bounds.
 :func:`verdict` is the whole check list over one :class:`Evidence`
-record, for runs that are held to all of it.
+record, for runs that are held to all of it.  A cluster worker writes
+its queue into its record with :func:`queue_record`; the exit verdict
+and the live monitor read it back with :func:`queue_stats`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ __all__ = [
     "Interval",
     "Breach",
     "QueueStats",
+    "queue_record",
+    "queue_stats",
     "Evidence",
     "bdn_evidence",
     "recorded",
@@ -67,6 +71,19 @@ class QueueStats(NamedTuple):
     max_depth: int
     depth: int
     overflows: int
+
+
+def queue_record(queue: QueueStats | None) -> dict[str, int]:
+    """A queue as flat record keys, ``queue_<field>``; none for no queue."""
+    return {} if queue is None else {f"queue_{k}": v for k, v in queue._asdict().items()}
+
+
+def queue_stats(record: Mapping) -> QueueStats | None:
+    """The queue a record's keys describe; ``None`` when a key is absent."""
+    try:
+        return QueueStats(*(record[f"queue_{k}"] for k in QueueStats._fields))
+    except KeyError:
+        return None
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     cluster_group.add_argument(
         "--cluster-workdir",
         default="cluster-run",
-        help="directory for the live run's spec and worker reports",
+        help="directory for the live run's cluster spec",
     )
     live_group = parser.add_argument_group("cluster_live target")
     live_group.add_argument(

@@ -29,7 +29,7 @@ from repro.cluster.report import (
     round_record,
     summarize,
 )
-from repro.cluster.spec import P99_BOUND, ClusterSpec, derive_schedule
+from repro.cluster.spec import P99_BOUND, WARMUP, ClusterSpec, derive_schedule
 from repro.core.invariants import SIM_ELECTION_EPS, bdn_evidence, failed, verdict
 from repro.discovery.chaos import ChaosAction, ChaosWorld, apply_schedule
 from repro.experiments.harness import run_discovery_once
@@ -84,7 +84,7 @@ def simulate_rolling_restart(seed: int, rounds: int) -> dict:
         rounds=records,
         p99=percentile([r["total_time"] for r in records], 0.99),
     )
-    # The check list the live column's exit reports are held to; sim
+    # The check list the live column's final frames are held to; sim
     # clocks are exact, so any overlap beyond float noise is real.
     breaches = verdict(
         evidence,
@@ -102,14 +102,14 @@ def run_live_cluster(seed: int, rounds: int, workdir: str) -> dict:
     spec = ClusterSpec(seed=seed, rounds=rounds, mean_gap=MEAN_GAP)
     harness = ClusterHarness(spec, workdir)
     harness.start()
-    time.sleep(2.5)  # broker heartbeats must register before load starts
+    time.sleep(WARMUP)
     harness.start_load()
     harness.injector.rolling_restart(settle=1.5)
     harness.wait_load_done(timeout=rounds * MEAN_GAP * spec.n_clients + 90.0)
     harness.shutdown()
-    reports, missing = harness.collect()
-    summary = summarize(spec, reports, missing, harness.injector.injected)
-    column = _column(collect_rounds(reports), summary["violations"])
+    frames, missing = harness.collect()
+    summary = summarize(spec, frames, missing, harness.injector.injected)
+    column = _column(collect_rounds(frames), summary["violations"])
     return {**column, "missing": missing, "summary": summary}
 
 

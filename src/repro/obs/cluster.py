@@ -1,13 +1,13 @@
 """Cross-process telemetry merge: one cluster timeline from N snapshots.
 
 Each cluster worker process owns its own :class:`~repro.obs.Observability`
-and freezes a :func:`~repro.obs.export.telemetry_snapshot` into its exit
-report.  Those snapshots are incommensurable as-is:
+and sends its metrics and flight rings in its final telemetry frame (its
+exit report).  Those snapshots are incommensurable as-is:
 
 * **Clocks.**  ``AioRuntime.now`` is monotonic seconds since *that
   process* first told the time, so event times from different processes
   share no origin.  Every worker therefore reports a ``wall_offset``
-  (``time.time() - rt.now`` at snapshot time); rebasing each part by
+  (``time.time() - rt.now`` at frame time); rebasing each part by
   ``wall_offset - min(wall_offsets)`` puts all events on one shared
   axis whose zero is the earliest-born process's origin.  Wall clocks
   on one machine agree to well under a millisecond, which is an order
@@ -87,11 +87,13 @@ def merge_process_snapshots(parts: list[dict]) -> dict:
     """Merge per-process telemetry snapshots into one cluster snapshot.
 
     ``parts`` rows are ``{"label": str, "wall_offset": float,
-    "snapshot": <telemetry_snapshot dict>}``.  Returns a snapshot of the
-    same shape plus a ``"parts"`` manifest recording the rebasing applied
-    to each contribution.  Parts with a missing/empty snapshot (e.g. a
-    SIGKILLed worker that never wrote its report) are skipped but still
-    listed in the manifest with ``"merged": false``.
+    "snapshot": <dict with "metrics" and optional "rings">}`` -- a
+    :func:`~repro.obs.export.telemetry_snapshot` or a worker's final
+    frame.  Every ring event carries its emission ``seq``.  Returns a
+    snapshot of the same shape plus a ``"parts"`` manifest recording the
+    rebasing applied to each contribution.  Parts with a missing/empty
+    snapshot are skipped but still listed in the manifest with
+    ``"merged": false``.
     """
     live = [p for p in parts if p.get("snapshot")]
     base = min((p["wall_offset"] for p in live), default=0.0)
@@ -119,7 +121,7 @@ def merge_process_snapshots(parts: list[dict]) -> dict:
             for event in ring.get("events", ()):
                 shifted = dict(event)
                 shifted["time"] = event["time"] + shift
-                shifted["seq"] = event.get("seq", 0) + index * SEQ_STRIDE
+                shifted["seq"] = event["seq"] + index * SEQ_STRIDE
                 events.append(shifted)
             rings[key] = {
                 "capacity": ring.get("capacity", 0),

@@ -1,15 +1,14 @@
 """Streaming telemetry plane: snapshot frames, rolling cluster view, live top.
 
-PR 8's cluster harness only ever saw telemetry *post mortem*: each
-worker froze one :func:`~repro.obs.export.telemetry_snapshot` into its
-exit report, so a soak that violated its invariants at minute 1 burned
-the remaining minutes before anyone noticed.  This module turns that
-exit artifact into a plane:
+A cluster worker says everything it has to say in ``telemetry`` frames,
+so a soak that violates its invariants at minute 1 fails at minute 1:
 
 * **Worker side** -- every telemetry interval a worker sends its whole
-  ``registry.snapshot()`` up the JSON-lines control channel.  Values
-  are absolute, so a frame replaces what the coordinator held for that
-  process and nothing flows back.
+  ``registry.snapshot()`` and its role's record (``stats``) up the
+  JSON-lines control channel.  Values are absolute, so a frame replaces
+  what the coordinator held for that process and nothing flows back.
+  The worker's last frame (``"final": true``) is its exit report, read
+  by :mod:`repro.cluster.report` from the same record keys.
 * **Coordinator side** -- a :class:`RollingClusterView` folds frames per
   process and closes fixed wall-clock windows, producing per-window
   counter rates and histogram deltas (rolling p50/p99 without keeping
@@ -32,6 +31,7 @@ from repro.obs.cluster import merge_process_snapshots
 
 __all__ = [
     "histogram_delta",
+    "rebased_intervals",
     "quantile_from_buckets",
     "ProcessView",
     "RollingClusterView",
@@ -82,12 +82,30 @@ def quantile_from_buckets(
     return float(bounds[-1]) if bounds else 0.0
 
 
+def rebased_intervals(parts) -> list[tuple[str, float, float, float]]:
+    """``(member, term, start, until)`` on the shared wall clock.
+
+    ``parts`` are ``(record, wall_offset)`` pairs.  Each BDN worker logs
+    its record's ``intervals`` in its own ``runtime.now`` units; adding
+    its ``wall_offset`` moves them onto one axis, so intervals from
+    different processes and incarnations compare directly.
+    """
+    return sorted(
+        (
+            (record["name"], float(term), start + offset, until + offset)
+            for record, offset in parts
+            for term, start, until in record.get("intervals", ())
+        ),
+        key=lambda row: row[2],
+    )
+
+
 class ProcessView:
     """The rolling view of one worker process's telemetry stream."""
 
     __slots__ = (
         "label", "role", "incarnation", "wall_offset", "metrics", "stats",
-        "intervals", "frames", "_window_metrics", "_window_stats",
+        "frames", "_window_metrics", "_window_stats",
     )
 
     def __init__(self, label: str, role: str, incarnation: int) -> None:
@@ -97,10 +115,8 @@ class ProcessView:
         self.wall_offset = 0.0
         #: The latest frame's whole ``registry.snapshot()``.
         self.metrics: dict = {}
-        #: Latest flat role stats (queue depth, rounds, breaker states...).
+        #: The latest frame's role record (queue keys, rounds, intervals...).
         self.stats: dict = {}
-        #: Latest full leadership-interval list (BDN roles only).
-        self.intervals: list = []
         self.frames = 0
         # Window baselines, reset at every close_window().
         self._window_metrics: dict = {}
@@ -108,9 +124,7 @@ class ProcessView:
 
     def fold(self, frame: dict) -> None:
         self.metrics = frame.get("metrics") or {}
-        self.stats.update(frame.get("stats") or {})
-        if frame.get("intervals") is not None:
-            self.intervals = frame["intervals"]
+        self.stats = frame.get("stats") or {}
         if "wall_offset" in frame:
             self.wall_offset = float(frame["wall_offset"])
         self.frames += 1
@@ -205,27 +219,22 @@ class RollingClusterView:
 
     def leadership_intervals(self) -> list[tuple[str, float, float, float]]:
         """Wall-clock-rebased ``(member, term, start, until)`` rows."""
-        merged = []
-        for view in self.processes.values():
-            name = view.stats.get("name", view.role)
-            for term, start, until in view.intervals:
-                merged.append(
-                    (name, float(term), start + view.wall_offset, until + view.wall_offset)
-                )
-        return sorted(merged, key=lambda row: row[2])
+        return rebased_intervals(
+            (view.stats, view.wall_offset) for view in self.processes.values()
+        )
 
     def merged_snapshot(self) -> dict:
         """The rolling cluster view as one merged telemetry snapshot.
 
         Same shape as :func:`repro.obs.cluster.merge_process_snapshots`
-        over exit reports -- but built from the *live* stream, so it is
-        available while the run is still going.
+        over final frames -- but without their rings, and available
+        while the run is still going.
         """
         parts = [
             {
                 "label": view.label,
                 "wall_offset": view.wall_offset,
-                "snapshot": {"version": 1, "metrics": view.metrics, "rings": {}},
+                "snapshot": {"metrics": view.metrics},
             }
             for view in self.processes.values()
         ]

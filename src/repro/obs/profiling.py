@@ -13,7 +13,7 @@ current frame via ``sys._current_frames()``, and walks it into a
 * :meth:`attribution` -- a per-subsystem CPU attribution table
   (samples bucketed by the innermost ``repro.*`` module on the stack),
   so "where does the load generator spend its time" is a table in the
-  exit report, not a guess.
+  worker's final frame (its exit report), not a guess.
 
 Cost model: **zero when off** -- nothing is constructed, no signal
 handlers are installed, no thread exists.  When on, the sampler runs in
@@ -141,7 +141,7 @@ class SamplingProfiler:
         }
 
     def report(self) -> dict:
-        """JSON-serialisable exit-report block."""
+        """JSON-serialisable block of a worker's final frame."""
         elapsed = None
         if self.started_at is not None:
             end = self.stopped_at if self.stopped_at is not None else time.monotonic()

@@ -104,7 +104,7 @@ class SpanEvent:
             trace_id=str(payload["trace_id"]),
             hop=int(payload.get("hop", 0)),  # type: ignore[arg-type]
             detail=normalise_detail(dict(detail)),  # type: ignore[call-overload]
-            seq=int(payload.get("seq", 0)),  # type: ignore[arg-type]
+            seq=int(payload["seq"]),  # type: ignore[arg-type]
         )
 
 

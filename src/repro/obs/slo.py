@@ -1,16 +1,18 @@
 """Live SLO monitoring: continuous soak invariants with burn-rate budgets.
 
-PR 8 checked the soak invariants **once**, on the collected exit
-reports.  The :class:`SloMonitor` evaluates the same predicates
-(:mod:`repro.core.invariants`; docs/PROTOCOL.md "Soak invariants")
+The exit verdict (:mod:`repro.cluster.report`) checks the soak
+invariants once, on each worker's final frame.  The :class:`SloMonitor`
+evaluates the same predicates (:mod:`repro.core.invariants`;
+docs/PROTOCOL.md "Soak invariants") over the same record keys,
 continuously against the :class:`~repro.obs.live.RollingClusterView`,
 in fixed wall-clock windows, so a violation surfaces within one window
 of its occurrence:
 
 * **Hard invariants** fire in the window that saw them -- a failed
-  discovery, a BDN's queue bounds or a stale dissemination target read
-  from its frames (a BDN whose frames carry no queue stats is a
-  ``no_evidence`` violation, not a healthy zero), and any overlap
+  discovery, a BDN's queue bounds (read with
+  :func:`~repro.core.invariants.queue_stats`, like the exit verdict: a
+  BDN whose record has no queue keys is a ``no_evidence`` violation,
+  not a healthy zero) or a stale dissemination target, and any overlap
   between leadership intervals on the rebased wall-clock axis.
 * **The latency SLO** is budgeted, not hard: a single window whose
   rolling p99 (from the sliding-window histogram deltas) breaches the
@@ -33,10 +35,10 @@ from dataclasses import asdict, dataclass
 
 from repro.core.invariants import (
     LIVE_ELECTION_EPS,
-    QueueStats,
     election_safety,
     latency_bound,
     queue_bounds,
+    queue_stats,
     stale_targets,
     zero_failed,
 )
@@ -52,25 +54,24 @@ _CUMULATIVE = frozenset({"election_safety", "queue_capacity", "no_evidence"})
 
 @dataclass
 class SloConfig:
-    """What the monitor holds the cluster to, per evaluation window."""
+    """What the monitor holds the cluster to, per evaluation window.
+
+    :meth:`ClusterSpec.slo_config <repro.cluster.spec.ClusterSpec.slo_config>`
+    is where its values come from; a BDN's queue capacity is in its own
+    record.
+    """
 
     #: Evaluation window length, wall-clock seconds.
-    window: float = 5.0
-    #: Ingress queue hard bound (the spec's ``queue_capacity``).
-    queue_capacity: int = 32
+    window: float
     #: Rolling p99 bound for client-observed discovery time, seconds.
-    p99_bound: float = 3.0
+    p99_bound: float
     #: Fraction of windows allowed to breach the p99 bound before the
     #: error budget is exhausted.
-    latency_budget: float = 0.25
+    latency_budget: float
 
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ValueError(f"window must be positive, got {self.window}")
-        if not 0.0 <= self.latency_budget <= 1.0:
-            raise ValueError(
-                f"latency_budget is a fraction, got {self.latency_budget}"
-            )
 
 
 @dataclass
@@ -98,8 +99,8 @@ class SloViolation:
 class SloMonitor:
     """Continuous window-by-window evaluation of the soak invariants."""
 
-    def __init__(self, config: SloConfig | None = None, clock=time.time) -> None:
-        self.config = config or SloConfig()
+    def __init__(self, config: SloConfig, clock=time.time) -> None:
+        self.config = config
         self._clock = clock
         self.started_at: float | None = None
         self.windows_evaluated = 0
@@ -182,7 +183,7 @@ class SloMonitor:
                 # the discovery.failed metric (the requester cannot know
                 # the process is draining), but a drain abort is not a
                 # failure (core.invariants.recorded) -- the monitor must
-                # agree with the exit report or every clean run ends on
+                # agree with the exit verdict or every clean run ends on
                 # a spurious violation in its final flushed window.
                 row_rounds = stats.get("rounds", 0)
                 failed = stats["failures"]
@@ -197,18 +198,12 @@ class SloMonitor:
                 label, failed, f"{failed} discovery round(s) failed in this window"
             )
             if row["role"].partition(":")[0] == "bdn":
-                # Peak and depth are gauges; overflows and stale targets
-                # are this window's increments, so each fires in the
-                # window where it happened.
-                gauges = row["gauges"]
-                queue = None
-                if "queue_max_depth" in gauges:
-                    queue = QueueStats(
-                        config.queue_capacity,
-                        gauges["queue_max_depth"],
-                        gauges.get("queue_depth", 0),
-                        stats.get("queue_overflows", 0),
-                    )
+                # Capacity, peak and depth are levels; overflows and
+                # stale targets are this window's increments, so each
+                # fires in the window where it happened.
+                queue = queue_stats(row["gauges"])
+                if queue is not None:
+                    queue = queue._replace(overflows=stats.get("queue_overflows", 0))
                 breaches += queue_bounds(label, queue)
                 breaches += stale_targets(label, stats.get("stale_targets", 0))
             hist = row["histograms"].get("discovery.total_time")

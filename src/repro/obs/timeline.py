@@ -9,14 +9,12 @@ id: ``request_sent`` opens a run and ``discover_done`` closes it; a
 broker's leg is ``discovery_response`` (or ``…_suppressed``) and, at
 the requester, ``response_received`` or ``late``.
 
-Ordering: events sort by ``(time, emission seq, causal rank, node)``.
-The emission sequence is shared across all recorders of one world, so
-same-instant events (common in the simulator, where several hops can
-share one virtual timestamp) keep the order they actually happened in.
-The causal rank is the fallback for events without sequence numbers
-(hand-built fixtures, legacy snapshots): it breaks ties the way the
-protocol flows (a ``request_sent`` precedes the matching ``recv``; an
-``enqueue`` precedes its ``dequeue``).
+Ordering: events sort by ``(time, emission seq, node)``.  The emission
+sequence is shared across all recorders of one world, so same-instant
+events (common in the simulator, where several hops can share one
+virtual timestamp) keep the order they actually happened in; a merged
+cluster snapshot strides each process's sequence apart
+(:func:`repro.obs.cluster.merge_process_snapshots`).
 
 The requester emits a ``phase`` span at exactly the points it calls
 :meth:`PhaseTimer.begin <repro.discovery.phases.PhaseTimer.begin>`,
@@ -42,29 +40,6 @@ __all__ = [
     "render_ascii",
 ]
 
-#: Same-timestamp tiebreak, in protocol-flow order.
-_CAUSAL_RANK: dict[str, int] = {
-    "phase": 0,
-    "send": 1,
-    "request_sent": 1,
-    "request_multicast": 1,
-    "request_cached_targets": 1,
-    "bdn_busy": 2,
-    "bdn_catchup_refused": 3,
-    "inject": 4,
-    "recv": 5,
-    "response_received": 5,
-    "bdn_busy_received": 5,
-    "enqueue": 6,
-    "dequeue": 7,
-    "dup_suppressed": 8,
-    "discovery_response_suppressed": 9,
-    "discovery_response": 10,
-    "late": 11,
-    "discover_done": 12,
-    "discover_failed": 12,
-}
-
 #: A run opens with a phase or a transmission and closes with one of two facts.
 _OPENS = frozenset({"phase", "send", "request_sent", "request_multicast", "request_cached_targets"})
 _CLOSES = frozenset({"discover_done", "discover_failed"})
@@ -77,8 +52,8 @@ def normalize_trace_id(raw: str) -> str:
     return raw.partition("#")[0]
 
 
-def _sort_key(event: SpanEvent) -> tuple[float, int, int, str]:
-    return (event.time, event.seq, _CAUSAL_RANK.get(event.event, 50), event.node)
+def _sort_key(event: SpanEvent) -> tuple[float, int, str]:
+    return (event.time, event.seq, event.node)
 
 
 def merge_events(

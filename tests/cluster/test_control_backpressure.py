@@ -5,9 +5,11 @@ against fake worker sockets (no subprocesses), pinning the routing
 contract of the streaming telemetry plane: ``telemetry`` frames are
 consumed by the handler on the reader thread and never enter the inbox,
 so a coordinator blocked in ``wait_for`` cannot be starved or handed the
-wrong message by a telemetry flood.  One test dials a booted
-:class:`~repro.cluster.worker.Worker` in: each of its frames carries the
-whole registry, so any single frame rebuilds the process's view.
+wrong message by a telemetry flood, and a worker's final frame (its exit
+report) is read off the wire before shutdown closes the server.  One
+test dials a booted :class:`~repro.cluster.worker.Worker` in: each of
+its frames carries the whole registry, so any single frame rebuilds the
+process's view.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import time
 
 import pytest
 
-from repro.cluster.coordinator import _ControlServer
+from repro.cluster.coordinator import ClusterHarness, _ControlServer
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.worker import Worker
 from repro.obs.live import LiveTelemetry, RollingClusterView
-from repro.obs.slo import SloConfig, SloMonitor
+from repro.obs.slo import SloMonitor
 
 
 class FakeWorker:
@@ -141,7 +143,7 @@ class TestSnapshotFrames:
     def test_second_frame_holds_whole_registry(self):
         # The coordinator folds only the worker's second frame into a
         # fresh view; that view must still hold every registry metric.
-        live = LiveTelemetry(SloMonitor(SloConfig()))
+        live = LiveTelemetry(SloMonitor(ClusterSpec().slo_config()))
         frames: list[dict] = []
 
         def on_telemetry(frame: dict):
@@ -153,7 +155,7 @@ class TestSnapshotFrames:
         async def two_frames() -> dict:
             spec = ClusterSpec(n_bdns=1)
             spec.assign_ports()
-            worker = Worker(spec, "bdn:0", cold=True, report_path="unused")
+            worker = Worker(spec, "bdn:0", cold=True)
             worker.boot()
             try:
                 await worker.rt.ready()
@@ -184,3 +186,35 @@ class TestSnapshotFrames:
         view = RollingClusterView()
         view.fold(frames[1])
         assert view.processes["bdn:0#0"].metrics == registry
+
+
+class TestFinalFrames:
+    def test_large_final_frame_survives_an_immediate_close(self, tmp_path):
+        # A worker sends its exit report as one large frame and exits at
+        # once, while the reader is still folding the frame before it;
+        # shutdown must read the report off the wire before it closes
+        # the server.
+        harness = ClusterHarness(ClusterSpec(n_bdns=1), str(tmp_path))
+
+        def slow_fold(frame: dict) -> None:
+            if not frame.get("final"):
+                time.sleep(0.5)
+            harness.on_frame(frame)
+
+        harness.control = _ControlServer("127.0.0.1", on_telemetry=slow_fold)
+        harness.spawned += ["load#0", "broker:0#0"]
+        final = {
+            **telemetry("load", 1), "final": True, "wall_offset": 0.0,
+            "rings": {"c0": {"events": [], "pad": "x" * (256 * 1024)}},
+        }
+        worker = FakeWorker(harness.control, "load")
+        harness.wait_ready(["load"], timeout=5)
+        worker.send(telemetry("load", 0))
+        worker.send(final)
+        worker.close()
+        harness.shutdown()
+        frames, missing = harness.collect()
+        assert missing == ["broker:0#0"]  # spawned, never sent a final frame
+        (frame,) = frames
+        assert frame["label"] == "load#0"
+        assert frame["rings"] == final["rings"]

@@ -2,19 +2,19 @@
 
 These tests spawn real worker processes over loopback sockets, so they
 are the slowest in the suite; one small cluster run is shared by a
-module fixture and every assertion reads its collected wreckage.
+module fixture and every assertion reads its collected wreckage: each
+incarnation's final telemetry frame.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
 
 from repro.cluster.coordinator import ClusterHarness
 from repro.cluster.report import check_invariants
-from repro.cluster.spec import DRAIN_DEADLINE, ClusterSpec
+from repro.cluster.spec import DRAIN_DEADLINE, WARMUP, ClusterSpec
 
 
 @pytest.fixture(scope="module")
@@ -32,30 +32,29 @@ def run(tmp_path_factory):
     workdir = str(tmp_path_factory.mktemp("cluster"))
     harness = ClusterHarness(spec, workdir)
     harness.start()
-    time.sleep(2.5)  # two heartbeat intervals: both brokers registered
+    time.sleep(WARMUP)  # both brokers registered
     harness.start_load()
     done = harness.wait_load_done(timeout=30)
 
-    # Satellite: SIGTERM is a graceful drain -- the worker finishes
-    # in-flight responses, withdraws its registration, writes its exit
-    # report, and exits 0 within the deadline (drain() asserts the code).
+    # SIGTERM is a graceful drain -- the worker finishes in-flight
+    # responses, withdraws its registration, sends its final frame, and
+    # exits 0 within the deadline (drain() asserts the code).
     drain_started = time.monotonic()
     code = harness.injector.drain("broker:0")
     drain_elapsed = time.monotonic() - drain_started
 
-    # SIGKILL is the crash path: no report is ever written.
+    # SIGKILL is the crash path: no final frame is ever sent.
     harness.injector.crash("broker:1")
 
     codes = harness.shutdown()
-    reports, missing = harness.collect()
+    frames, missing = harness.collect()
     return {
         "spec": spec,
-        "harness": harness,
         "done": done,
         "drain_code": code,
         "drain_elapsed": drain_elapsed,
         "codes": codes,
-        "reports": {r["label"]: r for r in reports},
+        "reports": {f["label"]: f for f in frames},
         "missing": missing,
         "live": harness.live.summary(),
     }
@@ -67,23 +66,25 @@ class TestGracefulDrain:
         assert run["drain_elapsed"] < DRAIN_DEADLINE + 5.0
 
     def test_report_written_with_no_pending_responses(self, run):
-        broker = run["reports"]["broker:0#0"]["broker"]
+        broker = run["reports"]["broker:0#0"]["stats"]
         assert broker["name"] == "b0"
-        assert broker["pending_at_exit"] == 0
+        assert broker["pending_responses"] == 0
 
     def test_registration_withdrawn_on_the_way_out(self, run):
         # One lease-expiring withdrawal advertisement per BDN endpoint.
-        broker = run["reports"]["broker:0#0"]["broker"]
+        broker = run["reports"]["broker:0#0"]["stats"]
         assert broker["withdrawals_sent"] == run["spec"].n_bdns
 
-    def test_report_is_valid_json_on_disk(self, run):
-        path = run["harness"].report_path("broker:0", 0)
-        with open(path, encoding="utf-8") as fh:
-            assert json.load(fh)["role"] == "broker:0"
+    def test_final_frame_carries_the_exit_fields(self, run):
+        frame = run["reports"]["broker:0#0"]
+        assert (frame["type"], frame["role"], frame["final"]) == ("telemetry", "broker:0", True)
+        assert frame["pid"] > 0 and frame["cold"] is False
+        assert frame["rings"] and frame["metrics"]
 
 
 class TestCrash:
     def test_sigkilled_worker_loses_its_report(self, run):
+        # The label of an incarnation that never sent a final frame.
         assert run["missing"] == ["broker:1#0"]
         assert "broker:1#0" not in run["reports"]
 
@@ -109,12 +110,15 @@ class TestRun:
 
 class TestLiveTelemetryPlane:
     def test_every_surviving_worker_streamed_frames(self, run):
-        for label, report in run["reports"].items():
-            assert report["telemetry_frames_sent"] >= 1, label
+        # Each collected report is a final frame; the load worker ran
+        # long enough to stream frames before it.
+        for label, frame in run["reports"].items():
+            assert frame["final"] is True, label
+        assert run["live"]["frames_folded"] > len(run["reports"])
 
     def test_coordinator_folded_every_reporter(self, run):
-        # Every worker that wrote a report reached the coordinator's
-        # rolling view: its frames were received and folded.
+        # Every worker's final frame also reached the coordinator's
+        # rolling view: the report and the live fold are one frame.
         assert set(run["reports"]) <= set(run["live"]["processes"])
 
     def test_rolling_view_saw_every_process(self, run):

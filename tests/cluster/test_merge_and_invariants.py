@@ -1,4 +1,4 @@
-"""Cross-process telemetry merge and the collect-side soak invariants."""
+"""Cross-process telemetry merge and the soak invariants over final frames."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from repro.cluster.report import (
 from repro.cluster.spec import ADMISSION_WATERMARK, P99_BOUND, ClusterSpec
 from repro.cluster.worker import Worker
 from repro.core.config import BDNConfig
+from repro.core.invariants import QueueStats, queue_record, queue_stats
 from repro.discovery.chaos import _check_overload
 from repro.obs.cluster import SEQ_STRIDE, merge_process_snapshots
 from repro.obs.live import RollingClusterView
@@ -170,24 +171,24 @@ class TestMergeSnapshots:
         assert merged["metrics"]["g"]["gauge_conflicts"] == 1  # a==b, c differs
 
 
-def bdn_report(name, intervals, wall_offset=0.0, **queue):
-    defaults = {"capacity": 32, "max_depth": 0, "depth": 0, "overflows": 0, "shed": 0}
-    defaults.update(queue)
-    return {
-        "role": "bdn:x",
-        "label": f"{name}#0",
-        "wall_offset": wall_offset,
-        "bdn": {
-            "name": name,
-            "leadership_intervals": intervals,
-            "stale_targets": 0,
-            "queue": defaults,
-        },
+def final_frame(role, stats, wall_offset=0.0, **extra):
+    """A worker's final frame as collect() returns it."""
+    return {"role": role, "label": f"{role}#0", "wall_offset": wall_offset, "stats": stats, **extra}
+
+
+def bdn_frame(name, intervals, wall_offset=0.0, **queue):
+    reading = {"capacity": 32, "max_depth": 0, "depth": 0, "overflows": 0, **queue}
+    stats = {
+        "name": name,
+        "intervals": intervals,
+        "stale_targets": 0,
+        **queue_record(QueueStats(**reading)),
     }
+    return final_frame(f"bdn:{name}", stats, wall_offset)
 
 
-def load_report(rounds):
-    return {"role": "load", "label": "load#0", "wall_offset": 0.0, "load": {"rounds": rounds}}
+def load_frame(rounds):
+    return final_frame("load", {}, rounds=rounds)
 
 
 def ok_round(i, total=0.1):
@@ -206,47 +207,47 @@ class TestElectionSafety:
     """Intervals reach the predicate by member name, rebased onto the
     wall clock, judged with the live epsilon."""
 
-    def names(self, *bdn_reports):
-        reports = [*bdn_reports, load_report([ok_round(0)])]
-        return invariant_names(check_invariants(ClusterSpec(), reports))
+    def names(self, *bdn_frames):
+        frames = [*bdn_frames, load_frame([ok_round(0)])]
+        return invariant_names(check_invariants(ClusterSpec(), frames))
 
     def test_disjoint_leaderships_are_safe(self):
         assert self.names(
-            bdn_report("d0", [[1.0, 0.0, 5.0]]), bdn_report("d1", [[2.0, 5.2, 9.0]])
+            bdn_frame("d0", [[1.0, 0.0, 5.0]]), bdn_frame("d1", [[2.0, 5.2, 9.0]])
         ) == []
 
     def test_overlap_between_members_is_a_violation(self):
         assert self.names(
-            bdn_report("d0", [[1.0, 0.0, 5.0]]), bdn_report("d1", [[2.0, 4.0, 9.0]])
+            bdn_frame("d0", [[1.0, 0.0, 5.0]]), bdn_frame("d1", [[2.0, 4.0, 9.0]])
         ) == ["election_safety"]
 
     def test_same_member_may_overlap_itself(self):
         # Two incarnations of one member (a respawn) report under one
         # name: their consecutive terms can't violate safety.
         assert self.names(
-            bdn_report("d0", [[1.0, 0.0, 5.0]]), bdn_report("d0", [[2.0, 4.0, 9.0]])
+            bdn_frame("d0", [[1.0, 0.0, 5.0]]), bdn_frame("d0", [[2.0, 4.0, 9.0]])
         ) == []
 
     def test_sub_epsilon_handoff_tolerated(self):
         assert self.names(
-            bdn_report("d0", [[1.0, 0.0, 5.0]]), bdn_report("d1", [[2.0, 4.97, 9.0]])
+            bdn_frame("d0", [[1.0, 0.0, 5.0]]), bdn_frame("d1", [[2.0, 4.97, 9.0]])
         ) == []
 
     def test_wall_offsets_rebase_intervals(self):
         # 2s of leadership at local t in [1, 3), process born 10s later:
         # on the wall axis the two never overlap.
-        reports = [
-            bdn_report("d0", [[1.0, 1.0, 3.0]], wall_offset=100.0),
-            bdn_report("d1", [[2.0, 1.0, 3.0]], wall_offset=110.0),
+        frames = [
+            bdn_frame("d0", [[1.0, 1.0, 3.0]], wall_offset=100.0),
+            bdn_frame("d1", [[2.0, 1.0, 3.0]], wall_offset=110.0),
         ]
-        merged = merge_leadership_intervals(reports)
+        merged = merge_leadership_intervals(frames)
         assert merged[0][2:] == (101.0, 103.0)
         assert merged[1][2:] == (111.0, 113.0)
-        assert self.names(*reports) == []
+        assert self.names(*frames) == []
 
 
 class TestInvariants:
-    """The exit-report adapter: report dicts in, formatted verdict out.
+    """The exit verdict: final frames in, formatted verdict out.
 
     The predicates themselves are tested in tests/core/test_invariants.py.
     """
@@ -255,69 +256,71 @@ class TestInvariants:
         return ClusterSpec()
 
     def bdn(self, **queue):
-        return bdn_report("d0", [[1.0, 0.0, 4.0]], **queue)
+        return bdn_frame("d0", [[1.0, 0.0, 4.0]], **queue)
 
     def test_clean_run_has_no_violations(self):
-        reports = [self.bdn(), load_report([ok_round(0), ok_round(1)])]
-        assert check_invariants(self.spec(), reports) == []
+        frames = [self.bdn(), load_frame([ok_round(0), ok_round(1)])]
+        assert check_invariants(self.spec(), frames) == []
 
     def test_failed_discovery_reported(self):
         bad = dict(ok_round(3), success=False, selected=None)
-        violations = check_invariants(self.spec(), [self.bdn(), load_report([bad])])
+        violations = check_invariants(self.spec(), [self.bdn(), load_frame([bad])])
         assert violations == [
             "zero_failed_discoveries (c0): round 3 (u3) failed via 'bdn'"
         ]
 
     def test_aborted_rounds_excluded(self):
         aborted = dict(ok_round(3), success=False, aborted=True)
-        reports = [self.bdn(), load_report([ok_round(0), aborted])]
-        assert check_invariants(self.spec(), reports) == []
+        frames = [self.bdn(), load_frame([ok_round(0), aborted])]
+        assert check_invariants(self.spec(), frames) == []
 
     def test_empty_run_is_a_violation(self):
         # No rounds, no latencies, and a replicated spec nobody led.
         assert invariant_names(check_invariants(self.spec(), [])) == ["no_evidence"] * 3
 
     def test_queue_overflow_reported(self):
-        reports = [self.bdn(max_depth=40, capacity=32), load_report([ok_round(0)])]
-        assert invariant_names(check_invariants(self.spec(), reports)) == ["queue_capacity"]
-        reports = [self.bdn(overflows=2, depth=9), load_report([ok_round(0)])]
-        assert invariant_names(check_invariants(self.spec(), reports)) == [
+        frames = [self.bdn(max_depth=40, capacity=32), load_frame([ok_round(0)])]
+        assert invariant_names(check_invariants(self.spec(), frames)) == ["queue_capacity"]
+        frames = [self.bdn(overflows=2, depth=9), load_frame([ok_round(0)])]
+        assert invariant_names(check_invariants(self.spec(), frames)) == [
             "queue_overflow",
             "queue_watermark",
         ]
 
     def test_stale_targets_reported(self):
-        report = self.bdn()
-        report["bdn"]["stale_targets"] = 2
-        violations = check_invariants(self.spec(), [report, load_report([ok_round(0)])])
+        frame = self.bdn()
+        frame["stats"]["stale_targets"] = 2
+        violations = check_invariants(self.spec(), [frame, load_frame([ok_round(0)])])
         assert invariant_names(violations) == ["stale_targets"]
 
     def test_absent_queue_evidence_is_a_violation(self):
-        # A worker whose BDN has no ingress queue reports "queue": null;
-        # that is missing evidence, not a queue that stayed at zero.
-        async def boot_and_report():
+        # A worker whose BDN has no ingress queue sends no queue keys in
+        # its record; that is missing evidence, not a queue that stayed
+        # at zero.
+        async def boot_and_record():
             spec = self.spec()
             spec.assign_ports()
-            worker = Worker(spec, "bdn:0", cold=True, report_path="unused")
+            worker = Worker(spec, "bdn:0", cold=True)
             worker.boot()
             try:
                 await worker.rt.ready()
                 worker.bdn.ingress = None  # booted without the spec's service model
-                return worker.build_report()
+                return worker.record()
             finally:
                 await worker.rt.aclose()
 
-        report = asyncio.run(boot_and_report())
-        assert report["bdn"]["queue"] is None
-        violations = check_invariants(self.spec(), [report, load_report([ok_round(0)])])
+        stats = asyncio.run(boot_and_record())
+        assert queue_stats(stats) is None
+        frames = [final_frame("bdn:0", stats), load_frame([ok_round(0)])]
+        violations = check_invariants(self.spec(), frames)
         assert [v for v in violations if "queue" in v] == [
-            "no_evidence (d0): no ingress-queue evidence"
+            "no_evidence (bdn:0#0): no ingress-queue evidence"
         ]
 
     def test_absent_queue_evidence_is_loud_on_all_three_paths(self, monkeypatch):
-        # A BDN built without a ServiceConfig: its telemetry frames must
-        # omit the queue keys (not send zeros), and the live monitor, the
-        # exit report and the chaos check must all say ``no_evidence``.
+        # A BDN built without a ServiceConfig: its record must omit the
+        # queue keys (not send zeros), and the live monitor, the exit
+        # verdict and the chaos check must all say ``no_evidence``.
         monkeypatch.setattr(
             ClusterSpec, "bdn_config", lambda self: BDNConfig(injection="all")
         )
@@ -325,7 +328,7 @@ class TestInvariants:
         async def boot():
             spec = self.spec()
             spec.assign_ports()
-            worker = Worker(spec, "bdn:0", cold=True, report_path="unused")
+            worker = Worker(spec, "bdn:0", cold=True)
             worker.boot()
             try:
                 await worker.rt.ready()
@@ -338,11 +341,11 @@ class TestInvariants:
                     ),
                     chaos,
                 )
-                return worker.live_stats(), worker.build_report(), chaos
+                return worker.record(), chaos
             finally:
                 await worker.rt.aclose()
 
-        stats, report, chaos = asyncio.run(boot())
+        stats, chaos = asyncio.run(boot())
         assert not [key for key in stats if key.startswith("queue_")]
 
         now = [0.0]
@@ -356,28 +359,27 @@ class TestInvariants:
         now[0] *= 2
         assert monitor.maybe_evaluate(view) == []  # said once, not every window
 
-        # (The exit report also misses the leadership this unreplicated
+        # (The exit verdict also misses the leadership this unreplicated
         # BDN never logged; the queue verdict is the one compared here.)
-        exit_report = [
-            v
-            for v in check_invariants(self.spec(), [report, load_report([ok_round(0)])])
-            if "queue" in v
-        ]
-        assert invariant_names(exit_report) == ["no_evidence"] == invariant_names(chaos)
-        assert live.detail in exit_report[0] and live.detail in chaos[0]
+        frames = [final_frame("bdn:0", stats), load_frame([ok_round(0)])]
+        at_exit = [v for v in check_invariants(self.spec(), frames) if "queue" in v]
+        assert invariant_names(at_exit) == ["no_evidence"] == invariant_names(chaos)
+        # One record read one way: the same subject and words at exit and live.
+        assert at_exit == [f"{live.invariant} ({live.process}): {live.detail}"]
+        assert live.detail in chaos[0]
 
     def test_p99_bound_enforced(self):
         slow = ok_round(0, total=P99_BOUND + 0.5)
-        violations = check_invariants(self.spec(), [self.bdn(), load_report([slow])])
+        violations = check_invariants(self.spec(), [self.bdn(), load_frame([slow])])
         assert invariant_names(violations) == ["p99_bound"]
 
     def test_summary_shape(self):
         spec = self.spec()
-        reports = [
-            bdn_report("d0", [[1.0, 0.0, 4.0]]),
-            load_report([ok_round(0), ok_round(1, total=0.3)]),
+        frames = [
+            bdn_frame("d0", [[1.0, 0.0, 4.0]]),
+            load_frame([ok_round(0), ok_round(1, total=0.3)]),
         ]
-        summary = summarize(spec, reports, ["bdn:1#0"], [(1.0, "crash", "bdn:1")])
+        summary = summarize(spec, frames, ["bdn:1#0"], [(1.0, "crash", "bdn:1")])
         assert summary["rounds"] == 2
         assert summary["failures"] == 0
         assert summary["latency"]["max"] == 0.3

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster.spec import (
     ADMISSION_WATERMARK,
     P99_BOUND,
-    QUEUE_CAPACITY,
     SLO_LATENCY_BUDGET,
     ClusterSpec,
     derive_schedule,
@@ -126,7 +125,6 @@ class TestTelemetryPlane:
     def test_slo_config_mirrors_the_spec(self):
         config = ClusterSpec(slo_window=3.0).slo_config()
         assert config.window == 3.0
-        assert config.queue_capacity == QUEUE_CAPACITY
         assert config.p99_bound == P99_BOUND
         assert config.latency_budget == SLO_LATENCY_BUDGET
 

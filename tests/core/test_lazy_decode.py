@@ -40,32 +40,37 @@ _REQUEST = DiscoveryRequest(
 )
 
 
+def materialized(lazy: LazyMessage) -> bool:
+    """Whether the full decode has already happened."""
+    return lazy._message is not None
+
+
 class TestLaziness:
     def test_construction_does_not_materialize(self):
         lazy = lazy_decode(encode_message(_REQUEST))
         assert isinstance(lazy, LazyMessage)
         assert lazy.tag == DiscoveryRequest.kind
-        assert not lazy.materialized
+        assert not materialized(lazy)
 
     def test_request_uuid_does_not_materialize(self):
         lazy = lazy_decode(encode_message(_REQUEST))
         assert lazy.request_uuid == _REQUEST.uuid
-        assert not lazy.materialized
+        assert not materialized(lazy)
 
     def test_request_key_does_not_materialize(self):
         lazy = lazy_decode(encode_message(_REQUEST))
         assert lazy.request_key() == (_REQUEST.uuid, _REQUEST.attempt)
-        assert not lazy.materialized
+        assert not materialized(lazy)
 
     def test_request_key_works_on_traced_request(self):
         lazy = lazy_decode(encode_message(replace(traced(_REQUEST), trace_hop=5)))
         assert lazy.request_key() == (_REQUEST.uuid, _REQUEST.attempt)
-        assert not lazy.materialized
+        assert not materialized(lazy)
 
     def test_field_access_materializes_and_caches(self):
         lazy = lazy_decode(encode_message(_REQUEST))
         assert lazy.realm == _REQUEST.realm
-        assert lazy.materialized
+        assert materialized(lazy)
         assert lazy.message is lazy.message  # cached, not re-decoded
         assert lazy.message == _REQUEST
 
@@ -82,13 +87,13 @@ class TestLaziness:
         ping = PingRequest(uuid="p-1", sent_at=1.0, reply_host="h", reply_port=2)
         lazy = lazy_decode(encode_message(ping))
         assert lazy.request_uuid == "p-1"
-        assert not lazy.materialized
+        assert not materialized(lazy)
 
     def test_non_uuid_first_tag_falls_back_to_materialization(self):
         claim = LeaseClaim(group="g", candidate="c", term=1, duration=2.0, sent_at=3.0)
         lazy = lazy_decode(encode_message(claim))
         assert lazy.request_uuid == ""  # LeaseClaim has no uuid field
-        assert lazy.materialized
+        assert materialized(lazy)
 
 
 class TestErrors:

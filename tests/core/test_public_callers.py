@@ -5,9 +5,11 @@ function, or a method (property included) of a module-level class -- is
 public surface.  It has a caller if its name is *used in code* in
 ``src/``, ``examples/`` or ``benchmarks/``: read or called as a name or
 an attribute, or spelled as a whole string that code hands to
-``getattr`` or a dispatch table.  An import does not count (an
-``__init__.py`` re-export is one), nor does an ``__all__`` entry or a
-docstring.  Surface only tests use is a setter or accessor nothing
+``getattr``/``hasattr``/``setattr`` or stores as a value of a dict
+literal (a dispatch table).  An import does not count (an
+``__init__.py`` re-export is one), nor does an ``__all__`` entry, a
+docstring or any other string: a label that happens to spell a def's
+name calls nothing.  Surface only tests use is a setter or accessor nothing
 needs (the fault setters ``Network`` lost to the shared fault table
 were such surface).
 
@@ -52,6 +54,10 @@ KEPT: dict[str, str] = {
     "NTPService.residual_error": "probe: the skew tests read the sync error it left",
     "ContentRouting.link_interests": (
         "probe: the content-routing tests read which interests crossed each link"
+    ),
+    "ClusterFaultInjector.crash": (
+        "fault probe: the one drill of the lost-report path (a SIGKILLed worker "
+        "sends no final frame), tests/cluster/test_harness_live.py"
     ),
 }
 
@@ -114,36 +120,31 @@ def public_defs(tree: ast.Module) -> list[tuple[str, str]]:
     ]
 
 
-def _prose(tree: ast.Module) -> set[int]:
-    """``id`` of every docstring and ``__all__`` string in ``tree``."""
-    skipped: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = node.body[0] if node.body else None
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
-                skipped.add(id(first.value))
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if any(_callee(target) == "__all__" for target in targets):
-                skipped.update(id(inner) for inner in ast.walk(node.value))
-    return skipped
+#: Builtins whose second argument names an attribute.
+_ATTRIBUTE_BUILTINS = frozenset({"getattr", "hasattr", "setattr"})
+
+
+def _strings(nodes) -> list[str]:
+    return [n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)]
 
 
 def used_names(trees: dict[str, ast.Module]) -> Counter:
-    """How often each name is used in code (imports, ``__all__`` and docstrings aside)."""
+    """How often each name is used in code: as a name, as an attribute, or
+    as a string given to ``getattr``/``hasattr``/``setattr`` or held as a
+    dict literal's value."""
     uses: Counter = Counter()
     for path, tree in trees.items():
         if not _scanned(path):
             continue
-        prose = _prose(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses[node.id] += 1
             elif isinstance(node, ast.Attribute):
                 uses[node.attr] += 1
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if id(node) not in prose:
-                    uses[node.value] += 1
+            elif isinstance(node, ast.Call) and _callee(node.func) in _ATTRIBUTE_BUILTINS:
+                uses.update(_strings(node.args[1:2]))
+            elif isinstance(node, ast.Dict):
+                uses.update(_strings(node.values))
     return uses
 
 
@@ -179,8 +180,10 @@ def test_kept_rows_are_live():
 
 
 def test_lint_sees_a_new_uncalled_method():
-    """A public method added with no caller is flagged; a called one, a
-    private one and one a benchmark calls are not."""
+    """A public method added with no caller is flagged, and so is one only
+    a plain label string spells; a called one, a private one, one a
+    benchmark calls, one a getattr string names and one a dispatch table
+    holds are not."""
     trees = _sources()
     trees["src/repro/probe_module.py"] = ast.parse(
         "class Probe:\n"
@@ -193,14 +196,22 @@ def test_lint_sees_a_new_uncalled_method():
         "        return 2\n"
         "    def probe_dispatched(self):\n"
         "        return 3\n"
+        "    def probe_tabled(self):\n"
+        "        return 4\n"
+        "    def probe_labelled(self):\n"
+        "        return 5\n"
+        "TABLE = {'key': 'probe_tabled'}\n"
         "def probe_helper():\n"
-        "    return getattr(Probe(), 'probe_dispatched'), Probe().probe_only_tests_call\n"
+        "    label = 'probe_labelled'\n"
+        "    return getattr(Probe(), 'probe_dispatched'), Probe().probe_only_tests_call, label\n"
     )
     trees["benchmarks/probe_bench.py"] = ast.parse("print(Probe().probe_benchmark_reads)\n")
     orphans = uncalled(trees)
     assert orphans["probe_helper"] == "src/repro/probe_module.py"
     assert "Probe.probe_only_tests_call" not in orphans  # probe_helper reads it
     assert "Probe.probe_dispatched" not in orphans  # a getattr string is a use
+    assert "Probe.probe_tabled" not in orphans  # so is a dispatch-table value
+    assert orphans["Probe.probe_labelled"] == "src/repro/probe_module.py"  # a label is not
     assert "Probe.probe_benchmark_reads" not in orphans
     assert "Probe._probe_private" not in orphans
 

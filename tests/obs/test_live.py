@@ -9,7 +9,8 @@ from repro.obs.live import (
     quantile_from_buckets,
     render_top,
 )
-from repro.obs.slo import SloConfig, SloMonitor
+from repro.cluster.spec import ClusterSpec
+from repro.obs.slo import SloMonitor
 
 
 def counter(value: int) -> dict:
@@ -90,6 +91,15 @@ class TestRollingClusterView:
         view.fold(frame(metrics={"a": counter(3)}))
         assert process.metrics == {"a": counter(3)}
 
+    def test_a_frame_replaces_the_process_record(self):
+        # A key the last frame dropped is gone: a BDN that lost its queue
+        # keys must read as no evidence, not as its last queue reading.
+        view = RollingClusterView()
+        view.fold(frame(role="bdn:0", stats={"name": "d0", "queue_depth": 4}))
+        (process,) = view.processes.values()
+        view.fold(frame(role="bdn:0", stats={"name": "d0"}))
+        assert process.stats == {"name": "d0"}
+
     def test_window_counter_rates(self):
         view = RollingClusterView()
         view.fold(frame(metrics={"discovery.completed": counter(4)}))
@@ -114,16 +124,14 @@ class TestRollingClusterView:
         view.fold(
             frame(
                 role="bdn:0",
-                stats={"name": "d0"},
-                intervals=[[1, 0.0, 2.0]],
+                stats={"name": "d0", "intervals": [[1, 0.0, 2.0]]},
                 wall_offset=100.0,
             )
         )
         view.fold(
             frame(
                 role="bdn:1",
-                stats={"name": "d1"},
-                intervals=[[2, 0.5, 3.0]],
+                stats={"name": "d1", "intervals": [[2, 0.5, 3.0]]},
                 wall_offset=103.0,
             )
         )
@@ -144,13 +152,13 @@ class TestRollingClusterView:
         view = RollingClusterView()
         view.fold(frame(role="load", stats={"breaker_states": {"c0:d0": "open"}}))
         view.close_window(1.0)
-        text = render_top(view, SloMonitor(SloConfig()))
+        text = render_top(view, SloMonitor(ClusterSpec().slo_config()))
         assert "load#0" in text
         assert "1 open" in text
 
 
 def live_telemetry() -> LiveTelemetry:
-    return LiveTelemetry(SloMonitor(SloConfig()))
+    return LiveTelemetry(SloMonitor(ClusterSpec().slo_config()))
 
 
 class TestLiveTelemetry:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.spec import QUEUE_CAPACITY, ClusterSpec
+from repro.core.invariants import QueueStats, queue_record
 from repro.obs.live import RollingClusterView
-from repro.obs.slo import SloConfig, SloMonitor
+from repro.obs.slo import SloMonitor
 
 
 def counter(value: int) -> dict:
@@ -13,7 +15,8 @@ def counter(value: int) -> dict:
 
 
 def latency_hist(slow: int, fast: int) -> dict:
-    """A discovery.total_time histogram: `fast` under 0.1s, `slow` over 5s."""
+    """A discovery.total_time histogram: `fast` under 0.1s, `slow` over 5s
+    (the spec's p99 bound is 3s)."""
     return {
         "kind": "histogram",
         "value": {
@@ -33,36 +36,35 @@ class FakeClock:
         return self.now
 
 
-def make_monitor(**config) -> tuple[SloMonitor, RollingClusterView, FakeClock]:
+def make_monitor() -> tuple[SloMonitor, RollingClusterView, FakeClock]:
+    """A monitor over the spec's 5 s windows, 3 s p99 bound and 25 % budget."""
     clock = FakeClock()
-    monitor = SloMonitor(SloConfig(window=5.0, **config), clock=clock)
+    monitor = SloMonitor(ClusterSpec().slo_config(), clock=clock)
     monitor.start()
     return monitor, RollingClusterView(), clock
 
 
-#: A BDN frame's queue stats at rest; a BDN frame without them is a
+#: A BDN record's queue keys at rest; a BDN record without them is a
 #: ``no_evidence`` violation, so every BDN fixture starts from these.
-QUIET_QUEUE = {"queue_depth": 0, "queue_max_depth": 0, "queue_overflows": 0}
+QUIET_QUEUE = queue_record(QueueStats(QUEUE_CAPACITY, 0, 0, 0))
 
 
-def fold(view, role="load", incarnation=0, metrics=None, stats=None, **extra):
-    message = {
-        "role": role,
-        "incarnation": incarnation,
-        "wall_offset": 0.0,
-        "metrics": metrics or {},
-        "stats": stats or {},
-    }
-    message.update(extra)
-    view.fold(message)
+def fold(view, role="load", incarnation=0, metrics=None, stats=None):
+    view.fold(
+        {
+            "role": role,
+            "incarnation": incarnation,
+            "wall_offset": 0.0,
+            "metrics": metrics or {},
+            "stats": stats or {},
+        }
+    )
 
 
 class TestConfig:
     def test_rejects_nonsense(self):
         with pytest.raises(ValueError):
-            SloConfig(window=0.0)
-        with pytest.raises(ValueError):
-            SloConfig(latency_budget=1.5)
+            ClusterSpec(slo_window=0.0).slo_config()  # --slo-window is user input
 
 
 class TestWindowTiming:
@@ -135,13 +137,13 @@ class TestWindowTiming:
 
 class TestHardInvariants:
     def test_queue_capacity_breach_names_the_process(self):
-        monitor, view, clock = make_monitor(queue_capacity=32)
-        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "queue_max_depth": 33})
+        monitor, view, clock = make_monitor()
+        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "queue_max_depth": QUEUE_CAPACITY + 1})
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "queue_capacity"
         assert violation.process == "bdn:0#0"
-        assert "33" in violation.detail
+        assert str(QUEUE_CAPACITY + 1) in violation.detail
         clock.now = 10.0
         assert monitor.maybe_evaluate(view) == []  # a lifetime peak: said once
 
@@ -197,8 +199,8 @@ class TestHardInvariants:
 
     def test_election_overlap_fires_once(self):
         monitor, view, clock = make_monitor()
-        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0"}, intervals=[[1, 0.0, 4.0]])
-        fold(view, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1"}, intervals=[[2, 1.0, 3.0]])
+        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0", "intervals": [[1, 0.0, 4.0]]})
+        fold(view, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1", "intervals": [[2, 1.0, 3.0]]})
         clock.now = 5.0
         (violation,) = monitor.maybe_evaluate(view)
         assert violation.invariant == "election_safety"
@@ -207,15 +209,15 @@ class TestHardInvariants:
 
     def test_adjacent_leadership_is_fine(self):
         monitor, view, clock = make_monitor()
-        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0"}, intervals=[[1, 0.0, 2.0]])
-        fold(view, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1"}, intervals=[[2, 2.0, 4.0]])
+        fold(view, role="bdn:0", stats={**QUIET_QUEUE, "name": "d0", "intervals": [[1, 0.0, 2.0]]})
+        fold(view, role="bdn:1", stats={**QUIET_QUEUE, "name": "d1", "intervals": [[2, 2.0, 4.0]]})
         clock.now = 5.0
         assert monitor.maybe_evaluate(view) == []
 
 
 class TestLatencyBudget:
     def test_single_breach_burns_budget_without_violating(self):
-        monitor, view, clock = make_monitor(p99_bound=3.0, latency_budget=0.25)
+        monitor, view, clock = make_monitor()
         fold(view, metrics={"discovery.total_time": latency_hist(slow=5, fast=0)})
         clock.now = 5.0
         assert monitor.maybe_evaluate(view) == []  # burned, not failed
@@ -223,7 +225,7 @@ class TestLatencyBudget:
         assert monitor.budget_burned > 0
 
     def test_sustained_breach_exhausts_the_budget(self):
-        monitor, view, clock = make_monitor(p99_bound=3.0, latency_budget=0.25)
+        monitor, view, clock = make_monitor()
         slow = 0
         violations = []
         for window in range(1, 9):
@@ -241,7 +243,7 @@ class TestLatencyBudget:
         assert violations[0].window == 1
 
     def test_fast_windows_do_not_burn(self):
-        monitor, view, clock = make_monitor(p99_bound=3.0)
+        monitor, view, clock = make_monitor()
         fold(view, metrics={"discovery.total_time": latency_hist(slow=0, fast=50)})
         clock.now = 5.0
         assert monitor.maybe_evaluate(view) == []

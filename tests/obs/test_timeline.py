@@ -83,16 +83,6 @@ class TestCausalOrdering:
         merged = assemble(obs, TID).events
         assert [e.event for e in merged] == ["send", "recv", "discover_done"]
 
-    def test_rank_fallback_for_seqless_fixtures(self):
-        # Legacy snapshots carry seq=0 everywhere; the protocol-flow
-        # rank then breaks same-time ties (send before recv).
-        events = [
-            SpanEvent(1.0, "recv", "b", TID),
-            SpanEvent(1.0, "send", "a", TID),
-        ]
-        merged = merge_events([events])
-        assert [e.event for e in merged] == ["send", "recv"]
-
     def test_time_dominates_seq(self):
         clock = _Clock()
         obs = Observability(clock=clock)
