@@ -18,8 +18,8 @@ Flow:
    to ``--artifact`` for the CI smoke job and
    :func:`repro.experiments.report.runtime_table`.
 5. With ``--telemetry PATH``, the run is traced end to end: every node
-   shares one :class:`repro.obs.Observability`, the runtime freezes the
-   final metrics + flight-recorder snapshot on ``aclose()``, and the
+   shares one :class:`repro.obs.Observability`, its final metrics +
+   flight-recorder snapshot is taken before the sockets close, and the
    snapshot (plus the reconstructed request timeline summary) lands at
    ``PATH`` -- the live telemetry artifact CI asserts over.
 
@@ -41,6 +41,7 @@ from repro.discovery.requester import DiscoveryOutcome
 from repro.experiments.harness import star_world
 from repro.experiments.runtime_compare import REFERENCE_SCENARIO
 from repro.obs import Observability
+from repro.obs.export import telemetry_snapshot
 from repro.obs.timeline import assemble_from_snapshot, complete_request_ids, phase_agreement
 from repro.runtime import create_runtime
 
@@ -106,9 +107,9 @@ async def run(
         with open(artifact_path, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2)
 
+    snapshot = telemetry_snapshot(obs) if obs is not None else None
     await rt.aclose()
-    if telemetry_path and rt.telemetry is not None:
-        snapshot = dict(rt.telemetry)
+    if snapshot is not None:
         complete = complete_request_ids(snapshot)
         timelines = {}
         for trace_id in complete:

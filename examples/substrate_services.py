@@ -13,7 +13,9 @@ data-grid session on top of broker discovery:
    stable-storage archive) while a consumer disconnects and reconnects
    -- nothing is lost, order is preserved;
 3. the network runs **content routing**, so brokers without subscribers
-   never carry the data stream.
+   never carry the data stream;
+4. the consumer unsubscribes, and the stream stops crossing the links
+   that led only to it.
 
 Run with::
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import BDNConfig, ClientConfig
+from repro.core import ClientConfig
 from repro.discovery import (
     BDN,
     DiscoveryClient,
@@ -116,6 +118,16 @@ def main() -> None:
     for broker in net.broker_list():
         print(f"  {broker.name}: routed={broker.events_routed} "
               f"forwarded={broker.events_forwarded}")
+
+    # --- the dashboard withdraws its interest -------------------------------
+    consumer_client.unsubscribe("grid/jobs/**")
+    net.sim.run_for(1.0)
+    routed = {broker.name: broker.events_routed for broker in net.broker_list()}
+    producer.publish("grid/jobs/43", b"queued")
+    net.sim.run_for(1.0)
+    reached = [b.name for b in net.broker_list() if b.events_routed > routed[b.name]]
+    print(f"\nDashboard unsubscribed: the next job event reached only {reached}")
+    assert "b3" not in reached and statuses[-1] == "completed"
 
 
 if __name__ == "__main__":

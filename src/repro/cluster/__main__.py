@@ -17,10 +17,10 @@
     duration.  Writes a ``BENCH_cluster.json``-style summary.
 
 ``top``
-    The soak with a live terminal dashboard: per-role rounds/s, shed/s,
-    queue depth, breaker states, rolling p50/p99, and the SLO monitor's
-    burn rate, redrawn every refresh interval from the streamed
-    telemetry frames.
+    A load run with no faults injected, under a live terminal
+    dashboard: per-role rounds/s, shed/s, queue depth, breaker states,
+    rolling p50/p99, and the SLO monitor's burn rate, redrawn every
+    refresh interval from the streamed telemetry frames.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _soak(args) -> int:
 
 
 def _top(args) -> int:
-    """A soak-shaped run with a live redrawn terminal dashboard."""
+    """A ``--duration`` load run, no faults injected, under a redrawn dashboard."""
     rounds = max(1, int(args.duration / args.mean_gap))
     spec = _build_spec(args, rounds)
     harness = ClusterHarness(spec, args.workdir)
@@ -261,10 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     soak.add_argument("--duration", type=float, default=300.0, help="soak seconds")
     soak.add_argument("--cycle-gap", type=float, default=5.0, dest="cycle_gap")
 
-    top = sub.add_parser("top", help="soak with a live terminal dashboard")
+    top = sub.add_parser("top", help="load run with a live terminal dashboard")
     common(top)
     top.add_argument("--duration", type=float, default=60.0, help="run seconds")
-    top.add_argument("--cycle-gap", type=float, default=5.0, dest="cycle_gap")
     top.add_argument("--refresh", type=float, default=1.0, help="redraw interval, seconds")
 
     args = parser.parse_args(argv)

@@ -20,7 +20,7 @@ metric with respect to other factors").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated
 
 __all__ = ["UsageMetrics", "WeightConfig", "broker_weight", "OverloadStats"]
@@ -234,17 +234,3 @@ class OverloadStats:
             breaker_trips=sum(c.breaker_trips for c in clients),
             retries_denied=sum(c.retries_denied for c in clients),
         )
-
-    def rows(self) -> list[tuple[str, int]]:
-        """(label, value) pairs in report order."""
-        return [
-            ("queue depth (now)", self.queue_depth),
-            ("queue depth (peak)", self.queue_peak),
-            ("queue overflows", self.queue_overflows),
-            ("messages served", self.queue_served),
-            ("requests shed", self.requests_shed),
-            ("responses suppressed", self.responses_suppressed),
-            ("busy signals seen", self.busy_received),
-            ("breaker trips", self.breaker_trips),
-            ("retries denied", self.retries_denied),
-        ]

@@ -233,11 +233,6 @@ class ShardedRegistry:
         return self._shards[self.ring.shard_of(broker_id)]
 
     @property
-    def ignored(self) -> int:
-        """Interest-filter rejections, summed across shards."""
-        return sum(s.ignored for s in self._shards)
-
-    @property
     def leases_expired(self) -> int:
         """Lease evictions, summed across shards."""
         return sum(s.leases_expired for s in self._shards)

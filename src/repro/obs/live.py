@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.obs.cluster import merge_process_snapshots
-
 __all__ = [
     "histogram_delta",
     "rebased_intervals",
@@ -223,23 +221,6 @@ class RollingClusterView:
             (view.stats, view.wall_offset) for view in self.processes.values()
         )
 
-    def merged_snapshot(self) -> dict:
-        """The rolling cluster view as one merged telemetry snapshot.
-
-        Same shape as :func:`repro.obs.cluster.merge_process_snapshots`
-        over final frames -- but without their rings, and available
-        while the run is still going.
-        """
-        parts = [
-            {
-                "label": view.label,
-                "wall_offset": view.wall_offset,
-                "snapshot": {"metrics": view.metrics},
-            }
-            for view in self.processes.values()
-        ]
-        return merge_process_snapshots(parts)
-
     def top_rows(self) -> list[dict]:
         """Per-process dashboard rows from the last closed window."""
         window_by_label = {row["label"]: row for row in self.last_window_rows}
@@ -383,18 +364,9 @@ class LiveTelemetry:
         with self.lock:
             return list(self.monitor.violations)
 
-    @property
-    def windows_evaluated(self) -> int:
-        with self.lock:
-            return self.monitor.windows_evaluated
-
     def render(self) -> str:
         with self.lock:
             return render_top(self.view, self.monitor)
-
-    def merged_snapshot(self) -> dict:
-        with self.lock:
-            return self.view.merged_snapshot()
 
     def summary(self) -> dict:
         """JSON-serialisable plane summary for the run report."""

@@ -321,8 +321,3 @@ class Observability:
         if recorder is None:
             recorder = self.recorders[node] = FlightRecorder(node, self.ring_capacity)
         return recorder
-
-    def snapshot(self) -> dict[str, object]:
-        from repro.obs.export import telemetry_snapshot
-
-        return telemetry_snapshot(self)

@@ -226,10 +226,8 @@ class AioRuntime:
         self.errors: deque[str] = deque(maxlen=max_errors)
         self.errors_dropped = 0
         # Optional telemetry: attach_observability() wires a world's
-        # Observability in; it hears the fabric's events, and aclose()
-        # freezes its final snapshot.
+        # Observability in, and it hears the fabric's events.
         self.observability = None
-        self.telemetry: dict[str, object] | None = None
         # Counters, mirroring the simulated fabric's.
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
@@ -273,23 +271,15 @@ class AioRuntime:
 
         The runtime sends it the fabric's plain events (``udp_deliver``
         / ``udp_drop`` / ``udp_cut`` / ``udp_garbled`` /
-        ``handler_error``, named by host) so live runs count the same evidence simulations do, and
-        :meth:`aclose` dumps a final telemetry snapshot once the sockets
-        are gone -- the live smoke artifact.
+        ``handler_error``, named by host) so live runs count the same
+        evidence simulations do.  A caller that wants the final telemetry
+        snapshot takes it (:func:`repro.obs.export.telemetry_snapshot`)
+        before :meth:`aclose`, as ``examples/live_discovery.py`` does.
         """
         self.observability = obs
 
     async def aclose(self) -> None:
-        """Close every socket, server and background task.
-
-        With an attached observability layer, its final metrics + ring
-        snapshot is frozen into :attr:`telemetry` *before* teardown, so
-        callers can persist it after the world is gone.
-        """
-        if self.observability is not None:
-            from repro.obs.export import telemetry_snapshot
-
-            self.telemetry = telemetry_snapshot(self.observability)
+        """Close every socket, server and background task."""
         for endpoint in list(self._udp):
             self.unbind_udp(endpoint)
         for endpoint in list(self._listeners):

@@ -19,7 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
-__all__ = ["LossModel", "NoLoss", "UniformLoss", "PerHopLoss", "CompositeLoss"]
+__all__ = ["LossModel", "NoLoss", "UniformLoss", "PerHopLoss"]
 
 
 class LossModel(Protocol):
@@ -74,28 +74,3 @@ class PerHopLoss:
 
     def lost(self, hops: int, rng: np.random.Generator) -> bool:
         return bool(rng.random() >= self.delivery_probability(hops))
-
-
-class CompositeLoss:
-    """Layers several loss models: a datagram is lost if *any* layer drops it.
-
-    Used to stack a per-link degradation (a congested or flapping path)
-    on top of the fabric's global model without replacing it:
-    ``injector.link_loss_storm(a, b, CompositeLoss((network.loss, storm)), start, duration)``.
-
-    Every layer is always consulted (no short-circuit), so the RNG draw
-    sequence -- and therefore the simulation -- stays deterministic
-    regardless of which layer drops first.
-    """
-
-    def __init__(self, models: tuple[LossModel, ...]) -> None:
-        if not models:
-            raise ValueError("CompositeLoss needs at least one model")
-        self.models = tuple(models)
-
-    def lost(self, hops: int, rng: np.random.Generator) -> bool:
-        dropped = False
-        for model in self.models:
-            if model.lost(hops, rng):
-                dropped = True
-        return dropped

@@ -24,10 +24,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.core.codec import decode_message
 from repro.core.config import BrokerConfig, Endpoint
 from repro.core.dedup import DedupCache
-from repro.core.errors import CodecError, TransportError
+from repro.core.errors import TransportError
 from repro.core.messages import (
     Ack,
     Event,
@@ -38,7 +37,7 @@ from repro.core.messages import (
     Unsubscribe,
 )
 from repro.core.metrics import UsageMetrics
-from repro.obs import Observability, trace_context
+from repro.obs import Observability
 from repro.runtime.api import Link, Runtime
 from repro.simnet.node import Node
 from repro.simnet.service import IngressQueue
@@ -582,8 +581,6 @@ class Broker(Node):
         self, event: Event, from_peer: str | None, publisher: ControlHandler | None = None
     ) -> None:
         if not self.mark_routed(event.uuid):
-            if self.observing:
-                self._span_event_dup(event, from_peer)
             return
         # Local delivery to matching client subscribers (cached per
         # topic; identical to sorted(subscribers_for(topic))).
@@ -612,36 +609,6 @@ class Broker(Node):
                 conn.send(event)
                 self.events_forwarded += 1
 
-    def _span_event_dup(self, event: Event, from_peer: str | None) -> None:
-        """Flight-record an event-level duplicate suppression.
-
-        Only called while observing, and only emits for events
-        whose payload decodes to a trace-flagged message (the discovery
-        request flood); everything else is skipped silently.
-        """
-        payload = event.payload
-        # A trace-flagged message always ends in the 3-byte trace
-        # trailer (marker 0x54 + hop), so screen on the tail byte before
-        # paying for a decode.  False positives (a body that happens to
-        # end in 0x54) just fall through to the trace_context check.
-        if len(payload) < 6 or payload[-3] != 0x54:
-            return
-        try:
-            message = decode_message(payload)
-        except CodecError:
-            return
-        ctx = trace_context(message)
-        if ctx is None:
-            return
-        self.emit(
-            "dup_suppressed",
-            ctx[0],
-            hop=ctx[1],
-            kind=type(message).__name__,
-            topic=event.topic,
-            via=from_peer or "local",
-        )
-
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
@@ -659,7 +626,7 @@ class Broker(Node):
             num_links=self.link_count,
             num_connections=self.client_count,
             cpu_load=cpu,
-            queue_depth=self.ingress.depth if self.ingress is not None else 0,
+            queue_depth=self.queue_depth,
         )
 
     @property

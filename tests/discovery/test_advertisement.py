@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import Endpoint
 from repro.core.messages import BrokerAdvertisement
 from repro.discovery.advertisement import (

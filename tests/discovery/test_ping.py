@@ -11,8 +11,6 @@ from repro.discovery.ping import MAX_SAMPLES, Pinger
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import UniformLoss
 from repro.simnet.node import Node
-from repro.simnet.network import Network
-from repro.simnet.simulator import Simulator
 from repro.substrate.builder import BrokerNetwork
 
 

@@ -43,7 +43,6 @@ from repro.discovery.faults import FaultInjector
 from repro.core.errors import EndpointParseError
 from repro.discovery.replication import (
     FOLLOWER,
-    LEADER,
     parse_endpoint,
     try_parse_endpoint,
 )

@@ -16,7 +16,6 @@ from repro.discovery.requester import (
 from repro.experiments.harness import run_discovery_once
 from repro.simnet.latency import MatrixLatencyModel
 from repro.simnet.loss import UniformLoss
-from repro.substrate.builder import Topology
 from tests.discovery.conftest import World
 
 

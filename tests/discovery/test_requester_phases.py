@@ -4,13 +4,11 @@ collection extension, and fallback opt-outs."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.config import ClientConfig, Endpoint
+from repro.core.config import ClientConfig
 from repro.discovery.requester import DiscoveryClient
 from repro.experiments.harness import run_discovery_once
 from repro.simnet.loss import UniformLoss
-from repro.substrate.builder import Topology
 from tests.discovery.conftest import World
 
 

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.core.codec import decode_message
-from repro.core.config import BrokerConfig, ClientConfig, Endpoint, ResponsePolicyConfig
+from repro.core.config import BrokerConfig, ResponsePolicyConfig
 from repro.core.messages import DiscoveryRequest, DiscoveryResponse
 from repro.discovery.responder import REQUEST_TOPIC, DiscoveryResponder
-from repro.substrate.builder import BrokerNetwork, Topology
+from repro.substrate.builder import Topology
 from tests.discovery.conftest import World
 
 

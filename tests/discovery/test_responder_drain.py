@@ -9,10 +9,8 @@ immediately instead of at lease expiry.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import Endpoint
-from repro.core.messages import BrokerAdvertisement, DiscoveryRequest, DiscoveryResponse
+from repro.core.messages import BrokerAdvertisement, DiscoveryResponse
 from repro.discovery.advertisement import WITHDRAW_TTL, withdraw_registration
 from tests.discovery.conftest import World
 from tests.discovery.test_responder_lifecycle import inbox_of, make_request

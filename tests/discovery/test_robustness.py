@@ -8,16 +8,11 @@ or misreports its outcome.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ClientConfig, Endpoint
 from repro.core.messages import Ack, DiscoveryResponse
-from repro.discovery.requester import DiscoveryClient
-from repro.experiments.harness import run_discovery_once
 from repro.simnet.loss import UniformLoss
-from repro.substrate.builder import Topology
 from tests.discovery.conftest import World
 from tests.conftest import make_metrics
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import ClientConfig, Endpoint
+from repro.core.config import ClientConfig
 from repro.core.errors import DiscoveryError
 from repro.discovery.requester import DiscoveryClient
 from repro.experiments.harness import repeat_discovery, run_discovery_once

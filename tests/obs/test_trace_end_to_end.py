@@ -16,6 +16,7 @@ import pytest
 
 from repro.experiments.trace_cli import AGREEMENT_BOUND, run_trace, trace_sim
 from repro.obs import Observability
+from repro.obs.export import telemetry_snapshot
 from repro.obs.timeline import assemble, complete_request_ids, phase_agreement
 
 
@@ -73,7 +74,7 @@ class TestSimTrace:
 
 
 class TestAioTelemetryHook:
-    def test_aclose_freezes_the_snapshot(self):
+    def test_snapshot_before_aclose_is_artifact_ready(self):
         async def scenario():
             from repro.runtime.aio import AioRuntime
 
@@ -82,25 +83,14 @@ class TestAioTelemetryHook:
             rt.attach_observability(obs)
             obs.emit("send", "n0", "req-1", kind="DiscoveryRequest")
             obs.registry.counter("discovery.completed").inc()
-            assert rt.telemetry is None  # nothing frozen until close
+            telemetry = telemetry_snapshot(obs)
             await rt.aclose()
-            return rt.telemetry
+            return telemetry
 
         telemetry = asyncio.run(scenario())
-        assert telemetry is not None
         json.dumps(telemetry)  # artifact-ready
         assert telemetry["metrics"]["discovery.completed"]["value"] == 1
         assert telemetry["rings"]["n0"]["emitted"] == 1
-
-    def test_unattached_runtime_keeps_telemetry_none(self):
-        async def scenario():
-            from repro.runtime.aio import AioRuntime
-
-            rt = AioRuntime()
-            await rt.aclose()
-            return rt.telemetry
-
-        assert asyncio.run(scenario()) is None
 
 
 class TestAioTrace:

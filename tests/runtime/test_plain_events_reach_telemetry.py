@@ -64,20 +64,21 @@ def test_failed_live_round_counts_drops_retransmits_and_the_failure():
             done = asyncio.get_event_loop().create_future()
             client.discover(done.set_result)
             outcome = await asyncio.wait_for(done, timeout=10.0)
+            telemetry = telemetry_snapshot(obs)
         finally:
             await rt.aclose()
         assert not rt.errors, list(rt.errors)
-        return outcome, obs, rt
+        return outcome, obs, rt, telemetry
 
-    outcome, obs, rt = asyncio.run(scenario())
+    outcome, obs, rt, telemetry = asyncio.run(scenario())
     assert not outcome.success
     counts = _event_counts(obs)
     assert counts["udp_drop"] == rt.datagrams_dropped > 0
     assert counts["request_retransmit"] == 2
     assert counts["discover_failed"] == 1
-    # The same numbers ride every artifact a worker ships: the frozen
-    # exit snapshot and the Prometheus dump.
-    assert rt.telemetry["metrics"]["obs.event.request_retransmit"]["value"] == 2
+    # The same numbers ride every artifact a worker ships: the telemetry
+    # snapshot and the Prometheus dump.
+    assert telemetry["metrics"]["obs.event.request_retransmit"]["value"] == 2
     assert "repro_obs_event_udp_drop " in prometheus_text(obs.registry)
 
 

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.core.errors import SecurityError
 from repro.security.cipher import (
-    KEY_SIZE,
-    NONCE_SIZE,
     hmac_sha256,
     stream_decrypt,
     stream_encrypt,

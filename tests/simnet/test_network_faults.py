@@ -16,7 +16,7 @@ from repro.core.config import Endpoint
 from repro.core.errors import TransportError
 from repro.core.messages import Ack
 from repro.simnet.latency import UniformLatencyModel
-from repro.simnet.loss import CompositeLoss, NoLoss, UniformLoss
+from repro.simnet.loss import NoLoss, UniformLoss
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
 from tests.runtime.hosts_contract import FaultContract, SimSide, cut, split
@@ -164,31 +164,3 @@ class TestPerLinkLoss:
         net.send_udp(Endpoint("a.x", 1), Endpoint("b.x", 1), msg())
         sim.run()
         assert len(got) == 1
-
-    def test_composite_loss_layers_models(self):
-        rng = np.random.default_rng(0)
-        always = UniformLoss(0.999999999)
-        never = NoLoss()
-        assert CompositeLoss((never, always)).lost(1, rng)
-        assert CompositeLoss((always, never)).lost(1, rng)
-        assert not CompositeLoss((never, never)).lost(1, rng)
-
-    def test_composite_loss_requires_a_model(self):
-        with pytest.raises(ValueError):
-            CompositeLoss(())
-
-    def test_composite_consumes_rng_from_every_layer(self):
-        # No short-circuit: the draw count is layer count, keeping the
-        # rng stream identical whichever layer drops first.
-        class Counting:
-            def __init__(self):
-                self.calls = 0
-
-            def lost(self, hops, rng):
-                self.calls += 1
-                rng.random()
-                return True
-
-        a, b = Counting(), Counting()
-        CompositeLoss((a, b)).lost(1, np.random.default_rng(0))
-        assert (a.calls, b.calls) == (1, 1)

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.config import Endpoint
 from repro.core.messages import Ack
 from repro.simnet.latency import BANDWIDTH, UniformLatencyModel
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
-from repro.substrate.builder import BrokerNetwork, Topology
+from repro.substrate.builder import BrokerNetwork
 
 
 class TestSendToPeer:

@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro.substrate.builder import BrokerNetwork, Topology
-from repro.substrate.routing import SpanningTreeRouting
 
 
 def build(n=5, topology=None, seed=0) -> BrokerNetwork:

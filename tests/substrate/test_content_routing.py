@@ -8,7 +8,7 @@ import pytest
 from repro.core.messages import Event
 from repro.substrate.builder import BrokerNetwork, Topology
 from repro.substrate.client import PubSubClient
-from repro.substrate.content_routing import ContentRouting, install_content_routing
+from repro.substrate.content_routing import install_content_routing
 
 
 def chain_world(n=4, seed=0):
