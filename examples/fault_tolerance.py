@@ -9,7 +9,9 @@ Walks the paper's full fallback ladder live:
 3. multicast is also unavailable (client isolated in its own realm) --
    the client re-issues the request to its *cached last target set*;
 4. brokers churn (join/leave) underneath while discoveries keep
-   succeeding.
+   succeeding;
+5. a broker registered once, with no lease, fails -- the BDN prunes it
+   after three sweep pings go unanswered.
 
 Run with::
 
@@ -28,6 +30,7 @@ from repro.discovery import (
     FaultInjector,
     start_heartbeat,
 )
+from repro.discovery.advertisement import advertise_direct
 from repro.experiments import run_discovery_once
 from repro.substrate import BrokerNetwork, Topology
 from repro.topology import ChurnProcess
@@ -124,7 +127,21 @@ def main() -> None:
     print(f"\nchurn events: {churn.stops} stops, {churn.restarts} restarts; "
           f"{successes}/8 discoveries succeeded")
     assert churn.restarts > 0  # a stopped broker came back and relinked
-    assert successes >= 5
+    assert successes >= 7
+
+    print("\nStep 5: a broker registered once, with no lease, fails -> pruned")
+    # Section 2.3's direct registration carries no lease, so the BDN
+    # learns such a broker is gone only from sweep pings it leaves
+    # unanswered.
+    once = net.add_broker("b4", site="site-4", realm=LAB)
+    DiscoveryResponder(once)
+    advertise_direct(once, bdn.udp_endpoint)
+    net.sim.run_for(1.0)
+    assert "b4" in bdn.store.broker_ids()
+    injector.kill_broker(once)
+    net.sim.run_for(4 * bdn.config.ping_interval)
+    print(f"  registered brokers after four sweeps: {bdn.store.broker_ids()}")
+    assert "b4" not in bdn.store.broker_ids()
 
 
 if __name__ == "__main__":

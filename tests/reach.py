@@ -18,7 +18,14 @@ workload -- under a line collector, and prints:
 
 ``--check`` fails when a def never entered is not exempt -- a dunder, a
 protocol stub (a body of only a docstring and/or ``...``) or a ``KEPT``
-row -- and when a ``KEPT`` row names a def that is gone or was entered.
+row --, when a ``KEPT`` row names a def that is gone or was entered, and
+when a driver exits with another code than its ``DRIVERS`` entry
+expects.  A ``KEPT`` row is this tool's own or the surface lint's
+(``tests/core/test_public_callers.py``), which keeps the public defs
+only tests call; each reason is written once.  Two of this tool's rows
+are fault paths (``AioRuntime._note_error``, ``invariants._no_evidence``):
+a driven run enters one only when it went wrong, so the gate failing on
+such a stale row names a real fault.
 
 The collector: ``coverage`` is not a dependency and Python 3.11 has no
 ``sys.monitoring``, so a ``sitecustomize`` on ``PYTHONPATH`` installs a
@@ -33,11 +40,12 @@ restarted after it runs the same code.  A ``raise`` that validates input
 is a line no driver reaches, so line reach is a list to read; the gate
 is on defs.
 
-The cluster and roundbench drivers run for wall-clock time, so what
-they reach depends on the host keeping up: ``sim_registry_churn`` first
-prunes a broker (``AdvertisementStore.remove``) after about 1 s of
-untraced segments on an idle 2-core host, hence 3 s per workload.  Run
-the tool alone.
+The cluster and roundbench drivers run for wall-clock time, so how far
+they get depends on the host keeping up.  The BDN's prune, which only
+roundbench's ``sim_registry_churn`` used to reach (after about 1 s),
+has a seeded driver in the fault-tolerance example; with each roundbench
+workload cut from 3 s to 1 s, ``--check`` still passed on a 2-core
+x86-64 host under CPython 3.11.  Run the tool alone.
 
 The file name keeps it out of pytest's collection: it is a tool, not a
 test.
@@ -48,6 +56,7 @@ from __future__ import annotations
 import argparse
 import ast
 import atexit
+import importlib.util
 import json
 import os
 import signal
@@ -85,16 +94,13 @@ _CODEC_ERROR = (
 _RESET = "test seam: empties a sink between assertions (tests/obs/test_recorder.py)"
 _STRICT_READ = "probe: tests read a metric by name, and an unknown name raises instead of reading 0"
 
-#: Defs no driver enters that stay, with the reason.
+#: Defs no driver enters that stay, with the reason; the public defs only
+#: tests call are the surface lint's ``KEPT`` (:func:`kept`).
 KEPT: dict[str, str] = {
     "repro.simnet.simulator.Simulator._schedule_fire_heap": _HEAP,
     "repro.simnet.simulator.Simulator._schedule_fire_at_heap": _HEAP,
     "repro.simnet.simulator.Simulator._compact": _HEAP,
     "repro.simnet.simulator.Simulator._step_heap": _HEAP,
-    "repro.simnet.simulator.Simulator.queue_size": (
-        "leak probe: the garbage tests read the heap's physical store to show cancelled "
-        "timers are compacted; goes with the heap in ROADMAP item 8(b)"
-    ),
     "repro.core.codec.LazyMessage.request_uuid": (
         "lazy decode: roundbench's `lazy_key_us` row imports it; ROADMAP item 8(c) "
         "deletes it once the eager path is measured"
@@ -120,22 +126,15 @@ KEPT: dict[str, str] = {
         "a node seeds its own from the world rng"
     ),
     "repro.core.invariants._no_evidence": (
-        "the verdict on a run that gathered no evidence: every driven run gathers some, "
-        "tests/core/test_invariants.py pins it"
+        "fault path: the verdict on a run that gathered no evidence, which no working run "
+        "is; tests/core/test_invariants.py pins it"
     ),
     "repro.core.messages.traced": (
         "test seam: the codec trace tests mark a message by hand; a node marks one when it emits"
     ),
-    "repro.discovery.ping.Pinger.sample_count": (
-        "probe: the ping and BDN tests read whether a pong landed"
-    ),
     "repro.discovery.responder.DiscoveryResponder.start": (
         "lifecycle: re-activates a responder after stop() or drain(); no driven run restarts "
         "one, tests/discovery/test_responder_lifecycle.py does"
-    ),
-    "repro.cluster.coordinator.ClusterFaultInjector.crash": (
-        "fault probe: the one drill of the lost-report path (a SIGKILLed worker sends no "
-        "final frame), tests/cluster/test_harness_live.py"
     ),
     "repro.obs.profiling.SamplingProfiler.running": (
         "probe: the profiler tests read that the sampler thread stopped"
@@ -152,13 +151,10 @@ KEPT: dict[str, str] = {
     "repro.obs.registry.MetricsRegistry.names": _STRICT_READ,
     "repro.runtime.aio.AioConnection.close": _LIVE_CONTRACT,
     "repro.runtime.aio.AioRuntime._note_error": (
-        "a handler that raises on the live runtime: every driven run has none, "
+        "fault path: a handler that raised on the live runtime, which no working run has; "
         "tests/runtime/ provoke one"
     ),
     "repro.runtime.aio.AioRuntime.schedule_at": _LIVE_CONTRACT,
-    "repro.runtime.aio.AioRuntime.real_address": (
-        "test seam: the aio tests dial or send raw bytes to the socket an endpoint is mapped to"
-    ),
     "repro.runtime.aio.AioRuntime._egress_socket": (
         _LIVE_CONTRACT + " (multicast from an unbound source)"
     ),
@@ -168,13 +164,6 @@ KEPT: dict[str, str] = {
     "repro.runtime.hosts.Hosts.members": (
         "probe: the hosts contract and broker tests read multicast membership"
     ),
-    "repro.simnet.clock.Clock.true_time": "the skew tests' oracle (its docstring: assertions only)",
-    "repro.simnet.clock.NTPService.residual_error": (
-        "probe: the skew tests read the sync error it left"
-    ),
-    "repro.substrate.content_routing.ContentRouting.link_interests": (
-        "probe: the content-routing tests read which interests crossed each link"
-    ),
     "repro.substrate.content_routing.ContentRouting.targets": (
         "the RoutingStrategy contract; a broker routes a content-aware strategy through "
         "targets_for_topic instead"
@@ -182,81 +171,90 @@ KEPT: dict[str, str] = {
     "repro.substrate.reliable.EventArchive.streams": (
         "probe: the reliable-delivery tests read which streams the archive holds"
     ),
-    "repro.substrate.subscriptions.SubscriptionManager.subscribers_for": (
-        "the reference sorted_subscribers_for is checked against (an unsorted set)"
-    ),
     "repro.substrate.topics.TopicTrie.patterns": (
         "oracle: the trie tests compare every stored (pattern, subscriber) pair with a model"
     ),
     "repro.substrate.topics.TopicTrie._walk": "the recursion of TopicTrie.patterns",
 }
 
-#: ``(label, argv after the interpreter)``; ``{tmp}`` is a scratch directory.
-DRIVERS: tuple[tuple[str, list[str]], ...] = (
-    ("event_parity golden worlds", ["tests/event_parity.py", "--golden-worlds"]),
-    ("event_parity 20 seeds", ["tests/event_parity.py", "--seeds", "20"]),
+#: ``(label, argv after the interpreter, expected exit code)``; ``{tmp}`` is
+#: a scratch directory.
+DRIVERS: tuple[tuple[str, list[str], int], ...] = (
+    ("event_parity golden worlds", ["tests/event_parity.py", "--golden-worlds"], 0),
+    ("event_parity 20 seeds", ["tests/event_parity.py", "--seeds", "20"], 0),
     (
         "paper figures",
         ["-m", "pytest", "benchmarks/", "--ignore=benchmarks/roundbench", "-q",
          "-p", "no:cacheprovider"],
+        0,
     ),
-    ("example quickstart", ["examples/quickstart.py"]),
-    ("example wan_discovery", ["examples/wan_discovery.py", "--runs", "10"]),
-    ("example load_balancing", ["examples/load_balancing.py"]),
-    ("example fault_tolerance", ["examples/fault_tolerance.py"]),
-    ("example secure_discovery", ["examples/secure_discovery.py"]),
-    ("example substrate_services", ["examples/substrate_services.py"]),
+    ("example quickstart", ["examples/quickstart.py"], 0),
+    ("example wan_discovery", ["examples/wan_discovery.py", "--runs", "10"], 0),
+    ("example load_balancing", ["examples/load_balancing.py"], 0),
+    ("example fault_tolerance", ["examples/fault_tolerance.py"], 0),
+    ("example secure_discovery", ["examples/secure_discovery.py"], 0),
+    ("example substrate_services", ["examples/substrate_services.py"], 0),
     (
         "example live_discovery",
         ["examples/live_discovery.py", "--timeout", "15",
          "--artifact", "{tmp}/live_artifact.json", "--telemetry", "{tmp}/live_telemetry.json"],
+        0,
     ),
-    ("experiments all", ["-m", "repro.experiments", "all", "--runs", "10"]),
+    ("experiments all", ["-m", "repro.experiments", "all", "--runs", "10"], 0),
     (
         "experiments trace",
         ["-m", "repro.experiments", "trace", "--trace-runtime", "both",
          "--prom-out", "{tmp}/metrics.prom"],
+        0,
     ),
-    ("runtime_compare", ["-m", "repro.experiments.runtime_compare", "{tmp}/live_artifact.json"]),
+    ("runtime_compare", ["-m", "repro.experiments.runtime_compare", "{tmp}/live_artifact.json"], 0),
     (
         "experiments cluster_compare",
         ["-m", "repro.experiments", "cluster_compare", "--cluster-rounds", "10",
          "--cluster-workdir", "{tmp}/compare-run"],
+        0,
     ),
     (
         "cluster smoke",
         ["-m", "repro.cluster", "smoke", "--profile-rate", "0", "--workdir", "{tmp}/smoke-run",
          "--summary", "{tmp}/smoke.json", "--timeline", "{tmp}/timeline.json"],
+        0,
     ),
     (
         "experiments cluster_live",
         ["-m", "repro.experiments", "cluster_live", "--cluster-summary", "{tmp}/smoke.json"],
+        0,
     ),
     (
         "cluster soak 20 s",
         ["-m", "repro.cluster", "soak", "--duration", "20", "--workdir", "{tmp}/soak-run",
          "--summary", "{tmp}/soak.json", "--flamegraph", "{tmp}/soak.collapsed",
          "--slo-trend", "{tmp}/soak_trend.json"],
+        0,
     ),
     (
         "experiments cluster_live, soak",
         ["-m", "repro.experiments", "cluster_live", "--cluster-summary", "{tmp}/soak.json"],
+        0,
     ),
     (
         "cluster overload drill",
         ["-m", "repro.cluster", "soak", "--duration", "8", "--mean-gap", "0.005",
          "--no-admission-control", "--profile-rate", "0", "--workdir", "{tmp}/drill-run",
          "--summary", "{tmp}/drill.json"],
+        1,  # the drill's verdict names queue_overflow
     ),
     (
         "cluster top 5 s",
         ["-m", "repro.cluster", "top", "--duration", "5", "--workdir", "{tmp}/top-run"],
+        0,
     ),
     *(
         (
             f"roundbench {workload}",
             ["-m", "benchmarks.roundbench", "run", "--workload", workload, "--seconds", "3",
              "--seed", "1", "--out", f"{{tmp}}/{workload}.json"],
+            0,
         )
         for workload in (
             "sim_star", "sim_flash_crowd", "sim_registry_churn", "sim_replicated", "live_loopback"
@@ -337,15 +335,18 @@ def collect(out_dir: str) -> None:
 # -- the drivers --------------------------------------------------------------
 
 
-def run_drivers(out_dir: str, tmp: str) -> list[tuple[str, int, float]]:
-    """Run each driver with the collector installed; ``(label, exit code, seconds)``."""
+def run_drivers(out_dir: str, tmp: str) -> list[tuple[str, int, int, float]]:
+    """Run each driver with the collector installed.
+
+    Returns ``(label, exit code, expected exit code, seconds)`` per driver.
+    """
     site = os.path.join(tmp, "site")
     os.makedirs(site)
     with open(os.path.join(site, "sitecustomize.py"), "w", encoding="utf-8") as fh:
         fh.write(_SITECUSTOMIZE.format(tool=str(Path(__file__).resolve()), out=out_dir))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([site, str(SRC), str(ROOT)]))
     results = []
-    for label, argv in DRIVERS:
+    for label, argv, expected in DRIVERS:
         argv = [arg.replace("{tmp}", tmp) for arg in argv]
         log = os.path.join(tmp, label.replace(" ", "_") + ".log")
         start = time.monotonic()
@@ -355,7 +356,7 @@ def run_drivers(out_dir: str, tmp: str) -> list[tuple[str, int, float]]:
                 cwd=ROOT, env=env, stdout=out, stderr=subprocess.STDOUT, timeout=900,
             ).returncode
         seconds = time.monotonic() - start
-        results.append((label, code, seconds))
+        results.append((label, code, expected, seconds))
         print(f"{label}: exit {code}, {seconds:.0f} s", file=sys.stderr, flush=True)
     return results
 
@@ -397,7 +398,11 @@ def _is_stub(node: ast.AST) -> bool:
 
 
 def defs(tree: ast.Module, module: str):
-    """``(qualified name, first line, body lines, exempt)`` for every def in a module."""
+    """``(qualified name, first line, body lines, exempt)`` for every def in a module.
+
+    The qualified name is ``module.Class.def``; its part after the module
+    (``Class.def``) is how the surface lint names a public def.
+    """
     found = []
 
     def visit(node: ast.AST, prefix: str) -> None:
@@ -434,10 +439,30 @@ def analyse(out_dir: str) -> dict:
     return {"modules": modules, "unentered": unentered}
 
 
-def report(result: dict, drivers: list[tuple[str, int, float]]) -> list[str]:
+def kept() -> dict[str, str]:
+    """Every ``KEPT`` reason by qualified name: this tool's rows and the surface lint's."""
+    spec = importlib.util.spec_from_file_location(
+        "_surface_lint", ROOT / "tests" / "core" / "test_public_callers.py"
+    )
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    reasons = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for name, *_ in defs(ast.parse(path.read_text(encoding="utf-8")), module):
+            reason = lint.KEPT.get(name.removeprefix(module + "."))
+            if reason is not None:
+                reasons[name] = reason
+    return {**reasons, **KEPT}
+
+
+def report(result: dict, drivers: list[tuple[str, int, int, float]]) -> list[str]:
     """The three tables, as markdown; the last line is the gate's count."""
-    out = ["| driver | exit | seconds |", "|---|---:|---:|"]
-    out += [f"| {label} | {code} | {seconds:.0f} |" for label, code, seconds in drivers]
+    out = ["| driver | exit | expected | seconds |", "|---|---:|---:|---:|"]
+    out += [
+        f"| {label} | {code} | {expected} | {seconds:.0f} |"
+        for label, code, expected, seconds in drivers
+    ]
     out += ["", "| module | reached | executable | % |", "|---|---:|---:|---:|"]
     total_hit = total = 0
     for module, hit, lines in result["modules"]:
@@ -445,8 +470,9 @@ def report(result: dict, drivers: list[tuple[str, int, float]]) -> list[str]:
         out.append(f"| {module} | {hit} | {lines} | {100 * hit / max(lines, 1):.1f} |")
     out.append(f"| **total** | {total_hit} | {total} | {100 * total_hit / max(total, 1):.1f} |")
     out += ["", "| def never entered | line | body lines | stays because |", "|---|---:|---:|---|"]
+    reasons = kept()
     for name, first, body, exempt in result["unentered"]:
-        reason = "dunder or protocol stub" if exempt else KEPT.get(name, "")
+        reason = "dunder or protocol stub" if exempt else reasons.get(name, "")
         out.append(f"| `{name}` | {first} | {body} | {reason} |")
     unentered = result["unentered"]
     exempt = sum(1 for *_, e in unentered if e)
@@ -462,19 +488,33 @@ def report(result: dict, drivers: list[tuple[str, int, float]]) -> list[str]:
 
 def gated(result: dict) -> list[str]:
     """The defs never entered that are neither exempt nor ``KEPT``."""
-    return [name for name, _f, _b, exempt in result["unentered"] if not exempt and name not in KEPT]
+    reasons = kept()
+    return [
+        name for name, _f, _b, exempt in result["unentered"] if not exempt and name not in reasons
+    ]
 
 
 def stale_kept(result: dict) -> list[str]:
-    """``KEPT`` rows that name no def never entered."""
+    """This tool's ``KEPT`` rows that name no def never entered.
+
+    The surface lint's rows are its own to check: a public def a driver
+    enters may still be one only tests call by name.
+    """
     unentered = {name for name, *_ in result["unentered"]}
     return sorted(name for name in KEPT if name not in unentered)
+
+
+def wrong_exits(drivers: list[tuple[str, int, int, float]]) -> list[str]:
+    """The drivers that exited with another code than they are expected to."""
+    return [label for label, code, expected, _s in drivers if code != expected]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--check", action="store_true", help="exit 1 on a def never entered outside KEPT"
+        "--check", action="store_true",
+        help="exit 1 on a def never entered outside KEPT, a stale KEPT row or a driver's "
+        "unexpected exit code",
     )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
@@ -486,7 +526,10 @@ def main(argv: list[str] | None = None) -> int:
     stale = stale_kept(result)
     for name in stale:
         print(f"KEPT names no def left unentered: {name}", file=sys.stderr)
-    return 1 if args.check and (gated(result) or stale) else 0
+    wrong = wrong_exits(drivers)
+    for label in wrong:
+        print(f"driver exited with an unexpected code: {label}", file=sys.stderr)
+    return 1 if args.check and (gated(result) or stale or wrong) else 0
 
 
 if __name__ == "__main__":
