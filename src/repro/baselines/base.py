@@ -14,6 +14,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.core.draws import lognormal
 from repro.simnet.latency import MatrixLatencyModel
 
 __all__ = ["DistanceOracle", "SelectionResult", "BaselineSelector", "optimal_broker"]
@@ -56,7 +57,7 @@ class DistanceOracle:
         total = 0.0
         for _ in range(samples):
             self.probes += 1
-            total += base * float(self.rng.lognormal(0.0, NOISE_SIGMA))
+            total += base * lognormal(self.rng, 0.0, NOISE_SIGMA)
         return total / samples
 
 

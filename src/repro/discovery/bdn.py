@@ -115,7 +115,9 @@ class BDN(Node):
         )
         self.store = self.registry
         self.dedup = self.registry.dedup
-        self.pinger = Pinger(self, self.endpoint(BDN_UDP_PORT))
+        #: Where brokers register and clients send discovery requests.
+        self.udp_endpoint = self.endpoint(BDN_UDP_PORT)
+        self.pinger = Pinger(self, self.udp_endpoint)
         self.pinger.on_rtt = self._on_rtt
         self.alive = False
         # Whether injection reads the distance table; if not, only an
@@ -165,11 +167,6 @@ class BDN(Node):
         # :meth:`_injection_targets` must keep this at zero; the chaos
         # harness asserts it.
         self.stale_targets = 0
-
-    @property
-    def udp_endpoint(self) -> Endpoint:
-        """Where brokers register and clients send discovery requests."""
-        return self.endpoint(BDN_UDP_PORT)
 
     @property
     def queue_depth(self) -> int:

@@ -46,6 +46,7 @@ from repro.core.config import (
     RetryPolicyConfig,
     ServiceConfig,
 )
+from repro.core.draws import uniform
 from repro.core.errors import DiscoveryError
 from repro.core.invariants import (
     SIM_ELECTION_EPS,
@@ -377,13 +378,13 @@ _KINDS = {
     "kill_bdn": (lambda rng, w: {"targets": (_pick(rng, w.bdns).name,)}, _arm_kill_bdn(False)),
     "kill_broker": (lambda rng, w: {"targets": (_pick(rng, w.brokers).name,)}, _arm_kill_broker),
     "loss_storm": (
-        lambda rng, w: {"intensity": float(rng.uniform(0.3, 0.8))},
+        lambda rng, w: {"intensity": uniform(rng, 0.3, 0.8)},
         lambda inj, w, a: inj.loss_storm(UniformLoss(a.intensity), a.start, a.duration),
     ),
     "link_loss_storm": (
         lambda rng, w: {
             "targets": _pair(rng, w.all_hosts()),
-            "intensity": float(rng.uniform(0.5, 0.95)),
+            "intensity": uniform(rng, 0.5, 0.95),
         },
         lambda inj, w, a: inj.link_loss_storm(
             *a.targets, UniformLoss(a.intensity), a.start, a.duration
@@ -399,7 +400,7 @@ _KINDS = {
     "request_storm": (
         lambda rng, w: {
             "targets": (_pick(rng, w.bdns).name,),
-            "intensity": float(rng.uniform(20.0, 60.0)),
+            "intensity": uniform(rng, 20.0, 60.0),
         },
         lambda inj, w, a: inj.request_storm(
             w.node_by_name(a.targets[0]).udp_endpoint, a.intensity, a.start, a.duration
@@ -428,8 +429,8 @@ def draw_schedule(
     n = int(rng.integers(_MIN_ACTIONS, _MAX_ACTIONS + 1))
     for _ in range(n):
         kind = kinds[int(rng.integers(len(kinds)))]
-        at = start + float(rng.uniform(0.0, duration * 0.5))
-        dur = float(rng.uniform(duration * 0.15, duration * 0.5))
+        at = start + uniform(rng, 0.0, duration * 0.5)
+        dur = uniform(rng, duration * 0.15, duration * 0.5)
         dur = min(dur, start + duration - at)
         draw, _arm = _KINDS[kind]
         actions.append(ChaosAction(kind, at, dur, **draw(rng, world)))

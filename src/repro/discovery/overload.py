@@ -32,6 +32,8 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.core.draws import uniform
+
 __all__ = ["TokenBucket", "DecorrelatedJitterBackoff", "CircuitBreaker"]
 
 Clock = Callable[[], float]
@@ -99,7 +101,7 @@ class DecorrelatedJitterBackoff:
         self._prev = self.base
 
     def next(self) -> float:
-        delay = min(self.cap, float(self._rng.uniform(self.base, self._prev * 3.0)))
+        delay = min(self.cap, uniform(self._rng, self.base, self._prev * 3.0))
         self._prev = delay
         return delay
 

@@ -296,7 +296,9 @@ class DiscoveryClient(Node):
             obs=obs,
         )
         self.config = config if config is not None else ClientConfig()
-        self.pinger = Pinger(self, self.endpoint(CLIENT_UDP_PORT))
+        #: Where acks, responses and pongs arrive.
+        self.udp_endpoint = self.endpoint(CLIENT_UDP_PORT)
+        self.pinger = Pinger(self, self.udp_endpoint)
         self.pinger.on_rtt = self._on_ping_rtt
         self.last_target_set: list[CachedTarget] = []
         self.last_selected: CachedTarget | None = None
@@ -326,11 +328,6 @@ class DiscoveryClient(Node):
         # case runs walk the configured BDN order unchanged.
         self.preferred_bdn: Endpoint | None = None
         self.leader_hint_updates = 0
-
-    @property
-    def udp_endpoint(self) -> Endpoint:
-        """Where acks, responses and pongs arrive."""
-        return self.endpoint(CLIENT_UDP_PORT)
 
     @property
     def breaker_trips(self) -> int:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from repro.core.codec import decode_message, encode_message, lazy_decode
 from repro.core.config import Endpoint
 from repro.core.dedup import DedupCache
+from repro.core.draws import uniform
 from repro.core.errors import CodecError, UnknownHostError
 from repro.core.messages import DiscoveryRequest, DiscoveryResponse, Event
 from repro.runtime.api import OwnedTimers
@@ -293,7 +294,7 @@ class DiscoveryResponder:
             self.policy_rejections += 1
             self.broker.emit("discovery_policy_reject", request=request.uuid)
             return
-        delay = float(self.broker.rng.uniform(*_PROCESS_DELAY_RANGE))
+        delay = uniform(self.broker.rng, *_PROCESS_DELAY_RANGE)
         self._response_timers.schedule(delay, self._respond, request)
 
     def _requester_realm(self, request: DiscoveryRequest) -> str:

@@ -247,6 +247,16 @@ class Observability:
         """Whether causal events are kept (and the wire is flagged)."""
         return self.ring_capacity > 0
 
+    @property
+    def detailed(self) -> bool:
+        """Whether an event's details can be kept (a log, or rings).
+
+        When not, a plain event is its counter alone, and an emitter on
+        a hot path may bump :meth:`fact` instead of building details
+        for :meth:`emit` to discard.
+        """
+        return self.log is not None or self.ring_capacity > 0
+
     def emit(self, event: str, node: str, trace_id: str = "", hop: int = 0, **detail: object) -> None:
         """The one place an event is validated, counted and kept.
 
@@ -262,7 +272,7 @@ class Observability:
             if is_causal(event):
                 self._step(event, node, trace_id, hop, detail)
                 return
-            counter = self._plain[event] = self.registry.counter(f"obs.event.{event}")
+            counter = self.fact(event)
         counter.value += 1
         ring = trace_id and self.ring_capacity
         if not ring and self.log is None:
@@ -274,6 +284,17 @@ class Observability:
             entry = SpanEvent(time, event, node, trace_id, hop, details, seq)
             self.log.append(entry)
             self._by_event.setdefault(event, []).append(entry)
+
+    def fact(self, event: str) -> Counter:
+        """The ``obs.event.<event>`` counter of the plain name ``event``
+        (validated and registered on first use); raises
+        :class:`UnknownEventError` for a causal or unknown name."""
+        counter = self._plain.get(event)
+        if counter is None:
+            if is_causal(event):
+                raise UnknownEventError(f"{event!r} is a causal event, not a fact")
+            counter = self._plain[event] = self.registry.counter(f"obs.event.{event}")
+        return counter
 
     def _step(self, event: str, node: str, trace_id: str, hop: int, detail: dict) -> None:
         if not trace_id:

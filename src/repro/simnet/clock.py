@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.draws import uniform
 from repro.runtime.api import Scheduler
 
 __all__ = ["Clock", "NTPService"]
@@ -67,8 +68,8 @@ class Clock:
         """A clock with offset in [-5, 5] s and skew within 100 ppm."""
         return cls(
             sim,
-            offset=float(rng.uniform(-5.0, 5.0)),
-            skew=float(rng.uniform(-100e-6, 100e-6)),
+            offset=uniform(rng, -5.0, 5.0),
+            skew=uniform(rng, -100e-6, 100e-6),
         )
 
     def raw(self) -> float:
@@ -116,7 +117,7 @@ class NTPService:
 
     def start(self) -> float:
         """Begin synchronisation; returns the initialisation delay used."""
-        delay = float(self._rng.uniform(*INIT_DELAY_RANGE))
+        delay = uniform(self._rng, *INIT_DELAY_RANGE)
         self._sim.schedule(delay, self._complete_sync)
         return delay
 
@@ -125,7 +126,7 @@ class NTPService:
         self._complete_sync()
 
     def _complete_sync(self) -> None:
-        magnitude = float(self._rng.uniform(*RESIDUAL_RANGE))
+        magnitude = uniform(self._rng, *RESIDUAL_RANGE)
         sign = 1.0 if self._rng.random() < 0.5 else -1.0
         self._residual = sign * magnitude
         # The correction maps the raw clock to (true time + residual).

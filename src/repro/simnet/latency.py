@@ -23,6 +23,8 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.core.draws import lognormal
+
 __all__ = ["LatencyModel", "MatrixLatencyModel", "UniformLatencyModel"]
 
 #: Bytes per second for the size-dependent term (10 Mbit/s, a 2005
@@ -91,7 +93,7 @@ class UniformLatencyModel:
         # produces the identical float64 as normal(0, sigma), while
         # skipping the loc/scale broadcasting -- ~20% faster per draw,
         # and this is one draw per datagram/segment on the fabric.
-        jitter = 1.0 + abs(float(rng.standard_normal())) * self.jitter_fraction
+        jitter = 1.0 + abs(rng.standard_normal()) * self.jitter_fraction
         return base * jitter + size / BANDWIDTH
 
     def hops(self, src_site: str, dst_site: str) -> int:
@@ -131,25 +133,29 @@ class MatrixLatencyModel:
         if jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
         self.sites = tuple(sites)
-        self._index = {s: i for i, s in enumerate(self.sites)}
-        if len(self._index) != n:
+        if len(set(self.sites)) != n:
             raise ValueError("site names must be unique")
-        self._seconds = matrix / 1000.0
         self.jitter_sigma = jitter_sigma
-        # Precompute hop counts: floor 1, scale with propagation delay.
-        self._hops = np.maximum(1, np.round(matrix * HOPS_PER_MS)).astype(int)
+        # Every pair's constants resolved once, as Python numbers keyed
+        # by site name: a lookup on the datagram path is two dict probes
+        # and returns a float, not a numpy scalar.  Hop counts have a
+        # floor of 1 and scale with propagation delay.
+        seconds = (matrix / 1000.0).tolist()
+        hops = np.maximum(1, np.round(matrix * HOPS_PER_MS)).astype(int).tolist()
+        self._seconds = {s: dict(zip(self.sites, row)) for s, row in zip(self.sites, seconds)}
+        self._hops = {s: dict(zip(self.sites, row)) for s, row in zip(self.sites, hops)}
 
     def base_delay(self, src_site: str, dst_site: str) -> float:
         """Jitter-free one-way propagation delay in seconds."""
-        return float(self._seconds[self._index[src_site], self._index[dst_site]])
+        return self._seconds[src_site][dst_site]
 
     def delay(
         self, src_site: str, dst_site: str, size: int, rng: np.random.Generator
     ) -> float:
-        base = self._seconds[self._index[src_site], self._index[dst_site]]
+        base = self._seconds[src_site][dst_site]
         if self.jitter_sigma > 0:
-            base = base * float(rng.lognormal(0.0, self.jitter_sigma))
-        return float(base) + size / BANDWIDTH
+            base *= lognormal(rng, 0.0, self.jitter_sigma)
+        return base + size / BANDWIDTH
 
     def hops(self, src_site: str, dst_site: str) -> int:
-        return int(self._hops[self._index[src_site], self._index[dst_site]])
+        return self._hops[src_site][dst_site]

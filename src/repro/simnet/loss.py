@@ -46,7 +46,7 @@ class UniformLoss:
         self.probability = probability
 
     def lost(self, hops: int, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.probability)
+        return rng.random() < self.probability
 
 
 class PerHopLoss:
@@ -65,12 +65,18 @@ class PerHopLoss:
         if not 0.0 <= per_hop < 1.0:
             raise ValueError(f"per_hop must be in [0, 1), got {per_hop}")
         self.per_hop = per_hop
+        # ``delivery_probability`` per hop count, computed on first use:
+        # a fabric has a handful of distinct path lengths.
+        self._delivery: dict[int, float] = {}
 
     def delivery_probability(self, hops: int) -> float:
         """End-to-end delivery probability across ``hops`` hops."""
         if hops < 0:
             raise ValueError("hops must be non-negative")
-        return float((1.0 - self.per_hop) ** hops)
+        return (1.0 - self.per_hop) ** hops
 
     def lost(self, hops: int, rng: np.random.Generator) -> bool:
-        return bool(rng.random() >= self.delivery_probability(hops))
+        delivery = self._delivery.get(hops)
+        if delivery is None:
+            delivery = self._delivery[hops] = self.delivery_probability(hops)
+        return rng.random() >= delivery

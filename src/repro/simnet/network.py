@@ -214,6 +214,9 @@ class Network:
         # message ever sized -- see the codec GC canary test).
         self._sized_message: Message | None = None
         self._sized_bytes = 0
+        # ``obs.event.udp_deliver``, resolved at the first delivery a
+        # sink that keeps no details counts.
+        self._delivered_fact = None
         # Counters.
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
@@ -310,11 +313,12 @@ class Network:
         if not path.reachable:
             self._cut(message, src, dst)
             return
-        loss = path.loss_override if path.loss_override is not None else self.loss
-        if loss.lost(path.hops, self.rng):
-            self.datagrams_dropped += 1
-            if self.obs is not None:
-                self.obs.emit("udp_drop", src.host, dst=dst, kind=type(message).__name__)
+        loss = path.loss_override
+        if loss is None:
+            loss = self.loss
+        # A lossless model draws nothing, so skipping its call moves no stream.
+        if type(loss) is not NoLoss and loss.lost(path.hops, self.rng):
+            self._drop(message, src, dst)
             return
         delay = self.latency.delay(path.src_site, path.dst_site, size, self.rng)
         # Deliveries are never cancelled: the no-handle fast path skips
@@ -326,22 +330,32 @@ class Network:
         if self.obs is not None:
             self.obs.emit("udp_cut", src.host, dst=dst, kind=type(message).__name__)
 
+    def _drop(self, message: Message, src: Endpoint, dst: Endpoint) -> None:
+        self.datagrams_dropped += 1
+        if self.obs is not None:
+            self.obs.emit("udp_drop", src.host, dst=dst, kind=type(message).__name__)
+
     def _deliver_udp(self, message: Message, src: Endpoint, dst: Endpoint) -> None:
-        path = self._path_cache.get((src.host, dst.host))
-        if path is None:
-            path = self._path(src.host, dst.host)
-        if not path.reachable:
-            self._cut(message, src, dst)  # a cut landed while it was in flight
+        # The path was reachable at send time; only an open cut or
+        # partition can have changed that while it was in flight.
+        if self.hosts.split and not self._path(src.host, dst.host).reachable:
+            self._cut(message, src, dst)
             return
         handler = self._udp_bindings.get(dst)
         if handler is None:
             self.datagrams_dropped += 1
             return
         self.datagrams_delivered += 1
-        if self.obs is not None:
-            self.obs.emit(
-                "udp_deliver", dst.host, src=src, kind=type(message).__name__
-            )
+        obs = self.obs
+        if obs is not None:
+            if obs.detailed:
+                obs.emit("udp_deliver", dst.host, src=src, kind=type(message).__name__)
+            else:
+                # The same fact, counted without building its details.
+                counter = self._delivered_fact
+                if counter is None:
+                    counter = self._delivered_fact = obs.fact("udp_deliver")
+                counter.value += 1
         handler(message, src)
 
     # ------------------------------------------------------------------
@@ -432,10 +446,7 @@ class Network:
         peer = side.peer
         if peer is None or not peer.open:
             return  # connection torn down while the message was in flight
-        path = self._path_cache.get((side.local.host, side.remote.host))
-        if path is None:
-            path = self._path(side.local.host, side.remote.host)
-        if not path.reachable:
+        if self.hosts.split and not self._path(side.local.host, side.remote.host).reachable:
             return  # cut landed while the segment was in flight
         if peer.on_receive is not None:
             peer.on_receive(message, side.local)

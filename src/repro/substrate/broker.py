@@ -122,6 +122,11 @@ class Broker(Node):
             multicast_enabled=multicast_enabled,
             obs=obs,
         )
+        #: Where this broker receives datagrams, where clients connect,
+        #: and where peer brokers connect links (a host never changes).
+        self.udp_endpoint = self.endpoint(BROKER_UDP_PORT)
+        self.client_endpoint = self.endpoint(BROKER_TCP_PORT)
+        self.link_endpoint = self.endpoint(BROKER_LINK_PORT)
         self.config = config if config is not None else BrokerConfig()
         self.subscriptions = SubscriptionManager()
         self.local_interests: set[str] = set()
@@ -164,21 +169,6 @@ class Broker(Node):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def udp_endpoint(self) -> Endpoint:
-        """Where this broker receives datagrams."""
-        return self.endpoint(BROKER_UDP_PORT)
-
-    @property
-    def client_endpoint(self) -> Endpoint:
-        """Where clients connect."""
-        return self.endpoint(BROKER_TCP_PORT)
-
-    @property
-    def link_endpoint(self) -> Endpoint:
-        """Where peer brokers connect links."""
-        return self.endpoint(BROKER_LINK_PORT)
-
     def start(self) -> None:
         """Bind ports, start listening, join multicast, kick off NTP."""
         if self.started:

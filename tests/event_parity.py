@@ -9,7 +9,9 @@ prints::
 
 Every event that reaches the sink (``Observability.emit``: virtual
 time, name, node, trace id, hop and details, in order) is folded into
-one SHA-256, together with each discovery's outcome (``success``,
+one SHA-256 -- the script makes every sink :attr:`detailed`, so that a
+fact a hot emitter would only count (``udp_deliver``) reaches ``emit``
+too -- together with each discovery's outcome (``success``,
 ``via``, ``transmissions``, ``total_time``, request uuid, selected
 broker), each run's violations and each chaos world's fault log
 (``FaultInjector.injected``, so a change to *when* a fault applies
@@ -137,7 +139,9 @@ def main(argv: list[str] | None = None) -> int:
             super().__init__(*a, **kw)
             built.append(self)
 
+    original_detailed = Observability.detailed
     Observability.emit = hashed_emit
+    Observability.detailed = property(lambda self: True)
     chaos.ChaosWorld = CountedWorld
     try:
         for label, kwargs in VARIANTS:
@@ -165,6 +169,7 @@ def main(argv: list[str] | None = None) -> int:
             )
     finally:
         Observability.emit = original
+        Observability.detailed = original_detailed
         chaos.ChaosWorld = original_world
     return 0
 

@@ -6,6 +6,10 @@ an unobserved run of one seeded world.  A fact about a traced request
 carries that request's trace id, so in the observed run it is also in
 the emitting node's ring: once per traced occurrence, and nowhere when
 its request is untraced (a storm's requests carry no trace flag).
+
+A sink that keeps no details (no log, no rings) lets the fabric count a
+delivery without building it, so a counting-only run of a world must
+read every counter a logging run of it reads.
 """
 
 from __future__ import annotations
@@ -94,3 +98,28 @@ def test_a_watched_fact_is_on_its_requests_timeline(world):
     # ... and no fact about an untraced request is.
     untraced = sum(1 for e in observed.log if e.event in FOLDED and not e.trace_id)
     assert sum(ringed.values()) + untraced == sum(observed.count(name) for name in FOLDED)
+
+
+def _chaos_net(keep_trace: bool) -> BrokerNetwork:
+    nets = []
+
+    def network(*args, **kwargs):
+        nets.append(BrokerNetwork(*args, keep_trace=keep_trace, **kwargs))
+        return nets[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chaos, "BrokerNetwork", network)
+        assert chaos.run_chaos(29).ok
+    return nets[0]
+
+
+def _event_counters(obs) -> dict[str, int]:
+    return {m.name: m.value for m in obs.registry.metrics() if m.name.startswith("obs.event.")}
+
+
+def test_a_counting_only_sink_counts_every_fact():
+    counting, logging = _chaos_net(keep_trace=False), _chaos_net(keep_trace=True)
+    assert not counting.obs.detailed and logging.obs.detailed
+    assert _event_counters(counting.obs) == _event_counters(logging.obs)
+    delivered = counting.network.datagrams_delivered
+    assert counting.obs.count("udp_deliver") == delivered > 0
