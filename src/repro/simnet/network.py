@@ -292,10 +292,11 @@ class Network:
         self.hosts.leave_all(endpoint)
 
     def send_udp(self, src: Endpoint, dst: Endpoint, message: Message) -> None:
-        """Fire-and-forget datagram; may be silently lost in transit.
+        """Fire-and-forget datagram; may be lost in transit.
 
         A datagram to an unbound destination is charged and counted but
-        vanishes -- just like the real network.
+        vanishes -- just like the real network -- and, like a lost one,
+        is a ``udp_drop``.
         """
         if message is self._sized_message:
             size = self._sized_bytes
@@ -343,7 +344,7 @@ class Network:
             return
         handler = self._udp_bindings.get(dst)
         if handler is None:
-            self.datagrams_dropped += 1
+            self._drop(message, src, dst)
             return
         self.datagrams_delivered += 1
         obs = self.obs

@@ -1,5 +1,5 @@
-"""The host registry, realm-scoped multicast and fabric faults: one
-contract, both runtimes.
+"""The host registry, realm-scoped multicast, fabric faults and
+datagram drops: one contract, both runtimes.
 
 Both runtimes keep these tables in one :class:`repro.runtime.hosts.Hosts`,
 so every case is written once here and must come out the same on the
@@ -210,6 +210,16 @@ class MulticastContract(_Contract):
         sent = side.rt.datagrams_sent
         assert side.rt.multicast(Endpoint("a.x", 1), "grp", msg()) == 0
         assert side.rt.datagrams_sent == sent
+
+
+class UdpContract(_Contract):
+    def test_datagram_to_an_unbound_endpoint_is_a_drop(self, side):
+        bind(side.rt, "a.x", port=1)
+        side.rt.send_udp(Endpoint("a.x", 1), Endpoint("b.x", 9), msg())
+        side.settle()
+        assert side.rt.datagrams_dropped == 1
+        assert side.obs.count("udp_drop") == 1
+        assert side.obs.count("udp_deliver") == 0
 
 
 class FaultContract(_Contract):

@@ -24,6 +24,7 @@ from tests.runtime.hosts_contract import (
     FaultContract,
     HostRegistryContract,
     MulticastContract,
+    UdpContract,
 )
 
 
@@ -265,7 +266,9 @@ class TestScheduler:
         run(scenario())
 
 
-class TestUdp:
+class TestUdp(UdpContract):
+    Side = AioSide
+
     def test_round_trip_with_symbolic_source(self):
         async def scenario():
             rt = AioRuntime()

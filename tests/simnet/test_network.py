@@ -16,7 +16,12 @@ from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import UniformLoss
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
-from tests.runtime.hosts_contract import HostRegistryContract, MulticastContract, SimSide
+from tests.runtime.hosts_contract import (
+    HostRegistryContract,
+    MulticastContract,
+    SimSide,
+    UdpContract,
+)
 
 
 def make_net(loss=None, latency=None, seed=0) -> tuple[Simulator, Network]:
@@ -40,7 +45,9 @@ class TestHostRegistry(HostRegistryContract):
     Side = SimSide
 
 
-class TestUDP:
+class TestUDP(UdpContract):
+    Side = SimSide
+
     def test_delivery_after_latency(self):
         sim, net = make_net()
         got = []
