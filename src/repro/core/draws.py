@@ -1,4 +1,4 @@
-"""Scalar random draws at the price of one ``random()``.
+"""Scalar random draws without numpy's per-call argument handling.
 
 ``Generator.uniform`` and ``Generator.lognormal`` parse and broadcast
 their arguments on every call, which costs more than the draw itself
@@ -6,9 +6,10 @@ when one float is wanted.  numpy computes a uniform as ``low + (high -
 low) * next_double`` and a lognormal as ``exp(mean + sigma *
 standard_normal)``, so these helpers spell the same arithmetic over the
 same generator: they consume the identical stream and return the
-identical float, at a third (uniform) or three quarters (lognormal) of
-the cost.  ``tests/core/test_draws.py`` pins the equality; a numpy that
-changed its formulas would fail it, and the golden digests decide.
+identical float, for about a third of the cost of a uniform and a tenth
+less than a lognormal.  ``tests/core/test_draws.py`` pins the equality;
+a numpy that changed its formulas would fail it, and the golden digests
+decide.
 """
 
 from __future__ import annotations

@@ -66,8 +66,9 @@ class Hosts:
         self._partitions: list[tuple[Groups, dict[str, int]]] = []
         self._storms: dict[Link | None, dict[object, LossModel]] = {}
         self._on_fault = on_fault
-        #: Whether a cut or a partition is open (storms do not count): a
-        #: runtime with no path cache asks :meth:`reachable` only then.
+        #: Whether a cut or a partition is open (storms do not count):
+        #: only then does aio ask :meth:`reachable` at a send, or the
+        #: fabric check a delivery that was reachable when it was sent.
         self.split = False
 
     def register(
