@@ -164,6 +164,9 @@ KEPT: dict[str, str] = {
     "repro.runtime.hosts.Hosts.members": (
         "probe: the hosts contract and broker tests read multicast membership"
     ),
+    "repro.simnet.loss.NoLoss.lost": (
+        "the LossModel contract; a NoLoss draws nothing, so Network.send_udp skips the call"
+    ),
     "repro.substrate.content_routing.ContentRouting.targets": (
         "the RoutingStrategy contract; a broker routes a content-aware strategy through "
         "targets_for_topic instead"
