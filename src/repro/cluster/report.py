@@ -7,11 +7,13 @@ A worker's exit report is its final ``telemetry`` frame
 :class:`~repro.core.invariants.Evidence` record -- recorded load rounds,
 leadership intervals rebased onto the shared wall clock via each
 frame's ``wall_offset``, per-BDN queue stats and stale-target counts,
-the p99 of client-observed round times -- from the same record keys the
-live :class:`~repro.obs.slo.SloMonitor` reads, and
-:func:`check_invariants` holds it to the whole check list of
+each process's caught handler errors, the p99 of client-observed round
+times -- from the same record keys the live
+:class:`~repro.obs.slo.SloMonitor` reads, and :func:`check_invariants`
+holds it to the whole check list of
 :func:`~repro.core.invariants.verdict` (docs/PROTOCOL.md "Soak
-invariants").
+invariants").  The :class:`~repro.core.invariants.Breach` list becomes
+text only in :func:`summarize`'s ``"violations"``.
 
 The merged cluster timeline (every process's flight-recorder ring on one
 wall-clock axis) comes from :func:`repro.obs.cluster.merge_process_snapshots`.
@@ -24,6 +26,7 @@ import math
 from repro.cluster.spec import ADMISSION_WATERMARK, P99_BOUND, ClusterSpec
 from repro.core.invariants import (
     LIVE_ELECTION_EPS,
+    Breach,
     Evidence,
     failed,
     queue_stats,
@@ -110,19 +113,21 @@ def gather_evidence(spec: ClusterSpec, frames: list[dict]) -> Evidence:
         intervals=None if spec.n_bdns > 1 and not intervals else intervals,
         queues={label: queue_stats(stats) for label, stats in bdns.items()},
         stale_targets={label: stats.get("stale_targets", 0) for label, stats in bdns.items()},
+        handler_errors={
+            frame["label"]: frame["stats"].get("handler_errors", 0) for frame in frames
+        },
         p99=percentile([r["total_time"] for r in rounds], 0.99) if rounds else None,
     )
 
 
-def check_invariants(spec: ClusterSpec, frames: list[dict]) -> list[str]:
+def check_invariants(spec: ClusterSpec, frames: list[dict]) -> list[Breach]:
     """Every soak invariant over one run's final frames; empty = healthy."""
-    breaches = verdict(
+    return verdict(
         gather_evidence(spec, frames),
         election_eps=LIVE_ELECTION_EPS,
         watermark=ADMISSION_WATERMARK,
         p99_bound=P99_BOUND,
     )
-    return [str(breach) for breach in breaches]
 
 
 def phase_means(rounds: list[dict]) -> dict[str, float]:
@@ -188,5 +193,5 @@ def summarize(
         "faults_injected": [list(row) for row in injected],
         "reports_collected": len(frames),
         "reports_missing": missing,
-        "violations": check_invariants(spec, frames),
+        "violations": [str(breach) for breach in check_invariants(spec, frames)],
     }

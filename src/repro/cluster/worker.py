@@ -83,9 +83,7 @@ class Worker:
         self.incarnation = incarnation
         self.kind, _, index_text = role.partition(":")
         self.index = int(index_text) if index_text else 0
-        self.rt = AioRuntime(
-            bind_ip=spec.bind_ip, port_plan=spec.port_plan(role), max_errors=512
-        )
+        self.rt = AioRuntime(bind_ip=spec.bind_ip, port_plan=spec.port_plan(role))
         self.obs = Observability.for_runtime(self.rt)
         self.rt.attach_observability(self.obs)
         spec.register_hosts(self.rt)
@@ -261,7 +259,8 @@ class Worker:
     # ------------------------------------------------------------------
     def record(self) -> dict:
         """This role's record: what every frame carries and both verdicts read."""
-        stats: dict = {}
+        # Every handler failure the runtime caught, evicted ones included.
+        stats: dict = {"handler_errors": len(self.rt.errors) + self.rt.errors_dropped}
         if self.bdn is not None:
             bdn = self.bdn
             stats.update(

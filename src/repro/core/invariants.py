@@ -3,8 +3,10 @@
 Pure functions over plain evidence.  The sim chaos harness
 (:mod:`repro.discovery.chaos`), the cluster exit report
 (:mod:`repro.cluster.report`), the live monitor (:mod:`repro.obs.slo`)
-and the sim-vs-cluster comparison gather evidence and format the
-:class:`Breach` list; none of them compares a number to a bound.
+and the sim-vs-cluster comparison gather evidence and carry the
+:class:`Breach` list until they print it or write it out (as
+``str(breach)``); none of them compares a number to a bound or words a
+verdict of its own.
 
 A harness holds a run to the predicates it calls.  Evidence a called
 predicate needs and does not get (``None``) is a ``no_evidence`` breach,
@@ -39,6 +41,14 @@ __all__ = [
     "queue_bounds",
     "stale_targets",
     "latency_bound",
+    "latency_budget",
+    "handler_errors",
+    "terminates",
+    "phase_accounting",
+    "selected_alive",
+    "reconnect",
+    "convergence",
+    "breaker_recovered",
     "verdict",
 ]
 
@@ -48,6 +58,10 @@ __all__ = [
 #: while staying two orders of magnitude below the 2 s leases.
 SIM_ELECTION_EPS = 1e-9
 LIVE_ELECTION_EPS = 0.05
+
+#: Tolerated gap between an outcome's phase sum and its total time,
+#: seconds: pure float accumulation error.
+_PHASE_EPS = 1e-6
 
 #: ``(member, term, start, until)`` on one time axis.
 Interval = tuple[str, float, float, float]
@@ -92,15 +106,18 @@ class Evidence:
 
     ``rounds`` are mappings with ``success`` and ``aborted`` (plus
     ``client``/``round``/``uuid``/``via`` for the breach text);
-    ``queues`` and ``stale_targets`` are keyed by BDN; ``p99`` is the
-    client-observed latency the adapter computed.  ``None`` -- for a
-    field or for one BDN's queue -- means the harness could not see it.
+    ``queues`` and ``stale_targets`` are keyed by BDN; ``handler_errors``
+    is keyed by process, each the count of handler failures its runtime
+    caught; ``p99`` is the client-observed latency the adapter computed.
+    ``None`` -- for a field or for one BDN's queue -- means the harness
+    could not see it.
     """
 
     rounds: Sequence[Mapping] | None = None
     intervals: Sequence[Interval] | None = None
     queues: Mapping[str, QueueStats | None] = field(default_factory=dict)
     stale_targets: Mapping[str, int] = field(default_factory=dict)
+    handler_errors: Mapping[str, int] = field(default_factory=dict)
     p99: float | None = None
 
 
@@ -237,6 +254,116 @@ def latency_bound(p99: float | None, bound: float) -> list[Breach]:
     return [Breach("p99_bound", "load", f"client-observed p99 {p99:.3f}s > bound {bound:.1f}s")]
 
 
+def latency_budget(
+    p99: float | None, bound: float, breached: int, windows: int, budget: float
+) -> list[Breach]:
+    """The rolling p99 is budgeted, not hard: a window over ``bound``
+    burns budget, and only a breaching window whose count of breached
+    windows (``breached`` of ``windows``, this one included) exceeds the
+    ``budget`` fraction plus one window of grace exhausts it.  A window
+    with no latencies (``p99=None``) burns nothing.
+    """
+    if p99 is None or not latency_bound(p99, bound) or breached <= budget * windows + 1:
+        return []
+    detail = (
+        f"rolling p99 {p99:.3f}s > {bound:.1f}s in {breached}/{windows} windows; "
+        f"error budget ({budget:.0%} of windows) exhausted"
+    )
+    return [Breach("latency_budget", "load", detail)]
+
+
+def handler_errors(subject: str, count: int) -> list[Breach]:
+    """No handler failure was caught and carried past: a runtime that
+    keeps its loop alive through a raising handler still owes the run
+    its verdict."""
+    if count <= 0:
+        return []
+    return [Breach("handler_errors", subject, f"{count} handler error(s) caught by the runtime")]
+
+
+def terminates(subject: str, raised: str | None, terminated: bool) -> list[Breach]:
+    """A discovery ends in an outcome: it neither raised (``raised`` is
+    the error's text) nor ran past the driver's cap."""
+    if raised is not None:
+        return [Breach("terminates", subject, f"discovery raised instead of completing: {raised}")]
+    if not terminated:
+        return [Breach("terminates", subject, "discovery did not terminate")]
+    return []
+
+
+def phase_accounting(
+    subject: str, open_phase: str | None, phases: Mapping[str, float], total_time: float
+) -> list[Breach]:
+    """An outcome's phase timer is closed, no phase ran backwards, and
+    the phases add up to the run's total time (to float noise)."""
+    found = []
+    if open_phase is not None:
+        found.append(Breach("phase_accounting", subject, f"phase {open_phase!r} left open"))
+    found += [
+        Breach("phase_accounting", subject, f"phase {name!r} has negative duration {value}")
+        for name, value in phases.items()
+        if value < 0
+    ]
+    total = sum(phases.values())
+    if abs(total - total_time) > _PHASE_EPS:
+        found.append(
+            Breach("phase_accounting", subject, f"phase sum {total} != total_time {total_time}")
+        )
+    return found
+
+
+def selected_alive(
+    subject: str, broker: str, alive: bool, reachable: bool, disrupted: bool
+) -> list[Breach]:
+    """A successful run selected a broker that is alive and reachable
+    from its client.  ``disrupted`` is the stale-information excuse: a
+    kill or cut that landed during the run can invalidate ping evidence
+    already gathered, which the protocol cannot know.  The caller grants
+    it only to a run that overlapped a disruption's onset, never to a
+    strict post-heal run.
+    """
+    if (alive and reachable) or disrupted:
+        return []
+    state = f"{'alive' if alive else 'dead'}/{'reachable' if reachable else 'unreachable'}"
+    return [Breach("selected_alive", subject, f"selected broker {broker} is {state}")]
+
+
+def reconnect(killed: str, via: str, selected: str | None) -> list[Breach]:
+    """After the ``killed`` broker (the one last chosen) dies, the
+    client reconnects through its cached target set -- no BDN round
+    trip -- onto another broker.  ``selected`` is ``None`` when the
+    rediscovery failed."""
+    found = []
+    if via != "cached":
+        found.append(Breach("reconnect", killed, f"via={via!r}, expected 'cached'"))
+    if selected is None:
+        found.append(Breach("reconnect", killed, "cached-target rediscovery failed"))
+    elif selected == killed:
+        found.append(Breach("reconnect", killed, "re-selected the killed broker"))
+    return found
+
+
+def convergence(registries: Mapping[str, frozenset]) -> list[Breach]:
+    """After every fault healed, anti-entropy has driven each member's
+    registry to the same renewal of every live registration: each
+    member holds every ``(broker_id, issued_at)`` any member holds."""
+    union = frozenset().union(*registries.values())
+    return [
+        Breach("convergence", member, f"missing {sorted(union - held)} after heal")
+        for member, held in registries.items()
+        if union - held
+    ]
+
+
+def breaker_recovered(subject: str, state: str, available: bool) -> list[Breach]:
+    """After the last storm, a client's circuit breaker is not wedged:
+    it is closed again or eligible to probe (``available``; an open
+    breaker past its cooldown re-closes on its next success)."""
+    if available:
+        return []
+    return [Breach("breaker_recovered", subject, f"wedged {state} after recovery")]
+
+
 def verdict(
     evidence: Evidence, *, election_eps: float, watermark: int, p99_bound: float
 ) -> list[Breach]:
@@ -247,5 +374,7 @@ def verdict(
         found += queue_bounds(subject, queue, watermark)
     for subject, count in evidence.stale_targets.items():
         found += stale_targets(subject, count)
+    for subject, count in evidence.handler_errors.items():
+        found += handler_errors(subject, count)
     found += latency_bound(evidence.p99, p99_bound)
     return found

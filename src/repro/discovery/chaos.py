@@ -7,20 +7,26 @@ exercise each failure mode in isolation; this module exercises them
 schedule of link cuts, partitions, BDN/broker kill+revive cycles and
 loss storms is drawn from an explicit :class:`numpy.random.Generator`,
 applied to a small discovery world, and a discovery workload runs
-through the turbulence.  After every run a set of invariants is
-checked:
+through the turbulence.  The harness gathers evidence; every check is a
+named predicate of :mod:`repro.core.invariants`, and a run's verdict is
+the :class:`~repro.core.invariants.Breach` list they return:
 
-* **Termination** -- every discovery ends with a decision or an
-  explicit failure outcome; the protocol never wedges.
-* **Aliveness** -- a successful run selected a broker that is alive and
-  reachable from the client, unless the world changed under the run's
-  feet (a kill/cut landed between the ping evidence and the decision --
-  the one honest excuse, and it is only accepted for runs overlapping a
-  disruption, never for the strict post-heal run).
-* **No stale dissemination** -- no BDN ever picked an expired
-  advertisement as an injection target (``BDN.stale_targets`` stays 0).
-* **Phase consistency** -- every outcome's phase timer is closed, has
+* ``terminates`` -- every discovery ends with a decision or an explicit
+  failure outcome; the protocol never wedges.
+* ``selected_alive`` -- a successful run selected a broker that is
+  alive and reachable from the client, unless the world changed under
+  the run's feet (a kill/cut landed between the ping evidence and the
+  decision -- the one honest excuse, and it is only granted to runs
+  overlapping a disruption, never to the strict post-heal run).
+* ``stale_targets`` -- no BDN ever picked an expired advertisement as
+  an injection target (``BDN.stale_targets`` stays 0).
+* ``phase_accounting`` -- every outcome's phase timer is closed, has
   non-negative durations, and sums to the run's total time.
+* ``zero_failed_discoveries`` on ``warm`` and ``final`` (and on every
+  attempt of a replicated world), and ``reconnect`` onto the cached
+  target set after the chosen broker is killed; the overload and
+  replicated variants add ``queue_*``, ``breaker_recovered``,
+  ``election_safety`` and ``convergence``.
 
 Every disruption is drawn *with its recovery*: link cuts heal,
 partitions dissolve, killed nodes revive, storms end.  The world is
@@ -50,10 +56,17 @@ from repro.core.draws import uniform
 from repro.core.errors import DiscoveryError
 from repro.core.invariants import (
     SIM_ELECTION_EPS,
+    Breach,
     bdn_evidence,
+    breaker_recovered,
+    convergence,
     election_safety,
+    phase_accounting,
     queue_bounds,
+    reconnect,
+    selected_alive,
     stale_targets,
+    terminates,
     zero_failed,
 )
 from repro.discovery.bdn import BDN, BDN_UDP_PORT
@@ -107,9 +120,6 @@ REPLICATED_CHAOS_KINDS = ("kill_bdn", "bdn_crash_restart", "bdn_group_partition"
 # partition) whose *onset* can invalidate a decision already in flight.
 # They change aliveness/reachability; loss storms only delay.
 _DISRUPTIVE = frozenset({"fail_link", "partition", "kill_bdn", "kill_broker"})
-
-# Phase-sum consistency tolerance (pure float accumulation error).
-_PHASE_EPS = 1e-6
 
 # run_chaos's timeline: the window the schedule is drawn in, the quiet
 # time after it for recoveries to land, and the gap between windowed
@@ -305,7 +315,7 @@ class ChaosReport:
     seed: int
     schedule: tuple[ChaosAction, ...]
     outcomes: list[DiscoveryOutcome] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
+    violations: list[Breach] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -445,92 +455,6 @@ def apply_schedule(world: ChaosWorld, schedule: tuple[ChaosAction, ...]) -> None
 
 
 # ---------------------------------------------------------------------------
-# Invariant checks
-# ---------------------------------------------------------------------------
-def _check_phases(label: str, outcome: DiscoveryOutcome, violations: list[str]) -> None:
-    timer = outcome.phases
-    if timer.open_phase is not None:
-        violations.append(f"{label}: phase {timer.open_phase!r} left open")
-    durations = timer.durations()
-    for name, value in durations.items():
-        if value < 0:
-            violations.append(f"{label}: phase {name!r} has negative duration {value}")
-    if abs(timer.total() - outcome.total_time) > _PHASE_EPS:
-        violations.append(
-            f"{label}: phase sum {timer.total()} != total_time {outcome.total_time}"
-        )
-
-
-def _check_aliveness(
-    label: str,
-    world: ChaosWorld,
-    outcome: DiscoveryOutcome,
-    violations: list[str],
-    run_started_at: float,
-    strict: bool,
-) -> None:
-    if not outcome.success:
-        return
-    broker = world.node_by_name(outcome.selected.broker_id)
-    alive = broker.alive
-    reachable = world.net.network.reachable(world.client.host, broker.host)
-    if alive and reachable:
-        return
-    if not strict:
-        # Stale-information excuse: a kill or cut that landed *during*
-        # this run can invalidate ping evidence already gathered.  The
-        # protocol cannot know, so this is not a violation -- but only
-        # for runs that actually overlapped a disruption onset.
-        disrupted = any(
-            t >= run_started_at and kind in _DISRUPTIVE
-            for (t, kind, _target) in world.injector.injected
-        )
-        if disrupted:
-            return
-    violations.append(
-        f"{label}: selected broker {broker.name} is "
-        f"{'alive' if alive else 'dead'}/{'reachable' if reachable else 'unreachable'}"
-    )
-
-
-def _check_overload(world: ChaosWorld, violations: list[str]) -> None:
-    """Overload variant, after every storm has ended: queue bounds at
-    rest, and no circuit breaker wedged -- each is closed again or
-    eligible to probe (an open breaker past its cooldown re-closes on
-    the next successful attempt, so "eligible" is the recovered state).
-    """
-    for name, queue in bdn_evidence(world.bdns).queues.items():
-        violations.extend(map(str, queue_bounds(name, queue, world.ADMISSION_WATERMARK)))
-    for endpoint, breaker in world.client._breakers.items():  # noqa: SLF001
-        if breaker.state != breaker.CLOSED and not breaker.available():
-            violations.append(
-                f"breaker for {endpoint} wedged {breaker.state} after recovery"
-            )
-
-
-def _check_replication(world: ChaosWorld, violations: list[str]) -> None:
-    """Replicated variant, after every fault healed: election safety
-    over the whole run, and post-heal convergence -- anti-entropy must
-    have driven every member's registry to the same renewal of every
-    live registration, named ``(broker_id, issued_at)``.
-    """
-    intervals = bdn_evidence(world.bdns).intervals
-    violations.extend(map(str, election_safety(intervals, SIM_ELECTION_EPS)))
-    now = world.sim.now
-    registries = {
-        bdn.name: frozenset((s.broker_id, s.advertisement.issued_at) for s in bdn.store.all(now))
-        for bdn in world.bdns
-    }
-    union = frozenset().union(*registries.values())
-    for name, renewals in registries.items():
-        missing = union - renewals
-        if missing:
-            violations.append(
-                f"convergence: {name} is missing {sorted(missing)} after heal"
-            )
-
-
-# ---------------------------------------------------------------------------
 # The harness
 # ---------------------------------------------------------------------------
 def run_chaos(
@@ -565,35 +489,45 @@ def run_chaos(
         kinds = REPLICATED_CHAOS_KINDS if replicated else CHAOS_KINDS
     world = ChaosWorld(seed, overload=overload, replicated=replicated)
     rng = np.random.default_rng(seed)
-    violations: list[str] = []
+    found: list[Breach] = []
     outcomes: list[DiscoveryOutcome] = []
 
     def attempt(label: str, begin, strict: bool = False) -> DiscoveryOutcome | None:
         started_at = world.sim.now
         try:
-            outcome = drive_discovery(world.sim, begin, _ATTEMPT_CAP)
+            outcome, raised = drive_discovery(world.sim, begin, _ATTEMPT_CAP), None
         except DiscoveryError as exc:
-            violations.append(f"{label}: discovery raised instead of completing: {exc}")
-            return None
+            outcome, raised = None, str(exc)
+        found.extend(terminates(label, raised, outcome is not None))
         if outcome is None:
-            violations.append(f"{label}: discovery did not terminate")
             return None
         outcomes.append(outcome)
-        _check_phases(label, outcome, violations)
-        _check_aliveness(label, world, outcome, violations, started_at, strict)
+        timer = outcome.phases
+        found.extend(
+            phase_accounting(label, timer.open_phase, timer.durations(), outcome.total_time)
+        )
+        if outcome.success:
+            broker = world.node_by_name(outcome.selected.broker_id)
+            # Only a run that overlapped a disruption's onset may be
+            # excused for a stale pick; a strict run never is.
+            disrupted = not strict and any(
+                t >= started_at and kind in _DISRUPTIVE
+                for (t, kind, _target) in world.injector.injected
+            )
+            reachable = world.net.network.reachable(world.client.host, broker.host)
+            found.extend(selected_alive(label, broker.name, broker.alive, reachable, disrupted))
         if replicated:
             # Zero-outage invariant: the faults only ever touch a
             # minority of the replication group, so a failed discovery
             # means failover did not mask them.
-            violations.extend(
-                map(str, zero_failed(label, not outcome.success, "failed despite replicated BDN group"))
+            found.extend(
+                zero_failed(label, not outcome.success, "failed despite replicated BDN group")
             )
         return outcome
 
     # 1. Baseline: the undisturbed world must discover successfully.
     warm = attempt("warm", world.client.discover, strict=True)
-    if warm is None or not warm.success:
-        violations.append("warm: baseline discovery failed")
+    found += zero_failed("warm", warm is None or not warm.success, "baseline discovery failed")
 
     # 2. Draw and arm the fault schedule.
     start = world.sim.now + 1.0
@@ -612,8 +546,7 @@ def run_chaos(
     #    re-link within one retry interval.
     world.sim.run_for(_RECOVERY)
     final = attempt("final", world.client.discover, strict=True)
-    if final is None or not final.success:
-        violations.append("final: post-heal discovery failed")
+    found += zero_failed("final", final is None or not final.success, "post-heal discovery failed")
 
     # 5. Kill the chosen broker; the client must reconnect through its
     #    cached target set without a fresh BDN round trip.
@@ -621,29 +554,38 @@ def run_chaos(
         chosen = world.node_by_name(final.selected.broker_id)
         world.injector.kill_broker(chosen)
         world.sim.run_for(0.5)
-        reconnect = attempt("reconnect", world.client.rediscover)
-        if reconnect is not None:
-            if reconnect.via != "cached":
-                violations.append(
-                    f"reconnect: via={reconnect.via!r}, expected 'cached'"
-                )
-            if not reconnect.success:
-                violations.append("reconnect: cached-target rediscovery failed")
-            elif reconnect.selected.broker_id == chosen.name:
-                violations.append("reconnect: re-selected the killed broker")
+        again = attempt("reconnect", world.client.rediscover)
+        if again is not None:
+            selected = again.selected.broker_id if again.success else None
+            found += reconnect(chosen.name, again.via, selected)
         world.injector.revive_broker(chosen)
 
     # 6. Store-level invariant: expired advertisements never disseminated.
-    for name, count in bdn_evidence(world.bdns).stale_targets.items():
-        violations.extend(map(str, stale_targets(name, count)))
+    evidence = bdn_evidence(world.bdns)
+    for name, count in evidence.stale_targets.items():
+        found += stale_targets(name, count)
 
-    # 7. Overload invariants: bounded queues drained, breakers not wedged.
+    # 7. Overload invariants, after every storm has ended: queue bounds
+    #    at rest, and no circuit breaker wedged.
     if overload:
-        _check_overload(world, violations)
+        for name, queue in evidence.queues.items():
+            found += queue_bounds(name, queue, world.ADMISSION_WATERMARK)
+        for endpoint, breaker in world.client._breakers.items():  # noqa: SLF001
+            found += breaker_recovered(str(endpoint), breaker.state, breaker.available())
 
-    # 8. Replication invariants: election safety over the whole run,
-    #    registry convergence now that every fault has healed.
+    # 8. Replication invariants: election safety over the whole run, and
+    #    post-heal convergence of every member's registry, named by
+    #    ``(broker_id, issued_at)``, now that every fault has healed.
     if replicated:
-        _check_replication(world, violations)
+        found += election_safety(evidence.intervals, SIM_ELECTION_EPS)
+        now = world.sim.now
+        found += convergence(
+            {
+                bdn.name: frozenset(
+                    (s.broker_id, s.advertisement.issued_at) for s in bdn.store.all(now)
+                )
+                for bdn in world.bdns
+            }
+        )
 
-    return ChaosReport(seed=seed, schedule=schedule, outcomes=outcomes, violations=violations)
+    return ChaosReport(seed=seed, schedule=schedule, outcomes=outcomes, violations=found)

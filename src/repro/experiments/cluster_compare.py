@@ -23,6 +23,7 @@ from dataclasses import replace
 
 from repro.cluster.coordinator import ClusterHarness
 from repro.cluster.report import (
+    check_invariants,
     collect_rounds,
     percentile,
     phase_means,
@@ -30,7 +31,7 @@ from repro.cluster.report import (
     summarize,
 )
 from repro.cluster.spec import P99_BOUND, WARMUP, ClusterSpec, derive_schedule
-from repro.core.invariants import SIM_ELECTION_EPS, bdn_evidence, failed, verdict
+from repro.core.invariants import SIM_ELECTION_EPS, Breach, bdn_evidence, failed, verdict
 from repro.discovery.chaos import ChaosAction, ChaosWorld, apply_schedule
 from repro.experiments.harness import run_discovery_once
 from repro.experiments.report import cluster_table
@@ -47,7 +48,7 @@ SIM_RESTART_OUTAGE = 2.0
 MEAN_GAP = 0.15
 
 
-def _column(rounds: list[dict], violations: list[str]) -> dict:
+def _column(rounds: list[dict], breaches: list[Breach]) -> dict:
     """One side of the table, from recorded rounds and their verdict."""
     totals = [r["total_time"] for r in rounds]
     return {
@@ -55,7 +56,7 @@ def _column(rounds: list[dict], violations: list[str]) -> dict:
         "total_time": sum(totals) / len(totals) if totals else 0.0,
         "rounds": len(rounds),
         "failures": len(failed(rounds)),
-        "violations": violations,
+        "violations": breaches,
     }
 
 
@@ -92,7 +93,7 @@ def simulate_rolling_restart(seed: int, rounds: int) -> dict:
         watermark=world.ADMISSION_WATERMARK,
         p99_bound=P99_BOUND,
     )
-    return _column(records, [str(breach) for breach in breaches])
+    return _column(records, breaches)
 
 
 def run_live_cluster(seed: int, rounds: int, workdir: str) -> dict:
@@ -109,7 +110,7 @@ def run_live_cluster(seed: int, rounds: int, workdir: str) -> dict:
     harness.shutdown()
     frames, missing = harness.collect()
     summary = summarize(spec, frames, missing, harness.injector.injected)
-    column = _column(collect_rounds(frames), summary["violations"])
+    column = _column(collect_rounds(frames), check_invariants(spec, frames))
     return {**column, "missing": missing, "summary": summary}
 
 

@@ -9,7 +9,8 @@ in fixed wall-clock windows, so a violation surfaces within one window
 of its occurrence:
 
 * **Hard invariants** fire in the window that saw them -- a failed
-  discovery, a BDN's queue bounds (read with
+  discovery, a handler failure any process's runtime caught (its
+  record's ``handler_errors`` increment), a BDN's queue bounds (read with
   :func:`~repro.core.invariants.queue_stats`, like the exit verdict: a
   BDN whose record has no queue keys is a ``no_evidence`` violation,
   not a healthy zero) or a stale dissemination target, and any overlap
@@ -20,8 +21,8 @@ of its occurrence:
   rolling restarts are supposed to hurt briefly.  The budget is a
   fraction of evaluated windows; when the burn exceeds it (plus one
   window of grace so short runs aren't judged on one sample) the
-  monitor raises a budget-exhausted violation, and the per-window burn
-  rate is recorded in the trend either way.
+  ``latency_budget`` predicate says so, and the per-window burn rate is
+  recorded in the trend either way.
 
 Violations are structured (:class:`SloViolation` names the window, the
 process, and the invariant) so the coordinator can fail fast with an
@@ -36,7 +37,9 @@ from dataclasses import asdict, dataclass
 from repro.core.invariants import (
     LIVE_ELECTION_EPS,
     election_safety,
+    handler_errors,
     latency_bound,
+    latency_budget,
     queue_bounds,
     queue_stats,
     stale_targets,
@@ -197,6 +200,8 @@ class SloMonitor:
             breaches += zero_failed(
                 label, failed, f"{failed} discovery round(s) failed in this window"
             )
+            # This window's increment of the runtime's caught failures.
+            breaches += handler_errors(label, stats.get("handler_errors", 0))
             if row["role"].partition(":")[0] == "bdn":
                 # Capacity, peak and depth are levels; overflows and
                 # stale targets are this window's increments, so each
@@ -224,10 +229,6 @@ class SloMonitor:
         breaches += election_safety(view.leadership_intervals(), LIVE_ELECTION_EPS)
         breaches = [b for b in breaches if b not in self._reported]
         self._reported.update(b for b in breaches if b.invariant in _CUMULATIVE)
-        found = [
-            SloViolation(index, start, end, b.invariant, b.subject, b.detail, now)
-            for b in breaches
-        ]
 
         # Rolling p99 burns budget instead of failing outright.
         p99 = None
@@ -242,19 +243,15 @@ class SloMonitor:
             )
             breached = bool(latency_bound(p99, config.p99_bound))
         self.windows_evaluated += 1
-        if breached:
-            self.breached_windows += 1
-            allowed = config.latency_budget * self.windows_evaluated
-            if self.breached_windows > allowed + 1:
-                found.append(
-                    SloViolation(
-                        index, start, end, "latency_budget", "load",
-                        f"rolling p99 {p99:.3f}s > {config.p99_bound:.1f}s in "
-                        f"{self.breached_windows}/{self.windows_evaluated} windows; "
-                        f"error budget ({config.latency_budget:.0%} of windows) exhausted",
-                        now,
-                    )
-                )
+        self.breached_windows += breached
+        breaches += latency_budget(
+            p99, config.p99_bound, self.breached_windows, self.windows_evaluated,
+            config.latency_budget,
+        )
+        found = [
+            SloViolation(index, start, end, b.invariant, b.subject, b.detail, now)
+            for b in breaches
+        ]
         self.trend.append(
             {
                 "window": index,

@@ -44,7 +44,8 @@ system sockets.  Design points:
 
 Handler exceptions are caught and recorded in :attr:`AioRuntime.errors`
 (and emitted as ``handler_error`` to an attached sink) rather than killing
-the event loop; smoke tests assert the list is empty.
+the event loop; their count is a ``handler_errors`` breach
+(:mod:`repro.core.invariants`) wherever a verdict reads this runtime.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ _UDP_RECV_BYTES = 64 * 1024  # no UDP datagram is larger
 # at 4 and above, 32 closed-loop clients behind one BDN left the core
 # idle 15-25 % of a saturated run (docs/experiments/pr-20.md).
 _UDP_DRAIN_MAX = 2
+# Handler-failure texts kept in ``AioRuntime.errors``.  The count is exact
+# past the cap (``errors_dropped``), and one caught failure already breaks
+# a run's verdict (``core.invariants.handler_errors``), so the ring only
+# has to keep enough recent text to diagnose by: 256 lines, a few tens of
+# KiB in a worker's final frame.
+_MAX_ERRORS = 256
 # What the default Linux loop's selector makes of a timeout:
 # ``selectors.EpollSelector.select`` does ``math.ceil(timeout * 1e3) *
 # 1e-3``, so a ``call_later`` fires up to one tick late whatever it asked
@@ -189,10 +196,11 @@ class AioRuntime:
         ephemeral one -- how a cluster coordinator hands each worker
         process the ports its peers were told about.  Unplanned
         endpoints keep the default bind-port-0 behaviour.
-    max_errors:
-        Capacity of the :attr:`errors` ring.  Handler failures past the
-        cap evict the oldest entry and bump :attr:`errors_dropped`, so a
-        soak run with a flapping peer cannot grow memory without bound.
+
+    Handler failures are kept in the :attr:`errors` ring of
+    ``_MAX_ERRORS`` entries; one past the cap evicts the oldest and
+    bumps :attr:`errors_dropped`, so a soak run with a flapping peer
+    cannot grow memory without bound.
     """
 
     kind = "aio"
@@ -202,7 +210,6 @@ class AioRuntime:
         bind_ip: str = "127.0.0.1",
         *,
         port_plan: Mapping[Endpoint, int] | None = None,
-        max_errors: int = 256,
     ) -> None:
         self.bind_ip = bind_ip
         self._port_plan: dict[Endpoint, int] = dict(port_plan or {})
@@ -223,7 +230,7 @@ class AioRuntime:
         self._by_real: dict[tuple[str, int], Endpoint] = {}
         self._tasks: set[asyncio.Task] = set()
         self._egress: socket.socket | None = None
-        self.errors: deque[str] = deque(maxlen=max_errors)
+        self.errors: deque[str] = deque(maxlen=_MAX_ERRORS)
         self.errors_dropped = 0
         # Optional telemetry: attach_observability() wires a world's
         # Observability in, and it hears the fabric's events.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import asyncio
-from types import SimpleNamespace
 
 from repro.cluster.report import (
     check_invariants,
@@ -13,8 +12,14 @@ from repro.cluster.report import (
 from repro.cluster.spec import ADMISSION_WATERMARK, P99_BOUND, ClusterSpec
 from repro.cluster.worker import Worker
 from repro.core.config import BDNConfig
-from repro.core.invariants import QueueStats, queue_record, queue_stats
-from repro.discovery.chaos import _check_overload
+from repro.core.invariants import (
+    Breach,
+    QueueStats,
+    bdn_evidence,
+    queue_bounds,
+    queue_record,
+    queue_stats,
+)
 from repro.obs.cluster import SEQ_STRIDE, merge_process_snapshots
 from repro.obs.live import RollingClusterView
 from repro.obs.slo import SloMonitor
@@ -199,8 +204,8 @@ def ok_round(i, total=0.1):
     }
 
 
-def invariant_names(violations):
-    return [v.split()[0] for v in violations]
+def invariant_names(breaches):
+    return [b.invariant for b in breaches]
 
 
 class TestElectionSafety:
@@ -266,7 +271,7 @@ class TestInvariants:
         bad = dict(ok_round(3), success=False, selected=None)
         violations = check_invariants(self.spec(), [self.bdn(), load_frame([bad])])
         assert violations == [
-            "zero_failed_discoveries (c0): round 3 (u3) failed via 'bdn'"
+            Breach("zero_failed_discoveries", "c0", "round 3 (u3) failed via 'bdn'")
         ]
 
     def test_aborted_rounds_excluded(self):
@@ -293,6 +298,24 @@ class TestInvariants:
         violations = check_invariants(self.spec(), [frame, load_frame([ok_round(0)])])
         assert invariant_names(violations) == ["stale_targets"]
 
+    def test_caught_handler_error_breaks_the_exit_verdict(self):
+        # A handler that raised under the worker's runtime was caught and
+        # the loop carried on; the count rides the record into the final
+        # frame (beside the error text) and the run fails on it.
+        spec = self.spec()
+        spec.assign_ports()
+        worker = Worker(spec, "broker:0", cold=False)
+        worker.rt._note_error("udp handler at b0.host:7000 failed: ValueError('boom')")
+        stats = worker.record()
+        assert stats["handler_errors"] == 1
+        frame = final_frame(
+            "broker:0", stats, errors=list(worker.rt.errors), errors_dropped=0
+        )
+        frames = [self.bdn(), frame, load_frame([ok_round(0)])]
+        assert check_invariants(self.spec(), frames) == [
+            Breach("handler_errors", "broker:0#0", "1 handler error(s) caught by the runtime")
+        ]
+
     def test_absent_queue_evidence_is_a_violation(self):
         # A worker whose BDN has no ingress queue sends no queue keys in
         # its record; that is missing evidence, not a queue that stayed
@@ -313,8 +336,8 @@ class TestInvariants:
         assert queue_stats(stats) is None
         frames = [final_frame("bdn:0", stats), load_frame([ok_round(0)])]
         violations = check_invariants(self.spec(), frames)
-        assert [v for v in violations if "queue" in v] == [
-            "no_evidence (bdn:0#0): no ingress-queue evidence"
+        assert [b for b in violations if "queue" in b.detail] == [
+            Breach("no_evidence", "bdn:0#0", "no ingress-queue evidence")
         ]
 
     def test_absent_queue_evidence_is_loud_on_all_three_paths(self, monkeypatch):
@@ -332,15 +355,9 @@ class TestInvariants:
             worker.boot()
             try:
                 await worker.rt.ready()
-                chaos: list[str] = []
-                _check_overload(
-                    SimpleNamespace(
-                        bdns=[worker.bdn],
-                        ADMISSION_WATERMARK=ADMISSION_WATERMARK,
-                        client=SimpleNamespace(_breakers={}),
-                    ),
-                    chaos,
-                )
+                # The overload chaos run's queue verdict on this BDN.
+                queue = bdn_evidence([worker.bdn]).queues[worker.bdn.name]
+                chaos = queue_bounds(worker.bdn.name, queue, ADMISSION_WATERMARK)
                 return worker.record(), chaos
             finally:
                 await worker.rt.aclose()
@@ -362,11 +379,11 @@ class TestInvariants:
         # (The exit verdict also misses the leadership this unreplicated
         # BDN never logged; the queue verdict is the one compared here.)
         frames = [final_frame("bdn:0", stats), load_frame([ok_round(0)])]
-        at_exit = [v for v in check_invariants(self.spec(), frames) if "queue" in v]
+        at_exit = [b for b in check_invariants(self.spec(), frames) if "queue" in b.detail]
         assert invariant_names(at_exit) == ["no_evidence"] == invariant_names(chaos)
         # One record read one way: the same subject and words at exit and live.
-        assert at_exit == [f"{live.invariant} ({live.process}): {live.detail}"]
-        assert live.detail in chaos[0]
+        assert at_exit == [Breach(live.invariant, live.process, live.detail)]
+        assert live.detail == chaos[0].detail
 
     def test_p99_bound_enforced(self):
         slow = ok_round(0, total=P99_BOUND + 0.5)

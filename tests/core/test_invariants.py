@@ -18,13 +18,21 @@ from repro.core.invariants import (
     Evidence,
     QueueStats,
     bdn_evidence,
+    breaker_recovered,
+    convergence,
     election_safety,
     failed,
     failed_discoveries,
+    handler_errors,
     latency_bound,
+    latency_budget,
+    phase_accounting,
     queue_bounds,
+    reconnect,
     recorded,
+    selected_alive,
     stale_targets,
+    terminates,
     verdict,
     zero_failed,
 )
@@ -98,6 +106,49 @@ CASES = [
     ("p99/at-bound", latency_bound(3.0, 3.0), []),
     ("p99/breached", latency_bound(3.001, 3.0), ["p99_bound"]),
     ("p99/absent", latency_bound(None, 3.0), ["no_evidence"]),
+    # -- latency budget (25 % of windows, plus one window of grace) ------
+    ("budget/within", latency_budget(4.0, 3.0, 2, 4, 0.25), []),
+    ("budget/exhausted", latency_budget(4.0, 3.0, 3, 4, 0.25), ["latency_budget"]),
+    ("budget/fast-window-spends-nothing", latency_budget(2.0, 3.0, 3, 4, 0.25), []),
+    ("budget/no-latencies", latency_budget(None, 3.0, 3, 4, 0.25), []),
+    # -- handler errors ------------------------------------------------
+    ("handler/holds", handler_errors("load#0", 0), []),
+    ("handler/breached", handler_errors("load#0", 1), ["handler_errors"]),
+    # -- termination ---------------------------------------------------
+    ("terminates/holds", terminates("windowed", None, True), []),
+    ("terminates/raised", terminates("windowed", "boom", False), ["terminates"]),
+    ("terminates/cap", terminates("windowed", None, False), ["terminates"]),
+    # -- phase accounting ----------------------------------------------
+    ("phases/holds", phase_accounting("warm", None, {"a": 0.25, "b": 0.5}, 0.75), []),
+    ("phases/open", phase_accounting("warm", "b", {"a": 0.25, "b": 0.5}, 0.75),
+     ["phase_accounting"]),
+    ("phases/negative", phase_accounting("warm", None, {"a": 1.0, "b": -0.25}, 0.75),
+     ["phase_accounting"]),
+    ("phases/sum", phase_accounting("warm", None, {"a": 0.25}, 0.75), ["phase_accounting"]),
+    ("phases/sum-within-float-noise",
+     phase_accounting("warm", None, {"a": 0.25}, 0.25 + 1e-9), []),
+    # -- selected broker alive -----------------------------------------
+    ("alive/holds", selected_alive("final", "b0", True, True, False), []),
+    ("alive/dead", selected_alive("final", "b0", False, True, False), ["selected_alive"]),
+    ("alive/unreachable", selected_alive("final", "b0", True, False, False),
+     ["selected_alive"]),
+    ("alive/disruption-excused", selected_alive("windowed", "b0", False, False, True), []),
+    # -- reconnect through the cached target set -----------------------
+    ("reconnect/holds", reconnect("b0", "cached", "b1"), []),
+    ("reconnect/via-bdn", reconnect("b0", "bdn", "b1"), ["reconnect"]),
+    ("reconnect/failed", reconnect("b0", "cached", None), ["reconnect"]),
+    ("reconnect/killed-again", reconnect("b0", "cached", "b0"), ["reconnect"]),
+    # -- replica convergence -------------------------------------------
+    ("convergence/holds",
+     convergence({"d0": frozenset({("b0", 1.0)}), "d1": frozenset({("b0", 1.0)})}), []),
+    ("convergence/older-renewal",
+     convergence({"d0": frozenset({("b0", 1.0)}), "d1": frozenset({("b0", 2.0)})}),
+     ["convergence", "convergence"]),
+    # -- circuit breakers after recovery --------------------------------
+    ("breaker/closed", breaker_recovered("d0.host:7000", "closed", True), []),
+    ("breaker/probe-eligible", breaker_recovered("d0.host:7000", "open", True), []),
+    ("breaker/wedged", breaker_recovered("d0.host:7000", "open", False),
+     ["breaker_recovered"]),
 ]
 
 
@@ -119,6 +170,18 @@ def test_breach_names_its_subject_and_formats_one_way():
     assert str(breach) == "no_evidence (bdn:0#1): no ingress-queue evidence"
     (failure,) = failed_discoveries([rnd(3, success=False)])
     assert str(failure) == "zero_failed_discoveries (c0): round 3 (u3) failed via 'bdn'"
+
+
+def test_chaos_checks_name_their_subject():
+    assert reconnect("b2", "bdn", "b2") == [
+        Breach("reconnect", "b2", "via='bdn', expected 'cached'"),
+        Breach("reconnect", "b2", "re-selected the killed broker"),
+    ]
+    assert selected_alive("final", "b1", False, True, False) == [
+        Breach("selected_alive", "final", "selected broker b1 is dead/reachable")
+    ]
+    (missing,) = convergence({"d0": frozenset({("b0", 1.0)}), "d1": frozenset()})
+    assert str(missing) == "convergence (d1): missing [('b0', 1.0)] after heal"
 
 
 class TestVerdict:
@@ -149,6 +212,7 @@ class TestVerdict:
             intervals=[D0, ("d1", 2.0, 1.0, 2.0)],
             queues={"d0": queue(overflows=1), "d1": queue()},
             stale_targets={"d0": 0, "d1": 4},
+            handler_errors={"load#0": 3, "bdn:0#0": 0},
             p99=9.0,
         )
         assert [b.invariant for b in verdict(evidence, **self.BOUNDS)] == [
@@ -156,7 +220,20 @@ class TestVerdict:
             "election_safety",
             "queue_overflow",
             "stale_targets",
+            "handler_errors",
             "p99_bound",
+        ]
+
+    def test_caught_handler_errors_break_the_verdict(self):
+        evidence = Evidence(
+            rounds=[rnd(0)],
+            intervals=[D0],
+            queues={"d0": queue()},
+            handler_errors={"broker:1#0": 2},
+            p99=0.2,
+        )
+        assert verdict(evidence, **self.BOUNDS) == [
+            Breach("handler_errors", "broker:1#0", "2 handler error(s) caught by the runtime")
         ]
 
 

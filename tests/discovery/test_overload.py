@@ -19,6 +19,7 @@ from repro.core.config import (
     RetryPolicyConfig,
     ServiceConfig,
 )
+from repro.core.invariants import Breach, bdn_evidence, queue_bounds
 from repro.discovery.advertisement import advertise_direct
 from repro.discovery.bdn import BDN
 from repro.discovery.faults import FaultInjector
@@ -32,6 +33,11 @@ from repro.simnet.simulator import Simulator
 from repro.substrate.builder import BrokerNetwork
 
 from tests.discovery.conftest import World
+
+
+def at_rest(bdn, watermark):
+    """The overload chaos run's queue verdict on one BDN after its storms."""
+    return queue_bounds(bdn.name, bdn_evidence([bdn]).queues[bdn.name], watermark)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +220,9 @@ class TestBDNAdmission:
         # per-shard lanes and leave ``bdn.ingress`` None, so the chaos
         # check, the worker's queue stats and the overload gauges all
         # read depth 0 and skipped their invariants.
-        from types import SimpleNamespace
-
         from repro.core.config import Endpoint
         from repro.core.messages import Ack, DiscoveryBusy, DiscoveryRequest
         from repro.core.metrics import OverloadStats
-        from repro.discovery.chaos import _check_overload
 
         world = World(
             bdn_config=BDNConfig(
@@ -252,17 +255,14 @@ class TestBDNAdmission:
         assert bdn.requests_shed == len(busies) == 16
         stats = OverloadStats.gather(bdns=[bdn])
         assert (stats.queue_depth, stats.queue_peak, stats.queue_overflows) == (8, 8, 2)
-        chaos_view = SimpleNamespace(bdns=[bdn], ADMISSION_WATERMARK=4, client=world.client)
-        backlog: list[str] = []
-        _check_overload(chaos_view, backlog)
-        assert [v.split()[0] for v in backlog] == ["queue_overflow", "queue_watermark"]
-        assert "still 8 deep" in backlog[1]
+        backlog = at_rest(bdn, watermark=4)
+        assert [b.invariant for b in backlog] == ["queue_overflow", "queue_watermark"]
+        assert "still 8 deep" in backlog[1].detail
         world.sim.run_for(20.0)
         assert queue.depth == 0 and queue.served >= 8
-        drained: list[str] = []
-        _check_overload(chaos_view, drained)
+        drained = at_rest(bdn, watermark=4)
         # The backlog is gone; the two drops at the full queue happened.
-        assert [v.split()[0] for v in drained] == ["queue_overflow"]
+        assert [b.invariant for b in drained] == ["queue_overflow"]
 
     def test_no_service_model_means_no_shedding(self):
         world = World()
@@ -277,16 +277,11 @@ class TestBDNAdmission:
     def test_overload_check_flags_a_bdn_without_a_queue(self):
         # Every BDN of an overload=True world has a service model, so one
         # without an ingress queue is missing evidence, not "depth 0".
-        from types import SimpleNamespace
-
-        from repro.discovery.chaos import _check_overload
-
         world = World()
         assert world.bdn.ingress is None
-        view = SimpleNamespace(bdns=[world.bdn], ADMISSION_WATERMARK=4, client=world.client)
-        violations: list[str] = []
-        _check_overload(view, violations)
-        assert violations == [f"no_evidence ({world.bdn.name}): no ingress-queue evidence"]
+        assert at_rest(world.bdn, watermark=4) == [
+            Breach("no_evidence", world.bdn.name, "no ingress-queue evidence")
+        ]
 
     def test_unknown_message_counted(self):
         world = World()

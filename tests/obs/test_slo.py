@@ -169,6 +169,23 @@ class TestHardInvariants:
         clock.now = 15.0  # same folded total: the delta is zero
         assert monitor.maybe_evaluate(view) == []
 
+    def test_caught_handler_error_fires_in_the_window_where_it_happens(self):
+        # The worker's record counts its runtime's caught handler
+        # failures; the window that sees the count grow breaks.
+        monitor, view, clock = make_monitor()
+        fold(view, role="broker:0", stats={"handler_errors": 0})
+        clock.now = 5.0
+        assert monitor.maybe_evaluate(view) == []
+        fold(view, role="broker:0", stats={"handler_errors": 2})
+        clock.now = 10.0
+        (violation,) = monitor.maybe_evaluate(view)
+        assert (violation.invariant, violation.process, violation.window) == (
+            "handler_errors", "broker:0#0", 1
+        )
+        assert violation.detail == "2 handler error(s) caught by the runtime"
+        clock.now = 15.0  # same folded total: the delta is zero
+        assert monitor.maybe_evaluate(view) == []
+
     def test_bdn_frame_without_queue_stats_is_no_evidence_once(self):
         monitor, view, clock = make_monitor()
         fold(view, role="bdn:0", stats={"name": "d0"})

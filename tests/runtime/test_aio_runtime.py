@@ -18,6 +18,7 @@ from repro.core.config import Endpoint
 from repro.core.messages import Ack, PingRequest
 from repro.core.errors import TransportError
 from repro.runtime import create_runtime
+from repro.runtime import aio
 from repro.runtime.aio import AioRuntime
 from tests.runtime.hosts_contract import (
     AioSide,
@@ -446,9 +447,11 @@ class TestUdpReceivePath:
 
 
 class TestErrorRing:
-    def test_errors_bounded_with_dropped_counter(self):
+    def test_errors_bounded_with_dropped_counter(self, monkeypatch):
+        monkeypatch.setattr(aio, "_MAX_ERRORS", 4)
+
         async def scenario():
-            rt = AioRuntime(max_errors=4)
+            rt = AioRuntime()
             for i in range(10):
                 rt._note_error(f"boom {i}")
             assert len(rt.errors) == 4
