@@ -208,10 +208,9 @@ class Worker:
         def calm() -> None:
             self.storm_factor = 1.0
 
-        loop = asyncio.get_event_loop()
-        loop.call_later(float(duration), calm)
+        self.rt.schedule(float(duration), calm)
         if self.clients and (self.surge_task is None or self.surge_task.done()):
-            self.surge_task = loop.create_task(
+            self.surge_task = asyncio.get_event_loop().create_task(
                 self._storm_surge(self.storm_factor, float(duration))
             )
 
@@ -234,10 +233,9 @@ class Worker:
         rate = factor * len(self.clients) / max(self.spec.mean_gap, 1e-6)
         tick = 0.02
         bdns = self.spec.bdn_endpoints()
-        loop = asyncio.get_event_loop()
-        end = loop.time() + duration
+        end = self.rt.now + duration
         carry = 0.0
-        while loop.time() < end and not self.drain_requested.is_set():
+        while self.rt.now < end and not self.drain_requested.is_set():
             await asyncio.sleep(tick)
             carry += rate * tick
             burst, carry = int(carry), carry - int(carry)

@@ -1,4 +1,4 @@
-"""The live runtime: real asyncio UDP/TCP sockets, wall-clock timers.
+"""The live runtime: real asyncio UDP/TCP sockets, timers on the loop's clock.
 
 This module runs the *same* protocol engines (brokers, BDNs, discovery
 clients, responders) that the simulator runs, over real operating-
@@ -53,7 +53,6 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-import time
 from collections import deque
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -184,7 +183,7 @@ class AioConnection:
 
 
 class AioRuntime:
-    """Runtime over real asyncio sockets and wall-clock timers.
+    """Runtime over real asyncio sockets, telling time by its event loop.
 
     Parameters
     ----------
@@ -214,7 +213,8 @@ class AioRuntime:
         self.bind_ip = bind_ip
         self._port_plan: dict[Endpoint, int] = dict(port_plan or {})
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._t0: float | None = None
+        self._time: Callable[[], float] = self._unstarted  # the loop's, once captured
+        self._t0 = 0.0
         self.hosts = hosts = Hosts()
         self.register_host = hosts.register
         self.site_of = hosts.site_of
@@ -249,6 +249,8 @@ class AioRuntime:
         """The owning event loop (captured on first use)."""
         if self._loop is None:
             self._loop = asyncio.get_event_loop()
+            self._time = self._loop.time
+            self._t0 = self._time()
         return self._loop
 
     def _spawn(self, coro) -> asyncio.Task:
@@ -311,17 +313,17 @@ class AioRuntime:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        """Wall-clock seconds since this runtime first told the time.
+        """Seconds since this runtime captured its loop, on the loop's clock:
+        the one every timer is due by.  A bare :func:`isinstance` probe
+        outside a running loop reads 0.0 and captures no loop."""
+        return self._time() - self._t0
 
-        Based on ``time.monotonic()`` -- the same clock asyncio's default
-        event loop uses -- so it works before any loop exists (e.g. a
-        bare :func:`isinstance` check against the :class:`Runtime`
-        protocol probes this property).
-        """
-        monotonic_now = time.monotonic()
-        if self._t0 is None:
-            self._t0 = monotonic_now
-        return monotonic_now - self._t0
+    def _unstarted(self) -> float:
+        try:  # a read inside a running loop captures it
+            asyncio.get_running_loop()
+        except RuntimeError:
+            return self._t0
+        return self.loop().time()
 
     def _arm(
         self, handle: AioTimerHandle, delay: float, callback: Callable[..., None], *args: Any
@@ -344,7 +346,7 @@ class AioRuntime:
             handle._handle = self.loop().call_later(delay, callback, *args)
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> AioTimerHandle:
-        """Run ``fn(*args)`` after ``delay`` real seconds."""
+        """Run ``fn(*args)`` after ``delay`` seconds on the loop's clock."""
         handle = AioTimerHandle()
         self._arm(handle, delay, self._fire, handle, fn, args)
         return handle

@@ -28,6 +28,10 @@ from repro.cluster.worker import Worker
 from repro.obs.live import LiveTelemetry, RollingClusterView
 from repro.obs.slo import SloMonitor
 
+pytestmark = pytest.mark.real_loop(
+    "a coordinator's reader threads and a worker's loop meet over real sockets in wall time"
+)
+
 
 class FakeWorker:
     """One blocking-socket 'worker' dialled into the control server."""

@@ -16,6 +16,8 @@ from repro.cluster.coordinator import ClusterHarness
 from repro.cluster.report import check_invariants
 from repro.cluster.spec import DRAIN_DEADLINE, WARMUP, ClusterSpec
 
+pytestmark = pytest.mark.real_loop("worker processes run their own loops on the wall clock")
+
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):

@@ -33,6 +33,14 @@ def network(sim: Simulator, rng: np.random.Generator) -> Network:
     return net
 
 
+def pytest_collection_modifyitems(items) -> None:
+    """A test leaves loop time only with its reason (``real_loop("...")``)."""
+    for item in items:
+        for mark in item.iter_markers("real_loop"):
+            if not (mark.args and mark.args[0]):
+                raise pytest.UsageError(f"{item.nodeid}: real_loop needs its reason")
+
+
 # RSA key generation is the slowest primitive; share small session keys.
 @pytest.fixture(scope="session")
 def keypair_a() -> RSAKeyPair:

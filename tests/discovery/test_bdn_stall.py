@@ -1,8 +1,12 @@
-"""A BDN whose event loop stalls, on real sockets.
+"""A BDN whose event loop stalls, on real sockets, in loop time.
 
 A stall is a blocked loop: no timer fires and no socket is read until
 it returns, so on wake the BDN's overdue sweep and the datagrams queued
-on its socket meet in one loop pass.  Two promises are pinned here:
+on its socket meet in one loop pass.  Here it is
+:meth:`~tests.runtime.virtual_loop.VirtualLoop.stall`: the loop's clock
+jumps while a coroutine still holds the loop, which is what a blocking
+call does to a real loop, without waiting it out.  Two promises are
+pinned here:
 
 * the BDN prunes a broker for sweep pings it sent and got no answer
   to, never for the time that passed, so a stall forgets nobody;
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import time
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from repro.experiments.harness import star_world
 from repro.obs import Observability
 from repro.runtime import create_runtime
 from repro.runtime.aio import _UDP_DRAIN_MAX
+from tests.runtime.virtual_loop import run
 
 
 def test_a_stalled_loop_forgets_no_broker():
@@ -49,7 +53,7 @@ def test_a_stalled_loop_forgets_no_broker():
                 world.client.discover(done.set_result)
                 await asyncio.wait_for(done, timeout=15.0)
             assert len(world.bdn.store) == 3
-            time.sleep(2.5)  # five ping intervals with no sweep and no pong
+            loop.stall(2.5)  # five ping intervals with no sweep and no pong
             await asyncio.sleep(0.6)  # the overdue sweep, and one more
             registered = len(world.bdn.store)
             done = loop.create_future()
@@ -60,7 +64,7 @@ def test_a_stalled_loop_forgets_no_broker():
         assert not rt.errors, list(rt.errors)
         return registered, outcome
 
-    registered, outcome = asyncio.run(scenario())
+    registered, outcome = run(scenario())
     assert registered == 3
     assert outcome.success
     assert (outcome.via, outcome.transmissions) == ("bdn", 1)
@@ -105,7 +109,7 @@ def test_a_stall_longer_than_a_lease_keeps_the_renewals_read_before_the_sweep():
             # socket behind a stall that outlives their 1 s leases.
             for i in range(n):
                 sender.sendto(encode_message(_ad(i, 2.0)), target)
-            time.sleep(1.5)
+            asyncio.get_running_loop().stall(1.5)
             await asyncio.sleep(0.2)
         finally:
             sender.close()
@@ -114,7 +118,7 @@ def test_a_stall_longer_than_a_lease_keeps_the_renewals_read_before_the_sweep():
         assert not rt.errors, list(rt.errors)
         return bdn, obs
 
-    bdn, obs = asyncio.run(scenario())
+    bdn, obs = run(scenario())
     expired = [e.detail for e in obs.log if e.event == "bdn_lease_expired"]
     assert expired == [(("broker", f"b{i}"),) for i in range(_UDP_DRAIN_MAX, n)]
     # The evicted broker entered again with its queued renewal; nobody

@@ -8,14 +8,13 @@ immediately -- the completion callback is a promise, not a maybe.
 
 from __future__ import annotations
 
-import asyncio
-
 import numpy as np
 
 from repro.core.config import ClientConfig, Endpoint
 from repro.discovery.requester import DiscoveryClient
 from repro.runtime.aio import AioRuntime
 from tests.discovery.conftest import World
+from tests.runtime.virtual_loop import run
 
 
 class TestSimRuntimeLifecycle:
@@ -95,4 +94,4 @@ class TestAioRuntimeLifecycle:
             assert not rt.errors
             await rt.aclose()
 
-        asyncio.run(scenario())
+        run(scenario())

@@ -52,6 +52,7 @@ from repro.experiments.harness import run_discovery_once
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import NoLoss
 from repro.substrate.builder import BrokerNetwork
+from tests.runtime import virtual_loop
 
 #: Tight timers so elections and repairs land within a few virtual
 #: seconds: 2 s leases renewed every 0.5 s, 0.25 s election stagger,
@@ -711,4 +712,4 @@ class TestAioConvergenceSmoke:
                 bdn.stop()
             await rt.aclose()
 
-        asyncio.run(scenario())
+        virtual_loop.run(scenario())

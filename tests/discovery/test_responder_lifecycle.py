@@ -19,6 +19,7 @@ from repro.discovery.responder import DiscoveryResponder
 from repro.runtime.aio import AioRuntime
 from repro.substrate.broker import Broker
 from tests.discovery.conftest import World
+from tests.runtime.virtual_loop import run
 
 
 def make_request(world: World, uuid="req-1", attempt=0):
@@ -150,7 +151,7 @@ class TestAioRuntimeLifecycle:
             assert not rt.errors
             await rt.aclose()
 
-        asyncio.run(scenario())
+        run(scenario())
 
     def test_stop_detaches_heartbeats_over_real_sockets(self):
         async def scenario():
@@ -164,8 +165,8 @@ class TestAioRuntimeLifecycle:
             assert before >= 3
             responder.stop()
             assert responder.heartbeat is None
-            # Datagrams sent just before the stop may still be in
-            # flight; drain them, then require silence.
+            # A beat due in the pass that woke us may still sit unread
+            # in the probe's socket; drain it, then require silence.
             await self._settle(0.1)
             baseline = len([m for m in box if isinstance(m, BrokerAdvertisement)])
             await self._settle(0.3)
@@ -174,4 +175,4 @@ class TestAioRuntimeLifecycle:
             assert not rt.errors
             await rt.aclose()
 
-        asyncio.run(scenario())
+        run(scenario())

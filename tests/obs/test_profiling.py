@@ -49,6 +49,7 @@ class TestSampling:
         profiler.samples = 4
         assert profiler.collapsed() == ["mod:root;mod:leaf 3", "mod:root 1"]
 
+    @pytest.mark.real_loop("a sampler thread against a busy wait: both run in wall time, no loop")
     def test_thread_driven_run_collects_at_roughly_the_rate(self):
         profiler = SamplingProfiler(rate_hz=200.0)
         profiler.start()  # samples this thread, which stays busy

@@ -9,7 +9,6 @@ point.
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -18,6 +17,7 @@ from repro.experiments.trace_cli import AGREEMENT_BOUND, run_trace, trace_sim
 from repro.obs import Observability
 from repro.obs.export import telemetry_snapshot
 from repro.obs.timeline import assemble, complete_request_ids, phase_agreement
+from tests.runtime.virtual_loop import run
 
 
 class TestSimTrace:
@@ -87,7 +87,7 @@ class TestAioTelemetryHook:
             await rt.aclose()
             return telemetry
 
-        telemetry = asyncio.run(scenario())
+        telemetry = run(scenario())
         json.dumps(telemetry)  # artifact-ready
         assert telemetry["metrics"]["discovery.completed"]["value"] == 1
         assert telemetry["rings"]["n0"]["emitted"] == 1
@@ -95,15 +95,15 @@ class TestAioTelemetryHook:
 
 class TestAioTrace:
     def test_full_discovery_reconstructs_within_bound(self):
-        # Real localhost sockets, wall clock: the same reconstruction
+        # Real localhost sockets, in loop time: the same reconstruction
         # the CLI's --trace-runtime aio performs.
-        from repro.experiments.trace_cli import trace_aio
+        from repro.experiments.trace_cli import _trace_aio
 
-        ok, text, obs = trace_aio(seed=42)
+        ok, text, obs = run(_trace_aio(seed=42))
         assert ok, text
         (trace_id,) = complete_request_ids(obs)
         timeline = assemble(obs, trace_id)
         assert timeline.is_complete()
         assert len(timeline.nodes()) >= 3
-        # Wall-clock noise allowed, but the 1-point bound must hold.
+        # The shares are the loop clock's, and the 1-point bound holds.
         assert f"within the {AGREEMENT_BOUND:.0f}-point bound" in text

@@ -32,6 +32,7 @@ from repro.runtime.aio import AioRuntime
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
+from tests.runtime.virtual_loop import VirtualLoop
 
 
 class SimSide:
@@ -53,8 +54,10 @@ class SimSide:
 
 
 class AioSide:
+    """Real loopback sockets on a :class:`VirtualLoop`: a settle is a jump."""
+
     def __init__(self) -> None:
-        self.loop = asyncio.new_event_loop()
+        self.loop = VirtualLoop()
         asyncio.set_event_loop(self.loop)
         self.rt = AioRuntime()
         self.obs = Observability.for_runtime(self.rt)

@@ -1,7 +1,11 @@
-"""The asyncio runtime: real sockets, wall-clock timers, same contract.
+"""The asyncio runtime: real sockets, timers on the loop's clock, same contract.
 
-Every test runs a short asyncio scenario on localhost.  Latencies are
-loopback (sub-millisecond), so settle times are generous multiples.
+Every test runs a short asyncio scenario on localhost, in loop time
+(:mod:`tests.runtime.virtual_loop`): a datagram is read at the clock
+reading it was sent at, an idle wait is a jump of exactly its length,
+and a stall is :meth:`VirtualLoop.stall`, so waits and assertions are
+exact.  The tests marked ``real_loop`` measure what only the real
+selector does -- its millisecond rounding -- on asyncio's default loop.
 """
 
 from __future__ import annotations
@@ -27,24 +31,11 @@ from tests.runtime.hosts_contract import (
     MulticastContract,
     UdpContract,
 )
-
-
-def run(coro):
-    return asyncio.run(coro)
+from tests.runtime.virtual_loop import run
 
 
 async def settle(seconds: float = 0.15) -> None:
     await asyncio.sleep(seconds)
-
-
-async def until(condition, tries: int = 400) -> bool:
-    """Let the loop run until ``condition()`` holds (no wall-clock verdict:
-    a slow host takes more turns, a hang fails the assertion)."""
-    for _ in range(tries):
-        if condition():
-            return True
-        await asyncio.sleep(0.005)
-    return condition()
 
 
 class TestHostRegistry(HostRegistryContract):
@@ -55,10 +46,9 @@ class TestScheduler:
     def test_now_is_monotone_and_starts_near_zero(self):
         async def scenario():
             rt = AioRuntime()
-            first = rt.now
-            assert first < 1.0
+            assert rt.now == 0.0
             await asyncio.sleep(0.05)
-            assert rt.now > first
+            assert rt.now == pytest.approx(0.05)
 
         run(scenario())
 
@@ -99,6 +89,9 @@ class TestScheduler:
         with pytest.raises(ValueError):
             create_runtime("sim").call_every(0.02, lambda: None, first_delay=-1)
 
+    @pytest.mark.real_loop(
+        "in loop time a sub-tick timer costs no time at all, so the bound holds vacuously"
+    )
     def test_sub_tick_hops_in_series_cost_loop_passes_not_selector_ticks(self):
         """20 sequential 0.3 ms hops ask for 6 ms.  ``call_later`` makes
         each wait out the selector's millisecond rounding (>= 20 ms in
@@ -120,7 +113,7 @@ class TestScheduler:
             assert elapsed < 0.010
             assert not rt.errors
 
-        run(scenario())
+        asyncio.run(scenario())
 
     def test_sub_tick_timers_fire_next_pass_in_arming_order(self):
         async def scenario():
@@ -132,12 +125,15 @@ class TestScheduler:
             rt.schedule(4e-4, fired.append, "sub-tick")
             doomed.cancel()
             assert fired == []  # never synchronously inside schedule()
-            assert await until(lambda: len(fired) == 3)
+            await asyncio.sleep(0)  # one loop pass
+            assert fired == ["zero", "ten-us", "sub-tick"]
+            assert rt.now == 0.0
             await settle(0.02)
             assert fired == ["zero", "ten-us", "sub-tick"]
 
         run(scenario())
 
+    @pytest.mark.real_loop("measures the real selector's millisecond rounding")
     @pytest.mark.parametrize("delay", [5e-4, 2e-3, 1.01e-2])
     def test_half_a_tick_and_above_never_fires_early(self, delay):
         async def scenario():
@@ -149,7 +145,7 @@ class TestScheduler:
                 assert await asyncio.wait_for(fired_at, timeout=5.0) - armed_at >= delay
                 await asyncio.sleep(0.0007)  # a different phase of the tick each time
 
-        run(scenario())
+        asyncio.run(scenario())
 
     def test_next_pass_timer_that_raises_is_recorded(self):
         async def scenario():
@@ -161,11 +157,13 @@ class TestScheduler:
             rt.schedule(1e-4, explode)
             fired = []
             rt.schedule(1e-4, fired.append, "after")
-            assert await until(lambda: fired == ["after"])  # the loop lived on
+            await asyncio.sleep(0)
+            assert fired == ["after"]  # the loop lived on
             assert list(rt.errors) == ["timer callback failed: RuntimeError('timer bug')"]
 
         run(scenario())
 
+    @pytest.mark.real_loop("measures the period the real selector's rounding keeps")
     def test_call_every_keeps_its_period(self):
         """Regression: each tick was re-armed ``interval`` after the last
         one *ran*, so a 10.5 ms series ticked every 11.3 ms (callback
@@ -194,7 +192,7 @@ class TestScheduler:
 
         # A busy host can only add to a wall-clock figure, so the best of
         # three tries is the runtime's own (the old re-arm took 452 ms).
-        assert any(run(scenario()) <= count * interval + 0.003 for _ in range(3))
+        assert any(asyncio.run(scenario()) <= count * interval + 0.003 for _ in range(3))
 
     def test_call_every_late_tick_does_not_burst(self):
         async def scenario():
@@ -204,17 +202,18 @@ class TestScheduler:
             def tick():
                 ticks.append(rt.now)
                 if len(ticks) == 1:
-                    time.sleep(0.06)  # six periods gone by the time it returns
+                    # Six periods gone by the time it returns.
+                    asyncio.get_running_loop().stall(0.06)
 
             series = rt.call_every(0.01, tick)
-            assert await until(lambda: len(ticks) >= 3)
+            await settle(0.095)
             series.cancel()
-            blocked_until = ticks[0] + 0.06
-            # One tick at once for the six that were missed (the old
-            # re-arm waited out another interval first) ...
-            assert blocked_until <= ticks[1] < blocked_until + 0.008
+            # One tick at once, at the stall's end, for the six that were
+            # missed (the old re-arm waited out another interval first) ...
+            assert ticks[1] == pytest.approx(ticks[0] + 0.06)
             # ... then the period again, not the backlog in a burst.
-            assert ticks[2] - ticks[1] >= 0.005
+            assert ticks[2] == pytest.approx(ticks[1] + 0.01)
+            assert ticks == pytest.approx([0.01, 0.07, 0.08, 0.09])
 
         run(scenario())
 
@@ -248,11 +247,11 @@ class TestScheduler:
             series = rt.call_every(0.02, tick)
             await settle(0.11)
             series.cancel()
-            count = len(ticks)
-            assert count >= 3  # the raising tick kept re-arming
-            assert len(rt.errors) == count
+            # The raising tick kept re-arming: 0.02, 0.04, ... 0.10.
+            assert ticks == pytest.approx([0.02, 0.04, 0.06, 0.08, 0.10])
+            assert len(rt.errors) == 5
             await settle(0.08)
-            assert len(ticks) == count  # cancelled: no further ticks
+            assert len(ticks) == 5  # cancelled: no further ticks
 
         run(scenario())
 
@@ -260,9 +259,9 @@ class TestScheduler:
         async def scenario():
             rt = AioRuntime()
             fired = []
-            rt.schedule_at(rt.now + 0.03, fired.append, "x")
+            rt.schedule_at(rt.now + 0.03, lambda: fired.append(rt.now))
             await settle(0.1)
-            assert fired == ["x"]
+            assert fired == [pytest.approx(0.03)]
 
         run(scenario())
 
@@ -370,7 +369,7 @@ class TestUdpReceivePath:
             for i in range(self.BURST):  # no await: the kernel queues them all
                 rt.send_udp(a, b, Ack(uuid=f"u{i}", acked_by="a"))
             assert seen == []
-            assert await until(lambda: len(seen) == self.BURST)
+            await settle()
             assert seen == [(f"u{i}", a) for i in range(self.BURST)]
             assert rt.datagrams_delivered == self.BURST
             assert rt.datagrams_dropped == 0 and not rt.errors
@@ -395,7 +394,6 @@ class TestUdpReceivePath:
             rt.bind_udp(b, third_is_enough)
             for i in range(10):
                 rt.send_udp(a, b, Ack(uuid=f"u{i}", acked_by="a"))
-            assert await until(lambda: len(seen) == 3)
             await settle(0.05)
             assert seen == ["u0", "u1", "u2"]
             assert rt.datagrams_delivered == 3
@@ -418,7 +416,7 @@ class TestUdpReceivePath:
                 peer.sendto(encode_message(Ack(uuid="before", acked_by="p")), real)
                 peer.sendto(b"\x4e\x42\x02 not an ack", real)
                 peer.sendto(encode_message(Ack(uuid="after", acked_by="p")), real)
-                assert await until(lambda: len(seen) == 2)
+                await settle()
                 # An unmapped source surfaces as its real address.
                 unmapped = Endpoint(*peer.getsockname())
                 assert seen == [("before", unmapped), ("after", unmapped)]
@@ -439,7 +437,8 @@ class TestUdpReceivePath:
             seen = []
             rt.bind_udp(a, lambda m, src: seen.append(m.uuid))
             rt.send_udp(a, a, Ack(uuid="early", acked_by="a"))
-            assert await until(lambda: seen == ["early"])
+            await settle()
+            assert seen == ["early"]
             assert rt.datagrams_delivered == 1
             await rt.aclose()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.core.errors import UnknownHostError
@@ -28,6 +30,17 @@ class TestStructuralConformance:
         rt = AioRuntime()
         assert isinstance(rt, Runtime)
         assert rt.kind == "aio"
+
+    def test_the_probe_needs_no_loop_after_one_has_come_and_gone(self):
+        """``isinstance`` reads ``now`` through ``hasattr``.  After
+        ``asyncio.run`` has cleared the current loop, a ``now`` that
+        asked asyncio for one raised there; it must read 0.0 and
+        capture nothing."""
+        asyncio.run(asyncio.sleep(0))
+        rt = AioRuntime()
+        assert isinstance(rt, Runtime)
+        assert rt.now == 0.0
+        assert rt._loop is None
 
     def test_scheduled_event_is_a_timer_handle(self):
         handle = Simulator().schedule(1.0, lambda: None)

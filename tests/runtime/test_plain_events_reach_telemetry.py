@@ -24,6 +24,7 @@ from repro.obs.export import prometheus_text, telemetry_snapshot
 from repro.runtime import create_runtime
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import NoLoss
+from tests.runtime.virtual_loop import run
 
 
 def _event_counts(obs: Observability) -> dict[str, int]:
@@ -70,7 +71,7 @@ def test_failed_live_round_counts_drops_retransmits_and_the_failure():
         assert not rt.errors, list(rt.errors)
         return outcome, obs, rt, telemetry
 
-    outcome, obs, rt, telemetry = asyncio.run(scenario())
+    outcome, obs, rt, telemetry = run(scenario())
     assert not outcome.success
     counts = _event_counts(obs)
     assert counts["udp_drop"] == rt.datagrams_dropped > 0
