@@ -49,7 +49,9 @@ from __future__ import annotations
 import argparse
 import json
 import resource
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -196,6 +198,19 @@ def run_mega_flash_crowd(
     }
 
 
+def _fresh_process(scheduler: str, size: list[str]) -> dict:
+    """Run one scheduler in its own interpreter; return its record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "record.json"
+        subprocess.run(
+            [sys.executable, __file__, *size, "--scheduler", scheduler, "--output", str(out)],
+            check=False,
+        )
+        if not out.exists():
+            raise RuntimeError(f"bench_mega --scheduler {scheduler} wrote no record")
+        return json.loads(out.read_text())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=100_000)
@@ -209,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--compare", action="store_true",
-        help="run wheel AND heap at the same size, print the ratio",
+        help="run wheel AND heap at the same size, each in a fresh process; print the ratio",
     )
     parser.add_argument(
         "--output", type=Path, default=None,
@@ -237,10 +252,15 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
     )
     if args.compare:
-        wheel = run_mega_flash_crowd(scheduler="wheel", **kwargs)
-        show("wheel", wheel)
-        heap = run_mega_flash_crowd(scheduler="heap", **kwargs)
-        show("heap", heap)
+        # Each scheduler runs in a fresh interpreter: run second in one
+        # process, the heap inherited the wheel run's heap and allocator
+        # state and read ~5-10 % slower than it does alone.
+        size = [
+            f"--clients={args.clients}", f"--shards={args.shards}", f"--brokers={args.brokers}",
+            f"--window={args.window}", f"--seed={args.seed}",
+        ]
+        wheel = _fresh_process("wheel", size)
+        heap = _fresh_process("heap", size)
         ratio = wheel["events_per_sec"] / heap["events_per_sec"]
         same = (
             wheel["latency_p50_s"] == heap["latency_p50_s"]

@@ -147,6 +147,7 @@ class AioConnection:
         self.open = True
         self.bytes_sent = 0
         self.messages_sent = 0
+        runtime._links.add(self)
 
     def send(self, message: Message) -> None:
         """Reliably deliver ``message`` to the peer, preserving order."""
@@ -159,23 +160,21 @@ class AioConnection:
         self._runtime.bytes_sent += len(payload)
 
     def close(self) -> None:
-        """Tear down the connection (idempotent; the peer sees EOF)."""
+        """Tear down the connection (idempotent; the peer sees EOF).
+
+        The read loop calls it too when the peer hangs up, so a link's
+        socket closes with the link whichever side ends it.
+        """
         if not self.open:
             return
         self.open = False
+        self._runtime._links.discard(self)
         try:
             self._writer.close()
         except Exception:  # pragma: no cover - platform-dependent teardown
             pass
         if self.on_close is not None:
             self.on_close()
-
-    def _peer_gone(self) -> None:
-        """The read loop hit EOF/reset: mirror :meth:`close` locally."""
-        if self.open:
-            self.open = False
-            if self.on_close is not None:
-                self.on_close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.open else "closed"
@@ -229,6 +228,7 @@ class AioRuntime:
         self._real_addr: dict[Endpoint, tuple[str, int]] = {}
         self._by_real: dict[tuple[str, int], Endpoint] = {}
         self._tasks: set[asyncio.Task] = set()
+        self._links: set[AioConnection] = set()  # open links, closed by aclose()
         self._egress: socket.socket | None = None
         self.errors: deque[str] = deque(maxlen=_MAX_ERRORS)
         self.errors_dropped = 0
@@ -288,7 +288,7 @@ class AioRuntime:
         self.observability = obs
 
     async def aclose(self) -> None:
-        """Close every socket, server and background task."""
+        """Close every socket, link, server and background task."""
         for endpoint in list(self._udp):
             self.unbind_udp(endpoint)
         for endpoint in list(self._listeners):
@@ -296,9 +296,13 @@ class AioRuntime:
         if self._egress is not None:
             self._egress.close()
             self._egress = None
+        writers = [link._writer for link in self._links]
+        for link in list(self._links):
+            link.close()
         for task in list(self._tasks):
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
+        await asyncio.gather(*(w.wait_closed() for w in writers), return_exceptions=True)
         self._tasks.clear()
 
     def _note_error(self, text: str) -> None:
@@ -651,6 +655,5 @@ class AioRuntime:
             pass
         except TransportError as exc:
             self._note_error(f"link {conn.local}<-{conn.remote}: {exc}")
-            conn.close()
         finally:
-            conn._peer_gone()
+            conn.close()

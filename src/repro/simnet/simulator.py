@@ -13,11 +13,13 @@ callbacks.  Two properties matter for reproducibility:
 Two interchangeable schedulers implement the store, selected by the
 ``scheduler`` constructor argument:
 
-* ``"wheel"`` (default) -- a hierarchical timer wheel
-  (:mod:`repro.simnet.wheel`): O(1) ``schedule`` into per-tick buckets,
-  O(1) ``cancel`` with amortised dead-entry sweeps, and per-slot
-  batched delivery (one small ``heapify`` per millisecond of virtual
-  time instead of a global log-n heap per event).
+* ``"wheel"`` (default) -- a timer wheel of one level of 1 s slots
+  (:mod:`repro.simnet.wheel`): an event in a later slot is an O(1)
+  append, an event in the slot being drained is a push onto that slot's
+  heap, and ``cancel`` is O(1) with amortised dead-entry sweeps.  A
+  discovery round's millisecond-spaced events pay one ``heappush`` and
+  one ``heappop`` each; leases, sweeps and timeouts wait as appends
+  until their slot comes up.
 * ``"heap"`` -- the binary-heap scheduler the wheel's tests use as
   their reference: ``(time, seq, event)`` tuples on :mod:`heapq` with
   lazy deletion, rebuilt without its cancelled entries once they are
@@ -45,7 +47,7 @@ from collections.abc import Callable
 from heapq import heapify, heappop, heappush
 from typing import Any
 
-from .wheel import TimerWheel
+from .wheel import INV_SLOT_WIDTH, TimerWheel
 
 __all__ = ["Simulator", "ScheduledEvent"]
 
@@ -109,11 +111,10 @@ class Simulator:
     Parameters
     ----------
     scheduler:
-        ``"wheel"`` (default) for the hierarchical timer wheel,
-        ``"heap"`` for the reference binary-heap scheduler.  The wheel's
-        level-0 tick is ``DEFAULT_GRANULARITY`` (1 ms) of virtual time;
-        exact fire times are unaffected, the tick only selects the
-        delivery bucket.
+        ``"wheel"`` (default) for the timer wheel, ``"heap"`` for the
+        reference binary-heap scheduler.  The wheel's slot is
+        ``SLOT_WIDTH`` (1 s) of virtual time; exact fire times are
+        unaffected, the slot only selects the bucket.
 
     Examples
     --------
@@ -139,7 +140,7 @@ class Simulator:
         if scheduler == "wheel":
             self._wheel: TimerWheel | None = TimerWheel()
             #: Min-heap of entries at or before the wheel cursor -- the
-            #: slot currently being drained plus same-tick arrivals.
+            #: slot currently being drained plus same-slot arrivals.
             self._active: list[tuple] = []
             self.schedule = self._schedule_wheel
             self.schedule_at = self._schedule_at_wheel
@@ -200,11 +201,11 @@ class Simulator:
         self._seq = seq + 1
         ev = ScheduledEvent(time, seq, fn, args, self)
         wheel = self._wheel
-        tick = int(time * wheel.inv_granularity)
-        if tick <= wheel.cur_tick:
+        slot = int(time * INV_SLOT_WIDTH)
+        if slot <= wheel.cur_slot:
             heappush(self._active, (time, seq, ev))
         else:
-            wheel.insert((time, seq, ev), tick)
+            wheel.insert((time, seq, ev), slot)
         self._live += 1
         return ev
 
@@ -216,11 +217,11 @@ class Simulator:
         self._seq = seq + 1
         ev = ScheduledEvent(time, seq, fn, args, self)
         wheel = self._wheel
-        tick = int(time * wheel.inv_granularity)
-        if tick <= wheel.cur_tick:
+        slot = int(time * INV_SLOT_WIDTH)
+        if slot <= wheel.cur_slot:
             heappush(self._active, (time, seq, ev))
         else:
-            wheel.insert((time, seq, ev), tick)
+            wheel.insert((time, seq, ev), slot)
         self._live += 1
         return ev
 
@@ -237,11 +238,11 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         wheel = self._wheel
-        tick = int(time * wheel.inv_granularity)
-        if tick <= wheel.cur_tick:
+        slot = int(time * INV_SLOT_WIDTH)
+        if slot <= wheel.cur_slot:
             heappush(self._active, (time, seq, fn, args))
         else:
-            wheel.insert((time, seq, fn, args), tick)
+            wheel.insert((time, seq, fn, args), slot)
         self._live += 1
 
     def _schedule_fire_at_wheel(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -251,11 +252,11 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         wheel = self._wheel
-        tick = int(time * wheel.inv_granularity)
-        if tick <= wheel.cur_tick:
+        slot = int(time * INV_SLOT_WIDTH)
+        if slot <= wheel.cur_slot:
             heappush(self._active, (time, seq, fn, args))
         else:
-            wheel.insert((time, seq, fn, args), tick)
+            wheel.insert((time, seq, fn, args), slot)
         self._live += 1
 
     # ------------------------------------------------------------------
@@ -325,7 +326,7 @@ class Simulator:
         cancel elsewhere in the same delivery batch must suppress the
         tick) and *after* it (a callback cancelling its own handle
         mid-fire must not re-arm a dead timer) -- the wheel's batched
-        same-tick delivery makes both orderings reachable in one slot.
+        same-slot delivery makes both orderings reachable in one slot.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")

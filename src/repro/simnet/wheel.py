@@ -1,38 +1,34 @@
-"""Hierarchical timer wheel: the simulator's bucketed pending-event store.
+"""Timer wheel: the simulator's bucketed pending-event store.
 
 The reference scheduler keeps every pending callback in one binary heap,
 paying O(log n) per ``schedule`` and leaving cancelled entries in place
-until their fire time is reached (PR 2 bolted threshold-triggered heap
-compaction on top to reclaim them).  Most timers in a long run are
+until their fire time is reached (threshold-triggered compaction
+reclaims them).  Most timers in a long run are
 retransmit guards, lease sweeps and watchdogs that get *cancelled*, so
 the heap mostly sorts garbage.
 
-:class:`TimerWheel` replaces the global heap with a hierarchy of
-coarse/fine time buckets:
+:class:`TimerWheel` keeps the future in one level of coarse slots of
+:data:`SLOT_WIDTH` virtual seconds: a ``{slot: [entry, ...]}`` map plus
+a lazy min-heap of slot keys.  ``insert`` appends to the slot's bucket
+in O(1) and pushes a key only when it creates a new bucket, so a lease
+renewal, a sweep, a 30 s timeout or a pre-armed arrival costs one list
+append.  ``cancel`` flips a flag -- O(1), never a heap operation -- and
+the wheel sweeps dead entries out of its buckets once they outnumber
+the live ones, which bounds memory at twice the live set without the
+reference heap's full-heap rebuilds.
 
-* **Level 0** buckets span one *tick* of virtual time (``granularity``
-  seconds, default 1 ms): every entry in a level-0 bucket shares the
-  same tick.
-* **Levels 1-3** are coarser by factors of 256: a level-1 slot spans a
-  256-tick page, level 2 a 65536-tick super-page, and level 3 is the
-  open-ended catch-all (anything beyond ~4.6 hours at the default
-  granularity).
-
-``schedule`` appends to the right bucket in O(1) (a per-level key heap
-is touched only when a *new* bucket is created, so consecutive inserts
-into a hot slot are list appends).  ``cancel`` flips a flag -- O(1),
-never a heap operation -- and the wheel sweeps dead entries out of its
-buckets once they outnumber the live ones, which bounds memory at twice
-the live set without the reference heap's full-heap rebuilds.
-
-Delivery is **per-slot batched**: when the simulator drains the wheel it
-promotes exactly one level-0 bucket at a time, heapifies that small
-batch by ``(time, seq)``, and fires it in order.  Coarse buckets cascade
-one level down as virtual time approaches them.  Because any two events
-in different level-0 buckets are already time-ordered by bucket, and
-ties inside a bucket resolve on the same ``(time, seq)`` key the heap
-used, the observable fire order is *bit-identical* to the reference
-scheduler -- the golden-digest determinism suite pins that.
+The slot currently being drained is the simulator's *active heap*:
+``promote`` pops the smallest slot key, drops that slot's cancelled
+entries and hands the rest over; the simulator heapifies them by
+``(time, seq)`` and routes anything scheduled at or before the current
+slot straight into that heap.  So the events of one discovery round,
+which sit milliseconds apart, each cost one ``heappush`` and one
+``heappop`` on a heap of one slot's population, and a promotion is paid
+once per slot, not once per event.  Any two entries in different slots
+are already time-ordered by slot, and ties inside one resolve on the
+same ``(time, seq)`` key the heap uses, so the observable fire order is
+*bit-identical* to the reference scheduler -- the golden-digest
+determinism suite pins that.
 
 Entries are plain tuples so heap comparisons resolve at C level:
 
@@ -48,19 +44,16 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-__all__ = ["TimerWheel", "DEFAULT_GRANULARITY"]
+__all__ = ["TimerWheel", "SLOT_WIDTH", "INV_SLOT_WIDTH"]
 
-#: Virtual seconds per level-0 tick.  1 ms groups the sub-millisecond
-#: spread of one delivery burst into a single slot without ever merging
-#: events a protocol timer could tell apart (exact float times are kept;
-#: ticks only choose the bucket).
-DEFAULT_GRANULARITY = 1e-3
-
-#: Bits of tick resolution per level; each level is 256x coarser.
-_LEVEL_BITS = 8
-_L0_SPAN = 1 << _LEVEL_BITS  # 256 ticks
-_L1_SPAN = 1 << (2 * _LEVEL_BITS)  # 65536 ticks
-_L2_SPAN = 1 << (3 * _LEVEL_BITS)  # ~16.7M ticks
+#: Virtual seconds per slot.  A slot only chooses the bucket: entries
+#: keep their exact float time.  One second holds a discovery round's
+#: millisecond-spaced events in the active heap while leases, sweeps and
+#: 30 s timeouts stay appends; a power of two keeps ``time * INV`` exact.
+#: docs/PROTOCOL.md "The timer wheel" has the 0.25 s / 4 s measurements.
+SLOT_WIDTH = 1.0
+#: ``int(time * INV_SLOT_WIDTH)`` is the slot of ``time``.
+INV_SLOT_WIDTH = 1.0 / SLOT_WIDTH
 
 #: Sweeps never trigger below this many dead entries; tiny wheels are
 #: cheap to carry and sweeping them would thrash.
@@ -71,33 +64,22 @@ class TimerWheel:
     """Bucketed storage for pending simulator entries.
 
     The wheel owns everything *not yet promoted* for delivery; the
-    simulator owns the small "active" heap of the slot currently being
+    simulator owns the "active" heap of the slot currently being
     drained.  ``promote()`` hands over the next slot's entries (already
     stripped of cancelled ones) and advances the wheel's cursor.
     """
 
-    __slots__ = (
-        "granularity",
-        "inv_granularity",
-        "cur_tick",
-        "_buckets",
-        "_keys",
-        "bucketed",
-        "dead",
-        "sweeps",
-    )
+    __slots__ = ("cur_slot", "_buckets", "_keys", "bucketed", "dead", "sweeps")
 
     def __init__(self) -> None:
-        self.granularity = DEFAULT_GRANULARITY
-        self.inv_granularity = 1.0 / DEFAULT_GRANULARITY
-        #: Tick of the most recently promoted level-0 slot.  Entries at
-        #: or before the cursor belong in the simulator's active heap.
-        self.cur_tick = 0
-        # One {slot_key: [entry, ...]} map per level plus a lazy heap of
-        # slot keys per level (a key is pushed when its bucket is
-        # created and discarded on promotion; stale keys are skipped).
-        self._buckets: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
-        self._keys: tuple[list, list, list, list] = ([], [], [], [])
+        #: Most recently promoted slot.  Entries at or before it belong
+        #: in the simulator's active heap.
+        self.cur_slot = 0
+        # {slot: [entry, ...]} plus a lazy heap of slot keys (a key is
+        # pushed when its bucket is created; a key whose bucket a sweep
+        # emptied is skipped on promotion).
+        self._buckets: dict[int, list] = {}
+        self._keys: list[int] = []
         #: Physical entries currently held in buckets (dead included).
         self.bucketed = 0
         #: Cancelled entries believed still stored (buckets or active).
@@ -105,119 +87,44 @@ class TimerWheel:
         #: Dead-entry sweeps performed (reported as ``compactions``).
         self.sweeps = 0
 
-    # ------------------------------------------------------------------
-    # Placement
-    # ------------------------------------------------------------------
-    def insert(self, entry: tuple, tick: int) -> None:
-        """File ``entry`` (whose time maps to ``tick``) into a bucket.
+    def insert(self, entry: tuple, slot: int) -> None:
+        """File ``entry`` (whose time maps to ``slot``) into its bucket.
 
-        The caller guarantees ``tick > cur_tick`` -- entries at or
+        The caller guarantees ``slot > cur_slot`` -- entries at or
         before the cursor go straight to the simulator's active heap.
         """
-        delta = tick - self.cur_tick
-        if delta < _L0_SPAN:
-            level = 0
-            key = tick
-        elif delta < _L1_SPAN:
-            level = 1
-            key = tick >> _LEVEL_BITS
-        elif delta < _L2_SPAN:
-            level = 2
-            key = tick >> (2 * _LEVEL_BITS)
-        else:
-            level = 3
-            key = tick >> (3 * _LEVEL_BITS)
-        buckets = self._buckets[level]
-        bucket = buckets.get(key)
+        bucket = self._buckets.get(slot)
         if bucket is None:
-            buckets[key] = [entry]
-            heappush(self._keys[level], key)
+            self._buckets[slot] = [entry]
+            heappush(self._keys, slot)
         else:
             bucket.append(entry)
         self.bucketed += 1
 
-    # ------------------------------------------------------------------
-    # Promotion / cascading
-    # ------------------------------------------------------------------
-    def _min_key(self, level: int) -> int | None:
-        """Smallest live slot key at ``level`` (skipping stale heap keys)."""
-        keys = self._keys[level]
-        buckets = self._buckets[level]
-        while keys:
-            key = keys[0]
-            if key in buckets:
-                return key
-            heappop(keys)
-        return None
-
     def promote(self) -> list | None:
-        """Pop the earliest level-0 slot; return its live entries.
+        """Pop the earliest slot; return its live entries.
 
-        Coarser slots whose window could precede (or contain) the
-        earliest fine slot are cascaded one level down first, so the
-        returned batch is globally earliest.  Returns ``None`` when the
-        wheel is empty; may return an empty list when a slot held only
-        cancelled entries (callers just ask again).  Advances
-        :attr:`cur_tick` to the promoted slot.
+        Returns ``None`` when the wheel is empty; may return an empty
+        list when a slot held only cancelled entries (callers just ask
+        again).  Advances :attr:`cur_slot` to the promoted slot.
         """
-        while True:
-            k0 = self._min_key(0)
-            # Cascade whichever coarse level could still hide an entry
-            # at or before the current finest candidate.
-            cascade_level = 0
-            cascade_bound = k0
-            for level in (1, 2, 3):
-                key = self._min_key(level)
-                if key is None:
-                    continue
-                bound = key << (_LEVEL_BITS * level)
-                if cascade_bound is None or bound <= cascade_bound:
-                    cascade_level = level
-                    cascade_bound = bound
-            if cascade_bound is None:
-                return None  # completely empty
-            if cascade_level == 0:
-                heappop(self._keys[0])
-                batch = self._buckets[0].pop(k0)
-                self.cur_tick = k0
-                self.bucketed -= len(batch)
-                live = [e for e in batch if len(e) == 4 or not e[2].cancelled]
-                dropped = len(batch) - len(live)
-                if dropped:
-                    self.dead -= dropped
-                    if self.dead < 0:
-                        self.dead = 0
-                return live
-            self._cascade(cascade_level)
-
-    def _cascade(self, level: int) -> None:
-        """Redistribute the earliest slot of ``level`` one level down."""
-        key = heappop(self._keys[level])
-        bucket = self._buckets[level].pop(key, None)
-        if bucket is None:
-            return  # stale key
-        down = level - 1
-        down_shift = _LEVEL_BITS * down
-        buckets = self._buckets[down]
-        keys = self._keys[down]
-        dropped = 0
-        inv = self.inv_granularity
-        for entry in bucket:
-            if len(entry) == 3 and entry[2].cancelled:
-                dropped += 1  # cancelled entries leave the wheel here
-                continue
-            down_key = int(entry[0] * inv) >> down_shift
-            target = buckets.get(down_key)
-            if target is None:
-                buckets[down_key] = [entry]
-                heappush(keys, down_key)
-            else:
-                target.append(entry)
-        if dropped:
-            self.bucketed -= dropped
-            self.dead -= dropped
-            if self.dead < 0:
-                self.dead = 0
+        keys = self._keys
+        buckets = self._buckets
+        while keys:
+            slot = heappop(keys)
+            batch = buckets.pop(slot, None)
+            if batch is None:
+                continue  # stale key: a sweep emptied its bucket
+            self.cur_slot = slot
+            self.bucketed -= len(batch)
+            live = [e for e in batch if len(e) == 4 or not e[2].cancelled]
+            dropped = len(batch) - len(live)
+            if dropped:
+                self.dead -= dropped
+                if self.dead < 0:
+                    self.dead = 0
+            return live
+        return None
 
     # ------------------------------------------------------------------
     # Dead-entry reclamation
@@ -238,18 +145,18 @@ class TimerWheel:
     def sweep(self) -> int:
         """Drop every cancelled entry stored in the buckets; return count."""
         removed = 0
-        for level_buckets in self._buckets:
-            empty_keys = []
-            for key, bucket in level_buckets.items():
-                live = [e for e in bucket if len(e) == 4 or not e[2].cancelled]
-                if len(live) != len(bucket):
-                    removed += len(bucket) - len(live)
-                    if live:
-                        level_buckets[key] = live
-                    else:
-                        empty_keys.append(key)
-            for key in empty_keys:
-                del level_buckets[key]  # stale heap keys skipped lazily
+        buckets = self._buckets
+        empty_keys = []
+        for key, bucket in buckets.items():
+            live = [e for e in bucket if len(e) == 4 or not e[2].cancelled]
+            if len(live) != len(bucket):
+                removed += len(bucket) - len(live)
+                if live:
+                    buckets[key] = live
+                else:
+                    empty_keys.append(key)
+        for key in empty_keys:
+            del buckets[key]  # stale heap keys skipped lazily
         self.bucketed -= removed
         # Cancelled entries already promoted to the active heap are not
         # ours to reclaim; they drain within one slot anyway.

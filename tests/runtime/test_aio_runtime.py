@@ -570,6 +570,55 @@ class TestTcpLinks:
 
         run(scenario())
 
+    def test_peer_hangup_closes_the_surviving_sides_socket(self):
+        """Regression: a link whose peer hung up used to be marked closed
+        while its own transport stayed open until garbage collection (an
+        unclosed-transport ``ResourceWarning`` under ``-X dev``)."""
+
+        async def scenario():
+            rt = AioRuntime()
+            rt.register_host("srv.local", "s")
+            rt.register_host("cli.local", "s")
+            srv, cli = Endpoint("srv.local", 500), Endpoint("cli.local", 501)
+            accepted, links = [], []
+            rt.listen_tcp(srv, accepted.append)
+            await rt.ready()
+            rt.connect_tcp(cli, srv, links.append)
+            await settle()
+            assert len(accepted) == 1 and len(links) == 1
+            server_side = accepted[0]._writer.transport
+            assert not server_side.is_closing()
+            links[0].close()
+            await settle()
+            assert not accepted[0].open
+            assert server_side.is_closing()
+            await rt.aclose()
+
+        run(scenario())
+
+    def test_aclose_closes_every_open_link(self):
+        async def scenario():
+            rt = AioRuntime()
+            rt.register_host("srv.local", "s")
+            rt.register_host("cli.local", "s")
+            srv, cli = Endpoint("srv.local", 500), Endpoint("cli.local", 501)
+            accepted, links, closed = [], [], []
+            rt.listen_tcp(srv, accepted.append)
+            await rt.ready()
+            rt.connect_tcp(cli, srv, links.append)
+            await settle()
+            conns = accepted + links
+            assert len(conns) == 2
+            for conn in conns:
+                conn.on_close = lambda conn=conn: closed.append(conn)
+            transports = [conn._writer.transport for conn in conns]
+            await rt.aclose()
+            assert sorted(map(id, closed)) == sorted(map(id, conns))
+            assert not any(conn.open for conn in conns)
+            assert all(t.is_closing() for t in transports)
+
+        run(scenario())
+
     def test_oversized_frame_length_closes_the_link_unbuffered(self):
         """Regression: the u32 length prefix is the peer's word.  A raw
         peer announcing 4 GiB used to park the link in ``readexactly``,

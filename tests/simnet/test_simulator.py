@@ -329,8 +329,8 @@ class TestPeriodicSelfCancel:
 
     @pytest.mark.parametrize(("name", "make"), _sim_modes())
     def test_self_cancel_with_subtick_interval(self, name, make):
-        # Interval far below the wheel granularity: every re-arm lands
-        # in the *same* level-0 slot as the firing tick, so the re-arm
+        # Interval far below the wheel's slot: every re-arm lands in
+        # the *same* slot as the firing tick, so the re-arm
         # and the cancel race inside one delivery batch.
         sim = make()
         fired = []

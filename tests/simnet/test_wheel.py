@@ -1,4 +1,4 @@
-"""Equivalence of the hierarchical timer wheel and the reference heap.
+"""Equivalence of the timer wheel and the reference heap.
 
 The wheel (``Simulator("wheel")``) is a drop-in replacement for the
 binary-heap scheduler (``Simulator("heap")``): same ``(time, seq)`` fire
@@ -6,9 +6,9 @@ order, same ``events_processed``, same clock, same pending count, for
 *any* interleaving of schedule / schedule_at / fire-and-forget / cancel
 / call_every operations.  The golden digests pin this for whole
 experiments; this suite pins it property-style at the scheduler level,
-letting hypothesis hunt for adversarial interleavings (same-tick
-batches, sub-tick intervals, cross-level cascades, cancels between
-levels).
+letting hypothesis hunt for adversarial interleavings (same-slot
+batches, sub-slot intervals, times a hair either side of a slot edge,
+runs that stop inside a promoted slot, cancels of far-slot entries).
 """
 
 from __future__ import annotations
@@ -17,30 +17,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simnet.simulator import Simulator
-from repro.simnet.wheel import TimerWheel
+from repro.simnet.wheel import INV_SLOT_WIDTH, SLOT_WIDTH, TimerWheel
 
-# Delays chosen to straddle the wheel's level boundaries (granularity
-# 1 ms, 8 bits per level): same-tick, sub-tick, L0, the L0/L1 edge at
-# 256 ticks, the L1/L2 edge at 65536 ticks, and the far-future L3
-# catch-all.
+_EDGE = 1e-9
+
+# Delays chosen to straddle the wheel's slot edges: same-slot and
+# sub-slot, ``k * SLOT_WIDTH`` and a hair either side of it for the
+# first slots, a float sum that lands just under an edge
+# (0.1 * 10 accumulates to 0.9999999999999999), and far-future slots.
 _DELAYS = [
     0.0,
     1e-5,
     4.2e-4,
-    1e-3,
-    0.001999,
-    0.004,
-    0.2549,
-    0.2551,
-    0.256,
-    1.0,
-    3.14159,
-    65.535,
-    65.537,
+    0.1 + 0.2,
+    sum([0.1] * 10) * SLOT_WIDTH,
+    *(k * SLOT_WIDTH + d for k in (1, 2, 3) for d in (-_EDGE, 0.0, _EDGE)),
+    30.0 * SLOT_WIDTH - _EDGE,
+    30.0 * SLOT_WIDTH,
     20000.0,
 ]
 
-_INTERVALS = [1e-5, 1e-3, 0.0037, 0.255, 0.3, 2.5]
+_INTERVALS = [1e-5, 1e-3, 0.0037, 0.3, SLOT_WIDTH, 2.5 * SLOT_WIDTH]
 
 _op = st.one_of(
     st.tuples(st.just("schedule"), st.sampled_from(_DELAYS)),
@@ -52,7 +49,12 @@ _op = st.one_of(
         st.sampled_from(_INTERVALS),
         st.integers(min_value=1, max_value=5),
     ),
-    st.tuples(st.just("run"), st.sampled_from([0.0005, 0.01, 0.3, 2.0])),
+    # Runs of 0.1 and 1/3 slot drift ``now`` off the decimal grid, so
+    # ``now + delay`` is a float sum that can round across a slot edge.
+    st.tuples(
+        st.just("run"),
+        st.sampled_from([0.0005, 0.01, 0.1 * SLOT_WIDTH, SLOT_WIDTH / 3, 2.0 * SLOT_WIDTH]),
+    ),
 )
 
 
@@ -127,33 +129,14 @@ def test_wheel_matches_heap_on_bulk_random_delays(seed, n):
 class TestTimerWheelUnit:
     """Direct checks of the wheel structure's invariants."""
 
-    def test_tick_mapping(self):
-        wheel = TimerWheel()
-        assert int(0.0 * wheel.inv_granularity) == 0
-        assert int(1.0 * wheel.inv_granularity) == 1000
-        assert int(0.0005 * wheel.inv_granularity) == 0  # sub-granularity shares tick 0
-
-    def test_promote_returns_batches_in_tick_order(self):
-        wheel = TimerWheel()
-        # One entry per level: L0 (tick 5), L1 (tick 300), L2 (tick
-        # 70000), L3 (tick 2**25).
-        for tick in (2**25, 70000, 300, 5):
-            t = tick * wheel.granularity
-            wheel.insert((t, tick, lambda: None, ()), tick)
-        seen = []
-        while True:
-            batch = wheel.promote()
-            if batch is None:
-                break
-            seen.extend(e[1] for e in batch)
-        assert seen == [5, 300, 70000, 2**25]
-
     def test_same_tick_entries_batch_together(self):
         wheel = TimerWheel()
+        t = 10 * SLOT_WIDTH + 0.01
         for seq in range(4):
-            wheel.insert((0.01, seq, lambda: None, ()), 10)
+            wheel.insert((t, seq, lambda: None, ()), int(t * INV_SLOT_WIDTH))
         batch = wheel.promote()
         assert [e[1] for e in batch] == [0, 1, 2, 3]
+        assert wheel.cur_slot == 10
         assert wheel.promote() is None
 
     def test_sweep_drops_cancelled_bucketed_entries(self):
@@ -165,14 +148,39 @@ class TestTimerWheelUnit:
         assert sim.compactions >= 1
         assert sim.queue_size < before
 
-    def test_cancelled_entry_never_fires_after_cascade(self):
-        # Cancel an entry parked in a coarse level; the cascade must
-        # drop it instead of delivering it to L0.
+    def test_cancelled_far_slot_entry_never_fires(self):
+        # Cancel an entry parked in a far slot before that slot is
+        # promoted; promotion must drop it instead of delivering it.
         sim = Simulator("wheel")
         fired = []
-        victim = sim.schedule(70.0, fired.append, "victim")
-        sim.schedule(70.0, fired.append, "survivor")
-        sim.run_for(30.0)  # let time pass, victim still parked coarse
+        victim = sim.schedule(70.0 * SLOT_WIDTH, fired.append, "victim")
+        sim.schedule(70.0 * SLOT_WIDTH, fired.append, "survivor")
+        sim.run_for(30.0 * SLOT_WIDTH)  # time passes, victim still bucketed
         victim.cancel()
-        sim.run_for(50.0)
+        sim.run_for(50.0 * SLOT_WIDTH)
         assert fired == ["survivor"]
+        assert sim.pending == 0 and sim.queue_size == 0
+
+    def test_run_until_inside_a_promoted_slot_then_schedule_behind_it(self):
+        # ``run(until=)`` promotes the slot holding the next entry, then
+        # stops short of it (here before the slot even starts).  An
+        # event scheduled afterwards at an earlier slot must go to the
+        # active heap and fire first; one in a later slot must join that
+        # slot's bucket behind the entry already waiting there.
+        logs = []
+        for mode in ("wheel", "heap"):
+            sim = Simulator(mode)
+            log = []
+            sim.schedule(5.5 * SLOT_WIDTH, lambda s=sim: log.append(("far", s.now)))
+            sim.schedule(6.2 * SLOT_WIDTH, lambda s=sim: log.append(("next", s.now)))
+            sim.run(until=2.0 * SLOT_WIDTH)
+            assert sim.now == 2.0 * SLOT_WIDTH and log == []
+            sim.schedule_at(3.0 * SLOT_WIDTH, lambda s=sim: log.append(("behind", s.now)))
+            sim.schedule_at(5.5 * SLOT_WIDTH - _EDGE, lambda s=sim: log.append(("edge", s.now)))
+            sim.schedule_at(6.7 * SLOT_WIDTH, lambda s=sim: log.append(("after", s.now)))
+            sim.run(until=5.2 * SLOT_WIDTH)
+            sim.schedule_at(5.3 * SLOT_WIDTH, lambda s=sim: log.append(("same", s.now)))
+            sim.run()
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert [tag for tag, _ in logs[0]] == ["behind", "same", "edge", "far", "next", "after"]
