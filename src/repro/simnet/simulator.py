@@ -13,7 +13,7 @@ callbacks.  Two properties matter for reproducibility:
 Two interchangeable schedulers implement the store, selected by the
 ``scheduler`` constructor argument:
 
-* ``"wheel"`` (default) -- a timer wheel of one level of 1 s slots
+* ``"wheel"`` (default) -- a timer wheel of one level of 0.25 s slots
   (:mod:`repro.simnet.wheel`): an event in a later slot is an O(1)
   append, an event in the slot being drained is a push onto that slot's
   heap, and ``cancel`` is O(1) with amortised dead-entry sweeps.  A
@@ -113,7 +113,7 @@ class Simulator:
     scheduler:
         ``"wheel"`` (default) for the timer wheel, ``"heap"`` for the
         reference binary-heap scheduler.  The wheel's slot is
-        ``SLOT_WIDTH`` (1 s) of virtual time; exact fire times are
+        ``SLOT_WIDTH`` (0.25 s) of virtual time; exact fire times are
         unaffected, the slot only selects the bucket.
 
     Examples

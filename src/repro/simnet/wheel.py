@@ -47,11 +47,13 @@ from heapq import heappop, heappush
 __all__ = ["TimerWheel", "SLOT_WIDTH", "INV_SLOT_WIDTH"]
 
 #: Virtual seconds per slot.  A slot only chooses the bucket: entries
-#: keep their exact float time.  One second holds a discovery round's
-#: millisecond-spaced events in the active heap while leases, sweeps and
-#: 30 s timeouts stay appends; a power of two keeps ``time * INV`` exact.
-#: docs/PROTOCOL.md "The timer wheel" has the 0.25 s / 4 s measurements.
-SLOT_WIDTH = 1.0
+#: keep their exact float time.  A quarter second holds a discovery
+#: round's millisecond-spaced events in the active heap while leases,
+#: sweeps and 30 s timeouts stay appends, and keeps that heap small
+#: under a dense schedule (every event pays log of its size); a power of
+#: two keeps ``time * INV`` exact.  docs/PROTOCOL.md "The timer wheel"
+#: has the measurements against 1 s and 4 s.
+SLOT_WIDTH = 0.25
 #: ``int(time * INV_SLOT_WIDTH)`` is the slot of ``time``.
 INV_SLOT_WIDTH = 1.0 / SLOT_WIDTH
 
