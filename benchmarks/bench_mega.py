@@ -13,17 +13,19 @@ one closure -- not a full :class:`DiscoveryClient`, so the measured cost
 is the BDN tier and the scheduler, not harness object churn.  A client:
 
 1. wakes at its arrival time (one ``schedule_at`` timer armed up
-   front -- the flash crowd is 100k outstanding timers, the hierarchical
-   wheel's home turf),
+   front -- the flash crowd is 100k outstanding timers, each one list
+   append into its quarter-second slot of the wheel),
 2. fires a ``DiscoveryRequest`` at the BDN and arms a response-timeout
    timer,
 3. on the first ``DiscoveryResponse``, records the *simulated* request
    latency and cancels the timeout.
 
-Step 3 is the scheduler's worst case under the old binary heap: ~one
-armed-then-cancelled far-future timer per client, the lease/retry
-pattern that lazy deletion piles up and compaction repeatedly copies.
-The wheel cancels in O(1) and sweeps amortised.
+Step 3 arms and cancels ~one far-future timer per client, the
+lease/retry pattern that the reference heap's lazy deletion piles up
+and its compaction copies; the wheel cancels in O(1) and sweeps
+amortised.  Measured at 100k clients with each scheduler in a fresh
+process (seed 2005, 2-vCPU x86-64 host, CPython 3.11), the wheel ran
+1.05x and 1.16x the heap's events/s in two ``--compare`` runs.
 
 Reported metrics:
 
@@ -252,9 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
     )
     if args.compare:
-        # Each scheduler runs in a fresh interpreter: run second in one
-        # process, the heap inherited the wheel run's heap and allocator
-        # state and read ~5-10 % slower than it does alone.
+        # Each scheduler runs in a fresh interpreter: run second in the
+        # wheel's process, the heap read ~10 % slower than on its own.
         size = [
             f"--clients={args.clients}", f"--shards={args.shards}", f"--brokers={args.brokers}",
             f"--window={args.window}", f"--seed={args.seed}",

@@ -149,7 +149,6 @@ KEPT: dict[str, str] = {
     ),
     "repro.obs.registry.MetricsRegistry.read": _STRICT_READ,
     "repro.obs.registry.MetricsRegistry.names": _STRICT_READ,
-    "repro.runtime.aio.AioConnection.close": _LIVE_CONTRACT,
     "repro.runtime.aio.AioRuntime._note_error": (
         "fault path: a handler that raised on the live runtime, which no working run has; "
         "tests/runtime/ provoke one"
