@@ -14,6 +14,30 @@ import numpy as np
 
 __all__ = ["IdGenerator"]
 
+#: IDs prefetched per underlying RNG call.  PCG64 emits the same byte
+#: stream whether drawn 16 bytes at a time or in one block, so
+#: prefetching changes no emitted UUID -- it only amortises the numpy
+#: call and the formatting over the batch.
+_BATCH = 16
+
+
+def _layout(batch: int) -> np.ndarray:
+    """Where each character of ``batch`` formatted ids, written back to
+    back, comes from in the batch's hex digits plus one trailing dash.
+
+    Hex digit ``j`` of id ``k`` is digit ``32 * k + j`` of the batch and
+    sits at column ``j`` plus the dashes before it (8-4-4-4-12); the four
+    dash columns read the trailing dash.
+    """
+    columns = [j + sum(j >= d for d in (8, 12, 16, 20)) for j in range(32)]
+    layout = np.full((batch, 36), 32 * batch, dtype=np.intp)
+    for k in range(batch):
+        layout[k, columns] = np.arange(32 * k, 32 * k + 32)
+    return layout.ravel()
+
+
+_LAYOUT = _layout(_BATCH)
+
 
 class IdGenerator:
     """Produce RFC-4122-shaped version-4 UUID strings deterministically.
@@ -34,33 +58,29 @@ class IdGenerator:
     (36, '4')
     """
 
-    #: IDs prefetched per underlying RNG call.  PCG64 emits the same
-    #: byte stream whether drawn 16 bytes at a time or in one block, so
-    #: prefetching changes no emitted UUID -- it only amortises the
-    #: numpy call overhead (~16x on the discovery hot path).
-    _BATCH = 16
-
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         self._rng = rng if rng is not None else np.random.default_rng()
-        self._buf = b""
-        self._pos = 0
+        # The current batch's ids, last one first (``pop`` hands them out).
+        self._ids: list[str] = []
 
     def __call__(self) -> str:
-        pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._buf = self._rng.bytes(16 * self._BATCH)
-            pos = 0
-        b = bytearray(buf[pos : pos + 16])
-        self._pos = pos + 16
+        ids = self._ids
+        if not ids:
+            ids = self._ids = self._draw()
+        return ids.pop()
+
+    def _draw(self) -> list[str]:
+        """Format the next ``_BATCH`` UUIDs from one draw, last one first."""
+        b = bytearray(self._rng.bytes(16 * _BATCH))
         # Force version 4 / variant 10xx bits like uuid4 does.
-        b[6] = (b[6] & 0x0F) | 0x40
-        b[8] = (b[8] & 0x3F) | 0x80
-        # Format the 8-4-4-4-12 text directly: identical output to
-        # str(uuid.UUID(bytes=...)) without constructing a UUID object,
-        # which is one of the hottest allocations in a discovery run.
-        h = bytes(b).hex()
-        return f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}"
+        b[6::16] = bytes((x & 0x0F) | 0x40 for x in b[6::16])
+        b[8::16] = bytes((x & 0x3F) | 0x80 for x in b[8::16])
+        # Lay out the 8-4-4-4-12 text of the whole batch in one gather:
+        # identical output to str(uuid.UUID(bytes=...)) per id, without
+        # a UUID object or five string slices per id.
+        digits = np.frombuffer((b.hex() + "-").encode(), np.uint8)
+        text = digits[_LAYOUT].tobytes().decode()
+        return [text[i : i + 36] for i in range(36 * (_BATCH - 1), -1, -36)]
 
     def spawn(self) -> "IdGenerator":
         """Derive an independent child generator.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.config import Endpoint
 from repro.core.messages import AdvertisementAck, BrokerAdvertisement
@@ -242,7 +242,7 @@ class Heartbeat:
         self.broker.remove_udp_handler(AdvertisementAck)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StoredAdvertisement:
     """An advertisement plus BDN-side bookkeeping.
 
@@ -250,11 +250,19 @@ class StoredAdvertisement:
     (receipt time + TTL; infinity for lease-less advertisements) --
     expiry is judged by the receiver so broker/BDN clock skew cannot
     prematurely kill a lease.
+
+    A plain slots dataclass, like the wire messages: an entry never
+    changes once stored (a renewal stores a new one), so ``frozen``
+    would only make every construction pay for ``object.__setattr__``.
+    The one field written later is ``_udp``, the broker's UDP endpoint,
+    built at its first read and handed on to a renewal that advertises
+    the same address (:meth:`AdvertisementStore.accept`).
     """
 
     advertisement: BrokerAdvertisement
     received_at: float
     expires_at: float = math.inf
+    _udp: Endpoint | None = field(default=None, repr=False, compare=False)
 
     @property
     def broker_id(self) -> str:
@@ -263,8 +271,12 @@ class StoredAdvertisement:
     @property
     def udp_endpoint(self) -> Endpoint:
         """Where the advertised broker receives datagrams."""
-        port = self.advertisement.port_for("udp")
-        return Endpoint(self.advertisement.hostname, port if port is not None else BROKER_UDP_PORT)
+        udp = self._udp
+        if udp is None:
+            ad = self.advertisement
+            port = ad.port_for("udp")
+            udp = self._udp = Endpoint(ad.hostname, port if port is not None else BROKER_UDP_PORT)
+        return udp
 
     def is_expired(self, now: float) -> bool:
         """Whether the lease has lapsed at time ``now``."""
@@ -309,11 +321,15 @@ class AdvertisementStore:
             self.ignored += 1
             return False
         expires = now + ad.ttl if ad.ttl > 0 else math.inf
-        if ad.broker_id not in self._ads:
+        old = self._ads.get(ad.broker_id)
+        udp = None
+        if old is None:
             self._sorted_ids = None
-        self._ads[ad.broker_id] = StoredAdvertisement(
-            advertisement=ad, received_at=now, expires_at=expires
-        )
+        else:
+            held = old.advertisement
+            if held.hostname == ad.hostname and held.transports == ad.transports:
+                udp = old._udp
+        self._ads[ad.broker_id] = StoredAdvertisement(ad, now, expires, udp)
         return True
 
     def accept_if_newer(self, ad: BrokerAdvertisement, now: float) -> bool:

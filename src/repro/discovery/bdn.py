@@ -289,7 +289,8 @@ class BDN(Node):
     def _on_udp(self, message: Message | LazyMessage, src: Endpoint) -> None:
         if not self.alive:
             return
-        if type(message) is LazyMessage:
+        kind = type(message)
+        if kind is LazyMessage:
             # A runtime may hand us an unmaterialised wire view.  An
             # undecodable buffer must not crash the ingress-queue
             # handler -- count it like any other protocol error.
@@ -299,19 +300,22 @@ class BDN(Node):
                 self.unknown_messages += 1
                 self.emit("bdn_unknown_message", type=f"undecodable(tag={exc.tag})")
                 return
-        if isinstance(message, BrokerAdvertisement):
+            kind = type(message)
+        # Exact types (no message type is subclassed), most frequent
+        # first: lease renewals, then pongs of the sweep, then requests.
+        if kind is BrokerAdvertisement:
             self._register(message, src)
-        elif isinstance(message, DiscoveryRequest):
-            self._handle_request(message)
-        elif isinstance(message, PingResponse):
+        elif kind is PingResponse:
             self.pinger.on_response(message, src)
-        elif type(message) in self._REPLICATION_DISPATCH and self.replication is not None:
+        elif kind is DiscoveryRequest:
+            self._handle_request(message)
+        elif kind in self._REPLICATION_DISPATCH and self.replication is not None:
             replication = self.replication
             if message.group != replication.config.group:
                 # Another group's traffic on a shared port: never acted on.
                 replication.foreign_group_messages += 1
             else:
-                getattr(replication, self._REPLICATION_DISPATCH[type(message)])(message, src)
+                getattr(replication, self._REPLICATION_DISPATCH[kind])(message, src)
         else:
             # Anything else on the discovery port is a protocol error
             # (or a stale/misrouted datagram): count it and drop it
@@ -565,24 +569,26 @@ class BDN(Node):
         """
         if not self.alive:
             return
-        now = self.runtime.now
-        shard = self.registry.shard(index)
-        for broker_id in shard.evict_expired(now):
+        registry = self.registry
+        for broker_id in registry.evict_expired_in(index, self.runtime.now):
             self._forget(broker_id)
             self.emit("bdn_lease_expired", broker=broker_id)
+        measured = registry.shard(index).all()
+        if not self._uses_distance:
+            # _measures without the call: only unleased brokers.
+            measured = [s for s in measured if s.expires_at == math.inf]
         unanswered = self._unanswered
-        for stored in shard.all():
-            if not self._measures(stored):
-                continue
+        ping = self.pinger.ping
+        for stored in measured:
             broker_id = stored.broker_id
             missed = unanswered.get(broker_id, 0)
             if missed >= _PRUNE_MISSED_SWEEPS:
-                shard.remove(broker_id)
+                registry.remove(broker_id)
                 self._forget(broker_id)
                 self.emit("bdn_pruned", broker=broker_id)
                 continue
             unanswered[broker_id] = missed + 1
-            self.pinger.ping(stored.udp_endpoint, key=broker_id)
+            ping(stored.udp_endpoint, key=broker_id)
 
     def distance_table(self) -> dict[str, float]:
         """Measured average RTT per registered broker (seconds).

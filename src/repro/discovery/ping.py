@@ -19,6 +19,7 @@ timestamp-derived estimates.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from repro.core.config import Endpoint
@@ -60,25 +61,36 @@ class Pinger:
     def __init__(self, node: Node, reply_endpoint: Endpoint) -> None:
         self._node = node
         self._reply = reply_endpoint
+        # A node keeps its runtime, clock and id stream for life.
+        self._runtime = node.runtime
+        self._raw = node.clock.raw
+        self._ids = node.ids
         # ping uuid -> (target key, expiry deadline, trace id).  Insertion
         # order is deadline order (the timeout is constant), so expiry
         # only ever needs to pop from the front.
         self._outstanding: dict[str, tuple[str, float, str | None]] = {}
+        # No outstanding deadline lies before this one, so expiry has
+        # nothing to do until the clock reaches it.  A pong or a cancel
+        # that removes the front entry leaves it early, never late.
+        self._next_expiry = math.inf
         self._samples: dict[str, list[float]] = {}
         self.on_rtt: RttCallback | None = None
         self.pings_sent = 0
         self.pongs_received = 0
         self.pings_expired = 0
 
-    def _expire_outstanding(self) -> None:
+    def _expire_outstanding(self, now: float) -> None:
         """Drop outstanding pings whose deadline has passed."""
-        now = self._node.runtime.now
-        while self._outstanding:
-            uuid = next(iter(self._outstanding))
-            if self._outstanding[uuid][1] > now:
-                break
-            del self._outstanding[uuid]
+        outstanding = self._outstanding
+        while outstanding:
+            uuid = next(iter(outstanding))
+            deadline = outstanding[uuid][1]
+            if deadline > now:
+                self._next_expiry = deadline
+                return
+            del outstanding[uuid]
             self.pings_expired += 1
+        self._next_expiry = math.inf
 
     def ping(
         self, target: Endpoint, key: str | None = None, trace_id: str | None = None
@@ -92,20 +104,25 @@ class Pinger:
         ``recv`` spans, so a discovery request's ping phase appears in
         its flight-recorder timeline.
         """
-        self._expire_outstanding()
-        uuid = self._node.ids()
-        deadline = self._node.runtime.now + OUTSTANDING_TIMEOUT
+        now = self._runtime.now
+        if now >= self._next_expiry:
+            self._expire_outstanding(now)
+        uuid = self._ids()
+        deadline = now + OUTSTANDING_TIMEOUT
+        if deadline < self._next_expiry:
+            self._next_expiry = deadline
         resolved_key = key if key is not None else target.host
         traced = trace_id is not None and self._node.observing
         self._outstanding[uuid] = (resolved_key, deadline, trace_id if traced else None)
+        reply = self._reply
         request = PingRequest(
             uuid=uuid,
-            sent_at=self._node.clock.raw(),
-            reply_host=self._reply.host,
-            reply_port=self._reply.port,
+            sent_at=self._raw(),
+            reply_host=reply.host,
+            reply_port=reply.port,
             trace_flag=traced,
         )
-        self._node.runtime.send_udp(self._reply, target, request)
+        self._runtime.send_udp(reply, target, request)
         self.pings_sent += 1
         if traced:
             self._node.emit("send", trace_id, kind="PingRequest", broker=resolved_key)
@@ -117,19 +134,23 @@ class Pinger:
         Unknown UUIDs (stale or duplicated responses) are ignored, and
         so are pongs arriving after their ping's deadline.
         """
-        self._expire_outstanding()
+        now = self._runtime.now
+        if now >= self._next_expiry:
+            self._expire_outstanding(now)
         entry = self._outstanding.pop(response.uuid, None)
         if entry is None:
             return
         key, _, trace_id = entry
-        rtt = self._node.clock.raw() - response.sent_at
+        rtt = self._raw() - response.sent_at
         if rtt < 0:
             return  # clock was stepped mid-flight; drop the sample
         if trace_id is not None:
             self._node.emit(
                 "recv", trace_id, hop=response.trace_hop, kind="PingResponse", broker=key
             )
-        samples = self._samples.setdefault(key, [])
+        samples = self._samples.get(key)
+        if samples is None:
+            samples = self._samples[key] = []
         samples.append(rtt)
         if len(samples) > MAX_SAMPLES:
             del samples[0]

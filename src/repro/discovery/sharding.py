@@ -199,6 +199,14 @@ class ShardedRegistry:
 
     The duplicate cache holds the paper's 1000 entries in all, split
     across the shards.
+
+    Each registered id's owning store is memoised (``_home``), so a
+    renewal or a read of a registered broker pays one dict probe, not a
+    CRC-32 and a ring bisect.  An id enters the memo when a store first
+    accepts it and leaves it on every removal -- lease eviction, prune
+    (:meth:`remove`), :meth:`clear` -- so the memo holds exactly the
+    registered ids.  Write through the registry, never through a
+    :meth:`shard` directly, or the memo goes stale.
     """
 
     def __init__(
@@ -211,6 +219,7 @@ class ShardedRegistry:
             AdvertisementStore(interest_regions) for _ in range(shards)
         ]
         self.dedup = ShardedDedup(self.ring)
+        self._home: dict[str, AdvertisementStore] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -228,10 +237,6 @@ class ShardedRegistry:
         """The backing store at ``index`` (the per-shard sweep path)."""
         return self._shards[index]
 
-    def shard_for(self, broker_id: str) -> AdvertisementStore:
-        """The store owning ``broker_id``."""
-        return self._shards[self.ring.shard_of(broker_id)]
-
     @property
     def leases_expired(self) -> int:
         """Lease evictions, summed across shards."""
@@ -241,7 +246,7 @@ class ShardedRegistry:
         return sum(len(s) for s in self._shards)
 
     def __contains__(self, broker_id: str) -> bool:
-        return broker_id in self.shard_for(broker_id)
+        return broker_id in self._home
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.broker_ids())
@@ -250,23 +255,38 @@ class ShardedRegistry:
     # Writes (route to the owning shard)
     # ------------------------------------------------------------------
     def accept(self, ad: BrokerAdvertisement, now: float) -> bool:
-        return self.shard_for(ad.broker_id).accept(ad, now)
+        store = self._home.get(ad.broker_id)
+        if store is None:
+            store = self._shards[self.ring.shard_of(ad.broker_id)]
+        if not store.accept(ad, now):
+            return False
+        self._home[ad.broker_id] = store
+        return True
 
     def accept_if_newer(self, ad: BrokerAdvertisement, now: float) -> bool:
-        return self.shard_for(ad.broker_id).accept_if_newer(ad, now)
+        store = self._home.get(ad.broker_id)
+        if store is None:
+            store = self._shards[self.ring.shard_of(ad.broker_id)]
+        if not store.accept_if_newer(ad, now):
+            return False
+        self._home[ad.broker_id] = store
+        return True
 
     def remove(self, broker_id: str) -> bool:
-        return self.shard_for(broker_id).remove(broker_id)
+        store = self._home.pop(broker_id, None)
+        return store is not None and store.remove(broker_id)
 
     def clear(self) -> None:
         for shard in self._shards:
             shard.clear()
+        self._home.clear()
 
     # ------------------------------------------------------------------
     # Reads (merge the per-shard sorted views)
     # ------------------------------------------------------------------
     def get(self, broker_id: str) -> StoredAdvertisement | None:
-        return self.shard_for(broker_id).get(broker_id)
+        store = self._home.get(broker_id)
+        return store.get(broker_id) if store is not None else None
 
     def all(self, now: float | None = None) -> list[StoredAdvertisement]:
         """Stored advertisements, ordered by broker id across all shards."""
@@ -283,5 +303,14 @@ class ShardedRegistry:
     def evict_expired(self, now: float) -> list[str]:
         """Evict lapsed leases on every shard; globally sorted evicted ids."""
         if len(self._shards) == 1:
-            return self._shards[0].evict_expired(now)
-        return list(heapq.merge(*(s.evict_expired(now) for s in self._shards)))
+            return self.evict_expired_in(0, now)
+        shards = range(len(self._shards))
+        return list(heapq.merge(*(self.evict_expired_in(i, now) for i in shards)))
+
+    def evict_expired_in(self, index: int, now: float) -> list[str]:
+        """Evict lapsed leases on shard ``index`` only (one staggered sweep)."""
+        evicted = self._shards[index].evict_expired(now)
+        home = self._home
+        for broker_id in evicted:
+            del home[broker_id]
+        return evicted

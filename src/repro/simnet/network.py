@@ -217,6 +217,8 @@ class Network:
         # ``obs.event.udp_deliver``, resolved at the first delivery a
         # sink that keeps no details counts.
         self._delivered_fact = None
+        # One bound method for every datagram in flight, not one per send.
+        self._deliver_udp = self._deliver_udp
         # Counters.
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
@@ -347,15 +349,16 @@ class Network:
             self._drop(message, src, dst)
             return
         self.datagrams_delivered += 1
-        obs = self.obs
-        if obs is not None:
+        counter = self._delivered_fact
+        if counter is not None:
+            # The fact, counted without building its details.
+            counter.value += 1
+        elif self.obs is not None:
+            obs = self.obs
             if obs.detailed:
                 obs.emit("udp_deliver", dst.host, src=src, kind=type(message).__name__)
             else:
-                # The same fact, counted without building its details.
-                counter = self._delivered_fact
-                if counter is None:
-                    counter = self._delivered_fact = obs.fact("udp_deliver")
+                counter = self._delivered_fact = obs.fact("udp_deliver")
                 counter.value += 1
         handler(message, src)
 

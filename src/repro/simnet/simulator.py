@@ -36,9 +36,10 @@ two fast paths keep long runs flat:
   of an O(n) scan -- monitors and soak harnesses poll it freely;
 * :meth:`Simulator.schedule_fire` / :meth:`Simulator.schedule_fire_at`
   enqueue a bare ``(time, seq, fn, args)`` tuple with no handle.  The
-  network fabric uses them for datagram/segment deliveries, which are
-  never cancelled: no :class:`ScheduledEvent` allocation, no
-  cancellation check on the fire path.
+  network fabric uses them for datagram/segment deliveries, and
+  :meth:`Simulator.call_every` for its ticks, none of which is ever
+  cancelled: no :class:`ScheduledEvent` allocation, no cancellation
+  check on the fire path.
 """
 
 from __future__ import annotations
@@ -327,10 +328,17 @@ class Simulator:
         tick) and *after* it (a callback cancelling its own handle
         mid-fire must not re-arm a dead timer) -- the wheel's batched
         same-slot delivery makes both orderings reachable in one slot.
+
+        Each tick is queued handle-free (the ``schedule_fire`` path): only
+        the series handle is ever cancelled, so a per-tick handle would be
+        an allocation nobody reads.  The bare method is bound rather than
+        the ``schedule_fire`` attribute, which an instrumenting wrapper
+        may replace to time fabric deliveries; a tick is none.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         series = ScheduledEvent(self._now, -1, fn, args)  # master handle, never queued
+        arm = self._schedule_fire_wheel if self._wheel is not None else self._schedule_fire_heap
 
         def tick() -> None:
             if series.cancelled:
@@ -342,9 +350,9 @@ class Simulator:
                 # cancelled the series (directly or transitively), and
                 # scheduling first would leave an orphan live tick.
                 if not series.cancelled:
-                    self.schedule(interval, tick)
+                    arm(interval, tick)
 
-        self.schedule(interval if first_delay is None else first_delay, tick)
+        arm(interval if first_delay is None else first_delay, tick)
         return series
 
     # ------------------------------------------------------------------

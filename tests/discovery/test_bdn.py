@@ -27,7 +27,7 @@ from repro.discovery.advertisement import (
 )
 from repro.discovery.bdn import BDN
 from repro.discovery.ping import Pinger
-from repro.discovery.sharding import ShardedRegistry
+from repro.discovery.sharding import HashRing, ShardedRegistry
 from repro.obs import Observability
 from repro.simnet.latency import UniformLatencyModel
 from repro.substrate.builder import BrokerNetwork, Topology
@@ -513,6 +513,90 @@ class TestRequestCostDoesNotGrowWithTheRegistry:
             world.sim.run_for(0.01)
         assert world.bdn.requests_disseminated == requests
         assert calls == {"all": 0, "average_rtt": 0}
+
+
+class TestWarmRegistryRederivesNothing:
+    """A registered broker's shard and UDP endpoint are facts the BDN
+    holds: a renewal or a request must not derive them again (a CRC-32
+    and a ring bisect; a transport scan and a new ``Endpoint``)."""
+
+    N = 2000
+
+    @staticmethod
+    def counting(monkeypatch, cls, name: str, calls: list) -> None:
+        original = getattr(cls, name)
+
+        def wrapper(self, key, *args):
+            calls.append(key)
+            return original(self, key, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    def test_renewals_and_requests_recompute_no_route_or_endpoint(self, monkeypatch):
+        n = self.N
+        world = PongWorld(n, shards=16, ping_interval=1e6)
+        for i in range(n):
+            world.register(i)
+        world.sim.run_for(1.0)
+        world.request()
+        world.sim.run_for(0.01)
+        registered = set(world.bdn.store.broker_ids())
+        assert len(registered) == n
+        routed: list[str] = []
+        addressed: list[str] = []
+        self.counting(monkeypatch, HashRing, "shard_of", routed)
+        self.counting(monkeypatch, BrokerAdvertisement, "port_for", addressed)
+        requests = 0
+        for _ in range(5):
+            for i in range(n):
+                world.register(i)
+            world.sim.run_for(0.5)
+            addressed.clear()  # a renewal may read its ad; a request may not
+            for _ in range(10):
+                world.request()
+                world.sim.run_for(0.01)
+                requests += 1
+            assert addressed == []
+        assert world.obs.count("bdn_registered") == 6 * n
+        assert world.bdn.requests_disseminated == requests + 1
+        assert [key for key in routed if key in registered] == []
+        # The guard counts the calls it should: request uuids still route.
+        assert routed
+
+    def test_routing_memo_never_outgrows_the_registry(self):
+        n = self.N
+        world = PongWorld(n, shards=16, ping_interval=2.0)
+        bdn = world.bdn
+        registry = bdn.registry
+
+        def memo_is_the_registry() -> int:
+            assert set(registry._home) == set(registry.broker_ids())
+            return len(registry._home)
+
+        # A third leased (they lapse), a third silent (they are pruned),
+        # a third answering and unleased (they stay).
+        for i in range(n):
+            world.register(i, ttl=3.0 if i % 3 == 0 else 0.0)
+        world.muted.update(range(1, n, 3))
+        assert memo_is_the_registry() == n
+        world.sim.run_for(9.0)
+        assert world.obs.count("bdn_lease_expired") == len(range(0, n, 3))
+        assert world.obs.count("bdn_pruned") == len(range(1, n, 3))
+        assert memo_is_the_registry() == len(range(2, n, 3))
+        # Back again, then gone by every other path.
+        for i in range(0, n, 3):
+            world.register(i, ttl=0.5)
+        assert memo_is_the_registry() == len(range(2, n, 3)) + len(range(0, n, 3))
+        world.sim.run_for(1.0)  # lapsed: some swept, the rest evicted here
+        assert bdn.store.evict_expired(world.sim.now)
+        assert memo_is_the_registry() == len(range(2, n, 3))
+        assert bdn.store.remove("b2") and not bdn.store.remove("b2")
+        assert "b2" not in bdn.store and bdn.store.get("b2") is None
+        assert memo_is_the_registry() == len(range(2, n, 3)) - 1
+        bdn.clear_registry()
+        assert memo_is_the_registry() == 0
+        world.register(5)
+        assert memo_is_the_registry() == 1 and bdn.store.get("b5").broker_id == "b5"
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import Endpoint
 from repro.core.messages import PingResponse
-from repro.discovery.ping import MAX_SAMPLES, Pinger
+from repro.discovery.ping import MAX_SAMPLES, OUTSTANDING_TIMEOUT, Pinger
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import UniformLoss
 from repro.simnet.node import Node
@@ -143,3 +143,80 @@ class TestOutstandingExpiry:
         assert pinger.sample_count("bk") == 1
         assert pinger.pongs_received == 1
         assert list(pinger._outstanding) == []
+
+
+class TestExpiryMatchesAWalkOnEveryCall:
+    """The pinger walks its outstanding table only once the oldest
+    deadline is due.  Its observable state must be what walking on every
+    ping and every pong gives: the same ``pings_expired``, the same
+    outstanding uuids in the same order, the same pongs accepted."""
+
+    class Reference:
+        """Expire from the front on every ping and pong (no shortcut)."""
+
+        def __init__(self) -> None:
+            self.outstanding: dict[str, float] = {}
+            self.expired = 0
+
+        def walk(self, now: float) -> None:
+            while self.outstanding:
+                uuid = next(iter(self.outstanding))
+                if self.outstanding[uuid] > now:
+                    break
+                del self.outstanding[uuid]
+                self.expired += 1
+
+        def ping(self, uuid: str, now: float) -> None:
+            self.walk(now)
+            self.outstanding[uuid] = now + OUTSTANDING_TIMEOUT
+
+        def pong(self, uuid: str, now: float) -> bool:
+            self.walk(now)
+            return self.outstanding.pop(uuid, None) is not None
+
+        def cancel(self, uuids: list[str]) -> None:
+            for uuid in uuids:
+                self.outstanding.pop(uuid, None)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_mix_of_pings_pongs_cancels_and_waits(self, seed):
+        net, broker, pinger = ping_world()
+        # Nothing is bound there: every ping is dropped, and each pong
+        # below is handed to the pinger by the test.
+        void = Endpoint(broker.host, 4242)
+        ref = self.Reference()
+        rng = np.random.default_rng(seed)
+        sent: list[str] = ["never-sent"]
+        waits = (0.0, 0.05, 1.0, 7.5, OUTSTANDING_TIMEOUT - 1e-9, OUTSTANDING_TIMEOUT, 31.0)
+        accepted = 0
+        for _ in range(1500):
+            now = net.sim.now
+            action = rng.choice(["ping", "ping", "pong", "pong", "cancel", "wait"])
+            if action == "ping":
+                uuid = pinger.ping(void, key="bk")
+                ref.ping(uuid, now)
+                sent.append(uuid)
+            elif action == "pong":
+                # Mostly recent pings, sometimes an old or unknown one.
+                uuid = sent[-1 - int(rng.integers(min(len(sent), 4)))]
+                if rng.random() < 0.3:
+                    uuid = sent[int(rng.integers(len(sent)))]
+                before = pinger.pongs_received
+                pinger.on_response(
+                    PingResponse(uuid=uuid, sent_at=-1e9, broker_id="bk"), void
+                )
+                took = pinger.pongs_received - before
+                assert took == ref.pong(uuid, now)
+                accepted += took
+            elif action == "cancel":
+                picks = [sent[int(rng.integers(len(sent)))] for _ in range(int(rng.integers(1, 4)))]
+                pinger.cancel(picks)
+                ref.cancel(picks)
+            else:
+                wait = waits[int(rng.integers(len(waits)))]
+                # A wait of exactly the timeout lands on a deadline.
+                net.sim.run_for(wait)
+            assert pinger.pings_expired == ref.expired
+            assert list(pinger._outstanding) == list(ref.outstanding)
+        # The walk went through every kind of outcome.
+        assert ref.expired > 50 and accepted > 50

@@ -120,7 +120,6 @@ KEPT: dict[str, str] = {
     "repro.discovery.sharding.ShardedDedup.discard": _SHARDS,
     "repro.discovery.sharding.ShardedDedup.clear": _SHARDS,
     "repro.discovery.sharding.ShardedRegistry.shards": _SHARDS,
-    "repro.discovery.sharding.ShardedRegistry.remove": _SHARDS,
     "repro.core.ids.IdGenerator.spawn": (
         "derives an independent child id stream, pinned by tests/core/test_ids.py; "
         "a node seeds its own from the world rng"

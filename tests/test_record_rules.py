@@ -1,7 +1,8 @@
 """Wire messages and the records read off them never change once built.
 
 Every message in ``core/messages.py``, ``UsageMetrics``,
-``selection.Candidate`` and ``requester.CachedTarget`` is a plain
+``selection.Candidate``, ``requester.CachedTarget`` and the BDN's
+``advertisement.StoredAdvertisement`` is a plain
 ``@dataclass(slots=True)``: ``frozen=True`` made each field of each
 construction an ``object.__setattr__`` call, and a discovery round
 builds dozens of them.  What ``frozen`` promised is kept here instead,
@@ -29,13 +30,14 @@ from pathlib import Path
 
 from repro.core.messages import WIRE_MESSAGE_TYPES, Message
 from repro.core.metrics import UsageMetrics
+from repro.discovery.advertisement import StoredAdvertisement
 from repro.discovery.requester import CachedTarget
 from repro.discovery.selection import Candidate
 
 ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "benchmarks", "examples", "tests")
 
-RECORDS = (Message, *WIRE_MESSAGE_TYPES, UsageMetrics, Candidate, CachedTarget)
+RECORDS = (Message, *WIRE_MESSAGE_TYPES, UsageMetrics, Candidate, CachedTarget, StoredAdvertisement)
 FIELDS = frozenset(f.name for cls in RECORDS for f in dataclasses.fields(cls))
 OWNERS = frozenset({"self", "cls"})
 
