@@ -18,6 +18,7 @@ from repro.discovery.chaos import (
     draw_schedule,
     run_chaos,
 )
+from tests.event_parity import sweep_run
 
 N_SEEDS = 200
 
@@ -149,8 +150,9 @@ class TestChaosSweep:
         storm, and the cached reconnect exercised end to end."""
         failures = []
         combo_seeds = []
+        moved: list[str] = []
         for seed in range(N_SEEDS):
-            report = run_chaos(seed)
+            report = sweep_run("plain", seed, moved)
             if not report.ok:
                 failures.append((seed, report.violations))
             kinds = {a.kind for a in report.schedule}
@@ -159,5 +161,6 @@ class TestChaosSweep:
             reconnect = report.outcomes[-1]
             if reconnect.via != "cached" or not reconnect.success:
                 failures.append((seed, [f"reconnect via={reconnect.via!r}"]))
+        assert not moved, f"{moved[0]} (event_parity.py --seeds 20 --write-pins regenerates)"
         assert not failures, failures[:5]
         assert combo_seeds, "no schedule combined partition + kill_bdn + loss_storm"

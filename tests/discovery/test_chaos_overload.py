@@ -11,6 +11,7 @@ from repro.discovery.chaos import (
     draw_schedule,
     run_chaos,
 )
+from tests.event_parity import sweep_run
 
 N_SEEDS = 120
 
@@ -78,11 +79,13 @@ class TestOverloadSweep:
         not just tolerates its absence)."""
         failures = []
         storm_seeds = []
+        moved: list[str] = []
         for seed in range(N_SEEDS):
-            report = run_chaos(seed, kinds=STORM_KINDS, overload=True)
+            report = sweep_run("overload", seed, moved)
             if not report.ok:
                 failures.append((seed, report.violations))
             if any(a.kind == "request_storm" for a in report.schedule):
                 storm_seeds.append(seed)
+        assert not moved, f"{moved[0]} (event_parity.py --seeds 20 --write-pins regenerates)"
         assert not failures, failures[:5]
         assert storm_seeds, "no schedule drew a request_storm"

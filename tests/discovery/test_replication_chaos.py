@@ -19,6 +19,7 @@ from repro.discovery.chaos import (
     draw_schedule,
     run_chaos,
 )
+from tests.event_parity import sweep_run
 
 N_SEEDS = 120
 
@@ -103,13 +104,15 @@ class TestReplicatedChaosSweep:
         convergence checked on every one."""
         failures = []
         kinds_seen = set()
+        moved: list[str] = []
         for seed in range(N_SEEDS):
-            report = run_chaos(seed, replicated=True)
+            report = sweep_run("replicated", seed, moved)
             if not report.ok:
                 failures.append((seed, report.violations))
             kinds_seen |= {a.kind for a in report.schedule}
             if not all(o.success for o in report.outcomes):
                 failures.append((seed, ["an outcome failed without a violation"]))
+        assert not moved, f"{moved[0]} (event_parity.py --seeds 20 --write-pins regenerates)"
         assert not failures, failures[:5]
         assert kinds_seen == set(REPLICATED_CHAOS_KINDS)
 
