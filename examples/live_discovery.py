@@ -108,6 +108,7 @@ async def run(
             json.dump(result, fh, indent=2)
 
     snapshot = telemetry_snapshot(obs) if obs is not None else None
+    world.close()
     await rt.aclose()
     if snapshot is not None:
         complete = complete_request_ids(snapshot)

@@ -36,6 +36,7 @@ from repro.core.config import (
 from repro.discovery.bdn import BDN_UDP_PORT
 from repro.discovery.chaos import ChaosWorld
 from repro.discovery.requester import CLIENT_UDP_PORT
+from repro.discovery.world import World
 from repro.substrate.broker import BROKER_LINK_PORT, BROKER_TCP_PORT, BROKER_UDP_PORT
 
 __all__ = ["ClusterSpec", "derive_schedule"]
@@ -215,6 +216,29 @@ class ClusterSpec:
     # ------------------------------------------------------------------
     # Node configs (mirroring the sim chaos worlds)
     # ------------------------------------------------------------------
+    def build_role(self, world: World, role: str, cold: bool) -> None:
+        """Build and start ``role``'s nodes in ``world``: one BDN replica
+        (its registry cleared first when ``cold``), one broker with its
+        responder and registration heartbeat, or every load client."""
+        kind, _, index_text = role.partition(":")
+        index = int(index_text) if index_text else 0
+        if kind == "bdn":
+            bdn = world.add_bdn(self.bdn_name(index), self.bdn_host(index), config=self.bdn_config())
+            if cold:
+                bdn.clear_registry()
+        elif kind == "broker":
+            world.add_broker(self.broker_name(index), self.broker_host(index))
+        elif kind == "load":
+            for k in range(self.n_clients):
+                world.add_client(self.client_name(k), self.client_host(k), self.client_config())
+        else:
+            raise ValueError(f"unknown role {role!r}")
+        world.start()
+        for responder in world.responders.values():
+            responder.attach_heartbeat(
+                self.bdn_endpoints(), interval=BROKER_HEARTBEAT, ttl=BROKER_LEASE_TTL
+            )
+
     def replication_config(self) -> ReplicationConfig:
         return ReplicationConfig(
             group="g0",

@@ -41,25 +41,17 @@ import signal
 import sys
 import time
 
-import numpy as np
 
 from repro.cluster.report import round_record
-from repro.cluster.spec import (
-    BROKER_HEARTBEAT,
-    BROKER_LEASE_TTL,
-    DRAIN_DEADLINE,
-    ClusterSpec,
-)
+from repro.cluster.spec import DRAIN_DEADLINE, ClusterSpec
 from repro.core.invariants import bdn_evidence, failed, queue_record, recorded
 from repro.core.messages import DiscoveryRequest
-from repro.discovery.bdn import BDN
-from repro.discovery.requester import CLIENT_UDP_PORT, DiscoveryClient
-from repro.discovery.responder import DiscoveryResponder
+from repro.discovery.requester import CLIENT_UDP_PORT
+from repro.discovery.world import World
 from repro.obs import Observability
 from repro.obs.export import telemetry_snapshot
 from repro.obs.profiling import SamplingProfiler
 from repro.runtime.aio import AioRuntime
-from repro.substrate.broker import Broker
 
 __all__ = ["main"]
 
@@ -81,8 +73,6 @@ class Worker:
         self.role = role
         self.cold = cold
         self.incarnation = incarnation
-        self.kind, _, index_text = role.partition(":")
-        self.index = int(index_text) if index_text else 0
         self.rt = AioRuntime(bind_ip=spec.bind_ip, port_plan=spec.port_plan(role))
         self.obs = Observability.for_runtime(self.rt)
         self.rt.attach_observability(self.obs)
@@ -90,12 +80,7 @@ class Worker:
         spec.apply_mappings(self.rt)
         # str hash() is salted per process; index into the fixed role
         # list instead so reruns draw identical node randomness.
-        root = np.random.default_rng(spec.seed * 7919 + spec.roles().index(role))
-        self.rng = lambda: np.random.default_rng(root.integers(0, 2**63))
-        self.bdn: BDN | None = None
-        self.broker: Broker | None = None
-        self.responder: DiscoveryResponder | None = None
-        self.clients: list[DiscoveryClient] = []
+        self.world = World(self.rt, spec.seed * 7919 + spec.roles().index(role), self.obs)
         self.rounds: list[dict] = []
         self.aborted_rounds = 0
         self.storm_factor = 1.0
@@ -113,57 +98,13 @@ class Worker:
     # Boot
     # ------------------------------------------------------------------
     def boot(self) -> None:
-        spec = self.spec
-        if self.kind == "bdn":
-            self.bdn = BDN(
-                spec.bdn_name(self.index),
-                spec.bdn_host(self.index),
-                self.rt,
-                self.rng(),
-                config=spec.bdn_config(),
-                obs=self.obs,
-            )
-            if self.cold:
-                self.bdn.clear_registry()
-            self.bdn.start()
-        elif self.kind == "broker":
-            self.broker = Broker(
-                spec.broker_name(self.index),
-                spec.broker_host(self.index),
-                self.rt,
-                self.rng(),
-                obs=self.obs,
-            )
-            self.responder = DiscoveryResponder(self.broker)
-            self.broker.start()
-            self.responder.attach_heartbeat(
-                spec.bdn_endpoints(),
-                interval=BROKER_HEARTBEAT,
-                ttl=BROKER_LEASE_TTL,
-            )
-        elif self.kind == "load":
-            for k in range(spec.n_clients):
-                client = DiscoveryClient(
-                    spec.client_name(k),
-                    spec.client_host(k),
-                    self.rt,
-                    self.rng(),
-                    config=spec.client_config(),
-                    obs=self.obs,
-                )
-                client.start()
-                self.clients.append(client)
-        else:
-            raise ValueError(f"unknown role {self.role!r}")
-
-    def nodes(self):
-        return [n for n in (self.bdn, self.broker, *self.clients) if n is not None]
+        self.spec.build_role(self.world, self.role, self.cold)
 
     # ------------------------------------------------------------------
     # Load generation
     # ------------------------------------------------------------------
     async def _run_client(self, k: int) -> None:
-        client = self.clients[k]
+        client = self.world.clients[k]
         schedule = self.spec.client_schedule(k)
         for round_index, gap in enumerate(schedule):
             if self.drain_requested.is_set():
@@ -186,7 +127,7 @@ class Worker:
     async def start_load(self) -> None:
         loop = asyncio.get_event_loop()
         self.load_tasks = [
-            loop.create_task(self._run_client(k)) for k in range(len(self.clients))
+            loop.create_task(self._run_client(k)) for k in range(len(self.world.clients))
         ]
 
         async def report_done() -> None:
@@ -209,7 +150,7 @@ class Worker:
             self.storm_factor = 1.0
 
         self.rt.schedule(float(duration), calm)
-        if self.clients and (self.surge_task is None or self.surge_task.done()):
+        if self.world.clients and (self.surge_task is None or self.surge_task.done()):
             self.surge_task = asyncio.get_event_loop().create_task(
                 self._storm_surge(self.storm_factor, float(duration))
             )
@@ -228,9 +169,9 @@ class Worker:
         to the first client's endpoint with unknown UUIDs and are
         counted as late there.
         """
-        client = self.clients[0]
+        client = self.world.clients[0]
         credentials = self.spec.client_config().credentials
-        rate = factor * len(self.clients) / max(self.spec.mean_gap, 1e-6)
+        rate = factor * len(self.world.clients) / max(self.spec.mean_gap, 1e-6)
         tick = 0.02
         bdns = self.spec.bdn_endpoints()
         end = self.rt.now + duration
@@ -259,8 +200,7 @@ class Worker:
         """This role's record: what every frame carries and both verdicts read."""
         # Every handler failure the runtime caught, evicted ones included.
         stats: dict = {"handler_errors": len(self.rt.errors) + self.rt.errors_dropped}
-        if self.bdn is not None:
-            bdn = self.bdn
+        for bdn in self.world.bdns:
             stats.update(
                 name=bdn.name,
                 requests_received=bdn.requests_received,
@@ -274,18 +214,18 @@ class Worker:
                 # the exit verdict and the monitor both flag their absence.
                 **queue_record(bdn_evidence([bdn]).queues[bdn.name]),
             )
-        if self.responder is not None:
+        for name, responder in self.world.responders.items():
             stats.update(
-                name=self.broker.name,
-                requests_processed=self.responder.requests_processed,
-                responses_sent=self.responder.responses_sent,
-                responses_suppressed=self.responder.responses_suppressed,
-                pending_responses=self.responder.pending_responses,
-                withdrawals_sent=self.responder.withdrawals_sent,
+                name=name,
+                requests_processed=responder.requests_processed,
+                responses_sent=responder.responses_sent,
+                responses_suppressed=responder.responses_suppressed,
+                pending_responses=responder.pending_responses,
+                withdrawals_sent=responder.withdrawals_sent,
             )
-        if self.clients:
+        if self.world.clients:
             breakers: dict[str, str] = {}
-            for client in self.clients:
+            for client in self.world.clients:
                 for bdn, state in client.breaker_states().items():
                     breakers[f"{client.name}:{bdn}"] = state
             stats.update(
@@ -302,7 +242,7 @@ class Worker:
                         "breaker_trips": c.breaker_trips,
                         "leader_hint_updates": c.leader_hint_updates,
                     }
-                    for c in self.clients
+                    for c in self.world.clients
                 },
             )
         return stats
@@ -365,21 +305,17 @@ class Worker:
         if self.profiler is not None:
             self.profiler.stop()
         deadline = self.rt.now + DRAIN_DEADLINE
-        if self.responder is not None:
-            self.responder.drain(withdraw_endpoints=self.spec.bdn_endpoints())
-            while self.responder.pending_responses and self.rt.now < deadline:
+        for responder in self.world.responders.values():
+            responder.drain(withdraw_endpoints=self.spec.bdn_endpoints())
+            while responder.pending_responses and self.rt.now < deadline:
                 await asyncio.sleep(_POLL)
-            self.responder.stop()
-        if self.broker is not None:
-            self.broker.stop()
-        if self.bdn is not None:
-            self.bdn.stop()  # steps down if leader: the successor can win now
         if self.load_tasks:
             await asyncio.wait(self.load_tasks, timeout=DRAIN_DEADLINE)
             for task in self.load_tasks:
                 task.cancel()
-        for client in self.clients:
-            client.stop()
+        # A role is a BDN, a broker or the clients; a stopped BDN steps
+        # down if it leads, so the successor can win now.
+        self.world.close()
 
     # ------------------------------------------------------------------
     # Control channel
@@ -428,7 +364,7 @@ async def run(
     worker = Worker(spec, role, cold, incarnation=incarnation)
     worker.boot()
     await worker.rt.ready()
-    for node in worker.nodes():
+    for node in worker.world.nodes():
         node.ntp.sync_now()
     if worker.profiler is not None:
         worker.profiler.start()  # samples this (event-loop) thread

@@ -69,10 +69,10 @@ from repro.core.invariants import (
     terminates,
     zero_failed,
 )
-from repro.discovery.bdn import BDN, BDN_UDP_PORT
+from repro.discovery.bdn import BDN_UDP_PORT
 from repro.discovery.faults import FaultInjector
-from repro.discovery.requester import DiscoveryClient, DiscoveryOutcome
-from repro.discovery.responder import DiscoveryResponder
+from repro.discovery.requester import DiscoveryOutcome
+from repro.discovery.world import World
 from repro.experiments.harness import drive_discovery
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import NoLoss, UniformLoss
@@ -85,6 +85,7 @@ __all__ = [
     "ChaosAction",
     "ChaosWorld",
     "ChaosReport",
+    "add_chaos_nodes",
     "draw_schedule",
     "apply_schedule",
     "run_chaos",
@@ -159,7 +160,7 @@ class ChaosAction:
         return self.start + self.duration
 
 
-class ChaosWorld:
+class ChaosWorld(World):
     """The fixed discovery world chaos schedules run against.
 
     Four brokers in a self-healing ring (persistent links), two BDNs
@@ -205,91 +206,16 @@ class ChaosWorld:
     )
 
     def __init__(self, seed: int, overload: bool = False, replicated: bool = False) -> None:
-        self.overload = overload
-        self.replicated = replicated
-        self.net = BrokerNetwork(
+        net = BrokerNetwork(
             seed=seed,
             latency=UniformLatencyModel(base=0.010, jitter_fraction=0.02),
             loss=NoLoss(),
         )
-        self.brokers = []
-        self.responders = {}
-        for i in range(self.N_BROKERS):
-            broker = self.net.add_broker(f"b{i}", site=f"s{i}", realm="lab")
-            self.responders[broker.name] = DiscoveryResponder(broker)
-            self.brokers.append(broker)
-        self.net.apply_topology(Topology.RING, persistent=True)
-        self.bdns = []
-        n_bdns = self.N_REPLICAS if replicated else self.N_BDNS
-        replication = None
-        if replicated:
-            replication = ReplicationConfig(
-                group="g0",
-                members=tuple(
-                    (f"d{j}", Endpoint(f"d{j}.host", BDN_UDP_PORT)) for j in range(n_bdns)
-                ),
-                **self.REPLICATION,
-            )
-        bdn_config = BDNConfig(injection="all", ping_interval=2.0, replication=replication)
-        if overload:
-            bdn_config = BDNConfig(
-                injection="all",
-                ping_interval=2.0,
-                service=self.BDN_SERVICE,
-                admission_high_watermark=self.ADMISSION_WATERMARK,
-                busy_retry_after=0.5,
-                replication=replication,
-            )
-        for j in range(n_bdns):
-            bdn = BDN(
-                f"d{j}",
-                f"d{j}.host",
-                self.net.network,
-                self._child_rng(),
-                config=bdn_config,
-                site=f"bdn-s{j}",
-                realm="lab",
-                obs=self.net.obs,
-            )
-            bdn.start()
-            self.bdns.append(bdn)
-        endpoints = tuple(b.udp_endpoint for b in self.bdns)
-        for broker in self.brokers:
-            self.responders[broker.name].attach_heartbeat(
-                endpoints, interval=self.HEARTBEAT_INTERVAL, ttl=self.LEASE_TTL
-            )
-        self.client = DiscoveryClient(
-            "c0",
-            "c0.host",
-            self.net.network,
-            self._child_rng(),
-            config=ClientConfig(
-                bdn_endpoints=endpoints,
-                response_timeout=1.0,
-                retransmit_interval=0.5,
-                max_retransmits=1,
-                max_responses=self.N_BROKERS,
-                target_set_size=3,
-                ping_repeats=2,
-                ping_timeout=0.5,
-                require_ping_evidence=True,
-                retry_policy=self.RETRY_POLICY if (overload or replicated) else None,
-            ),
-            site="client-site",
-            realm="lab",
-            obs=self.net.obs,
-        )
-        self.client.start()
-        self.injector = FaultInjector(self.net.network)
+        super().__init__(net, obs=net.obs)
+        add_chaos_nodes(self, overload, replicated)
+        self.injector = FaultInjector(net.network)
         # Links, NTP, and the first heartbeat round.
-        self.net.settle(8.0)
-
-    def _child_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.net.master_rng.integers(0, 2**63))
-
-    @property
-    def sim(self):
-        return self.net.sim
+        net.settle(8.0)
 
     def broker_hosts(self) -> list[str]:
         return [b.host for b in self.brokers]
@@ -306,6 +232,61 @@ class ChaosWorld:
             if node.name == name:
                 return node
         raise KeyError(name)
+
+
+def add_chaos_nodes(world: World, overload: bool = False, replicated: bool = False) -> None:
+    """Build and start :class:`ChaosWorld`'s nodes in ``world``, on any runtime:
+    the persistent broker ring, the BDNs (or the replication group), the
+    brokers' heartbeats and the client."""
+    for i in range(ChaosWorld.N_BROKERS):
+        world.add_broker(f"b{i}", site=f"s{i}", realm="lab")
+    if world.net is not None:
+        world.net.apply_topology(Topology.RING, persistent=True)
+    else:
+        for a, b in zip(world.brokers, world.brokers[1:] + world.brokers[:1]):
+            a.link_to(b, persistent=True)
+    n_bdns = ChaosWorld.N_REPLICAS if replicated else ChaosWorld.N_BDNS
+    members = tuple((f"d{j}", Endpoint(f"d{j}.host", BDN_UDP_PORT)) for j in range(n_bdns))
+    overload_layer = dict(
+        service=ChaosWorld.BDN_SERVICE,
+        admission_high_watermark=ChaosWorld.ADMISSION_WATERMARK,
+        busy_retry_after=0.5,
+    )
+    bdn_config = BDNConfig(
+        injection="all",
+        ping_interval=2.0,
+        replication=ReplicationConfig(group="g0", members=members, **ChaosWorld.REPLICATION)
+        if replicated
+        else None,
+        **(overload_layer if overload else {}),
+    )
+    for j in range(n_bdns):
+        world.add_bdn(f"d{j}", f"d{j}.host", config=bdn_config, site=f"bdn-s{j}", realm="lab")
+    world.start()
+    endpoints = tuple(b.udp_endpoint for b in world.bdns)
+    for responder in world.responders.values():
+        responder.attach_heartbeat(
+            endpoints, interval=ChaosWorld.HEARTBEAT_INTERVAL, ttl=ChaosWorld.LEASE_TTL
+        )
+    world.add_client(
+        "c0",
+        "c0.host",
+        ClientConfig(
+            bdn_endpoints=endpoints,
+            response_timeout=1.0,
+            retransmit_interval=0.5,
+            max_retransmits=1,
+            max_responses=ChaosWorld.N_BROKERS,
+            target_set_size=3,
+            ping_repeats=2,
+            ping_timeout=0.5,
+            require_ping_evidence=True,
+            retry_policy=ChaosWorld.RETRY_POLICY if (overload or replicated) else None,
+        ),
+        site="client-site",
+        realm="lab",
+    )
+    world.start()
 
 
 @dataclass(slots=True)

@@ -53,6 +53,7 @@ def simulate_reference(seed: int = 5) -> dict[str, Any]:
     sim.run_for(0.5)
 
     outcome = run_discovery_once(world.client, max_virtual_seconds=10.0)
+    world.close()
     return {
         "runtime": "sim",
         "scenario": REFERENCE_SCENARIO,

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import BDNConfig, ClientConfig
-from repro.discovery.advertisement import start_heartbeat
-from repro.discovery.bdn import BDN
-from repro.discovery.requester import DiscoveryClient, DiscoveryOutcome
-from repro.discovery.responder import DiscoveryResponder
+from repro.discovery.requester import DiscoveryOutcome
+from repro.discovery.world import World
 from repro.experiments.harness import repeat_discovery
 from repro.simnet.loss import NoLoss, PerHopLoss
 from repro.substrate.builder import BrokerNetwork, Topology
@@ -150,21 +148,10 @@ class ScenarioSpec:
         )
 
 
-class DiscoveryScenario:
-    """A fully built experiment world, ready to run discoveries.
-
-    Attributes
-    ----------
-    net:
-        The broker network (simulator, fabric, brokers).
-    brokers:
-        Brokers in site order (matches ``TABLE1_MACHINES``).
-    responders:
-        The attached discovery responders, by broker name.
-    bdn:
-        The Bloomington BDN (None for multicast-only scenarios).
-    client:
-        The discovery client.
+class DiscoveryScenario(World):
+    """A fully built experiment world, ready to run discoveries: brokers
+    in site order (``TABLE1_MACHINES``), the Bloomington BDN (``bdn``,
+    None for multicast-only scenarios) and one ``client``.
 
     Parameters
     ----------
@@ -187,88 +174,65 @@ class DiscoveryScenario:
         observe: bool = False,
     ) -> None:
         self.spec = spec
-        self.net = BrokerNetwork(
+        net = BrokerNetwork(
             seed=spec.seed,
             latency=paper_latency_model(jitter_sigma=spec.jitter_sigma),
             loss=PerHopLoss(spec.per_hop_loss) if spec.per_hop_loss > 0 else NoLoss(),
             keep_trace=keep_trace,
             observe=observe,
         )
-        self.obs = self.net.obs if observe else None
-        self.brokers = []
-        self.responders: dict[str, DiscoveryResponder] = {}
+        super().__init__(net, obs=net.obs if observe else None)
         for site_spec in TABLE1_MACHINES:
-            realm = LAB_REALM if site_spec.name in spec.lab_sites else None
-            broker = self.net.add_broker(
+            self.add_broker(
                 f"broker-{site_spec.name}",
+                site_spec.machine,
                 site=site_spec.name,
-                host=site_spec.machine,
-                realm=realm,
+                realm=LAB_REALM if site_spec.name in spec.lab_sites else None,
             )
-            self.responders[broker.name] = DiscoveryResponder(broker)
-            self.brokers.append(broker)
         # Site order: the star's hub and the chain's head are the first site.
-        self.net.apply_topology(spec.topology)
-        self.bdn = self._build_bdn() if spec.use_bdn else None
-        self.client = self._build_client()
-        # Let TCP links establish, NTP converge, and the BDN measure
-        # its first broker distances before any discovery.
-        self.net.settle(8.0)
-
-    # ------------------------------------------------------------------
-    # Construction details
-    # ------------------------------------------------------------------
-    def _build_bdn(self) -> BDN:
-        if self.spec.bdn_fanout_delay is not None:
-            bdn_config = BDNConfig(
-                injection=self.spec.resolved_injection(),
-                fanout_delay=self.spec.bdn_fanout_delay,
+        net.apply_topology(spec.topology)
+        bdn_endpoints = ()
+        if spec.use_bdn:
+            bdn = self.add_bdn(
+                "bdn-bloomington",
+                "gridservicelocator.org",
+                config=BDNConfig(injection=spec.resolved_injection())
+                if spec.bdn_fanout_delay is None
+                else BDNConfig(
+                    injection=spec.resolved_injection(), fanout_delay=spec.bdn_fanout_delay
+                ),
+                site="bloomington",
+                realm=LAB_REALM if "bloomington" in spec.lab_sites else None,
+                rng=np.random.default_rng(spec.seed + 104729),
             )
-        else:
-            bdn_config = BDNConfig(injection=self.spec.resolved_injection())
-        bdn = BDN(
-            "bdn-bloomington",
-            "gridservicelocator.org",
-            self.net.network,
-            np.random.default_rng(self.spec.seed + 104729),
-            config=bdn_config,
-            site="bloomington",
-            realm=LAB_REALM if "bloomington" in self.spec.lab_sites else None,
-            obs=self.obs,
-        )
-        bdn.start()
-        registered = self.brokers[:1] if self.spec.register == "head" else self.brokers
-        for broker in registered:
-            # Burst + periodic re-advertisement: a single lost UDP
-            # registration must not make a broker permanently invisible.
-            start_heartbeat(broker, (bdn.udp_endpoint,))
-        return bdn
-
-    def _build_client(self) -> DiscoveryClient:
-        spec = self.spec
+            self.start()
+            bdn_endpoints = (bdn.udp_endpoint,)
+            registered = self.brokers[:1] if spec.register == "head" else self.brokers
+            for broker in registered:
+                # Burst + periodic re-advertisement: a single lost UDP
+                # registration must not make a broker permanently invisible.
+                self.responders[broker.name].attach_heartbeat(bdn_endpoints)
         max_responses = spec.max_responses if spec.max_responses is not None else len(self.brokers)
-        config = ClientConfig(
-            bdn_endpoints=(self.bdn.udp_endpoint,) if self.bdn is not None else (),
-            response_timeout=spec.response_timeout,
-            max_responses=max_responses,
-            min_responses=spec.min_responses,
-            target_set_size=min(spec.target_set_size, max_responses),
-            retransmit_interval=spec.retransmit_interval,
-            max_retransmits=spec.max_retransmits,
-        )
-        realm = LAB_REALM if spec.client_site in spec.lab_sites else None
-        client = DiscoveryClient(
+        self.add_client(
             "requesting-node",
             f"client.{spec.client_site}.example",
-            self.net.network,
-            np.random.default_rng(spec.seed + 224737),
-            config=config,
+            ClientConfig(
+                bdn_endpoints=bdn_endpoints,
+                response_timeout=spec.response_timeout,
+                max_responses=max_responses,
+                min_responses=spec.min_responses,
+                target_set_size=min(spec.target_set_size, max_responses),
+                retransmit_interval=spec.retransmit_interval,
+                max_retransmits=spec.max_retransmits,
+            ),
             site=spec.client_site,
-            realm=realm,
-            obs=self.obs,
+            realm=LAB_REALM if spec.client_site in spec.lab_sites else None,
+            rng=np.random.default_rng(spec.seed + 224737),
         )
-        client.start()
-        return client
+        self.start()
+        # Let TCP links establish, NTP converge, and the BDN measure
+        # its first broker distances before any discovery.
+        net.settle(8.0)
 
     # ------------------------------------------------------------------
     # Running

@@ -166,7 +166,9 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events (O(1))."""
+        """Queued events whose handle is not cancelled (O(1)); a cancelled
+        ``call_every`` series still counts its one queued tick until that
+        tick fires as a no-op (the tick has no handle of its own)."""
         return self._live
 
     @property

@@ -327,7 +327,7 @@ class TestInvariants:
             worker.boot()
             try:
                 await worker.rt.ready()
-                worker.bdn.ingress = None  # booted without the spec's service model
+                worker.world.bdn.ingress = None  # booted without the spec's service model
                 return worker.record()
             finally:
                 await worker.rt.aclose()
@@ -356,8 +356,8 @@ class TestInvariants:
             try:
                 await worker.rt.ready()
                 # The overload chaos run's queue verdict on this BDN.
-                queue = bdn_evidence([worker.bdn]).queues[worker.bdn.name]
-                chaos = queue_bounds(worker.bdn.name, queue, ADMISSION_WATERMARK)
+                queue = bdn_evidence([worker.world.bdn]).queues[worker.world.bdn.name]
+                chaos = queue_bounds(worker.world.bdn.name, queue, ADMISSION_WATERMARK)
                 return worker.record(), chaos
             finally:
                 await worker.rt.aclose()

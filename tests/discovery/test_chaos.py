@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 
 import numpy as np
@@ -14,11 +15,16 @@ from repro.discovery.chaos import (
     REPLICATED_CHAOS_KINDS,
     STORM_KINDS,
     ChaosWorld,
+    add_chaos_nodes,
     apply_schedule,
     draw_schedule,
     run_chaos,
 )
+from repro.discovery.world import World
+from repro.obs import Observability
+from repro.runtime import create_runtime
 from tests.event_parity import sweep_run
+from tests.runtime.virtual_loop import run
 
 N_SEEDS = 200
 
@@ -164,3 +170,34 @@ class TestChaosSweep:
         assert not moved, f"{moved[0]} (event_parity.py --seeds 20 --write-pins regenerates)"
         assert not failures, failures[:5]
         assert combo_seeds, "no schedule combined partition + kill_bdn + loss_storm"
+
+
+class TestChaosWorldOnSockets:
+    def test_plain_world_discovers_on_the_virtual_loop(self):
+        """The plain chaos world's nodes, built on real loopback sockets in
+        loop time, settle as ChaosWorld does (links, NTP, the first
+        heartbeat round) and serve one discovery."""
+
+        async def scenario():
+            rt = create_runtime("aio")
+            obs = Observability.for_runtime(rt)
+            rt.attach_observability(obs)
+            world = World(rt, seed=0, obs=obs)
+            add_chaos_nodes(world)
+            try:
+                await rt.ready()
+                await asyncio.sleep(8.0)
+                done = asyncio.get_running_loop().create_future()
+                world.client.discover(done.set_result)
+                outcome = await asyncio.wait_for(done, timeout=60.0)
+            finally:
+                world.close()
+                await rt.aclose()
+            assert not rt.errors, list(rt.errors)
+            return world, outcome
+
+        world, outcome = run(scenario())
+        assert outcome.success, outcome
+        assert outcome.via == "bdn"
+        assert outcome.selected.broker_id in {b.name for b in world.brokers}
+        assert all(len(bdn.store) == ChaosWorld.N_BROKERS for bdn in world.bdns)

@@ -5,6 +5,8 @@ A BDN fan-out timer and a responder reply timer carry their state as
 was cancelled, reference counting alone frees it, its message and the
 handle.  Each test switches the collector off, drives requests, and then
 asks ``gc.collect()`` how many unreachable objects only it could free.
+A whole discovery round through a closed ``star_world`` still leaves
+some: :data:`STAR_ROUND_GARBAGE` records how much.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ import weakref
 from collections import Counter
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.core.messages import DiscoveryResponse
+from repro.experiments.harness import run_discovery_once, star_world
+from repro.simnet.network import Network
 from repro.simnet.simulator import Simulator
 from tests.discovery.conftest import World
 from tests.discovery.test_responder_lifecycle import inbox_of, make_request
@@ -32,8 +37,8 @@ def collector_off():
         gc.enable()
 
 
-def assert_no_cyclic_garbage() -> None:
-    """``gc.collect()`` finds nothing; on failure, name what it found."""
+def cyclic_garbage() -> tuple[int, Counter]:
+    """How many objects ``gc.collect()`` frees, and their names."""
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         found = gc.collect()
@@ -43,7 +48,37 @@ def assert_no_cyclic_garbage() -> None:
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+    return found, names
+
+
+def assert_no_cyclic_garbage() -> None:
+    """``gc.collect()`` finds nothing; on failure, name what it found."""
+    found, names = cyclic_garbage()
     assert found == 0, f"{found} objects only the collector could free: {names.most_common(12)}"
+
+
+#: What the collector still finds after one ``star_world`` round, its
+#: outcome dropped, and ``close()``: the requester's ``_schedule_aux``
+#: closures, fired ``ScheduledEvent`` handles that keep ``fn``/``args``,
+#: the outcome's candidates and responses, and each cancelled
+#: ``call_every`` series' tick closure (65 before ``close()``).  The
+#: baseline ROADMAP item 13(a) claims against; lower it when a change
+#: frees more.
+STAR_ROUND_GARBAGE = 76
+
+
+def test_a_closed_star_world_round_leaves_a_known_amount_of_cyclic_garbage():
+    sim = Simulator()
+    world = star_world(Network(sim, rng=np.random.default_rng(6)), seed=5)
+    sim.run_for(6.0)
+    world.advertise()
+    sim.run_for(0.5)
+    with collector_off():
+        assert run_discovery_once(world.client).success
+        world.close()
+        found, names = cyclic_garbage()
+    assert sim.pending == 0
+    assert found <= STAR_ROUND_GARBAGE, names.most_common(12)
 
 
 def lean_world() -> tuple[World, list]:

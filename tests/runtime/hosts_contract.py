@@ -3,7 +3,8 @@ datagram drops: one contract, both runtimes.
 
 Both runtimes keep these tables in one :class:`repro.runtime.hosts.Hosts`,
 so every case is written once here and must come out the same on the
-simulated fabric and on real loopback sockets.  A runtime's test module
+simulated fabric and on real loopback sockets.  :class:`TeardownContract`
+holds both runtimes to leaving nothing open behind a teardown.  A runtime's test module
 binds a contract to its side by subclassing::
 
     class TestMulticast(MulticastContract):
@@ -49,8 +50,20 @@ class SimSide:
     def settle(self) -> None:
         self.sim.run()
 
+    def run_for(self, seconds: float) -> None:
+        self.sim.run_for(seconds)
+
     def close(self) -> None:
         pass
+
+    def leftovers(self, links) -> dict[str, int]:
+        """What is still open: bindings, listeners, link sides, live timers."""
+        return {
+            "bindings": len(self.rt._udp_bindings),
+            "listeners": len(self.rt._tcp_listeners),
+            "links": sum(link.open for link in links),
+            "timers": self.sim.pending,
+        }
 
 
 class AioSide:
@@ -64,12 +77,25 @@ class AioSide:
         self.rt.attach_observability(self.obs)
 
     def settle(self) -> None:
-        self.loop.run_until_complete(asyncio.sleep(0.15))
+        self.run_for(0.15)
+
+    def run_for(self, seconds: float) -> None:
+        self.loop.run_until_complete(asyncio.sleep(seconds))
 
     def close(self) -> None:
         self.loop.run_until_complete(self.rt.aclose())
         self.loop.close()
         asyncio.set_event_loop(None)
+
+    def leftovers(self, links) -> dict[str, int]:
+        """What is still open: bound sockets, listening sockets, link
+        sockets, loop timers not cancelled."""
+        return {
+            "bindings": len(self.rt._udp),
+            "listeners": len(self.rt._listeners),
+            "links": sum(not link._writer.is_closing() for link in links),
+            "timers": sum(not h.cancelled() for h in self.loop._scheduled),
+        }
 
 
 class _Contract:
@@ -321,3 +347,51 @@ class FaultContract(_Contract):
         side.settle()
         assert (boxes["m1.x"], len(boxes["m2.x"])) == ([], 1)
         assert side.obs.count("udp_cut") == 1
+
+
+class TeardownContract(_Contract):
+    """Whatever a run opens, its teardown closes: UDP endpoints, a
+    listener, links closed from either end, a periodic timer."""
+
+    NOTHING = {"bindings": 0, "listeners": 0, "links": 0, "timers": 0}
+
+    def open_links(self, side) -> list:
+        """Two links into ``b.x``'s listener, from ``a.x`` and ``c.x``;
+        returns every side of them, dialled and accepted."""
+        links: list = []
+        listener = Endpoint("b.x", 20)
+        side.rt.listen_tcp(listener, links.append)
+        for host in ("a.x", "c.x"):
+            side.rt.connect_tcp(Endpoint(host, 21), listener, links.append)
+        side.settle()
+        assert len(links) == 4
+        return links
+
+    def test_a_link_closed_at_one_end_closes_at_both(self, side):
+        links = self.open_links(side)
+        dialled = [link for link in links if link.local.port == 21]
+        accepted = [link for link in links if link.local.port == 20]
+        dialled[0].close()  # the dialling end hangs up ...
+        accepted[1].close()  # ... and the accepting end of the other link
+        side.settle()
+        assert side.leftovers(links)["links"] == 0
+
+    def test_teardown_leaves_nothing_open(self, side):
+        inbox = bind(side.rt, "a.x", port=1)
+        bind(side.rt, "c.x", port=1)
+        links = self.open_links(side)
+        side.rt.send_udp(Endpoint("c.x", 1), Endpoint("a.x", 1), msg())
+        ticks: list = []
+        series = side.rt.call_every(0.05, ticks.append, "tick")
+        side.run_for(0.12)
+        assert ticks == ["tick", "tick"] and len(inbox) == 1
+        series.cancel()
+        for link in links:
+            if link.local.port == 21:  # each link from its dialling end
+                link.close()
+        side.rt.stop_listening(Endpoint("b.x", 20))
+        for host in ("a.x", "c.x"):
+            side.rt.unbind_udp(Endpoint(host, 1))
+        side.settle()
+        left = side.leftovers(links)
+        assert left == self.NOTHING, left

@@ -29,6 +29,7 @@ from tests.runtime.hosts_contract import (
     FaultContract,
     HostRegistryContract,
     MulticastContract,
+    TeardownContract,
     UdpContract,
 )
 from tests.runtime.virtual_loop import run
@@ -518,6 +519,10 @@ class TestMulticast(MulticastContract):
 
 
 class TestFaults(FaultContract):
+    Side = AioSide
+
+
+class TestTeardown(TeardownContract):
     Side = AioSide
 
 

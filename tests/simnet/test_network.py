@@ -20,6 +20,7 @@ from tests.runtime.hosts_contract import (
     HostRegistryContract,
     MulticastContract,
     SimSide,
+    TeardownContract,
     UdpContract,
 )
 
@@ -42,6 +43,10 @@ def msg(tag="m") -> Ack:
 
 
 class TestHostRegistry(HostRegistryContract):
+    Side = SimSide
+
+
+class TestTeardown(TeardownContract):
     Side = SimSide
 
 

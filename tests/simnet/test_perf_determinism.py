@@ -27,11 +27,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import operator
 from pathlib import Path
 
 import pytest
 
 from repro.core.messages import Event
+from repro.discovery.world import World
 from repro.experiments.scenarios import DiscoveryScenario, ScenarioSpec
 from repro.substrate.builder import BrokerNetwork, Topology
 
@@ -51,7 +53,7 @@ def _run_discovery_world(topology: str) -> tuple:
         [(o.success, o.total_time, o.via, o.transmissions) for o in outcomes],
         [o.selected.broker_id for o in outcomes if o.selected is not None],
     )
-    return schedule, _log(scenario.net)
+    return schedule, _log(scenario.net), scenario
 
 
 def _run_substrate_world() -> tuple:
@@ -81,7 +83,7 @@ def _run_substrate_world() -> tuple:
     for t in timers:
         t.cancel()
     net.sim.run_for(5.0)
-    return (net.sim.events_processed, net.sim.now), _log(net)
+    return (net.sim.events_processed, net.sim.now), _log(net), World(net)
 
 
 def _run_overload_world(observe: bool = False) -> tuple:
@@ -89,28 +91,21 @@ def _run_overload_world(observe: bool = False) -> tuple:
 
     Exercises the service-time queues, admission shedding, the client's
     budgeted retries / breakers, and the storm injector.  Returns
-    ``(schedule, log, sink)``.
+    ``(schedule, log, sink, world)``.
     """
     import numpy as np
 
     from repro.core.config import BDNConfig, ClientConfig, RetryPolicyConfig, ServiceConfig
-    from repro.discovery.advertisement import advertise_direct
-    from repro.discovery.bdn import BDN
     from repro.discovery.faults import FaultInjector
-    from repro.discovery.requester import DiscoveryClient
-    from repro.discovery.responder import DiscoveryResponder
     from repro.experiments.harness import run_discovery_once
 
     net = BrokerNetwork(seed=21, keep_trace=True, observe=observe)
-    responders = []
+    world = World(net, obs=net.obs)
     for i in range(3):
-        broker = net.add_broker(f"b{i}", site=f"s{i}", realm="lab")
-        responders.append(DiscoveryResponder(broker))
-    bdn = BDN(
+        world.add_broker(f"b{i}", site=f"s{i}", realm="lab")
+    bdn = world.add_bdn(
         "d0",
         "d0.host",
-        net.network,
-        np.random.default_rng(99),
         config=BDNConfig(
             injection="all",
             service=ServiceConfig(
@@ -123,18 +118,15 @@ def _run_overload_world(observe: bool = False) -> tuple:
         ),
         site="bdn-site",
         realm="lab",
-        obs=net.obs,
+        rng=np.random.default_rng(99),
     )
-    bdn.start()
-    for broker in net.brokers.values():
-        advertise_direct(broker, bdn.udp_endpoint)
+    world.start()
+    world.advertise()
     net.settle(8.0)
-    client = DiscoveryClient(
+    client = world.add_client(
         "c0",
         "c0.host",
-        net.network,
-        np.random.default_rng(77),
-        config=ClientConfig(
+        ClientConfig(
             bdn_endpoints=(bdn.udp_endpoint,),
             response_timeout=2.0,
             retransmit_interval=2.0,
@@ -149,9 +141,9 @@ def _run_overload_world(observe: bool = False) -> tuple:
         ),
         site="client-site",
         realm="lab",
-        obs=net.obs,
+        rng=np.random.default_rng(77),
     )
-    client.start()
+    world.start()
     net.sim.run_for(4.0)
     injector = FaultInjector(net.network)
     injector.request_storm(bdn.udp_endpoint, rate=15.0, start=net.sim.now + 0.1, duration=3.0)
@@ -165,7 +157,7 @@ def _run_overload_world(observe: bool = False) -> tuple:
         (bdn.requests_shed, bdn.ingress.served, bdn.ingress.overflows),
         (client.busy_received, client.retries_denied, client.bdn_skips),
     )
-    return schedule, _log(net), net.obs
+    return schedule, _log(net), net.obs, world
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +171,7 @@ _WORLDS = {
     "discovery_star": lambda: _run_discovery_world("star"),
     "discovery_linear": lambda: _run_discovery_world("linear"),
     "substrate": _run_substrate_world,
-    "overload": lambda: _run_overload_world()[:2],
+    "overload": lambda: operator.itemgetter(0, 1, 3)(_run_overload_world()),
 }
 
 
@@ -188,10 +180,15 @@ def _digest(result: tuple) -> str:
 
 
 @functools.cache
+def _built(world: str) -> tuple:
+    """``(schedule digest, log digest, world)`` of one golden world, run
+    once per session."""
+    schedule, log, built = _WORLDS[world]()
+    return _digest(schedule), _digest(log), built
+
+
 def _digests(world: str) -> tuple[str, str]:
-    """``(schedule, log)`` digests of one world, run once per session."""
-    schedule, log = _WORLDS[world]()
-    return _digest(schedule), _digest(log)
+    return _built(world)[:2]
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +214,16 @@ def test_overload_traces_match_pre_refactor_golden(golden):
 @pytest.mark.parametrize("world", sorted(_WORLDS))
 def test_event_log_matches_golden(golden, world):
     assert _digests(world)[1] == golden[world]["log"]
+
+
+@pytest.mark.parametrize("world", sorted(_WORLDS))
+def test_closed_golden_world_leaves_nothing_pending(world):
+    built = _built(world)[2]
+    built.close()
+    assert built.sim.pending == 0
+    fired = built.sim.events_processed
+    built.sim.run_for(100.0)
+    assert built.sim.events_processed == fired
 
 
 # ----------------------------------------------------------------------
@@ -249,14 +256,14 @@ def test_observed_world_completes_and_records(golden):
     assert trace_id == outcome.request_uuid
     assert assemble(obs, trace_id).is_complete()
     # ... and running it did not disturb the disabled-world digests.
-    schedule, log = _run_discovery_world("star")
+    schedule, log, _ = _run_discovery_world("star")
     assert _digest(schedule) == golden["discovery_star"]["schedule"]
     assert _digest(log) == golden["discovery_star"]["log"]
 
 
 def test_disabled_world_unchanged_after_observed_world(golden):
-    before = _run_discovery_world("linear")
+    before = _run_discovery_world("linear")[:2]
     _run_observed_world("linear")
-    after = _run_discovery_world("linear")
+    after = _run_discovery_world("linear")[:2]
     assert before == after
     assert _digest(after[0]) == golden["discovery_linear"]["schedule"]

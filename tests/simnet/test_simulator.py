@@ -183,6 +183,18 @@ class TestAccounting:
             h.cancel()
         assert sim.pending == 6
 
+    @pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+    def test_cancelled_series_counts_its_queued_tick_until_it_fires(self, scheduler):
+        sim = Simulator(scheduler)
+        ticks = []
+        series = sim.call_every(1.0, ticks.append, "tick")
+        sim.run(until=2.5)
+        assert ticks == ["tick", "tick"]
+        series.cancel()
+        assert sim.pending == 1  # the tick queued for t=3.0
+        assert sim.step()  # it fires as a no-op and re-arms nothing
+        assert (sim.now, ticks, sim.pending) == (3.0, ["tick", "tick"], 0)
+
     def test_cancel_after_fire_does_not_corrupt_pending(self):
         sim = Simulator()
         fired = sim.schedule(1.0, lambda: None)
