@@ -230,7 +230,9 @@ class ClusterSpec:
             world.add_broker(self.broker_name(index), self.broker_host(index))
         elif kind == "load":
             for k in range(self.n_clients):
-                world.add_client(self.client_name(k), self.client_host(k), self.client_config())
+                world.add_client(
+                    self.client_name(k), self.client_host(k), config=self.client_config()
+                )
         else:
             raise ValueError(f"unknown role {role!r}")
         world.start()

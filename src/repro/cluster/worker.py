@@ -95,12 +95,6 @@ class Worker:
         )
 
     # ------------------------------------------------------------------
-    # Boot
-    # ------------------------------------------------------------------
-    def boot(self) -> None:
-        self.spec.build_role(self.world, self.role, self.cold)
-
-    # ------------------------------------------------------------------
     # Load generation
     # ------------------------------------------------------------------
     async def _run_client(self, k: int) -> None:
@@ -362,7 +356,7 @@ async def run(
     incarnation: int = 0,
 ) -> int:
     worker = Worker(spec, role, cold, incarnation=incarnation)
-    worker.boot()
+    spec.build_role(worker.world, role, cold)
     await worker.rt.ready()
     for node in worker.world.nodes():
         node.ntp.sync_now()

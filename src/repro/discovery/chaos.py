@@ -271,7 +271,7 @@ def add_chaos_nodes(world: World, overload: bool = False, replicated: bool = Fal
     world.add_client(
         "c0",
         "c0.host",
-        ClientConfig(
+        config=ClientConfig(
             bdn_endpoints=endpoints,
             response_timeout=1.0,
             retransmit_interval=0.5,

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import BDNConfig, BrokerConfig, ClientConfig
 from repro.discovery.advertisement import advertise_direct
 from repro.discovery.bdn import BDN
 from repro.discovery.requester import DiscoveryClient
@@ -58,31 +57,32 @@ class World:
     def client(self) -> DiscoveryClient:
         return self.clients[0]
 
-    def add_bdn(self, name: str, host: str, config: BDNConfig | None = None,
-                site: str | None = None, realm: str | None = None, rng=None) -> BDN:
-        self.bdns.append(BDN(name, host, self.runtime, rng or self._rng(), config=config,
-                             site=site, realm=realm, obs=self.obs))
+    def add_bdn(self, name: str, host: str, rng: np.random.Generator | None = None, **kw) -> BDN:
+        """A BDN; ``kw`` are the node's own (``config``, ``site``, ``realm``)."""
+        rng = self._rng() if rng is None else rng
+        self.bdns.append(BDN(name, host, self.runtime, rng, obs=self.obs, **kw))
         return self.bdns[-1]
 
-    def add_broker(self, name: str, host: str | None = None, site: str | None = None,
-                   realm: str | None = None, config: BrokerConfig | None = None,
-                   multicast_enabled: bool = True) -> Broker:
-        """A broker with its responder; ``host`` defaults to ``"<name>.<site>"``."""
+    def add_broker(
+        self, name: str, host: str | None = None, site: str | None = None, **kw
+    ) -> Broker:
+        """A broker and its responder; ``host`` defaults to ``"<name>.<site>"``
+        and ``kw`` are the node's own (``realm``, ``config``, ``multicast_enabled``)."""
         host = host if host is not None else f"{name}.{site}"
         if self.net is not None:
-            broker = self.net.add_broker(name, site, host=host, realm=realm, config=config,
-                                         multicast_enabled=multicast_enabled)
+            broker = self.net.add_broker(name, site, host=host, **kw)
         else:
-            broker = Broker(name, host, self.runtime, self._rng(), config=config, site=site,
-                            realm=realm, multicast_enabled=multicast_enabled, obs=self.obs)
+            broker = Broker(name, host, self.runtime, self._rng(), site=site, obs=self.obs, **kw)
         self.responders[name] = DiscoveryResponder(broker)
         self.brokers.append(broker)
         return broker
 
-    def add_client(self, name: str, host: str, config: ClientConfig, site: str | None = None,
-                   realm: str | None = None, rng=None) -> DiscoveryClient:
-        self.clients.append(DiscoveryClient(name, host, self.runtime, rng or self._rng(),
-                                            config=config, site=site, realm=realm, obs=self.obs))
+    def add_client(
+        self, name: str, host: str, rng: np.random.Generator | None = None, **kw
+    ) -> DiscoveryClient:
+        """A client; ``kw`` are the node's own (``config``, ``site``, ``realm``)."""
+        rng = self._rng() if rng is None else rng
+        self.clients.append(DiscoveryClient(name, host, self.runtime, rng, obs=self.obs, **kw))
         return self.clients[-1]
 
     def nodes(self) -> tuple:

@@ -54,7 +54,7 @@ def star_world(runtime, seed: int, obs=None) -> World:
     world.add_client(
         "client0",
         "client0.local",
-        ClientConfig(
+        config=ClientConfig(
             bdn_endpoints=(bdn.udp_endpoint,),
             response_timeout=1.0,
             retransmit_interval=1.0,

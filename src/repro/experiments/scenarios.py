@@ -216,7 +216,7 @@ class DiscoveryScenario(World):
         self.add_client(
             "requesting-node",
             f"client.{spec.client_site}.example",
-            ClientConfig(
+            config=ClientConfig(
                 bdn_endpoints=bdn_endpoints,
                 response_timeout=spec.response_timeout,
                 max_responses=max_responses,

@@ -160,7 +160,7 @@ class TestSnapshotFrames:
             spec = ClusterSpec(n_bdns=1)
             spec.assign_ports()
             worker = Worker(spec, "bdn:0", cold=True)
-            worker.boot()
+            spec.build_role(worker.world, "bdn:0", True)
             try:
                 await worker.rt.ready()
                 reader, worker.writer = await asyncio.open_connection(

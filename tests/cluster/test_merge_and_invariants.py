@@ -324,7 +324,7 @@ class TestInvariants:
             spec = self.spec()
             spec.assign_ports()
             worker = Worker(spec, "bdn:0", cold=True)
-            worker.boot()
+            spec.build_role(worker.world, "bdn:0", True)
             try:
                 await worker.rt.ready()
                 worker.world.bdn.ingress = None  # booted without the spec's service model
@@ -352,7 +352,7 @@ class TestInvariants:
             spec = self.spec()
             spec.assign_ports()
             worker = Worker(spec, "bdn:0", cold=True)
-            worker.boot()
+            spec.build_role(worker.world, "bdn:0", True)
             try:
                 await worker.rt.ready()
                 # The overload chaos run's queue verdict on this BDN.

@@ -82,6 +82,10 @@ KEPT_PARAMS: dict[str, str] = {
     "run_chaos(kinds)": "the nightly storm sweep in ci.yml passes it",
     "run_chaos(overload)": "the nightly storm sweep in ci.yml passes it",
     "run_chaos(replicated)": "the nightly replicated sweep in ci.yml passes it",
+    "BrokerNetwork.add_broker(multicast_enabled)": (
+        "test seam: the requester-ladder tests put brokers on hosts without "
+        "multicast (paper section 3's fallback rung)"
+    ),
     "Hosts.register(realm)": "passed through the alias register_host on both runtimes",
     "Hosts.register(multicast_enabled)": (
         "passed through the alias register_host on both runtimes"

@@ -75,7 +75,7 @@ class World(DiscoveryWorld):
         self.add_client(
             "client0",
             "client0.host",
-            cfg,
+            config=cfg,
             site="client-site",
             realm=client_realm if client_realm is not None else shared_realm,
             rng=np.random.default_rng(seed + 2),

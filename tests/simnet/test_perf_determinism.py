@@ -126,7 +126,7 @@ def _run_overload_world(observe: bool = False) -> tuple:
     client = world.add_client(
         "c0",
         "c0.host",
-        ClientConfig(
+        config=ClientConfig(
             bdn_endpoints=(bdn.udp_endpoint,),
             response_timeout=2.0,
             retransmit_interval=2.0,
