@@ -223,7 +223,9 @@ class ClusterSpec:
         kind, _, index_text = role.partition(":")
         index = int(index_text) if index_text else 0
         if kind == "bdn":
-            bdn = world.add_bdn(self.bdn_name(index), self.bdn_host(index), config=self.bdn_config())
+            bdn = world.add_bdn(
+                self.bdn_name(index), self.bdn_host(index), config=self.bdn_config()
+            )
             if cold:
                 bdn.clear_registry()
         elif kind == "broker":

@@ -41,7 +41,6 @@ import signal
 import sys
 import time
 
-
 from repro.cluster.report import round_record
 from repro.cluster.spec import DRAIN_DEADLINE, ClusterSpec
 from repro.core.invariants import bdn_evidence, failed, queue_record, recorded
