@@ -76,7 +76,7 @@ from repro.discovery.world import World
 from repro.experiments.harness import drive_discovery
 from repro.simnet.latency import UniformLatencyModel
 from repro.simnet.loss import NoLoss, UniformLoss
-from repro.substrate.builder import BrokerNetwork, Topology
+from repro.substrate.builder import BrokerNetwork
 
 __all__ = [
     "CHAOS_KINDS",
@@ -240,11 +240,8 @@ def add_chaos_nodes(world: World, overload: bool = False, replicated: bool = Fal
     brokers' heartbeats and the client."""
     for i in range(ChaosWorld.N_BROKERS):
         world.add_broker(f"b{i}", site=f"s{i}", realm="lab")
-    if world.net is not None:
-        world.net.apply_topology(Topology.RING, persistent=True)
-    else:
-        for a, b in zip(world.brokers, world.brokers[1:] + world.brokers[:1]):
-            a.link_to(b, persistent=True)
+    for a, b in zip(world.brokers, world.brokers[1:] + world.brokers[:1]):
+        a.link_to(b, persistent=True)
     n_bdns = ChaosWorld.N_REPLICAS if replicated else ChaosWorld.N_BDNS
     members = tuple((f"d{j}", Endpoint(f"d{j}.host", BDN_UDP_PORT)) for j in range(n_bdns))
     overload_layer = dict(

@@ -147,12 +147,11 @@ class BrokerNetwork:
         broker.start()
         return broker
 
-    def link(self, a: str, b: str, persistent: bool = False) -> None:
+    def link(self, a: str, b: str) -> None:
         """Request a link between brokers ``a`` and ``b`` (completes in settle).
 
-        With ``persistent=True`` the initiating broker treats ``b`` as a
-        configured neighbour and keeps re-establishing the link after
-        failures (see :meth:`repro.substrate.broker.Broker.link_to`).
+        A self-healing link is :meth:`repro.substrate.broker.Broker.link_to`
+        with ``persistent=True``.
         """
         if a == b:
             raise ValueError("cannot link a broker to itself")
@@ -161,16 +160,14 @@ class BrokerNetwork:
         if edge in self._edges:
             return
         self._edges.add(edge)
-        broker_a.link_to(broker_b, persistent=persistent)
+        broker_a.link_to(broker_b)
 
-    def apply_topology(
-        self, kind: str, names: list[str] | None = None, persistent: bool = False
-    ) -> None:
+    def apply_topology(self, kind: str, names: list[str] | None = None) -> None:
         """Link the named brokers (default: all, in insertion order).
 
         ``star`` uses the first name as hub; ``linear`` chains in list
         order; ``random_tree`` draws a uniform random labelled tree from
-        the master RNG.  ``persistent`` makes every link self-healing.
+        the master RNG.
         """
         ordered = list(self.brokers) if names is None else list(names)
         if kind == Topology.UNCONNECTED:
@@ -180,26 +177,26 @@ class BrokerNetwork:
         if kind == Topology.STAR:
             hub = ordered[0]
             for spoke in ordered[1:]:
-                self.link(hub, spoke, persistent=persistent)
+                self.link(hub, spoke)
         elif kind == Topology.LINEAR:
             for a, b in zip(ordered, ordered[1:]):
-                self.link(a, b, persistent=persistent)
+                self.link(a, b)
         elif kind == Topology.RING:
             if len(ordered) < 3:
                 raise ValueError("ring needs at least 3 brokers")
             for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-                self.link(a, b, persistent=persistent)
+                self.link(a, b)
         elif kind == Topology.MESH:
             for i, a in enumerate(ordered):
                 for b in ordered[i + 1 :]:
-                    self.link(a, b, persistent=persistent)
+                    self.link(a, b)
         elif kind == Topology.RANDOM_TREE:
             import networkx as nx
 
             seed = int(self.master_rng.integers(0, 2**31))
             tree = nx.random_labeled_tree(len(ordered), seed=seed)
             for i, j in tree.edges:
-                self.link(ordered[i], ordered[j], persistent=persistent)
+                self.link(ordered[i], ordered[j])
         else:
             raise ValueError(f"unknown topology {kind!r} (choose from {Topology.ALL})")
 

@@ -178,7 +178,7 @@ def test_link_up_then_down(monkeypatch):
     world = Flood(monkeypatch)
     world.assert_unheard("before")
     b1 = world.add("b1")
-    world.net.link("b0", "b1", persistent=True)
+    world.broker.link_to(b1, persistent=True)
     world.net.settle()
     world.assert_flooded_once("linked")
     assert world.responders["b1"].requests_processed == 1
@@ -203,7 +203,7 @@ def test_link_up_then_down(monkeypatch):
 def test_broker_stop_and_restart(monkeypatch):
     world = Flood(monkeypatch)
     b1 = world.add("b1")
-    world.net.link("b0", "b1", persistent=True)
+    world.broker.link_to(b1, persistent=True)
     world.net.settle()
     world.assert_flooded_once("up")
 

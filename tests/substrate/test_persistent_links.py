@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.discovery.faults import FaultInjector
 from repro.substrate.broker import LINK_RETRY_INTERVAL, Broker
-from repro.substrate.builder import BrokerNetwork, Topology
+from repro.substrate.builder import BrokerNetwork
 
 # Long enough for the next retry probe after a fault, plus the handshake.
 REPAIR = LINK_RETRY_INTERVAL + 1.0
@@ -14,7 +14,7 @@ def persistent_pair(seed=0) -> tuple[BrokerNetwork, Broker, Broker]:
     net = BrokerNetwork(seed=seed)
     a = net.add_broker("a", site="sa")
     b = net.add_broker("b", site="sb")
-    net.link("a", "b", persistent=True)
+    a.link_to(b, persistent=True)
     net.settle()
     return net, a, b
 
@@ -92,7 +92,9 @@ class TestPersistentLinks:
         net = BrokerNetwork(seed=3)
         for i in range(4):
             net.add_broker(f"b{i}", site=f"s{i}")
-        net.apply_topology(Topology.RING, persistent=True)
+        ring = list(net.brokers.values())
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            a.link_to(b, persistent=True)
         net.settle()
         injector = FaultInjector(net.network)
         victim = net.brokers["b1"]
