@@ -31,7 +31,10 @@ violations), a ``log`` digest (a running sha256 over the records) and
 ``marks``, the first byte of that running digest after each record.
 The tier-1 chaos sweeps check those seeds as they run them
 (:func:`sweep_run`), and a moved pin names its variant, its seed and
-its first moved record ``(time, event, node)``.  This command is the
+its first moved record ``(time, event, node)``.  A pinned seed runs
+twice there: recorded with a detailed sink for the pin, and with the
+default sink for the sweep's own checks, whose outcomes and violations
+must match the recorded run's.  This command is the
 one that regenerates them::
 
     PYTHONPATH=src python tests/event_parity.py --seeds 20 --write-pins
@@ -229,14 +232,24 @@ def _golden() -> dict:
 
 def sweep_run(variant: str, seed: int, moved: list[str]) -> chaos.ChaosReport:
     """One seed of a tier-1 chaos sweep: ``run_chaos`` with the variant's
-    arguments; a pinned seed is recorded and checked against its pin, and
-    what moved is appended to ``moved``."""
+    arguments and the default sink, whose report is returned.
+
+    A pinned seed also runs once recorded, with every sink detailed, and
+    is checked against its pin; the default run's outcomes and violations
+    must equal the recorded run's, so the pin holds for the sink that
+    production runs too.  What moved is appended to ``moved``."""
     kwargs = dict(VARIANTS)[variant]
+    report = run_chaos(seed, **kwargs)
     if seed >= PINNED_SEEDS:
-        return run_chaos(seed, **kwargs)
+        return report
     with ChaosRecorder() as recorder:
-        report = recorder.run(seed, **kwargs)
-    why = recorder.moved(variant, seed, report, _golden())
+        recorded = recorder.run(seed, **kwargs)
+    why = recorder.moved(variant, seed, recorded, _golden())
+    if why is None and (
+        recorder.outcomes(report) != recorder.outcomes(recorded)
+        or report.violations != recorded.violations
+    ):
+        why = f"{variant} seed {seed}: the default sink's outcomes or violations differ from the detailed sink's"
     if why is not None:
         moved.append(why)
     return report
